@@ -5,8 +5,10 @@ bounds come from relative entropy of entanglement for thermal-loss channels
 and squashed entanglement for amplitude damping. Pure loss is distillable, so
 its lower and upper bounds coincide at -log2(1-eta).
 
-An undirected physical edge can be used in either direction, and with
-asymmetric device noise the two directions give different compound channels.
+Network annotation and threshold solves share ``compound`` (send -> edge ->
+recv reduction) and ``compound_bound`` (one side's bound). An undirected
+physical edge can be used in either direction, and with asymmetric device
+noise the two directions give different compound channels.
 ``oriented_edge_bounds`` evaluates both and keeps, independently for the lower
 and the upper bound, the more favourable direction.
 """
@@ -28,9 +30,9 @@ from .channels import (
     NodeSpec,
     as_damping,
     as_thermal,
+    compose_ad,
+    compose_tl,
     family,
-    node_split_ad,
-    node_split_tl,
 )
 from .errors import DomainError, FamilyError
 
@@ -176,25 +178,31 @@ def orientation_str(direction: tuple[str, str]) -> str:
     return f"{direction[0]}->{direction[1]}"
 
 
-def _direction_bounds(edge: ChannelSpec, sender: NodeSpec, receiver: NodeSpec, fam: str):
-    """(lower, upper, lower kind, upper kind) for one direction of use."""
+def compound(fam: str, send, edge, recv):
+    """Reduce the chain send -> edge -> recv to one channel of the family.
+
+    Arguments and result are family-native: a damping probability ("ad") or
+    a (tau, nbar) pair ("tl").
+    """
+    return (compose_ad if fam == FAMILY_AD else compose_tl)((send, edge, recv))
+
+
+def compound_bound(fam: str, reduced, selector: str) -> tuple[float, BoundKind]:
+    """The "lower" or "upper" bound of a reduced compound, with its kind.
+
+    Only the selected side is evaluated. Unit transmissivity raises
+    DomainError; callers that give ideal edges a meaning handle them first.
+    """
     if fam == FAMILY_AD:
-        p_tot = node_split_ad(as_damping(edge), sender, receiver)
-        return ad_rci(p_tot), ad_squashed(p_tot), BoundKind.RCI_LOWER, BoundKind.SQUASHED_UPPER
-    eta_tot, nbar_tot = node_split_tl(as_thermal(edge), sender, receiver)
-    if eta_tot == 1.0:
-        if nbar_tot == 0.0:
-            return math.inf, math.inf, BoundKind.PLOB_EXACT, BoundKind.PLOB_EXACT
-        raise DomainError("thermal edge with unit transmissivity and added noise is not modelled")
+        if selector == "lower":
+            return ad_rci(reduced), BoundKind.RCI_LOWER
+        return ad_squashed(reduced), BoundKind.SQUASHED_UPPER
+    eta_tot, nbar_tot = reduced
     if nbar_tot == 0.0:
-        value = plob_pure_loss(eta_tot)
-        return value, value, BoundKind.PLOB_EXACT, BoundKind.PLOB_EXACT
-    return (
-        tl_rci(eta_tot, nbar_tot),
-        tl_ree(eta_tot, nbar_tot),
-        BoundKind.RCI_LOWER,
-        BoundKind.REE_UPPER,
-    )
+        return plob_pure_loss(eta_tot), BoundKind.PLOB_EXACT
+    if selector == "lower":
+        return tl_rci(eta_tot, nbar_tot), BoundKind.RCI_LOWER
+    return tl_ree(eta_tot, nbar_tot), BoundKind.REE_UPPER
 
 
 def edge_family(edge: ChannelSpec, node_a: NodeSpec, node_b: NodeSpec, fam: str | None = None) -> str:
@@ -227,18 +235,19 @@ def oriented_edge_bounds(
     resolved = edge_family(edge, node_a, node_b, fam)
     if resolved not in (FAMILY_AD, FAMILY_TL):
         raise FamilyError(f"unknown channel family {resolved!r}")
+    native = as_damping if resolved == FAMILY_AD else as_thermal
+    channel = native(edge)
     candidates = []
     for sender, receiver in ((node_a, node_b), (node_b, node_a)):
-        lo, up, lo_kind, up_kind = _direction_bounds(edge, sender, receiver, resolved)
-        candidates.append(((sender.id, receiver.id), lo, up, lo_kind, up_kind))
+        reduced = compound(resolved, native(sender.send), channel, native(receiver.recv))
+        if resolved == FAMILY_TL and reduced[0] == 1.0:  # an ideal edge has no finite bound
+            if reduced[1] != 0.0:
+                raise DomainError("thermal edge with unit transmissivity and added noise is not modelled")
+            sides = [(math.inf, BoundKind.PLOB_EXACT)] * 2
+        else:
+            sides = [compound_bound(resolved, reduced, selector) for selector in ("lower", "upper")]
+        candidates.append(((sender.id, receiver.id), *sides))
     candidates.sort(key=lambda c: c[0])
-    best_lo = max(candidates, key=lambda c: c[1])
-    best_up = max(candidates, key=lambda c: c[2])
-    return EdgeBounds(
-        lower=best_lo[1],
-        upper=best_up[2],
-        lower_orientation=best_lo[0],
-        upper_orientation=best_up[0],
-        lower_kind=best_lo[3],
-        upper_kind=best_up[4],
-    )
+    lower_dir, (lower, lower_kind), _ = max(candidates, key=lambda c: c[1][0])
+    upper_dir, _, (upper, upper_kind) = max(candidates, key=lambda c: c[2][0])
+    return EdgeBounds(lower, upper, lower_dir, upper_dir, lower_kind, upper_kind)

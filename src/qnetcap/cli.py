@@ -18,22 +18,16 @@ import dataclasses
 import json
 import math
 import sys
-from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
 from . import qkd as qkd_mod
 from . import wrn
 from .channels import AmplitudeDamping, ThermalLoss, as_thermal, channel_from_json
-from .errors import (
-    DomainError,
-    MonotonicityError,
-    NotAttainableError,
-    QnetcapError,
-    ValidationError,
-)
+from .errors import MonotonicityError, NotAttainableError, QnetcapError, ValidationError
 from .network import apply_split, load_network, network_to_json
-from .routing import capacity_report, cut_to_json, max_flow
+from .routing import capacity_report, cut_to_json
 from .selfcheck import check_ad_compounds, check_tl_compounds, routing_errors
 
 EXIT_OK = 0
@@ -174,25 +168,26 @@ def cmd_analyze(args) -> int:
         return EXIT_VALIDATION
     bg = apply_split(graph)
     report = capacity_report(bg)
-    upper_flow = max_flow(bg, "upper")
     out = {
         "users": list(bg.users),
         "report": report.as_dict(),
-        "mincut": {"value": upper_flow.value, **cut_to_json(upper_flow.mincut)},
+        "mincut": {"value": report.flooding_upper, **cut_to_json(report.upper_mincut)},
     }
     _emit_json(out, args.out)
     return EXIT_OK
 
 
+def _rho_cells(d_star: float, cell_type: str) -> float:
+    if math.isnan(d_star):
+        return math.nan
+    return wrn.min_nodal_density(d_star, cell_type).rho_min
+
+
 def _rho_min_entry(bracket: tuple[float, float], cell_type: str) -> dict:
     d_lo, d_hi = bracket
-    mid = 0.5 * (d_lo + d_hi)
     return {
-        "bracket": [
-            wrn.min_nodal_density(d_hi, cell_type).rho_min,
-            wrn.min_nodal_density(d_lo, cell_type).rho_min,
-        ],
-        "midpoint": wrn.min_nodal_density(mid, cell_type).rho_min,
+        "bracket": [_rho_cells(d_hi, cell_type), _rho_cells(d_lo, cell_type)],
+        "midpoint": _rho_cells(0.5 * (d_lo + d_hi), cell_type),
     }
 
 
@@ -237,27 +232,47 @@ def _sweep_points(spec: dict) -> list[float]:
     return [float(x) for x in xs]
 
 
-def _solve_both(spec, target, param, setup) -> tuple[float, float]:
-    """Bulk-scale threshold from each bounding function; nan marks unattainable."""
-    lower_fn, upper_fn, bracket = wrn.bound_functions(spec, param, qkd_setup=setup)
-    scale = float(wrn.delta(spec.k, spec.commonalities))
-    out = []
-    for fn in (lower_fn, upper_fn):
-        try:
-            out.append(wrn.solve_threshold(fn, target, scale, bracket=bracket))
-        except NotAttainableError:
-            out.append(math.nan)
-    return out[0], out[1]
-
-
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _rho_cells(d_star: float, cell_type: str) -> float:
-    if math.isnan(d_star):
-        return math.nan
-    return wrn.min_nodal_density(d_star, cell_type).rho_min
+# Column stem of each solved parameter; edge-length columns add rho_min_*.
+_SOLVED_STEM = {
+    wrn.PARAM_EDGE_LENGTH: "d_max",
+    wrn.PARAM_INTERNAL_LOSS: "p_int_max",
+    wrn.PARAM_RECEIVER_NOISE: "nbar_r_max",
+}
+
+
+def _respec_length(spec: wrn.WrnSpec, d: float) -> wrn.WrnSpec:
+    return dataclasses.replace(spec, edge_length_km=d)
+
+
+def _respec_loss(spec: wrn.WrnSpec, p_int: float) -> wrn.WrnSpec:
+    return dataclasses.replace(spec, recv=AmplitudeDamping(p_int))
+
+
+def _respec_noise(spec: wrn.WrnSpec, nbar_r: float) -> wrn.WrnSpec:
+    return dataclasses.replace(spec, recv=ThermalLoss(as_thermal(spec.recv)[0], nbar_r))
+
+
+def _qkd_columns(spec: wrn.WrnSpec, setup) -> tuple[list[str], Callable[[float], list[float]]]:
+    """Headers and per-edge-length cells: receiver noise of both LO schemes."""
+    base = setup if setup is not None else qkd_mod.from_preset("table1-heterodyne-llo")
+    schemes = [qkd_mod.with_scheme(base, scheme) for scheme in ("llo", "tlo")]
+    return ["nbar_r_llo", "nbar_r_tlo"], (
+        lambda d: [qkd_mod.receiver_noise(scheme, 10.0 ** (-spec.gamma * d)) for scheme in schemes]
+    )
+
+
+# (variable, family) -> (x column, re-spec at x, solved param, pass the QKD
+# setup to the solve, extra columns). targetCapacity sweeps the target itself.
+_SWEEPS = {
+    ("edgeLength", "ad"): ("edge_length_km", _respec_length, wrn.PARAM_INTERNAL_LOSS, True, None),
+    ("edgeLength", "tl"): ("edge_length_km", _respec_length, wrn.PARAM_RECEIVER_NOISE, False, _qkd_columns),
+    ("internalLoss", "ad"): ("p_int", _respec_loss, wrn.PARAM_EDGE_LENGTH, True, None),
+    ("receiverNoise", "tl"): ("nbar_r", _respec_noise, wrn.PARAM_EDGE_LENGTH, True, None),
+}
 
 
 def _sweep_rows(data: dict, spec: wrn.WrnSpec, setup) -> tuple[list[str], list[list[float]]]:
@@ -265,81 +280,32 @@ def _sweep_rows(data: dict, spec: wrn.WrnSpec, setup) -> tuple[list[str], list[l
     points = _sweep_points(data)
     if variable == "targetCapacity":
         param = data.get("param", wrn.PARAM_EDGE_LENGTH)
-        if param not in (wrn.PARAM_EDGE_LENGTH, wrn.PARAM_INTERNAL_LOSS, wrn.PARAM_RECEIVER_NOISE):
+        if param not in _SOLVED_STEM:
             raise _InputError(f"unknown param {param!r}")
-        names = {
-            wrn.PARAM_EDGE_LENGTH: ("d_max_lower", "d_max_upper"),
-            wrn.PARAM_INTERNAL_LOSS: ("p_int_max_lower", "p_int_max_upper"),
-            wrn.PARAM_RECEIVER_NOISE: ("nbar_r_max_lower", "nbar_r_max_upper"),
-        }[param]
-        header = ["target_capacity", *names]
-        with_rho = param == wrn.PARAM_EDGE_LENGTH
-        if with_rho:
-            header += ["rho_min_lower", "rho_min_upper"]
-        rows = []
-        for target in points:
-            lo, up = _solve_both(spec, target, param, setup)
-            row = [target, lo, up]
-            if with_rho:
-                row += [_rho_cells(lo, spec.cell_type), _rho_cells(up, spec.cell_type)]
-            rows.append(row)
-        return header, rows
-
-    if "target" not in data:
-        raise _InputError(f"sweeps over {variable} need a fixed 'target' capacity")
-    target = float(data["target"])
-
-    if variable == "edgeLength":
-        if spec.family == "ad":
-            header = ["edge_length_km", "p_int_max_lower", "p_int_max_upper"]
-            rows = []
-            for d in points:
-                at_d = dataclasses.replace(spec, edge_length_km=d)
-                lo, up = _solve_both(at_d, target, wrn.PARAM_INTERNAL_LOSS, setup)
-                rows.append([d, lo, up])
-            return header, rows
-        base = setup if setup is not None else qkd_mod.from_preset("table1-heterodyne-llo")
-        llo = qkd_mod.with_scheme(base, "llo")
-        tlo = qkd_mod.with_scheme(base, "tlo")
-        header = [
-            "edge_length_km", "nbar_r_max_lower", "nbar_r_max_upper", "nbar_r_llo", "nbar_r_tlo",
-        ]
-        rows = []
-        for d in points:
-            at_d = dataclasses.replace(spec, edge_length_km=d)
-            lo, up = _solve_both(at_d, target, wrn.PARAM_RECEIVER_NOISE, None)
-            eta = 10.0 ** (-spec.gamma * d)
-            rows.append([
-                d, lo, up,
-                qkd_mod.receiver_noise(llo, eta),
-                qkd_mod.receiver_noise(tlo, eta),
-            ])
-        return header, rows
-
-    if variable == "internalLoss":
-        if spec.family != "ad":
-            raise _InputError("internalLoss sweeps need a damping-family lattice")
-        header = ["p_int", "d_max_lower", "d_max_upper", "rho_min_lower", "rho_min_upper"]
-        rows = []
-        for p_int in points:
-            at_p = dataclasses.replace(spec, recv=AmplitudeDamping(p_int))
-            lo, up = _solve_both(at_p, target, wrn.PARAM_EDGE_LENGTH, setup)
-            rows.append([p_int, lo, up, _rho_cells(lo, spec.cell_type), _rho_cells(up, spec.cell_type)])
-        return header, rows
-
-    if variable == "receiverNoise":
-        if spec.family != "tl":
-            raise _InputError("receiverNoise sweeps need a thermal-family lattice")
-        tau_r = as_thermal(spec.recv)[0]
-        header = ["nbar_r", "d_max_lower", "d_max_upper", "rho_min_lower", "rho_min_upper"]
-        rows = []
-        for nbar_r in points:
-            at_n = dataclasses.replace(spec, recv=ThermalLoss(tau_r, nbar_r))
-            lo, up = _solve_both(at_n, target, wrn.PARAM_EDGE_LENGTH, setup)
-            rows.append([nbar_r, lo, up, _rho_cells(lo, spec.cell_type), _rho_cells(up, spec.cell_type)])
-        return header, rows
-
-    raise _InputError(f"variable must be one of {_SWEEP_VARIABLES}, got {variable!r}")
+        x_column, respec, pass_setup, columns = "target_capacity", None, True, None
+    else:
+        if "target" not in data:
+            raise _InputError(f"sweeps over {variable} need a fixed 'target' capacity")
+        target = float(data["target"])
+        if (variable, spec.family) not in _SWEEPS:
+            needs = "damping" if (variable, "ad") in _SWEEPS else "thermal"
+            raise _InputError(f"{variable} sweeps need a {needs}-family lattice")
+        x_column, respec, param, pass_setup, columns = _SWEEPS[variable, spec.family]
+    stem = _SOLVED_STEM[param]
+    header = [x_column, f"{stem}_lower", f"{stem}_upper"]
+    with_rho = param == wrn.PARAM_EDGE_LENGTH
+    if with_rho:
+        header += ["rho_min_lower", "rho_min_upper"]
+    extra_header, extra_cells = columns(spec, setup) if columns is not None else ([], lambda x: [])
+    header += extra_header
+    rows = []
+    for x in points:
+        at_x, goal = (spec, x) if respec is None else (respec(spec, x), target)
+        result = wrn.solve_at_scale(at_x, goal, param, "delta", setup if pass_setup else None)
+        lo, up = result.from_lower_fn, result.from_upper_fn
+        rho = [_rho_cells(lo, spec.cell_type), _rho_cells(up, spec.cell_type)] if with_rho else []
+        rows.append([x, lo, up, *rho, *extra_cells(x)])
+    return header, rows
 
 
 def cmd_sweep(args) -> int:

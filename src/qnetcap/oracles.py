@@ -1,23 +1,28 @@
-"""Brute-force verifiers for the closed-form channel algebra.
+"""Brute-force verifiers for the channel algebra and the routing algorithms.
 
 Everything here recomputes quantities the rest of the package obtains from
-formulas, using a different route: explicit Kraus action on density matrices,
-eigenvalue-based von Neumann entropies of Choi states, and Gaussian covariance
-propagation for thermal-loss chains. The tests pit these against the fast
-implementations; nothing else should depend on this module.
+formulas or fast algorithms, using a different route: explicit Kraus action on
+density matrices, eigenvalue-based von Neumann entropies of Choi states,
+Gaussian covariance propagation for thermal-loss chains, and exhaustive cut and
+path enumeration on small graphs. The tests and the ``selfcheck`` batteries
+pit these against the fast paths, which never depend on this module.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, KrausError
+from .errors import DomainError, KrausError, SizeError
+from .network import BoundedGraph, Cut, check_selector
 
 # Eigenvalues at or below this are treated as exact zeros inside entropies.
 EIG_ZERO_TOL = 1e-14
 MATRIX_TOL = 1e-12
+# Hard cap for the exhaustive bipartition scan (2^(n-2) cuts).
+BRUTE_FORCE_MAX_NODES = 22
 
 _I2 = np.eye(2, dtype=complex)
 # Maximally entangled 2-qubit ket (|00> + |11>) / sqrt(2).
@@ -175,3 +180,64 @@ def gaussian_propagate(v: np.ndarray, channels) -> np.ndarray:
             raise DomainError(f"thermal photon number must be >= 0, got {nbar}")
         out = tau * out + (nbar + 0.5 * abs(1.0 - tau)) * eye
     return out
+
+
+def cut_value(bg: BoundedGraph, selector: str, a_side) -> float:
+    """Sum of edge values crossing a bipartition."""
+    check_selector(selector)
+    a_side = frozenset(a_side)
+    return sum(
+        e.value(selector) for e in bg.edges if (e.a in a_side) != (e.b in a_side)
+    )
+
+
+def brute_force_min_cut(bg: BoundedGraph, selector: str) -> tuple[float, Cut]:
+    """Exhaustively scan all 2^(n-2) user-separating bipartitions."""
+    check_selector(selector)
+    if len(bg.nodes) > BRUTE_FORCE_MAX_NODES:
+        raise SizeError(f"{len(bg.nodes)} nodes exceeds the cap of {BRUTE_FORCE_MAX_NODES}")
+    alpha, beta = bg.users
+    others = sorted(n for n in bg.nodes if n not in (alpha, beta))
+    best_value = math.inf
+    best_side: frozenset | None = None
+    for mask in range(2 ** len(others)):
+        a_side = {alpha}
+        for i, n in enumerate(others):
+            if mask >> i & 1:
+                a_side.add(n)
+        value = cut_value(bg, selector, a_side)
+        if value < best_value:
+            best_value = value
+            best_side = frozenset(a_side)
+    cut_edges = tuple(
+        sorted(e.key() for e in bg.edges if (e.a in best_side) != (e.b in best_side))
+    )
+    return best_value, Cut(best_side, frozenset(bg.nodes) - best_side, cut_edges)
+
+
+def brute_force_widest_path(bg: BoundedGraph, selector: str) -> float:
+    """Best bottleneck over every simple path, by exhaustive DFS."""
+    check_selector(selector)
+    if len(bg.nodes) > BRUTE_FORCE_MAX_NODES:
+        raise SizeError(f"{len(bg.nodes)} nodes exceeds the cap of {BRUTE_FORCE_MAX_NODES}")
+    alpha, beta = bg.users
+    adj: dict[str, list[tuple[str, float]]] = {n: [] for n in bg.nodes}
+    for e in bg.edges:
+        adj[e.a].append((e.b, e.value(selector)))
+        adj[e.b].append((e.a, e.value(selector)))
+    best = 0.0
+    on_path = {alpha}
+
+    def go(u: str, width: float):
+        nonlocal best
+        if u == beta:
+            best = max(best, width)
+            return
+        for v, value in adj[u]:
+            if v not in on_path:
+                on_path.add(v)
+                go(v, min(width, value))
+                on_path.remove(v)
+
+    go(alpha, math.inf)
+    return best

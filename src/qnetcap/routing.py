@@ -2,9 +2,9 @@
 
 Single-path capacity is the widest-path bottleneck between the end users;
 flooding capacity is the undirected max flow, equal to the minimum cut. Both
-are evaluated on either the lower or the upper edge annotation. Exhaustive
-enumeration oracles for small graphs live here too; the fast algorithms are
-gated against them in the tests.
+are evaluated on either the lower or the upper edge annotation. The
+exhaustive enumeration oracles that gate these algorithms live in
+``oracles.py``.
 """
 
 from __future__ import annotations
@@ -13,14 +13,11 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, SizeError
+from .errors import DomainError
 from .network import BoundedGraph, Cut, check_selector, min_neighbourhood_capacity
 
 # Residual capacities at or below this are treated as saturated.
 RESIDUAL_TOL = 1e-12
-
-# Hard cap for the exhaustive bipartition scan (2^(n-2) cuts).
-BRUTE_FORCE_MAX_NODES = 22
 
 
 @dataclass(frozen=True)
@@ -113,12 +110,7 @@ def widest_path(bg: BoundedGraph, selector: str) -> PathResult:
     while path[-1] != alpha:
         path.append(pred[path[-1]])
     path.reverse()
-    bottleneck = width[beta]
-    if bottleneck == math.inf:
-        # Single-node path cannot happen (alpha != beta), so a finite graph
-        # only reaches here when every edge on the path is infinite.
-        return PathResult(math.inf, tuple(path))
-    return PathResult(bottleneck, tuple(path))
+    return PathResult(width[beta], tuple(path))
 
 
 class _Dinic:
@@ -158,20 +150,28 @@ class _Dinic:
                     queue.append(v)
         return level if level[t] >= 0 else None
 
-    def _dfs(self, u: int, t: int, pushed: float, level, it) -> float:
-        if u == t:
-            return pushed
-        while it[u] < len(self.adj[u]):
+    def _augment(self, s: int, t: int, level, it) -> float:
+        """Push one path found by iterative DFS in the level graph; 0.0 when blocked."""
+        path: list[int] = []
+        u = s
+        while u != t:
+            if it[u] == len(self.adj[u]):  # dead end: retreat, skip the arc into u
+                if not path:
+                    return 0.0
+                u = self.to[path.pop() ^ 1]
+                it[u] += 1
+                continue
             arc = self.adj[u][it[u]]
-            v = self.to[arc]
-            if self.cap[arc] > RESIDUAL_TOL and level[v] == level[u] + 1:
-                got = self._dfs(v, t, min(pushed, self.cap[arc]), level, it)
-                if got > 0.0:
-                    self.cap[arc] -= got
-                    self.cap[arc ^ 1] += got
-                    return got
-            it[u] += 1
-        return 0.0
+            if self.cap[arc] > RESIDUAL_TOL and level[self.to[arc]] == level[u] + 1:
+                path.append(arc)
+                u = self.to[arc]
+            else:
+                it[u] += 1
+        pushed = min(self.cap[arc] for arc in path)
+        for arc in path:
+            self.cap[arc] -= pushed
+            self.cap[arc ^ 1] += pushed
+        return pushed
 
     def run(self, s: int, t: int) -> float:
         total = 0.0
@@ -181,7 +181,7 @@ class _Dinic:
                 return total
             it = [0] * len(self.adj)
             while True:
-                pushed = self._dfs(s, t, math.inf, level, it)
+                pushed = self._augment(s, t, level, it)
                 if pushed <= 0.0:
                     break
                 total += pushed
@@ -237,64 +237,6 @@ def max_flow(bg: BoundedGraph, selector: str) -> FlowResult:
     return FlowResult(value, Cut(a_side, b_side, cut_edges), flows)
 
 
-def cut_value(bg: BoundedGraph, selector: str, a_side) -> float:
-    """Sum of edge values crossing a bipartition."""
-    check_selector(selector)
-    a_side = frozenset(a_side)
-    return sum(
-        e.value(selector) for e in bg.edges if (e.a in a_side) != (e.b in a_side)
-    )
-
-
-def brute_force_min_cut(bg: BoundedGraph, selector: str) -> tuple[float, Cut]:
-    """Exhaustively scan all 2^(n-2) user-separating bipartitions."""
-    check_selector(selector)
-    if len(bg.nodes) > BRUTE_FORCE_MAX_NODES:
-        raise SizeError(f"{len(bg.nodes)} nodes exceeds the cap of {BRUTE_FORCE_MAX_NODES}")
-    alpha, beta = bg.users
-    others = sorted(n for n in bg.nodes if n not in (alpha, beta))
-    best_value = math.inf
-    best_side: frozenset | None = None
-    for mask in range(2 ** len(others)):
-        a_side = {alpha}
-        for i, n in enumerate(others):
-            if mask >> i & 1:
-                a_side.add(n)
-        value = cut_value(bg, selector, a_side)
-        if value < best_value:
-            best_value = value
-            best_side = frozenset(a_side)
-    cut_edges = tuple(
-        sorted(e.key() for e in bg.edges if (e.a in best_side) != (e.b in best_side))
-    )
-    return best_value, Cut(best_side, frozenset(bg.nodes) - best_side, cut_edges)
-
-
-def brute_force_widest_path(bg: BoundedGraph, selector: str) -> float:
-    """Best bottleneck over every simple path, by exhaustive DFS."""
-    check_selector(selector)
-    if len(bg.nodes) > BRUTE_FORCE_MAX_NODES:
-        raise SizeError(f"{len(bg.nodes)} nodes exceeds the cap of {BRUTE_FORCE_MAX_NODES}")
-    alpha, beta = bg.users
-    adj = _adjacency(bg, selector)
-    best = 0.0
-    on_path = {alpha}
-
-    def go(u: str, width: float):
-        nonlocal best
-        if u == beta:
-            best = max(best, width)
-            return
-        for v, value in adj[u]:
-            if v not in on_path:
-                on_path.add(v)
-                go(v, min(width, value))
-                on_path.remove(v)
-
-    go(alpha, math.inf)
-    return best
-
-
 @dataclass(frozen=True)
 class CapacityReport:
     """The six end-to-end numbers for one bounded graph."""
@@ -305,6 +247,7 @@ class CapacityReport:
     flooding_upper: float
     min_neighbourhood_lower: float
     min_neighbourhood_upper: float
+    upper_mincut: Cut | None = None  # the minimum cut certifying flooding_upper
 
     def as_dict(self) -> dict:
         return {
@@ -318,13 +261,15 @@ class CapacityReport:
 
 
 def capacity_report(bg: BoundedGraph) -> CapacityReport:
+    upper_flow = max_flow(bg, "upper")
     return CapacityReport(
         single_path_lower=widest_path(bg, "lower").value,
         single_path_upper=widest_path(bg, "upper").value,
         flooding_lower=max_flow(bg, "lower").value,
-        flooding_upper=max_flow(bg, "upper").value,
+        flooding_upper=upper_flow.value,
         min_neighbourhood_lower=min_neighbourhood_capacity(bg, "lower"),
         min_neighbourhood_upper=min_neighbourhood_capacity(bg, "upper"),
+        upper_mincut=upper_flow.mincut,
     )
 
 

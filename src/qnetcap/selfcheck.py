@@ -12,8 +12,8 @@ import numpy as np
 
 from .channels import compose_ad, compose_tl
 from .network import BoundedGraph, bounded_from_values
-from .oracles import ad_channel, apply_channel, gaussian_propagate
-from .routing import brute_force_min_cut, brute_force_widest_path, max_flow, widest_path
+from .oracles import ad_channel, apply_channel, brute_force_min_cut, brute_force_widest_path, gaussian_propagate
+from .routing import max_flow, widest_path
 
 EXCITED = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import qkd as qkd_mod
-from .bounds import ad_rci, ad_squashed, plob_pure_loss, tl_rci, tl_ree
+from .bounds import compound, compound_bound
 from .channels import (
     FAMILY_AD,
     FAMILY_TL,
@@ -35,8 +35,6 @@ from .channels import (
     NodeSpec,
     as_damping,
     as_thermal,
-    compose_ad,
-    compose_tl,
     family,
 )
 from .errors import DomainError, FamilyError, MonotonicityError, NotAttainableError
@@ -54,6 +52,9 @@ MONOTONE_SAMPLES = 64
 PARAM_EDGE_LENGTH = "edgeLength"
 PARAM_INTERNAL_LOSS = "internalLoss"
 PARAM_RECEIVER_NOISE = "receiverNoise"
+
+# Bulk edges scale the target by delta, user-connected edges by omega.
+SCALE_NAMES = ("delta", "omega")
 
 DIRECTION_MAX = "maxTolerable"
 DIRECTION_MIN = "minRequired"
@@ -141,7 +142,6 @@ def _triangular_coords(rings: int):
 
 
 _TRI_HALF_DIRS = ((1, 0), (0, 1), (-1, 1))
-_TRI_ALL_DIRS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
 _KING_HALF_DIRS = ((1, 0), (0, 1), (1, 1), (1, -1))
 
 
@@ -160,11 +160,10 @@ def generate(spec: WrnSpec) -> NetworkGraph:
     if spec.cell_type == CELL_TRIANGULAR:
         coords = _triangular_coords(rings)
         half_dirs = _TRI_HALF_DIRS
-        member = set(coords)
     else:
         coords = [(x, y) for x in range(-rings, rings + 1) for y in range(-rings, rings + 1)]
         half_dirs = _KING_HALF_DIRS
-        member = set(coords)
+    member = set(coords)
     users = ((-2, 0), (2, 0))
     fibre = FibreParams(length_km=spec.edge_length_km, gamma=spec.gamma, nbar_B=spec.nbar_B)
     nodes = {}
@@ -228,9 +227,10 @@ class ThresholdResult:
     scale_name: str  # "delta" | "omega"
     scale: float
     target: float
-    direction: str
-    from_lower_fn: float  # xi* solved on the achievable (lower) bound
-    from_upper_fn: float  # xi* solved on the upper bound
+    direction: str | None  # None only when neither side solves
+    from_lower_fn: float  # xi* solved on the achievable (lower) bound; nan if unattainable
+    from_upper_fn: float  # xi* solved on the upper bound; nan if unattainable
+    unattainable: NotAttainableError | None = field(default=None, compare=False, repr=False)
 
     @property
     def bracket(self) -> tuple[float, float]:
@@ -342,8 +342,17 @@ def _solve(
             hi = mid
         if hi - lo <= XI_REL_TOL * max(abs(lo), abs(hi)):
             break
+    # The width stop can come before the residual test passes where the
+    # function is steep; keep halving while there is room between lo and hi.
     xi = 0.5 * (lo + hi)
     achieved = fn(xi)
+    while abs(achieved - goal) > RESIDUAL_REL_TOL * goal and lo < xi < hi:
+        if sign * (achieved - goal) < 0.0:
+            lo = xi
+        else:
+            hi = xi
+        xi = 0.5 * (lo + hi)
+        achieved = fn(xi)
     if abs(achieved - goal) > RESIDUAL_REL_TOL * goal:
         raise MonotonicityError(
             f"bisection landed at bound value {achieved:g}, target {goal:g}; "
@@ -362,31 +371,57 @@ def solve_threshold(
     """Parameter value where scale * bound_fn(xi) crosses the capacity target.
 
     ``bound_fn`` must be monotone on the bracket (verified by sampling).
-    Bisection runs to relative 1e-9 in xi and the result reproduces
-    target/scale to relative 1e-6. Raises NotAttainableError when the target
-    lies outside the function's range even after bracket expansion, and
-    MonotonicityError for non-monotone input.
+    Bisection runs to relative 1e-9 in xi, then on while there is room, until
+    the result reproduces target/scale to relative 1e-6. Raises
+    NotAttainableError when the target lies outside the function's range even
+    after bracket expansion, and MonotonicityError for non-monotone input.
     """
     xi, _ = _solve(bound_fn, target, scale, direction, bracket)
     return xi
 
 
-def _fibre_eta(spec: WrnSpec, d: float) -> float:
-    return 10.0 ** (-spec.gamma * d)
+def _compound_at(spec: WrnSpec, param: str, qkd_setup: qkd_mod.QkdSetup | None):
+    """(xi -> reduced edge compound in family-native numbers, start bracket)."""
 
+    def eta(d: float) -> float:
+        return 10.0 ** (-spec.gamma * d)
 
-def _tl_pair(spec: WrnSpec, d: float, recv: tuple[float, float], send: tuple[float, float]):
-    eta = _fibre_eta(spec, d)
-    return compose_tl([send, (eta, spec.nbar_B), recv])
+    if param == PARAM_EDGE_LENGTH:
+        if spec.family == FAMILY_AD:
+            if qkd_setup is not None:
+                raise FamilyError("QKD receiver models apply to thermal-loss lattices only")
+            p_send, p_recv = as_damping(spec.send), as_damping(spec.recv)
+            return (lambda d: compound(FAMILY_AD, p_send, 1.0 - eta(d), p_recv)), BRACKET_START
+        if qkd_setup is not None:
+            def qkd_compound(d: float):
+                eta_d = eta(d)
+                recv = (qkd_setup.tau_eff, qkd_mod.receiver_noise(qkd_setup, eta_d))
+                return compound(FAMILY_TL, (1.0, 0.0), (eta_d, spec.nbar_B), recv)
 
+            return qkd_compound, BRACKET_START
+        send_t, recv_t = as_thermal(spec.send), as_thermal(spec.recv)
+        return (lambda d: compound(FAMILY_TL, send_t, (eta(d), spec.nbar_B), recv_t)), BRACKET_START
 
-def _tl_bound(pair: tuple[float, float], upper: bool) -> float:
-    eta_tot, nbar_tot = pair
-    if eta_tot >= 1.0:
-        raise DomainError("degenerate edge with unit transmissivity in a threshold solve")
-    if nbar_tot == 0.0:
-        return plob_pure_loss(eta_tot)
-    return tl_ree(eta_tot, nbar_tot) if upper else tl_rci(eta_tot, nbar_tot)
+    if param == PARAM_INTERNAL_LOSS:
+        if spec.family != FAMILY_AD:
+            raise FamilyError("internal loss is the damping-family parameter")
+        if qkd_setup is not None:
+            raise FamilyError("QKD receiver models apply to thermal-loss lattices only")
+        # The swept internal loss stands in for both device templates.
+        p_edge = 1.0 - eta(spec.edge_length_km)
+        return (lambda p: compound(FAMILY_AD, p, p_edge, 0.0)), (BRACKET_START[0], 1.0 - 1e-9)
+
+    if param == PARAM_RECEIVER_NOISE:
+        if spec.family != FAMILY_TL:
+            raise FamilyError("receiver noise is the thermal-family parameter")
+        tau_r, send_t = as_thermal(spec.recv)[0], as_thermal(spec.send)
+        fibre = (eta(spec.edge_length_km), spec.nbar_B)
+        return (lambda n: compound(FAMILY_TL, send_t, fibre, (tau_r, n))), BRACKET_START
+
+    raise DomainError(
+        f"param must be one of {PARAM_EDGE_LENGTH!r}, {PARAM_INTERNAL_LOSS!r}, "
+        f"{PARAM_RECEIVER_NOISE!r}, got {param!r}"
+    )
 
 
 def bound_functions(
@@ -399,64 +434,14 @@ def bound_functions(
     The remaining parameters are frozen from the spec. With a QKD setup the
     receiver template becomes ThermalLoss(tau_eff, nbar_r(eta(d))) and the
     sender is ideal; that combination only applies to thermal-loss lattices
-    varied over edge length.
+    varied over edge length. Each function evaluates its own side only.
     """
-    if param == PARAM_EDGE_LENGTH:
-        if spec.family == FAMILY_AD:
-            if qkd_setup is not None:
-                raise FamilyError("QKD receiver models apply to thermal-loss lattices only")
-            p_send = as_damping(spec.send)
-            p_recv = as_damping(spec.recv)
-
-            def p_tot(d: float) -> float:
-                return compose_ad([p_send, 1.0 - _fibre_eta(spec, d), p_recv])
-
-            return (lambda d: ad_rci(p_tot(d)), lambda d: ad_squashed(p_tot(d)), BRACKET_START)
-        if qkd_setup is not None:
-            def pair(d: float):
-                eta = _fibre_eta(spec, d)
-                recv = (qkd_setup.tau_eff, qkd_mod.receiver_noise(qkd_setup, eta))
-                return compose_tl([(1.0, 0.0), (eta, spec.nbar_B), recv])
-        else:
-            recv_t = as_thermal(spec.recv)
-            send_t = as_thermal(spec.send)
-
-            def pair(d: float):
-                return _tl_pair(spec, d, recv_t, send_t)
-
-        return (lambda d: _tl_bound(pair(d), False), lambda d: _tl_bound(pair(d), True), BRACKET_START)
-
-    if param == PARAM_INTERNAL_LOSS:
-        if spec.family != FAMILY_AD:
-            raise FamilyError("internal loss is the damping-family parameter")
-        if qkd_setup is not None:
-            raise FamilyError("QKD receiver models apply to thermal-loss lattices only")
-        p_edge = 1.0 - _fibre_eta(spec, spec.edge_length_km)
-
-        def p_tot_int(p_int: float) -> float:
-            return compose_ad([p_int, p_edge])
-
-        bracket = (BRACKET_START[0], 1.0 - 1e-9)
-        return (lambda p: ad_rci(p_tot_int(p)), lambda p: ad_squashed(p_tot_int(p)), bracket)
-
-    if param == PARAM_RECEIVER_NOISE:
-        if spec.family != FAMILY_TL:
-            raise FamilyError("receiver noise is the thermal-family parameter")
-        tau_r = as_thermal(spec.recv)[0]
-        send_t = as_thermal(spec.send)
-
-        def pair_noise(nbar_r: float):
-            return _tl_pair(spec, spec.edge_length_km, (tau_r, nbar_r), send_t)
-
-        return (
-            lambda n: _tl_bound(pair_noise(n), False),
-            lambda n: _tl_bound(pair_noise(n), True),
-            BRACKET_START,
-        )
-
-    raise DomainError(
-        f"param must be one of {PARAM_EDGE_LENGTH!r}, {PARAM_INTERNAL_LOSS!r}, "
-        f"{PARAM_RECEIVER_NOISE!r}, got {param!r}"
+    at, bracket = _compound_at(spec, param, qkd_setup)
+    fam = spec.family
+    return (
+        lambda x: compound_bound(fam, at(x), "lower")[0],
+        lambda x: compound_bound(fam, at(x), "upper")[0],
+        bracket,
     )
 
 
@@ -471,32 +456,57 @@ def connectivity(spec: WrnSpec) -> tuple[int, Fraction]:
     return d, omega(spec.k, d)
 
 
+def solve_at_scale(
+    spec: WrnSpec, target: float, param: str, scale_name: str, qkd_setup: qkd_mod.QkdSetup | None = None
+) -> ThresholdResult:
+    """Thresholds from the lower and the upper bound function at one scale.
+
+    ``scale_name`` is "delta" (bulk edges) or "omega" (user edges). A side
+    whose per-edge target is out of reach is nan, and the first such
+    NotAttainableError is kept in ``unattainable``.
+    """
+    scales = dict(zip(SCALE_NAMES, connectivity(spec)))
+    if scale_name not in scales:
+        raise DomainError(f"scale must be one of {SCALE_NAMES}, got {scale_name!r}")
+    scale = float(scales[scale_name])
+    lower_fn, upper_fn, bracket = bound_functions(spec, param, qkd_setup)
+    solved, unattainable = [], None
+    for fn in (lower_fn, upper_fn):
+        try:
+            solved.append(_solve(fn, target, scale, None, bracket))
+        except NotAttainableError as exc:
+            solved.append((math.nan, None))
+            unattainable = unattainable or exc
+    (xi_lo, direction), (xi_up, direction_up) = solved
+    if None not in (direction, direction_up) and direction != direction_up:
+        raise MonotonicityError("lower and upper bound functions disagree in direction")
+    return ThresholdResult(
+        param=param,
+        scale_name=scale_name,
+        scale=scale,
+        target=target,
+        direction=direction or direction_up,
+        from_lower_fn=xi_lo,
+        from_upper_fn=xi_up,
+        unattainable=unattainable,
+    )
+
+
 def threshold_report(
     spec: WrnSpec,
     target: float,
     param: str,
     qkd_setup: qkd_mod.QkdSetup | None = None,
 ) -> tuple[ThresholdResult, ThresholdResult]:
-    """Bracketed thresholds for bulk edges (scale delta) and user edges (scale omega)."""
-    lower_fn, upper_fn, bracket = bound_functions(spec, param, qkd_setup)
-    d_val, w_val = connectivity(spec)
+    """Bracketed thresholds for bulk edges (scale delta) and user edges (scale omega).
+
+    Raises NotAttainableError when either bound function misses the target.
+    """
     results = []
-    for scale_name, scale in (("delta", float(d_val)), ("omega", float(w_val))):
-        xi_lo, direction = _solve(lower_fn, target, scale, None, bracket)
-        xi_up, direction_up = _solve(upper_fn, target, scale, None, bracket)
-        if direction_up != direction:
-            raise MonotonicityError("lower and upper bound functions disagree in direction")
-        results.append(
-            ThresholdResult(
-                param=param,
-                scale_name=scale_name,
-                scale=scale,
-                target=target,
-                direction=direction,
-                from_lower_fn=xi_lo,
-                from_upper_fn=xi_up,
-            )
-        )
+    for scale_name in SCALE_NAMES:
+        results.append(solve_at_scale(spec, target, param, scale_name, qkd_setup))
+        if results[-1].unattainable is not None:
+            raise results[-1].unattainable
     return results[0], results[1]
 
 

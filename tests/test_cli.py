@@ -178,6 +178,21 @@ def test_sweep_target_capacity_rows(tmp_path, capsys):
     assert first[3] >= first[4]
 
 
+def test_readme_target_capacity_sweep_converges(tmp_path, capsys):
+    spec = write_json(tmp_path / "sweep.json", {
+        "variable": "targetCapacity",
+        "start": 1e-4, "stop": 1e-1, "steps": 40, "scale": "log",
+        "wrn": MAN_SPEC,
+    })
+    code, out, err = run(capsys, "sweep", "--spec", spec)
+    assert code == EXIT_OK, err
+    rows = out.splitlines()[3:]
+    assert len(rows) == 40
+    for line in rows:
+        target, lo, up, _, _ = (float(x) for x in line.split(","))
+        assert 0.0 < lo <= up
+
+
 def test_sweep_edge_length_ad_header(tmp_path, capsys):
     spec = write_json(tmp_path / "sweep.json", {
         "variable": "edgeLength",

@@ -1,0 +1,162 @@
+"""Golden CLI corpus: output bytes and exit codes must not drift.
+
+Each case runs ``cli.main`` in-process with ``--out`` and compares the written
+file byte for byte, plus the exit code, against ``tests/golden/``. Failing
+cases (exit 2 or 4) write no file; only their exit code is pinned.
+
+To re-record after an intended output change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from qnetcap.cli import main
+from qnetcap.network import network_to_json
+from qnetcap.wrn import WrnSpec, generate
+
+GOLDEN = Path(__file__).parent / "golden"
+EXIT_CODES = GOLDEN / "exit_codes.json"
+
+MAN = {"cell": "manhattan8", "radius": 2, "edge_length_km": 10.0}
+TRI = {"cell": "triangular6", "radius": 2, "edge_length_km": 10.0}
+TL_RECV = {"kind": "tl", "tau": 0.9, "nbar": 0.01}
+TL_SEND = {"kind": "tl", "tau": 0.95, "nbar": 0.005}
+AD_RECV = {"kind": "ad", "p": 0.05}
+AD_SEND = {"kind": "ad", "p": 0.02}
+MAN_T = {**MAN, "recv": TL_RECV, "send": TL_SEND}
+TRI_T = {**TRI, "recv": AD_RECV, "send": AD_SEND}
+MAN_Q = {**MAN, "qkd_setup": "table1-heterodyne-llo"}
+
+
+def _lattice(cell: str, fam: str, recv: dict, send: dict, odd_recv: dict) -> dict:
+    """Radius-2 lattice JSON with device templates; every third node gets a
+    different receiver, so the two directions of some edges differ."""
+    spec = WrnSpec(cell_type=cell, radius=2, edge_length_km=10.0, family=fam)
+    data = network_to_json(generate(spec))
+    for i, node in enumerate(data["nodes"]):
+        node["recv"] = odd_recv if i % 3 == 0 else recv
+        node["send"] = send
+    return data
+
+
+def _ideal_edge() -> dict:
+    return {
+        "family": "tl",
+        "nodes": [{"id": "a"}, {"id": "b"}, {"id": "c"}],
+        "edges": [
+            {"a": "a", "b": "b", "channel": {"kind": "id"}},
+            {"a": "b", "b": "c", "fibre": {"length_km": 5.0}},
+        ],
+        "users": ["a", "c"],
+    }
+
+
+def _sweep(variable: str, wrn: dict, start: float, stop: float, **extra) -> dict:
+    scale = "log" if variable == "targetCapacity" else "linear"
+    return {"variable": variable, "start": start, "stop": stop, "steps": 8, "scale": scale,
+            "wrn": wrn, **extra}
+
+
+# name -> (subcommand, input object, extra arguments)
+CASES = {
+    "analyze-tl-templates": ("analyze", _lattice(
+        "manhattan8", "tl", TL_RECV, TL_SEND, {"kind": "tl", "tau": 0.7, "nbar": 0.03}), ()),
+    "analyze-ad-templates": ("analyze", _lattice(
+        "triangular6", "ad", AD_RECV, AD_SEND, {"kind": "ad", "p": 0.2}), ()),
+    "analyze-ideal-edge": ("analyze", _ideal_edge(), ()),
+    "threshold-edge-length-tl": ("threshold", MAN, ("--target", "1e-2", "--param", "edge-length")),
+    "threshold-edge-length-tl-templates": (
+        "threshold", MAN_T, ("--target", "1e-3", "--param", "edge-length")),
+    "threshold-edge-length-ad-templates": (
+        "threshold", TRI_T, ("--target", "1e-2", "--param", "edge-length")),
+    "threshold-internal-loss": ("threshold", TRI, ("--target", "1e-2", "--param", "internal-loss")),
+    "threshold-internal-loss-templates": (
+        "threshold", TRI_T, ("--target", "1e-1", "--param", "internal-loss")),
+    "threshold-receiver-noise": ("threshold", MAN, ("--target", "1e-2", "--param", "receiver-noise")),
+    "threshold-receiver-noise-templates": (
+        "threshold", MAN_T, ("--target", "1e-2", "--param", "receiver-noise")),
+    "threshold-qkd-edge-length": ("threshold", MAN_Q, ("--target", "1e-2", "--param", "edge-length")),
+    "threshold-qkd-receiver-noise": (
+        "threshold", MAN_Q, ("--target", "1e-3", "--param", "receiver-noise")),
+    "threshold-unattainable-tl": ("threshold", MAN, ("--target", "1e9", "--param", "edge-length")),
+    "threshold-unattainable-ad": ("threshold", TRI, ("--target", "1e9", "--param", "internal-loss")),
+    "threshold-family-mismatch": ("threshold", MAN, ("--target", "1e-2", "--param", "internal-loss")),
+    "sweep-targetCapacity-tl": ("sweep", _sweep("targetCapacity", MAN, 1e-3, 1e-1), ()),
+    "sweep-targetCapacity-tl-templates": ("sweep", _sweep("targetCapacity", MAN_T, 1e-3, 1e-1), ()),
+    "sweep-targetCapacity-ad": ("sweep", _sweep("targetCapacity", TRI, 1e-4, 1e-1), ()),
+    "sweep-targetCapacity-ad-internalLoss": (
+        "sweep", _sweep("targetCapacity", TRI, 3e-3, 1e-1, param="internalLoss"), ()),
+    "sweep-targetCapacity-tl-receiverNoise": (
+        "sweep", _sweep("targetCapacity", MAN, 3e-3, 1e-1, param="receiverNoise"), ()),
+    "sweep-targetCapacity-ad-receiverNoise": (
+        "sweep", _sweep("targetCapacity", TRI, 3e-3, 1e-1, param="receiverNoise"), ()),
+    "sweep-targetCapacity-unknown-param": (
+        "sweep", _sweep("targetCapacity", TRI, 3e-3, 1e-1, param="edgeCount"), ()),
+    "sweep-edgeLength-ad": ("sweep", _sweep("edgeLength", TRI, 1.0, 40.0, target=1e-2), ()),
+    "sweep-edgeLength-ad-templates": ("sweep", _sweep("edgeLength", TRI_T, 1.0, 40.0, target=1e-2), ()),
+    "sweep-edgeLength-tl": ("sweep", _sweep("edgeLength", MAN, 1.0, 40.0, target=3e-2), ()),
+    "sweep-edgeLength-tl-templates": ("sweep", _sweep("edgeLength", MAN_T, 1.0, 40.0, target=1e-2), ()),
+    "sweep-edgeLength-tl-qkd": (
+        "sweep", _sweep("edgeLength", MAN, 1.0, 40.0, target=1e-1, qkd_setup="table1-homodyne-tlo"), ()),
+    "sweep-internalLoss-ad": ("sweep", _sweep("internalLoss", TRI, 0.0, 0.3, target=1e-2), ()),
+    "sweep-internalLoss-ad-templates": ("sweep", _sweep("internalLoss", TRI_T, 0.0, 0.3, target=1e-2), ()),
+    "sweep-internalLoss-tl": ("sweep", _sweep("internalLoss", MAN, 0.0, 0.3, target=1e-2), ()),
+    "sweep-receiverNoise-tl": ("sweep", _sweep("receiverNoise", MAN, 0.0, 0.05, target=1e-2), ()),
+    "sweep-receiverNoise-tl-templates": (
+        "sweep", _sweep("receiverNoise", MAN_T, 0.0, 0.05, target=1e-2), ()),
+    "sweep-receiverNoise-ad": ("sweep", _sweep("receiverNoise", TRI, 0.0, 0.05, target=1e-2), ()),
+}
+
+
+def run_case(name: str, workdir: Path) -> tuple[int, bytes | None]:
+    """Exit code and output file bytes (None when no file was written)."""
+    command, obj, extra = CASES[name]
+    src = workdir / f"{name}.json"
+    out = workdir / f"{name}.out"
+    src.write_text(json.dumps(obj))
+    flag = "--in" if command == "analyze" else "--spec"
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = main([command, flag, str(src), *extra, "--out", str(out)])
+    return code, out.read_bytes() if out.exists() else None
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name, tmp_path):
+    code, data = run_case(name, tmp_path)
+    expected = json.loads(EXIT_CODES.read_text())[name]
+    assert code == expected
+    golden = GOLDEN / f"{name}.out"
+    if data is None:
+        assert not golden.exists()
+    else:
+        assert data == golden.read_bytes()
+
+
+def record() -> None:
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(CASES):
+            code, data = run_case(name, Path(tmp))
+            codes[name] = code
+            target = GOLDEN / f"{name}.out"
+            if data is None:
+                target.unlink(missing_ok=True)
+            else:
+                target.write_bytes(data)
+    EXIT_CODES.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    sys.exit(record())

@@ -5,13 +5,15 @@ import pytest
 
 from qnetcap.errors import DomainError, SizeError
 from qnetcap.network import bounded_from_values
-from qnetcap.routing import (
+from qnetcap.oracles import (
     BRUTE_FORCE_MAX_NODES,
     brute_force_min_cut,
     brute_force_widest_path,
+    cut_value,
+)
+from qnetcap.routing import (
     capacity_report,
     cut_to_json,
-    cut_value,
     flow_result_to_json,
     max_flow,
     widest_path,
@@ -149,6 +151,26 @@ def test_random_graphs_agree_with_oracles():
         assert flow.value == pytest.approx(value, abs=1e-9)
         flow.check_feasible(bg, "lower")
         assert widest_path(bg, "lower").value == brute_force_widest_path(bg, "lower")
+
+
+def test_long_chain_max_flow_has_no_recursion_limit():
+    hops = 2000
+    rows = [(f"c{i}", f"c{i + 1}", 1.0 + (i * 7919 % 1000) / 1000.0) for i in range(hops)]
+    bg = bounded_from_values(rows, users=("c0", f"c{hops}"))
+    flow = max_flow(bg, "lower")
+    widest = widest_path(bg, "lower")
+    assert flow.value == widest.value == min(row[2] for row in rows)
+    assert len(widest.path) == hops + 1
+    assert len(flow.mincut.edges) == 1
+    flow.check_feasible(bg, "lower")
+
+
+def test_capacity_report_keeps_upper_mincut():
+    bg = diamond()
+    rep = capacity_report(bg)
+    upper = max_flow(bg, "upper")
+    assert rep.flooding_upper == upper.value
+    assert rep.upper_mincut == upper.mincut
 
 
 def test_capacity_report_two_nodes():

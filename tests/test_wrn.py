@@ -22,6 +22,7 @@ from qnetcap.wrn import (
     min_nodal_density,
     node_count,
     omega,
+    solve_at_scale,
     solve_threshold,
     threshold_report,
     verify_theorem2,
@@ -156,6 +157,10 @@ def test_solve_threshold_rejects_non_monotone():
         solve_threshold(lambda x: math.sin(x), 0.1, 1.0, bracket=(1.0, 100.0))
     with pytest.raises(MonotonicityError):
         solve_threshold(lambda x: 1.0, 0.5, 1.0)
+    # Monotone but discontinuous: bisection closes in on the step and the
+    # residual can never be met.
+    with pytest.raises(MonotonicityError, match="step discontinuously"):
+        solve_threshold(lambda x: 1.0 if x >= 3.0 else 0.0, 0.5, 1.0)
 
 
 def test_solve_threshold_not_attainable():
@@ -226,6 +231,53 @@ def test_internal_loss_solve():
     assert 0.0 < lo <= hi < 1.0
     lower_fn, _, _ = bound_functions(spec, "internalLoss")
     assert lower_fn(bulk.from_lower_fn) * 18.0 == pytest.approx(1e-3, rel=1e-6)
+
+
+def test_internal_loss_solve_meets_residual_where_steep():
+    # At a small target the width stop alone leaves the residual above 1e-6.
+    spec = tri_spec(edge_length_km=10.0)
+    scale = float(delta(spec.k, spec.commonalities))
+    goal = 1e-3 / scale
+    for fn in bound_functions(spec, "internalLoss")[:2]:
+        xi = solve_threshold(fn, 1e-3, scale, bracket=(1e-6, 1.0 - 1e-9))
+        assert abs(fn(xi) - goal) <= 1e-6 * goal
+
+
+def test_solve_at_scale_marks_unattainable_sides():
+    spec = man_spec()
+    result = solve_at_scale(spec, 1e9, "edgeLength", "delta")
+    assert math.isnan(result.from_lower_fn) and math.isnan(result.from_upper_fn)
+    assert isinstance(result.unattainable, NotAttainableError)
+    with pytest.raises(NotAttainableError):
+        threshold_report(spec, 1e9, "edgeLength")
+    bulk, user = threshold_report(spec, 1e-2, "edgeLength")
+    assert solve_at_scale(spec, 1e-2, "edgeLength", "delta") == bulk
+    assert solve_at_scale(spec, 1e-2, "edgeLength", "omega") == user
+    with pytest.raises(DomainError):
+        solve_at_scale(spec, 1e-2, "edgeLength", "kappa")
+
+
+@pytest.mark.parametrize("spec,param,other", [
+    (tri_spec(), "edgeLength", "ad_squashed"),
+    (tri_spec(), "internalLoss", "ad_squashed"),
+    (man_spec(), "edgeLength", "tl_ree"),
+    (man_spec(), "receiverNoise", "tl_ree"),
+])
+def test_bound_functions_evaluate_one_side(monkeypatch, spec, param, other):
+    import qnetcap.bounds as bounds_mod
+
+    lower_fn, upper_fn, _ = bound_functions(spec, param)
+    expected_upper = upper_fn(0.1)
+
+    def forbidden(*args):
+        raise AssertionError(f"{other} evaluated for the lower side")
+
+    monkeypatch.setattr(bounds_mod, other, forbidden)
+    lower_fn(0.1)
+    monkeypatch.undo()
+    lower_name = "ad_rci" if other == "ad_squashed" else "tl_rci"
+    monkeypatch.setattr(bounds_mod, lower_name, forbidden)
+    assert upper_fn(0.1) == expected_upper
 
 
 def test_receiver_noise_solve():
