@@ -20,9 +20,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-from scipy.optimize import minimize_scalar
-
 from .channels import (
     FAMILY_AD,
     FAMILY_TL,
@@ -36,11 +33,6 @@ from .channels import (
 )
 from .errors import DomainError, FamilyError
 
-# Grid size for the coarse pass of the 1-D maximization in ad_rci.
-_AD_GRID_POINTS = 1001
-# Refinement tolerance on the optimizer's argument.
-_AD_U_TOL = 1e-10
-
 BOUND_ORDER_TOL = 1e-12
 
 
@@ -51,13 +43,6 @@ def h2(u: float) -> float:
     if u == 0.0 or u == 1.0:
         return 0.0
     return -u * math.log2(u) - (1.0 - u) * math.log2(1.0 - u)
-
-
-def _h2_arr(x: np.ndarray) -> np.ndarray:
-    safe = np.clip(x, 0.0, 1.0)
-    left = np.where(safe > 0.0, safe, 1.0)
-    right = np.where(safe < 1.0, 1.0 - safe, 1.0)
-    return -(left * np.log2(left) + right * np.log2(right))
 
 
 def bosonic_h(x: float) -> float:
@@ -72,9 +57,12 @@ def bosonic_h(x: float) -> float:
 def ad_rci(p_tot: float) -> float:
     """Best coherent-information rate of an amplitude-damping channel.
 
-    Maximizes H2(u) - H2(u*p) over the input excitation u: coarse 1001-point
-    grid to locate the peak, then bounded scalar minimization (golden-section
-    with parabolic steps) to refine u within 1e-10. Clamped to >= 0.
+    Maximizes H2(u) - H2(u*p) over the input excitation u. For 0 < p < 1 the
+    objective is strictly concave in u (its second derivative is
+    (p-1)/(u(1-u)(1-pu) ln 2) < 0), so its maximizer is the one root of the
+    derivative log2((1-u)/u) - p*log2((1-pu)/(pu)). Bisection on the sign of
+    that derivative runs until no float lies between the bracket ends, and
+    the better end is returned, clamped to >= 0.
     """
     if not 0.0 <= p_tot <= 1.0 or math.isnan(p_tot):
         raise DomainError(f"damping probability must lie in [0, 1], got {p_tot}")
@@ -87,19 +75,19 @@ def ad_rci(p_tot: float) -> float:
 
 @lru_cache(maxsize=8192)
 def _ad_rci_opt(p_tot: float) -> float:
-    u = np.linspace(0.0, 1.0, _AD_GRID_POINTS)
-    f = _h2_arr(u) - _h2_arr(u * p_tot)
-    i = int(np.argmax(f))
-    lo = u[max(i - 1, 0)]
-    hi = u[min(i + 1, _AD_GRID_POINTS - 1)]
-    res = minimize_scalar(
-        lambda v: h2(v * p_tot) - h2(v),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": _AD_U_TOL},
-    )
-    best = max(float(f[i]), -float(res.fun))
-    return max(0.0, best)
+    lo, hi = 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        # Differences of logs, not the log of a quotient: (1-pu)/(pu)
+        # overflows for subnormal p, and pu underflows to 0 for the smallest.
+        slope = math.log2(1.0 - mid) - math.log2(mid)
+        pu = p_tot * mid
+        if pu > 0.0:
+            slope -= p_tot * (math.log2(1.0 - pu) - math.log2(pu))
+        if slope > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return max(0.0, h2(lo) - h2(lo * p_tot), h2(hi) - h2(hi * p_tot))
 
 
 def ad_squashed(p_tot: float) -> float:

@@ -93,6 +93,14 @@ def _error(kind: str, message: str, **extra) -> None:
     sys.stderr.write(json.dumps(payload) + "\n")
 
 
+def _number(key: str, value, kind=float):
+    """``kind(value)``, or an input error that names the spec key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise _InputError(f"{key} is not a valid {kind.__name__}: {value!r}") from exc
+
+
 def _parse_qkd_setup(data) -> qkd_mod.QkdSetup:
     if isinstance(data, str):
         return qkd_mod.from_preset(data)
@@ -105,6 +113,9 @@ def _parse_qkd_setup(data) -> qkd_mod.QkdSetup:
     unknown = sorted(set(fields) - known)
     if unknown:
         raise _InputError(f"unknown qkd_setup keys: {', '.join(unknown)}")
+    for key, value in fields.items():
+        if key != "scheme":
+            fields[key] = _number(f"qkd_setup.{key}", value)
     return dataclasses.replace(base, **fields)
 
 
@@ -118,19 +129,15 @@ def _parse_wrn_spec(data) -> tuple[wrn.WrnSpec, qkd_mod.QkdSetup | None]:
         if key not in data:
             raise _InputError(f"lattice spec is missing {key!r}")
     cell = data["cell"]
+    if not isinstance(cell, str):
+        raise _InputError(f"cell must be a string, got {cell!r}")
     family = data.get("family", DEFAULT_FAMILY.get(cell))
     if family is None:
         raise _InputError(f"unknown cell {cell!r}; declare family explicitly")
-    kwargs = {
-        "cell_type": cell,
-        "radius": int(data["radius"]),
-        "edge_length_km": float(data["edge_length_km"]),
-        "family": family,
-    }
-    if "gamma" in data:
-        kwargs["gamma"] = float(data["gamma"])
-    if "nbar_B" in data:
-        kwargs["nbar_B"] = float(data["nbar_B"])
+    kwargs = {"cell_type": cell, "family": family}
+    for key, kind in (("radius", int), ("edge_length_km", float), ("gamma", float), ("nbar_B", float)):
+        if key in data:
+            kwargs[key] = _number(key, data[key], kind)
     for side in ("recv", "send"):
         if side in data:
             kwargs[side] = channel_from_json(data[side])
@@ -217,7 +224,7 @@ def _sweep_points(spec: dict) -> list[float]:
     steps = spec["steps"]
     if not isinstance(steps, int) or steps < 2:
         raise _InputError(f"steps must be an integer >= 2, got {steps!r}")
-    start, stop = float(spec["start"]), float(spec["stop"])
+    start, stop = _number("start", spec["start"]), _number("stop", spec["stop"])
     if not start < stop:
         raise _InputError(f"sweep range needs start < stop, got [{start}, {stop}]")
     scale = spec.get("scale", "linear")
@@ -280,13 +287,13 @@ def _sweep_rows(data: dict, spec: wrn.WrnSpec, setup) -> tuple[list[str], list[l
     points = _sweep_points(data)
     if variable == "targetCapacity":
         param = data.get("param", wrn.PARAM_EDGE_LENGTH)
-        if param not in _SOLVED_STEM:
+        if not isinstance(param, str) or param not in _SOLVED_STEM:
             raise _InputError(f"unknown param {param!r}")
         x_column, respec, pass_setup, columns = "target_capacity", None, True, None
     else:
         if "target" not in data:
             raise _InputError(f"sweeps over {variable} need a fixed 'target' capacity")
-        target = float(data["target"])
+        target = _number("target", data["target"])
         if (variable, spec.family) not in _SWEEPS:
             needs = "damping" if (variable, "ad") in _SWEEPS else "thermal"
             raise _InputError(f"{variable} sweeps need a {needs}-family lattice")

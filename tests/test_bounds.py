@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qnetcap.bounds import (
@@ -67,9 +67,10 @@ def test_ad_rci_endpoints_and_peak():
 
 def test_ad_rci_beats_every_grid_point():
     # the maximized value cannot fall below the objective at any u
-    for p in (0.05, 0.3, 0.6, 0.9, 0.99):
+    grid = [i / 1000 for i in range(1001)]
+    for p in (1e-300, 1e-9, 1e-4, 0.05, 0.3, 0.6, 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-12):
         best = ad_rci(p)
-        for u in (0.05, 0.15, 0.2929, 0.4, 0.7):
+        for u in grid:
             assert best >= h2(u) - h2(u * p) - 1e-12
 
 
@@ -80,12 +81,14 @@ def test_ad_squashed_values():
 
 
 @given(unit)
+@example(p=5e-324)
 @settings(max_examples=300, deadline=None)
 def test_ad_bound_order(p):
     assert ad_rci(p) <= ad_squashed(p) + 1e-12
 
 
 @given(st.floats(min_value=0.0, max_value=0.999), st.floats(min_value=1e-4, max_value=0.2))
+@example(p=2.225073858507e-311, dp=0.125)
 @settings(max_examples=150, deadline=None)
 def test_ad_rci_monotone_in_p(p, dp):
     hi = min(1.0, p + dp)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -149,6 +153,60 @@ def test_threshold_rejects_unknown_spec_key(tmp_path, capsys):
                        "--target", "1e-2", "--param", "edge-length")
     assert code == EXIT_INPUT
     assert "colour" in json.loads(err)["message"]
+
+
+MALFORMED_LATTICE = [
+    ("radius", "x"),
+    ("radius", None),
+    ("edge_length_km", "ten"),
+    ("gamma", [1]),
+    ("cell", [1]),
+    ("qkd_setup", {"wavelength": "zz"}),
+]
+MALFORMED_SWEEP = [
+    ("stop", {"stop": "x"}),
+    ("target", {"target": "abc"}),
+    ("param", {"variable": "targetCapacity", "param": [1]}),
+]
+EDGE_SWEEP = {"variable": "edgeLength", "start": 5.0, "stop": 20.0, "steps": 2,
+              "target": 1e-2, "wrn": TRI_SPEC}
+
+
+@pytest.mark.parametrize(
+    "command,key,lattice,sweep",
+    [pytest.param(command, key, {key: value}, {}, id=f"{command}-{key}={json.dumps(value)}")
+     for command in ("threshold", "sweep") for key, value in MALFORMED_LATTICE]
+    + [pytest.param("sweep", key, {}, fields, id=f"sweep-{json.dumps(fields)}")
+       for key, fields in MALFORMED_SWEEP],
+)
+def test_malformed_spec_value_is_input_error(tmp_path, capsys, command, key, lattice, sweep):
+    if command == "threshold":
+        spec = write_json(tmp_path / "wrn.json", {**MAN_SPEC, **lattice})
+        argv = ["threshold", "--spec", spec, "--target", "1e-2", "--param", "edge-length"]
+    else:
+        spec = write_json(tmp_path / "sweep.json",
+                          {**EDGE_SWEEP, "wrn": {**TRI_SPEC, **lattice}, **sweep})
+        argv = ["sweep", "--spec", spec]
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_INPUT
+    error = json.loads(err)
+    assert error["error"] == "input"
+    assert key in error["message"]
+
+
+def test_numeric_strings_in_spec_still_parse(tmp_path, capsys):
+    argv = ["--target", "1e-2", "--param", "edge-length"]
+    plain = write_json(tmp_path / "plain.json", MAN_SPEC)
+    quoted = write_json(tmp_path / "quoted.json", {**MAN_SPEC, "radius": "2", "edge_length_km": "10"})
+    assert run(capsys, "threshold", "--spec", quoted, *argv) == run(capsys, "threshold", "--spec", plain, *argv)
+
+
+def test_cli_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, qnetcap.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_threshold_family_mismatch(tmp_path, capsys):
