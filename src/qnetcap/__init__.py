@@ -5,147 +5,24 @@ networks, bracketed between an achievable rate and a converse bound on every
 edge, with single-path (widest path) and multi-path (max-flow) routing,
 noisy-device node splitting, weakly-regular lattice threshold theorems, and
 CV-QKD receiver-noise models.
+
+The package exports the Python API shown in the README; every other name is
+importable from its module (``qnetcap.channels``, ``qnetcap.bounds``, ...).
 """
 
-from .bounds import (
-    BoundKind,
-    EdgeBounds,
-    ad_rci,
-    ad_squashed,
-    bosonic_h,
-    h2,
-    oriented_edge_bounds,
-    plob_pure_loss,
-    tl_rci,
-    tl_ree,
-)
-from .channels import (
-    AmplitudeDamping,
-    CompoundChannel,
-    FibreParams,
-    Identity,
-    NodeSpec,
-    PureLoss,
-    ThermalLoss,
-    compose_ad,
-    compose_tl,
-    fibre_channel,
-    node_split_ad,
-    node_split_tl,
-    reduce_compound,
-)
-from .errors import (
-    DomainError,
-    EmptyCompoundError,
-    FamilyError,
-    KrausError,
-    MonotonicityError,
-    NodeNotFoundError,
-    NotAttainableError,
-    QnetcapError,
-    SizeError,
-    ValidationError,
-)
-from .network import (
-    BoundedGraph,
-    Cut,
-    Edge,
-    NetworkGraph,
-    annotate_uniform,
-    apply_split,
-    load_network,
-    min_neighbourhood_capacity,
-    network_to_json,
-    validate,
-)
-from .qkd import QkdSetup, from_preset, receiver_channel, receiver_noise, theta_el, theta_ph
-from .routing import (
-    CapacityReport,
-    FlowResult,
-    PathResult,
-    capacity_report,
-    max_flow,
-    widest_path,
-)
-from .wrn import (
-    DensityResult,
-    ThresholdResult,
-    WrnSpec,
-    delta,
-    generate,
-    min_nodal_density,
-    omega,
-    solve_threshold,
-    threshold_report,
-    verify_theorem2,
-)
+from .network import annotate_uniform, apply_split
+from .routing import capacity_report, max_flow
+from .wrn import WrnSpec, generate, min_nodal_density, threshold_report
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplitudeDamping",
-    "BoundKind",
-    "BoundedGraph",
-    "CapacityReport",
-    "CompoundChannel",
-    "Cut",
-    "DensityResult",
-    "DomainError",
-    "Edge",
-    "EdgeBounds",
-    "EmptyCompoundError",
-    "FamilyError",
-    "FibreParams",
-    "FlowResult",
-    "Identity",
-    "KrausError",
-    "MonotonicityError",
-    "NetworkGraph",
-    "NodeNotFoundError",
-    "NodeSpec",
-    "NotAttainableError",
-    "PathResult",
-    "PureLoss",
-    "QkdSetup",
-    "QnetcapError",
-    "SizeError",
-    "ThermalLoss",
-    "ThresholdResult",
-    "ValidationError",
     "WrnSpec",
-    "ad_rci",
-    "ad_squashed",
     "annotate_uniform",
     "apply_split",
-    "bosonic_h",
     "capacity_report",
-    "compose_ad",
-    "compose_tl",
-    "delta",
-    "fibre_channel",
-    "from_preset",
     "generate",
-    "h2",
-    "load_network",
     "max_flow",
-    "min_neighbourhood_capacity",
     "min_nodal_density",
-    "network_to_json",
-    "node_split_ad",
-    "node_split_tl",
-    "omega",
-    "oriented_edge_bounds",
-    "plob_pure_loss",
-    "receiver_channel",
-    "receiver_noise",
-    "reduce_compound",
-    "solve_threshold",
-    "theta_el",
-    "theta_ph",
     "threshold_report",
-    "tl_ree",
-    "tl_rci",
-    "validate",
-    "verify_theorem2",
-    "widest_path",
 ]

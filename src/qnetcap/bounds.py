@@ -5,10 +5,10 @@ bounds come from relative entropy of entanglement for thermal-loss channels
 and squashed entanglement for amplitude damping. Pure loss is distillable, so
 its lower and upper bounds coincide at -log2(1-eta).
 
-Network annotation and threshold solves share ``compound`` (send -> edge ->
-recv reduction) and ``compound_bound`` (one side's bound). An undirected
-physical edge can be used in either direction, and with asymmetric device
-noise the two directions give different compound channels.
+Network annotation and threshold solves share ``compound`` (the node-split
+send -> edge -> recv reduction) and ``compound_bound`` (one side's bound). An
+undirected physical edge can be used in either direction, and with asymmetric
+device noise the two directions give different compound channels.
 ``oriented_edge_bounds`` evaluates both and keeps, independently for the lower
 and the upper bound, the more favourable direction.
 """
@@ -29,7 +29,6 @@ from .channels import (
     as_thermal,
     compose_ad,
     compose_tl,
-    family,
 )
 from .errors import DomainError, FamilyError
 
@@ -162,15 +161,13 @@ class EdgeBounds:
             raise DomainError(f"bounds out of order: lower {self.lower} > upper {self.upper}")
 
 
-def orientation_str(direction: tuple[str, str]) -> str:
-    return f"{direction[0]}->{direction[1]}"
-
-
 def compound(fam: str, send, edge, recv):
-    """Reduce the chain send -> edge -> recv to one channel of the family.
+    """Node splitting: reduce the chain send -> edge -> recv to one channel.
 
-    Arguments and result are family-native: a damping probability ("ad") or
-    a (tau, nbar) pair ("tl").
+    An imperfect repeater is split into a receive and a send channel, so a
+    directed use of an edge passes the sender's send channel, the edge, then
+    the receiver's recv channel. Arguments and result are family-native: a
+    damping probability ("ad") or a (tau, nbar) pair ("tl").
     """
     return (compose_ad if fam == FAMILY_AD else compose_tl)((send, edge, recv))
 
@@ -193,47 +190,27 @@ def compound_bound(fam: str, reduced, selector: str) -> tuple[float, BoundKind]:
     return tl_ree(eta_tot, nbar_tot), BoundKind.REE_UPPER
 
 
-def edge_family(edge: ChannelSpec, node_a: NodeSpec, node_b: NodeSpec, fam: str | None = None) -> str:
-    """Resolve the channel family of an edge and its endpoint internals."""
-    present = {family(c) for c in (edge, node_a.recv, node_a.send, node_b.recv, node_b.send)}
-    present.discard(None)
-    if len(present) > 1:
-        raise FamilyError(f"edge {node_a.id}-{node_b.id} mixes channel families {sorted(present)}")
-    if present:
-        found = present.pop()
-        if fam is not None and fam != found:
-            raise FamilyError(f"edge {node_a.id}-{node_b.id} is {found!r} but the graph family is {fam!r}")
-        return found
-    if fam is None:
-        raise FamilyError(
-            f"edge {node_a.id}-{node_b.id} is all-identity; channel family must be given explicitly"
-        )
-    return fam
-
-
-def oriented_edge_bounds(
-    edge: ChannelSpec, node_a: NodeSpec, node_b: NodeSpec, fam: str | None = None
-) -> EdgeBounds:
+def oriented_edge_bounds(edge: ChannelSpec, node_a: NodeSpec, node_b: NodeSpec, fam: str) -> EdgeBounds:
     """Capacity bounds of an undirected edge, optimized over direction of use.
 
-    Both directed compounds are evaluated; the lower and upper bounds are
-    maximized over direction independently. Ties go to the lexicographically
-    smaller (sender, receiver) id pair.
+    ``fam`` is the graph's channel family; a channel of the other family
+    raises FamilyError. Both directed compounds are evaluated; the lower and
+    upper bounds are maximized over direction independently. Ties go to the
+    lexicographically smaller (sender, receiver) id pair.
     """
-    resolved = edge_family(edge, node_a, node_b, fam)
-    if resolved not in (FAMILY_AD, FAMILY_TL):
-        raise FamilyError(f"unknown channel family {resolved!r}")
-    native = as_damping if resolved == FAMILY_AD else as_thermal
+    if fam not in (FAMILY_AD, FAMILY_TL):
+        raise FamilyError(f"unknown channel family {fam!r}")
+    native = as_damping if fam == FAMILY_AD else as_thermal
     channel = native(edge)
     candidates = []
     for sender, receiver in ((node_a, node_b), (node_b, node_a)):
-        reduced = compound(resolved, native(sender.send), channel, native(receiver.recv))
-        if resolved == FAMILY_TL and reduced[0] == 1.0:  # an ideal edge has no finite bound
+        reduced = compound(fam, native(sender.send), channel, native(receiver.recv))
+        if fam == FAMILY_TL and reduced[0] == 1.0:  # an ideal edge has no finite bound
             if reduced[1] != 0.0:
                 raise DomainError("thermal edge with unit transmissivity and added noise is not modelled")
             sides = [(math.inf, BoundKind.PLOB_EXACT)] * 2
         else:
-            sides = [compound_bound(resolved, reduced, selector) for selector in ("lower", "upper")]
+            sides = [compound_bound(fam, reduced, selector) for selector in ("lower", "upper")]
         candidates.append(((sender.id, receiver.id), *sides))
     candidates.sort(key=lambda c: c[0])
     lower_dir, (lower, lower_kind), _ = max(candidates, key=lambda c: c[1][0])

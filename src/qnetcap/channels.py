@@ -1,4 +1,4 @@
-"""Channel specifications, fibre parameterization, and compound-channel reduction.
+"""Channel specifications, fibre parameterization, and chain composition.
 
 Two channel families are modelled. Amplitude damping acts on qubits and is
 described by a single damping probability p. Thermal loss acts on bosonic
@@ -8,16 +8,15 @@ number nbar added at the output; pure loss is the nbar = 0 special case.
 A chain of same-family channels reduces to a single channel of that family:
 damping probabilities combine as p_tot = 1 - prod(1 - p_j), and thermal-loss
 links combine through the additive-noise recursion implemented in
-``compose_tl``. Node splitting models an imperfect repeater as a receive
-channel and a send channel wrapped around each fibre edge, one compound per
-direction of use.
+``compose_tl``. ``as_damping``/``as_thermal`` convert a channel spec to those
+family-native numbers and reject a channel of the other family.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import DomainError, EmptyCompoundError, FamilyError
 
@@ -151,20 +150,6 @@ class NodeSpec:
             raise DomainError(f"node role must be 'repeater' or 'user', got {self.role!r}")
 
 
-@dataclass(frozen=True)
-class CompoundChannel:
-    """Ordered same-family channel chain, first applied first."""
-
-    channels: tuple[ChannelSpec, ...]
-
-    def __post_init__(self):
-        if not self.channels:
-            raise EmptyCompoundError("compound channel needs at least one element")
-
-    def reduce(self) -> ChannelSpec:
-        return reduce_compound(self.channels)
-
-
 def compose_ad(probs: Iterable[float]) -> float:
     """Total damping probability of a chain of damping channels.
 
@@ -217,53 +202,6 @@ def compose_tl(channels: Iterable[tuple[float, float]]) -> tuple[float, float]:
             raise DomainError(f"compound photon number {nbar_tot} below rounding tolerance")
         nbar_tot = 0.0
     return tau_tot, nbar_tot
-
-
-def reduce_compound(channels: Sequence[ChannelSpec]) -> ChannelSpec:
-    """Collapse a same-family channel chain to a single ChannelSpec."""
-    if not channels:
-        raise EmptyCompoundError("cannot reduce an empty compound")
-    fams = {family(c) for c in channels} - {None}
-    if len(fams) > 1:
-        raise FamilyError(f"mixed channel families in compound: {sorted(fams)}")
-    if not fams:
-        return Identity()
-    fam = fams.pop()
-    if fam == FAMILY_AD:
-        return AmplitudeDamping(compose_ad(as_damping(c) for c in channels))
-    tau, nbar = compose_tl(as_thermal(c) for c in channels)
-    if nbar == 0.0:
-        return PureLoss(tau) if tau < 1.0 else Identity()
-    return ThermalLoss(tau, nbar)
-
-
-def node_split_ad(p_xy: float, sender: NodeSpec, receiver: NodeSpec) -> float:
-    """Total damping seen across an edge used sender -> receiver.
-
-    The signal passes the sender's send channel, the edge, then the
-    receiver's receive channel: p_tot = 1 - (1-p_recv)(1-p_xy)(1-p_send).
-    """
-    for spec in (sender.send, receiver.recv):
-        if family(spec) == FAMILY_TL:
-            raise FamilyError(f"thermal-loss internal channel in a damping split: {spec!r}")
-    return compose_ad([as_damping(sender.send), p_xy, as_damping(receiver.recv)])
-
-
-def node_split_tl(
-    edge: tuple[float, float], sender: NodeSpec, receiver: NodeSpec
-) -> tuple[float, float]:
-    """Total (eta_tot, nbar_tot) across a thermal edge used sender -> receiver.
-
-    Delegates to compose_tl on [send, edge, recv] so the result agrees exactly
-    with the generic compound reduction. It also matches the closed form
-    eta_tot = tau_r * tau_s * eta, nbar_tot = nbar_r + tau_r*nbar_xy + eta*tau_r*nbar_s
-    up to float rounding.
-    """
-    for spec in (sender.send, receiver.recv):
-        if family(spec) == FAMILY_AD:
-            raise FamilyError(f"damping internal channel in a thermal split: {spec!r}")
-    eta, nbar_xy = edge
-    return compose_tl([as_thermal(sender.send), (eta, nbar_xy), as_thermal(receiver.recv)])
 
 
 def fibre_channel(params: FibreParams, fam: str) -> ChannelSpec:

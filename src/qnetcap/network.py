@@ -33,15 +33,6 @@ from .errors import DomainError, FamilyError, NodeNotFoundError, ValidationError
 
 SELECTORS = ("lower", "upper")
 
-# BoundKind pairs a caller may assert when annotating, keyed by family.
-_FAMILY_KINDS = {
-    FAMILY_AD: {(BoundKind.RCI_LOWER, BoundKind.SQUASHED_UPPER)},
-    FAMILY_TL: {
-        (BoundKind.RCI_LOWER, BoundKind.REE_UPPER),
-        (BoundKind.PLOB_EXACT, BoundKind.PLOB_EXACT),
-    },
-}
-
 
 def check_selector(selector: str) -> str:
     if selector not in SELECTORS:
@@ -181,21 +172,16 @@ def validate(graph: NetworkGraph) -> list[str]:
     return violations
 
 
-def apply_split(
-    graph: NetworkGraph, kinds: tuple[BoundKind, BoundKind] | None = None
-) -> BoundedGraph:
+def apply_split(graph: NetworkGraph) -> BoundedGraph:
     """Annotate every edge with orientation-optimized capacity bounds.
 
-    ``kinds`` optionally asserts the expected (lower, upper) bound pair; the
-    pair is fully determined by the channel family, so a mismatch raises
-    FamilyError. Deterministic and idempotent.
+    The graph's one channel family is resolved once and passed down to every
+    edge. Deterministic and idempotent.
     """
     violations = validate(graph)
     if violations:
         raise ValidationError(violations)
     fam = resolved_family(graph)
-    if kinds is not None and kinds not in _FAMILY_KINDS[fam]:
-        raise FamilyError(f"bound kinds {kinds} do not apply to family {fam!r}")
     annotated = []
     for edge in graph.edges:
         channel = edge.resolve(fam)

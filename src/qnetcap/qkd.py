@@ -46,6 +46,9 @@ class QkdSetup:
     def __post_init__(self):
         if self.scheme not in (SCHEME_TLO, SCHEME_LLO):
             raise DomainError(f"scheme must be 'tlo' or 'llo', got {self.scheme!r}")
+        for name, value in vars(self).items():
+            if name != "scheme" and not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if self.nu_det not in (1, 2):
             raise DomainError(f"nu_det must be 1 (homodyne) or 2 (heterodyne), got {self.nu_det}")
         positive = {
@@ -56,7 +59,7 @@ class QkdSetup:
             "dt_lo": self.dt_lo,
         }
         for name, value in positive.items():
-            if value <= 0.0 or math.isnan(value):
+            if value <= 0.0:
                 raise DomainError(f"{name} must be > 0, got {value}")
         non_negative = {
             "nep": self.nep,
@@ -64,7 +67,7 @@ class QkdSetup:
             "nbar_B": self.nbar_B,
         }
         for name, value in non_negative.items():
-            if value < 0.0 or math.isnan(value):
+            if value < 0.0:
                 raise DomainError(f"{name} must be >= 0, got {value}")
         if not 0.0 < self.tau_eff <= 1.0:
             raise DomainError(f"tau_eff must lie in (0, 1], got {self.tau_eff}")
@@ -80,18 +83,22 @@ def theta_ph(setup: QkdSetup) -> float:
 def theta_el(setup: QkdSetup, p_lo_det: float) -> float:
     """Electronic noise nu_det*NEP^2*W*dt_LO / (2*h*nu*P_LO_det), dimensionless.
 
-    ``p_lo_det`` is the LO power actually reaching the detector.
+    ``p_lo_det`` is the LO power actually reaching the detector. The
+    denominator must be a positive finite number: a very long wavelength or a
+    tiny LO power makes the photon-energy product underflow to 0.
     """
-    if p_lo_det <= 0.0 or math.isnan(p_lo_det):
-        raise DomainError(f"detected LO power must be > 0 W, got {p_lo_det}")
     nu = SPEED_OF_LIGHT / setup.wavelength
-    return (
-        setup.nu_det
-        * setup.nep**2
-        * setup.bandwidth
-        * setup.dt_lo
-        / (2.0 * PLANCK * nu * p_lo_det)
-    )
+    denominator = 2.0 * PLANCK * nu * p_lo_det
+    if not 0.0 < denominator < math.inf:
+        raise DomainError(
+            f"electronic noise needs 2*h*nu*P_LO in (0, inf), got {denominator} "
+            f"at wavelength {setup.wavelength} m and detected p_lo {p_lo_det} W"
+        )
+    try:
+        nep_squared = setup.nep**2
+    except OverflowError as exc:  # float ** raises where float * gives inf
+        raise DomainError(f"electronic noise overflows: nep {setup.nep} W/sqrt(Hz) squared") from exc
+    return setup.nu_det * nep_squared * setup.bandwidth * setup.dt_lo / denominator
 
 
 def receiver_noise(setup: QkdSetup, eta_channel: float) -> float:
@@ -125,7 +132,7 @@ PRESETS = {
 
 
 def from_preset(name: str) -> QkdSetup:
-    if name not in PRESETS:
+    if not isinstance(name, str) or name not in PRESETS:
         known = ", ".join(sorted(PRESETS))
         raise DomainError(f"unknown QKD preset {name!r}; known presets: {known}")
     return PRESETS[name]

@@ -94,8 +94,13 @@ class WrnSpec:
             raise DomainError(f"cell type must be one of {sorted(_CELLS)}, got {self.cell_type!r}")
         if self.radius < 2:
             raise DomainError(f"radius must be >= 2 so the users sit deep inside, got {self.radius}")
-        if self.edge_length_km <= 0.0:
-            raise DomainError(f"edge length must be > 0 km, got {self.edge_length_km}")
+        # Negated comparisons so that NaN is rejected too.
+        if not self.edge_length_km > 0.0:
+            raise DomainError(f"edge_length_km must be > 0 km, got {self.edge_length_km}")
+        if not self.gamma > 0.0:
+            raise DomainError(f"gamma must be > 0 per km, got {self.gamma}")
+        if not self.nbar_B >= 0.0:
+            raise DomainError(f"nbar_B must be >= 0, got {self.nbar_B}")
         if self.family not in (FAMILY_AD, FAMILY_TL):
             raise DomainError(f"family must be 'ad' or 'tl', got {self.family!r}")
         for spec in (self.recv, self.send):

@@ -12,8 +12,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qnetcap.bounds import ad_rci, ad_squashed, h2, tl_ree, tl_rci
-from qnetcap.channels import AmplitudeDamping, NodeSpec, ThermalLoss, node_split_tl
+from qnetcap.bounds import ad_rci, ad_squashed, compound, h2, tl_ree, tl_rci
+from qnetcap.channels import AmplitudeDamping
 from qnetcap.oracles import ad_rci_at_u
 from qnetcap.qkd import from_preset, theta_el, theta_ph, with_scheme
 from qnetcap.selfcheck import check_ad_compounds, check_tl_compounds, routing_errors
@@ -105,9 +105,7 @@ def test_criterion_5_compound_channels_match_simulation():
     for _ in range(200):
         tau_s, eta, tau_r = rng.uniform(0.05, 1.0, 3)
         nbar_s, nbar_xy, nbar_r = rng.uniform(1e-6, 0.5, 3)
-        sender = NodeSpec("s", send=ThermalLoss(tau_s, nbar_s))
-        receiver = NodeSpec("r", recv=ThermalLoss(tau_r, nbar_r))
-        split = node_split_tl((eta, nbar_xy), sender, receiver)
+        split = compound("tl", (tau_s, nbar_s), (eta, nbar_xy), (tau_r, nbar_r))
         assert split == xi_chain(
             [(tau_s, nbar_s), (eta, nbar_xy), (tau_r, nbar_r)]
         )

@@ -10,8 +10,8 @@ from qnetcap.bounds import (
     ad_rci,
     ad_squashed,
     bosonic_h,
+    compound,
     h2,
-    orientation_str,
     oriented_edge_bounds,
     plob_pure_loss,
     tl_rci,
@@ -23,7 +23,7 @@ from qnetcap.channels import (
     NodeSpec,
     PureLoss,
     ThermalLoss,
-    node_split_tl,
+    as_thermal,
 )
 from qnetcap.errors import DomainError, FamilyError
 
@@ -151,14 +151,10 @@ def test_edge_bounds_order_enforced():
         EdgeBounds(-0.1, 0.5, ("a", "b"), ("a", "b"), BoundKind.RCI_LOWER, BoundKind.REE_UPPER)
 
 
-def test_orientation_str():
-    assert orientation_str(("a", "b")) == "a->b"
-
-
 def test_oriented_bounds_symmetric_edge():
     a = NodeSpec("a")
     b = NodeSpec("b")
-    eb = oriented_edge_bounds(PureLoss(0.5), a, b)
+    eb = oriented_edge_bounds(PureLoss(0.5), a, b, "tl")
     assert eb.lower == eb.upper == 1.0
     assert eb.lower_kind is BoundKind.PLOB_EXACT
     # tie between directions goes to the lexicographically smaller pair
@@ -171,15 +167,16 @@ def test_oriented_bounds_prefer_better_direction():
     # from the noisy node toward the clean one wins
     noisy = NodeSpec("n", recv=ThermalLoss(0.8, 0.05), send=ThermalLoss(1.0, 0.0))
     clean = NodeSpec("c")
-    eb = oriented_edge_bounds(ThermalLoss(0.5, 0.001), noisy, clean)
-    assert eb.lower == pytest.approx(tl_rci(*node_split_tl((0.5, 0.001), noisy, clean)), rel=1e-12)
+    eb = oriented_edge_bounds(ThermalLoss(0.5, 0.001), noisy, clean, "tl")
+    split = compound("tl", as_thermal(noisy.send), (0.5, 0.001), as_thermal(clean.recv))
+    assert eb.lower == pytest.approx(tl_rci(*split), rel=1e-12)
     assert eb.lower_orientation == ("n", "c")
 
 
 def test_oriented_bounds_ad_kinds():
     a = NodeSpec("a", recv=AmplitudeDamping(0.1))
     b = NodeSpec("b")
-    eb = oriented_edge_bounds(AmplitudeDamping(0.2), a, b)
+    eb = oriented_edge_bounds(AmplitudeDamping(0.2), a, b, "ad")
     assert eb.lower_kind is BoundKind.RCI_LOWER
     assert eb.upper_kind is BoundKind.SQUASHED_UPPER
     assert 0.0 < eb.lower <= eb.upper
@@ -188,15 +185,16 @@ def test_oriented_bounds_ad_kinds():
 def test_oriented_bounds_family_resolution():
     a = NodeSpec("a")
     b = NodeSpec("b")
-    with pytest.raises(FamilyError):
-        oriented_edge_bounds(Identity(), a, b)  # ambiguous without a hint
     eb = oriented_edge_bounds(Identity(), a, b, fam="tl")
     assert eb.lower == math.inf and eb.upper == math.inf
     eb = oriented_edge_bounds(Identity(), a, b, fam="ad")
     assert eb.lower == 1.0 and eb.upper == 1.0
     mixed = NodeSpec("m", recv=ThermalLoss(0.9, 0.0))
     with pytest.raises(FamilyError):
-        oriented_edge_bounds(AmplitudeDamping(0.1), mixed, b)
+        oriented_edge_bounds(AmplitudeDamping(0.1), mixed, b, fam="ad")
+    damping = NodeSpec("d", send=AmplitudeDamping(0.1))
+    with pytest.raises(FamilyError):
+        oriented_edge_bounds(PureLoss(0.5), damping, b, fam="tl")
     with pytest.raises(FamilyError):
         oriented_edge_bounds(AmplitudeDamping(0.1), a, b, fam="tl")
 
@@ -205,4 +203,4 @@ def test_unit_transmissivity_with_noise_rejected():
     a = NodeSpec("a")
     b = NodeSpec("b")
     with pytest.raises(DomainError):
-        oriented_edge_bounds(ThermalLoss(1.0, 0.1), a, b)
+        oriented_edge_bounds(ThermalLoss(1.0, 0.1), a, b, "tl")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qnetcap.bounds import compound
 from qnetcap.channels import (
     AmplitudeDamping,
     FibreParams,
@@ -16,9 +17,6 @@ from qnetcap.channels import (
     compose_ad,
     compose_tl,
     fibre_channel,
-    node_split_ad,
-    node_split_tl,
-    reduce_compound,
 )
 from qnetcap.errors import DomainError, EmptyCompoundError, FamilyError
 
@@ -137,48 +135,28 @@ def test_compose_tl_pure_loss_closure(ts):
 
 
 def test_node_split_ad_examples():
-    ideal = NodeSpec("a")
-    assert node_split_ad(0.2, ideal, ideal) == pytest.approx(0.2, rel=1e-15)
-    lossy = NodeSpec("b", recv=AmplitudeDamping(0.1), send=AmplitudeDamping(0.1))
-    assert node_split_ad(0.0, lossy, lossy) == pytest.approx(0.19, rel=1e-12)
+    assert compound("ad", 0.0, 0.2, 0.0) == pytest.approx(0.2, rel=1e-15)
+    assert compound("ad", 0.1, 0.0, 0.1) == pytest.approx(0.19, rel=1e-12)
     # total internal efficiency 0.1 with a d=100 km fibre at gamma=0.02
-    tenth = NodeSpec("c", recv=AmplitudeDamping(0.9))
     p_xy = 1.0 - 10.0 ** (-0.02 * 100.0)
-    assert node_split_ad(p_xy, NodeSpec("d"), tenth) == pytest.approx(0.999, rel=1e-12)
-
-
-def test_node_split_ad_family_guard():
-    thermal = NodeSpec("t", recv=ThermalLoss(0.9, 0.0))
-    with pytest.raises(FamilyError):
-        node_split_ad(0.2, NodeSpec("s"), thermal)
+    assert compound("ad", 0.0, p_xy, 0.9) == pytest.approx(0.999, rel=1e-12)
 
 
 def test_node_split_tl_examples():
-    ideal = NodeSpec("a")
-    assert node_split_tl((0.5, 0.0), ideal, ideal) == (0.5, 0.0)
-    recv = NodeSpec("r", recv=ThermalLoss(0.8, 0.0))
-    eta, nbar = node_split_tl((0.8, 0.002), ideal, recv)
+    ideal = (1.0, 0.0)
+    assert compound("tl", ideal, (0.5, 0.0), ideal) == (0.5, 0.0)
+    eta, nbar = compound("tl", ideal, (0.8, 0.002), (0.8, 0.0))
     assert eta == pytest.approx(0.64, rel=1e-12)
     assert nbar == pytest.approx(0.0016, rel=1e-12)
-    sender = NodeSpec("s", send=ThermalLoss(0.95, 0.005))
-    receiver = NodeSpec("r2", recv=ThermalLoss(0.9, 0.01))
-    eta, nbar = node_split_tl((0.5, 0.002), sender, receiver)
+    eta, nbar = compound("tl", (0.95, 0.005), (0.5, 0.002), (0.9, 0.01))
     assert eta == pytest.approx(0.4275, rel=1e-12)
     assert nbar == pytest.approx(0.01 + 0.9 * 0.002 + 0.5 * 0.9 * 0.005, rel=1e-12)
-
-
-def test_node_split_tl_family_guard():
-    damping = NodeSpec("d", send=AmplitudeDamping(0.1))
-    with pytest.raises(FamilyError):
-        node_split_tl((0.5, 0.0), damping, NodeSpec("r"))
 
 
 @given(taus, nbars, taus, nbars, taus, nbars)
 @settings(max_examples=1000)
 def test_node_split_tl_is_compose_tl(tau_s, n_s, eta, n_xy, tau_r, n_r):
-    sender = NodeSpec("s", send=ThermalLoss(tau_s, n_s))
-    receiver = NodeSpec("r", recv=ThermalLoss(tau_r, n_r))
-    split = node_split_tl((eta, n_xy), sender, receiver)
+    split = compound("tl", (tau_s, n_s), (eta, n_xy), (tau_r, n_r))
     assert split == compose_tl([(tau_s, n_s), (eta, n_xy), (tau_r, n_r)])
     eta_tot, nbar_tot = split
     assert eta_tot == pytest.approx(tau_r * tau_s * eta, rel=1e-12)
@@ -188,9 +166,7 @@ def test_node_split_tl_is_compose_tl(tau_s, n_s, eta, n_xy, tau_r, n_r):
 @given(probs, probs, probs)
 @settings(max_examples=300)
 def test_node_split_ad_matches_compose(p_s, p_xy, p_r):
-    sender = NodeSpec("s", send=AmplitudeDamping(p_s))
-    receiver = NodeSpec("r", recv=AmplitudeDamping(p_r))
-    assert node_split_ad(p_xy, sender, receiver) == compose_ad([p_s, p_xy, p_r])
+    assert compound("ad", p_s, p_xy, p_r) == compose_ad([p_s, p_xy, p_r])
 
 
 def test_fibre_channel():
@@ -202,22 +178,6 @@ def test_fibre_channel():
     assert th.nbar == 0.002
     with pytest.raises(FamilyError):
         fibre_channel(FibreParams(10.0), "qubit")
-
-
-def test_reduce_compound():
-    assert reduce_compound([Identity(), Identity()]) == Identity()
-    out = reduce_compound([AmplitudeDamping(0.1), Identity(), AmplitudeDamping(0.2)])
-    assert isinstance(out, AmplitudeDamping)
-    assert out.p == pytest.approx(0.28, rel=1e-12)
-    out = reduce_compound([PureLoss(0.5), PureLoss(0.8)])
-    assert isinstance(out, PureLoss)
-    assert out.eta == pytest.approx(0.4, rel=1e-15)
-    out = reduce_compound([ThermalLoss(0.5, 0.1), PureLoss(0.8)])
-    assert isinstance(out, ThermalLoss)
-    with pytest.raises(FamilyError):
-        reduce_compound([AmplitudeDamping(0.1), PureLoss(0.5)])
-    with pytest.raises(EmptyCompoundError):
-        reduce_compound([])
 
 
 def test_channel_json_round_trip():

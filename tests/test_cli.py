@@ -1,18 +1,26 @@
+import contextlib
+import copy
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qnetcap.cli import (
     EXIT_INPUT,
     EXIT_NOT_ATTAINABLE,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_VALIDATION,
     main,
 )
+from qnetcap.qkd import QkdSetup
 
 
 def run(capsys, *argv):
@@ -159,7 +167,14 @@ MALFORMED_LATTICE = [
     ("radius", "x"),
     ("radius", None),
     ("edge_length_km", "ten"),
+    ("edge_length_km", "nan"),
+    ("edge_length_km", 0),
     ("gamma", [1]),
+    ("gamma", -0.02),
+    ("gamma", -1e308),
+    ("gamma", "nan"),
+    ("nbar_B", -1.0),
+    ("nbar_B", "nan"),
     ("cell", [1]),
     ("qkd_setup", {"wavelength": "zz"}),
 ]
@@ -192,6 +207,31 @@ def test_malformed_spec_value_is_input_error(tmp_path, capsys, command, key, lat
     error = json.loads(err)
     assert error["error"] == "input"
     assert key in error["message"]
+
+
+@pytest.mark.parametrize("command", ["threshold", "sweep"])
+@pytest.mark.parametrize("field,value", [
+    ("wavelength", 1e308),
+    ("wavelength", "1e999"),
+    ("p_lo", 1e-310),
+    ("nep", 1e200),
+    ("preset", []),
+])
+def test_malformed_qkd_setup_is_input_error(tmp_path, capsys, command, field, value):
+    # Thermal lattices, so the QKD receiver model is evaluated; the message
+    # names the qkd_setup field rather than the spec key.
+    lattice = {**MAN_SPEC, "qkd_setup": {field: value}}
+    if command == "threshold":
+        spec = write_json(tmp_path / "wrn.json", lattice)
+        argv = ["threshold", "--spec", spec, "--target", "1e-2", "--param", "edge-length"]
+    else:
+        spec = write_json(tmp_path / "sweep.json", {**EDGE_SWEEP, "wrn": lattice})
+        argv = ["sweep", "--spec", spec]
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_INPUT
+    error = json.loads(err)
+    assert error["error"] == "input"
+    assert field in error["message"]
 
 
 def test_numeric_strings_in_spec_still_parse(tmp_path, capsys):
@@ -309,3 +349,106 @@ def test_selftest_passes(capsys):
     assert code == EXIT_OK
     assert "PASS" in out
     assert "FAIL" not in out
+
+
+# Fuzz: valid documents for every subcommand, each with up to two documented
+# keys (nested ones included) set to a malformed value or removed. BAD holds
+# no integer above 1, so every sweep keeps its 2 or 3 points.
+BAD = [None, True, -1, 0, 1e308, -1e308, 1e-310, 5e-324, math.nan, math.inf, -math.inf,
+       "x", "nan", "1e999", "2", [], [1], {}, {"kind": "ad"}]
+MISSING = object()
+
+TL_DEVICE = {"kind": "tl", "tau": 0.9, "nbar": 0.01}
+AD_DEVICE = {"kind": "ad", "p": 0.05}
+QKD_FIELDS = ["preset", *(f.name for f in dataclasses.fields(QkdSetup))]
+LATTICES = [
+    MAN_SPEC,
+    {**TRI_SPEC, "family": "ad", "gamma": 0.02, "recv": AD_DEVICE, "send": AD_DEVICE},
+    {**MAN_SPEC, "nbar_B": 0.002, "recv": TL_DEVICE, "send": {"kind": "pl", "eta": 0.95}},
+    {**MAN_SPEC, "qkd_setup": {"preset": "table1-homodyne-tlo", "wavelength": 1.55e-6, "p_lo": 0.1}},
+    {**MAN_SPEC, "qkd_setup": "table1-heterodyne-llo"},
+]
+LATTICE_PATHS = [(key,) for key in ("cell", "radius", "edge_length_km", "family", "gamma", "nbar_B",
+                                    "recv", "send", "qkd_setup")]
+LATTICE_PATHS += [(side, key) for side in ("recv", "send") for key in ("kind", "p", "tau", "nbar", "eta")]
+LATTICE_PATHS += [("qkd_setup", key) for key in QKD_FIELDS]
+SWEEPS = [
+    {"variable": "targetCapacity", "start": 1e-3, "stop": 1e-2, "steps": 2, "scale": "log",
+     "wrn": MAN_SPEC},
+    {"variable": "targetCapacity", "start": 1e-3, "stop": 1e-2, "steps": 3, "scale": "log",
+     "param": "internalLoss", "wrn": LATTICES[1]},
+    {**EDGE_SWEEP, "steps": 3},
+    {**EDGE_SWEEP, "wrn": LATTICES[3], "qkd_setup": {"scheme": "tlo"}},
+    {"variable": "internalLoss", "start": 0.01, "stop": 0.1, "steps": 2, "target": 1e-2,
+     "wrn": TRI_SPEC},
+    {"variable": "receiverNoise", "start": 1e-3, "stop": 1e-2, "steps": 2, "target": 1e-2,
+     "wrn": LATTICES[2]},
+]
+SWEEP_PATHS = [(key,) for key in ("variable", "start", "stop", "steps", "scale", "wrn", "target",
+                                  "param", "qkd_setup")]
+SWEEP_PATHS += [("wrn", *path) for path in LATTICE_PATHS] + [("qkd_setup", key) for key in QKD_FIELDS]
+NETWORKS = [
+    {"family": "tl",
+     "nodes": [{"id": "a", "role": "user"}, {"id": "b", "recv": TL_DEVICE, "send": TL_DEVICE},
+               {"id": "c", "role": "user", "recv": {"kind": "pl", "eta": 0.8}}],
+     "edges": [{"a": "a", "b": "b", "fibre": {"length_km": 5.0, "gamma": 0.02, "nbar_B": 0.002}},
+               {"a": "b", "b": "c", "channel": {"kind": "tl", "tau": 0.5, "nbar": 0.001}},
+               {"a": "a", "b": "c", "channel": {"kind": "pl", "eta": 0.1}}],
+     "users": ["a", "c"]},
+    {"nodes": [{"id": "a", "send": AD_DEVICE}, {"id": "b", "recv": AD_DEVICE}, {"id": "c"}],
+     "edges": [{"a": "a", "b": "b", "channel": {"kind": "ad", "p": 0.3}},
+               {"a": "b", "b": "c", "fibre": {"length_km": 5.0}},
+               {"a": "a", "b": "c", "channel": {"kind": "id"}}],
+     "users": ["a", "c"]},
+]
+NETWORK_PATHS = [(key,) for key in ("nodes", "edges", "users", "family")] + [("users", 0)]
+NETWORK_PATHS += [("nodes", i, key) for i in range(3) for key in ("id", "recv", "send", "role")]
+NETWORK_PATHS += [("nodes", 1, side, key) for side in ("recv", "send")
+                  for key in ("kind", "p", "tau", "nbar")]
+NETWORK_PATHS += [("edges", i, key) for i in range(3) for key in ("a", "b", "channel", "fibre")]
+NETWORK_PATHS += [("edges", 0, "fibre", key) for key in ("length_km", "gamma", "nbar_B")]
+NETWORK_PATHS += [("edges", 1, "fibre", "length_km")]
+NETWORK_PATHS += [("edges", i, "channel", key) for i in range(3)
+                  for key in ("kind", "p", "tau", "nbar", "eta")]
+
+
+def spoiled(bases, paths):
+    """A deep copy of one base with up to two paths set to a BAD value or removed."""
+
+    def apply(base, faults):
+        doc = copy.deepcopy(base)
+        for path, value in faults:
+            # An earlier fault may have removed or replaced a parent on the path.
+            with contextlib.suppress(KeyError, IndexError, TypeError):
+                parent = doc
+                for key in path[:-1]:
+                    parent = parent[key]
+                if value is MISSING:
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = copy.deepcopy(value)
+        return doc
+
+    faults = st.lists(st.tuples(st.sampled_from(paths), st.sampled_from([*BAD, MISSING])), max_size=2)
+    return st.builds(apply, st.sampled_from(bases), faults)
+
+
+TARGETS = st.sampled_from(["1e-2", "1e-3", "0", "-1", "nan", "inf", "1e308", "5e-324"])
+PARAMS = st.sampled_from(["edge-length", "internal-loss", "receiver-noise"])
+
+
+@settings(max_examples=600, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(st.one_of(
+    st.tuples(st.just("threshold"), spoiled(LATTICES, LATTICE_PATHS),
+              st.tuples(st.just("--target"), TARGETS, st.just("--param"), PARAMS)),
+    st.tuples(st.just("sweep"), spoiled(SWEEPS, SWEEP_PATHS), st.just(())),
+    st.tuples(st.sampled_from(["validate", "analyze"]), spoiled(NETWORKS, NETWORK_PATHS), st.just(())),
+))
+def test_every_subcommand_maps_arbitrary_json_to_an_exit_code(tmp_path, case):
+    command, data, extra = case
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    flag = "--in" if command in ("validate", "analyze") else "--spec"
+    code = main([command, flag, str(path), *extra, "--out", str(tmp_path / "out")])
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_VALIDATION, EXIT_NOT_ATTAINABLE, EXIT_NUMERIC)

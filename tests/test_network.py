@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qnetcap.bounds import BoundKind, oriented_edge_bounds
+from qnetcap.bounds import oriented_edge_bounds
 from qnetcap.channels import (
     AmplitudeDamping,
     FibreParams,
@@ -142,14 +142,6 @@ def test_apply_split_validation_gate():
     with pytest.raises(ValidationError) as err:
         apply_split(g)
     assert "users: required" in err.value.violations
-
-
-def test_apply_split_kinds_assertion():
-    g = two_node_graph()
-    bg = apply_split(g, kinds=(BoundKind.PLOB_EXACT, BoundKind.PLOB_EXACT))
-    assert bg.edges[0].bounds.lower == 1.0
-    with pytest.raises(FamilyError):
-        apply_split(g, kinds=(BoundKind.RCI_LOWER, BoundKind.SQUASHED_UPPER))
 
 
 def test_neighbourhood_and_min_capacity():

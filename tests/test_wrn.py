@@ -299,9 +299,14 @@ def test_min_nodal_density():
         min_nodal_density(10.0, "hexagon")
 
 
-@pytest.mark.parametrize("cell,fam", [(CELL_TRIANGULAR, "ad"), (CELL_MANHATTAN, "tl")])
-def test_verify_theorem2(cell, fam):
-    spec = WrnSpec(cell_type=cell, radius=2, edge_length_km=5.0, family=fam)
+@pytest.mark.parametrize("cell,fam,radius", [
+    pytest.param(CELL_TRIANGULAR, "ad", 2, id="triangular6-ad"),
+    pytest.param(CELL_MANHATTAN, "tl", 2, id="manhattan8-tl"),
+    pytest.param(CELL_TRIANGULAR, "ad", 20, id="triangular6-ad-r20"),
+    pytest.param(CELL_MANHATTAN, "tl", 20, id="manhattan8-tl-r20"),
+])
+def test_verify_theorem2(cell, fam, radius):
+    spec = WrnSpec(cell_type=cell, radius=radius, edge_length_km=5.0, family=fam)
     assert verify_theorem2(spec, 0.37)
 
 
