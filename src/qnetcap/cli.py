@@ -20,15 +20,12 @@ import math
 import sys
 from typing import Callable
 
-import numpy as np
-
 from . import qkd as qkd_mod
 from . import wrn
 from .channels import AmplitudeDamping, ThermalLoss, as_thermal, channel_from_json
 from .errors import MonotonicityError, NotAttainableError, QnetcapError, ValidationError
 from .network import apply_split, load_network, network_to_json
 from .routing import capacity_report, cut_to_json
-from .selfcheck import check_ad_compounds, check_tl_compounds, routing_errors
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -220,23 +217,41 @@ def cmd_threshold(args) -> int:
     return EXIT_OK
 
 
+def _linspace(start: float, stop: float, steps: int) -> list[float]:
+    """``numpy.linspace(start, stop, steps)``, bit for bit, on a finite span."""
+    span = stop - start
+    step = span / (steps - 1)
+    if step == 0.0:  # subnormal span: scale before multiplying, as numpy does
+        xs = [i / (steps - 1) * span + start for i in range(steps)]
+    else:
+        xs = [i * step + start for i in range(steps)]
+    xs[-1] = stop
+    return xs
+
+
 def _sweep_points(spec: dict) -> list[float]:
     steps = spec["steps"]
     if not isinstance(steps, int) or steps < 2:
         raise _InputError(f"steps must be an integer >= 2, got {steps!r}")
     start, stop = _number("start", spec["start"]), _number("stop", spec["stop"])
+    if not math.isfinite(stop - start):  # also catches a non-finite start or stop
+        raise _InputError(f"sweep range needs a finite stop - start, got [{start}, {stop}]")
     if not start < stop:
         raise _InputError(f"sweep range needs start < stop, got [{start}, {stop}]")
     scale = spec.get("scale", "linear")
     if scale == "linear":
-        xs = np.linspace(start, stop, steps)
-    elif scale == "log":
-        if start <= 0.0:
-            raise _InputError(f"log sweeps need positive endpoints, got start={start}")
-        xs = np.geomspace(start, stop, steps)
-    else:
+        return _linspace(start, stop, steps)
+    if scale != "log":
         raise _InputError(f"scale must be 'linear' or 'log', got {scale!r}")
-    return [float(x) for x in xs]
+    if start <= 0.0:
+        raise _InputError(f"log sweeps need positive endpoints, got start={start}")
+    # numpy.geomspace: a power of ten at each point of the linear grid of
+    # exponents, with both endpoints pinned to the exact inputs. A rounded
+    # exponent can reach log10(stop), whose power may exceed even the largest
+    # float; such a point is stop itself.
+    log_stop = math.log10(stop)
+    inner = _linspace(math.log10(start), log_stop, steps)[1:-1]
+    return [start, *(10.0**y if y < log_stop else stop for y in inner), stop]
 
 
 def _fmt(x: float) -> str:
@@ -343,16 +358,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    checks = [
-        ("ad-compound-vs-kraus", check_ad_compounds(rng, args.count), 1e-12),
-        ("tl-compound-vs-gaussian", check_tl_compounds(rng, args.count), 1e-12),
-    ]
-    flow_err, widest_err = routing_errors(rng, args.count, max_nodes=8)
-    checks.append(("max-flow-vs-cut-enumeration", flow_err, 1e-9))
-    checks.append(("widest-path-vs-enumeration", widest_err, 0.0))
+    # Deferred: selfcheck loads numpy and the oracles, which no other subcommand needs.
+    from . import selfcheck
+
     failed = False
-    for name, worst, tol in checks:
+    for name, worst, tol in selfcheck.run(args.seed, args.count):
         ok = worst <= tol
         failed = failed or not ok
         print(f"{'PASS' if ok else 'FAIL'} {name}: worst deviation {worst:.3e} (tol {tol:g})")

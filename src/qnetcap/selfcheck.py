@@ -96,3 +96,17 @@ def routing_errors(rng: np.random.Generator, count: int, max_nodes: int = 10) ->
         slow = brute_force_widest_path(bg, "lower")
         worst_widest = max(worst_widest, abs(fast - slow))
     return worst_flow, worst_widest
+
+
+def run(seed: int, count: int) -> list[tuple[str, float, float]]:
+    """(battery, worst deviation, tolerance) for each battery, all drawn from one seeded RNG."""
+    rng = np.random.default_rng(seed)
+    ad_err = check_ad_compounds(rng, count)
+    tl_err = check_tl_compounds(rng, count)
+    flow_err, widest_err = routing_errors(rng, count, max_nodes=8)
+    return [
+        ("ad-compound-vs-kraus", ad_err, 1e-12),
+        ("tl-compound-vs-gaussian", tl_err, 1e-12),
+        ("max-flow-vs-cut-enumeration", flow_err, 1e-9),
+        ("widest-path-vs-enumeration", widest_err, 0.0),
+    ]

@@ -271,8 +271,12 @@ def min_nodal_density(d_max: float, cell_type: str) -> DensityResult:
     return DensityResult(d_max=d_max, xi_geom=xi_geom, rho_min=xi_geom / (d_max * d_max))
 
 
-def _scan_direction(fn: Callable[[float], float], lo: float, hi: float) -> str:
-    """Classify fn as non-increasing or non-decreasing on [lo, hi] from samples."""
+def _scan_direction(fn: Callable[[float], float], lo: float, hi: float, goal: float) -> str:
+    """Classify fn as non-increasing or non-decreasing on [lo, hi] from samples.
+
+    A function constant on the bracket has no direction: below ``goal`` it
+    cannot reach it (NotAttainableError), at or above it is a MonotonicityError.
+    """
     if lo <= 0.0:
         raise DomainError(f"search bracket must be positive, got [{lo}, {hi}]")
     ratio = (hi / lo) ** (1.0 / (MONOTONE_SAMPLES - 1))
@@ -283,6 +287,11 @@ def _scan_direction(fn: Callable[[float], float], lo: float, hi: float) -> str:
     if rises and falls:
         raise MonotonicityError("bound function is not monotone on the search bracket")
     if not rises and not falls:
+        if values[0] < goal:
+            raise NotAttainableError(
+                f"bound function is constant at {values[0]:g} on the search bracket, "
+                f"below the per-edge target {goal:g}"
+            )
         raise MonotonicityError("bound function is constant on the search bracket")
     return DIRECTION_MIN if rises else DIRECTION_MAX
 
@@ -300,7 +309,7 @@ def _solve(
         raise DomainError(f"scale must be > 0, got {scale}")
     goal = target / float(scale)
     lo, hi = bracket
-    found = _scan_direction(fn, lo, hi)
+    found = _scan_direction(fn, lo, hi, goal)
     if direction is not None and direction != found:
         raise MonotonicityError(f"bound function is {found}, caller expected {direction}")
     sign = -1.0 if found == DIRECTION_MAX else 1.0

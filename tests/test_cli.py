@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import dataclasses
+import decimal
 import json
 import math
 import os
@@ -8,8 +9,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from qnetcap.cli import (
@@ -18,6 +20,7 @@ from qnetcap.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_VALIDATION,
+    _sweep_points,
     main,
 )
 from qnetcap.qkd import QkdSetup
@@ -182,6 +185,8 @@ MALFORMED_SWEEP = [
     ("stop", {"stop": "x"}),
     ("target", {"target": "abc"}),
     ("param", {"variable": "targetCapacity", "param": [1]}),
+    ("start", {"start": -1e308, "stop": 1e308}),
+    ("stop", {"stop": "inf"}),
 ]
 EDGE_SWEEP = {"variable": "edgeLength", "start": 5.0, "stop": 20.0, "steps": 2,
               "target": 1e-2, "wrn": TRI_SPEC}
@@ -241,9 +246,18 @@ def test_numeric_strings_in_spec_still_parse(tmp_path, capsys):
     assert run(capsys, "threshold", "--spec", quoted, *argv) == run(capsys, "threshold", "--spec", plain, *argv)
 
 
-def test_cli_import_does_not_load_scipy():
+def test_cli_import_does_not_load_scipy(tmp_path):
+    # Nor numpy: only selftest and the oracles need it, and a log sweep runs without it.
+    spec = write_json(tmp_path / "sweep.json", {
+        "variable": "targetCapacity", "start": 1e-3, "stop": 1e-2, "steps": 3, "scale": "log",
+        "wrn": MAN_SPEC,
+    })
+    probe = (
+        "import sys, qnetcap.cli; "
+        f"assert qnetcap.cli.main(['sweep', '--spec', {spec!r}, '--out', {str(tmp_path / 'out.csv')!r}]) == 0; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+    )
     src = Path(__file__).resolve().parents[1] / "src"
-    probe = "import sys, qnetcap.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
@@ -291,6 +305,61 @@ def test_readme_target_capacity_sweep_converges(tmp_path, capsys):
         assert 0.0 < lo <= up
 
 
+def grid(start, stop, steps, scale):
+    return _sweep_points({"start": start, "stop": stop, "steps": steps, "scale": scale})
+
+
+@settings(max_examples=500, derandomize=True)
+@given(st.floats(allow_nan=False, allow_infinity=False), st.floats(allow_nan=False, allow_infinity=False),
+       st.integers(2, 200))
+@example(a=0.0, b=1e-323, steps=5)  # subnormal spans, where the step itself rounds to 0
+@example(a=-5e-324, b=5e-324, steps=7)
+def test_linear_grid_is_numpy_linspace_bit_for_bit(a, b, steps):
+    start, stop = sorted((a, b))
+    assume(start < stop and math.isfinite(stop - start))
+    xs = grid(start, stop, steps, "linear")
+    with np.errstate(over="ignore"):  # its last step can overflow before stop is pinned
+        ref = np.linspace(start, stop, steps)
+    assert [x.hex() for x in xs] == [float(x).hex() for x in ref]
+
+
+@settings(max_examples=500, derandomize=True)
+@given(st.floats(1e-300, 1e300), st.floats(1e-300, 1e300), st.integers(2, 200))
+def test_log_grid_keeps_endpoints_and_tracks_numpy_geomspace(a, b, steps):
+    start, stop = sorted((a, b))
+    # Room for 200 distinct powers between the endpoints.
+    assume(math.log10(stop) - math.log10(start) >= 1e-6)
+    # A log10 that rounds differently from numpy's moves every interior
+    # exponent, which 10**y magnifies by ln(10)*|y|; compare the powers alone.
+    assume(all(math.log10(x) == np.log10(x) for x in (start, stop)))
+    xs = grid(start, stop, steps, "log")
+    assert xs[0] == start and xs[-1] == stop
+    assert all(a < b for a, b in zip(xs, xs[1:]))
+    for x, ref in zip(xs, np.geomspace(start, stop, steps)):
+        assert abs(x - ref) <= math.ulp(ref)
+
+
+@pytest.mark.parametrize("start", [1e-3, math.nextafter(sys.float_info.max, 0.0)])
+def test_log_grid_stays_finite_up_to_the_largest_float(start):
+    stop = sys.float_info.max
+    xs = grid(start, stop, 5, "log")
+    assert xs[0] == start and xs[-1] == stop
+    assert all(start <= x <= stop for x in xs)
+
+
+def test_log_grid_points_are_correctly_rounded():
+    # Two cells of the 40-step 1e-4..1e-1 grid where numpy's power is 1 ulp
+    # off the exact 10**y; the pure-math grid rounds them correctly.
+    xs = grid(1e-4, 1e-1, 40, "log")
+    ys = np.linspace(math.log10(1e-4), math.log10(1e-1), 40)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        for i, expected in ((4, 0.0002030917620904735), (36, 0.05878016072274912)):
+            assert xs[i] == expected
+            exact = decimal.Decimal(10) ** decimal.Decimal(float(ys[i]))
+            assert abs(decimal.Decimal(xs[i]) - exact) < decimal.Decimal(math.ulp(expected)) / 2
+
+
 def test_sweep_edge_length_ad_header(tmp_path, capsys):
     spec = write_json(tmp_path / "sweep.json", {
         "variable": "edgeLength",
@@ -320,6 +389,36 @@ def test_sweep_edge_length_tl_has_qkd_columns(tmp_path, capsys):
     for line in lines[3:]:
         row = [float(x) for x in line.split(",")]
         assert row[3] > 0.0 and row[4] > 0.0
+
+
+def test_sweep_writes_nan_where_a_bound_is_constant_below_the_target(tmp_path, capsys):
+    # From ~92.4 km on even a noiseless receiver leaves the lower bound at 0.
+    spec = write_json(tmp_path / "sweep.json", {
+        "variable": "edgeLength", "start": 1.0, "stop": 100.0, "steps": 40, "target": 1e-2,
+        "wrn": {**MAN_SPEC, "recv": {"kind": "tl", "tau": 0.8, "nbar": 0.0}},
+    })
+    code, out, err = run(capsys, "sweep", "--spec", spec)
+    assert code == EXIT_OK, err
+    rows = [[float(x) for x in line.split(",")] for line in out.splitlines()[3:]]
+    assert len(rows) == 40
+    for d, lo, up, _, _ in rows:
+        assert math.isnan(lo) == (d > 92.0)
+        assert up > 0.0
+
+
+def test_constant_bound_below_target_is_not_attainable(tmp_path, capsys):
+    # The fibre or the QKD receiver noise leaves the bound at 0 on the whole bracket.
+    sweep = write_json(tmp_path / "sweep.json", {
+        "variable": "targetCapacity", "start": 1e-3, "stop": 1e-2, "steps": 3, "scale": "log",
+        "param": "internalLoss", "wrn": {**TRI_SPEC, "edge_length_km": 1e308},
+    })
+    code, out, err = run(capsys, "sweep", "--spec", sweep)
+    assert code == EXIT_OK, err
+    assert [line.split(",")[1:] for line in out.splitlines()[3:]] == [["nan", "nan"]] * 3
+    spec = write_json(tmp_path / "wrn.json", {**MAN_SPEC, "qkd_setup": {"bandwidth": 1e308, "dt_lo": 1e308}})
+    code, _, err = run(capsys, "threshold", "--spec", spec, "--target", "1e-2", "--param", "edge-length")
+    assert code == EXIT_NOT_ATTAINABLE
+    assert json.loads(err)["error"] == "not-attainable"
 
 
 def test_sweep_rejects_unknown_key(tmp_path, capsys):

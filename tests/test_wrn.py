@@ -155,8 +155,10 @@ def test_solve_threshold_direction_check():
 def test_solve_threshold_rejects_non_monotone():
     with pytest.raises(MonotonicityError):
         solve_threshold(lambda x: math.sin(x), 0.1, 1.0, bracket=(1.0, 100.0))
-    with pytest.raises(MonotonicityError):
-        solve_threshold(lambda x: 1.0, 0.5, 1.0)
+    # Constant at or above the per-edge goal: no crossing to bracket.
+    for level in (1.0, 0.5):
+        with pytest.raises(MonotonicityError, match="constant"):
+            solve_threshold(lambda x: level, 0.5, 1.0)
     # Monotone but discontinuous: bisection closes in on the step and the
     # residual can never be met.
     with pytest.raises(MonotonicityError, match="step discontinuously"):
@@ -167,6 +169,9 @@ def test_solve_threshold_not_attainable():
     # bounded above by 1, target needs 2
     with pytest.raises(NotAttainableError):
         solve_threshold(lambda x: 1.0 / (1.0 + x), 2.0, 1.0)
+    # constant below the goal on the whole bracket
+    with pytest.raises(NotAttainableError, match="constant at 0"):
+        solve_threshold(lambda x: 0.0, 0.5, 1.0)
 
 
 def test_solve_threshold_bad_target():
