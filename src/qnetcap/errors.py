@@ -21,10 +21,6 @@ class KrausError(QnetcapError, ValueError):
     """A Kraus set does not describe a trace-preserving channel."""
 
 
-class NodeNotFoundError(QnetcapError, KeyError):
-    """A node id is not present in the graph."""
-
-
 class SizeError(QnetcapError, ValueError):
     """A brute-force oracle was asked to enumerate a graph beyond its size cap."""
 

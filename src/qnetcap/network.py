@@ -14,7 +14,7 @@ It upper-bounds the flooding (max-flow) capacity because it is itself a cut.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .bounds import BoundKind, EdgeBounds, oriented_edge_bounds
 from .channels import (
@@ -29,7 +29,7 @@ from .channels import (
     family,
     fibre_channel,
 )
-from .errors import DomainError, FamilyError, NodeNotFoundError, ValidationError
+from .errors import DomainError, FamilyError, ValidationError
 
 SELECTORS = ("lower", "upper")
 
@@ -190,13 +190,6 @@ def apply_split(graph: NetworkGraph) -> BoundedGraph:
     return BoundedGraph(tuple(graph.nodes), tuple(annotated), graph.users)
 
 
-def neighbourhood_edges(graph: NetworkGraph, node_id: str) -> list[Edge]:
-    """Edges incident to the node."""
-    if node_id not in graph.nodes:
-        raise NodeNotFoundError(node_id)
-    return [e for e in graph.edges if node_id in e.endpoints()]
-
-
 def min_neighbourhood_capacity(bg: BoundedGraph, selector: str) -> float:
     """Value of the cheaper of the two user-isolating cuts."""
     check_selector(selector)
@@ -222,28 +215,6 @@ def annotate_uniform(graph: NetworkGraph, value: float) -> BoundedGraph:
         for e in graph.edges
     )
     return BoundedGraph(tuple(graph.nodes), edges, graph.users)
-
-
-def bounded_from_values(
-    edge_values: Iterable[tuple], users: tuple[str, str]
-) -> BoundedGraph:
-    """Build a BoundedGraph from (a, b, value) or (a, b, lower, upper) rows."""
-    nodes: dict[str, None] = {}
-    edges = []
-    for row in edge_values:
-        if len(row) == 3:
-            a, b, lo = row
-            up = lo
-        else:
-            a, b, lo, up = row
-        nodes.setdefault(a)
-        nodes.setdefault(b)
-        edges.append(
-            BoundedEdge(a, b, EdgeBounds(lo, up, (a, b), (a, b), BoundKind.PLOB_EXACT, BoundKind.PLOB_EXACT))
-        )
-    for user in users:
-        nodes.setdefault(user)
-    return BoundedGraph(tuple(nodes), tuple(edges), users)
 
 
 def network_to_json(graph: NetworkGraph) -> dict:

@@ -3,20 +3,35 @@
 Everything here recomputes quantities the rest of the package obtains from
 formulas or fast algorithms, using a different route: explicit Kraus action on
 density matrices, eigenvalue-based von Neumann entropies of Choi states,
-Gaussian covariance propagation for thermal-loss chains, and exhaustive cut and
-path enumeration on small graphs. The tests and the ``selfcheck`` batteries
-pit these against the fast paths, which never depend on this module.
+Gaussian covariance propagation for thermal-loss chains, exhaustive cut and
+path enumeration on small graphs, a capacity and conservation check of a
+max-flow result, closed-form node and edge counts of generated lattice
+patches, and the flooding = k*c consequence on uniformly valued lattices.
+``bounded_from_values`` builds the small test graphs these run on. The tests
+and the ``selfcheck`` batteries pit these against the fast paths, which never
+depend on this module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
+from .bounds import BoundKind, EdgeBounds
 from .errors import DomainError, KrausError, SizeError
-from .network import BoundedGraph, Cut, check_selector
+from .network import (
+    BoundedEdge,
+    BoundedGraph,
+    Cut,
+    annotate_uniform,
+    check_selector,
+    min_neighbourhood_capacity,
+)
+from .routing import FlowResult, max_flow
+from .wrn import CELL_TRIANGULAR, WrnSpec, generate
 
 # Eigenvalues at or below this are treated as exact zeros inside entropies.
 EIG_ZERO_TOL = 1e-14
@@ -182,6 +197,52 @@ def gaussian_propagate(v: np.ndarray, channels) -> np.ndarray:
     return out
 
 
+def bounded_from_values(
+    edge_values: Iterable[tuple], users: tuple[str, str]
+) -> BoundedGraph:
+    """Build a BoundedGraph from (a, b, value) or (a, b, lower, upper) rows."""
+    nodes: dict[str, None] = {}
+    edges = []
+    for row in edge_values:
+        if len(row) == 3:
+            a, b, lo = row
+            up = lo
+        else:
+            a, b, lo, up = row
+        nodes.setdefault(a)
+        nodes.setdefault(b)
+        edges.append(
+            BoundedEdge(a, b, EdgeBounds(lo, up, (a, b), (a, b), BoundKind.PLOB_EXACT, BoundKind.PLOB_EXACT))
+        )
+    for user in users:
+        nodes.setdefault(user)
+    return BoundedGraph(tuple(nodes), tuple(edges), users)
+
+
+def check_flow_feasible(result: FlowResult, bg: BoundedGraph, selector: str, tol: float = 1e-9) -> None:
+    """Raise if the flow violates capacities or conservation."""
+    net = {n: 0.0 for n in bg.nodes}
+    caps = {}
+    for e in bg.edges:
+        caps[e.key()] = e.value(selector)
+    for (u, v), f in result.flows.items():
+        if f < -tol:
+            raise DomainError(f"negative flow on {u}->{v}")
+        key = (u, v) if u <= v else (v, u)
+        if f > caps[key] + tol:
+            raise DomainError(f"flow {f} exceeds capacity {caps[key]} on {u}-{v}")
+        net[u] -= f
+        net[v] += f
+    alpha, beta = bg.users
+    for n in bg.nodes:
+        if n in (alpha, beta):
+            continue
+        if abs(net[n]) > tol:
+            raise DomainError(f"flow not conserved at {n}: {net[n]}")
+    if abs(net[beta] - result.value) > tol or abs(net[alpha] + result.value) > tol:
+        raise DomainError("flow into users does not match the reported value")
+
+
 def cut_value(bg: BoundedGraph, selector: str, a_side) -> float:
     """Sum of edge values crossing a bipartition."""
     check_selector(selector)
@@ -241,3 +302,36 @@ def brute_force_widest_path(bg: BoundedGraph, selector: str) -> float:
 
     go(alpha, math.inf)
     return best
+
+
+def node_count(spec: WrnSpec) -> int:
+    """Closed-form node count of the patch ``generate`` builds."""
+    rings = 2 * spec.radius
+    if spec.cell_type == CELL_TRIANGULAR:
+        return 3 * rings * rings + 3 * rings + 1
+    return (2 * rings + 1) ** 2
+
+
+def edge_count(spec: WrnSpec) -> int:
+    """Closed-form edge count of the patch ``generate`` builds."""
+    rings = 2 * spec.radius
+    if spec.cell_type == CELL_TRIANGULAR:
+        return 9 * rings * rings + 3 * rings
+    return 16 * rings * rings + 4 * rings
+
+
+def verify_theorem2(spec: WrnSpec, edge_value: float, tol: float = 1e-9) -> bool:
+    """Check the uniform-value consequence: flooding capacity equals k * c.
+
+    Annotates the generated lattice with the exact uniform value and compares
+    the max-flow result against k * c and against the user-isolation cut.
+    """
+    if not isinstance(spec, WrnSpec):
+        raise DomainError("verify_theorem2 needs a WrnSpec; arbitrary graphs are not weakly regular")
+    if edge_value <= 0.0 or math.isnan(edge_value):
+        raise DomainError(f"edge value must be > 0, got {edge_value}")
+    bg = annotate_uniform(generate(spec), edge_value)
+    flood = max_flow(bg, "lower").value
+    isolation = min_neighbourhood_capacity(bg, "lower")
+    expected = spec.k * edge_value
+    return abs(flood - expected) <= tol and abs(isolation - expected) <= tol

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .channels import ThermalLoss
 from .errors import DomainError
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
@@ -112,11 +111,6 @@ def receiver_noise(setup: QkdSetup, eta_channel: float) -> float:
     if setup.scheme == SCHEME_LLO:
         return eta_channel * setup.tau_eff * theta_ph(setup) + theta_el(setup, setup.p_lo)
     return theta_el(setup, eta_channel * setup.tau_eff * setup.p_lo)
-
-
-def receiver_channel(setup: QkdSetup, eta_channel: float) -> ThermalLoss:
-    """The receiver's internal channel: ThermalLoss(tau_eff, nbar_r)."""
-    return ThermalLoss(setup.tau_eff, receiver_noise(setup, eta_channel))
 
 
 def _preset(scheme: str, nu_det: int) -> QkdSetup:

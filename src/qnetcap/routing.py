@@ -3,8 +3,8 @@
 Single-path capacity is the widest-path bottleneck between the end users;
 flooding capacity is the undirected max flow, equal to the minimum cut. Both
 are evaluated on either the lower or the upper edge annotation. The
-exhaustive enumeration oracles that gate these algorithms live in
-``oracles.py``.
+exhaustive enumeration oracles and the flow feasibility check that gate these
+algorithms live in ``oracles.py``.
 """
 
 from __future__ import annotations
@@ -40,28 +40,13 @@ class FlowResult:
     mincut: Cut
     flows: dict
 
-    def check_feasible(self, bg: BoundedGraph, selector: str, tol: float = 1e-9) -> None:
-        """Raise if the flow violates capacities or conservation."""
-        net = {n: 0.0 for n in bg.nodes}
-        caps = {}
-        for e in bg.edges:
-            caps[e.key()] = e.value(selector)
-        for (u, v), f in self.flows.items():
-            if f < -tol:
-                raise DomainError(f"negative flow on {u}->{v}")
-            key = (u, v) if u <= v else (v, u)
-            if f > caps[key] + tol:
-                raise DomainError(f"flow {f} exceeds capacity {caps[key]} on {u}-{v}")
-            net[u] -= f
-            net[v] += f
-        alpha, beta = bg.users
-        for n in bg.nodes:
-            if n in (alpha, beta):
-                continue
-            if abs(net[n]) > tol:
-                raise DomainError(f"flow not conserved at {n}: {net[n]}")
-        if abs(net[beta] - self.value) > tol or abs(net[alpha] + self.value) > tol:
-            raise DomainError("flow into users does not match the reported value")
+
+def _end_users(bg: BoundedGraph) -> tuple[str, str]:
+    """The two end users, which must be distinct nodes of the graph."""
+    alpha, beta = bg.users
+    if alpha == beta or alpha not in bg.nodes or beta not in bg.nodes:
+        raise DomainError(f"end users {bg.users} must be two distinct graph nodes")
+    return alpha, beta
 
 
 def _adjacency(bg: BoundedGraph, selector: str):
@@ -81,9 +66,7 @@ def widest_path(bg: BoundedGraph, selector: str) -> PathResult:
     users give value 0 and an empty path.
     """
     check_selector(selector)
-    alpha, beta = bg.users
-    if alpha not in bg.nodes or beta not in bg.nodes:
-        raise DomainError(f"end users {bg.users} must be graph nodes")
+    alpha, beta = _end_users(bg)
     adj = _adjacency(bg, selector)
     width = {alpha: math.inf}
     pred: dict[str, str] = {}
@@ -202,10 +185,11 @@ def max_flow(bg: BoundedGraph, selector: str) -> FlowResult:
     """Undirected max flow between the end users, with its minimum cut.
 
     The reported cut is the set reachable from the first user in the final
-    residual graph (deterministic). Edge values must be finite.
+    residual graph (deterministic). The end users must be two distinct graph
+    nodes and the edge values finite.
     """
     check_selector(selector)
-    alpha, beta = bg.users
+    alpha, beta = _end_users(bg)
     solver = _Dinic()
     s = solver.node(alpha)
     t = solver.node(beta)
@@ -279,7 +263,3 @@ def cut_to_json(cut: Cut) -> dict:
         "B": sorted(cut.b_side),
         "edges": [list(pair) for pair in cut.edges],
     }
-
-
-def flow_result_to_json(result: FlowResult) -> dict:
-    return {"value": result.value, "mincut": cut_to_json(result.mincut)}

@@ -11,8 +11,15 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import compose_ad, compose_tl
-from .network import BoundedGraph, bounded_from_values
-from .oracles import ad_channel, apply_channel, brute_force_min_cut, brute_force_widest_path, gaussian_propagate
+from .network import BoundedGraph
+from .oracles import (
+    ad_channel,
+    apply_channel,
+    bounded_from_values,
+    brute_force_min_cut,
+    brute_force_widest_path,
+    gaussian_propagate,
+)
 from .routing import max_flow, widest_path
 
 EXCITED = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)

@@ -12,14 +12,14 @@ bound function brackets the true threshold.
 
 With every edge at one uniform value c, these lattices satisfy the threshold
 conditions outright and the flooding capacity equals k*c exactly (the
-user-isolating cut is minimal); ``verify_theorem2`` checks that consequence
-numerically.
+user-isolating cut is minimal). The verifiers in ``oracles.py`` check that
+consequence numerically and hold the closed-form patch sizes that
+``generate`` must reproduce.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -210,20 +210,6 @@ def _check_weak_regularity(graph: NetworkGraph, spec: WrnSpec) -> None:
             raise DomainError(f"end user {user} is not an interior node")
 
 
-def node_count(spec: WrnSpec) -> int:
-    rings = 2 * spec.radius
-    if spec.cell_type == CELL_TRIANGULAR:
-        return 3 * rings * rings + 3 * rings + 1
-    return (2 * rings + 1) ** 2
-
-
-def edge_count(spec: WrnSpec) -> int:
-    rings = 2 * spec.radius
-    if spec.cell_type == CELL_TRIANGULAR:
-        return 9 * rings * rings + 3 * rings
-    return 16 * rings * rings + 4 * rings
-
-
 @dataclass(frozen=True)
 class ThresholdResult:
     """Bracketed threshold for one physical parameter at one scale."""
@@ -300,7 +286,6 @@ def _solve(
     fn: Callable[[float], float],
     target: float,
     scale: float,
-    direction: str | None,
     bracket: tuple[float, float],
 ) -> tuple[float, str]:
     if target <= 0.0 or math.isnan(target):
@@ -310,8 +295,6 @@ def _solve(
     goal = target / float(scale)
     lo, hi = bracket
     found = _scan_direction(fn, lo, hi, goal)
-    if direction is not None and direction != found:
-        raise MonotonicityError(f"bound function is {found}, caller expected {direction}")
     sign = -1.0 if found == DIRECTION_MAX else 1.0
 
     def residual(x: float) -> float:
@@ -379,7 +362,6 @@ def solve_threshold(
     bound_fn: Callable[[float], float],
     target: float,
     scale: float,
-    direction: str | None = None,
     bracket: tuple[float, float] = BRACKET_START,
 ) -> float:
     """Parameter value where scale * bound_fn(xi) crosses the capacity target.
@@ -390,7 +372,7 @@ def solve_threshold(
     NotAttainableError when the target lies outside the function's range even
     after bracket expansion, and MonotonicityError for non-monotone input.
     """
-    xi, _ = _solve(bound_fn, target, scale, direction, bracket)
+    xi, _ = _solve(bound_fn, target, scale, bracket)
     return xi
 
 
@@ -461,12 +443,6 @@ def bound_functions(
 
 def connectivity(spec: WrnSpec) -> tuple[int, Fraction]:
     d = delta(spec.k, spec.commonalities)
-    if d <= spec.k:
-        warnings.warn(
-            f"delta={d} is not above k={spec.k}; threshold scaling is degenerate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return d, omega(spec.k, d)
 
 
@@ -487,7 +463,7 @@ def solve_at_scale(
     solved, unattainable = [], None
     for fn in (lower_fn, upper_fn):
         try:
-            solved.append(_solve(fn, target, scale, None, bracket))
+            solved.append(_solve(fn, target, scale, bracket))
         except NotAttainableError as exc:
             solved.append((math.nan, None))
             unattainable = unattainable or exc
@@ -522,25 +498,3 @@ def threshold_report(
         if results[-1].unattainable is not None:
             raise results[-1].unattainable
     return results[0], results[1]
-
-
-def verify_theorem2(spec: WrnSpec, edge_value: float, tol: float = 1e-9) -> bool:
-    """Check the uniform-value consequence: flooding capacity equals k * c.
-
-    Annotates the generated lattice with the exact uniform value and compares
-    the max-flow result against k * c and against the user-isolation cut.
-    """
-    if not isinstance(spec, WrnSpec):
-        raise DomainError("verify_theorem2 needs a WrnSpec; arbitrary graphs are not weakly regular")
-    if edge_value <= 0.0 or math.isnan(edge_value):
-        raise DomainError(f"edge value must be > 0, got {edge_value}")
-    from .network import annotate_uniform, min_neighbourhood_capacity
-    from .routing import max_flow
-
-    connectivity(spec)  # surfaces the degenerate-delta warning if applicable
-    graph = generate(spec)
-    bg = annotate_uniform(graph, edge_value)
-    flood = max_flow(bg, "lower").value
-    isolation = min_neighbourhood_capacity(bg, "lower")
-    expected = spec.k * edge_value
-    return abs(flood - expected) <= tol and abs(isolation - expected) <= tol

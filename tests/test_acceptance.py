@@ -14,7 +14,7 @@ import pytest
 
 from qnetcap.bounds import ad_rci, ad_squashed, compound, h2, tl_ree, tl_rci
 from qnetcap.channels import AmplitudeDamping
-from qnetcap.oracles import ad_rci_at_u
+from qnetcap.oracles import ad_rci_at_u, verify_theorem2
 from qnetcap.qkd import from_preset, theta_el, theta_ph, with_scheme
 from qnetcap.selfcheck import check_ad_compounds, check_tl_compounds, routing_errors
 from qnetcap.wrn import (
@@ -26,7 +26,6 @@ from qnetcap.wrn import (
     omega,
     solve_threshold,
     threshold_report,
-    verify_theorem2,
 )
 
 TARGET = 1e-2

@@ -247,7 +247,8 @@ def test_numeric_strings_in_spec_still_parse(tmp_path, capsys):
 
 
 def test_cli_import_does_not_load_scipy(tmp_path):
-    # Nor numpy: only selftest and the oracles need it, and a log sweep runs without it.
+    # Nor numpy, nor the verifiers: only selftest loads the oracles, and a log
+    # sweep runs without them.
     spec = write_json(tmp_path / "sweep.json", {
         "variable": "targetCapacity", "start": 1e-3, "stop": 1e-2, "steps": 3, "scale": "log",
         "wrn": MAN_SPEC,
@@ -255,7 +256,8 @@ def test_cli_import_does_not_load_scipy(tmp_path):
     probe = (
         "import sys, qnetcap.cli; "
         f"assert qnetcap.cli.main(['sweep', '--spec', {spec!r}, '--out', {str(tmp_path / 'out.csv')!r}]) == 0; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy') "
+        "or m in ('qnetcap.oracles', 'qnetcap.selfcheck')))"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},

@@ -14,7 +14,6 @@ from qnetcap.channels import (
 from qnetcap.errors import (
     DomainError,
     FamilyError,
-    NodeNotFoundError,
     ValidationError,
 )
 from qnetcap.network import (
@@ -23,14 +22,13 @@ from qnetcap.network import (
     NetworkGraph,
     annotate_uniform,
     apply_split,
-    bounded_from_values,
     load_network,
     min_neighbourhood_capacity,
-    neighbourhood_edges,
     network_to_json,
     resolved_family,
     validate,
 )
+from qnetcap.oracles import bounded_from_values
 
 
 def _nodes(*ids, role_map=None):
@@ -145,10 +143,6 @@ def test_apply_split_validation_gate():
 
 
 def test_neighbourhood_and_min_capacity():
-    g = two_node_graph()
-    assert len(neighbourhood_edges(g, "a")) == 1
-    with pytest.raises(NodeNotFoundError):
-        neighbourhood_edges(g, "zz")
     bg = bounded_from_values(
         [("u", "m", 0.3), ("m", "v", 0.2), ("u", "v", 0.1)], users=("u", "v")
     )

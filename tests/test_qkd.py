@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnetcap.channels import ThermalLoss
 from qnetcap.errors import DomainError
 from qnetcap.qkd import (
     PLANCK,
@@ -13,7 +12,6 @@ from qnetcap.qkd import (
     SPEED_OF_LIGHT,
     QkdSetup,
     from_preset,
-    receiver_channel,
     receiver_noise,
     theta_el,
     theta_ph,
@@ -109,13 +107,6 @@ def test_tlo_llo_crossover_exists():
     tlo = QkdSetup(scheme="tlo")
     assert receiver_noise(tlo, 1.0) < receiver_noise(llo, 1.0)
     assert receiver_noise(tlo, 0.01) > receiver_noise(llo, 0.01)
-
-
-def test_receiver_channel():
-    ch = receiver_channel(QkdSetup(scheme="llo"), 0.5)
-    assert isinstance(ch, ThermalLoss)
-    assert ch.tau == 0.8
-    assert ch.nbar == pytest.approx(receiver_noise(QkdSetup(scheme="llo"), 0.5), rel=1e-14)
 
 
 def test_presets():

@@ -3,18 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from qnetcap.channels import NodeSpec, PureLoss
 from qnetcap.errors import DomainError, SizeError
-from qnetcap.network import bounded_from_values
+from qnetcap.network import Edge, NetworkGraph, annotate_uniform
 from qnetcap.oracles import (
     BRUTE_FORCE_MAX_NODES,
+    bounded_from_values,
     brute_force_min_cut,
     brute_force_widest_path,
+    check_flow_feasible,
     cut_value,
 )
 from qnetcap.routing import (
     capacity_report,
     cut_to_json,
-    flow_result_to_json,
     max_flow,
     widest_path,
 )
@@ -74,7 +76,7 @@ def test_max_flow_diamond():
     flow = max_flow(diamond(), "lower")
     # a's incident capacity 0.9 binds: 0.6 + 0.3
     assert flow.value == pytest.approx(0.9, abs=1e-12)
-    flow.check_feasible(diamond(), "lower")
+    check_flow_feasible(flow, diamond(), "lower")
     assert flow.mincut.a_side == frozenset({"a"})
     assert cut_value(diamond(), "lower", flow.mincut.a_side) == pytest.approx(0.9, abs=1e-12)
 
@@ -86,7 +88,7 @@ def test_max_flow_bridge():
     flow = max_flow(bg, "lower")
     assert flow.value == pytest.approx(0.25, abs=1e-12)
     assert set(flow.mincut.edges) == {("m", "n")}
-    flow.check_feasible(bg, "lower")
+    check_flow_feasible(flow, bg, "lower")
 
 
 def test_max_flow_disconnected():
@@ -94,6 +96,22 @@ def test_max_flow_disconnected():
     flow = max_flow(bg, "lower")
     assert flow.value == 0.0
     assert flow.flows == {}
+
+
+def uniform_chain(users):
+    nodes = {n: NodeSpec(n) for n in ("a", "m", "b")}
+    edges = (Edge("a", "m", channel=PureLoss(0.5)), Edge("m", "b", channel=PureLoss(0.5)))
+    return annotate_uniform(NetworkGraph(nodes, edges, users), 0.5)
+
+
+@pytest.mark.parametrize("users", [("a", "a"), ("a", "zz"), ("zz", "b")],
+                         ids=["equal", "second-missing", "first-missing"])
+@pytest.mark.parametrize("route", [max_flow, widest_path], ids=["max_flow", "widest_path"])
+def test_routing_needs_two_distinct_graph_users(route, users):
+    # annotate_uniform does not validate the users, so routing must.
+    with pytest.raises(DomainError, match="two distinct graph nodes"):
+        route(uniform_chain(users), "lower")
+    assert route(uniform_chain(("a", "b")), "lower").value == 0.5
 
 
 def test_max_flow_rejects_non_finite():
@@ -122,7 +140,7 @@ def test_flows_share_undirected_capacity():
     assert flow.value == pytest.approx(1.6, abs=1e-12)
     value, _ = brute_force_min_cut(bg, "lower")
     assert value == pytest.approx(1.6, abs=1e-12)
-    flow.check_feasible(bg, "lower")
+    check_flow_feasible(flow, bg, "lower")
 
 
 def test_brute_force_min_cut_matches_and_caps_size():
@@ -149,7 +167,7 @@ def test_random_graphs_agree_with_oracles():
         flow = max_flow(bg, "lower")
         value, _ = brute_force_min_cut(bg, "lower")
         assert flow.value == pytest.approx(value, abs=1e-9)
-        flow.check_feasible(bg, "lower")
+        check_flow_feasible(flow, bg, "lower")
         assert widest_path(bg, "lower").value == brute_force_widest_path(bg, "lower")
 
 
@@ -162,7 +180,7 @@ def test_long_chain_max_flow_has_no_recursion_limit():
     assert flow.value == widest.value == min(row[2] for row in rows)
     assert len(widest.path) == hops + 1
     assert len(flow.mincut.edges) == 1
-    flow.check_feasible(bg, "lower")
+    check_flow_feasible(flow, bg, "lower")
 
 
 def test_capacity_report_keeps_upper_mincut():
@@ -205,6 +223,3 @@ def test_cut_and_flow_json():
     assert data["A"] == ["a"]
     assert data["B"] == ["b", "m1", "m2"]
     assert all(isinstance(pair, list) and len(pair) == 2 for pair in data["edges"])
-    full = flow_result_to_json(flow)
-    assert full["value"] == pytest.approx(0.9, abs=1e-12)
-    assert full["mincut"]["A"] == ["a"]

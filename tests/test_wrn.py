@@ -6,26 +6,23 @@ import pytest
 from qnetcap.channels import AmplitudeDamping, Identity, ThermalLoss
 from qnetcap.errors import DomainError, FamilyError, MonotonicityError, NotAttainableError
 from qnetcap.network import annotate_uniform, apply_split, validate
+from qnetcap.oracles import edge_count, node_count, verify_theorem2
 from qnetcap.routing import max_flow
 from qnetcap.wrn import (
     CELL_MANHATTAN,
     CELL_TRIANGULAR,
     DIRECTION_MAX,
-    DIRECTION_MIN,
     ThresholdResult,
     WrnSpec,
     bound_functions,
     connectivity,
     delta,
-    edge_count,
     generate,
     min_nodal_density,
-    node_count,
     omega,
     solve_at_scale,
     solve_threshold,
     threshold_report,
-    verify_theorem2,
 )
 
 
@@ -144,12 +141,6 @@ def test_solve_threshold_analytic():
     # increasing function
     xi = solve_threshold(lambda x: x * x, target=9.0, scale=1.0)
     assert xi == pytest.approx(3.0, rel=1e-9)
-
-
-def test_solve_threshold_direction_check():
-    with pytest.raises(MonotonicityError):
-        solve_threshold(lambda x: 1.0 / x, 2.0, 4.0, direction=DIRECTION_MIN)
-    assert solve_threshold(lambda x: 1.0 / x, 2.0, 4.0, direction=DIRECTION_MAX) == pytest.approx(2.0)
 
 
 def test_solve_threshold_rejects_non_monotone():
