@@ -9,8 +9,9 @@ Network annotation and threshold solves share ``compound`` (the node-split
 send -> edge -> recv reduction) and ``compound_bound`` (one side's bound). An
 undirected physical edge can be used in either direction, and with asymmetric
 device noise the two directions give different compound channels.
-``oriented_edge_bounds`` evaluates both and keeps, independently for the lower
-and the upper bound, the more favourable direction.
+``direction_bounds`` bounds one direction, and ``orient`` keeps,
+independently for the lower and the upper bound, the more favourable one;
+``oriented_edge_bounds`` and ``network.apply_split`` both go through them.
 """
 
 from __future__ import annotations
@@ -161,6 +162,13 @@ class EdgeBounds:
             raise DomainError(f"bounds out of order: lower {self.lower} > upper {self.upper}")
 
 
+def family_native(fam: str):
+    """``as_damping`` or ``as_thermal``: the converter to ``fam``'s native numbers."""
+    if fam not in (FAMILY_AD, FAMILY_TL):
+        raise FamilyError(f"unknown channel family {fam!r}")
+    return as_damping if fam == FAMILY_AD else as_thermal
+
+
 def compound(fam: str, send, edge, recv):
     """Node splitting: reduce the chain send -> edge -> recv to one channel.
 
@@ -190,29 +198,43 @@ def compound_bound(fam: str, reduced, selector: str) -> tuple[float, BoundKind]:
     return tl_ree(eta_tot, nbar_tot), BoundKind.REE_UPPER
 
 
+def direction_bounds(fam: str, send, edge, recv) -> tuple[float, BoundKind, float, BoundKind]:
+    """(lower, lower kind, upper, upper kind) of one directed use of an edge.
+
+    Arguments are family-native, as for ``compound``. A thermal compound of
+    unit transmissivity is an ideal edge and has no finite bound.
+    """
+    reduced = compound(fam, send, edge, recv)
+    if fam == FAMILY_TL and reduced[0] == 1.0:
+        if reduced[1] != 0.0:
+            raise DomainError("thermal edge with unit transmissivity and added noise is not modelled")
+        return math.inf, BoundKind.PLOB_EXACT, math.inf, BoundKind.PLOB_EXACT
+    return (*compound_bound(fam, reduced, "lower"), *compound_bound(fam, reduced, "upper"))
+
+
+def orient(a: str, b: str, forward, backward) -> EdgeBounds:
+    """EdgeBounds of edge a-b from its ``direction_bounds`` a -> b and b -> a.
+
+    The lower and upper bounds are maximized over direction independently.
+    Ties go to the lexicographically smaller (sender, receiver) id pair.
+    """
+    first, second = ((a, b), forward), ((b, a), backward)
+    if b < a:
+        first, second = second, first
+    lower_dir, (lower, lower_kind, _, _) = second if second[1][0] > first[1][0] else first
+    upper_dir, (_, _, upper, upper_kind) = second if second[1][2] > first[1][2] else first
+    return EdgeBounds(lower, upper, lower_dir, upper_dir, lower_kind, upper_kind)
+
+
 def oriented_edge_bounds(edge: ChannelSpec, node_a: NodeSpec, node_b: NodeSpec, fam: str) -> EdgeBounds:
     """Capacity bounds of an undirected edge, optimized over direction of use.
 
     ``fam`` is the graph's channel family; a channel of the other family
-    raises FamilyError. Both directed compounds are evaluated; the lower and
-    upper bounds are maximized over direction independently. Ties go to the
-    lexicographically smaller (sender, receiver) id pair.
+    raises FamilyError. Both directed compounds are evaluated and combined by
+    ``orient``.
     """
-    if fam not in (FAMILY_AD, FAMILY_TL):
-        raise FamilyError(f"unknown channel family {fam!r}")
-    native = as_damping if fam == FAMILY_AD else as_thermal
+    native = family_native(fam)
     channel = native(edge)
-    candidates = []
-    for sender, receiver in ((node_a, node_b), (node_b, node_a)):
-        reduced = compound(fam, native(sender.send), channel, native(receiver.recv))
-        if fam == FAMILY_TL and reduced[0] == 1.0:  # an ideal edge has no finite bound
-            if reduced[1] != 0.0:
-                raise DomainError("thermal edge with unit transmissivity and added noise is not modelled")
-            sides = [(math.inf, BoundKind.PLOB_EXACT)] * 2
-        else:
-            sides = [compound_bound(fam, reduced, selector) for selector in ("lower", "upper")]
-        candidates.append(((sender.id, receiver.id), *sides))
-    candidates.sort(key=lambda c: c[0])
-    lower_dir, (lower, lower_kind), _ = max(candidates, key=lambda c: c[1][0])
-    upper_dir, _, (upper, upper_kind) = max(candidates, key=lambda c: c[2][0])
-    return EdgeBounds(lower, upper, lower_dir, upper_dir, lower_kind, upper_kind)
+    forward = direction_bounds(fam, native(node_a.send), channel, native(node_b.recv))
+    backward = direction_bounds(fam, native(node_b.send), channel, native(node_a.recv))
+    return orient(node_a.id, node_b.id, forward, backward)

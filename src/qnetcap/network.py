@@ -13,10 +13,10 @@ It upper-bounds the flooding (max-flow) capacity because it is itself a cut.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
-from .bounds import BoundKind, EdgeBounds, oriented_edge_bounds
+from .bounds import BoundKind, EdgeBounds, direction_bounds, family_native, orient
 from .channels import (
     FAMILY_AD,
     FAMILY_TL,
@@ -73,6 +73,8 @@ class NetworkGraph:
     edges: tuple[Edge, ...]
     users: tuple[str, str] | None = None
     family: str | None = None
+    # The resolved family, set by ``validate`` once it finds the graph valid.
+    _valid_family: str | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -136,7 +138,11 @@ def resolved_family(graph: NetworkGraph) -> str:
 
 
 def validate(graph: NetworkGraph) -> list[str]:
-    """Structural invariant check; returns violations (empty means ok), never raises."""
+    """Structural invariant check; returns violations (empty means ok), never raises.
+
+    A graph found valid keeps its resolved family, so ``apply_split`` does not
+    check it again.
+    """
     violations = []
     if graph.users is None:
         violations.append("users: required")
@@ -166,38 +172,64 @@ def validate(graph: NetworkGraph) -> list[str]:
     if graph.family is not None and graph.family not in (FAMILY_AD, FAMILY_TL):
         violations.append(f"family: must be 'ad' or 'tl', got {graph.family!r}")
     try:
-        resolved_family(graph)
+        fam = resolved_family(graph)
     except FamilyError as exc:
         violations.append(str(exc))
+    else:
+        if not violations:
+            object.__setattr__(graph, "_valid_family", fam)
     return violations
 
 
 def apply_split(graph: NetworkGraph) -> BoundedGraph:
     """Annotate every edge with orientation-optimized capacity bounds.
 
-    The graph's one channel family is resolved once and passed down to every
-    edge. Deterministic and idempotent.
+    A graph not yet found valid by ``validate`` is validated first. The
+    graph's one channel family is resolved once and passed down to every edge.
+    Repeated classes are bounded once: an edge whose fibre equals the previous
+    edge's reuses its channel, and a direction whose family-native (send,
+    edge, recv) numbers equal the previous direction's reuses its bounds.
+    Orientation ids and ties are still decided per edge. Deterministic and
+    idempotent.
     """
-    violations = validate(graph)
-    if violations:
-        raise ValidationError(violations)
-    fam = resolved_family(graph)
+    if graph._valid_family is None:
+        violations = validate(graph)
+        if violations:
+            raise ValidationError(violations)
+    fam = graph._valid_family
+    native = family_native(fam)
+    ends = {node_id: (native(spec.send), native(spec.recv)) for node_id, spec in graph.nodes.items()}
+    fibre = channel = key = values = None
     annotated = []
     for edge in graph.edges:
-        channel = edge.resolve(fam)
-        b = oriented_edge_bounds(channel, graph.nodes[edge.a], graph.nodes[edge.b], fam)
-        annotated.append(BoundedEdge(edge.a, edge.b, b))
+        if edge.fibre is None or edge.fibre != fibre:
+            fibre, channel = edge.fibre, native(edge.resolve(fam))
+        send_a, recv_a = ends[edge.a]
+        send_b, recv_b = ends[edge.b]
+        directed = []
+        for direction in ((send_a, channel, recv_b), (send_b, channel, recv_a)):
+            if direction != key:
+                values = direction_bounds(fam, *direction)
+                key = direction
+            directed.append(values)
+        annotated.append(BoundedEdge(edge.a, edge.b, orient(edge.a, edge.b, *directed)))
     return BoundedGraph(tuple(graph.nodes), tuple(annotated), graph.users)
+
+
+def end_users(bg: BoundedGraph) -> tuple[str, str]:
+    """The two end users, which must be distinct nodes of the graph."""
+    alpha, beta = bg.users
+    if alpha == beta or alpha not in bg.nodes or beta not in bg.nodes:
+        raise DomainError(f"end users {bg.users} must be two distinct graph nodes")
+    return alpha, beta
 
 
 def min_neighbourhood_capacity(bg: BoundedGraph, selector: str) -> float:
     """Value of the cheaper of the two user-isolating cuts."""
     check_selector(selector)
-    best = None
-    for user in bg.users:
-        total = sum(e.value(selector) for e in bg.edges if user in (e.a, e.b))
-        best = total if best is None else min(best, total)
-    return best
+    return min(
+        sum(e.value(selector) for e in bg.edges if user in (e.a, e.b)) for user in end_users(bg)
+    )
 
 
 def annotate_uniform(graph: NetworkGraph, value: float) -> BoundedGraph:

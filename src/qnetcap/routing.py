@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .network import BoundedGraph, Cut, check_selector, min_neighbourhood_capacity
+from .network import BoundedGraph, Cut, check_selector, end_users, min_neighbourhood_capacity
 
 # Residual capacities at or below this are treated as saturated.
 RESIDUAL_TOL = 1e-12
@@ -41,14 +41,6 @@ class FlowResult:
     flows: dict
 
 
-def _end_users(bg: BoundedGraph) -> tuple[str, str]:
-    """The two end users, which must be distinct nodes of the graph."""
-    alpha, beta = bg.users
-    if alpha == beta or alpha not in bg.nodes or beta not in bg.nodes:
-        raise DomainError(f"end users {bg.users} must be two distinct graph nodes")
-    return alpha, beta
-
-
 def _adjacency(bg: BoundedGraph, selector: str):
     adj: dict[str, list[tuple[str, float]]] = {n: [] for n in bg.nodes}
     for e in bg.edges:
@@ -66,7 +58,7 @@ def widest_path(bg: BoundedGraph, selector: str) -> PathResult:
     users give value 0 and an empty path.
     """
     check_selector(selector)
-    alpha, beta = _end_users(bg)
+    alpha, beta = end_users(bg)
     adj = _adjacency(bg, selector)
     width = {alpha: math.inf}
     pred: dict[str, str] = {}
@@ -97,7 +89,11 @@ def widest_path(bg: BoundedGraph, selector: str) -> PathResult:
 
 
 class _Dinic:
-    """Level-graph blocking-flow max flow over paired opposing arcs."""
+    """Level-graph blocking-flow max flow over paired opposing arcs.
+
+    Each phase labels the residual graph only up to the sink's level (see
+    ``_bfs``), which is all the phase's blocking flow can use.
+    """
 
     def __init__(self):
         self.index: dict[str, int] = {}
@@ -122,10 +118,20 @@ class _Dinic:
         return arc
 
     def _bfs(self, s: int, t: int) -> list[int] | None:
+        """Level graph of the residual arcs, cut off at the sink's level.
+
+        The queue is in level order, so once its next node is at ``level[t]``
+        every node of that level is labelled, and none of them but t can reach
+        t along level-increasing arcs. Expansion stops there: the blocking
+        flow's DFS would only enter such a node to retreat from it, so the
+        augmenting paths and their amounts are those of a full labelling.
+        """
         level = [-1] * len(self.adj)
         level[s] = 0
         queue = [s]
         for u in queue:
+            if level[u] == level[t]:
+                break
             for arc in self.adj[u]:
                 v = self.to[arc]
                 if level[v] < 0 and self.cap[arc] > RESIDUAL_TOL:
@@ -186,10 +192,13 @@ def max_flow(bg: BoundedGraph, selector: str) -> FlowResult:
 
     The reported cut is the set reachable from the first user in the final
     residual graph (deterministic). The end users must be two distinct graph
-    nodes and the edge values finite.
+    nodes and the edge values finite. Dinic phases label nodes no further from
+    the first user than the second is; nodes past that level carry no
+    augmenting path of the phase, so value, cut and flows are those of a
+    full labelling.
     """
     check_selector(selector)
-    alpha, beta = _end_users(bg)
+    alpha, beta = end_users(bg)
     solver = _Dinic()
     s = solver.node(alpha)
     t = solver.node(beta)

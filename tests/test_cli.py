@@ -23,6 +23,7 @@ from qnetcap.cli import (
     _sweep_points,
     main,
 )
+from qnetcap import network
 from qnetcap.qkd import QkdSetup
 
 
@@ -67,6 +68,24 @@ def test_generate_validate_analyze_roundtrip(tmp_path, capsys, cell, nodes):
     assert six["single_path"]["lower"] <= six["flooding"]["lower"]
     assert report["mincut"]["value"] >= six["flooding"]["upper"] - 1e-9
     assert report["mincut"]["edges"]
+
+
+def test_analyze_validates_once(tmp_path, capsys, monkeypatch):
+    net = tmp_path / "net.json"
+    assert run(capsys, "generate", "--cell", "manhattan8", "--radius", "2",
+               "--d", "2.0", "--out", str(net))[0] == EXIT_OK
+    calls = []
+    validate = network.validate
+
+    def counting(graph):
+        calls.append(graph)
+        return validate(graph)
+
+    monkeypatch.setattr(network, "validate", counting)
+    code, out, _ = run(capsys, "analyze", "--in", str(net))
+    assert code == EXIT_OK
+    assert json.loads(out)["report"]["flooding"]["lower"] > 0.0
+    assert len(calls) == 1
 
 
 def test_generate_is_deterministic(tmp_path, capsys):

@@ -1,7 +1,10 @@
+import dataclasses
 import json
+import random
 
 import pytest
 
+from qnetcap import bounds, network
 from qnetcap.bounds import oriented_edge_bounds
 from qnetcap.channels import (
     AmplitudeDamping,
@@ -29,6 +32,7 @@ from qnetcap.network import (
     validate,
 )
 from qnetcap.oracles import bounded_from_values
+from qnetcap.wrn import WrnSpec, generate
 
 
 def _nodes(*ids, role_map=None):
@@ -149,6 +153,113 @@ def test_neighbourhood_and_min_capacity():
     assert min_neighbourhood_capacity(bg, "lower") == pytest.approx(0.3)
     with pytest.raises(DomainError):
         min_neighbourhood_capacity(bg, "middle")
+
+
+@pytest.mark.parametrize("users", [("a", "zz"), ("zz", "b"), ("b", "b")],
+                         ids=["second-missing", "first-missing", "equal"])
+def test_min_neighbourhood_needs_two_distinct_graph_users(users):
+    bg = bounded_from_values([("a", "m", 0.5), ("m", "b", 0.5)], users=("a", "b"))
+    with pytest.raises(DomainError, match="two distinct graph nodes"):
+        min_neighbourhood_capacity(dataclasses.replace(bg, users=users), "lower")
+    assert min_neighbourhood_capacity(bg, "lower") == 0.5
+
+
+def _loaded(graph):
+    """The graph as the CLI sees it: through JSON, one FibreParams per edge."""
+    loaded, violations = load_network(json.loads(json.dumps(network_to_json(graph))))
+    assert violations == []
+    return loaded
+
+
+def _lattice(cell, fam, **devices):
+    return _loaded(generate(WrnSpec(cell, 3, 10.0, fam, **devices)))
+
+
+def _distinct_devices(graph, fam, seed):
+    rng = random.Random(seed)
+
+    def device():
+        if fam == "ad":
+            return AmplitudeDamping(rng.uniform(0.0, 0.3))
+        return ThermalLoss(rng.uniform(0.7, 1.0), rng.choice([0.0, rng.uniform(0.0, 0.02)]))
+
+    nodes = {n: dataclasses.replace(spec, recv=device(), send=device()) for n, spec in graph.nodes.items()}
+    return dataclasses.replace(graph, nodes=nodes)
+
+
+def _alternating_chain(classes):
+    ids = [f"c{i}" for i in range(9)]
+    nodes = {i: NodeSpec(i, recv=ThermalLoss(0.9, 0.01), send=ThermalLoss(0.95, 0.0)) for i in ids}
+    edges = tuple(
+        Edge(a, b, **classes[i % len(classes)]) for i, (a, b) in enumerate(zip(ids, ids[1:]))
+    )
+    return NetworkGraph(nodes, edges, users=(ids[0], ids[-1]), family="tl")
+
+
+MEMO_GRAPHS = {
+    "tl-manhattan8-asym": _lattice("manhattan8", "tl", recv=ThermalLoss(0.9, 0.01), send=ThermalLoss(0.95, 0.0)),
+    "tl-triangular6-asym": _lattice("triangular6", "tl", recv=PureLoss(0.8), send=ThermalLoss(0.97, 0.003)),
+    "ad-triangular6-asym": _lattice("triangular6", "ad", recv=AmplitudeDamping(0.05), send=AmplitudeDamping(0.2)),
+    "ad-manhattan8-asym": _lattice("manhattan8", "ad", recv=AmplitudeDamping(0.1), send=Identity()),
+    "tl-distinct-devices": _distinct_devices(generate(WrnSpec("manhattan8", 2, 10.0, "tl")), "tl", 3),
+    "ad-distinct-devices": _distinct_devices(generate(WrnSpec("triangular6", 2, 10.0, "ad")), "ad", 4),
+    "alternating-fibres": _alternating_chain([{"fibre": FibreParams(10.0)}, {"fibre": FibreParams(25.0)}]),
+    "alternating-fibre-channel": _alternating_chain(
+        [{"fibre": FibreParams(10.0)}, {"channel": ThermalLoss(0.5, 0.01)}, {"channel": Identity()}]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", MEMO_GRAPHS)
+def test_apply_split_matches_per_edge_bounds(name):
+    graph = MEMO_GRAPHS[name]
+    fam = resolved_family(graph)
+    bg = apply_split(graph)
+    assert [(e.a, e.b) for e in bg.edges] == [(e.a, e.b) for e in graph.edges]
+    for bounded, edge in zip(bg.edges, graph.edges):
+        a, b = graph.nodes[edge.a], graph.nodes[edge.b]
+        assert bounded.bounds == oriented_edge_bounds(edge.resolve(fam), a, b, fam)
+
+
+@pytest.mark.parametrize("through_json", [False, True], ids=["generated", "loaded"])
+def test_apply_split_bounds_a_repeated_class_once(monkeypatch, through_json):
+    graph = generate(WrnSpec("manhattan8", 4, 10.0, "tl"))
+    if through_json:
+        graph = _loaded(graph)
+    calls = []
+    compound = bounds.compound
+
+    def counting(*args):
+        calls.append(args)
+        return compound(*args)
+
+    monkeypatch.setattr(bounds, "compound", counting)
+    bg = apply_split(graph)
+    assert len(bg.edges) == len(graph.edges) > 1000
+    assert 1 <= len(calls) <= 2
+    # Both directions tie on every edge, so each keeps its own smaller id pair.
+    assert all(e.bounds.lower_orientation == e.bounds.upper_orientation == e.key() for e in bg.edges)
+    assert any(e.key() != (e.a, e.b) for e in bg.edges)
+
+
+def test_apply_split_validates_only_unchecked_graphs(monkeypatch):
+    calls = []
+
+    def counting(graph):
+        calls.append(graph)
+        return validate(graph)
+
+    monkeypatch.setattr(network, "validate", counting)
+    graph = two_node_graph()
+    apply_split(graph)
+    apply_split(graph)
+    assert len(calls) == 1  # the first call found it valid
+    loaded = _loaded(graph)
+    calls.clear()
+    apply_split(loaded)
+    assert calls == []  # load_network validated it
+    with pytest.raises(ValidationError):
+        apply_split(dataclasses.replace(loaded, users=("a", "zz")))  # a new graph is checked again
 
 
 def test_annotate_uniform():

@@ -1,8 +1,11 @@
+import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
 
+from qnetcap import routing
 from qnetcap.channels import NodeSpec, PureLoss
 from qnetcap.errors import DomainError, SizeError
 from qnetcap.network import Edge, NetworkGraph, annotate_uniform
@@ -21,6 +24,7 @@ from qnetcap.routing import (
     widest_path,
 )
 from qnetcap.selfcheck import random_bounded_graph
+from qnetcap.wrn import WrnSpec, generate
 
 
 def diamond():
@@ -171,9 +175,13 @@ def test_random_graphs_agree_with_oracles():
         assert widest_path(bg, "lower").value == brute_force_widest_path(bg, "lower")
 
 
+def _chain_rows(hops):
+    return [(f"c{i}", f"c{i + 1}", 1.0 + (i * 7919 % 1000) / 1000.0) for i in range(hops)]
+
+
 def test_long_chain_max_flow_has_no_recursion_limit():
     hops = 2000
-    rows = [(f"c{i}", f"c{i + 1}", 1.0 + (i * 7919 % 1000) / 1000.0) for i in range(hops)]
+    rows = _chain_rows(hops)
     bg = bounded_from_values(rows, users=("c0", f"c{hops}"))
     flow = max_flow(bg, "lower")
     widest = widest_path(bg, "lower")
@@ -181,6 +189,85 @@ def test_long_chain_max_flow_has_no_recursion_limit():
     assert len(widest.path) == hops + 1
     assert len(flow.mincut.edges) == 1
     check_flow_feasible(flow, bg, "lower")
+
+
+class _FullLevelDinic(routing._Dinic):
+    """Reference Dinic whose phases label every node reachable in the residual."""
+
+    def _bfs(self, s, t):
+        level = [-1] * len(self.adj)
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            for arc in self.adj[u]:
+                v = self.to[arc]
+                if level[v] < 0 and self.cap[arc] > routing.RESIDUAL_TOL:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        return level if level[t] >= 0 else None
+
+
+def _hop_distances(bg, source):
+    adj = {n: [] for n in bg.nodes}
+    for e in bg.edges:
+        adj[e.a].append(e.b)
+        adj[e.b].append(e.a)
+    dist = {source: 0}
+    queue = [source]
+    for u in queue:
+        for v in adj[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def _random_lattice(cell, radius, rng):
+    graph = generate(WrnSpec(cell, radius, 10.0, "tl"))
+    rows = []
+    for e in graph.edges:
+        lo = rng.choice([0.0, rng.random(), rng.random(), 1.0])
+        rows.append((e.a, e.b, lo, lo + rng.random()))
+    return bounded_from_values(rows, users=graph.users)
+
+
+def _cases():
+    rng = random.Random(7)
+    for cell in ("triangular6", "manhattan8"):
+        for radius in (2, 3, 4):
+            bg = _random_lattice(cell, radius, rng)
+            # From a node at the patch's diameter, one second user per distance.
+            dist = {n: _hop_distances(bg, n) for n in bg.nodes}
+            far = max(bg.nodes, key=lambda n: max(dist[n].values()))
+            by_distance = {}
+            for node, d in sorted(dist[far].items()):
+                by_distance.setdefault(d, node)
+            for d in range(1, max(by_distance) + 1):
+                yield dataclasses.replace(bg, users=(far, by_distance[d]))
+    yield bounded_from_values(_chain_rows(2000), users=("c0", "c2000"))
+
+
+def test_dinic_sink_level_cutoff_changes_no_flow(monkeypatch):
+    phases = []  # (highest level minus the sink's, unlabelled nodes) per phase
+
+    class LevelCheckDinic(routing._Dinic):
+        def _bfs(self, s, t):
+            level = super()._bfs(s, t)
+            if level is not None:
+                phases.append((max(level) - level[t], level.count(-1)))
+            return level
+
+    graphs = list(_cases())
+    results = {}
+    for solver in (_FullLevelDinic, LevelCheckDinic):
+        monkeypatch.setattr(routing, "_Dinic", solver)
+        results[solver] = [max_flow(bg, sel) for bg in graphs for sel in ("lower", "upper")]
+    for got, want in zip(results[LevelCheckDinic], results[_FullLevelDinic], strict=True):
+        assert got.value == want.value
+        assert got.mincut == want.mincut
+        assert got.flows == want.flows
+    assert phases and max(over for over, _ in phases) == 0
+    assert max(skipped for _, skipped in phases) > 0  # the cutoff did leave nodes out
 
 
 def test_capacity_report_keeps_upper_mincut():
