@@ -46,12 +46,17 @@ def h2(u: float) -> float:
 
 
 def bosonic_h(x: float) -> float:
-    """Thermal-state entropy function (x+1)log2(x+1) - x log2 x, in bits."""
+    """Thermal-state entropy function (x+1)log2(x+1) - x log2 x, in bits.
+
+    Evaluated as log2(x+1) + x*ln(1 + 1/x)/ln 2 so that large x does not
+    cancel; below x = 1, where 1/x can overflow, ln(1 + 1/x) = ln(1+x) - ln x.
+    """
     if x < 0.0 or math.isnan(x):
         raise DomainError(f"mean photon number must be >= 0, got {x}")
     if x == 0.0:
         return 0.0
-    return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
+    t = math.log1p(1.0 / x) if x >= 1.0 else math.log1p(x) - math.log(x)
+    return math.log2(x + 1.0) + x * t / math.log(2.0)
 
 
 def ad_rci(p_tot: float) -> float:

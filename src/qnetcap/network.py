@@ -1,14 +1,11 @@
-"""Undirected network graphs, edge-bound annotation, and user-isolation cuts.
+"""Undirected network graphs, their JSON form, validation and edge-bound annotation.
 
 A NetworkGraph carries node specs (with internal device channels), undirected
 edges given either as an explicit channel or as fibre parameters, and the pair
 of end users. ``apply_split`` turns it into a BoundedGraph by wrapping every
 edge in its endpoints' internal channels and evaluating the capacity bound
-functions, orientation-optimized per edge.
-
-The min-neighbourhood capacity is the multi-edge capacity of the cut that
-isolates one end user: the smaller of the two users' incident-edge value sums.
-It upper-bounds the flooding (max-flow) capacity because it is itself a cut.
+functions, orientation-optimized per edge. Everything computed on a
+BoundedGraph lives in ``routing.py``.
 """
 
 from __future__ import annotations
@@ -214,22 +211,6 @@ def apply_split(graph: NetworkGraph) -> BoundedGraph:
             directed.append(values)
         annotated.append(BoundedEdge(edge.a, edge.b, orient(edge.a, edge.b, *directed)))
     return BoundedGraph(tuple(graph.nodes), tuple(annotated), graph.users)
-
-
-def end_users(bg: BoundedGraph) -> tuple[str, str]:
-    """The two end users, which must be distinct nodes of the graph."""
-    alpha, beta = bg.users
-    if alpha == beta or alpha not in bg.nodes or beta not in bg.nodes:
-        raise DomainError(f"end users {bg.users} must be two distinct graph nodes")
-    return alpha, beta
-
-
-def min_neighbourhood_capacity(bg: BoundedGraph, selector: str) -> float:
-    """Value of the cheaper of the two user-isolating cuts."""
-    check_selector(selector)
-    return min(
-        sum(e.value(selector) for e in bg.edges if user in (e.a, e.b)) for user in end_users(bg)
-    )
 
 
 def annotate_uniform(graph: NetworkGraph, value: float) -> BoundedGraph:

@@ -5,7 +5,7 @@ formulas or fast algorithms, using a different route: explicit Kraus action on
 density matrices, eigenvalue-based von Neumann entropies of Choi states,
 Gaussian covariance propagation for thermal-loss chains, exhaustive cut and
 path enumeration on small graphs, a capacity and conservation check of a
-max-flow result, closed-form node and edge counts of generated lattice
+max-flow result, closed-form sizes and weak regularity of generated lattice
 patches, and the flooding = k*c consequence on uniformly valued lattices.
 ``bounded_from_values`` builds the small test graphs these run on. The tests
 and the ``selfcheck`` batteries pit these against the fast paths, which never
@@ -26,11 +26,11 @@ from .network import (
     BoundedEdge,
     BoundedGraph,
     Cut,
+    NetworkGraph,
     annotate_uniform,
     check_selector,
-    min_neighbourhood_capacity,
 )
-from .routing import FlowResult, max_flow
+from .routing import FlowResult, max_flow, min_neighbourhood_capacity
 from .wrn import CELL_TRIANGULAR, WrnSpec, generate
 
 # Eigenvalues at or below this are treated as exact zeros inside entropies.
@@ -318,6 +318,24 @@ def edge_count(spec: WrnSpec) -> int:
     if spec.cell_type == CELL_TRIANGULAR:
         return 9 * rings * rings + 3 * rings
     return 16 * rings * rings + 4 * rings
+
+
+def check_weak_regularity(graph: NetworkGraph, spec: WrnSpec) -> None:
+    """Interior nodes must have degree k and a commonality multiset in the superset."""
+    neighbours: dict[str, set[str]] = {n: set() for n in graph.nodes}
+    for edge in graph.edges:
+        neighbours[edge.a].add(edge.b)
+        neighbours[edge.b].add(edge.a)
+    allowed = {tuple(sorted(lam)) for lam in spec.commonalities}
+    for node, nbrs in neighbours.items():
+        if len(nbrs) != spec.k:
+            continue  # boundary node of the finite patch
+        lam = tuple(sorted(len(neighbours[other] & nbrs) for other in nbrs))
+        if lam not in allowed:
+            raise DomainError(f"node {node} has commonality multiset {lam}, outside the superset")
+    for user in graph.users:
+        if len(neighbours[user]) != spec.k:
+            raise DomainError(f"end user {user} is not an interior node")
 
 
 def verify_theorem2(spec: WrnSpec, edge_value: float, tol: float = 1e-9) -> bool:

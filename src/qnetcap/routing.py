@@ -2,9 +2,15 @@
 
 Single-path capacity is the widest-path bottleneck between the end users;
 flooding capacity is the undirected max flow, equal to the minimum cut. Both
-are evaluated on either the lower or the upper edge annotation. The
-exhaustive enumeration oracles and the flow feasibility check that gate these
-algorithms live in ``oracles.py``.
+are evaluated on either the lower or the upper edge annotation.
+
+The min-neighbourhood capacity is the multi-edge capacity of the cut that
+isolates one end user: the smaller of the two users' incident-edge value sums.
+It upper-bounds the flooding (max-flow) capacity because it is itself a cut.
+
+All of these run on one arc structure (``_arcs``), built once per report.
+The exhaustive enumeration oracles and the flow feasibility check that gate
+these algorithms live in ``oracles.py``.
 """
 
 from __future__ import annotations
@@ -12,9 +18,10 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import DomainError
-from .network import BoundedGraph, Cut, check_selector, end_users, min_neighbourhood_capacity
+from .network import BoundedGraph, Cut, check_selector
 
 # Residual capacities at or below this are treated as saturated.
 RESIDUAL_TOL = 1e-12
@@ -41,13 +48,63 @@ class FlowResult:
     flows: dict
 
 
-def _adjacency(bg: BoundedGraph, selector: str):
-    adj: dict[str, list[tuple[str, float]]] = {n: [] for n in bg.nodes}
+def end_users(bg: BoundedGraph) -> tuple[str, str]:
+    """The two end users, which must be distinct nodes of the graph."""
+    alpha, beta = bg.users
+    if alpha == beta or alpha not in bg.nodes or beta not in bg.nodes:
+        raise DomainError(f"end users {bg.users} must be two distinct graph nodes")
+    return alpha, beta
+
+
+def _arcs(bg: BoundedGraph):
+    """The one arc structure every computation on ``bg`` runs on.
+
+    Returns (s, t, head, out) over nodes numbered in ``bg.nodes`` order: the
+    end users, each arc's end node (arc 2i runs a -> b along edge i, arc 2i+1
+    back) and each node's outgoing arcs in edge order.
+    """
+    alpha, beta = end_users(bg)
+    index = {name: i for i, name in enumerate(bg.nodes)}
+    head: list[int] = []
+    out: list[list[int]] = [[] for _ in bg.nodes]
     for e in bg.edges:
-        value = e.value(selector)
-        adj[e.a].append((e.b, value))
-        adj[e.b].append((e.a, value))
-    return adj
+        u, v = index[e.a], index[e.b]
+        out[u].append(len(head))
+        out[v].append(len(head) + 1)
+        head += (v, u)
+    return index[alpha], index[beta], head, out
+
+
+def _values(bg: BoundedGraph, selector: str) -> list[float]:
+    """Every edge's value on one bound side, in edge order."""
+    return list(map(attrgetter("bounds." + check_selector(selector)), bg.edges))
+
+
+def _widest_path(bg: BoundedGraph, values, s: int, t: int, head, out) -> PathResult:
+    names = bg.nodes
+    width = [-1.0] * len(names)
+    width[s] = math.inf
+    pred = [-1] * len(names)
+    heap = [(-math.inf, names[s], s)]
+    while heap:
+        neg_w, _, u = heapq.heappop(heap)
+        if -neg_w < width[u]:
+            continue  # superseded by a wider entry, popped earlier
+        if u == t:
+            break
+        for arc in out[u]:
+            v = head[arc]
+            w = min(width[u], values[arc >> 1])
+            if w > width[v]:  # never true for a node already popped
+                width[v] = w
+                pred[v] = u
+                heapq.heappush(heap, (-w, names[v], v))
+    if pred[t] < 0:  # t never reached
+        return PathResult(0.0, ())
+    path = [t]
+    while path[-1] != s:
+        path.append(pred[path[-1]])
+    return PathResult(width[t], tuple(names[u] for u in reversed(path)))
 
 
 def widest_path(bg: BoundedGraph, selector: str) -> PathResult:
@@ -57,67 +114,23 @@ def widest_path(bg: BoundedGraph, selector: str) -> PathResult:
     width resolve toward lexicographically smaller node ids. Disconnected
     users give value 0 and an empty path.
     """
-    check_selector(selector)
-    alpha, beta = end_users(bg)
-    adj = _adjacency(bg, selector)
-    width = {alpha: math.inf}
-    pred: dict[str, str] = {}
-    done = set()
-    heap: list[tuple[float, str]] = [(-math.inf, alpha)]
-    while heap:
-        neg_w, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        if u == beta:
-            break
-        for v, value in adj[u]:
-            if v in done:
-                continue
-            w = min(width[u], value)
-            if w > width.get(v, -1.0):
-                width[v] = w
-                pred[v] = u
-                heapq.heappush(heap, (-w, v))
-    if beta not in done:
-        return PathResult(0.0, ())
-    path = [beta]
-    while path[-1] != alpha:
-        path.append(pred[path[-1]])
-    path.reverse()
-    return PathResult(width[beta], tuple(path))
+    return _widest_path(bg, _values(bg, selector), *_arcs(bg))
 
 
 class _Dinic:
     """Level-graph blocking-flow max flow over paired opposing arcs.
 
+    ``adj`` and ``to`` come from ``_arcs``; ``cap`` holds residual capacities.
     Each phase labels the residual graph only up to the sink's level (see
     ``_bfs``), which is all the phase's blocking flow can use.
     """
 
-    def __init__(self):
-        self.index: dict[str, int] = {}
-        self.adj: list[list[int]] = []
-        self.to: list[int] = []
-        self.cap: list[float] = []
+    def __init__(self, adj: list[list[int]], to: list[int], cap: list[float]):
+        self.adj = adj
+        self.to = to
+        self.cap = cap
 
-    def node(self, name: str) -> int:
-        if name not in self.index:
-            self.index[name] = len(self.adj)
-            self.adj.append([])
-        return self.index[name]
-
-    def add_undirected(self, a: str, b: str, capacity: float) -> int:
-        """Both directions share the capacity; returns the arc id for a->b."""
-        u, v = self.node(a), self.node(b)
-        arc = len(self.to)
-        self.to.extend((v, u))
-        self.cap.extend((capacity, capacity))
-        self.adj[u].append(arc)
-        self.adj[v].append(arc + 1)
-        return arc
-
-    def _bfs(self, s: int, t: int) -> list[int] | None:
+    def _bfs(self, s: int, t: int) -> list[int]:
         """Level graph of the residual arcs, cut off at the sink's level.
 
         The queue is in level order, so once its next node is at ``level[t]``
@@ -125,6 +138,8 @@ class _Dinic:
         t along level-increasing arcs. Expansion stops there: the blocking
         flow's DFS would only enter such a node to retreat from it, so the
         augmenting paths and their amounts are those of a full labelling.
+        When t is unreachable (``level[t] < 0``) nothing is cut off, and the
+        labelled nodes are exactly those reachable from s.
         """
         level = [-1] * len(self.adj)
         level[s] = 0
@@ -137,7 +152,7 @@ class _Dinic:
                 if level[v] < 0 and self.cap[arc] > RESIDUAL_TOL:
                     level[v] = level[u] + 1
                     queue.append(v)
-        return level if level[t] >= 0 else None
+        return level
 
     def _augment(self, s: int, t: int, level, it) -> float:
         """Push one path found by iterative DFS in the level graph; 0.0 when blocked."""
@@ -162,12 +177,14 @@ class _Dinic:
             self.cap[arc ^ 1] += pushed
         return pushed
 
-    def run(self, s: int, t: int) -> float:
+    def run(self, s: int, t: int) -> tuple[float, list[int]]:
+        """Max-flow value and the last phase's labelling, which leaves t
+        unlabelled and so marks the source side of a minimum cut."""
         total = 0.0
         while True:
             level = self._bfs(s, t)
-            if level is None:
-                return total
+            if level[t] < 0:
+                return total, level
             it = [0] * len(self.adj)
             while True:
                 pushed = self._augment(s, t, level, it)
@@ -175,59 +192,48 @@ class _Dinic:
                     break
                 total += pushed
 
-    def reachable(self, s: int) -> set[int]:
-        seen = {s}
-        queue = [s]
-        for u in queue:
-            for arc in self.adj[u]:
-                v = self.to[arc]
-                if v not in seen and self.cap[arc] > RESIDUAL_TOL:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
 
-
-def max_flow(bg: BoundedGraph, selector: str) -> FlowResult:
-    """Undirected max flow between the end users, with its minimum cut.
-
-    The reported cut is the set reachable from the first user in the final
-    residual graph (deterministic). The end users must be two distinct graph
-    nodes and the edge values finite. Dinic phases label nodes no further from
-    the first user than the second is; nodes past that level carry no
-    augmenting path of the phase, so value, cut and flows are those of a
-    full labelling.
-    """
-    check_selector(selector)
-    alpha, beta = end_users(bg)
-    solver = _Dinic()
-    s = solver.node(alpha)
-    t = solver.node(beta)
-    for n in bg.nodes:
-        solver.node(n)
-    arcs = []
-    for e in bg.edges:
-        value = e.value(selector)
+def _max_flow(bg: BoundedGraph, values, s: int, t: int, head, out) -> FlowResult:
+    for e, value in zip(bg.edges, values):
         if not math.isfinite(value):
             raise DomainError(f"edge {e.a}-{e.b} has non-finite value {value}")
-        arcs.append(solver.add_undirected(e.a, e.b, value))
-    value = solver.run(s, t)
-    reach = solver.reachable(s)
-    names = {idx: name for name, idx in solver.index.items()}
-    a_side = frozenset(names[i] for i in reach)
+    cap = [c for c in values for _ in (0, 1)]  # arcs 2i and 2i+1 share edge i
+    value, level = _Dinic(out, head, cap).run(s, t)
+    a_side = frozenset(name for name, lv in zip(bg.nodes, level) if lv >= 0)
     b_side = frozenset(bg.nodes) - a_side
     cut_edges = tuple(
         sorted(e.key() for e in bg.edges if (e.a in a_side) != (e.b in a_side))
     )
     flows = {}
-    for e, arc in zip(bg.edges, arcs):
-        net = e.value(selector) - solver.cap[arc]
-        if abs(net) <= RESIDUAL_TOL:
-            continue
-        if net >= 0.0:
+    for e, capacity, residual in zip(bg.edges, values, cap[0::2]):
+        net = capacity - residual
+        if net > RESIDUAL_TOL:
             flows[(e.a, e.b)] = net
-        else:
+        elif net < -RESIDUAL_TOL:
             flows[(e.b, e.a)] = -net
     return FlowResult(value, Cut(a_side, b_side, cut_edges), flows)
+
+
+def max_flow(bg: BoundedGraph, selector: str) -> FlowResult:
+    """Undirected max flow between the end users, with its minimum cut.
+
+    The end users must be two distinct graph nodes and the edge values
+    finite. Dinic phases label nodes no further from the first user than the
+    second is; nodes past that level carry no augmenting path of the phase,
+    so value, cut and flows are those of a full labelling. The reported cut
+    is the last phase's labelling: the set reachable from the first user in
+    the final residual graph (deterministic).
+    """
+    return _max_flow(bg, _values(bg, selector), *_arcs(bg))
+
+
+def _isolation(values, s: int, t: int, head, out) -> float:
+    return min(sum(values[arc >> 1] for arc in out[user]) for user in (s, t))
+
+
+def min_neighbourhood_capacity(bg: BoundedGraph, selector: str) -> float:
+    """Value of the cheaper of the two user-isolating cuts."""
+    return _isolation(_values(bg, selector), *_arcs(bg))
 
 
 @dataclass(frozen=True)
@@ -254,14 +260,22 @@ class CapacityReport:
 
 
 def capacity_report(bg: BoundedGraph) -> CapacityReport:
-    upper_flow = max_flow(bg, "upper")
+    """The six numbers, read off one arc structure of ``bg``.
+
+    Each side's edge values are read once and serve its widest path, max flow
+    and isolation cut. The upper flow goes first, so a non-finite edge value
+    raises the error ``max_flow(bg, "upper")`` would.
+    """
+    arcs = _arcs(bg)
+    lo, up = _values(bg, "lower"), _values(bg, "upper")
+    upper_flow = _max_flow(bg, up, *arcs)
     return CapacityReport(
-        single_path_lower=widest_path(bg, "lower").value,
-        single_path_upper=widest_path(bg, "upper").value,
-        flooding_lower=max_flow(bg, "lower").value,
+        single_path_lower=_widest_path(bg, lo, *arcs).value,
+        single_path_upper=_widest_path(bg, up, *arcs).value,
+        flooding_lower=_max_flow(bg, lo, *arcs).value,
         flooding_upper=upper_flow.value,
-        min_neighbourhood_lower=min_neighbourhood_capacity(bg, "lower"),
-        min_neighbourhood_upper=min_neighbourhood_capacity(bg, "upper"),
+        min_neighbourhood_lower=_isolation(lo, *arcs),
+        min_neighbourhood_upper=_isolation(up, *arcs),
         upper_mincut=upper_flow.mincut,
     )
 

@@ -122,6 +122,8 @@ def test_tl_bound_order(eta, nbar):
 
 
 @given(etas, st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=0.5))
+@example(eta=0.9999999989999999, nbar=0.75, dn=5.960464477539063e-08)  # x near 1e9
+@example(eta=0.5, nbar=5e-324, dn=0.125)  # subnormal x: 1/x overflows
 @settings(max_examples=200)
 def test_tl_ree_monotone_in_noise(eta, nbar, dn):
     assert tl_ree(eta, nbar + dn) <= tl_ree(eta, nbar) + 1e-12

@@ -26,12 +26,12 @@ from qnetcap.network import (
     annotate_uniform,
     apply_split,
     load_network,
-    min_neighbourhood_capacity,
     network_to_json,
     resolved_family,
     validate,
 )
 from qnetcap.oracles import bounded_from_values
+from qnetcap.routing import min_neighbourhood_capacity
 from qnetcap.wrn import WrnSpec, generate
 
 

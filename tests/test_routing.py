@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from qnetcap import routing
-from qnetcap.channels import NodeSpec, PureLoss
+from qnetcap.channels import FibreParams, NodeSpec, PureLoss, ThermalLoss
 from qnetcap.errors import DomainError, SizeError
-from qnetcap.network import Edge, NetworkGraph, annotate_uniform
+from qnetcap.network import Edge, NetworkGraph, annotate_uniform, apply_split
 from qnetcap.oracles import (
     BRUTE_FORCE_MAX_NODES,
     bounded_from_values,
@@ -21,6 +21,7 @@ from qnetcap.routing import (
     capacity_report,
     cut_to_json,
     max_flow,
+    min_neighbourhood_capacity,
     widest_path,
 )
 from qnetcap.selfcheck import random_bounded_graph
@@ -204,7 +205,7 @@ class _FullLevelDinic(routing._Dinic):
                 if level[v] < 0 and self.cap[arc] > routing.RESIDUAL_TOL:
                     level[v] = level[u] + 1
                     queue.append(v)
-        return level if level[t] >= 0 else None
+        return level
 
 
 def _hop_distances(bg, source):
@@ -253,7 +254,7 @@ def test_dinic_sink_level_cutoff_changes_no_flow(monkeypatch):
     class LevelCheckDinic(routing._Dinic):
         def _bfs(self, s, t):
             level = super()._bfs(s, t)
-            if level is not None:
+            if level[t] >= 0:
                 phases.append((max(level) - level[t], level.count(-1)))
             return level
 
@@ -268,6 +269,34 @@ def test_dinic_sink_level_cutoff_changes_no_flow(monkeypatch):
         assert got.flows == want.flows
     assert phases and max(over for over, _ in phases) == 0
     assert max(skipped for _, skipped in phases) > 0  # the cutoff did leave nodes out
+
+
+def _hetero_lattice(seed):
+    """Thermal-loss lattice with a seeded fibre per edge and devices per node."""
+    rng = random.Random(seed)
+    graph = generate(WrnSpec("manhattan8", 3, 10.0, "tl"))
+
+    def device():
+        return ThermalLoss(rng.uniform(0.85, 1.0), rng.uniform(0.0, 0.005))
+
+    nodes = {n: dataclasses.replace(spec, recv=device(), send=device()) for n, spec in graph.nodes.items()}
+    edges = tuple(dataclasses.replace(e, fibre=FibreParams(rng.uniform(5.0, 25.0))) for e in graph.edges)
+    return apply_split(NetworkGraph(nodes, edges, graph.users, graph.family))
+
+
+def test_capacity_report_is_the_standalone_calls(monkeypatch):
+    builds = []
+    arcs = routing._arcs
+    monkeypatch.setattr(routing, "_arcs", lambda bg: builds.append(bg) or arcs(bg))
+    for bg in [*_cases(), _hetero_lattice(11)]:
+        builds.clear()
+        rep = capacity_report(bg)
+        assert len(builds) == 1
+        for sel in ("lower", "upper"):
+            assert getattr(rep, f"single_path_{sel}") == widest_path(bg, sel).value
+            assert getattr(rep, f"flooding_{sel}") == max_flow(bg, sel).value
+            assert getattr(rep, f"min_neighbourhood_{sel}") == min_neighbourhood_capacity(bg, sel)
+        assert rep.upper_mincut == max_flow(bg, "upper").mincut
 
 
 def test_capacity_report_keeps_upper_mincut():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -5,9 +6,9 @@ import pytest
 
 from qnetcap.channels import AmplitudeDamping, Identity, ThermalLoss
 from qnetcap.errors import DomainError, FamilyError, MonotonicityError, NotAttainableError
-from qnetcap.network import annotate_uniform, apply_split, validate
-from qnetcap.oracles import edge_count, node_count, verify_theorem2
-from qnetcap.routing import max_flow
+from qnetcap.network import NetworkGraph, annotate_uniform, apply_split, validate
+from qnetcap.oracles import check_weak_regularity, edge_count, node_count, verify_theorem2
+from qnetcap.routing import capacity_report, max_flow
 from qnetcap.wrn import (
     CELL_MANHATTAN,
     CELL_TRIANGULAR,
@@ -127,6 +128,19 @@ def test_generated_lattice_interior_commonality():
     assert lam == (2, 2, 2, 2, 4, 4, 4, 4)
 
 
+@pytest.mark.parametrize("radius", [2, 3, 5, 10, 20])
+@pytest.mark.parametrize("cell", [CELL_TRIANGULAR, CELL_MANHATTAN])
+def test_generated_patches_are_weakly_regular(cell, radius):
+    spec = WrnSpec(cell_type=cell, radius=radius, edge_length_km=1.0, family="tl")
+    g = generate(spec)
+    check_weak_regularity(g, spec)
+    # Dropping an edge at the centre changes its common neighbours' multisets.
+    edges = tuple(e for e in g.edges if e.key() != ("n0_0", "n1_0"))
+    assert len(edges) == len(g.edges) - 1
+    with pytest.raises(DomainError, match="commonality multiset"):
+        check_weak_regularity(NetworkGraph(g.nodes, edges, g.users, g.family), spec)
+
+
 def test_connectivity_constants():
     d, w = connectivity(tri_spec())
     assert (d, w) == (18, Fraction(90, 13))
@@ -186,6 +200,18 @@ def test_threshold_report_brackets_and_residual():
     # user edges carry less per-edge burden than bulk edges (omega < delta),
     # so their tolerable length is shorter
     assert user.bracket[0] < bulk.bracket[0]
+
+
+@pytest.mark.parametrize("spec", [man_spec(radius=3), tri_spec(radius=3)], ids=["manhattan8", "triangular6"])
+def test_threshold_round_trips_through_the_lattice(spec):
+    # A lattice at a solved edge length floods k * target / scale on that side.
+    target = 1e-2
+    for result in threshold_report(spec, target, "edgeLength"):
+        want = spec.k * target / result.scale
+        for length, side in ((result.from_lower_fn, "lower"), (result.from_upper_fn, "upper")):
+            at = dataclasses.replace(spec, edge_length_km=length)
+            report = capacity_report(apply_split(generate(at)))
+            assert getattr(report, f"flooding_{side}") == pytest.approx(want, rel=1e-6)
 
 
 def test_threshold_result_json_shape():
