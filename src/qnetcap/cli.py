@@ -153,7 +153,8 @@ def cmd_generate(args) -> int:
         nbar_B=args.nbar_b,
     )
     graph = wrn.generate(spec)
-    _emit_json(network_to_json(graph), args.out)
+    # One compact line: json.dumps with an indent runs the pure-Python encoder.
+    _emit(json.dumps(network_to_json(graph)) + "\n", args.out)
     return EXIT_OK
 
 

@@ -163,9 +163,10 @@ def validate(graph: NetworkGraph) -> list[str]:
                 violations.append(f"edge {edge.a}-{edge.b}: unknown endpoint {end!r}")
         if edge.a == edge.b:
             violations.append(f"edge {edge.a}-{edge.b}: self-loops are not allowed")
-        if edge.key() in seen:
+        key = edge.key()
+        if key in seen:
             violations.append(f"edge {edge.a}-{edge.b}: parallel edges are not allowed")
-        seen.add(edge.key())
+        seen.add(key)
     if graph.family is not None and graph.family not in (FAMILY_AD, FAMILY_TL):
         violations.append(f"family: must be 'ad' or 'tl', got {graph.family!r}")
     try:
@@ -299,6 +300,9 @@ def load_network(data) -> tuple[NetworkGraph | None, list[str]]:
     if not isinstance(raw_edges, list):
         violations.append("edges: required")
         raw_edges = []
+    # One-entry memo: an edge whose raw fibre equals the last parsed one
+    # reuses its FibreParams, so a run of equal fibres is built once.
+    fibre_raw_prev = fibre = None
     for i, raw in enumerate(raw_edges):
         if not isinstance(raw, dict) or "a" not in raw or "b" not in raw:
             violations.append(f"edge #{i}: object with endpoints 'a' and 'b' required")
@@ -314,20 +318,17 @@ def load_network(data) -> tuple[NetworkGraph | None, list[str]]:
                 edges.append(Edge(a, b, channel=channel_from_json(raw["channel"])))
             else:
                 fibre_raw = raw["fibre"]
-                if not isinstance(fibre_raw, dict) or "length_km" not in fibre_raw:
-                    violations.append(f"edge {a}-{b}: fibre needs a 'length_km'")
-                    continue
-                edges.append(
-                    Edge(
-                        a,
-                        b,
-                        fibre=FibreParams(
-                            length_km=float(fibre_raw["length_km"]),
-                            gamma=float(fibre_raw.get("gamma", 0.02)),
-                            nbar_B=float(fibre_raw.get("nbar_B", 0.002)),
-                        ),
+                if fibre is None or fibre_raw != fibre_raw_prev:
+                    if not isinstance(fibre_raw, dict) or "length_km" not in fibre_raw:
+                        violations.append(f"edge {a}-{b}: fibre needs a 'length_km'")
+                        continue
+                    fibre = FibreParams(
+                        length_km=float(fibre_raw["length_km"]),
+                        gamma=float(fibre_raw.get("gamma", 0.02)),
+                        nbar_B=float(fibre_raw.get("nbar_B", 0.002)),
                     )
-                )
+                    fibre_raw_prev = fibre_raw
+                edges.append(Edge(a, b, fibre=fibre))
         except (DomainError, TypeError, ValueError) as exc:
             violations.append(f"edge {a}-{b}: {exc}")
     users = None

@@ -68,7 +68,10 @@ def _arcs(bg: BoundedGraph):
     head: list[int] = []
     out: list[list[int]] = [[] for _ in bg.nodes]
     for e in bg.edges:
-        u, v = index[e.a], index[e.b]
+        try:
+            u, v = index[e.a], index[e.b]
+        except KeyError as exc:
+            raise DomainError(f"edge {e.a}-{e.b}: unknown endpoint {exc.args[0]!r}") from None
         out[u].append(len(head))
         out[v].append(len(head) + 1)
         head += (v, u)

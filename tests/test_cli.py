@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from qnetcap.cli import (
+    DEFAULT_FAMILY,
     EXIT_INPUT,
     EXIT_NOT_ATTAINABLE,
     EXIT_NUMERIC,
@@ -25,6 +26,7 @@ from qnetcap.cli import (
 )
 from qnetcap import network
 from qnetcap.qkd import QkdSetup
+from qnetcap.wrn import WrnSpec, generate
 
 
 def run(capsys, *argv):
@@ -95,6 +97,22 @@ def test_generate_is_deterministic(tmp_path, capsys):
                          "--d", "1.5", "--out", str(path))
         assert code == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("radius", [2, 3])
+@pytest.mark.parametrize("cell", ["triangular6", "manhattan8"])
+def test_generate_writes_one_line_of_compact_json(tmp_path, capsys, cell, radius):
+    net = tmp_path / "net.json"
+    code, _, _ = run(capsys, "generate", "--cell", cell, "--radius", str(radius),
+                     "--d", "2.0", "--out", str(net))
+    assert code == EXIT_OK
+    spec = WrnSpec(cell, radius, 2.0, DEFAULT_FAMILY[cell])
+    text = net.read_text(encoding="utf-8")
+    assert text == json.dumps(network.network_to_json(generate(spec))) + "\n"
+    assert text.count("\n") == 1
+    graph, violations = network.load_network(json.loads(text))
+    assert violations == []
+    assert graph == generate(spec)
 
 
 def test_generate_rejects_small_radius(capsys):

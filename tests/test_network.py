@@ -165,7 +165,7 @@ def test_min_neighbourhood_needs_two_distinct_graph_users(users):
 
 
 def _loaded(graph):
-    """The graph as the CLI sees it: through JSON, one FibreParams per edge."""
+    """The graph as the CLI sees it: through JSON."""
     loaded, violations = load_network(json.loads(json.dumps(network_to_json(graph))))
     assert violations == []
     return loaded
@@ -221,11 +221,14 @@ def test_apply_split_matches_per_edge_bounds(name):
         assert bounded.bounds == oriented_edge_bounds(edge.resolve(fam), a, b, fam)
 
 
-@pytest.mark.parametrize("through_json", [False, True], ids=["generated", "loaded"])
-def test_apply_split_bounds_a_repeated_class_once(monkeypatch, through_json):
+@pytest.mark.parametrize("source", ["generated", "loaded", "copied"])
+def test_apply_split_bounds_a_repeated_class_once(monkeypatch, source):
     graph = generate(WrnSpec("manhattan8", 4, 10.0, "tl"))
-    if through_json:
+    if source == "loaded":
         graph = _loaded(graph)
+    elif source == "copied":  # equal but distinct FibreParams on every edge
+        edges = tuple(dataclasses.replace(e, fibre=dataclasses.replace(e.fibre)) for e in graph.edges)
+        graph = dataclasses.replace(graph, edges=edges)
     calls = []
     compound = bounds.compound
 
@@ -306,6 +309,68 @@ def test_load_network_collects_violations():
     )
     assert violations == []
     assert loaded.edges[0].channel == PureLoss(0.5)
+
+
+def test_load_network_shares_the_fibre_of_a_lattice():
+    graph = _loaded(generate(WrnSpec("manhattan8", 3, 10.0, "tl")))
+    first = graph.edges[0].fibre
+    assert all(e.fibre is first for e in graph.edges)
+
+
+def _load_each_fibre(data):
+    """load_network with every fibre built on its own: a distinct extra key,
+    which the parser ignores, makes no two fibre objects equal."""
+    edges = [
+        {**e, "fibre": {**e["fibre"], "edge": i}} if isinstance(e.get("fibre"), dict) else e
+        for i, e in enumerate(data["edges"])
+    ]
+    return load_network({**data, "edges": edges})
+
+
+def test_load_network_fibre_memo_matches_per_edge_parse():
+    fibres = [
+        None,  # not an object, with nothing parsed before it
+        {"length_km": 10.0},
+        {"length_km": 10.0},
+        {"length_km": 25.0, "nbar_B": 0.0},
+        {"length_km": 10.0},
+        {"gamma": 0.02},
+        {"length_km": 10.0},
+        {"length_km": "x"},
+        {"length_km": 10.0},
+        {"length_km": -1},
+        {"length_km": 10.0},
+        {"length_km": 5.0},
+        {"length_km": 5.0, "gamma": 0.02},
+        {"length_km": 10},
+        {"length_km": 10.0},
+        [10.0],
+        {"length_km": 10.0},
+    ]
+    ids = [f"n{i}" for i in range(len(fibres) + 1)]
+    data = {
+        "family": "tl",
+        "nodes": [{"id": i} for i in ids],
+        "edges": [{"a": a, "b": b, "fibre": f} for a, b, f in zip(ids, ids[1:], fibres)],
+        "users": [ids[0], ids[-1]],
+    }
+    graph, violations = load_network(data)
+    reference, expected = _load_each_fibre(data)
+    assert violations == expected == [
+        "edge n0-n1: fibre needs a 'length_km'",
+        "edge n5-n6: fibre needs a 'length_km'",
+        "edge n7-n8: could not convert string to float: 'x'",
+        "edge n9-n10: fibre length must be >= 0 km, got -1.0",
+        "edge n15-n16: fibre needs a 'length_km'",
+    ]
+    assert graph == reference
+    assert len(graph.edges) == len(fibres) - 5
+    # Each run of equal raw fibres shares one object, across the malformed
+    # fibres inside it; the default gamma and an explicit 0.02 are parsed apart.
+    assert len({id(e.fibre) for e in graph.edges}) == 6
+    assert graph.edges[3].fibre is graph.edges[6].fibre
+    assert graph.edges[7].fibre == graph.edges[8].fibre
+    assert graph.edges[9].fibre is graph.edges[11].fibre
 
 
 def test_load_network_rejects_garbage():

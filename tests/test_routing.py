@@ -119,6 +119,22 @@ def test_routing_needs_two_distinct_graph_users(route, users):
     assert route(uniform_chain(("a", "b")), "lower").value == 0.5
 
 
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda bg: widest_path(bg, "lower"),
+        lambda bg: max_flow(bg, "lower"),
+        lambda bg: min_neighbourhood_capacity(bg, "lower"),
+        capacity_report,
+    ],
+    ids=["widest_path", "max_flow", "min_neighbourhood_capacity", "capacity_report"],
+)
+def test_routing_rejects_edges_to_unlisted_nodes(route):
+    bg = bounded_from_values([("a", "m", 0.5), ("m", "b", 0.5)], users=("a", "b"))
+    with pytest.raises(DomainError, match="edge a-m: unknown endpoint 'm'"):
+        route(dataclasses.replace(bg, nodes=("a", "b")))
+
+
 def test_max_flow_rejects_non_finite():
     bg = bounded_from_values([("a", "b", math.inf)], users=("a", "b"))
     with pytest.raises(DomainError):
