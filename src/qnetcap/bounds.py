@@ -9,23 +9,20 @@ Network annotation and threshold solves share ``compound`` (the node-split
 send -> edge -> recv reduction) and ``compound_bound`` (one side's bound). An
 undirected physical edge can be used in either direction, and with asymmetric
 device noise the two directions give different compound channels.
-``direction_bounds`` bounds one direction, and ``orient`` keeps,
+``direction_bounds`` bounds one direction, and ``orient`` picks,
 independently for the lower and the upper bound, the more favourable one;
-``oriented_edge_bounds`` and ``network.apply_split`` both go through them.
+``network.apply_split`` goes through both.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .channels import (
     FAMILY_AD,
     FAMILY_TL,
-    ChannelSpec,
-    NodeSpec,
     as_damping,
     as_thermal,
     compose_ad,
@@ -149,24 +146,6 @@ class BoundKind(enum.Enum):
     PLOB_EXACT = "plob-exact"
 
 
-@dataclass(frozen=True)
-class EdgeBounds:
-    """Capacity bounds for one physical edge, each with its chosen direction."""
-
-    lower: float
-    upper: float
-    lower_orientation: tuple[str, str]
-    upper_orientation: tuple[str, str]
-    lower_kind: BoundKind
-    upper_kind: BoundKind
-
-    def __post_init__(self):
-        if self.lower < 0.0:
-            raise DomainError(f"lower bound must be >= 0, got {self.lower}")
-        if self.upper < self.lower - BOUND_ORDER_TOL:
-            raise DomainError(f"bounds out of order: lower {self.lower} > upper {self.upper}")
-
-
 def family_native(fam: str):
     """``as_damping`` or ``as_thermal``: the converter to ``fam``'s native numbers."""
     if fam not in (FAMILY_AD, FAMILY_TL):
@@ -217,29 +196,14 @@ def direction_bounds(fam: str, send, edge, recv) -> tuple[float, BoundKind, floa
     return (*compound_bound(fam, reduced, "lower"), *compound_bound(fam, reduced, "upper"))
 
 
-def orient(a: str, b: str, forward, backward) -> EdgeBounds:
-    """EdgeBounds of edge a-b from its ``direction_bounds`` a -> b and b -> a.
+def orient(a: str, b: str, forward, backward) -> tuple[bool, bool]:
+    """Which direction of edge a-b each side uses: (lower from b, upper from b).
 
-    The lower and upper bounds are maximized over direction independently.
-    Ties go to the lexicographically smaller (sender, receiver) id pair.
+    ``forward`` and ``backward`` are the ``direction_bounds`` of a -> b and
+    b -> a. The lower and upper bounds are maximized over direction
+    independently. Ties go to the lexicographically smaller (sender,
+    receiver) id pair.
     """
-    first, second = ((a, b), forward), ((b, a), backward)
     if b < a:
-        first, second = second, first
-    lower_dir, (lower, lower_kind, _, _) = second if second[1][0] > first[1][0] else first
-    upper_dir, (_, _, upper, upper_kind) = second if second[1][2] > first[1][2] else first
-    return EdgeBounds(lower, upper, lower_dir, upper_dir, lower_kind, upper_kind)
-
-
-def oriented_edge_bounds(edge: ChannelSpec, node_a: NodeSpec, node_b: NodeSpec, fam: str) -> EdgeBounds:
-    """Capacity bounds of an undirected edge, optimized over direction of use.
-
-    ``fam`` is the graph's channel family; a channel of the other family
-    raises FamilyError. Both directed compounds are evaluated and combined by
-    ``orient``.
-    """
-    native = family_native(fam)
-    channel = native(edge)
-    forward = direction_bounds(fam, native(node_a.send), channel, native(node_b.recv))
-    backward = direction_bounds(fam, native(node_b.send), channel, native(node_a.recv))
-    return orient(node_a.id, node_b.id, forward, backward)
+        return not forward[0] > backward[0], not forward[2] > backward[2]
+    return backward[0] > forward[0], backward[2] > forward[2]

@@ -247,7 +247,7 @@ def channel_from_json(data: dict) -> ChannelSpec:
             return Identity()
     except KeyError as exc:
         raise DomainError(f"channel kind {kind!r} is missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, DomainError):
             raise
         raise DomainError(f"bad channel field in {data!r}: {exc}") from exc

@@ -5,7 +5,8 @@ edges given either as an explicit channel or as fibre parameters, and the pair
 of end users. ``apply_split`` turns it into a BoundedGraph by wrapping every
 edge in its endpoints' internal channels and evaluating the capacity bound
 functions, orientation-optimized per edge. Everything computed on a
-BoundedGraph lives in ``routing.py``.
+BoundedGraph lives in ``routing.py``; the per-edge reference that
+``apply_split`` is tested against is ``oracles.oriented_edge_bounds``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .bounds import BoundKind, EdgeBounds, direction_bounds, family_native, orient
+from .bounds import BOUND_ORDER_TOL, BoundKind, direction_bounds, family_native, orient
 from .channels import (
     FAMILY_AD,
     FAMILY_TL,
@@ -75,24 +76,44 @@ class NetworkGraph:
 
 
 @dataclass(frozen=True)
-class BoundedEdge:
-    a: str
-    b: str
-    bounds: EdgeBounds
-
-    def value(self, selector: str) -> float:
-        check_selector(selector)
-        return self.bounds.lower if selector == "lower" else self.bounds.upper
-
-    def key(self) -> tuple[str, str]:
-        return (self.a, self.b) if self.a <= self.b else (self.b, self.a)
-
-
-@dataclass(frozen=True)
 class BoundedGraph:
+    """A graph's edge bounds as columns, one entry per edge.
+
+    Edge i joins node numbers ``a[i]`` and ``b[i]`` (indexes into ``nodes``);
+    each side has its value, bound kind and sender, the node its chosen
+    direction sends from. Construction is the one gate, raising DomainError
+    unless every endpoint numbers a node and 0 <= lower <= upper (within
+    ``BOUND_ORDER_TOL``). NaN and inf pass; ``routing.max_flow`` rejects them.
+    """
+
     nodes: tuple[str, ...]
-    edges: tuple[BoundedEdge, ...]
     users: tuple[str, str]
+    a: tuple[int, ...]
+    b: tuple[int, ...]
+    lower: tuple[float, ...]
+    upper: tuple[float, ...]
+    lower_kind: tuple[BoundKind, ...]
+    upper_kind: tuple[BoundKind, ...]
+    lower_sender: tuple[int, ...]
+    upper_sender: tuple[int, ...]
+
+    def __post_init__(self):
+        columns = (self.b, self.lower, self.upper, self.lower_kind, self.upper_kind,
+                   self.lower_sender, self.upper_sender)
+        if any(len(column) != len(self.a) for column in columns):
+            raise DomainError("bounded graph columns must have one entry per edge")
+        n = len(self.nodes)
+        for i, (u, v, lower, upper) in enumerate(zip(self.a, self.b, self.lower, self.upper)):
+            if not (0 <= u < n and 0 <= v < n):
+                raise DomainError(f"edge #{i}: endpoints ({u}, {v}) must number nodes 0 to {n - 1}")
+            if lower < 0.0:
+                raise DomainError(f"lower bound must be >= 0, got {lower}")
+            if upper < lower - BOUND_ORDER_TOL:
+                raise DomainError(f"bounds out of order: lower {lower} > upper {upper}")
+
+    def values(self, selector: str) -> tuple[float, ...]:
+        """The ``lower`` or the ``upper`` column."""
+        return self.lower if check_selector(selector) == "lower" else self.upper
 
 
 @dataclass(frozen=True)
@@ -196,39 +217,49 @@ def apply_split(graph: NetworkGraph) -> BoundedGraph:
             raise ValidationError(violations)
     fam = graph._valid_family
     native = family_native(fam)
-    ends = {node_id: (native(spec.send), native(spec.recv)) for node_id, spec in graph.nodes.items()}
+    number = {node_id: i for i, node_id in enumerate(graph.nodes)}
+    ends = [(native(spec.send), native(spec.recv)) for spec in graph.nodes.values()]
     fibre = channel = key = values = None
-    annotated = []
+    rows = []
     for edge in graph.edges:
-        if edge.fibre is None or edge.fibre != fibre:
+        if edge.fibre is None or (edge.fibre is not fibre and edge.fibre != fibre):
             fibre, channel = edge.fibre, native(edge.resolve(fam))
-        send_a, recv_a = ends[edge.a]
-        send_b, recv_b = ends[edge.b]
-        directed = []
-        for direction in ((send_a, channel, recv_b), (send_b, channel, recv_a)):
-            if direction != key:
-                values = direction_bounds(fam, *direction)
-                key = direction
-            directed.append(values)
-        annotated.append(BoundedEdge(edge.a, edge.b, orient(edge.a, edge.b, *directed)))
-    return BoundedGraph(tuple(graph.nodes), tuple(annotated), graph.users)
+        u, v = number[edge.a], number[edge.b]
+        send_a, recv_a = ends[u]
+        send_b, recv_b = ends[v]
+        forward = (send_a, channel, recv_b)
+        if forward != key:
+            values, key = direction_bounds(fam, *forward), forward
+        forward_values = values
+        backward = (send_b, channel, recv_a)
+        if backward != key:
+            values, key = direction_bounds(fam, *backward), backward
+        backward_values = values
+        lower_back, upper_back = orient(edge.a, edge.b, forward_values, backward_values)
+        lower, lower_kind, _, _ = backward_values if lower_back else forward_values
+        _, _, upper, upper_kind = backward_values if upper_back else forward_values
+        rows.append((u, v, lower, upper, lower_kind, upper_kind,
+                     v if lower_back else u, v if upper_back else u))
+    columns = tuple(zip(*rows)) or ((),) * 8
+    return BoundedGraph(tuple(graph.nodes), graph.users, *columns)
 
 
 def annotate_uniform(graph: NetworkGraph, value: float) -> BoundedGraph:
-    """BoundedGraph with every edge at the same exact value (lower == upper)."""
+    """BoundedGraph with every edge at the same exact value; users are not checked."""
     if value < 0.0:
         raise DomainError(f"edge value must be >= 0, got {value}")
     if graph.users is None:
         raise ValidationError(["users: required"])
-    edges = tuple(
-        BoundedEdge(
-            e.a,
-            e.b,
-            EdgeBounds(value, value, (e.a, e.b), (e.a, e.b), BoundKind.PLOB_EXACT, BoundKind.PLOB_EXACT),
-        )
-        for e in graph.edges
-    )
-    return BoundedGraph(tuple(graph.nodes), edges, graph.users)
+    number = {node_id: i for i, node_id in enumerate(graph.nodes)}
+    for edge in graph.edges:
+        for end in edge.endpoints():
+            if end not in number:
+                raise DomainError(f"edge {edge.a}-{edge.b}: unknown endpoint {end!r}")
+    a = tuple(number[edge.a] for edge in graph.edges)
+    b = tuple(number[edge.b] for edge in graph.edges)
+    exact = (BoundKind.PLOB_EXACT,) * len(a)
+    values = (value,) * len(a)
+    return BoundedGraph(tuple(graph.nodes), graph.users, a, b, values, values, exact, exact, a, a)
 
 
 def network_to_json(graph: NetworkGraph) -> dict:
@@ -329,7 +360,7 @@ def load_network(data) -> tuple[NetworkGraph | None, list[str]]:
                     )
                     fibre_raw_prev = fibre_raw
                 edges.append(Edge(a, b, fibre=fibre))
-        except (DomainError, TypeError, ValueError) as exc:
+        except (DomainError, TypeError, ValueError, OverflowError) as exc:
             violations.append(f"edge {a}-{b}: {exc}")
     users = None
     if "users" in data:

@@ -7,29 +7,24 @@ Gaussian covariance propagation for thermal-loss chains, exhaustive cut and
 path enumeration on small graphs, a capacity and conservation check of a
 max-flow result, closed-form sizes and weak regularity of generated lattice
 patches, and the flooding = k*c consequence on uniformly valued lattices.
-``bounded_from_values`` builds the small test graphs these run on. The tests
-and the ``selfcheck`` batteries pit these against the fast paths, which never
-depend on this module.
+``oriented_edge_bounds`` is the per-edge reference for ``network.apply_split``,
+and ``bounded_from_values`` builds the small test graphs the routing oracles
+run on. The tests and the ``selfcheck`` batteries pit these against the fast
+paths, which never depend on this module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .bounds import BoundKind, EdgeBounds
+from .bounds import BoundKind, direction_bounds, family_native, orient
+from .channels import ChannelSpec, NodeSpec
 from .errors import DomainError, KrausError, SizeError
-from .network import (
-    BoundedEdge,
-    BoundedGraph,
-    Cut,
-    NetworkGraph,
-    annotate_uniform,
-    check_selector,
-)
+from .network import BoundedGraph, Cut, NetworkGraph, annotate_uniform, check_selector
 from .routing import FlowResult, max_flow, min_neighbourhood_capacity
 from .wrn import CELL_TRIANGULAR, WrnSpec, generate
 
@@ -197,34 +192,52 @@ def gaussian_propagate(v: np.ndarray, channels) -> np.ndarray:
     return out
 
 
-def bounded_from_values(
-    edge_values: Iterable[tuple], users: tuple[str, str]
-) -> BoundedGraph:
+class OrientedBounds(NamedTuple):
+    """One edge's bounds, each with its kind and chosen (sender, receiver)."""
+
+    lower: float
+    upper: float
+    lower_orientation: tuple[str, str]
+    upper_orientation: tuple[str, str]
+    lower_kind: BoundKind
+    upper_kind: BoundKind
+
+
+def oriented_edge_bounds(edge: ChannelSpec, node_a: NodeSpec, node_b: NodeSpec, fam: str) -> OrientedBounds:
+    """Bounds of one edge in the graph family ``fam``, each side's direction
+    chosen by ``bounds.orient``: the per-edge reference for ``apply_split``."""
+    native = family_native(fam)
+    channel = native(edge)
+    forward = direction_bounds(fam, native(node_a.send), channel, native(node_b.recv))
+    backward = direction_bounds(fam, native(node_b.send), channel, native(node_a.recv))
+    lower_back, upper_back = orient(node_a.id, node_b.id, forward, backward)
+    ends = ((node_a.id, node_b.id), (node_b.id, node_a.id))
+    lower, lower_kind, _, _ = (forward, backward)[lower_back]
+    _, _, upper, upper_kind = (forward, backward)[upper_back]
+    return OrientedBounds(lower, upper, ends[lower_back], ends[upper_back], lower_kind, upper_kind)
+
+
+def bounded_from_values(edge_values: Iterable[tuple], users: tuple[str, str]) -> BoundedGraph:
     """Build a BoundedGraph from (a, b, value) or (a, b, lower, upper) rows."""
-    nodes: dict[str, None] = {}
-    edges = []
-    for row in edge_values:
-        if len(row) == 3:
-            a, b, lo = row
-            up = lo
-        else:
-            a, b, lo, up = row
-        nodes.setdefault(a)
-        nodes.setdefault(b)
-        edges.append(
-            BoundedEdge(a, b, EdgeBounds(lo, up, (a, b), (a, b), BoundKind.PLOB_EXACT, BoundKind.PLOB_EXACT))
-        )
-    for user in users:
-        nodes.setdefault(user)
-    return BoundedGraph(tuple(nodes), tuple(edges), users)
+    rows = [(u, v, values[0], values[-1]) for u, v, *values in edge_values]
+    names = tuple(dict.fromkeys([*(end for row in rows for end in row[:2]), *users]))
+    number = {name: i for i, name in enumerate(names)}
+    a = tuple(number[row[0]] for row in rows)
+    b = tuple(number[row[1]] for row in rows)
+    exact = (BoundKind.PLOB_EXACT,) * len(rows)
+    lower, upper = tuple(row[2] for row in rows), tuple(row[3] for row in rows)
+    return BoundedGraph(names, users, a, b, lower, upper, exact, exact, a, a)
+
+
+def _named_edges(bg: BoundedGraph, selector: str) -> list[tuple[str, str, float]]:
+    """(a, b, value) of every edge on one bound side, with node names."""
+    return [(bg.nodes[u], bg.nodes[v], value) for u, v, value in zip(bg.a, bg.b, bg.values(selector))]
 
 
 def check_flow_feasible(result: FlowResult, bg: BoundedGraph, selector: str, tol: float = 1e-9) -> None:
     """Raise if the flow violates capacities or conservation."""
     net = {n: 0.0 for n in bg.nodes}
-    caps = {}
-    for e in bg.edges:
-        caps[e.key()] = e.value(selector)
+    caps = {(a, b) if a <= b else (b, a): value for a, b, value in _named_edges(bg, selector)}
     for (u, v), f in result.flows.items():
         if f < -tol:
             raise DomainError(f"negative flow on {u}->{v}")
@@ -245,11 +258,8 @@ def check_flow_feasible(result: FlowResult, bg: BoundedGraph, selector: str, tol
 
 def cut_value(bg: BoundedGraph, selector: str, a_side) -> float:
     """Sum of edge values crossing a bipartition."""
-    check_selector(selector)
     a_side = frozenset(a_side)
-    return sum(
-        e.value(selector) for e in bg.edges if (e.a in a_side) != (e.b in a_side)
-    )
+    return sum(value for a, b, value in _named_edges(bg, selector) if (a in a_side) != (b in a_side))
 
 
 def brute_force_min_cut(bg: BoundedGraph, selector: str) -> tuple[float, Cut]:
@@ -270,9 +280,10 @@ def brute_force_min_cut(bg: BoundedGraph, selector: str) -> tuple[float, Cut]:
         if value < best_value:
             best_value = value
             best_side = frozenset(a_side)
-    cut_edges = tuple(
-        sorted(e.key() for e in bg.edges if (e.a in best_side) != (e.b in best_side))
-    )
+    cut_edges = tuple(sorted(
+        (a, b) if a <= b else (b, a)
+        for a, b, _ in _named_edges(bg, selector) if (a in best_side) != (b in best_side)
+    ))
     return best_value, Cut(best_side, frozenset(bg.nodes) - best_side, cut_edges)
 
 
@@ -283,9 +294,9 @@ def brute_force_widest_path(bg: BoundedGraph, selector: str) -> float:
         raise SizeError(f"{len(bg.nodes)} nodes exceeds the cap of {BRUTE_FORCE_MAX_NODES}")
     alpha, beta = bg.users
     adj: dict[str, list[tuple[str, float]]] = {n: [] for n in bg.nodes}
-    for e in bg.edges:
-        adj[e.a].append((e.b, e.value(selector)))
-        adj[e.b].append((e.a, e.value(selector)))
+    for a, b, value in _named_edges(bg, selector):
+        adj[a].append((b, value))
+        adj[b].append((a, value))
     best = 0.0
     on_path = {alpha}
 

@@ -8,7 +8,8 @@ The min-neighbourhood capacity is the multi-edge capacity of the cut that
 isolates one end user: the smaller of the two users' incident-edge value sums.
 It upper-bounds the flooding (max-flow) capacity because it is itself a cut.
 
-All of these run on one arc structure (``_arcs``), built once per report.
+All of these run on one arc structure (``_arcs``), built once per report from
+the graph's endpoint numbers, which ``BoundedGraph`` checked when it was built.
 The exhaustive enumeration oracles and the flow feasibility check that gate
 these algorithms live in ``oracles.py``.
 """
@@ -18,10 +19,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .errors import DomainError
-from .network import BoundedGraph, Cut, check_selector
+from .network import BoundedGraph, Cut
 
 # Residual capacities at or below this are treated as saturated.
 RESIDUAL_TOL = 1e-12
@@ -59,28 +59,19 @@ def end_users(bg: BoundedGraph) -> tuple[str, str]:
 def _arcs(bg: BoundedGraph):
     """The one arc structure every computation on ``bg`` runs on.
 
-    Returns (s, t, head, out) over nodes numbered in ``bg.nodes`` order: the
-    end users, each arc's end node (arc 2i runs a -> b along edge i, arc 2i+1
-    back) and each node's outgoing arcs in edge order.
+    Returns (s, t, head, out) over the node numbers of ``bg``: the end users,
+    each arc's end node (arc 2i runs a -> b along edge i, arc 2i+1 back) and
+    each node's outgoing arcs in edge order.
     """
     alpha, beta = end_users(bg)
-    index = {name: i for i, name in enumerate(bg.nodes)}
-    head: list[int] = []
+    head = [0] * (2 * len(bg.a))
+    head[0::2] = bg.b
+    head[1::2] = bg.a
     out: list[list[int]] = [[] for _ in bg.nodes]
-    for e in bg.edges:
-        try:
-            u, v = index[e.a], index[e.b]
-        except KeyError as exc:
-            raise DomainError(f"edge {e.a}-{e.b}: unknown endpoint {exc.args[0]!r}") from None
-        out[u].append(len(head))
-        out[v].append(len(head) + 1)
-        head += (v, u)
-    return index[alpha], index[beta], head, out
-
-
-def _values(bg: BoundedGraph, selector: str) -> list[float]:
-    """Every edge's value on one bound side, in edge order."""
-    return list(map(attrgetter("bounds." + check_selector(selector)), bg.edges))
+    for i, (u, v) in enumerate(zip(bg.a, bg.b)):
+        out[u].append(2 * i)
+        out[v].append(2 * i + 1)
+    return bg.nodes.index(alpha), bg.nodes.index(beta), head, out
 
 
 def _widest_path(bg: BoundedGraph, values, s: int, t: int, head, out) -> PathResult:
@@ -117,7 +108,7 @@ def widest_path(bg: BoundedGraph, selector: str) -> PathResult:
     width resolve toward lexicographically smaller node ids. Disconnected
     users give value 0 and an empty path.
     """
-    return _widest_path(bg, _values(bg, selector), *_arcs(bg))
+    return _widest_path(bg, bg.values(selector), *_arcs(bg))
 
 
 class _Dinic:
@@ -197,23 +188,25 @@ class _Dinic:
 
 
 def _max_flow(bg: BoundedGraph, values, s: int, t: int, head, out) -> FlowResult:
-    for e, value in zip(bg.edges, values):
+    names = bg.nodes
+    for u, v, value in zip(bg.a, bg.b, values):
         if not math.isfinite(value):
-            raise DomainError(f"edge {e.a}-{e.b} has non-finite value {value}")
+            raise DomainError(f"edge {names[u]}-{names[v]} has non-finite value {value}")
     cap = [c for c in values for _ in (0, 1)]  # arcs 2i and 2i+1 share edge i
     value, level = _Dinic(out, head, cap).run(s, t)
-    a_side = frozenset(name for name, lv in zip(bg.nodes, level) if lv >= 0)
-    b_side = frozenset(bg.nodes) - a_side
-    cut_edges = tuple(
-        sorted(e.key() for e in bg.edges if (e.a in a_side) != (e.b in a_side))
-    )
+    on_a = [lv >= 0 for lv in level]
+    a_side = frozenset(name for name, on in zip(names, on_a) if on)
+    b_side = frozenset(names) - a_side
+    cut_edges = tuple(sorted(
+        tuple(sorted((names[u], names[v]))) for u, v in zip(bg.a, bg.b) if on_a[u] != on_a[v]
+    ))
     flows = {}
-    for e, capacity, residual in zip(bg.edges, values, cap[0::2]):
+    for u, v, capacity, residual in zip(bg.a, bg.b, values, cap[0::2]):
         net = capacity - residual
         if net > RESIDUAL_TOL:
-            flows[(e.a, e.b)] = net
+            flows[(names[u], names[v])] = net
         elif net < -RESIDUAL_TOL:
-            flows[(e.b, e.a)] = -net
+            flows[(names[v], names[u])] = -net
     return FlowResult(value, Cut(a_side, b_side, cut_edges), flows)
 
 
@@ -227,7 +220,7 @@ def max_flow(bg: BoundedGraph, selector: str) -> FlowResult:
     is the last phase's labelling: the set reachable from the first user in
     the final residual graph (deterministic).
     """
-    return _max_flow(bg, _values(bg, selector), *_arcs(bg))
+    return _max_flow(bg, bg.values(selector), *_arcs(bg))
 
 
 def _isolation(values, s: int, t: int, head, out) -> float:
@@ -236,7 +229,7 @@ def _isolation(values, s: int, t: int, head, out) -> float:
 
 def min_neighbourhood_capacity(bg: BoundedGraph, selector: str) -> float:
     """Value of the cheaper of the two user-isolating cuts."""
-    return _isolation(_values(bg, selector), *_arcs(bg))
+    return _isolation(bg.values(selector), *_arcs(bg))
 
 
 @dataclass(frozen=True)
@@ -270,7 +263,7 @@ def capacity_report(bg: BoundedGraph) -> CapacityReport:
     raises the error ``max_flow(bg, "upper")`` would.
     """
     arcs = _arcs(bg)
-    lo, up = _values(bg, "lower"), _values(bg, "upper")
+    lo, up = bg.lower, bg.upper
     upper_flow = _max_flow(bg, up, *arcs)
     return CapacityReport(
         single_path_lower=_widest_path(bg, lo, *arcs).value,

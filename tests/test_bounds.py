@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 
 from qnetcap.bounds import (
     BoundKind,
-    EdgeBounds,
     ad_rci,
     ad_squashed,
     bosonic_h,
     compound,
     h2,
-    oriented_edge_bounds,
     plob_pure_loss,
     tl_rci,
     tl_ree,
@@ -26,6 +24,7 @@ from qnetcap.channels import (
     as_thermal,
 )
 from qnetcap.errors import DomainError, FamilyError
+from qnetcap.oracles import oriented_edge_bounds
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 etas = st.floats(min_value=1e-6, max_value=1.0 - 1e-9, allow_nan=False)
@@ -144,13 +143,6 @@ def test_plob_values():
         plob_pure_loss(1.0)
     with pytest.raises(DomainError):
         plob_pure_loss(0.0)
-
-
-def test_edge_bounds_order_enforced():
-    with pytest.raises(DomainError):
-        EdgeBounds(1.0, 0.5, ("a", "b"), ("a", "b"), BoundKind.RCI_LOWER, BoundKind.REE_UPPER)
-    with pytest.raises(DomainError):
-        EdgeBounds(-0.1, 0.5, ("a", "b"), ("a", "b"), BoundKind.RCI_LOWER, BoundKind.REE_UPPER)
 
 
 def test_oriented_bounds_symmetric_edge():

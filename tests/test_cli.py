@@ -90,6 +90,31 @@ def test_analyze_validates_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+HUGE_INT = 10**400  # a JSON integer literal that no float can hold
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+@pytest.mark.parametrize("where,violation", [
+    ("length_km", "edge a-b: int too large to convert to float"),
+    ("tau", "node 'b': bad channel field in"),
+])
+def test_huge_integer_literal_is_a_violation(tmp_path, capsys, command, where, violation):
+    doc = {"family": "tl",
+           "nodes": [{"id": "a", "role": "user"}, {"id": "b", "recv": {"kind": "tl", "tau": 0.9}},
+                     {"id": "c", "role": "user"}],
+           "edges": [{"a": "a", "b": "b", "fibre": {"length_km": 5.0}},
+                     {"a": "b", "b": "c", "fibre": {"length_km": 7.0}}],
+           "users": ["a", "c"]}
+    if where == "length_km":
+        doc["edges"][0]["fibre"]["length_km"] = HUGE_INT
+    else:
+        doc["nodes"][1]["recv"]["tau"] = HUGE_INT
+    code, out, err = run(capsys, command, "--in", write_json(tmp_path / "net.json", doc))
+    assert code == EXIT_VALIDATION
+    violations = json.loads(out if command == "validate" else err)["violations"]
+    assert violations[0].startswith(violation)
+
+
 def test_generate_is_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
@@ -285,14 +310,18 @@ def test_numeric_strings_in_spec_still_parse(tmp_path, capsys):
 
 def test_cli_import_does_not_load_scipy(tmp_path):
     # Nor numpy, nor the verifiers: only selftest loads the oracles, and a log
-    # sweep runs without them.
+    # sweep, generate and analyze run without them.
     spec = write_json(tmp_path / "sweep.json", {
         "variable": "targetCapacity", "start": 1e-3, "stop": 1e-2, "steps": 3, "scale": "log",
         "wrn": MAN_SPEC,
     })
+    net = str(tmp_path / "net.json")
     probe = (
         "import sys, qnetcap.cli; "
         f"assert qnetcap.cli.main(['sweep', '--spec', {spec!r}, '--out', {str(tmp_path / 'out.csv')!r}]) == 0; "
+        f"assert qnetcap.cli.main(['generate', '--cell', 'manhattan8', '--radius', '2', '--d', '2.0', "
+        f"'--out', {net!r}]) == 0; "
+        f"assert qnetcap.cli.main(['analyze', '--in', {net!r}, '--out', {str(tmp_path / 'report.json')!r}]) == 0; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy') "
         "or m in ('qnetcap.oracles', 'qnetcap.selfcheck')))"
     )
@@ -491,9 +520,11 @@ def test_selftest_passes(capsys):
 
 # Fuzz: valid documents for every subcommand, each with up to two documented
 # keys (nested ones included) set to a malformed value or removed. BAD holds
-# no integer above 1, so every sweep keeps its 2 or 3 points.
+# no integer above 1, so every sweep keeps its 2 or 3 points; network
+# documents also get an integer too large for a float.
 BAD = [None, True, -1, 0, 1e308, -1e308, 1e-310, 5e-324, math.nan, math.inf, -math.inf,
        "x", "nan", "1e999", "2", [], [1], {}, {"kind": "ad"}]
+NETWORK_BAD = [*BAD, HUGE_INT]
 MISSING = object()
 
 TL_DEVICE = {"kind": "tl", "tau": 0.9, "nbar": 0.01}
@@ -550,8 +581,8 @@ NETWORK_PATHS += [("edges", i, "channel", key) for i in range(3)
                   for key in ("kind", "p", "tau", "nbar", "eta")]
 
 
-def spoiled(bases, paths):
-    """A deep copy of one base with up to two paths set to a BAD value or removed."""
+def spoiled(bases, paths, bad=BAD):
+    """A deep copy of one base with up to two paths set to a ``bad`` value or removed."""
 
     def apply(base, faults):
         doc = copy.deepcopy(base)
@@ -567,7 +598,7 @@ def spoiled(bases, paths):
                     parent[path[-1]] = copy.deepcopy(value)
         return doc
 
-    faults = st.lists(st.tuples(st.sampled_from(paths), st.sampled_from([*BAD, MISSING])), max_size=2)
+    faults = st.lists(st.tuples(st.sampled_from(paths), st.sampled_from([*bad, MISSING])), max_size=2)
     return st.builds(apply, st.sampled_from(bases), faults)
 
 
@@ -581,8 +612,11 @@ PARAMS = st.sampled_from(["edge-length", "internal-loss", "receiver-noise"])
     st.tuples(st.just("threshold"), spoiled(LATTICES, LATTICE_PATHS),
               st.tuples(st.just("--target"), TARGETS, st.just("--param"), PARAMS)),
     st.tuples(st.just("sweep"), spoiled(SWEEPS, SWEEP_PATHS), st.just(())),
-    st.tuples(st.sampled_from(["validate", "analyze"]), spoiled(NETWORKS, NETWORK_PATHS), st.just(())),
+    st.tuples(st.sampled_from(["validate", "analyze"]), spoiled(NETWORKS, NETWORK_PATHS, NETWORK_BAD),
+              st.just(())),
 ))
+@example(("validate", {**NETWORKS[1], "edges": [{"a": "b", "b": "c", "fibre": {"length_km": HUGE_INT}}]}, ()))
+@example(("analyze", {**NETWORKS[0], "nodes": [{"id": "b", "send": {"kind": "tl", "tau": HUGE_INT}}]}, ()))
 def test_every_subcommand_maps_arbitrary_json_to_an_exit_code(tmp_path, case):
     command, data, extra = case
     path = tmp_path / "in.json"

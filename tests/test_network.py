@@ -1,11 +1,12 @@
 import dataclasses
 import json
+import math
 import random
 
 import pytest
 
 from qnetcap import bounds, network
-from qnetcap.bounds import oriented_edge_bounds
+from qnetcap.bounds import BoundKind
 from qnetcap.channels import (
     AmplitudeDamping,
     FibreParams,
@@ -30,7 +31,7 @@ from qnetcap.network import (
     resolved_family,
     validate,
 )
-from qnetcap.oracles import bounded_from_values
+from qnetcap.oracles import OrientedBounds, bounded_from_values, oriented_edge_bounds
 from qnetcap.routing import min_neighbourhood_capacity
 from qnetcap.wrn import WrnSpec, generate
 
@@ -135,8 +136,55 @@ def test_apply_split_matches_direct_bounds():
     bg = apply_split(g)
     assert bg.users == ("a", "c")
     direct = oriented_edge_bounds(ThermalLoss(0.5, 0.002), nodes["a"], nodes["b"], "tl")
-    assert bg.edges[0].bounds == direct
-    assert bg.edges[1].bounds.lower <= bg.edges[1].bounds.upper
+    assert _edge_bounds(bg, 0) == direct
+    assert bg.lower[1] <= bg.upper[1]
+
+
+def _edge_bounds(bg, i):
+    """Edge i of ``bg`` as the record ``oriented_edge_bounds`` returns."""
+    a, b = bg.nodes[bg.a[i]], bg.nodes[bg.b[i]]
+
+    def orientation(sender):
+        return (a, b) if sender == bg.a[i] else (b, a)
+
+    return OrientedBounds(bg.lower[i], bg.upper[i], orientation(bg.lower_sender[i]),
+                          orientation(bg.upper_sender[i]), bg.lower_kind[i], bg.upper_kind[i])
+
+
+def _bounded(**columns):
+    """A two-node, one-edge BoundedGraph with some columns replaced."""
+    row = dict(nodes=("a", "b"), users=("a", "b"), a=(0,), b=(1,), lower=(0.5,), upper=(0.5,),
+               lower_kind=(BoundKind.RCI_LOWER,), upper_kind=(BoundKind.REE_UPPER,),
+               lower_sender=(0,), upper_sender=(0,))
+    return BoundedGraph(**{**row, **columns})
+
+
+def test_bounded_graph_enforces_bound_order():
+    with pytest.raises(DomainError, match="bounds out of order"):
+        _bounded(lower=(1.0,), upper=(0.5,))
+    with pytest.raises(DomainError, match="lower bound must be >= 0"):
+        _bounded(lower=(-0.1,), upper=(0.5,))
+    _bounded(lower=(0.5,), upper=(0.5 - 1e-13,))  # within BOUND_ORDER_TOL
+
+
+def test_bounded_graph_rejects_unknown_endpoint_numbers():
+    for a, b in [(0, 2), (2, 1), (-1, 1)]:
+        with pytest.raises(DomainError, match=rf"edge #0: endpoints \({a}, {b}\) must number nodes 0 to 1"):
+            _bounded(a=(a,), b=(b,))
+    with pytest.raises(DomainError, match="must number nodes 0 to 0"):
+        dataclasses.replace(_bounded(), nodes=("a",))
+
+
+def test_bounded_graph_columns_have_one_entry_per_edge():
+    with pytest.raises(DomainError, match="one entry per edge"):
+        _bounded(upper=(0.5, 0.5))
+
+
+def test_bounded_graph_admits_non_finite_values():
+    # max_flow, not construction, rejects these
+    for lower, upper in [(math.nan, 0.5), (0.5, math.nan), (math.inf, math.inf), (0.5, math.inf)]:
+        bg = _bounded(lower=(lower,), upper=(upper,))
+        assert (bg.lower, bg.upper) == ((lower,), (upper,))
 
 
 def test_apply_split_validation_gate():
@@ -215,10 +263,10 @@ def test_apply_split_matches_per_edge_bounds(name):
     graph = MEMO_GRAPHS[name]
     fam = resolved_family(graph)
     bg = apply_split(graph)
-    assert [(e.a, e.b) for e in bg.edges] == [(e.a, e.b) for e in graph.edges]
-    for bounded, edge in zip(bg.edges, graph.edges):
+    assert [(bg.nodes[u], bg.nodes[v]) for u, v in zip(bg.a, bg.b)] == [(e.a, e.b) for e in graph.edges]
+    for i, edge in enumerate(graph.edges):
         a, b = graph.nodes[edge.a], graph.nodes[edge.b]
-        assert bounded.bounds == oriented_edge_bounds(edge.resolve(fam), a, b, fam)
+        assert _edge_bounds(bg, i) == oriented_edge_bounds(edge.resolve(fam), a, b, fam)
 
 
 @pytest.mark.parametrize("source", ["generated", "loaded", "copied"])
@@ -238,11 +286,14 @@ def test_apply_split_bounds_a_repeated_class_once(monkeypatch, source):
 
     monkeypatch.setattr(bounds, "compound", counting)
     bg = apply_split(graph)
-    assert len(bg.edges) == len(graph.edges) > 1000
+    assert len(bg.a) == len(graph.edges) > 1000
     assert 1 <= len(calls) <= 2
     # Both directions tie on every edge, so each keeps its own smaller id pair.
-    assert all(e.bounds.lower_orientation == e.bounds.upper_orientation == e.key() for e in bg.edges)
-    assert any(e.key() != (e.a, e.b) for e in bg.edges)
+    assert all(
+        _edge_bounds(bg, i).lower_orientation == _edge_bounds(bg, i).upper_orientation == e.key()
+        for i, e in enumerate(graph.edges)
+    )
+    assert any(e.key() != (e.a, e.b) for e in graph.edges)
 
 
 def test_apply_split_validates_only_unchecked_graphs(monkeypatch):
@@ -268,7 +319,7 @@ def test_apply_split_validates_only_unchecked_graphs(monkeypatch):
 def test_annotate_uniform():
     g = two_node_graph()
     bg = annotate_uniform(g, 0.7)
-    assert all(e.bounds.lower == 0.7 and e.bounds.upper == 0.7 for e in bg.edges)
+    assert bg.lower == bg.upper == (0.7,) * len(g.edges)
     with pytest.raises(DomainError):
         annotate_uniform(g, -1.0)
 
@@ -391,5 +442,5 @@ def test_load_network_rejects_garbage():
 def test_bounded_from_values_shapes():
     bg = bounded_from_values([("x", "y", 0.2, 0.4)], users=("x", "y"))
     assert isinstance(bg, BoundedGraph)
-    assert bg.edges[0].value("lower") == 0.2
-    assert bg.edges[0].value("upper") == 0.4
+    assert bg.lower[0] == 0.2
+    assert bg.upper[0] == 0.4

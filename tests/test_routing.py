@@ -130,9 +130,11 @@ def test_routing_needs_two_distinct_graph_users(route, users):
     ids=["widest_path", "max_flow", "min_neighbourhood_capacity", "capacity_report"],
 )
 def test_routing_rejects_edges_to_unlisted_nodes(route):
-    bg = bounded_from_values([("a", "m", 0.5), ("m", "b", 0.5)], users=("a", "b"))
+    # Such a graph cannot be built, so no route ever sees one.
+    nodes = {n: NodeSpec(n) for n in ("a", "b")}
+    edges = (Edge("a", "m", channel=PureLoss(0.5)), Edge("m", "b", channel=PureLoss(0.5)))
     with pytest.raises(DomainError, match="edge a-m: unknown endpoint 'm'"):
-        route(dataclasses.replace(bg, nodes=("a", "b")))
+        route(annotate_uniform(NetworkGraph(nodes, edges, ("a", "b")), 0.5))
 
 
 def test_max_flow_rejects_non_finite():
@@ -226,9 +228,9 @@ class _FullLevelDinic(routing._Dinic):
 
 def _hop_distances(bg, source):
     adj = {n: [] for n in bg.nodes}
-    for e in bg.edges:
-        adj[e.a].append(e.b)
-        adj[e.b].append(e.a)
+    for u, v in zip(bg.a, bg.b):
+        adj[bg.nodes[u]].append(bg.nodes[v])
+        adj[bg.nodes[v]].append(bg.nodes[u])
     dist = {source: 0}
     queue = [source]
     for u in queue:

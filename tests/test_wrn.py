@@ -349,6 +349,5 @@ def test_uniform_lattice_flooding_equals_k_c():
 def test_generated_lattice_survives_apply_split():
     spec = man_spec(radius=2, edge_length_km=10.0)
     bg = apply_split(generate(spec))
-    assert len(bg.edges) == edge_count(spec)
-    first = bg.edges[0].bounds
-    assert 0.0 < first.lower <= first.upper
+    assert len(bg.a) == edge_count(spec)
+    assert 0.0 < bg.lower[0] <= bg.upper[0]
