@@ -124,7 +124,11 @@ def tl_ree(eta_tot: float, nbar_tot: float) -> float:
     expression touches 0 precisely at that point, and past it the bound is
     pinned to 0 rather than letting the expression grow again.
     """
-    raw = _tl_rci_raw(eta_tot, nbar_tot)
+    return _tl_ree_from_raw(_tl_rci_raw(eta_tot, nbar_tot), eta_tot, nbar_tot)
+
+
+def _tl_ree_from_raw(raw: float, eta_tot: float, nbar_tot: float) -> float:
+    """``tl_ree`` given the unclamped rate ``raw`` of the same channel."""
     if nbar_tot >= eta_tot:
         return 0.0
     return max(0.0, raw - (nbar_tot / (1.0 - eta_tot)) * math.log2(eta_tot))
@@ -186,13 +190,21 @@ def direction_bounds(fam: str, send, edge, recv) -> tuple[float, BoundKind, floa
     """(lower, lower kind, upper, upper kind) of one directed use of an edge.
 
     Arguments are family-native, as for ``compound``. A thermal compound of
-    unit transmissivity is an ideal edge and has no finite bound.
+    unit transmissivity is an ideal edge and has no finite bound. The result
+    equals both sides of ``compound_bound``; a noisy thermal compound
+    evaluates its rate expression once for both.
     """
     reduced = compound(fam, send, edge, recv)
-    if fam == FAMILY_TL and reduced[0] == 1.0:
-        if reduced[1] != 0.0:
-            raise DomainError("thermal edge with unit transmissivity and added noise is not modelled")
-        return math.inf, BoundKind.PLOB_EXACT, math.inf, BoundKind.PLOB_EXACT
+    if fam == FAMILY_TL:
+        eta_tot, nbar_tot = reduced
+        if eta_tot == 1.0:
+            if nbar_tot != 0.0:
+                raise DomainError("thermal edge with unit transmissivity and added noise is not modelled")
+            return math.inf, BoundKind.PLOB_EXACT, math.inf, BoundKind.PLOB_EXACT
+        if nbar_tot != 0.0:
+            raw = _tl_rci_raw(eta_tot, nbar_tot)
+            return (max(0.0, raw), BoundKind.RCI_LOWER,
+                    _tl_ree_from_raw(raw, eta_tot, nbar_tot), BoundKind.REE_UPPER)
     return (*compound_bound(fam, reduced, "lower"), *compound_bound(fam, reduced, "upper"))
 
 

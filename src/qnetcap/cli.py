@@ -15,17 +15,17 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
 import math
 import sys
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from . import qkd as qkd_mod
-from . import wrn
 from .channels import AmplitudeDamping, ThermalLoss, as_thermal, channel_from_json
 from .errors import MonotonicityError, NotAttainableError, QnetcapError, ValidationError
-from .network import apply_split, load_network, network_to_json
-from .routing import capacity_report, cut_to_json
+
+if TYPE_CHECKING:
+    from . import network, qkd, routing, selfcheck, wrn
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -39,10 +39,27 @@ DEFAULT_FAMILY = {"triangular6": "ad", "manhattan8": "tl"}
 
 SWEEP_SCHEMA = "qnetcap-sweep/1"
 
+# Larger sweeps are refused: each point is one threshold solve.
+MAX_SWEEP_STEPS = 10_000
+
+# The package modules each subcommand runs on. ``main`` imports these for the
+# subcommand it runs and binds them in this module, so a call loads only the
+# code it uses: bounding a network needs no solver, a threshold solve no graph.
+_MODULES = {
+    "generate": ("network", "wrn"),
+    "validate": ("network",),
+    "analyze": ("network", "routing"),
+    "threshold": ("qkd", "wrn"),
+    "sweep": ("qkd", "wrn"),
+    "selftest": ("selfcheck",),
+}
+
+# Module-level tables spell the solver's parameter names (``wrn.PARAM_*``)
+# out, so that loading this module does not load ``wrn``.
 _PARAM_BY_FLAG = {
-    "edge-length": wrn.PARAM_EDGE_LENGTH,
-    "internal-loss": wrn.PARAM_INTERNAL_LOSS,
-    "receiver-noise": wrn.PARAM_RECEIVER_NOISE,
+    "edge-length": "edgeLength",
+    "internal-loss": "internalLoss",
+    "receiver-noise": "receiverNoise",
 }
 
 _WRN_KEYS = {
@@ -98,15 +115,15 @@ def _number(key: str, value, kind=float):
         raise _InputError(f"{key} is not a valid {kind.__name__}: {value!r}") from exc
 
 
-def _parse_qkd_setup(data) -> qkd_mod.QkdSetup:
+def _parse_qkd_setup(data) -> qkd.QkdSetup:
     if isinstance(data, str):
-        return qkd_mod.from_preset(data)
+        return qkd.from_preset(data)
     if not isinstance(data, dict):
         raise _InputError(f"qkd_setup must be a preset name or an object, got {type(data).__name__}")
     fields = dict(data)
     preset = fields.pop("preset", None)
-    base = qkd_mod.from_preset(preset) if preset is not None else qkd_mod.QkdSetup()
-    known = {f.name for f in dataclasses.fields(qkd_mod.QkdSetup)}
+    base = qkd.from_preset(preset) if preset is not None else qkd.QkdSetup()
+    known = {f.name for f in dataclasses.fields(qkd.QkdSetup)}
     unknown = sorted(set(fields) - known)
     if unknown:
         raise _InputError(f"unknown qkd_setup keys: {', '.join(unknown)}")
@@ -116,7 +133,7 @@ def _parse_qkd_setup(data) -> qkd_mod.QkdSetup:
     return dataclasses.replace(base, **fields)
 
 
-def _parse_wrn_spec(data) -> tuple[wrn.WrnSpec, qkd_mod.QkdSetup | None]:
+def _parse_wrn_spec(data) -> tuple[wrn.WrnSpec, qkd.QkdSetup | None]:
     if not isinstance(data, dict):
         raise _InputError("lattice spec must be a JSON object")
     unknown = sorted(set(data) - _WRN_KEYS)
@@ -154,29 +171,29 @@ def cmd_generate(args) -> int:
     )
     graph = wrn.generate(spec)
     # One compact line: json.dumps with an indent runs the pure-Python encoder.
-    _emit(json.dumps(network_to_json(graph)) + "\n", args.out)
+    _emit(json.dumps(network.network_to_json(graph)) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
     data = _read_json(getattr(args, "in"))
-    _, violations = load_network(data)
+    _, violations = network.load_network(data)
     _emit_json({"violations": violations}, args.out)
     return EXIT_OK if not violations else EXIT_VALIDATION
 
 
 def cmd_analyze(args) -> int:
     data = _read_json(getattr(args, "in"))
-    graph, violations = load_network(data)
+    graph, violations = network.load_network(data)
     if violations or graph is None:
         _error("validation", "network failed validation", violations=violations)
         return EXIT_VALIDATION
-    bg = apply_split(graph)
-    report = capacity_report(bg)
+    bg = network.apply_split(graph)
+    report = routing.capacity_report(bg)
     out = {
         "users": list(bg.users),
         "report": report.as_dict(),
-        "mincut": {"value": report.flooding_upper, **cut_to_json(report.upper_mincut)},
+        "mincut": {"value": report.flooding_upper, **routing.cut_to_json(report.upper_mincut)},
     }
     _emit_json(out, args.out)
     return EXIT_OK
@@ -232,8 +249,8 @@ def _linspace(start: float, stop: float, steps: int) -> list[float]:
 
 def _sweep_points(spec: dict) -> list[float]:
     steps = spec["steps"]
-    if not isinstance(steps, int) or steps < 2:
-        raise _InputError(f"steps must be an integer >= 2, got {steps!r}")
+    if not isinstance(steps, int) or not 2 <= steps <= MAX_SWEEP_STEPS:
+        raise _InputError(f"steps must be an integer from 2 to {MAX_SWEEP_STEPS}, got {steps!r}")
     start, stop = _number("start", spec["start"]), _number("stop", spec["stop"])
     if not math.isfinite(stop - start):  # also catches a non-finite start or stop
         raise _InputError(f"sweep range needs a finite stop - start, got [{start}, {stop}]")
@@ -261,9 +278,9 @@ def _fmt(x: float) -> str:
 
 # Column stem of each solved parameter; edge-length columns add rho_min_*.
 _SOLVED_STEM = {
-    wrn.PARAM_EDGE_LENGTH: "d_max",
-    wrn.PARAM_INTERNAL_LOSS: "p_int_max",
-    wrn.PARAM_RECEIVER_NOISE: "nbar_r_max",
+    "edgeLength": "d_max",
+    "internalLoss": "p_int_max",
+    "receiverNoise": "nbar_r_max",
 }
 
 
@@ -281,20 +298,20 @@ def _respec_noise(spec: wrn.WrnSpec, nbar_r: float) -> wrn.WrnSpec:
 
 def _qkd_columns(spec: wrn.WrnSpec, setup) -> tuple[list[str], Callable[[float], list[float]]]:
     """Headers and per-edge-length cells: receiver noise of both LO schemes."""
-    base = setup if setup is not None else qkd_mod.from_preset("table1-heterodyne-llo")
-    schemes = [qkd_mod.with_scheme(base, scheme) for scheme in ("llo", "tlo")]
+    base = setup if setup is not None else qkd.from_preset("table1-heterodyne-llo")
+    schemes = [qkd.with_scheme(base, scheme) for scheme in ("llo", "tlo")]
     return ["nbar_r_llo", "nbar_r_tlo"], (
-        lambda d: [qkd_mod.receiver_noise(scheme, 10.0 ** (-spec.gamma * d)) for scheme in schemes]
+        lambda d: [qkd.receiver_noise(scheme, 10.0 ** (-spec.gamma * d)) for scheme in schemes]
     )
 
 
 # (variable, family) -> (x column, re-spec at x, solved param, pass the QKD
 # setup to the solve, extra columns). targetCapacity sweeps the target itself.
 _SWEEPS = {
-    ("edgeLength", "ad"): ("edge_length_km", _respec_length, wrn.PARAM_INTERNAL_LOSS, True, None),
-    ("edgeLength", "tl"): ("edge_length_km", _respec_length, wrn.PARAM_RECEIVER_NOISE, False, _qkd_columns),
-    ("internalLoss", "ad"): ("p_int", _respec_loss, wrn.PARAM_EDGE_LENGTH, True, None),
-    ("receiverNoise", "tl"): ("nbar_r", _respec_noise, wrn.PARAM_EDGE_LENGTH, True, None),
+    ("edgeLength", "ad"): ("edge_length_km", _respec_length, "internalLoss", True, None),
+    ("edgeLength", "tl"): ("edge_length_km", _respec_length, "receiverNoise", False, _qkd_columns),
+    ("internalLoss", "ad"): ("p_int", _respec_loss, "edgeLength", True, None),
+    ("receiverNoise", "tl"): ("nbar_r", _respec_noise, "edgeLength", True, None),
 }
 
 
@@ -359,9 +376,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    # Deferred: selfcheck loads numpy and the oracles, which no other subcommand needs.
-    from . import selfcheck
-
     failed = False
     for name, worst, tol in selfcheck.run(args.seed, args.count):
         ok = worst <= tol
@@ -420,6 +434,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    for name in _MODULES[args.command]:
+        globals()[name] = importlib.import_module(f".{name}", __package__)
     try:
         return args.func(args)
     except _InputError as exc:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from . import qkd as qkd_mod
 from .bounds import compound, compound_bound
@@ -38,7 +38,9 @@ from .channels import (
     family,
 )
 from .errors import DomainError, FamilyError, MonotonicityError, NotAttainableError
-from .network import Edge, NetworkGraph
+
+if TYPE_CHECKING:
+    from .network import NetworkGraph
 
 # Bisection tolerances: relative width in xi, relative residual in the bound.
 XI_REL_TOL = 1e-9
@@ -161,6 +163,10 @@ def generate(spec: WrnSpec) -> NetworkGraph:
     centre: four hops apart, non-adjacent, and at least two node rings away
     from the boundary for every allowed radius.
     """
+    # Imported here: the threshold solver, the rest of this module, never
+    # builds a graph, so ``threshold`` and ``sweep`` do not load ``network``.
+    from .network import Edge, NetworkGraph
+
     rings = 2 * spec.radius
     if spec.cell_type == CELL_TRIANGULAR:
         coords = _triangular_coords(rings)

@@ -10,12 +10,16 @@ from qnetcap.bounds import (
     ad_squashed,
     bosonic_h,
     compound,
+    compound_bound,
+    direction_bounds,
     h2,
     plob_pure_loss,
     tl_rci,
     tl_ree,
 )
 from qnetcap.channels import (
+    FAMILY_AD,
+    FAMILY_TL,
     AmplitudeDamping,
     Identity,
     NodeSpec,
@@ -134,6 +138,28 @@ def test_pure_loss_bounds_coincide(eta):
     exact = plob_pure_loss(eta)
     assert tl_rci(eta, 0.0) == exact
     assert tl_ree(eta, 0.0) == exact
+
+
+# Device links may be ideal; the fibre never is, so no compound is an ideal edge.
+devices = st.tuples(st.floats(min_value=1e-6, max_value=1.0), st.just(0.0) | nbars)
+
+
+@given(st.one_of(
+    st.tuples(st.just(FAMILY_TL), devices, st.tuples(etas, st.just(0.0) | nbars), devices),
+    st.tuples(st.just(FAMILY_AD), unit, unit, unit),
+))
+@example((FAMILY_TL, (1.0, 0.0), (0.5, 0.0), (0.9, 0.0)))  # pure loss
+@example((FAMILY_TL, (1.0, 0.0), (0.1, 0.5), (1.0, 0.0)))  # entanglement breaking: nbar_tot 0.5 >= eta 0.1
+@example((FAMILY_TL, (0.9, 0.01), (0.5, 0.002), (0.9, 0.01)))
+@example((FAMILY_AD, 0.0, 1.0, 0.0))
+@settings(max_examples=300, deadline=None)
+def test_direction_bounds_is_both_sides_of_compound_bound(case):
+    fam, send, edge, recv = case
+    reduced = compound(fam, send, edge, recv)
+    expected = (*compound_bound(fam, reduced, "lower"), *compound_bound(fam, reduced, "upper"))
+    got = direction_bounds(fam, send, edge, recv)
+    assert [x.hex() if isinstance(x, float) else x for x in got] == \
+        [x.hex() if isinstance(x, float) else x for x in expected]
 
 
 def test_plob_values():

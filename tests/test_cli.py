@@ -21,10 +21,15 @@ from qnetcap.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_VALIDATION,
+    MAX_SWEEP_STEPS,
+    _PARAM_BY_FLAG,
+    _SOLVED_STEM,
+    _SWEEP_VARIABLES,
+    _SWEEPS,
     _sweep_points,
     main,
 )
-from qnetcap import network
+from qnetcap import network, wrn
 from qnetcap.qkd import QkdSetup
 from qnetcap.wrn import WrnSpec, generate
 
@@ -331,6 +336,50 @@ def test_cli_import_does_not_load_scipy(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
+# The qnetcap modules, and fractions (for omega), that each subcommand loads:
+# bounding a given network needs no solver, a threshold solve builds no graph.
+GRAPH_MODULES = {"qnetcap.network", "qnetcap.bounds", "qnetcap.channels", "qnetcap.errors"}
+SOLVER_MODULES = {"qnetcap.wrn", "qnetcap.qkd", "qnetcap.bounds", "qnetcap.channels", "qnetcap.errors",
+                  "fractions"}
+
+
+@pytest.mark.parametrize("command,loads", [
+    ("generate", GRAPH_MODULES | SOLVER_MODULES),
+    ("validate", GRAPH_MODULES),
+    ("analyze", GRAPH_MODULES | {"qnetcap.routing"}),
+    ("threshold", SOLVER_MODULES),
+    ("sweep", SOLVER_MODULES),
+])
+def test_each_subcommand_loads_only_what_it_runs(tmp_path, command, loads):
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(network.network_to_json(generate(WrnSpec("manhattan8", 2, 2.0, "tl")))))
+    argv = {
+        "generate": ["--cell", "manhattan8", "--radius", "2", "--d", "2.0"],
+        "validate": ["--in", str(net)],
+        "analyze": ["--in", str(net)],
+        "threshold": ["--spec", write_json(tmp_path / "wrn.json", MAN_SPEC),
+                      "--target", "1e-2", "--param", "edge-length"],
+        "sweep": ["--spec", write_json(tmp_path / "sweep.json", {
+            "variable": "targetCapacity", "start": 1e-3, "stop": 1e-2, "steps": 3, "wrn": MAN_SPEC})],
+    }[command]
+    probe = (
+        "import sys, qnetcap.cli; "
+        f"assert qnetcap.cli.main({[command, *argv, '--out', str(tmp_path / 'out')]!r}) == 0; "
+        "print(sorted(m for m in sys.modules if m.startswith('qnetcap') or m == 'fractions'))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == repr(sorted(loads | {"qnetcap", "qnetcap.cli"}))
+
+
+def test_cli_tables_spell_the_solver_parameters():
+    params = {wrn.PARAM_EDGE_LENGTH, wrn.PARAM_INTERNAL_LOSS, wrn.PARAM_RECEIVER_NOISE}
+    assert set(_PARAM_BY_FLAG.values()) == set(_SOLVED_STEM) == params
+    assert {row[2] for row in _SWEEPS.values()} <= params
+    assert {variable for variable, _ in _SWEEPS} == params == set(_SWEEP_VARIABLES) - {"targetCapacity"}
+
+
 def test_threshold_family_mismatch(tmp_path, capsys):
     spec = write_json(tmp_path / "wrn.json", MAN_SPEC)
     code, _, err = run(capsys, "threshold", "--spec", spec,
@@ -511,6 +560,27 @@ def test_sweep_rejects_single_step(tmp_path, capsys):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("steps", [HUGE_INT, MAX_SWEEP_STEPS + 1], ids=["10**400", "limit+1"])
+def test_sweep_rejects_too_many_steps(tmp_path, capsys, steps):
+    spec = write_json(tmp_path / "sweep.json", {
+        "variable": "targetCapacity",
+        "start": 1e-3, "stop": 1e-2, "steps": steps,
+        "wrn": MAN_SPEC,
+    })
+    code, _, err = run(capsys, "sweep", "--spec", spec)
+    assert code == EXIT_INPUT
+    error = json.loads(err)
+    assert error["error"] == "input"
+    assert error["message"].startswith(f"steps must be an integer from 2 to {MAX_SWEEP_STEPS}")
+
+
+def test_sweep_takes_steps_up_to_the_limit():
+    for scale in ("linear", "log"):
+        xs = grid(1e-3, 1e-2, MAX_SWEEP_STEPS, scale)
+        assert len(xs) == MAX_SWEEP_STEPS
+        assert (xs[0], xs[-1]) == (1e-3, 1e-2)
+
+
 def test_selftest_passes(capsys):
     code, out, _ = run(capsys, "selftest", "--seed", "7", "--count", "10")
     assert code == EXIT_OK
@@ -617,6 +687,7 @@ PARAMS = st.sampled_from(["edge-length", "internal-loss", "receiver-noise"])
 ))
 @example(("validate", {**NETWORKS[1], "edges": [{"a": "b", "b": "c", "fibre": {"length_km": HUGE_INT}}]}, ()))
 @example(("analyze", {**NETWORKS[0], "nodes": [{"id": "b", "send": {"kind": "tl", "tau": HUGE_INT}}]}, ()))
+@example(("sweep", {**SWEEPS[0], "steps": HUGE_INT}, ()))
 def test_every_subcommand_maps_arbitrary_json_to_an_exit_code(tmp_path, case):
     command, data, extra = case
     path = tmp_path / "in.json"

@@ -1,8 +1,13 @@
 """The README's Python API block runs against the package as installed."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import qnetcap
 
@@ -29,3 +34,26 @@ def test_package_exports_exactly_the_readme_names():
         for alias in node.names
     }
     assert sorted(qnetcap.__all__) == sorted(imported)
+
+
+def test_importing_the_package_loads_no_submodule():
+    probe = "import sys, qnetcap; print(sorted(m for m in sys.modules if m.startswith('qnetcap')))"
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "['qnetcap']"
+
+
+@pytest.mark.parametrize("name", qnetcap.__all__)
+def test_exported_names_are_their_home_module_objects(name):
+    obj = getattr(qnetcap, name)
+    assert obj.__module__.startswith("qnetcap.")
+    assert getattr(sys.modules[obj.__module__], name) is obj
+
+
+def test_package_lists_and_rejects_names():
+    assert set(qnetcap.__all__) <= set(dir(qnetcap))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qnetcap.no_such_name
+    with pytest.raises(ImportError):
+        from qnetcap import no_such_name  # noqa: F401
