@@ -3,7 +3,9 @@
 Two channel families are modelled. Amplitude damping acts on qubits and is
 described by a single damping probability p. Thermal loss acts on bosonic
 modes and is described by a transmissivity tau together with the mean photon
-number nbar added at the output; pure loss is the nbar = 0 special case.
+number nbar added at the output; pure loss is the nbar = 0 special case, and
+the bounds give it its exact formula. ``fibre_transmissivity`` is the one
+fibre loss law.
 
 A chain of same-family channels reduces to a single channel of that family:
 damping probabilities combine as p_tot = 1 - prod(1 - p_j), and thermal-loss
@@ -53,29 +55,18 @@ class ThermalLoss:
 
 
 @dataclass(frozen=True)
-class PureLoss:
-    """Thermal loss with zero added photons; kept distinct for exact bound formulas."""
-
-    eta: float
-
-    def __post_init__(self):
-        if not 0.0 < self.eta <= 1.0 or math.isnan(self.eta):
-            raise DomainError(f"transmissivity must lie in (0, 1], got {self.eta}")
-
-
-@dataclass(frozen=True)
 class Identity:
     """Neutral element for composition in either family."""
 
 
-ChannelSpec = Union[AmplitudeDamping, ThermalLoss, PureLoss, Identity]
+ChannelSpec = Union[AmplitudeDamping, ThermalLoss, Identity]
 
 
 def family(channel: ChannelSpec) -> str | None:
     """Channel family tag: "ad", "tl", or None for the neutral Identity."""
     if isinstance(channel, AmplitudeDamping):
         return FAMILY_AD
-    if isinstance(channel, (ThermalLoss, PureLoss)):
+    if isinstance(channel, ThermalLoss):
         return FAMILY_TL
     if isinstance(channel, Identity):
         return None
@@ -95,11 +86,14 @@ def as_thermal(channel: ChannelSpec) -> tuple[float, float]:
     """(tau, nbar) of a thermal-family channel (Identity counts as (1, 0))."""
     if isinstance(channel, ThermalLoss):
         return channel.tau, channel.nbar
-    if isinstance(channel, PureLoss):
-        return channel.eta, 0.0
     if isinstance(channel, Identity):
         return 1.0, 0.0
     raise FamilyError(f"expected a thermal-loss channel, got {channel!r}")
+
+
+def fibre_transmissivity(gamma: float, length_km: float) -> float:
+    """Transmissivity 10^(-gamma*d) of d km of fibre with loss rate gamma."""
+    return 10.0 ** (-gamma * length_km)
 
 
 @dataclass(frozen=True)
@@ -124,7 +118,7 @@ class FibreParams:
 
     @property
     def transmissivity(self) -> float:
-        return 10.0 ** (-self.gamma * self.length_km)
+        return fibre_transmissivity(self.gamma, self.length_km)
 
     @property
     def damping(self) -> float:
@@ -213,10 +207,7 @@ def fibre_channel(params: FibreParams, fam: str) -> ChannelSpec:
     if fam == FAMILY_AD:
         return AmplitudeDamping(params.damping)
     if fam == FAMILY_TL:
-        eta = params.transmissivity
-        if params.nbar_B == 0.0:
-            return PureLoss(eta) if eta < 1.0 else Identity()
-        return ThermalLoss(eta, params.nbar_B)
+        return ThermalLoss(params.transmissivity, params.nbar_B)
     raise FamilyError(f"unknown channel family {fam!r}")
 
 
@@ -225,8 +216,6 @@ def channel_to_json(channel: ChannelSpec) -> dict:
         return {"kind": "ad", "p": channel.p}
     if isinstance(channel, ThermalLoss):
         return {"kind": "tl", "tau": channel.tau, "nbar": channel.nbar}
-    if isinstance(channel, PureLoss):
-        return {"kind": "pl", "eta": channel.eta}
     if isinstance(channel, Identity):
         return {"kind": "id"}
     raise FamilyError(f"not a channel spec: {channel!r}")
@@ -241,8 +230,8 @@ def channel_from_json(data: dict) -> ChannelSpec:
             return AmplitudeDamping(float(data["p"]))
         if kind == "tl":
             return ThermalLoss(float(data["tau"]), float(data.get("nbar", 0.0)))
-        if kind == "pl":
-            return PureLoss(float(data["eta"]))
+        if kind == "pl":  # pure loss: thermal loss with no added photons
+            return ThermalLoss(float(data["eta"]))
         if kind == "id":
             return Identity()
     except KeyError as exc:

@@ -21,7 +21,7 @@ import math
 import sys
 from typing import TYPE_CHECKING, Callable
 
-from .channels import AmplitudeDamping, ThermalLoss, as_thermal, channel_from_json
+from .channels import AmplitudeDamping, ThermalLoss, as_thermal, channel_from_json, fibre_transmissivity
 from .errors import MonotonicityError, NotAttainableError, QnetcapError, ValidationError
 
 if TYPE_CHECKING:
@@ -301,7 +301,7 @@ def _qkd_columns(spec: wrn.WrnSpec, setup) -> tuple[list[str], Callable[[float],
     base = setup if setup is not None else qkd.from_preset("table1-heterodyne-llo")
     schemes = [qkd.with_scheme(base, scheme) for scheme in ("llo", "tlo")]
     return ["nbar_r_llo", "nbar_r_tlo"], (
-        lambda d: [qkd.receiver_noise(scheme, 10.0 ** (-spec.gamma * d)) for scheme in schemes]
+        lambda d: [qkd.receiver_noise(scheme, fibre_transmissivity(spec.gamma, d)) for scheme in schemes]
     )
 
 
@@ -330,6 +330,9 @@ def _sweep_rows(data: dict, spec: wrn.WrnSpec, setup) -> tuple[list[str], list[l
         if (variable, spec.family) not in _SWEEPS:
             needs = "damping" if (variable, "ad") in _SWEEPS else "thermal"
             raise _InputError(f"{variable} sweeps need a {needs}-family lattice")
+        if variable == "receiverNoise" and setup is not None:
+            raise _InputError("receiverNoise sweeps take no qkd_setup: the QKD receiver model "
+                              "sets the receiver noise that the sweep varies")
         x_column, respec, param, pass_setup, columns = _SWEEPS[variable, spec.family]
     stem = _SOLVED_STEM[param]
     header = [x_column, f"{stem}_lower", f"{stem}_upper"]

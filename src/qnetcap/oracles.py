@@ -2,7 +2,7 @@
 
 Everything here recomputes quantities the rest of the package obtains from
 formulas or fast algorithms, using a different route: explicit Kraus action on
-density matrices, eigenvalue-based von Neumann entropies of Choi states,
+qubit density matrices, von Neumann entropies from closed-form 2x2 spectra,
 Gaussian covariance propagation for thermal-loss chains, exhaustive cut and
 path enumeration on small graphs, a capacity and conservation check of a
 max-flow result, closed-form sizes and weak regularity of generated lattice
@@ -11,6 +11,10 @@ patches, and the flooding = k*c consequence on uniformly valued lattices.
 and ``bounded_from_values`` builds the small test graphs the routing oracles
 run on. The tests and the ``selfcheck`` batteries pit these against the fast
 paths, which never depend on this module.
+
+Every matrix here is 2x2. Inputs are read as ``m[i][j]``, so nested lists and
+numpy arrays both serve, and results are nested tuples: the module needs only
+the standard library.
 """
 
 from __future__ import annotations
@@ -18,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
-
-import numpy as np
 
 from .bounds import BoundKind, direction_bounds, family_native, orient
 from .channels import ChannelSpec, NodeSpec
@@ -34,161 +36,124 @@ MATRIX_TOL = 1e-12
 # Hard cap for the exhaustive bipartition scan (2^(n-2) cuts).
 BRUTE_FORCE_MAX_NODES = 22
 
-_I2 = np.eye(2, dtype=complex)
-# Maximally entangled 2-qubit ket (|00> + |11>) / sqrt(2).
-_BELL = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
+Matrix = tuple[tuple[complex, complex], tuple[complex, complex]]
+
+
+def _matrix(m, name: str, kind=complex, error=DomainError) -> Matrix:
+    """``m`` as a 2x2 tuple of ``kind`` entries; ``error`` for any other shape."""
+    if len(m) != 2 or any(len(row) != 2 for row in m):
+        raise error(f"{name} must be 2x2, got {len(m)} rows")
+    return tuple(tuple(kind(x) for x in row) for row in m)
+
+
+def _mul(x: Matrix, y: Matrix) -> Matrix:
+    return tuple(tuple(x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in range(2)) for i in range(2))
+
+
+def _dagger(x: Matrix) -> Matrix:
+    return tuple(tuple(x[j][i].conjugate() for j in range(2)) for i in range(2))
+
+
+def _sum(terms: Iterable[Matrix]) -> Matrix:
+    terms = list(terms)
+    return tuple(tuple(sum(t[i][j] for t in terms) for j in range(2)) for i in range(2))
+
+
+def eigvalsh2(m) -> tuple[float, float]:
+    """Ascending eigenvalues of a 2x2 Hermitian matrix, in closed form.
+
+    They are c - r and c + r, with c the mean of the diagonal and
+    r = hypot((m00 - m11) / 2, |m01|). Only the diagonal and ``m[0][1]`` are read.
+    """
+    a, d = complex(m[0][0]).real, complex(m[1][1]).real
+    c = 0.5 * (a + d)
+    r = math.hypot(0.5 * (a - d), abs(m[0][1]))
+    return c - r, c + r
 
 
 @dataclass(frozen=True, eq=False)
 class QubitChannel:
-    """A qubit channel given by its Kraus operators."""
+    """A qubit channel given by its Kraus operators, stored as 2x2 tuples."""
 
-    kraus: tuple[np.ndarray, ...]
+    kraus: tuple[Matrix, ...]
 
     def __post_init__(self):
         if not self.kraus:
             raise KrausError("a channel needs at least one Kraus operator")
-        total = np.zeros((2, 2), dtype=complex)
-        for k in self.kraus:
-            if k.shape != (2, 2):
-                raise KrausError(f"Kraus operators must be 2x2, got shape {k.shape}")
-            total += k.conj().T @ k
-        if not np.allclose(total, _I2, atol=MATRIX_TOL, rtol=0.0):
+        kraus = tuple(_matrix(k, "Kraus operator", error=KrausError) for k in self.kraus)
+        total = _sum(_mul(_dagger(k), k) for k in kraus)
+        if not all(abs(total[i][j] - (i == j)) <= MATRIX_TOL for i in range(2) for j in range(2)):
             raise KrausError("Kraus set is not trace preserving")
-
-
-def identity_channel() -> QubitChannel:
-    return QubitChannel((_I2.copy(),))
+        object.__setattr__(self, "kraus", kraus)
 
 
 def ad_channel(p: float) -> QubitChannel:
     """Amplitude damping: K0 = |0><0| + sqrt(1-p)|1><1|, K1 = sqrt(p)|0><1|."""
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"damping probability must lie in [0, 1], got {p}")
-    k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - p)]], dtype=complex)
-    k1 = np.array([[0.0, np.sqrt(p)], [0.0, 0.0]], dtype=complex)
-    return QubitChannel((k0, k1))
+    return QubitChannel((((1.0, 0.0), (0.0, math.sqrt(1.0 - p))), ((0.0, math.sqrt(p)), (0.0, 0.0))))
 
 
-def dephasing_channel(p: float) -> QubitChannel:
-    """Phase flip with probability p."""
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"flip probability must lie in [0, 1], got {p}")
-    k0 = np.sqrt(1.0 - p) * _I2
-    k1 = np.sqrt(p) * np.diag([1.0, -1.0]).astype(complex)
-    return QubitChannel((k0, k1))
-
-
-def apply_channel(channel: QubitChannel, rho: np.ndarray) -> np.ndarray:
+def apply_channel(channel: QubitChannel, rho) -> Matrix:
     """Sum_i K_i rho K_i^dagger."""
-    out = np.zeros_like(rho, dtype=complex)
-    for k in channel.kraus:
-        out += k @ rho @ k.conj().T
-    return out
+    rho = _matrix(rho, "density matrix")
+    return _sum(_mul(_mul(k, rho), _dagger(k)) for k in channel.kraus)
 
 
-def choi_of(channel: QubitChannel) -> np.ndarray:
-    """Choi state (I (x) E)(|Phi><Phi|) with |Phi> maximally entangled."""
-    rho = np.outer(_BELL, _BELL.conj())
-    out = np.zeros((4, 4), dtype=complex)
-    for k in channel.kraus:
-        op = np.kron(_I2, k)
-        out += op @ rho @ op.conj().T
-    return out
-
-
-def _check_density(rho: np.ndarray, size: int) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (size, size):
-        raise DomainError(f"expected a {size}x{size} matrix, got shape {rho.shape}")
-    if not np.allclose(rho, rho.conj().T, atol=MATRIX_TOL, rtol=0.0):
-        raise DomainError("matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > MATRIX_TOL:
-        raise DomainError(f"trace must be 1, got {np.trace(rho).real}")
-    if np.linalg.eigvalsh(rho).min() < -MATRIX_TOL:
-        raise DomainError("matrix is not positive semidefinite within tolerance")
-    return rho
-
-
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Entropy in bits from the eigenvalue spectrum; tiny eigenvalues count as 0."""
-    lam = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
-    lam = lam[lam > EIG_ZERO_TOL]
-    return float(-(lam * np.log2(lam)).sum())
-
-
-def trace_out_a(rho: np.ndarray) -> np.ndarray:
-    """Partial trace over the first qubit of a 2-qubit state."""
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    return np.einsum("abac->bc", r)
-
-
-def trace_out_b(rho: np.ndarray) -> np.ndarray:
-    """Partial trace over the second qubit of a 2-qubit state."""
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    return np.einsum("abcb->ac", r)
-
-
-def ci_rci(choi: np.ndarray) -> tuple[float, float]:
-    """Coherent and reverse coherent information of a Choi state, in bits.
-
-    The first tensor factor is the untouched reference, the second the channel
-    output: I_C = S(Tr_A rho) - S(rho) and I_RC = S(Tr_B rho) - S(rho).
-    """
-    rho = _check_density(choi, 4)
-    s_joint = von_neumann_entropy(rho)
-    ic = von_neumann_entropy(trace_out_a(rho)) - s_joint
-    irc = von_neumann_entropy(trace_out_b(rho)) - s_joint
-    return ic, irc
+def von_neumann_entropy(rho) -> float:
+    """Entropy in bits of a 2x2 density matrix; tiny eigenvalues count as 0."""
+    lam = eigvalsh2(_matrix(rho, "density matrix"))
+    return -sum(x * math.log2(x) for x in lam if x > EIG_ZERO_TOL)
 
 
 def ad_rci_at_u(p: float, u: float) -> float:
     """Reverse coherent information of AD(p) for input excitation u.
 
-    Purifies diag(1-u, u) as sqrt(1-u)|00> + sqrt(u)|11>, damps the second
-    qubit, and returns S(rho_A) - S(rho_AB) from explicit eigenvalues.
+    Purifies diag(1-u, u) as sqrt(1-u)|00> + sqrt(u)|11> and damps the second
+    qubit. Kraus operator K_k leaves the branch with amplitudes
+    M_k[a][b] = s_a K_k[b][a], where s = (sqrt(1-u), sqrt(u)). Then
+    rho_A = sum_k M_k M_k^dagger, and the nonzero spectrum of
+    rho_AB = sum_k |M_k><M_k| is that of the 2x2 Gram matrix <M_k, M_l>.
+    Returns S(rho_A) - S(rho_AB).
     """
     if not 0.0 <= u <= 1.0:
         raise DomainError(f"input excitation must lie in [0, 1], got {u}")
-    psi = np.zeros(4, dtype=complex)
-    psi[0] = np.sqrt(1.0 - u)
-    psi[3] = np.sqrt(u)
-    rho = np.outer(psi, psi.conj())
-    out = np.zeros((4, 4), dtype=complex)
-    for k in ad_channel(p).kraus:
-        op = np.kron(_I2, k)
-        out += op @ rho @ op.conj().T
-    return von_neumann_entropy(trace_out_b(out)) - von_neumann_entropy(out)
+    s = (math.sqrt(1.0 - u), math.sqrt(u))
+    branches = [tuple(tuple(s[a] * k[b][a] for b in range(2)) for a in range(2))
+                for k in ad_channel(p).kraus]
+    rho_a = _sum(_mul(m, _dagger(m)) for m in branches)
+    gram = tuple(tuple(sum(x.conjugate() * y for rk, rl in zip(mk, ml) for x, y in zip(rk, rl))
+                       for ml in branches) for mk in branches)
+    return von_neumann_entropy(rho_a) - von_neumann_entropy(gram)
 
 
-def check_covariance(v: np.ndarray) -> np.ndarray:
+def check_covariance(v) -> Matrix:
     """Validate a single-mode covariance matrix (vacuum = I/2 convention)."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (2, 2):
-        raise DomainError(f"covariance matrix must be 2x2, got shape {v.shape}")
-    if not np.allclose(v, v.T, atol=MATRIX_TOL, rtol=0.0):
+    v = _matrix(v, "covariance matrix", float)
+    if not abs(v[0][1] - v[1][0]) <= MATRIX_TOL:
         raise DomainError("covariance matrix is not symmetric")
-    if np.linalg.eigvalsh(v).min() <= 0.0:
+    if not eigvalsh2(v)[0] > 0.0:
         raise DomainError("covariance matrix is not positive definite")
-    if np.linalg.det(v) < 0.25 - MATRIX_TOL:
+    if not v[0][0] * v[1][1] - v[0][1] * v[1][0] >= 0.25 - MATRIX_TOL:
         raise DomainError("covariance matrix violates the uncertainty bound det V >= 1/4")
     return v
 
 
-def gaussian_propagate(v: np.ndarray, channels) -> np.ndarray:
+def gaussian_propagate(v, channels) -> Matrix:
     """Push a covariance matrix through a chain of thermal-loss channels.
 
     Each step maps V -> tau*V + (nbar + |1-tau|/2)*I. An empty chain returns
-    the input unchanged.
+    the input's entries unchanged.
     """
-    out = check_covariance(v).copy()
-    eye = np.eye(2)
+    out = check_covariance(v)
     for tau, nbar in channels:
         if not 0.0 < tau <= 1.0:
             raise DomainError(f"transmissivity must lie in (0, 1], got {tau}")
         if nbar < 0.0:
             raise DomainError(f"thermal photon number must be >= 0, got {nbar}")
-        out = tau * out + (nbar + 0.5 * abs(1.0 - tau)) * eye
+        noise = nbar + 0.5 * abs(1.0 - tau)
+        out = tuple(tuple(tau * x + (noise if i == j else 0.0) for j, x in enumerate(row))
+                    for i, row in enumerate(out))
     return out
 
 

@@ -34,7 +34,6 @@ class QkdSetup:
     tau_eff: float = 0.8  # detector efficiency
     nu_det: int = 2  # shot-noise units: 1 homodyne, 2 heterodyne
     bandwidth: float = 1e8  # detector bandwidth W, Hz
-    nbar_B: float = 0.002  # channel background photons
     nep: float = 6e-12  # noise-equivalent power, W/sqrt(Hz)
     p_lo: float = 0.1  # local-oscillator power, W
     linewidth: float = 1600.0  # combined laser linewidth l_W, Hz
@@ -63,7 +62,6 @@ class QkdSetup:
         non_negative = {
             "nep": self.nep,
             "linewidth": self.linewidth,
-            "nbar_B": self.nbar_B,
         }
         for name, value in non_negative.items():
             if value < 0.0:

@@ -3,12 +3,14 @@
 Compound-channel reductions are replayed as explicit Kraus-operator or
 Gaussian covariance simulations; the flow solver is replayed as exhaustive
 cut and path enumeration on small random graphs. Each battery returns the
-worst deviation it saw, so callers pick their own tolerance.
+worst deviation it saw, so callers pick their own tolerance. Every draw is
+one ``rng.random()`` call, so a ``random.Random`` and a numpy ``Generator``
+both serve as ``rng``.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import random
 
 from .channels import compose_ad, compose_tl
 from .network import BoundedGraph
@@ -22,72 +24,78 @@ from .oracles import (
 )
 from .routing import max_flow, widest_path
 
-EXCITED = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
+EXCITED = ((0.0, 0.0), (0.0, 1.0))
 
 
-def random_ad_compound(rng: np.random.Generator, max_links: int = 5) -> list[float]:
-    count = int(rng.integers(1, max_links + 1))
-    return [float(p) for p in rng.uniform(0.0, 1.0, size=count)]
+def _below(rng: random.Random, n: int) -> int:
+    """A uniform integer in [0, n)."""
+    return int(rng.random() * n)
 
 
-def random_tl_compound(rng: np.random.Generator, max_links: int = 5) -> list[tuple[float, float]]:
-    count = int(rng.integers(1, max_links + 1))
-    taus = rng.uniform(0.05, 1.0, size=count)
-    nbars = rng.uniform(0.0, 0.5, size=count)
-    return [(float(t), float(n)) for t, n in zip(taus, nbars)]
+def _pair(rng: random.Random, n: int) -> tuple[int, int]:
+    """Two distinct uniform integers in [0, n)."""
+    i, j = _below(rng, n), _below(rng, n - 1)
+    return i, j + (j >= i)
+
+
+def random_ad_compound(rng: random.Random, max_links: int = 5) -> list[float]:
+    return [rng.random() for _ in range(1 + _below(rng, max_links))]
+
+
+def random_tl_compound(rng: random.Random, max_links: int = 5) -> list[tuple[float, float]]:
+    """Links with tau uniform on [0.05, 1) and nbar uniform on [0, 0.5)."""
+    return [(0.05 + 0.95 * rng.random(), 0.5 * rng.random()) for _ in range(1 + _below(rng, max_links))]
 
 
 def ad_compound_error(ps: list[float]) -> float:
     """|compose_ad - Kraus simulation|: the damped population of |1> is p_tot."""
-    rho = EXCITED.copy()
+    rho = EXCITED
     for p in ps:
         rho = apply_channel(ad_channel(p), rho)
-    return abs(compose_ad(ps) - rho[0, 0].real)
+    return abs(compose_ad(ps) - rho[0][0].real)
 
 
 def tl_compound_error(links: list[tuple[float, float]], nbar_in: float = 0.0) -> float:
     """Max entry deviation between stepwise and one-shot covariance propagation."""
-    v0 = (nbar_in + 0.5) * np.eye(2)
+    v0 = ((nbar_in + 0.5, 0.0), (0.0, nbar_in + 0.5))
     stepwise = gaussian_propagate(v0, links)
     one_shot = gaussian_propagate(v0, [compose_tl(links)])
-    return float(np.max(np.abs(stepwise - one_shot)))
+    return max(abs(x - y) for row, other in zip(stepwise, one_shot) for x, y in zip(row, other))
 
 
-def check_ad_compounds(rng: np.random.Generator, count: int) -> float:
+def check_ad_compounds(rng: random.Random, count: int) -> float:
     return max(ad_compound_error(random_ad_compound(rng)) for _ in range(count))
 
 
-def check_tl_compounds(rng: np.random.Generator, count: int) -> float:
+def check_tl_compounds(rng: random.Random, count: int) -> float:
     worst = 0.0
     for _ in range(count):
         links = random_tl_compound(rng)
-        nbar_in = float(rng.uniform(0.0, 1.0))
-        worst = max(worst, tl_compound_error(links, nbar_in))
+        worst = max(worst, tl_compound_error(links, rng.random()))
     return worst
 
 
-def random_bounded_graph(rng: np.random.Generator, max_nodes: int = 10) -> BoundedGraph:
+def random_bounded_graph(rng: random.Random, max_nodes: int = 10) -> BoundedGraph:
     """Connected graph with uniform [0,1] edge values and two random users."""
-    n = int(rng.integers(2, max_nodes + 1))
+    n = 2 + _below(rng, max_nodes - 1)
     names = [f"v{i}" for i in range(n)]
     rows = []
     seen = set()
     for i in range(1, n):
-        j = int(rng.integers(0, i))
-        rows.append((names[j], names[i], float(rng.uniform(0.0, 1.0))))
+        j = _below(rng, i)
+        rows.append((names[j], names[i], rng.random()))
         seen.add((j, i))
-    extra = int(rng.integers(0, n * (n - 1) // 2 - (n - 1) + 1))
-    for _ in range(extra):
-        i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
+    for _ in range(_below(rng, n * (n - 1) // 2 - (n - 1) + 1)):
+        i, j = sorted(_pair(rng, n))
         if (i, j) in seen:
             continue
         seen.add((i, j))
-        rows.append((names[i], names[j], float(rng.uniform(0.0, 1.0))))
-    a, b = rng.choice(n, size=2, replace=False).tolist()
+        rows.append((names[i], names[j], rng.random()))
+    a, b = _pair(rng, n)
     return bounded_from_values(rows, (names[a], names[b]))
 
 
-def routing_errors(rng: np.random.Generator, count: int, max_nodes: int = 10) -> tuple[float, float]:
+def routing_errors(rng: random.Random, count: int, max_nodes: int = 10) -> tuple[float, float]:
     """(worst max-flow vs cut-enumeration error, worst widest-path mismatch).
 
     The widest-path comparison is exact, so any non-zero second entry is a bug.
@@ -107,7 +115,7 @@ def routing_errors(rng: np.random.Generator, count: int, max_nodes: int = 10) ->
 
 def run(seed: int, count: int) -> list[tuple[str, float, float]]:
     """(battery, worst deviation, tolerance) for each battery, all drawn from one seeded RNG."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     ad_err = check_ad_compounds(rng, count)
     tl_err = check_tl_compounds(rng, count)
     flow_err, widest_err = routing_errors(rng, count, max_nodes=8)

@@ -36,6 +36,7 @@ from .channels import (
     as_damping,
     as_thermal,
     family,
+    fibre_transmissivity,
 )
 from .errors import DomainError, FamilyError, MonotonicityError, NotAttainableError
 
@@ -366,7 +367,7 @@ def _compound_at(spec: WrnSpec, param: str, qkd_setup: qkd_mod.QkdSetup | None):
     """(xi -> reduced edge compound in family-native numbers, start bracket)."""
 
     def eta(d: float) -> float:
-        return 10.0 ** (-spec.gamma * d)
+        return fibre_transmissivity(spec.gamma, d)
 
     if param == PARAM_EDGE_LENGTH:
         if spec.family == FAMILY_AD:

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,7 +24,6 @@ from qnetcap.channels import (
     AmplitudeDamping,
     Identity,
     NodeSpec,
-    PureLoss,
     ThermalLoss,
     as_thermal,
 )
@@ -57,6 +57,23 @@ def test_bosonic_h_values():
     assert bosonic_h(1.0) == pytest.approx(2.0, rel=1e-15)
     with pytest.raises(DomainError):
         bosonic_h(-0.1)
+
+
+def _bosonic_h_decimal(x: float) -> Decimal:
+    """(x+1) log2(x+1) - x log2 x in 60-digit decimal arithmetic, at exactly x."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        d = Decimal(x)
+        return ((d + 1) * (d + 1).ln() - d * d.ln()) / Decimal(2).ln()
+
+
+def test_bosonic_h_matches_decimal_reference():
+    # Quarter decades from 1e-16 to 1e12: small x, where 1 + x rounds, and
+    # large x, where the two terms of the textbook form cancel.
+    for k in range(-64, 49):
+        x = 10.0 ** (k / 4)
+        ref = _bosonic_h_decimal(x)
+        assert abs(Decimal(bosonic_h(x)) - ref) <= Decimal("1e-14") * ref, x
 
 
 def test_ad_rci_endpoints_and_peak():
@@ -174,7 +191,7 @@ def test_plob_values():
 def test_oriented_bounds_symmetric_edge():
     a = NodeSpec("a")
     b = NodeSpec("b")
-    eb = oriented_edge_bounds(PureLoss(0.5), a, b, "tl")
+    eb = oriented_edge_bounds(ThermalLoss(0.5), a, b, "tl")
     assert eb.lower == eb.upper == 1.0
     assert eb.lower_kind is BoundKind.PLOB_EXACT
     # tie between directions goes to the lexicographically smaller pair
@@ -214,7 +231,7 @@ def test_oriented_bounds_family_resolution():
         oriented_edge_bounds(AmplitudeDamping(0.1), mixed, b, fam="ad")
     damping = NodeSpec("d", send=AmplitudeDamping(0.1))
     with pytest.raises(FamilyError):
-        oriented_edge_bounds(PureLoss(0.5), damping, b, fam="tl")
+        oriented_edge_bounds(ThermalLoss(0.5), damping, b, fam="tl")
     with pytest.raises(FamilyError):
         oriented_edge_bounds(AmplitudeDamping(0.1), a, b, fam="tl")
 

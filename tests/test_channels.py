@@ -10,13 +10,13 @@ from qnetcap.channels import (
     FibreParams,
     Identity,
     NodeSpec,
-    PureLoss,
     ThermalLoss,
     channel_from_json,
     channel_to_json,
     compose_ad,
     compose_tl,
     fibre_channel,
+    fibre_transmissivity,
 )
 from qnetcap.errors import DomainError, EmptyCompoundError, FamilyError
 
@@ -35,7 +35,7 @@ def test_channel_param_domains():
     with pytest.raises(DomainError):
         ThermalLoss(0.5, -0.1)
     with pytest.raises(DomainError):
-        PureLoss(1.5)
+        ThermalLoss(1.5)
     with pytest.raises(DomainError):
         FibreParams(-1.0)
 
@@ -176,13 +176,26 @@ def test_fibre_channel():
     th = fibre_channel(FibreParams(100.0), "tl")
     assert th.tau == pytest.approx(0.01, rel=1e-12)
     assert th.nbar == 0.002
+    # Noiseless fibre is thermal loss with nbar 0, a zero-length one included.
+    assert fibre_channel(FibreParams(100.0, nbar_B=0.0), "tl") == ThermalLoss(th.tau, 0.0)
+    assert fibre_channel(FibreParams(0.0, nbar_B=0.0), "tl") == ThermalLoss(1.0, 0.0)
     with pytest.raises(FamilyError):
         fibre_channel(FibreParams(10.0), "qubit")
 
 
+def test_fibre_transmissivity_is_the_one_loss_law():
+    assert fibre_transmissivity(0.02, 100.0) == 10.0 ** -2.0
+    assert fibre_transmissivity(0.02, 0.0) == 1.0
+    for d in (0.0, 3.7, 150.0, 1e5):
+        assert FibreParams(d, gamma=0.03).transmissivity == fibre_transmissivity(0.03, d)
+        assert FibreParams(d, gamma=0.03).damping == 1.0 - fibre_transmissivity(0.03, d)
+
+
 def test_channel_json_round_trip():
-    for ch in (AmplitudeDamping(0.3), ThermalLoss(0.7, 0.02), PureLoss(0.4), Identity()):
+    for ch in (AmplitudeDamping(0.3), ThermalLoss(0.7, 0.02), ThermalLoss(0.4), Identity()):
         assert channel_from_json(channel_to_json(ch)) == ch
+    # "pl" (pure loss) still parses, as thermal loss with no added photons.
+    assert channel_from_json({"kind": "pl", "eta": 0.4}) == ThermalLoss(0.4, 0.0)
     assert channel_to_json(AmplitudeDamping(0.3)) == {"kind": "ad", "p": 0.3}
     assert channel_to_json(Identity()) == {"kind": "id"}
     with pytest.raises(DomainError):

@@ -508,6 +508,29 @@ def test_sweep_edge_length_tl_has_qkd_columns(tmp_path, capsys):
         assert row[3] > 0.0 and row[4] > 0.0
 
 
+@pytest.mark.parametrize("placement", ["wrn", "top"])
+def test_receiver_noise_sweep_rejects_qkd_setup(tmp_path, capsys, placement):
+    # The QKD receiver would replace the swept noise, so every row would match.
+    sweep = {"variable": "receiverNoise", "start": 0.0, "stop": 0.1, "steps": 4, "target": 1e-2,
+             "wrn": {**MAN_SPEC, "qkd_setup": "table1-heterodyne-llo"}}
+    if placement == "top":
+        sweep = {**sweep, "wrn": MAN_SPEC, "qkd_setup": "table1-heterodyne-llo"}
+    code, out, err = run(capsys, "sweep", "--spec", write_json(tmp_path / "sweep.json", sweep))
+    assert code == EXIT_INPUT
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "input"
+    assert "qkd_setup" in error["message"]
+
+
+def test_qkd_setup_has_no_background_photon_key(tmp_path, capsys):
+    # The fibre background is the lattice's nbar_B; the receiver has none.
+    spec = write_json(tmp_path / "wrn.json", {**MAN_SPEC, "qkd_setup": {"nbar_B": 0.002}})
+    code, _, err = run(capsys, "threshold", "--spec", spec, "--target", "1e-2", "--param", "edge-length")
+    assert code == EXIT_INPUT
+    assert json.loads(err)["message"] == "unknown qkd_setup keys: nbar_B"
+
+
 def test_sweep_writes_nan_where_a_bound_is_constant_below_the_target(tmp_path, capsys):
     # From ~92.4 km on even a noiseless receiver leaves the lower bound at 0.
     spec = write_json(tmp_path / "sweep.json", {
@@ -586,6 +609,18 @@ def test_selftest_passes(capsys):
     assert code == EXIT_OK
     assert "PASS" in out
     assert "FAIL" not in out
+
+
+def test_selftest_runs_without_numpy():
+    # An import of numpy fails in this interpreter, so any use of it would end
+    # selftest with an ImportError instead of exit 0.
+    probe = ("import sys; sys.modules['numpy'] = None; from qnetcap.cli import main; "
+             "sys.exit(main(['selftest', '--seed', '0', '--count', '5']))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("PASS") == 4
 
 
 # Fuzz: valid documents for every subcommand, each with up to two documented

@@ -12,7 +12,6 @@ from qnetcap.channels import (
     FibreParams,
     Identity,
     NodeSpec,
-    PureLoss,
     ThermalLoss,
 )
 from qnetcap.errors import (
@@ -45,7 +44,7 @@ def two_node_graph():
     nodes = _nodes("a", "b", role_map={"a": "user", "b": "user"})
     return NetworkGraph(
         nodes=nodes,
-        edges=(Edge("a", "b", channel=PureLoss(0.5)),),
+        edges=(Edge("a", "b", channel=ThermalLoss(0.5)),),
         users=("a", "b"),
     )
 
@@ -54,7 +53,7 @@ def test_edge_needs_exactly_one_source():
     with pytest.raises(DomainError):
         Edge("a", "b")
     with pytest.raises(DomainError):
-        Edge("a", "b", channel=PureLoss(0.5), fibre=FibreParams(10.0))
+        Edge("a", "b", channel=ThermalLoss(0.5), fibre=FibreParams(10.0))
 
 
 def test_validate_clean_graph():
@@ -62,7 +61,7 @@ def test_validate_clean_graph():
 
 
 def test_validate_missing_users():
-    g = NetworkGraph(nodes=_nodes("a", "b"), edges=(Edge("a", "b", channel=PureLoss(0.5)),))
+    g = NetworkGraph(nodes=_nodes("a", "b"), edges=(Edge("a", "b", channel=ThermalLoss(0.5)),))
     violations = validate(g)
     assert "users: required" in violations
 
@@ -70,7 +69,7 @@ def test_validate_missing_users():
 def test_validate_unknown_user_and_endpoint():
     g = NetworkGraph(
         nodes=_nodes("a", "b"),
-        edges=(Edge("a", "q", channel=PureLoss(0.5)),),
+        edges=(Edge("a", "q", channel=ThermalLoss(0.5)),),
         users=("a", "z"),
     )
     violations = validate(g)
@@ -83,9 +82,9 @@ def test_validate_self_loop_parallel_and_role():
     g = NetworkGraph(
         nodes=nodes,
         edges=(
-            Edge("a", "a", channel=PureLoss(0.5)),
-            Edge("a", "b", channel=PureLoss(0.5)),
-            Edge("b", "a", channel=PureLoss(0.4)),
+            Edge("a", "a", channel=ThermalLoss(0.5)),
+            Edge("a", "b", channel=ThermalLoss(0.5)),
+            Edge("b", "a", channel=ThermalLoss(0.4)),
         ),
         users=("a", "b"),
     )
@@ -111,7 +110,7 @@ def test_family_resolution():
     mixed = NetworkGraph(
         nodes=_nodes("a", "b", "c"),
         edges=(
-            Edge("a", "b", channel=PureLoss(0.5)),
+            Edge("a", "b", channel=ThermalLoss(0.5)),
             Edge("b", "c", channel=AmplitudeDamping(0.1)),
         ),
         users=("a", "c"),
@@ -188,7 +187,7 @@ def test_bounded_graph_admits_non_finite_values():
 
 
 def test_apply_split_validation_gate():
-    g = NetworkGraph(nodes=_nodes("a", "b"), edges=(Edge("a", "b", channel=PureLoss(0.5)),))
+    g = NetworkGraph(nodes=_nodes("a", "b"), edges=(Edge("a", "b", channel=ThermalLoss(0.5)),))
     with pytest.raises(ValidationError) as err:
         apply_split(g)
     assert "users: required" in err.value.violations
@@ -246,7 +245,7 @@ def _alternating_chain(classes):
 
 MEMO_GRAPHS = {
     "tl-manhattan8-asym": _lattice("manhattan8", "tl", recv=ThermalLoss(0.9, 0.01), send=ThermalLoss(0.95, 0.0)),
-    "tl-triangular6-asym": _lattice("triangular6", "tl", recv=PureLoss(0.8), send=ThermalLoss(0.97, 0.003)),
+    "tl-triangular6-asym": _lattice("triangular6", "tl", recv=ThermalLoss(0.8), send=ThermalLoss(0.97, 0.003)),
     "ad-triangular6-asym": _lattice("triangular6", "ad", recv=AmplitudeDamping(0.05), send=AmplitudeDamping(0.2)),
     "ad-manhattan8-asym": _lattice("manhattan8", "ad", recv=AmplitudeDamping(0.1), send=Identity()),
     "tl-distinct-devices": _distinct_devices(generate(WrnSpec("manhattan8", 2, 10.0, "tl")), "tl", 3),
@@ -359,7 +358,7 @@ def test_load_network_collects_violations():
         }
     )
     assert violations == []
-    assert loaded.edges[0].channel == PureLoss(0.5)
+    assert loaded.edges[0].channel == ThermalLoss(0.5)
 
 
 def test_load_network_shares_the_fibre_of_a_lattice():

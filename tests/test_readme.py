@@ -57,3 +57,10 @@ def test_package_lists_and_rejects_names():
         qnetcap.no_such_name
     with pytest.raises(ImportError):
         from qnetcap import no_such_name  # noqa: F401
+
+
+def test_package_declares_no_runtime_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((README.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    assert pyproject["project"]["dependencies"] == []
+    assert any(dep.startswith("numpy") for dep in pyproject["project"]["optional-dependencies"]["test"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qnetcap import routing
-from qnetcap.channels import FibreParams, NodeSpec, PureLoss, ThermalLoss
+from qnetcap.channels import FibreParams, NodeSpec, ThermalLoss
 from qnetcap.errors import DomainError, SizeError
 from qnetcap.network import Edge, NetworkGraph, annotate_uniform, apply_split
 from qnetcap.oracles import (
@@ -105,7 +105,7 @@ def test_max_flow_disconnected():
 
 def uniform_chain(users):
     nodes = {n: NodeSpec(n) for n in ("a", "m", "b")}
-    edges = (Edge("a", "m", channel=PureLoss(0.5)), Edge("m", "b", channel=PureLoss(0.5)))
+    edges = (Edge("a", "m", channel=ThermalLoss(0.5)), Edge("m", "b", channel=ThermalLoss(0.5)))
     return annotate_uniform(NetworkGraph(nodes, edges, users), 0.5)
 
 
@@ -132,7 +132,7 @@ def test_routing_needs_two_distinct_graph_users(route, users):
 def test_routing_rejects_edges_to_unlisted_nodes(route):
     # Such a graph cannot be built, so no route ever sees one.
     nodes = {n: NodeSpec(n) for n in ("a", "b")}
-    edges = (Edge("a", "m", channel=PureLoss(0.5)), Edge("m", "b", channel=PureLoss(0.5)))
+    edges = (Edge("a", "m", channel=ThermalLoss(0.5)), Edge("m", "b", channel=ThermalLoss(0.5)))
     with pytest.raises(DomainError, match="edge a-m: unknown endpoint 'm'"):
         route(annotate_uniform(NetworkGraph(nodes, edges, ("a", "b")), 0.5))
 
