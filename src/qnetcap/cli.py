@@ -22,7 +22,7 @@ import sys
 from typing import TYPE_CHECKING, Callable
 
 from .channels import AmplitudeDamping, ThermalLoss, as_thermal, channel_from_json, fibre_transmissivity
-from .errors import MonotonicityError, NotAttainableError, QnetcapError, ValidationError
+from .errors import DomainError, MonotonicityError, NotAttainableError, QnetcapError, ValidationError
 
 if TYPE_CHECKING:
     from . import network, qkd, routing, selfcheck, wrn
@@ -297,12 +297,19 @@ def _respec_noise(spec: wrn.WrnSpec, nbar_r: float) -> wrn.WrnSpec:
 
 
 def _qkd_columns(spec: wrn.WrnSpec, setup) -> tuple[list[str], Callable[[float], list[float]]]:
-    """Headers and per-edge-length cells: receiver noise of both LO schemes."""
+    """Headers and cells: receiver noise of both LO schemes, nan where too little light arrives."""
     base = setup if setup is not None else qkd.from_preset("table1-heterodyne-llo")
     schemes = [qkd.with_scheme(base, scheme) for scheme in ("llo", "tlo")]
-    return ["nbar_r_llo", "nbar_r_tlo"], (
-        lambda d: [qkd.receiver_noise(scheme, fibre_transmissivity(spec.gamma, d)) for scheme in schemes]
-    )
+    for scheme in schemes:  # a setup that fails at full transmission fails at every length
+        qkd.receiver_noise(scheme, 1.0)
+
+    def cell(scheme, d: float) -> float:
+        try:
+            return qkd.receiver_noise(scheme, fibre_transmissivity(spec.gamma, d))
+        except DomainError:
+            return math.nan
+
+    return ["nbar_r_llo", "nbar_r_tlo"], (lambda d: [cell(scheme, d) for scheme in schemes])
 
 
 # (variable, family) -> (x column, re-spec at x, solved param, pass the QKD
@@ -341,10 +348,14 @@ def _sweep_rows(data: dict, spec: wrn.WrnSpec, setup) -> tuple[list[str], list[l
         header += ["rho_min_lower", "rho_min_upper"]
     extra_header, extra_cells = columns(spec, setup) if columns is not None else ([], lambda x: [])
     header += extra_header
+    solve_setup = setup if pass_setup else None
+    if respec is None:  # one solve over every target
+        results = wrn.thresholds(spec, [(x, "delta") for x in points], param, solve_setup)
+    else:  # one solve per re-specced point, made as its row is
+        results = (wrn.thresholds(respec(spec, x), [(target, "delta")], param, solve_setup)[0]
+                   for x in points)
     rows = []
-    for x in points:
-        at_x, goal = (spec, x) if respec is None else (respec(spec, x), target)
-        result = wrn.solve_at_scale(at_x, goal, param, "delta", setup if pass_setup else None)
+    for x, result in zip(points, results):
         lo, up = result.from_lower_fn, result.from_upper_fn
         rho = [_rho_cells(lo, spec.cell_type), _rho_cells(up, spec.cell_type)] if with_rho else []
         rows.append([x, lo, up, *rho, *extra_cells(x)])

@@ -8,7 +8,9 @@ down to a per-edge requirement: bulk edges must carry C/delta, user-connected
 edges C/omega. Solving bound_function(xi) = target/scale for the physical
 parameter xi (edge length, internal loss, or receiver noise) yields the
 tolerable-parameter thresholds; running the solve with the lower and the upper
-bound function brackets the true threshold.
+bound function brackets the true threshold. ``thresholds`` scans each bound
+function once for its direction and then bisects it for every requested
+(target, scale) goal.
 
 With every edge at one uniform value c, these lattices satisfy the threshold
 conditions outright and the flooding capacity equals k*c exactly (the
@@ -216,10 +218,9 @@ class ThresholdResult:
         return (lo, hi)
 
     def as_json(self) -> dict:
-        x_name = self.scale_name
         return {
             "param": self.param,
-            "x": x_name,
+            "x": self.scale_name,
             "bracket": list(self.bracket),
             "direction": self.direction,
             "target": self.target,
@@ -244,12 +245,13 @@ def min_nodal_density(d_max: float, cell_type: str) -> DensityResult:
     return DensityResult(d_max=d_max, xi_geom=xi_geom, rho_min=xi_geom / (d_max * d_max))
 
 
-def _scan_direction(fn: Callable[[float], float], lo: float, hi: float, goal: float) -> str:
-    """Classify fn as non-increasing or non-decreasing on [lo, hi] from samples.
+def _scan(fn: Callable[[float], float], bracket: tuple[float, float]) -> tuple[str | None, float]:
+    """(direction, first sample) of fn from geometric samples of the bracket.
 
-    A function constant on the bracket has no direction: below ``goal`` it
-    cannot reach it (NotAttainableError), at or above it is a MonotonicityError.
+    The direction is None for a constant function. Nothing here depends on a
+    goal, so one scan serves every goal solved on the same function.
     """
+    lo, hi = bracket
     if lo <= 0.0:
         raise DomainError(f"search bracket must be positive, got [{lo}, {hi}]")
     ratio = (hi / lo) ** (1.0 / (MONOTONE_SAMPLES - 1))
@@ -259,34 +261,31 @@ def _scan_direction(fn: Callable[[float], float], lo: float, hi: float, goal: fl
     falls = any(b < a for a, b in zip(values, values[1:]))
     if rises and falls:
         raise MonotonicityError("bound function is not monotone on the search bracket")
-    if not rises and not falls:
-        if values[0] < goal:
-            raise NotAttainableError(
-                f"bound function is constant at {values[0]:g} on the search bracket, "
-                f"below the per-edge target {goal:g}"
-            )
-        raise MonotonicityError("bound function is constant on the search bracket")
-    return DIRECTION_MIN if rises else DIRECTION_MAX
+    return (DIRECTION_MIN if rises else DIRECTION_MAX if falls else None), values[0]
 
 
-def _solve(
-    fn: Callable[[float], float],
-    target: float,
-    scale: float,
-    bracket: tuple[float, float],
-) -> tuple[float, str]:
+def _solve(fn: Callable[[float], float], target: float, scale: float, bracket: tuple[float, float],
+           scan: tuple[str | None, float]) -> float:
+    """xi where fn(xi) meets target/scale, given the ``_scan`` of fn on ``bracket``."""
     if target <= 0.0 or math.isnan(target):
         raise DomainError(f"capacity target must be > 0, got {target}")
     if scale <= 0.0:
         raise DomainError(f"scale must be > 0, got {scale}")
     goal = target / float(scale)
-    lo, hi = bracket
-    found = _scan_direction(fn, lo, hi, goal)
-    sign = -1.0 if found == DIRECTION_MAX else 1.0
+    direction, first = scan
+    if direction is None:  # a constant either misses the goal or never crosses it
+        if first < goal:
+            raise NotAttainableError(
+                f"bound function is constant at {first:g} on the search bracket, "
+                f"below the per-edge target {goal:g}"
+            )
+        raise MonotonicityError("bound function is constant on the search bracket")
+    sign = -1.0 if direction == DIRECTION_MAX else 1.0
 
     def residual(x: float) -> float:
         return sign * (fn(x) - goal)
 
+    lo, hi = bracket
     r_lo, r_hi = residual(lo), residual(hi)
     # Expanding past the bound function's own domain (fibre transmissivity
     # saturating at 1.0, say) means no representable parameter certifies
@@ -311,38 +310,32 @@ def _solve(
             f"no parameter value in ({lo:g}, {hi:g}) reaches the per-edge target {goal:g}"
         )
     if r_lo == 0.0:
-        return lo, found
+        return lo
     if r_hi == 0.0:
-        return hi, found
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        r_mid = residual(mid)
-        if r_mid == 0.0:
-            lo = hi = mid
+        return hi
+    # Bisect to relative width XI_REL_TOL, at most 200 steps. That can come
+    # before the residual test passes where the function is steep, so then
+    # keep halving while the test fails and there is room between lo and hi.
+    steps, narrow = 0, False
+    while True:
+        xi = 0.5 * (lo + hi)
+        achieved = fn(xi)
+        r = sign * (achieved - goal)
+        missed = abs(achieved - goal) > RESIDUAL_REL_TOL * goal
+        if r == 0.0 or narrow and not (missed and lo < xi < hi):
             break
-        if r_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= XI_REL_TOL * max(abs(lo), abs(hi)):
-            break
-    # The width stop can come before the residual test passes where the
-    # function is steep; keep halving while there is room between lo and hi.
-    xi = 0.5 * (lo + hi)
-    achieved = fn(xi)
-    while abs(achieved - goal) > RESIDUAL_REL_TOL * goal and lo < xi < hi:
-        if sign * (achieved - goal) < 0.0:
+        if r < 0.0:
             lo = xi
         else:
             hi = xi
-        xi = 0.5 * (lo + hi)
-        achieved = fn(xi)
-    if abs(achieved - goal) > RESIDUAL_REL_TOL * goal:
+        steps += 1
+        narrow = narrow or steps == 200 or hi - lo <= XI_REL_TOL * max(abs(lo), abs(hi))
+    if missed:
         raise MonotonicityError(
             f"bisection landed at bound value {achieved:g}, target {goal:g}; "
             "the function may step discontinuously"
         )
-    return xi, found
+    return xi
 
 
 def solve_threshold(
@@ -353,58 +346,51 @@ def solve_threshold(
 ) -> float:
     """Parameter value where scale * bound_fn(xi) crosses the capacity target.
 
-    ``bound_fn`` must be monotone on the bracket (verified by sampling).
-    Bisection runs to relative 1e-9 in xi, then on while there is room, until
-    the result reproduces target/scale to relative 1e-6. Raises
+    ``bound_fn`` must be monotone on the bracket: one scan of samples gives
+    its direction. Bisection runs to relative 1e-9 in xi, then on while there
+    is room, until the result reproduces target/scale to relative 1e-6. Raises
     NotAttainableError when the target lies outside the function's range even
     after bracket expansion, and MonotonicityError for non-monotone input.
     """
-    xi, _ = _solve(bound_fn, target, scale, bracket)
-    return xi
+    return _solve(bound_fn, target, scale, bracket, _scan(bound_fn, bracket))
 
 
 def _compound_at(spec: WrnSpec, param: str, qkd_setup: qkd_mod.QkdSetup | None):
-    """(xi -> reduced edge compound in family-native numbers, start bracket)."""
+    """(xi -> reduced edge compound in family-native numbers, or None for a dark fibre; bracket)."""
+    families = {PARAM_EDGE_LENGTH: spec.family, PARAM_INTERNAL_LOSS: FAMILY_AD,
+                PARAM_RECEIVER_NOISE: FAMILY_TL}
+    if param not in families:
+        raise DomainError(f"param must be one of {sorted(families)}, got {param!r}")
+    if families[param] != spec.family:
+        raise FamilyError(f"{param} is a parameter of {families[param]!r}-family lattices")
+    if qkd_setup is not None and (param, spec.family) != (PARAM_EDGE_LENGTH, FAMILY_TL):
+        # The QKD model sets the receiver noise, so it has no place in a receiverNoise solve.
+        raise FamilyError("qkd_setup applies to edgeLength solves on thermal-loss lattices only")
 
     def eta(d: float) -> float:
         return fibre_transmissivity(spec.gamma, d)
 
-    if param == PARAM_EDGE_LENGTH:
-        if spec.family == FAMILY_AD:
-            if qkd_setup is not None:
-                raise FamilyError("QKD receiver models apply to thermal-loss lattices only")
-            p_send, p_recv = as_damping(spec.send), as_damping(spec.recv)
-            return (lambda d: compound(FAMILY_AD, p_send, 1.0 - eta(d), p_recv)), BRACKET_START
-        if qkd_setup is not None:
-            def qkd_compound(d: float):
-                eta_d = eta(d)
-                recv = (qkd_setup.tau_eff, qkd_mod.receiver_noise(qkd_setup, eta_d))
-                return compound(FAMILY_TL, (1.0, 0.0), (eta_d, spec.nbar_B), recv)
-
-            return qkd_compound, BRACKET_START
-        send_t, recv_t = as_thermal(spec.send), as_thermal(spec.recv)
-        return (lambda d: compound(FAMILY_TL, send_t, (eta(d), spec.nbar_B), recv_t)), BRACKET_START
-
     if param == PARAM_INTERNAL_LOSS:
-        if spec.family != FAMILY_AD:
-            raise FamilyError("internal loss is the damping-family parameter")
-        if qkd_setup is not None:
-            raise FamilyError("QKD receiver models apply to thermal-loss lattices only")
         # The swept internal loss stands in for both device templates.
         p_edge = 1.0 - eta(spec.edge_length_km)
         return (lambda p: compound(FAMILY_AD, p, p_edge, 0.0)), (BRACKET_START[0], 1.0 - 1e-9)
-
     if param == PARAM_RECEIVER_NOISE:
-        if spec.family != FAMILY_TL:
-            raise FamilyError("receiver noise is the thermal-family parameter")
         tau_r, send_t = as_thermal(spec.recv)[0], as_thermal(spec.send)
         fibre = (eta(spec.edge_length_km), spec.nbar_B)
-        return (lambda n: compound(FAMILY_TL, send_t, fibre, (tau_r, n))), BRACKET_START
+        at = (lambda n: compound(FAMILY_TL, send_t, fibre, (tau_r, n))) if fibre[0] > 0.0 else None
+        return at, BRACKET_START
+    if spec.family == FAMILY_AD:
+        p_send, p_recv = as_damping(spec.send), as_damping(spec.recv)
+        return (lambda d: compound(FAMILY_AD, p_send, 1.0 - eta(d), p_recv)), BRACKET_START
+    if qkd_setup is not None:
+        def qkd_compound(d: float):
+            eta_d = eta(d)
+            recv = (qkd_setup.tau_eff, qkd_mod.receiver_noise(qkd_setup, eta_d))
+            return compound(FAMILY_TL, (1.0, 0.0), (eta_d, spec.nbar_B), recv)
 
-    raise DomainError(
-        f"param must be one of {PARAM_EDGE_LENGTH!r}, {PARAM_INTERNAL_LOSS!r}, "
-        f"{PARAM_RECEIVER_NOISE!r}, got {param!r}"
-    )
+        return qkd_compound, BRACKET_START
+    send_t, recv_t = as_thermal(spec.send), as_thermal(spec.recv)
+    return (lambda d: compound(FAMILY_TL, send_t, (eta(d), spec.nbar_B), recv_t)), BRACKET_START
 
 
 def bound_functions(
@@ -417,9 +403,12 @@ def bound_functions(
     The remaining parameters are frozen from the spec. With a QKD setup the
     receiver template becomes ThermalLoss(tau_eff, nbar_r(eta(d))) and the
     sender is ideal; that combination only applies to thermal-loss lattices
-    varied over edge length. Each function evaluates its own side only.
+    varied over edge length. Each function evaluates its own side only; a
+    dark fibre (transmissivity 0) bounds both by 0, as damping with p = 1 does.
     """
     at, bracket = _compound_at(spec, param, qkd_setup)
+    if at is None:
+        return (lambda x: 0.0), (lambda x: 0.0), bracket
     fam = spec.family
     return (
         lambda x: compound_bound(fam, at(x), "lower")[0],
@@ -433,40 +422,39 @@ def connectivity(spec: WrnSpec) -> tuple[int, Fraction]:
     return d, omega(spec.k, d)
 
 
-def solve_at_scale(
-    spec: WrnSpec, target: float, param: str, scale_name: str, qkd_setup: qkd_mod.QkdSetup | None = None
-) -> ThresholdResult:
-    """Thresholds from the lower and the upper bound function at one scale.
+def thresholds(spec: WrnSpec, cases, param: str,
+               qkd_setup: qkd_mod.QkdSetup | None = None) -> list[ThresholdResult]:
+    """Thresholds from the lower and the upper bound function, one per case.
 
-    ``scale_name`` is "delta" (bulk edges) or "omega" (user edges). A side
-    whose per-edge target is out of reach is nan, and the first such
-    NotAttainableError is kept in ``unattainable``.
+    Each case is a (target, scale name) pair; the scale name is "delta" (bulk
+    edges) or "omega" (user edges). Each bound function is scanned once and
+    then solved for every case. A side whose per-edge target is out of reach
+    is nan, and the first such NotAttainableError is kept in ``unattainable``.
     """
     scales = dict(zip(SCALE_NAMES, connectivity(spec)))
-    if scale_name not in scales:
-        raise DomainError(f"scale must be one of {SCALE_NAMES}, got {scale_name!r}")
-    scale = float(scales[scale_name])
     lower_fn, upper_fn, bracket = bound_functions(spec, param, qkd_setup)
-    solved, unattainable = [], None
-    for fn in (lower_fn, upper_fn):
-        try:
-            solved.append(_solve(fn, target, scale, bracket))
-        except NotAttainableError as exc:
-            solved.append((math.nan, None))
-            unattainable = unattainable or exc
-    (xi_lo, direction), (xi_up, direction_up) = solved
-    if None not in (direction, direction_up) and direction != direction_up:
-        raise MonotonicityError("lower and upper bound functions disagree in direction")
-    return ThresholdResult(
-        param=param,
-        scale_name=scale_name,
-        scale=scale,
-        target=target,
-        direction=direction or direction_up,
-        from_lower_fn=xi_lo,
-        from_upper_fn=xi_up,
-        unattainable=unattainable,
-    )
+    sides = [(fn, _scan(fn, bracket)) for fn in (lower_fn, upper_fn)]
+    results = []
+    for target, scale_name in cases:
+        if scale_name not in scales:
+            raise DomainError(f"scale must be one of {SCALE_NAMES}, got {scale_name!r}")
+        scale = float(scales[scale_name])
+        solved, unattainable = [], None
+        for fn, scan in sides:
+            try:
+                solved.append((_solve(fn, target, scale, bracket, scan), scan[0]))
+            except NotAttainableError as exc:
+                solved.append((math.nan, None))
+                unattainable = unattainable or exc
+        (xi_lo, direction), (xi_up, direction_up) = solved
+        if None not in (direction, direction_up) and direction != direction_up:
+            raise MonotonicityError("lower and upper bound functions disagree in direction")
+        results.append(ThresholdResult(
+            param=param, scale_name=scale_name, scale=scale, target=target,
+            direction=direction or direction_up, from_lower_fn=xi_lo, from_upper_fn=xi_up,
+            unattainable=unattainable,
+        ))
+    return results
 
 
 def threshold_report(
@@ -479,9 +467,8 @@ def threshold_report(
 
     Raises NotAttainableError when either bound function misses the target.
     """
-    results = []
-    for scale_name in SCALE_NAMES:
-        results.append(solve_at_scale(spec, target, param, scale_name, qkd_setup))
-        if results[-1].unattainable is not None:
-            raise results[-1].unattainable
-    return results[0], results[1]
+    bulk, user = thresholds(spec, [(target, name) for name in SCALE_NAMES], param, qkd_setup)
+    for result in (bulk, user):
+        if result.unattainable is not None:
+            raise result.unattainable
+    return bulk, user

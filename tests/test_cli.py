@@ -523,6 +523,47 @@ def test_receiver_noise_sweep_rejects_qkd_setup(tmp_path, capsys, placement):
     assert "qkd_setup" in error["message"]
 
 
+@pytest.mark.parametrize("command", ["threshold", "sweep"])
+def test_receiver_noise_solves_reject_qkd_setup(tmp_path, capsys, command):
+    # The QKD receiver model sets the receiver noise that the solve varies.
+    wrn_spec = {**MAN_SPEC, "qkd_setup": "table1-heterodyne-llo"}
+    if command == "threshold":
+        argv = ("--spec", write_json(tmp_path / "wrn.json", wrn_spec),
+                "--target", "1e-3", "--param", "receiver-noise")
+    else:
+        argv = ("--spec", write_json(tmp_path / "sweep.json", {
+            "variable": "targetCapacity", "start": 1e-3, "stop": 1e-2, "steps": 3, "scale": "log",
+            "param": "receiverNoise", "wrn": wrn_spec}))
+    code, out, err = run(capsys, command, *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "input"
+    assert "qkd_setup" in error["message"]
+
+
+def test_receiver_noise_on_a_dark_fibre_is_not_attainable(tmp_path, capsys):
+    # At gamma = 0.02 the transmissivity 10^(-gamma d) is 0.0 from about 16.2k km.
+    spec = write_json(tmp_path / "wrn.json", {**MAN_SPEC, "edge_length_km": 20000.0})
+    code, out, err = run(capsys, "threshold", "--spec", spec, "--target", "1e-3", "--param", "receiver-noise")
+    assert code == EXIT_NOT_ATTAINABLE
+    assert out == ""
+    assert json.loads(err)["error"] == "not-attainable"
+    sweep = write_json(tmp_path / "sweep.json", {
+        "variable": "edgeLength", "start": 10000.0, "stop": 20000.0, "steps": 6, "target": 1e-3,
+        "wrn": MAN_SPEC,
+    })
+    code, out, err = run(capsys, "sweep", "--spec", sweep)
+    assert code == EXIT_OK, err
+    rows = [[float(x) for x in line.split(",")] for line in out.splitlines()[3:]]
+    assert [row[0] for row in rows] == [10000.0, 12000.0, 14000.0, 16000.0, 18000.0, 20000.0]
+    for d, lo, up, llo, tlo in rows:
+        assert math.isnan(lo) and math.isnan(up)
+        # No light from ~16,180 km; the transmitted LO's detected power underflows from ~15,210 km.
+        assert math.isnan(llo) == (d > 16180.0)
+        assert math.isnan(tlo) == (d > 15210.0)
+
+
 def test_qkd_setup_has_no_background_photon_key(tmp_path, capsys):
     # The fibre background is the lattice's nbar_B; the receiver has none.
     spec = write_json(tmp_path / "wrn.json", {**MAN_SPEC, "qkd_setup": {"nbar_B": 0.002}})
@@ -657,6 +698,8 @@ SWEEPS = [
      "wrn": TRI_SPEC},
     {"variable": "receiverNoise", "start": 1e-3, "stop": 1e-2, "steps": 2, "target": 1e-2,
      "wrn": LATTICES[2]},
+    {"variable": "targetCapacity", "start": 1e-3, "stop": 1e-2, "steps": 2, "scale": "log",
+     "param": "receiverNoise", "wrn": LATTICES[4]},
 ]
 SWEEP_PATHS = [(key,) for key in ("variable", "start", "stop", "steps", "scale", "wrn", "target",
                                   "param", "qkd_setup")]
@@ -686,8 +729,22 @@ NETWORK_PATHS += [("edges", i, "channel", key) for i in range(3)
                   for key in ("kind", "p", "tau", "nbar", "eta")]
 
 
+def with_drawn_lengths(bases, *nest):
+    """A base as it is, or with the edge_length_km of its lattice (under ``nest``) drawn up to 1e5 km."""
+
+    def place(base, length):
+        doc = copy.deepcopy(base)
+        lattice = doc
+        for key in nest:
+            lattice = lattice[key]
+        lattice["edge_length_km"] = length
+        return doc
+
+    return st.one_of(st.sampled_from(bases), st.builds(place, st.sampled_from(bases), st.floats(1e-3, 1e5)))
+
+
 def spoiled(bases, paths, bad=BAD):
-    """A deep copy of one base with up to two paths set to a ``bad`` value or removed."""
+    """A deep copy of a drawn base with up to two paths set to a ``bad`` value or removed."""
 
     def apply(base, faults):
         doc = copy.deepcopy(base)
@@ -704,7 +761,7 @@ def spoiled(bases, paths, bad=BAD):
         return doc
 
     faults = st.lists(st.tuples(st.sampled_from(paths), st.sampled_from([*bad, MISSING])), max_size=2)
-    return st.builds(apply, st.sampled_from(bases), faults)
+    return st.builds(apply, bases, faults)
 
 
 TARGETS = st.sampled_from(["1e-2", "1e-3", "0", "-1", "nan", "inf", "1e308", "5e-324"])
@@ -714,12 +771,15 @@ PARAMS = st.sampled_from(["edge-length", "internal-loss", "receiver-noise"])
 @settings(max_examples=600, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(st.one_of(
-    st.tuples(st.just("threshold"), spoiled(LATTICES, LATTICE_PATHS),
+    st.tuples(st.just("threshold"), spoiled(with_drawn_lengths(LATTICES), LATTICE_PATHS),
               st.tuples(st.just("--target"), TARGETS, st.just("--param"), PARAMS)),
-    st.tuples(st.just("sweep"), spoiled(SWEEPS, SWEEP_PATHS), st.just(())),
-    st.tuples(st.sampled_from(["validate", "analyze"]), spoiled(NETWORKS, NETWORK_PATHS, NETWORK_BAD),
-              st.just(())),
+    st.tuples(st.just("sweep"), spoiled(with_drawn_lengths(SWEEPS, "wrn"), SWEEP_PATHS), st.just(())),
+    st.tuples(st.sampled_from(["validate", "analyze"]),
+              spoiled(st.sampled_from(NETWORKS), NETWORK_PATHS, NETWORK_BAD), st.just(())),
 ))
+@example(("threshold", {**MAN_SPEC, "edge_length_km": 20000.0},
+          ("--target", "1e-3", "--param", "receiver-noise")))
+@example(("threshold", LATTICES[4], ("--target", "1e-3", "--param", "receiver-noise")))
 @example(("validate", {**NETWORKS[1], "edges": [{"a": "b", "b": "c", "fibre": {"length_km": HUGE_INT}}]}, ()))
 @example(("analyze", {**NETWORKS[0], "nodes": [{"id": "b", "send": {"kind": "tl", "tau": HUGE_INT}}]}, ()))
 @example(("sweep", {**SWEEPS[0], "steps": HUGE_INT}, ()))

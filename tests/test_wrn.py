@@ -1,10 +1,15 @@
 import dataclasses
+import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qnetcap import wrn
 from qnetcap.channels import AmplitudeDamping, Identity, ThermalLoss
+from qnetcap.cli import main
 from qnetcap.errors import DomainError, FamilyError, MonotonicityError, NotAttainableError
 from qnetcap.network import NetworkGraph, annotate_uniform, apply_split, validate
 from qnetcap.oracles import check_weak_regularity, edge_count, node_count, verify_theorem2
@@ -13,6 +18,7 @@ from qnetcap.wrn import (
     CELL_MANHATTAN,
     CELL_TRIANGULAR,
     DIRECTION_MAX,
+    DIRECTION_MIN,
     ThresholdResult,
     WrnSpec,
     bound_functions,
@@ -21,9 +27,9 @@ from qnetcap.wrn import (
     generate,
     min_nodal_density,
     omega,
-    solve_at_scale,
     solve_threshold,
     threshold_report,
+    thresholds,
 )
 
 
@@ -186,6 +192,165 @@ def test_solve_threshold_bad_target():
         solve_threshold(lambda x: 1.0 / x, 1.0, -2.0)
 
 
+def _reference_scan_direction(fn, lo, hi, goal):
+    """The solver's direction scan as it was before one scan served every goal."""
+    if lo <= 0.0:
+        raise DomainError(f"search bracket must be positive, got [{lo}, {hi}]")
+    ratio = (hi / lo) ** (1.0 / (wrn.MONOTONE_SAMPLES - 1))
+    xs = [lo * ratio**i for i in range(wrn.MONOTONE_SAMPLES - 1)] + [hi]
+    values = [fn(x) for x in xs]
+    rises = any(b > a for a, b in zip(values, values[1:]))
+    falls = any(b < a for a, b in zip(values, values[1:]))
+    if rises and falls:
+        raise MonotonicityError("bound function is not monotone on the search bracket")
+    if not rises and not falls:
+        if values[0] < goal:
+            raise NotAttainableError("bound function is constant below the goal")
+        raise MonotonicityError("bound function is constant on the search bracket")
+    return DIRECTION_MIN if rises else DIRECTION_MAX
+
+
+def _reference_solve(fn, target, scale, bracket):
+    """The solver as it was before its two bisection loops became one."""
+    if target <= 0.0 or math.isnan(target):
+        raise DomainError(f"capacity target must be > 0, got {target}")
+    if scale <= 0.0:
+        raise DomainError(f"scale must be > 0, got {scale}")
+    goal = target / float(scale)
+    lo, hi = bracket
+    found = _reference_scan_direction(fn, lo, hi, goal)
+    sign = -1.0 if found == DIRECTION_MAX else 1.0
+
+    def residual(x):
+        return sign * (fn(x) - goal)
+
+    r_lo, r_hi = residual(lo), residual(hi)
+    try:
+        expansions = 0
+        while r_lo > 0.0 and expansions < wrn.MAX_EXPANSIONS:
+            lo /= 2.0
+            r_lo = residual(lo)
+            expansions += 1
+        expansions = 0
+        while r_hi < 0.0 and expansions < wrn.MAX_EXPANSIONS:
+            hi *= 2.0
+            r_hi = residual(hi)
+            expansions += 1
+    except DomainError as exc:
+        raise NotAttainableError(str(exc)) from exc
+    if r_lo > 0.0 or r_hi < 0.0:
+        raise NotAttainableError("out of reach")
+    if r_lo == 0.0:
+        return lo
+    if r_hi == 0.0:
+        return hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        r_mid = residual(mid)
+        if r_mid == 0.0:
+            lo = hi = mid
+            break
+        if r_mid < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= wrn.XI_REL_TOL * max(abs(lo), abs(hi)):
+            break
+    xi = 0.5 * (lo + hi)
+    achieved = fn(xi)
+    while abs(achieved - goal) > wrn.RESIDUAL_REL_TOL * goal and lo < xi < hi:
+        if sign * (achieved - goal) < 0.0:
+            lo = xi
+        else:
+            hi = xi
+        xi = 0.5 * (lo + hi)
+        achieved = fn(xi)
+    if abs(achieved - goal) > wrn.RESIDUAL_REL_TOL * goal:
+        raise MonotonicityError("bisection missed the goal")
+    return xi
+
+
+# Monotone test functions: name -> (a, b) -> fn, for a, b > 0.
+_MONOTONE = {
+    "power": lambda a, b: (lambda x: a * x ** (b - 2.0)),
+    "log-rising": lambda a, b: (lambda x: a * math.log1p(b * x)),
+    "log-falling": lambda a, b: (lambda x: a * math.log1p(b / x)),
+    "steep-falling": lambda a, b: (lambda x: a * math.exp(-b * 100.0 * x)),
+    "steep-rising": lambda a, b: (lambda x: a * x**40),
+    "constant": lambda a, b: (lambda x: a),
+    "step": lambda a, b: (lambda x: a if x >= b else 0.0),
+    # Not a number past b: no residual test fails there, so the loops stop.
+    "nan-above": lambda a, b: (lambda x: a * x if x < b else math.nan),
+}
+
+
+def _outcome(solve, *args):
+    try:
+        return float.hex(solve(*args))
+    except (DomainError, MonotonicityError, NotAttainableError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_MONOTONE)),
+    a=st.floats(1e-3, 1e3),
+    b=st.floats(1e-2, 4.0),
+    target=st.floats(1e-6, 1e3),
+    scale=st.floats(1.0, 40.0),
+    bracket=st.sampled_from([wrn.BRACKET_START, (1e-6, 1.0 - 1e-9), (0.5, 2.0), (1e-3, 10.0)]),
+)
+@example(kind="constant", a=0.5, b=1.0, target=1.0, scale=1.0, bracket=wrn.BRACKET_START)
+@example(kind="constant", a=0.5, b=1.0, target=0.25, scale=1.0, bracket=wrn.BRACKET_START)
+@example(kind="step", a=1.0, b=3.0, target=0.5, scale=1.0, bracket=wrn.BRACKET_START)
+@example(kind="power", a=1.0, b=3.0, target=2.0, scale=1.0, bracket=(1e-3, 10.0))
+@example(kind="power", a=1.0, b=3.0, target=1.25, scale=1.0, bracket=(0.5, 2.0))  # first midpoint exact
+@example(kind="nan-above", a=1.0, b=1.5, target=1.25, scale=1.0, bracket=(0.5, 2.0))
+def test_one_loop_solve_matches_the_two_loop_reference(kind, a, b, target, scale, bracket):
+    fn = _MONOTONE[kind](a, b)
+    assert _outcome(solve_threshold, fn, target, scale, bracket) == _outcome(
+        _reference_solve, fn, target, scale, bracket
+    )
+
+
+def _count_scans(monkeypatch):
+    calls = []
+    scan = wrn._scan
+
+    def counting(fn, bracket):
+        calls.append(bracket)
+        return scan(fn, bracket)
+
+    monkeypatch.setattr(wrn, "_scan", counting)
+    return calls
+
+
+def test_threshold_report_scans_each_side_once(monkeypatch):
+    calls = _count_scans(monkeypatch)
+    threshold_report(man_spec(), 1e-2, "edgeLength")
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("variable,extra,scans", [
+    ("targetCapacity", {"start": 1e-3, "stop": 1e-1, "scale": "log"}, lambda n: 2),
+    ("edgeLength", {"start": 1.0, "stop": 40.0, "target": 1e-2}, lambda n: 2 * n),
+])
+def test_sweeps_scan_once_per_spec(tmp_path, monkeypatch, variable, extra, scans):
+    steps = 7
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"variable": variable, "steps": steps, **extra,
+                                "wrn": {"cell": "manhattan8", "radius": 2, "edge_length_km": 10.0}}))
+    calls = _count_scans(monkeypatch)
+    assert main(["sweep", "--spec", str(path), "--out", str(tmp_path / "out.csv")]) == 0
+    assert len(calls) == scans(steps)
+
+
+def test_thresholds_solve_many_goals_as_one_goal_each():
+    spec = man_spec()
+    cases = [(t, name) for t in (1e-3, 1e-2, 1e9) for name in ("delta", "omega")]
+    assert thresholds(spec, cases, "edgeLength") == [thresholds(spec, [c], "edgeLength")[0] for c in cases]
+
+
 def test_threshold_report_brackets_and_residual():
     spec = man_spec()
     bulk, user = threshold_report(spec, 1e-2, "edgeLength")
@@ -265,18 +430,18 @@ def test_internal_loss_solve_meets_residual_where_steep():
         assert abs(fn(xi) - goal) <= 1e-6 * goal
 
 
-def test_solve_at_scale_marks_unattainable_sides():
+def test_thresholds_mark_unattainable_sides():
     spec = man_spec()
-    result = solve_at_scale(spec, 1e9, "edgeLength", "delta")
+    [result] = thresholds(spec, [(1e9, "delta")], "edgeLength")
     assert math.isnan(result.from_lower_fn) and math.isnan(result.from_upper_fn)
     assert isinstance(result.unattainable, NotAttainableError)
     with pytest.raises(NotAttainableError):
         threshold_report(spec, 1e9, "edgeLength")
     bulk, user = threshold_report(spec, 1e-2, "edgeLength")
-    assert solve_at_scale(spec, 1e-2, "edgeLength", "delta") == bulk
-    assert solve_at_scale(spec, 1e-2, "edgeLength", "omega") == user
+    assert thresholds(spec, [(1e-2, "delta")], "edgeLength") == [bulk]
+    assert thresholds(spec, [(1e-2, "omega")], "edgeLength") == [user]
     with pytest.raises(DomainError):
-        solve_at_scale(spec, 1e-2, "edgeLength", "kappa")
+        thresholds(spec, [(1e-2, "kappa")], "edgeLength")
 
 
 @pytest.mark.parametrize("spec,param,other", [
