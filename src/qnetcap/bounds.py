@@ -149,6 +149,7 @@ class BoundKind(enum.Enum):
     SQUASHED_UPPER = "squashed-upper"
     REE_UPPER = "ree-upper"
     PLOB_EXACT = "plob-exact"
+    DARK_FIBRE = "dark-fibre"  # a thermal fibre of transmissivity 0: exactly 0
 
 
 def family_native(fam: str):

@@ -59,6 +59,7 @@ class Identity:
     """Neutral element for composition in either family."""
 
 
+IDENTITY = Identity()
 ChannelSpec = Union[AmplitudeDamping, ThermalLoss, Identity]
 
 
@@ -135,13 +136,19 @@ class NodeSpec:
     """
 
     id: str
-    recv: ChannelSpec = Identity()
-    send: ChannelSpec = Identity()
+    recv: ChannelSpec = IDENTITY
+    send: ChannelSpec = IDENTITY
     role: str = "repeater"
 
     def __post_init__(self):
-        if self.role not in ("repeater", "user"):
-            raise DomainError(f"node role must be 'repeater' or 'user', got {self.role!r}")
+        check_role(self.role)
+
+
+def check_role(role: str) -> str:
+    """``role`` if it names a node role, else DomainError."""
+    if role not in ("repeater", "user"):
+        raise DomainError(f"node role must be 'repeater' or 'user', got {role!r}")
+    return role
 
 
 def compose_ad(probs: Iterable[float]) -> float:
@@ -233,7 +240,7 @@ def channel_from_json(data: dict) -> ChannelSpec:
         if kind == "pl":  # pure loss: thermal loss with no added photons
             return ThermalLoss(float(data["eta"]))
         if kind == "id":
-            return Identity()
+            return IDENTITY
     except KeyError as exc:
         raise DomainError(f"channel kind {kind!r} is missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:

@@ -1,8 +1,9 @@
 """Undirected network graphs, their JSON form, validation and edge-bound annotation.
 
-A NetworkGraph carries node specs (with internal device channels), undirected
-edges given either as an explicit channel or as fibre parameters, and the pair
-of end users. ``apply_split`` turns it into a BoundedGraph by wrapping every
+A NetworkGraph holds, as columns, the nodes (names, internal device channels
+and roles), the undirected edges as pairs of node numbers, each with a class
+in a table of distinct fibres and explicit channels, and the pair of end
+users. ``apply_split`` turns it into a BoundedGraph by wrapping every
 edge in its endpoints' internal channels and evaluating the capacity bound
 functions, orientation-optimized per edge. Everything computed on a
 BoundedGraph lives in ``routing.py``; the per-edge reference that
@@ -12,7 +13,7 @@ BoundedGraph lives in ``routing.py``; the per-edge reference that
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import NamedTuple
 
 from .bounds import BOUND_ORDER_TOL, BoundKind, direction_bounds, family_native, orient
 from .channels import (
@@ -20,10 +21,12 @@ from .channels import (
     FAMILY_TL,
     ChannelSpec,
     FibreParams,
+    IDENTITY,
     Identity,
     NodeSpec,
     channel_from_json,
     channel_to_json,
+    check_role,
     family,
     fibre_channel,
 )
@@ -38,41 +41,60 @@ def check_selector(selector: str) -> str:
     return selector
 
 
-@dataclass(frozen=True)
-class Edge:
-    """Undirected edge given by an explicit channel or by fibre parameters."""
-
-    a: str
-    b: str
-    channel: ChannelSpec | None = None
-    fibre: FibreParams | None = None
-
-    def __post_init__(self):
-        if (self.channel is None) == (self.fibre is None):
-            raise DomainError(f"edge {self.a}-{self.b} needs exactly one of channel or fibre")
-
-    def endpoints(self) -> tuple[str, str]:
-        return (self.a, self.b)
-
-    def key(self) -> tuple[str, str]:
-        return (self.a, self.b) if self.a <= self.b else (self.b, self.a)
-
-    def resolve(self, fam: str) -> ChannelSpec:
-        if self.channel is not None:
-            return self.channel
-        return fibre_channel(self.fibre, fam)
+# One edge by endpoint names, with its explicit channel or its fibre.
+EdgeView = NamedTuple("EdgeView", [("a", str), ("b", str), ("channel", ChannelSpec | None),
+                                   ("fibre", FibreParams | None)])
 
 
 @dataclass(frozen=True)
 class NetworkGraph:
-    """Immutable network description; build once and share freely."""
+    """Immutable network description as columns; build once and share freely.
 
-    nodes: Mapping[str, NodeSpec]
-    edges: tuple[Edge, ...]
+    Node i is named ``names[i]`` and has the channels ``recv[i]`` and
+    ``send[i]`` and the role ``role[i]``. Names past the last node are
+    endpoints that name no node, which only a graph that fails ``validate``
+    has. Edge i joins node numbers ``a[i]`` and ``b[i]`` over
+    ``classes[cls[i]]``, a FibreParams or an explicit channel; each distinct
+    one is in the table once. Construction raises DomainError unless the
+    columns agree in length and every number indexes ``names`` or ``classes``.
+    The ``nodes`` and ``edges`` views rebuild one object per node or edge.
+    """
+
+    names: tuple[str, ...]
+    recv: tuple[ChannelSpec, ...]
+    send: tuple[ChannelSpec, ...]
+    role: tuple[str, ...]
+    a: tuple[int, ...]
+    b: tuple[int, ...]
+    cls: tuple[int, ...]
+    classes: tuple[FibreParams | ChannelSpec, ...]
     users: tuple[str, str] | None = None
     family: str | None = None
     # The resolved family, set by ``validate`` once it finds the graph valid.
     _valid_family: str | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        m = len(self.names)
+        if not len(self.recv) == len(self.send) == len(self.role) <= m:
+            raise DomainError("network graph needs a recv, send, role and name per node")
+        if not len(self.a) == len(self.b) == len(self.cls):
+            raise DomainError("network graph needs an a, b and cls per edge")
+        for what, column, size in (("a", self.a, m), ("b", self.b, m), ("cls", self.cls, len(self.classes))):
+            if column and not (min(column) >= 0 and max(column) < size):
+                raise DomainError(f"network graph column {what} must hold numbers 0 to {size - 1}")
+
+    @property
+    def nodes(self) -> dict[str, NodeSpec]:
+        """Each node as a NodeSpec, by name, built on demand."""
+        return {name: NodeSpec(name, recv, send, role)
+                for name, recv, send, role in zip(self.names, self.recv, self.send, self.role)}
+
+    @property
+    def edges(self) -> tuple[EdgeView, ...]:
+        """Each edge as an EdgeView, built on demand."""
+        names = self.names
+        sources = [(None, c) if isinstance(c, FibreParams) else (c, None) for c in self.classes]
+        return tuple(EdgeView(names[u], names[v], *sources[c]) for u, v, c in zip(self.a, self.b, self.cls))
 
 
 @dataclass(frozen=True)
@@ -125,24 +147,10 @@ class Cut:
     edges: tuple[tuple[str, str], ...]
 
 
-def _observed_families(graph: NetworkGraph) -> set[str]:
-    found = set()
-    for spec in graph.nodes.values():
-        for ch in (spec.recv, spec.send):
-            fam = family(ch)
-            if fam:
-                found.add(fam)
-    for edge in graph.edges:
-        if edge.channel is not None:
-            fam = family(edge.channel)
-            if fam:
-                found.add(fam)
-    return found
-
-
 def resolved_family(graph: NetworkGraph) -> str:
     """The single channel family of the graph, declared or inferred."""
-    found = _observed_families(graph)
+    explicit = (c for c in graph.classes if not isinstance(c, FibreParams))
+    found = {family(ch) for ch in {*graph.recv, *graph.send, *explicit}} - {None}
     if len(found) > 1:
         raise FamilyError("family mismatch: graph mixes amplitude-damping and thermal-loss channels")
     if found:
@@ -162,31 +170,29 @@ def validate(graph: NetworkGraph) -> list[str]:
     check it again.
     """
     violations = []
+    names, n = graph.names, len(graph.role)
     if graph.users is None:
         violations.append("users: required")
     else:
-        alpha, beta = graph.users
-        if alpha == beta:
+        if graph.users[0] == graph.users[1]:
             violations.append("users: end users must be two distinct nodes")
         for uid in graph.users:
-            if uid not in graph.nodes:
+            if uid not in names[:n]:
                 violations.append(f"users: unknown node {uid!r}")
     user_set = set(graph.users or ())
-    for node_id, spec in graph.nodes.items():
-        if spec.id != node_id:
-            violations.append(f"node {node_id!r}: key does not match spec id {spec.id!r}")
-        if spec.role == "user" and node_id not in user_set:
+    for node_id, role in zip(names, graph.role):
+        if role == "user" and node_id not in user_set:
             violations.append(f"node {node_id!r}: role 'user' but not an end user")
-    seen = set()
-    for edge in graph.edges:
-        for end in edge.endpoints():
-            if end not in graph.nodes:
-                violations.append(f"edge {edge.a}-{edge.b}: unknown endpoint {end!r}")
-        if edge.a == edge.b:
-            violations.append(f"edge {edge.a}-{edge.b}: self-loops are not allowed")
-        key = edge.key()
-        if key in seen:
-            violations.append(f"edge {edge.a}-{edge.b}: parallel edges are not allowed")
+    m, seen = len(names), set()  # an edge's key: smaller endpoint number * m + larger
+    for u, v in zip(graph.a, graph.b):
+        key = u * m + v if u < v else v * m + u
+        if u >= n or v >= n or u == v or key in seen:
+            edge = f"edge {names[u]}-{names[v]}"
+            violations.extend(f"{edge}: unknown endpoint {names[end]!r}" for end in (u, v) if end >= n)
+            if u == v:
+                violations.append(f"{edge}: self-loops are not allowed")
+            if key in seen:
+                violations.append(f"{edge}: parallel edges are not allowed")
         seen.add(key)
     if graph.family is not None and graph.family not in (FAMILY_AD, FAMILY_TL):
         violations.append(f"family: must be 'ad' or 'tl', got {graph.family!r}")
@@ -200,16 +206,27 @@ def validate(graph: NetworkGraph) -> list[str]:
     return violations
 
 
+# Both sides of a thermal fibre that transmits nothing.
+_DARK = (0.0, BoundKind.DARK_FIBRE, 0.0, BoundKind.DARK_FIBRE)
+
+
+def _numbered(values) -> tuple[list[int], list]:
+    """Each value's number among the distinct values, and those values in order."""
+    index: dict = {}
+    return [index.setdefault(value, len(index)) for value in values], list(index)
+
+
 def apply_split(graph: NetworkGraph) -> BoundedGraph:
     """Annotate every edge with orientation-optimized capacity bounds.
 
     A graph not yet found valid by ``validate`` is validated first. The
     graph's one channel family is resolved once and passed down to every edge.
-    Repeated classes are bounded once: an edge whose fibre equals the previous
-    edge's reuses its channel, and a direction whose family-native (send,
-    edge, recv) numbers equal the previous direction's reuses its bounds.
-    Orientation ids and ties are still decided per edge. Deterministic and
-    idempotent.
+    Each class is resolved to a family-native channel once. A direction whose
+    family-native (send, channel, recv) numbers equal the previous
+    direction's reuses its bounds, so a lattice is bounded once. A thermal
+    fibre of transmissivity 0 has bound 0 on both sides, of kind
+    ``DARK_FIBRE``. Orientation ids and ties are still decided per edge.
+    Deterministic and idempotent.
     """
     if graph._valid_family is None:
         violations = validate(graph)
@@ -217,31 +234,36 @@ def apply_split(graph: NetworkGraph) -> BoundedGraph:
             raise ValidationError(violations)
     fam = graph._valid_family
     native = family_native(fam)
-    number = {node_id: i for i, node_id in enumerate(graph.nodes)}
-    ends = [(native(spec.send), native(spec.recv)) for spec in graph.nodes.values()]
-    fibre = channel = key = values = None
+    send_id, sends = _numbered(map(native, graph.send))
+    recv_id, recvs = _numbered(map(native, graph.recv))
+    channel_id, channels = _numbered(
+        native(c) if not isinstance(c, FibreParams)
+        else None if fam == FAMILY_TL and c.transmissivity == 0.0
+        else native(fibre_channel(c, fam))
+        for c in graph.classes
+    )
+
+    key = values = None  # the last direction bounded, and its bounds
+
+    def bounded(direction):
+        nonlocal key, values
+        if direction != key:
+            s, c, r = key = direction
+            values = _DARK if channels[c] is None else direction_bounds(fam, sends[s], channels[c], recvs[r])
+        return values
+
+    names = graph.names
     rows = []
-    for edge in graph.edges:
-        if edge.fibre is None or (edge.fibre is not fibre and edge.fibre != fibre):
-            fibre, channel = edge.fibre, native(edge.resolve(fam))
-        u, v = number[edge.a], number[edge.b]
-        send_a, recv_a = ends[u]
-        send_b, recv_b = ends[v]
-        forward = (send_a, channel, recv_b)
-        if forward != key:
-            values, key = direction_bounds(fam, *forward), forward
-        forward_values = values
-        backward = (send_b, channel, recv_a)
-        if backward != key:
-            values, key = direction_bounds(fam, *backward), backward
-        backward_values = values
-        lower_back, upper_back = orient(edge.a, edge.b, forward_values, backward_values)
+    for u, v, c in zip(graph.a, graph.b, graph.cls):
+        c = channel_id[c]
+        forward_values = bounded((send_id[u], c, recv_id[v]))
+        backward_values = bounded((send_id[v], c, recv_id[u]))
+        lower_back, upper_back = orient(names[u], names[v], forward_values, backward_values)
         lower, lower_kind, _, _ = backward_values if lower_back else forward_values
         _, _, upper, upper_kind = backward_values if upper_back else forward_values
-        rows.append((u, v, lower, upper, lower_kind, upper_kind,
-                     v if lower_back else u, v if upper_back else u))
-    columns = tuple(zip(*rows)) or ((),) * 8
-    return BoundedGraph(tuple(graph.nodes), graph.users, *columns)
+        rows.append((lower, upper, lower_kind, upper_kind, v if lower_back else u, v if upper_back else u))
+    columns = tuple(zip(*rows)) or ((),) * 6
+    return BoundedGraph(names, graph.users, graph.a, graph.b, *columns)
 
 
 def annotate_uniform(graph: NetworkGraph, value: float) -> BoundedGraph:
@@ -250,40 +272,31 @@ def annotate_uniform(graph: NetworkGraph, value: float) -> BoundedGraph:
         raise DomainError(f"edge value must be >= 0, got {value}")
     if graph.users is None:
         raise ValidationError(["users: required"])
-    number = {node_id: i for i, node_id in enumerate(graph.nodes)}
-    for edge in graph.edges:
-        for end in edge.endpoints():
-            if end not in number:
-                raise DomainError(f"edge {edge.a}-{edge.b}: unknown endpoint {end!r}")
-    a = tuple(number[edge.a] for edge in graph.edges)
-    b = tuple(number[edge.b] for edge in graph.edges)
+    names, n, a, b = graph.names, len(graph.role), graph.a, graph.b
+    for u, v in zip(a, b):
+        if max(u, v) >= n:
+            raise DomainError(f"edge {names[u]}-{names[v]}: unknown endpoint {names[u if u >= n else v]!r}")
     exact = (BoundKind.PLOB_EXACT,) * len(a)
     values = (value,) * len(a)
-    return BoundedGraph(tuple(graph.nodes), graph.users, a, b, values, values, exact, exact, a, a)
+    return BoundedGraph(names, graph.users, a, b, values, values, exact, exact, a, a)
 
 
 def network_to_json(graph: NetworkGraph) -> dict:
+    """The per-edge-object JSON form; each edge has its own channel or fibre object."""
+    names = graph.names
     nodes = []
-    for node_id, spec in graph.nodes.items():
+    for node_id, recv, send, role in zip(names, graph.recv, graph.send, graph.role):
         entry: dict = {"id": node_id}
-        if not isinstance(spec.recv, Identity):
-            entry["recv"] = channel_to_json(spec.recv)
-        if not isinstance(spec.send, Identity):
-            entry["send"] = channel_to_json(spec.send)
-        entry["role"] = spec.role
+        if not isinstance(recv, Identity):
+            entry["recv"] = channel_to_json(recv)
+        if not isinstance(send, Identity):
+            entry["send"] = channel_to_json(send)
+        entry["role"] = role
         nodes.append(entry)
-    edges = []
-    for edge in graph.edges:
-        entry = {"a": edge.a, "b": edge.b}
-        if edge.channel is not None:
-            entry["channel"] = channel_to_json(edge.channel)
-        else:
-            entry["fibre"] = {
-                "length_km": edge.fibre.length_km,
-                "gamma": edge.fibre.gamma,
-                "nbar_B": edge.fibre.nbar_B,
-            }
-        edges.append(entry)
+    sources = [("fibre", {"length_km": c.length_km, "gamma": c.gamma, "nbar_B": c.nbar_B})
+               if isinstance(c, FibreParams) else ("channel", channel_to_json(c)) for c in graph.classes]
+    edges = [{"a": names[u], "b": names[v], sources[c][0]: {**sources[c][1]}}
+             for u, v, c in zip(graph.a, graph.b, graph.cls)]
     data = {"nodes": nodes, "edges": edges}
     if graph.users is not None:
         data["users"] = list(graph.users)
@@ -296,12 +309,14 @@ def load_network(data) -> tuple[NetworkGraph | None, list[str]]:
     """Parse a network JSON object, collecting violations instead of raising.
 
     Returns (graph, violations); the graph is None only when the input is too
-    malformed to build one at all.
+    malformed to build one at all. A node or edge with a violation of its own
+    is left out of the graph.
     """
     violations: list[str] = []
     if not isinstance(data, dict):
         return None, ["network: top-level object required"]
-    nodes: dict[str, NodeSpec] = {}
+    number: dict[str, int] = {}
+    recvs, sends, roles = [], [], []
     raw_nodes = data.get("nodes")
     if not isinstance(raw_nodes, list):
         violations.append("nodes: required")
@@ -311,57 +326,58 @@ def load_network(data) -> tuple[NetworkGraph | None, list[str]]:
             violations.append(f"node #{i}: object with an 'id' required")
             continue
         node_id = str(raw["id"])
-        if node_id in nodes:
+        if node_id in number:
             violations.append(f"node {node_id!r}: duplicate id")
             continue
-        recv: ChannelSpec = Identity()
-        send: ChannelSpec = Identity()
         try:
-            if "recv" in raw:
-                recv = channel_from_json(raw["recv"])
-            if "send" in raw:
-                send = channel_from_json(raw["send"])
-            nodes[node_id] = NodeSpec(
-                node_id, recv=recv, send=send, role=str(raw.get("role", "repeater"))
-            )
+            recv = channel_from_json(raw["recv"]) if "recv" in raw else IDENTITY
+            send = channel_from_json(raw["send"]) if "send" in raw else IDENTITY
+            role = check_role(str(raw.get("role", "repeater")))
         except DomainError as exc:
             violations.append(f"node {node_id!r}: {exc}")
-    edges: list[Edge] = []
+            continue
+        number[node_id] = len(number)
+        recvs.append(recv)
+        sends.append(send)
+        roles.append(role)
+    a, b, cls, classes = [], [], [], []
+    # Class numbers by explicit channel, and by a fibre's (length_km, gamma,
+    # nbar_B): FibreParams equality, without building one per edge.
+    class_of: dict = {}
     raw_edges = data.get("edges")
     if not isinstance(raw_edges, list):
         violations.append("edges: required")
         raw_edges = []
-    # One-entry memo: an edge whose raw fibre equals the last parsed one
-    # reuses its FibreParams, so a run of equal fibres is built once.
-    fibre_raw_prev = fibre = None
     for i, raw in enumerate(raw_edges):
         if not isinstance(raw, dict) or "a" not in raw or "b" not in raw:
             violations.append(f"edge #{i}: object with endpoints 'a' and 'b' required")
             continue
-        a, b = str(raw["a"]), str(raw["b"])
+        end_a, end_b = str(raw["a"]), str(raw["b"])
         has_channel = "channel" in raw
-        has_fibre = "fibre" in raw
-        if has_channel == has_fibre:
-            violations.append(f"edge {a}-{b}: exactly one of 'channel' or 'fibre' required")
+        if has_channel == ("fibre" in raw):
+            violations.append(f"edge {end_a}-{end_b}: exactly one of 'channel' or 'fibre' required")
             continue
         try:
             if has_channel:
-                edges.append(Edge(a, b, channel=channel_from_json(raw["channel"])))
+                key = channel_from_json(raw["channel"])
             else:
-                fibre_raw = raw["fibre"]
-                if fibre is None or fibre_raw != fibre_raw_prev:
-                    if not isinstance(fibre_raw, dict) or "length_km" not in fibre_raw:
-                        violations.append(f"edge {a}-{b}: fibre needs a 'length_km'")
-                        continue
-                    fibre = FibreParams(
-                        length_km=float(fibre_raw["length_km"]),
-                        gamma=float(fibre_raw.get("gamma", 0.02)),
-                        nbar_B=float(fibre_raw.get("nbar_B", 0.002)),
-                    )
-                    fibre_raw_prev = fibre_raw
-                edges.append(Edge(a, b, fibre=fibre))
+                fibre = raw["fibre"]
+                if not isinstance(fibre, dict) or "length_km" not in fibre:
+                    violations.append(f"edge {end_a}-{end_b}: fibre needs a 'length_km'")
+                    continue
+                key = (float(fibre["length_km"]), float(fibre.get("gamma", 0.02)),
+                       float(fibre.get("nbar_B", 0.002)))
+            c = class_of.get(key)
+            if c is None:
+                classes.append(key if has_channel else FibreParams(*key))
+                c = class_of[key] = len(classes) - 1
         except (DomainError, TypeError, ValueError, OverflowError) as exc:
-            violations.append(f"edge {a}-{b}: {exc}")
+            violations.append(f"edge {end_a}-{end_b}: {exc}")
+            continue
+        # An endpoint that names no node is numbered after the nodes.
+        a.append(number.setdefault(end_a, len(number)))
+        b.append(number.setdefault(end_b, len(number)))
+        cls.append(c)
     users = None
     if "users" in data:
         raw_users = data["users"]
@@ -372,13 +388,8 @@ def load_network(data) -> tuple[NetworkGraph | None, list[str]]:
     fam = data.get("family")
     if fam is not None:
         fam = str(fam)
-    graph = NetworkGraph(nodes=nodes, edges=tuple(edges), users=users, family=fam)
+    graph = NetworkGraph(tuple(number), tuple(recvs), tuple(sends), tuple(roles), tuple(a), tuple(b),
+                         tuple(cls), tuple(classes), users=users, family=fam)
     violations.extend(validate(graph))
     # Deduplicate while keeping first-seen order.
-    seen = set()
-    unique = []
-    for v in violations:
-        if v not in seen:
-            seen.add(v)
-            unique.append(v)
-    return graph, unique
+    return graph, list(dict.fromkeys(violations))

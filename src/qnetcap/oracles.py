@@ -298,19 +298,19 @@ def edge_count(spec: WrnSpec) -> int:
 
 def check_weak_regularity(graph: NetworkGraph, spec: WrnSpec) -> None:
     """Interior nodes must have degree k and a commonality multiset in the superset."""
-    neighbours: dict[str, set[str]] = {n: set() for n in graph.nodes}
-    for edge in graph.edges:
-        neighbours[edge.a].add(edge.b)
-        neighbours[edge.b].add(edge.a)
+    neighbours: list[set[int]] = [set() for _ in graph.names]
+    for u, v in zip(graph.a, graph.b):
+        neighbours[u].add(v)
+        neighbours[v].add(u)
     allowed = {tuple(sorted(lam)) for lam in spec.commonalities}
-    for node, nbrs in neighbours.items():
+    for node, nbrs in zip(graph.names, neighbours):
         if len(nbrs) != spec.k:
             continue  # boundary node of the finite patch
         lam = tuple(sorted(len(neighbours[other] & nbrs) for other in nbrs))
         if lam not in allowed:
             raise DomainError(f"node {node} has commonality multiset {lam}, outside the superset")
     for user in graph.users:
-        if len(neighbours[user]) != spec.k:
+        if len(neighbours[graph.names.index(user)]) != spec.k:
             raise DomainError(f"end user {user} is not an interior node")
 
 

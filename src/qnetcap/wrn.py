@@ -34,7 +34,6 @@ from .channels import (
     ChannelSpec,
     FibreParams,
     Identity,
-    NodeSpec,
     as_damping,
     as_thermal,
     family,
@@ -155,20 +154,16 @@ _TRI_HALF_DIRS = ((1, 0), (0, 1), (-1, 1))
 _KING_HALF_DIRS = ((1, 0), (0, 1), (1, 1), (1, -1))
 
 
-def _node_id(coord: tuple[int, int]) -> str:
-    return f"n{coord[0]}_{coord[1]}"
-
-
 def generate(spec: WrnSpec) -> NetworkGraph:
-    """Build the lattice patch as a NetworkGraph with uniform fibre edges.
+    """Build the lattice patch as a NetworkGraph whose edges share one fibre class.
 
-    End users are the two lattice nodes at offsets (-2, 0) and (2, 0) from the
-    centre: four hops apart, non-adjacent, and at least two node rings away
-    from the boundary for every allowed radius.
+    Node (x, y) is named ``n{x}_{y}``. End users are the two lattice nodes at
+    offsets (-2, 0) and (2, 0) from the centre: four hops apart, non-adjacent,
+    and at least two node rings away from the boundary for every allowed radius.
     """
     # Imported here: the threshold solver, the rest of this module, never
     # builds a graph, so ``threshold`` and ``sweep`` do not load ``network``.
-    from .network import Edge, NetworkGraph
+    from .network import NetworkGraph
 
     rings = 2 * spec.radius
     if spec.cell_type == CELL_TRIANGULAR:
@@ -177,24 +172,22 @@ def generate(spec: WrnSpec) -> NetworkGraph:
     else:
         coords = [(x, y) for x in range(-rings, rings + 1) for y in range(-rings, rings + 1)]
         half_dirs = _KING_HALF_DIRS
-    member = set(coords)
-    users = ((-2, 0), (2, 0))
-    fibre = FibreParams(length_km=spec.edge_length_km, gamma=spec.gamma, nbar_B=spec.nbar_B)
-    nodes = {}
-    for coord in coords:
-        role = "user" if coord in users else "repeater"
-        node_id = _node_id(coord)
-        nodes[node_id] = NodeSpec(node_id, recv=spec.recv, send=spec.send, role=role)
-    edges = []
-    for coord in coords:
+    number = {coord: i for i, coord in enumerate(coords)}
+    a, b = [], []
+    for (x, y), u in number.items():
         for dx, dy in half_dirs:
-            other = (coord[0] + dx, coord[1] + dy)
-            if other in member:
-                edges.append(Edge(_node_id(coord), _node_id(other), fibre=fibre))
+            v = number.get((x + dx, y + dy))
+            if v is not None:
+                a.append(u)
+                b.append(v)
+    users = ((-2, 0), (2, 0))
+    n = len(coords)
     return NetworkGraph(
-        nodes=nodes,
-        edges=tuple(edges),
-        users=(_node_id(users[0]), _node_id(users[1])),
+        tuple(f"n{x}_{y}" for x, y in coords), (spec.recv,) * n, (spec.send,) * n,
+        tuple("user" if coord in users else "repeater" for coord in coords),
+        tuple(a), tuple(b), (0,) * len(a),
+        (FibreParams(length_km=spec.edge_length_km, gamma=spec.gamma, nbar_B=spec.nbar_B),),
+        users=tuple(f"n{x}_{y}" for x, y in users),
         family=spec.family,
     )
 

@@ -564,6 +564,24 @@ def test_receiver_noise_on_a_dark_fibre_is_not_attainable(tmp_path, capsys):
         assert math.isnan(tlo) == (d > 15210.0)
 
 
+@pytest.mark.parametrize("cell", ["manhattan8", "triangular6"])
+def test_analyze_gives_a_dark_fibre_network_capacity_zero(tmp_path, capsys, cell):
+    # 20,000 km of fibre transmits 10^(-400), which is 0.0; a file may also say 1e400 km.
+    net = tmp_path / "net.json"
+    code, _, err = run(capsys, "generate", "--cell", cell, "--radius", "2", "--d", "20000", "--out", str(net))
+    assert code == EXIT_OK, err
+    huge = tmp_path / "huge.json"
+    huge.write_text(net.read_text().replace('"length_km": 20000.0', '"length_km": 1e400'))
+    for path in (net, huge):
+        code, out, err = run(capsys, "validate", "--in", str(path))
+        assert (code, json.loads(out)) == (EXIT_OK, {"violations": []})
+        code, out, err = run(capsys, "analyze", "--in", str(path))
+        assert code == EXIT_OK, err
+        report = json.loads(out)
+        assert all(side == 0.0 for entry in report["report"].values() for side in entry.values())
+        assert report["mincut"]["value"] == 0.0
+
+
 def test_qkd_setup_has_no_background_photon_key(tmp_path, capsys):
     # The fibre background is the lattice's nbar_B; the receiver has none.
     spec = write_json(tmp_path / "wrn.json", {**MAN_SPEC, "qkd_setup": {"nbar_B": 0.002}})
@@ -743,6 +761,18 @@ def with_drawn_lengths(bases, *nest):
     return st.one_of(st.sampled_from(bases), st.builds(place, st.sampled_from(bases), st.floats(1e-3, 1e5)))
 
 
+def with_fibre_lengths(bases):
+    """A network as it is, or with the length_km of its one fibre drawn, lengths that transmit nothing included."""
+
+    def place(base, length):
+        doc = copy.deepcopy(base)
+        next(edge for edge in doc["edges"] if "fibre" in edge)["fibre"]["length_km"] = length
+        return doc
+
+    lengths = st.one_of(st.floats(1e-3, 1e5), st.sampled_from([2e4, 1e300, math.inf]))
+    return st.one_of(st.sampled_from(bases), st.builds(place, st.sampled_from(bases), lengths))
+
+
 def spoiled(bases, paths, bad=BAD):
     """A deep copy of a drawn base with up to two paths set to a ``bad`` value or removed."""
 
@@ -775,7 +805,7 @@ PARAMS = st.sampled_from(["edge-length", "internal-loss", "receiver-noise"])
               st.tuples(st.just("--target"), TARGETS, st.just("--param"), PARAMS)),
     st.tuples(st.just("sweep"), spoiled(with_drawn_lengths(SWEEPS, "wrn"), SWEEP_PATHS), st.just(())),
     st.tuples(st.sampled_from(["validate", "analyze"]),
-              spoiled(st.sampled_from(NETWORKS), NETWORK_PATHS, NETWORK_BAD), st.just(())),
+              spoiled(with_fibre_lengths(NETWORKS), NETWORK_PATHS, NETWORK_BAD), st.just(())),
 ))
 @example(("threshold", {**MAN_SPEC, "edge_length_km": 20000.0},
           ("--target", "1e-3", "--param", "receiver-noise")))
@@ -783,6 +813,7 @@ PARAMS = st.sampled_from(["edge-length", "internal-loss", "receiver-noise"])
 @example(("validate", {**NETWORKS[1], "edges": [{"a": "b", "b": "c", "fibre": {"length_km": HUGE_INT}}]}, ()))
 @example(("analyze", {**NETWORKS[0], "nodes": [{"id": "b", "send": {"kind": "tl", "tau": HUGE_INT}}]}, ()))
 @example(("sweep", {**SWEEPS[0], "steps": HUGE_INT}, ()))
+@example(("analyze", {**NETWORKS[0], "edges": [{"a": "a", "b": "c", "fibre": {"length_km": 2e4}}]}, ()))
 def test_every_subcommand_maps_arbitrary_json_to_an_exit_code(tmp_path, case):
     command, data, extra = case
     path = tmp_path / "in.json"

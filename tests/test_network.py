@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnetcap import bounds, network
 from qnetcap.bounds import BoundKind
@@ -13,6 +15,7 @@ from qnetcap.channels import (
     Identity,
     NodeSpec,
     ThermalLoss,
+    fibre_channel,
 )
 from qnetcap.errors import (
     DomainError,
@@ -21,8 +24,7 @@ from qnetcap.errors import (
 )
 from qnetcap.network import (
     BoundedGraph,
-    Edge,
-    NetworkGraph,
+    EdgeView,
     annotate_uniform,
     apply_split,
     load_network,
@@ -34,26 +36,38 @@ from qnetcap.oracles import OrientedBounds, bounded_from_values, oriented_edge_b
 from qnetcap.routing import min_neighbourhood_capacity
 from qnetcap.wrn import WrnSpec, generate
 
+HUGE_INT = 10 ** 400
+TL_CHANNEL = {"kind": "tl", "tau": 0.5}
 
-def _nodes(*ids, role_map=None):
-    role_map = role_map or {}
-    return {i: NodeSpec(i, role=role_map.get(i, "repeater")) for i in ids}
+
+def _doc(nodes, edges, users=("a", "b"), **extra):
+    """A network document; a node given as a string is {"id": it}."""
+    doc = {"nodes": [n if isinstance(n, dict) else {"id": n} for n in nodes], "edges": edges, **extra}
+    if users is not None:
+        doc["users"] = list(users)
+    return doc
+
+
+def _e(a, b, **source):
+    """An edge object, over ThermalLoss(0.5) unless a channel or fibre is given."""
+    return {"a": a, "b": b, **(source or {"channel": TL_CHANNEL})}
+
+
+def _graph(doc):
+    """``doc`` through ``load_network``, whatever its violations."""
+    graph, _ = load_network(json.loads(json.dumps(doc)))
+    return graph
 
 
 def two_node_graph():
-    nodes = _nodes("a", "b", role_map={"a": "user", "b": "user"})
-    return NetworkGraph(
-        nodes=nodes,
-        edges=(Edge("a", "b", channel=ThermalLoss(0.5)),),
-        users=("a", "b"),
-    )
+    return _graph(_doc([{"id": "a", "role": "user"}, {"id": "b", "role": "user"}], [_e("a", "b")]))
 
 
 def test_edge_needs_exactly_one_source():
-    with pytest.raises(DomainError):
-        Edge("a", "b")
-    with pytest.raises(DomainError):
-        Edge("a", "b", channel=ThermalLoss(0.5), fibre=FibreParams(10.0))
+    for source in ({}, {"channel": TL_CHANNEL, "fibre": {"length_km": 10.0}}):
+        graph, violations = load_network(_doc(["a", "b"], [{"a": "a", "b": "b", **source}]))
+        assert violations[0] == "edge a-b: exactly one of 'channel' or 'fibre' required"
+        assert graph.a == ()
 
 
 def test_validate_clean_graph():
@@ -61,33 +75,23 @@ def test_validate_clean_graph():
 
 
 def test_validate_missing_users():
-    g = NetworkGraph(nodes=_nodes("a", "b"), edges=(Edge("a", "b", channel=ThermalLoss(0.5)),))
+    g = _graph(_doc(["a", "b"], [_e("a", "b")], users=None))
     violations = validate(g)
     assert "users: required" in violations
 
 
 def test_validate_unknown_user_and_endpoint():
-    g = NetworkGraph(
-        nodes=_nodes("a", "b"),
-        edges=(Edge("a", "q", channel=ThermalLoss(0.5)),),
-        users=("a", "z"),
-    )
+    g = _graph(_doc(["a", "b"], [_e("a", "q")], users=("a", "z")))
     violations = validate(g)
     assert "users: unknown node 'z'" in violations
     assert "edge a-q: unknown endpoint 'q'" in violations
 
 
 def test_validate_self_loop_parallel_and_role():
-    nodes = _nodes("a", "b", "c", role_map={"c": "user"})
-    g = NetworkGraph(
-        nodes=nodes,
-        edges=(
-            Edge("a", "a", channel=ThermalLoss(0.5)),
-            Edge("a", "b", channel=ThermalLoss(0.5)),
-            Edge("b", "a", channel=ThermalLoss(0.4)),
-        ),
-        users=("a", "b"),
-    )
+    g = _graph(_doc(
+        ["a", "b", {"id": "c", "role": "user"}],
+        [_e("a", "a"), _e("a", "b"), _e("b", "a", channel={"kind": "tl", "tau": 0.4})],
+    ))
     violations = validate(g)
     assert any("self-loops" in v for v in violations)
     assert any("parallel edges" in v for v in violations)
@@ -97,24 +101,13 @@ def test_validate_self_loop_parallel_and_role():
 def test_family_resolution():
     g = two_node_graph()
     assert resolved_family(g) == "tl"
-    ambiguous = NetworkGraph(
-        nodes=_nodes("a", "b"),
-        edges=(Edge("a", "b", channel=Identity()),),
-        users=("a", "b"),
-    )
+    ambiguous = _graph(_doc(["a", "b"], [_e("a", "b", channel={"kind": "id"})]))
     with pytest.raises(FamilyError):
         resolved_family(ambiguous)
-    assert resolved_family(
-        NetworkGraph(ambiguous.nodes, ambiguous.edges, ambiguous.users, family="ad")
-    ) == "ad"
-    mixed = NetworkGraph(
-        nodes=_nodes("a", "b", "c"),
-        edges=(
-            Edge("a", "b", channel=ThermalLoss(0.5)),
-            Edge("b", "c", channel=AmplitudeDamping(0.1)),
-        ),
-        users=("a", "c"),
-    )
+    assert resolved_family(dataclasses.replace(ambiguous, family="ad")) == "ad"
+    mixed = _graph(_doc(
+        ["a", "b", "c"], [_e("a", "b"), _e("b", "c", channel={"kind": "ad", "p": 0.1})], users=("a", "c")
+    ))
     assert any("family mismatch" in v for v in validate(mixed))
 
 
@@ -124,14 +117,14 @@ def test_apply_split_matches_direct_bounds():
         "b": NodeSpec("b", recv=ThermalLoss(0.9, 0.01)),
         "c": NodeSpec("c", role="user"),
     }
-    g = NetworkGraph(
-        nodes=nodes,
-        edges=(
-            Edge("a", "b", channel=ThermalLoss(0.5, 0.002)),
-            Edge("b", "c", fibre=FibreParams(50.0)),
-        ),
+    g = _graph(_doc(
+        [{"id": "a", "role": "user"}, {"id": "b", "recv": {"kind": "tl", "tau": 0.9, "nbar": 0.01}},
+         {"id": "c", "role": "user"}],
+        [_e("a", "b", channel={"kind": "tl", "tau": 0.5, "nbar": 0.002}),
+         _e("b", "c", fibre={"length_km": 50.0})],
         users=("a", "c"),
-    )
+    ))
+    assert g.nodes == nodes
     bg = apply_split(g)
     assert bg.users == ("a", "c")
     direct = oriented_edge_bounds(ThermalLoss(0.5, 0.002), nodes["a"], nodes["b"], "tl")
@@ -187,7 +180,7 @@ def test_bounded_graph_admits_non_finite_values():
 
 
 def test_apply_split_validation_gate():
-    g = NetworkGraph(nodes=_nodes("a", "b"), edges=(Edge("a", "b", channel=ThermalLoss(0.5)),))
+    g = _graph(_doc(["a", "b"], [_e("a", "b")], users=None))
     with pytest.raises(ValidationError) as err:
         apply_split(g)
     assert "users: required" in err.value.violations
@@ -230,17 +223,19 @@ def _distinct_devices(graph, fam, seed):
             return AmplitudeDamping(rng.uniform(0.0, 0.3))
         return ThermalLoss(rng.uniform(0.7, 1.0), rng.choice([0.0, rng.uniform(0.0, 0.02)]))
 
-    nodes = {n: dataclasses.replace(spec, recv=device(), send=device()) for n, spec in graph.nodes.items()}
-    return dataclasses.replace(graph, nodes=nodes)
+    recv, send = zip(*[(device(), device()) for _ in graph.role])
+    return dataclasses.replace(graph, recv=recv, send=send)
 
 
-def _alternating_chain(classes):
-    ids = [f"c{i}" for i in range(9)]
-    nodes = {i: NodeSpec(i, recv=ThermalLoss(0.9, 0.01), send=ThermalLoss(0.95, 0.0)) for i in ids}
-    edges = tuple(
-        Edge(a, b, **classes[i % len(classes)]) for i, (a, b) in enumerate(zip(ids, ids[1:]))
-    )
-    return NetworkGraph(nodes, edges, users=(ids[0], ids[-1]), family="tl")
+def _alternating_chain(classes, hops=8):
+    """A thermal chain whose edges take the sources in ``classes`` in turn."""
+    ids = [f"c{i}" for i in range(hops + 1)]
+    nodes = [{"id": i, "recv": {"kind": "tl", "tau": 0.9, "nbar": 0.01}, "send": {"kind": "tl", "tau": 0.95}}
+             for i in ids]
+    edges = [_e(a, b, **classes[i % len(classes)]) for i, (a, b) in enumerate(zip(ids, ids[1:]))]
+    graph, violations = load_network(_doc(nodes, edges, users=(ids[0], ids[-1]), family="tl"))
+    assert violations == []
+    return graph
 
 
 MEMO_GRAPHS = {
@@ -250,9 +245,10 @@ MEMO_GRAPHS = {
     "ad-manhattan8-asym": _lattice("manhattan8", "ad", recv=AmplitudeDamping(0.1), send=Identity()),
     "tl-distinct-devices": _distinct_devices(generate(WrnSpec("manhattan8", 2, 10.0, "tl")), "tl", 3),
     "ad-distinct-devices": _distinct_devices(generate(WrnSpec("triangular6", 2, 10.0, "ad")), "ad", 4),
-    "alternating-fibres": _alternating_chain([{"fibre": FibreParams(10.0)}, {"fibre": FibreParams(25.0)}]),
+    "alternating-fibres": _alternating_chain([{"fibre": {"length_km": 10.0}}, {"fibre": {"length_km": 25.0}}]),
     "alternating-fibre-channel": _alternating_chain(
-        [{"fibre": FibreParams(10.0)}, {"channel": ThermalLoss(0.5, 0.01)}, {"channel": Identity()}]
+        [{"fibre": {"length_km": 10.0}}, {"channel": {"kind": "tl", "tau": 0.5, "nbar": 0.01}},
+         {"channel": {"kind": "id"}}]
     ),
 }
 
@@ -262,10 +258,12 @@ def test_apply_split_matches_per_edge_bounds(name):
     graph = MEMO_GRAPHS[name]
     fam = resolved_family(graph)
     bg = apply_split(graph)
-    assert [(bg.nodes[u], bg.nodes[v]) for u, v in zip(bg.a, bg.b)] == [(e.a, e.b) for e in graph.edges]
-    for i, edge in enumerate(graph.edges):
-        a, b = graph.nodes[edge.a], graph.nodes[edge.b]
-        assert _edge_bounds(bg, i) == oriented_edge_bounds(edge.resolve(fam), a, b, fam)
+    assert (bg.nodes, bg.a, bg.b) == (graph.names, graph.a, graph.b)
+    nodes = list(graph.nodes.values())
+    for i, (u, v, c) in enumerate(zip(graph.a, graph.b, graph.cls)):
+        source = graph.classes[c]
+        channel = fibre_channel(source, fam) if isinstance(source, FibreParams) else source
+        assert _edge_bounds(bg, i) == oriented_edge_bounds(channel, nodes[u], nodes[v], fam)
 
 
 @pytest.mark.parametrize("source", ["generated", "loaded", "copied"])
@@ -273,9 +271,9 @@ def test_apply_split_bounds_a_repeated_class_once(monkeypatch, source):
     graph = generate(WrnSpec("manhattan8", 4, 10.0, "tl"))
     if source == "loaded":
         graph = _loaded(graph)
-    elif source == "copied":  # equal but distinct FibreParams on every edge
-        edges = tuple(dataclasses.replace(e, fibre=dataclasses.replace(e.fibre)) for e in graph.edges)
-        graph = dataclasses.replace(graph, edges=edges)
+    elif source == "copied":  # an equal but distinct FibreParams as each edge's own class
+        graph = dataclasses.replace(graph, cls=tuple(range(len(graph.a))),
+                                    classes=tuple(dataclasses.replace(graph.classes[0]) for _ in graph.a))
     calls = []
     compound = bounds.compound
 
@@ -285,14 +283,107 @@ def test_apply_split_bounds_a_repeated_class_once(monkeypatch, source):
 
     monkeypatch.setattr(bounds, "compound", counting)
     bg = apply_split(graph)
-    assert len(bg.a) == len(graph.edges) > 1000
+    assert len(bg.a) == len(graph.a) > 1000
     assert 1 <= len(calls) <= 2
     # Both directions tie on every edge, so each keeps its own smaller id pair.
+    pairs = [(graph.names[u], graph.names[v]) for u, v in zip(graph.a, graph.b)]
     assert all(
-        _edge_bounds(bg, i).lower_orientation == _edge_bounds(bg, i).upper_orientation == e.key()
-        for i, e in enumerate(graph.edges)
+        _edge_bounds(bg, i).lower_orientation == _edge_bounds(bg, i).upper_orientation == tuple(sorted(pair))
+        for i, pair in enumerate(pairs)
     )
-    assert any(e.key() != (e.a, e.b) for e in graph.edges)
+    assert any(tuple(sorted(pair)) != pair for pair in pairs)
+
+
+def _counting_direction_bounds(monkeypatch):
+    """The (fam, send, channel, recv) argument tuples of every ``direction_bounds`` call."""
+    calls = []
+    direction_bounds = network.direction_bounds
+
+    def counting(*args):
+        calls.append(args)
+        return direction_bounds(*args)
+
+    monkeypatch.setattr(network, "direction_bounds", counting)
+    return calls
+
+
+def _directions(graph):
+    """The (fam, send, channel, recv) family-native tuple of each edge's
+    forward then backward direction, in edge order."""
+    fam = resolved_family(graph)
+    native = bounds.family_native(fam)
+    channels = [native(fibre_channel(c, fam) if isinstance(c, FibreParams) else c) for c in graph.classes]
+    return [
+        (fam, native(graph.send[s]), channels[c], native(graph.recv[r]))
+        for u, v, c in zip(graph.a, graph.b, graph.cls) for s, r in ((u, v), (v, u))
+    ]
+
+
+@pytest.mark.parametrize("name", MEMO_GRAPHS)
+def test_apply_split_bounds_a_direction_unless_it_repeats_the_previous(monkeypatch, name):
+    graph = MEMO_GRAPHS[name]
+    directions = _directions(graph)
+    calls = _counting_direction_bounds(monkeypatch)
+    apply_split(graph)
+    assert calls == [d for i, d in enumerate(directions) if i == 0 or d != directions[i - 1]]
+    if "asym" in name:  # a generated lattice: one call per distinct direction
+        assert len(calls) == len(set(directions)) == 1
+
+
+@pytest.mark.parametrize("pattern, expected_calls", [("ABAB", 4), ("AABB", 2), ("ABBA", 3)])
+def test_apply_split_reuses_only_the_previous_direction(monkeypatch, pattern, expected_calls):
+    sources = {"A": {"fibre": {"length_km": 10.0}}, "B": {"fibre": {"length_km": 25.0}}}
+    graph = _alternating_chain([sources[k] for k in pattern], hops=len(pattern))
+    calls = _counting_direction_bounds(monkeypatch)
+    bg = apply_split(graph)
+    # Every node has the same devices, so each class has one direction, and
+    # a class is bounded again wherever it follows the other one.
+    assert len(calls) == expected_calls
+    by_class = {c: bg.lower[i] for i, c in enumerate(graph.cls)}
+    assert bg.lower == tuple(by_class[c] for c in graph.cls)
+    assert by_class[0] > by_class[1]
+
+
+@pytest.mark.parametrize("fam", ["tl", "ad"])
+@pytest.mark.parametrize("length", ["20000", "1e400"])
+def test_a_fibre_that_transmits_nothing_has_bound_zero(fam, length):
+    # 10^(-0.02 * 20000) underflows to 0.0, and json reads 1e400 as inf.
+    text = json.dumps(_doc(
+        [{"id": "a", "role": "user"}, "b", {"id": "c", "role": "user"}],
+        [_e("a", "b", fibre={"length_km": "LENGTH"}), _e("b", "c", fibre={"length_km": 10.0})],
+        users=("a", "c"), family=fam,
+    )).replace('"LENGTH"', length)
+    graph, violations = load_network(json.loads(text))
+    assert violations == []
+    assert graph.classes[0].transmissivity == 0.0
+    bg = apply_split(graph)
+    assert (bg.lower[0], bg.upper[0]) == (0.0, 0.0)
+    assert bg.lower[1] > 0.0
+    if fam == "tl":
+        assert (bg.lower_kind[0], bg.upper_kind[0]) == (BoundKind.DARK_FIBRE, BoundKind.DARK_FIBRE)
+    else:  # full damping: the damping bounds are 0 of themselves
+        assert (bg.lower_kind[0], bg.upper_kind[0]) == (BoundKind.RCI_LOWER, BoundKind.SQUASHED_UPPER)
+
+
+def test_graph_views_match_columns():
+    graph = _graph(_doc(
+        [{"id": "a", "role": "user"}, {"id": "b", "recv": {"kind": "ad", "p": 0.1}}, {"id": "c", "role": "user"}],
+        [_e("a", "b", fibre={"length_km": 5.0}), _e("b", "c", channel={"kind": "ad", "p": 0.2}),
+         _e("c", "q", fibre={"length_km": 5.0})],
+        users=("a", "c"),
+    ))
+    assert graph.names == ("a", "b", "c", "q")  # "q" names no node
+    assert graph.nodes == {
+        "a": NodeSpec("a", role="user"),
+        "b": NodeSpec("b", recv=AmplitudeDamping(0.1)),
+        "c": NodeSpec("c", role="user"),
+    }
+    assert (graph.a, graph.b, graph.cls) == ((0, 1, 2), (1, 2, 3), (0, 1, 0))
+    assert graph.edges == (
+        EdgeView("a", "b", None, FibreParams(5.0)),
+        EdgeView("b", "c", AmplitudeDamping(0.2), None),
+        EdgeView("c", "q", None, FibreParams(5.0)),
+    )
 
 
 def test_apply_split_validates_only_unchecked_graphs(monkeypatch):
@@ -318,33 +409,58 @@ def test_apply_split_validates_only_unchecked_graphs(monkeypatch):
 def test_annotate_uniform():
     g = two_node_graph()
     bg = annotate_uniform(g, 0.7)
-    assert bg.lower == bg.upper == (0.7,) * len(g.edges)
+    assert bg.lower == bg.upper == (0.7,) * len(g.a)
     with pytest.raises(DomainError):
         annotate_uniform(g, -1.0)
 
 
 def test_network_json_round_trip():
-    nodes = {
-        "a": NodeSpec("a", role="user"),
-        "b": NodeSpec("b", recv=ThermalLoss(0.9, 0.01), send=ThermalLoss(0.95, 0.0)),
-        "c": NodeSpec("c", role="user"),
-    }
-    g = NetworkGraph(
-        nodes=nodes,
-        edges=(
-            Edge("a", "b", channel=ThermalLoss(0.5, 0.002)),
-            Edge("b", "c", fibre=FibreParams(50.0, gamma=0.02, nbar_B=0.001)),
-        ),
+    g = _graph(_doc(
+        [{"id": "a", "role": "user"},
+         {"id": "b", "recv": {"kind": "tl", "tau": 0.9, "nbar": 0.01}, "send": {"kind": "tl", "tau": 0.95}},
+         {"id": "c", "role": "user"}],
+        [_e("a", "b", channel={"kind": "tl", "tau": 0.5, "nbar": 0.002}),
+         _e("b", "c", fibre={"length_km": 50.0, "gamma": 0.02, "nbar_B": 0.001})],
         users=("a", "c"),
         family="tl",
-    )
+    ))
     data = json.loads(json.dumps(network_to_json(g)))
     loaded, violations = load_network(data)
     assert violations == []
+    assert loaded == g
     assert loaded.users == g.users
     assert loaded.family == "tl"
     assert loaded.nodes["b"].recv == ThermalLoss(0.9, 0.01)
-    assert loaded.edges[1].fibre == FibreParams(50.0, gamma=0.02, nbar_B=0.001)
+    assert loaded.classes[loaded.cls[1]] == FibreParams(50.0, gamma=0.02, nbar_B=0.001)
+
+
+def test_network_json_gives_each_edge_its_own_source_object():
+    graph = generate(WrnSpec("manhattan8", 2, 10.0, "tl"))
+    data = network_to_json(graph)
+    data["edges"][0]["fibre"]["length_km"] = 30.0
+    assert data["edges"][1]["fibre"]["length_km"] == 10.0
+    loaded, violations = load_network(data)
+    assert violations == []
+    assert loaded.classes == (FibreParams(30.0), FibreParams(10.0))
+    assert loaded.cls == (0,) + (1,) * (len(graph.a) - 1)
+    assert network_to_json(graph)["edges"][0]["fibre"]["length_km"] == 10.0
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"a": (0, 3)}, "column a must hold numbers 0 to 2"),
+    ({"b": (1, -1)}, "column b must hold numbers 0 to 2"),
+    ({"cls": (0, 1)}, "column cls must hold numbers 0 to 0"),
+    ({"cls": (-1, 0)}, "column cls must hold numbers 0 to 0"),
+    ({"a": (0, 1, 0)}, "an a, b and cls per edge"),
+    ({"cls": (0,)}, "an a, b and cls per edge"),
+    ({"role": ("user", "repeater")}, "a recv, send, role and name per node"),
+    ({"names": ("a", "b")}, "a recv, send, role and name per node"),
+])
+def test_network_graph_rejects_columns_that_do_not_agree(change, message):
+    graph = _graph(_doc(["a", "b", "c"], [_e("a", "b"), _e("b", "c")]))
+    assert (graph.a, graph.b, graph.cls) == ((0, 1), (1, 2), (0, 0))
+    with pytest.raises(DomainError, match=message):
+        dataclasses.replace(graph, **change)
 
 
 def test_load_network_collects_violations():
@@ -358,23 +474,26 @@ def test_load_network_collects_violations():
         }
     )
     assert violations == []
-    assert loaded.edges[0].channel == ThermalLoss(0.5)
+    assert loaded.classes[loaded.cls[0]] == ThermalLoss(0.5)
 
 
 def test_load_network_shares_the_fibre_of_a_lattice():
     graph = _loaded(generate(WrnSpec("manhattan8", 3, 10.0, "tl")))
-    first = graph.edges[0].fibre
-    assert all(e.fibre is first for e in graph.edges)
+    assert graph.classes == (FibreParams(10.0),)
+    assert set(graph.cls) == {0}
 
 
 def _load_each_fibre(data):
-    """load_network with every fibre built on its own: a distinct extra key,
-    which the parser ignores, makes no two fibre objects equal."""
-    edges = [
-        {**e, "fibre": {**e["fibre"], "edge": i}} if isinstance(e.get("fibre"), dict) else e
-        for i, e in enumerate(data["edges"])
-    ]
-    return load_network({**data, "edges": edges})
+    """Each edge of ``data`` loaded as a one-edge document of its own, so no
+    fibre is parsed through another edge's: the violations in edge order,
+    and the class of each edge that loads."""
+    violations, fibres = [], []
+    for edge in data["edges"]:
+        graph, found = load_network({**data, "nodes": [{"id": edge["a"]}, {"id": edge["b"]}],
+                                     "edges": [edge], "users": [edge["a"], edge["b"]]})
+        violations += found
+        fibres += [graph.classes[c] for c in graph.cls]
+    return violations, fibres
 
 
 def test_load_network_fibre_memo_matches_per_edge_parse():
@@ -396,6 +515,7 @@ def test_load_network_fibre_memo_matches_per_edge_parse():
         {"length_km": 10.0},
         [10.0],
         {"length_km": 10.0},
+        {"length_km": 10.0, "gamma": 0.03},
     ]
     ids = [f"n{i}" for i in range(len(fibres) + 1)]
     data = {
@@ -405,7 +525,7 @@ def test_load_network_fibre_memo_matches_per_edge_parse():
         "users": [ids[0], ids[-1]],
     }
     graph, violations = load_network(data)
-    reference, expected = _load_each_fibre(data)
+    expected, parsed = _load_each_fibre(data)
     assert violations == expected == [
         "edge n0-n1: fibre needs a 'length_km'",
         "edge n5-n6: fibre needs a 'length_km'",
@@ -413,14 +533,14 @@ def test_load_network_fibre_memo_matches_per_edge_parse():
         "edge n9-n10: fibre length must be >= 0 km, got -1.0",
         "edge n15-n16: fibre needs a 'length_km'",
     ]
-    assert graph == reference
-    assert len(graph.edges) == len(fibres) - 5
-    # Each run of equal raw fibres shares one object, across the malformed
-    # fibres inside it; the default gamma and an explicit 0.02 are parsed apart.
-    assert len({id(e.fibre) for e in graph.edges}) == 6
-    assert graph.edges[3].fibre is graph.edges[6].fibre
-    assert graph.edges[7].fibre == graph.edges[8].fibre
-    assert graph.edges[9].fibre is graph.edges[11].fibre
+    assert [graph.classes[c] for c in graph.cls] == parsed
+    assert len(graph.a) == len(fibres) - 5
+    # Equal fibres share one class, across the malformed fibres between them
+    # and across runs of other fibres; an integer length and the default gamma
+    # are the same fibre as a float length and an explicit 0.02.
+    assert graph.classes == (FibreParams(10.0), FibreParams(25.0, nbar_B=0.0), FibreParams(5.0),
+                             FibreParams(10.0, gamma=0.03))
+    assert graph.cls == (0, 0, 1, 0, 0, 0, 0, 2, 2, 0, 0, 0, 3)
 
 
 def test_load_network_rejects_garbage():
@@ -443,3 +563,152 @@ def test_bounded_from_values_shapes():
     assert isinstance(bg, BoundedGraph)
     assert bg.lower[0] == 0.2
     assert bg.upper[0] == 0.4
+
+
+# The violation lists ``load_network`` gave for these documents when a network
+# was still one object per edge, recorded then; the column parse keeps them.
+VIOLATION_CORPUS = {
+    "unknown-endpoint": (
+        _doc(["a", "b"], [_e("a", "q"), _e("q", "b"), _e("a", "b")]),
+        ["edge a-q: unknown endpoint 'q'", "edge q-b: unknown endpoint 'q'"],
+    ),
+    "self-loop": (
+        _doc(["a", "b"], [_e("a", "a"), _e("a", "b")]),
+        ["edge a-a: self-loops are not allowed"],
+    ),
+    "reversed-parallel": (
+        _doc(["a", "b", "c"], [_e("a", "b"), _e("b", "c"), _e("b", "a"), _e("c", "b"), _e("a", "b")]),
+        ["edge b-a: parallel edges are not allowed", "edge c-b: parallel edges are not allowed",
+         "edge a-b: parallel edges are not allowed"],
+    ),
+    "stray-loop-and-parallel": (
+        _doc(["a", "b"], [_e("q", "q"), _e("a", "q"), _e("q", "a"), _e("z", "a"), _e("a", "b")]),
+        ["edge q-q: unknown endpoint 'q'", "edge q-q: self-loops are not allowed",
+         "edge a-q: unknown endpoint 'q'", "edge q-a: unknown endpoint 'q'",
+         "edge q-a: parallel edges are not allowed", "edge z-a: unknown endpoint 'z'"],
+    ),
+    "duplicate-node": (
+        _doc(["a", "b", "a", {"id": "b", "role": "user"}], [_e("a", "b")]),
+        ["node 'a': duplicate id", "node 'b': duplicate id"],
+    ),
+    "non-object-edge": (
+        _doc(["a", "b"], [_e("a", "b"), [1, 2], "a-b", {"a": "a"}, None]),
+        [f"edge #{i}: object with endpoints 'a' and 'b' required" for i in range(1, 5)],
+    ),
+    "fibre-without-length": (
+        _doc(["a", "b", "c"], [_e("a", "b", fibre={"gamma": 0.02}), _e("b", "c", fibre=[5.0]),
+                               _e("a", "c", fibre={"length_km": 5.0})], users=("a", "c")),
+        ["edge a-b: fibre needs a 'length_km'", "edge b-c: fibre needs a 'length_km'",
+         "channel family is ambiguous; declare 'ad' or 'tl' on the graph"],
+    ),
+    "huge-integer": (
+        _doc(["a", "b", "c"], [_e("a", "b", fibre={"length_km": HUGE_INT}),
+                               _e("b", "c", channel={"kind": "tl", "tau": HUGE_INT}),
+                               _e("a", "c", fibre={"length_km": 1.0, "nbar_B": HUGE_INT})], users=("a", "c")),
+        ["edge a-b: int too large to convert to float",
+         f"edge b-c: bad channel field in {{'kind': 'tl', 'tau': {HUGE_INT}}}: int too large to convert to float",
+         "edge a-c: int too large to convert to float",
+         "channel family is ambiguous; declare 'ad' or 'tl' on the graph"],
+    ),
+    "huge-integer-node": (
+        _doc([{"id": "a", "send": {"kind": "ad", "p": HUGE_INT}}, "b"], [_e("a", "b")]),
+        [f"node 'a': bad channel field in {{'kind': 'ad', 'p': {HUGE_INT}}}: int too large to convert to float",
+         "users: unknown node 'a'", "edge a-b: unknown endpoint 'a'"],
+    ),
+    "missing-users": (_doc(["a", "b"], [_e("a", "b")], users=None), ["users: required"]),
+    "bad-users": (
+        _doc(["a", "b"], [_e("a", "b")], users=("a",)),
+        ["users: exactly two node ids required", "users: required"],
+    ),
+    "unknown-and-equal-users": (
+        _doc(["a", "b"], [_e("a", "b")], users=("z", "z")),
+        ["users: end users must be two distinct nodes", "users: unknown node 'z'"],
+    ),
+    "role-mismatch": (
+        _doc([{"id": "a", "role": "user"}, "b", {"id": "c", "role": "user"}], [_e("a", "b"), _e("b", "c")]),
+        ["node 'c': role 'user' but not an end user"],
+    ),
+    "bad-role": (
+        _doc([{"id": "a", "role": "boss"}, "b"], [_e("a", "b")]),
+        ["node 'a': node role must be 'repeater' or 'user', got 'boss'", "users: unknown node 'a'",
+         "edge a-b: unknown endpoint 'a'"],
+    ),
+    "family-mismatch": (
+        _doc(["a", "b", "c"], [_e("a", "b"), _e("b", "c", channel={"kind": "ad", "p": 0.1})], users=("a", "c")),
+        ["family mismatch: graph mixes amplitude-damping and thermal-loss channels"],
+    ),
+    "declared-family-mismatch": (
+        _doc(["a", "b"], [_e("a", "b")], family="ad"),
+        ["family mismatch: declared 'ad' but channels are 'tl'"],
+    ),
+    "unknown-family": (
+        _doc(["a", "b"], [_e("a", "b")], family="xx"),
+        ["family: must be 'ad' or 'tl', got 'xx'", "family mismatch: declared 'xx' but channels are 'tl'"],
+    ),
+    "ambiguous-family": (
+        _doc(["a", "b"], [_e("a", "b", fibre={"length_km": 1.0})]),
+        ["channel family is ambiguous; declare 'ad' or 'tl' on the graph"],
+    ),
+    "no-lists": (
+        {"nodes": "x", "edges": {}},
+        ["nodes: required", "edges: required", "users: required",
+         "channel family is ambiguous; declare 'ad' or 'tl' on the graph"],
+    ),
+    "not-an-object": ([1, 2, 3], ["network: top-level object required"]),
+    "everything": (
+        _doc([{"id": "a", "role": "user"}, "b", "b", {"id": "c", "role": "user"}, {"x": 1}],
+             [_e("a", "a"), _e("a", "q"), _e("b", "a"), _e("a", "b"), _e("b", "c", fibre={}),
+              _e("c", "b", channel={"kind": "ad", "p": 0.2}), 7, _e("a", "c", fibre={"length_km": -1})],
+             users=("a", "z"), family="tl"),
+        ["node 'b': duplicate id", "node #4: object with an 'id' required",
+         "edge b-c: fibre needs a 'length_km'", "edge #6: object with endpoints 'a' and 'b' required",
+         "edge a-c: fibre length must be >= 0 km, got -1.0", "users: unknown node 'z'",
+         "node 'c': role 'user' but not an end user", "edge a-a: self-loops are not allowed",
+         "edge a-q: unknown endpoint 'q'", "edge a-b: parallel edges are not allowed",
+         "family mismatch: graph mixes amplitude-damping and thermal-loss channels"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VIOLATION_CORPUS)
+def test_load_network_violation_corpus(name):
+    doc, expected = VIOLATION_CORPUS[name]
+    graph, violations = load_network(json.loads(json.dumps(doc)))
+    assert violations == expected
+    assert (graph is None) == (name == "not-an-object")
+    if graph is not None:
+        assert set(validate(graph)) <= set(expected)
+
+
+# Round trip: documents with duplicate nodes, unknown endpoints, bad roles,
+# repeated and malformed sources, and fibres that transmit nothing.
+IDS = st.sampled_from(["a", "b", "c", "d", "q", 7])
+DEVICES = st.sampled_from([
+    {"kind": "tl", "tau": 0.9, "nbar": 0.01}, {"kind": "pl", "eta": 0.8}, {"kind": "ad", "p": 0.05},
+    {"kind": "id"}, {"kind": "tl", "tau": 0.0},
+])
+LENGTHS = st.one_of(st.floats(0.0, 1e5), st.sampled_from([-0.0, 10, 2e4, math.inf, -1.0]))
+SOURCES = st.one_of(
+    st.builds(lambda d: {"fibre": {"length_km": d}}, LENGTHS),
+    st.builds(lambda d, g, n: {"fibre": {"length_km": d, "gamma": g, "nbar_B": n}},
+              LENGTHS, st.sampled_from([0.02, 0.2, 0.0]), st.sampled_from([0.002, 0.0])),
+    st.builds(lambda tau: {"channel": {"kind": "tl", "tau": tau, "nbar": 0.001}}, st.floats(0.0, 1.0)),
+    st.sampled_from([{"channel": {"kind": "id"}}, {"channel": {"kind": "ad", "p": 0.3}}, {"fibre": {}}]),
+)
+NODES = st.fixed_dictionaries({"id": IDS}, optional={
+    "recv": DEVICES, "send": DEVICES, "role": st.sampled_from(["repeater", "user", "boss"])})
+EDGES = st.builds(lambda a, b, source: {"a": a, "b": b, **source}, IDS, IDS, SOURCES)
+DOCS = st.fixed_dictionaries(
+    {"nodes": st.lists(NODES, max_size=6), "edges": st.lists(EDGES, max_size=10)},
+    optional={"users": st.lists(IDS, min_size=1, max_size=3), "family": st.sampled_from(["ad", "tl", "xx"])},
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(DOCS)
+def test_network_json_round_trips_to_the_same_columns_and_bytes(doc):
+    graph, _ = load_network(json.loads(json.dumps(doc)))
+    text = json.dumps(network_to_json(graph))
+    again, _ = load_network(json.loads(text))
+    assert again == graph  # every column and the class table
+    assert json.dumps(network_to_json(again)) == text

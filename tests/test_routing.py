@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from qnetcap import routing
-from qnetcap.channels import FibreParams, NodeSpec, ThermalLoss
 from qnetcap.errors import DomainError, SizeError
-from qnetcap.network import Edge, NetworkGraph, annotate_uniform, apply_split
+from qnetcap.network import annotate_uniform, apply_split, load_network, network_to_json
 from qnetcap.oracles import (
     BRUTE_FORCE_MAX_NODES,
     bounded_from_values,
@@ -103,10 +102,18 @@ def test_max_flow_disconnected():
     assert flow.flows == {}
 
 
+def _network(node_ids, users):
+    """Nodes ``node_ids`` and the chain a-m-b over ThermalLoss(0.5), loaded whatever its violations."""
+    graph, _ = load_network({
+        "nodes": [{"id": n} for n in node_ids],
+        "edges": [{"a": a, "b": b, "channel": {"kind": "tl", "tau": 0.5}} for a, b in (("a", "m"), ("m", "b"))],
+        "users": list(users),
+    })
+    return graph
+
+
 def uniform_chain(users):
-    nodes = {n: NodeSpec(n) for n in ("a", "m", "b")}
-    edges = (Edge("a", "m", channel=ThermalLoss(0.5)), Edge("m", "b", channel=ThermalLoss(0.5)))
-    return annotate_uniform(NetworkGraph(nodes, edges, users), 0.5)
+    return annotate_uniform(_network(("a", "m", "b"), users), 0.5)
 
 
 @pytest.mark.parametrize("users", [("a", "a"), ("a", "zz"), ("zz", "b")],
@@ -131,10 +138,8 @@ def test_routing_needs_two_distinct_graph_users(route, users):
 )
 def test_routing_rejects_edges_to_unlisted_nodes(route):
     # Such a graph cannot be built, so no route ever sees one.
-    nodes = {n: NodeSpec(n) for n in ("a", "b")}
-    edges = (Edge("a", "m", channel=ThermalLoss(0.5)), Edge("m", "b", channel=ThermalLoss(0.5)))
     with pytest.raises(DomainError, match="edge a-m: unknown endpoint 'm'"):
-        route(annotate_uniform(NetworkGraph(nodes, edges, ("a", "b")), 0.5))
+        route(annotate_uniform(_network(("a", "b"), ("a", "b")), 0.5))
 
 
 def test_max_flow_rejects_non_finite():
@@ -244,9 +249,9 @@ def _hop_distances(bg, source):
 def _random_lattice(cell, radius, rng):
     graph = generate(WrnSpec(cell, radius, 10.0, "tl"))
     rows = []
-    for e in graph.edges:
+    for u, v in zip(graph.a, graph.b):
         lo = rng.choice([0.0, rng.random(), rng.random(), 1.0])
-        rows.append((e.a, e.b, lo, lo + rng.random()))
+        rows.append((graph.names[u], graph.names[v], lo, lo + rng.random()))
     return bounded_from_values(rows, users=graph.users)
 
 
@@ -292,14 +297,19 @@ def test_dinic_sink_level_cutoff_changes_no_flow(monkeypatch):
 def _hetero_lattice(seed):
     """Thermal-loss lattice with a seeded fibre per edge and devices per node."""
     rng = random.Random(seed)
-    graph = generate(WrnSpec("manhattan8", 3, 10.0, "tl"))
+    data = network_to_json(generate(WrnSpec("manhattan8", 3, 10.0, "tl")))
 
     def device():
-        return ThermalLoss(rng.uniform(0.85, 1.0), rng.uniform(0.0, 0.005))
+        return {"kind": "tl", "tau": rng.uniform(0.85, 1.0), "nbar": rng.uniform(0.0, 0.005)}
 
-    nodes = {n: dataclasses.replace(spec, recv=device(), send=device()) for n, spec in graph.nodes.items()}
-    edges = tuple(dataclasses.replace(e, fibre=FibreParams(rng.uniform(5.0, 25.0))) for e in graph.edges)
-    return apply_split(NetworkGraph(nodes, edges, graph.users, graph.family))
+    for node in data["nodes"]:
+        node["recv"] = device()
+        node["send"] = device()
+    for edge in data["edges"]:
+        edge["fibre"] = {"length_km": rng.uniform(5.0, 25.0)}
+    graph, violations = load_network(data)
+    assert violations == []
+    return apply_split(graph)
 
 
 def test_capacity_report_is_the_standalone_calls(monkeypatch):

@@ -11,7 +11,7 @@ from qnetcap import wrn
 from qnetcap.channels import AmplitudeDamping, Identity, ThermalLoss
 from qnetcap.cli import main
 from qnetcap.errors import DomainError, FamilyError, MonotonicityError, NotAttainableError
-from qnetcap.network import NetworkGraph, annotate_uniform, apply_split, validate
+from qnetcap.network import annotate_uniform, apply_split, validate
 from qnetcap.oracles import check_weak_regularity, edge_count, node_count, verify_theorem2
 from qnetcap.routing import capacity_report, max_flow
 from qnetcap.wrn import (
@@ -103,14 +103,14 @@ def test_generate_counts_and_structure(cell, radius):
     spec = WrnSpec(cell_type=cell, radius=radius, edge_length_km=2.0, family=fam)
     g = generate(spec)
     assert len(g.nodes) == node_count(spec)
-    assert len(g.edges) == edge_count(spec)
+    assert len(g.a) == len(g.b) == len(g.cls) == edge_count(spec)
     assert g.users == ("n-2_0", "n2_0")
     assert g.family == fam
     assert validate(g) == []
     degrees = {n: 0 for n in g.nodes}
-    for e in g.edges:
-        degrees[e.a] += 1
-        degrees[e.b] += 1
+    for u, v in zip(g.a, g.b):
+        degrees[g.names[u]] += 1
+        degrees[g.names[v]] += 1
     for user in g.users:
         assert degrees[user] == spec.k
         assert g.nodes[user].role == "user"
@@ -119,17 +119,17 @@ def test_generate_counts_and_structure(cell, radius):
 
 def test_generate_users_not_adjacent():
     g = generate(tri_spec())
-    for e in g.edges:
-        assert set(e.endpoints()) != set(g.users)
+    for u, v in zip(g.a, g.b):
+        assert {g.names[u], g.names[v]} != set(g.users)
 
 
 def test_generated_lattice_interior_commonality():
     spec = man_spec()
     g = generate(spec)
     nbrs = {n: set() for n in g.nodes}
-    for e in g.edges:
-        nbrs[e.a].add(e.b)
-        nbrs[e.b].add(e.a)
+    for u, v in zip(g.a, g.b):
+        nbrs[g.names[u]].add(g.names[v])
+        nbrs[g.names[v]].add(g.names[u])
     lam = tuple(sorted(len(nbrs[x] & nbrs["n0_0"]) for x in nbrs["n0_0"]))
     assert lam == (2, 2, 2, 2, 4, 4, 4, 4)
 
@@ -141,10 +141,12 @@ def test_generated_patches_are_weakly_regular(cell, radius):
     g = generate(spec)
     check_weak_regularity(g, spec)
     # Dropping an edge at the centre changes its common neighbours' multisets.
-    edges = tuple(e for e in g.edges if e.key() != ("n0_0", "n1_0"))
-    assert len(edges) == len(g.edges) - 1
+    keep = [i for i, (u, v) in enumerate(zip(g.a, g.b)) if {g.names[u], g.names[v]} != {"n0_0", "n1_0"}]
+    assert len(keep) == len(g.a) - 1
+    dropped = dataclasses.replace(g, **{column: tuple(getattr(g, column)[i] for i in keep)
+                                        for column in ("a", "b", "cls")})
     with pytest.raises(DomainError, match="commonality multiset"):
-        check_weak_regularity(NetworkGraph(g.nodes, edges, g.users, g.family), spec)
+        check_weak_regularity(dropped, spec)
 
 
 def test_connectivity_constants():
