@@ -3,7 +3,9 @@
 Lower bounds are achievable rates from (reverse) coherent information; upper
 bounds come from relative entropy of entanglement for thermal-loss channels
 and squashed entanglement for amplitude damping. Pure loss is distillable, so
-its lower and upper bounds coincide at -log2(1-eta).
+its lower and upper bounds coincide at -log2(1-eta). The damping bounds are
+computed in the survival probability eta = 1 - p, and every bound is written
+with ``log1p`` so that it keeps its relative precision as eta -> 0.
 
 Network annotation and threshold solves share ``compound`` (the node-split
 send -> edge -> recv reduction) and ``compound_bound`` (one side's bound). An
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import math
-from functools import lru_cache
 
 from .channels import (
     FAMILY_AD,
@@ -31,6 +32,7 @@ from .channels import (
 from .errors import DomainError, FamilyError
 
 BOUND_ORDER_TOL = 1e-12
+_LN2 = math.log(2.0)
 
 
 def h2(u: float) -> float:
@@ -58,62 +60,70 @@ def bosonic_h(x: float) -> float:
 
 
 def ad_rci(p_tot: float) -> float:
-    """Best coherent-information rate of an amplitude-damping channel.
+    """Best coherent-information rate of amplitude damping with probability p_tot."""
+    return _ad_rci(1.0 - p_tot)
 
-    Maximizes H2(u) - H2(u*p) over the input excitation u. For 0 < p < 1 the
-    objective is strictly concave in u (its second derivative is
-    (p-1)/(u(1-u)(1-pu) ln 2) < 0), so its maximizer is the one root of the
-    derivative log2((1-u)/u) - p*log2((1-pu)/(pu)). Bisection on the sign of
-    that derivative runs until no float lies between the bracket ends, and
-    the better end is returned, clamped to >= 0.
+
+def _ad_rci(eta: float) -> float:
+    """``ad_rci`` in the survival probability eta = 1 - p.
+
+    Maximizes f(u) = H2(u) - H2(q), q = pu, over the input excitation u. With
+    r = eta*u/(1-u), f ln 2 = eta*u*ln((1-u)/u) + q*ln(1-eta) + (1-q)*ln(1+r)
+    and f' ln 2 = eta*(ln(1-q) - ln u) + p*ln(1-eta) - ln(1+r), sums of
+    O(eta) terms. f is strictly concave, f'' ln 2 = -eta/(u(1-u)(1-q)), so
+    Newton's method finds the root of f'; the sign of f' keeps a bracket
+    around it, and a step that leaves the bracket is replaced by bisection.
     """
-    if not 0.0 <= p_tot <= 1.0 or math.isnan(p_tot):
-        raise DomainError(f"damping probability must lie in [0, 1], got {p_tot}")
-    if p_tot == 0.0:
-        return 1.0
-    if p_tot == 1.0:
-        return 0.0
-    return _ad_rci_opt(float(p_tot))
-
-
-@lru_cache(maxsize=8192)
-def _ad_rci_opt(p_tot: float) -> float:
+    if not 0.0 <= eta <= 1.0:
+        raise DomainError(f"damping probability must lie in [0, 1], got {1.0 - eta}")
+    if eta in (0.0, 1.0):
+        return eta
+    p, log_p = 1.0 - eta, math.log1p(-eta)
     lo, hi = 0.0, 1.0
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        # Differences of logs, not the log of a quotient: (1-pu)/(pu)
-        # overflows for subnormal p, and pu underflows to 0 for the smallest.
-        slope = math.log2(1.0 - mid) - math.log2(mid)
-        pu = p_tot * mid
-        if pu > 0.0:
-            slope -= p_tot * (math.log2(1.0 - pu) - math.log2(pu))
-        if slope > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return max(0.0, h2(lo) - h2(lo * p_tot), h2(hi) - h2(hi * p_tot))
+    u = 0.2178 + 0.2822 * eta * eta  # the root is 0.2178... as eta -> 0 and 1/2 at eta = 1
+    for _ in range(100):  # bisection alone closes the bracket in about 55 steps
+        slope = eta * (math.log1p(-p * u) - math.log(u)) + p * log_p - math.log1p(eta * u / (1.0 - u))
+        lo, hi = (u, hi) if slope > 0.0 else (lo, u)
+        step = slope * u * (1.0 - u) * (1.0 - p * u) / eta
+        u += step
+        # Convergence is quadratic: after a step of relative size 1e-7 the
+        # error in u is far below what rounding in f shows at its flat top.
+        if abs(step) <= 1e-7 * u:
+            break
+        if not lo < u < hi:
+            u = 0.5 * (lo + hi)
+    q = p * u
+    value = eta * u * (math.log1p(-u) - math.log(u)) + q * log_p + (1.0 - q) * math.log1p(eta * u / (1.0 - u))
+    return max(0.0, value / _LN2)
 
 
 def ad_squashed(p_tot: float) -> float:
-    """Squashed-entanglement upper bound for amplitude damping."""
-    if not 0.0 <= p_tot <= 1.0 or math.isnan(p_tot):
-        raise DomainError(f"damping probability must lie in [0, 1], got {p_tot}")
-    return max(0.0, h2(0.5 - p_tot / 4.0) - h2(1.0 - p_tot / 4.0))
+    """Squashed-entanglement upper bound for amplitude damping with probability p_tot."""
+    return _ad_squashed(1.0 - p_tot)
+
+
+def _ad_squashed(eta: float) -> float:
+    """``ad_squashed`` in the survival probability: h2(1/4 + eta/4) - h2(1/4 - eta/4), as
+    [eta ln((3+eta)/(1+eta)) + (3-eta) atanh(eta/3) - (1-eta) atanh(eta)] / (2 ln 2)."""
+    if not 0.0 <= eta <= 1.0:
+        raise DomainError(f"damping probability must lie in [0, 1], got {1.0 - eta}")
+    if eta == 1.0:  # (1 - eta) * atanh(eta) below would be 0 * inf
+        return 1.0
+    value = eta * math.log((3.0 + eta) / (1.0 + eta)) + (3.0 - eta) * math.atanh(eta / 3.0) \
+        - (1.0 - eta) * math.atanh(eta)
+    return max(0.0, value / (2.0 * _LN2))
 
 
 def tl_rci(eta_tot: float, nbar_tot: float) -> float:
     """Reverse-coherent-information rate of a thermal-loss channel, clamped to >= 0."""
-    raw = _tl_rci_raw(eta_tot, nbar_tot)
-    return max(0.0, raw)
+    return max(0.0, _tl_rci_raw(eta_tot, nbar_tot))
 
 
 def _tl_rci_raw(eta_tot: float, nbar_tot: float) -> float:
-    if not 0.0 < eta_tot < 1.0 or math.isnan(eta_tot):
-        if eta_tot == 1.0:
-            raise DomainError("transmissivity 1 is divergent; treat as infinite capacity explicitly")
-        raise DomainError(f"transmissivity must lie in (0, 1), got {eta_tot}")
+    rate = plob_pure_loss(eta_tot)
     if nbar_tot < 0.0 or math.isnan(nbar_tot):
         raise DomainError(f"thermal photon number must be >= 0, got {nbar_tot}")
-    return -math.log2(1.0 - eta_tot) - bosonic_h(nbar_tot / (1.0 - eta_tot))
+    return rate - bosonic_h(nbar_tot / (1.0 - eta_tot))
 
 
 def tl_ree(eta_tot: float, nbar_tot: float) -> float:
@@ -136,12 +146,12 @@ def _tl_ree_from_raw(raw: float, eta_tot: float, nbar_tot: float) -> float:
 
 
 def plob_pure_loss(eta: float) -> float:
-    """Exact two-way capacity of the pure-loss channel, -log2(1-eta)."""
+    """Exact two-way capacity of the pure-loss channel, -log2(1-eta) = -log1p(-eta)/ln 2."""
     if not 0.0 < eta < 1.0 or math.isnan(eta):
         if eta == 1.0:
             raise DomainError("transmissivity 1 is divergent; treat as infinite capacity explicitly")
         raise DomainError(f"transmissivity must lie in (0, 1), got {eta}")
-    return -math.log2(1.0 - eta)
+    return -math.log1p(-eta) / _LN2
 
 
 class BoundKind(enum.Enum):
@@ -165,7 +175,7 @@ def compound(fam: str, send, edge, recv):
     An imperfect repeater is split into a receive and a send channel, so a
     directed use of an edge passes the sender's send channel, the edge, then
     the receiver's recv channel. Arguments and result are family-native: a
-    damping probability ("ad") or a (tau, nbar) pair ("tl").
+    damping survival probability eta = 1 - p ("ad") or a (tau, nbar) pair ("tl").
     """
     return (compose_ad if fam == FAMILY_AD else compose_tl)((send, edge, recv))
 
@@ -178,8 +188,8 @@ def compound_bound(fam: str, reduced, selector: str) -> tuple[float, BoundKind]:
     """
     if fam == FAMILY_AD:
         if selector == "lower":
-            return ad_rci(reduced), BoundKind.RCI_LOWER
-        return ad_squashed(reduced), BoundKind.SQUASHED_UPPER
+            return _ad_rci(reduced), BoundKind.RCI_LOWER
+        return _ad_squashed(reduced), BoundKind.SQUASHED_UPPER
     eta_tot, nbar_tot = reduced
     if nbar_tot == 0.0:
         return plob_pure_loss(eta_tot), BoundKind.PLOB_EXACT

@@ -1,17 +1,17 @@
 """Channel specifications, fibre parameterization, and chain composition.
 
 Two channel families are modelled. Amplitude damping acts on qubits and is
-described by a single damping probability p. Thermal loss acts on bosonic
-modes and is described by a transmissivity tau together with the mean photon
-number nbar added at the output; pure loss is the nbar = 0 special case, and
-the bounds give it its exact formula. ``fibre_transmissivity`` is the one
-fibre loss law.
+specified by a damping probability p, but computed in the survival probability
+eta = 1 - p, which a fibre gives unrounded as its transmissivity. Thermal loss
+acts on bosonic modes and is described by a transmissivity tau together with
+the mean photon number nbar added at the output; pure loss is the nbar = 0
+special case. ``fibre_transmissivity`` is the one fibre loss law.
 
 A chain of same-family channels reduces to a single channel of that family:
-damping probabilities combine as p_tot = 1 - prod(1 - p_j), and thermal-loss
-links combine through the additive-noise recursion implemented in
-``compose_tl``. ``as_damping``/``as_thermal`` convert a channel spec to those
-family-native numbers and reject a channel of the other family.
+damping survival probabilities multiply, as transmissivities do, and
+thermal-loss links combine through the additive-noise recursion implemented
+in ``compose_tl``. ``as_damping``/``as_thermal`` convert a channel spec to
+those family-native numbers and reject a channel of the other family.
 """
 
 from __future__ import annotations
@@ -75,11 +75,11 @@ def family(channel: ChannelSpec) -> str | None:
 
 
 def as_damping(channel: ChannelSpec) -> float:
-    """Damping probability of an AD-family channel (Identity counts as p = 0)."""
+    """Survival probability eta = 1 - p of an AD-family channel (Identity counts as eta = 1)."""
     if isinstance(channel, AmplitudeDamping):
-        return channel.p
+        return 1.0 - channel.p
     if isinstance(channel, Identity):
-        return 0.0
+        return 1.0
     raise FamilyError(f"expected an amplitude-damping channel, got {channel!r}")
 
 
@@ -112,18 +112,14 @@ class FibreParams:
     def __post_init__(self):
         if self.length_km < 0.0 or math.isnan(self.length_km):
             raise DomainError(f"fibre length must be >= 0 km, got {self.length_km}")
-        if self.gamma <= 0.0 or math.isnan(self.gamma):
-            raise DomainError(f"loss rate must be > 0 per km, got {self.gamma}")
+        if not 0.0 < self.gamma < math.inf:  # an infinite rate makes 10^(-gamma*0) nan
+            raise DomainError(f"loss rate must be finite and > 0 per km, got {self.gamma}")
         if self.nbar_B < 0.0 or math.isnan(self.nbar_B):
             raise DomainError(f"background photons must be >= 0, got {self.nbar_B}")
 
     @property
     def transmissivity(self) -> float:
         return fibre_transmissivity(self.gamma, self.length_km)
-
-    @property
-    def damping(self) -> float:
-        return 1.0 - self.transmissivity
 
 
 @dataclass(frozen=True)
@@ -151,21 +147,17 @@ def check_role(role: str) -> str:
     return role
 
 
-def compose_ad(probs: Iterable[float]) -> float:
-    """Total damping probability of a chain of damping channels.
-
-    p_tot = 1 - prod_j (1 - p_j); order-independent.
-    """
-    survive = 1.0
-    count = 0
-    for p in probs:
-        if not 0.0 <= p <= 1.0 or math.isnan(p):
-            raise DomainError(f"damping probability must lie in [0, 1], got {p}")
-        survive *= 1.0 - p
+def compose_ad(etas: Iterable[float]) -> float:
+    """Survival probability of a chain of damping channels: prod_j eta_j."""
+    eta_tot, count = 1.0, 0
+    for eta in etas:
+        if not 0.0 <= eta <= 1.0:
+            raise DomainError(f"survival probability must lie in [0, 1], got {eta}")
+        eta_tot *= eta
         count += 1
     if count == 0:
         raise EmptyCompoundError("compose_ad needs at least one channel")
-    return 1.0 - survive
+    return eta_tot
 
 
 def compose_tl(channels: Iterable[tuple[float, float]]) -> tuple[float, float]:
@@ -205,16 +197,12 @@ def compose_tl(channels: Iterable[tuple[float, float]]) -> tuple[float, float]:
     return tau_tot, nbar_tot
 
 
-def fibre_channel(params: FibreParams, fam: str) -> ChannelSpec:
-    """Channel presented by a fibre of the given family.
-
-    "ad": AmplitudeDamping(1 - 10^(-gamma*d)).
-    "tl": ThermalLoss(10^(-gamma*d), nbar_B).
-    """
+def fibre_native(params: FibreParams, fam: str):
+    """Family-native numbers of a fibre: eta = 10^(-gamma*d) ("ad"), or (eta, nbar_B) ("tl")."""
     if fam == FAMILY_AD:
-        return AmplitudeDamping(params.damping)
+        return params.transmissivity
     if fam == FAMILY_TL:
-        return ThermalLoss(params.transmissivity, params.nbar_B)
+        return params.transmissivity, params.nbar_B
     raise FamilyError(f"unknown channel family {fam!r}")
 
 

@@ -28,7 +28,7 @@ from .channels import (
     channel_to_json,
     check_role,
     family,
-    fibre_channel,
+    fibre_native,
 )
 from .errors import DomainError, FamilyError, ValidationError
 
@@ -239,7 +239,7 @@ def apply_split(graph: NetworkGraph) -> BoundedGraph:
     channel_id, channels = _numbered(
         native(c) if not isinstance(c, FibreParams)
         else None if fam == FAMILY_TL and c.transmissivity == 0.0
-        else native(fibre_channel(c, fam))
+        else fibre_native(c, fam)
         for c in graph.classes
     )
 

@@ -48,11 +48,11 @@ def random_tl_compound(rng: random.Random, max_links: int = 5) -> list[tuple[flo
 
 
 def ad_compound_error(ps: list[float]) -> float:
-    """|compose_ad - Kraus simulation|: the damped population of |1> is p_tot."""
+    """|compose_ad - Kraus simulation|: the surviving population of |1> is eta_tot."""
     rho = EXCITED
     for p in ps:
         rho = apply_channel(ad_channel(p), rho)
-    return abs(compose_ad(ps) - rho[0][0].real)
+    return abs(compose_ad([1.0 - p for p in ps]) - rho[1][1].real)
 
 
 def tl_compound_error(links: list[tuple[float, float]], nbar_in: float = 0.0) -> float:

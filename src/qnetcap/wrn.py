@@ -101,8 +101,8 @@ class WrnSpec:
         # Negated comparisons so that NaN is rejected too.
         if not self.edge_length_km > 0.0:
             raise DomainError(f"edge_length_km must be > 0 km, got {self.edge_length_km}")
-        if not self.gamma > 0.0:
-            raise DomainError(f"gamma must be > 0 per km, got {self.gamma}")
+        if not 0.0 < self.gamma < math.inf:
+            raise DomainError(f"gamma must be finite and > 0 per km, got {self.gamma}")
         if not self.nbar_B >= 0.0:
             raise DomainError(f"nbar_B must be >= 0, got {self.nbar_B}")
         if self.family not in (FAMILY_AD, FAMILY_TL):
@@ -364,17 +364,17 @@ def _compound_at(spec: WrnSpec, param: str, qkd_setup: qkd_mod.QkdSetup | None):
         return fibre_transmissivity(spec.gamma, d)
 
     if param == PARAM_INTERNAL_LOSS:
-        # The swept internal loss stands in for both device templates.
-        p_edge = 1.0 - eta(spec.edge_length_km)
-        return (lambda p: compound(FAMILY_AD, p, p_edge, 0.0)), (BRACKET_START[0], 1.0 - 1e-9)
+        # The swept internal loss p stands in for both device templates.
+        eta_edge = eta(spec.edge_length_km)
+        return (lambda p: compound(FAMILY_AD, 1.0 - p, eta_edge, 1.0)), (BRACKET_START[0], 1.0 - 1e-9)
     if param == PARAM_RECEIVER_NOISE:
         tau_r, send_t = as_thermal(spec.recv)[0], as_thermal(spec.send)
         fibre = (eta(spec.edge_length_km), spec.nbar_B)
         at = (lambda n: compound(FAMILY_TL, send_t, fibre, (tau_r, n))) if fibre[0] > 0.0 else None
         return at, BRACKET_START
     if spec.family == FAMILY_AD:
-        p_send, p_recv = as_damping(spec.send), as_damping(spec.recv)
-        return (lambda d: compound(FAMILY_AD, p_send, 1.0 - eta(d), p_recv)), BRACKET_START
+        eta_send, eta_recv = as_damping(spec.send), as_damping(spec.recv)
+        return (lambda d: compound(FAMILY_AD, eta_send, eta(d), eta_recv)), BRACKET_START
     if qkd_setup is not None:
         def qkd_compound(d: float):
             eta_d = eta(d)
@@ -397,7 +397,7 @@ def bound_functions(
     receiver template becomes ThermalLoss(tau_eff, nbar_r(eta(d))) and the
     sender is ideal; that combination only applies to thermal-loss lattices
     varied over edge length. Each function evaluates its own side only; a
-    dark fibre (transmissivity 0) bounds both by 0, as damping with p = 1 does.
+    dark fibre (transmissivity 0) bounds both by 0, as full damping does.
     """
     at, bracket = _compound_at(spec, param, qkd_setup)
     if at is None:

@@ -1,4 +1,5 @@
 import math
+import sys
 from decimal import Decimal, localcontext
 
 import pytest
@@ -92,6 +93,92 @@ def test_ad_rci_beats_every_grid_point():
         best = ad_rci(p)
         for u in grid:
             assert best >= h2(u) - h2(u * p) - 1e-12
+
+
+def _h2_decimal(u: Decimal) -> Decimal:
+    if u in (0, 1):
+        return Decimal(0)
+    return -(u * u.ln() + (1 - u) * (1 - u).ln()) / Decimal(2).ln()
+
+
+def _ad_rci_decimal(eta: float) -> Decimal:
+    """max_u H2(u) - H2((1-eta)u) in 60-digit decimal arithmetic, at exactly eta,
+    by bisection on the sign of the derivative of the strictly concave objective."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        p = 1 - Decimal(eta)
+        if p == 0:
+            return Decimal(1)
+        lo, hi = Decimal(0), Decimal(1)
+        for _ in range(80):  # u to 2^-80: the error in the maximum is of order its square
+            u = (lo + hi) / 2
+            slope = ((1 - u) / u).ln() - p * ((1 - p * u) / (p * u)).ln()
+            lo, hi = (u, hi) if slope > 0 else (lo, u)
+        return _h2_decimal(u) - _h2_decimal(p * u)
+
+
+def _ad_squashed_decimal(eta: float) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = 60
+        e = Decimal(eta) / 4
+        return _h2_decimal(Decimal("0.25") + e) - _h2_decimal(Decimal("0.25") - e)
+
+
+def _plob_decimal(eta: float) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return -(1 - Decimal(eta)).ln() / Decimal(2).ln()
+
+
+# Half decades from 1e-15 to 1, and 1 - 10^-k for k = 1 to 15.
+REFERENCE_ETAS = [10.0 ** (k / 2) for k in range(-30, 1)] + [1.0 - 10.0 ** -k for k in range(1, 16)]
+
+
+@pytest.mark.parametrize("eta", REFERENCE_ETAS)
+def test_bounds_match_decimal_reference_down_to_full_loss(eta):
+    lower, _ = compound_bound(FAMILY_AD, eta, "lower")
+    upper, _ = compound_bound(FAMILY_AD, eta, "upper")
+    for got, ref in ((lower, _ad_rci_decimal(eta)), (upper, _ad_squashed_decimal(eta))):
+        assert abs(Decimal(got) - ref) <= Decimal("1e-12") * ref
+    if eta < 1.0:
+        ref = _plob_decimal(eta)
+        assert abs(Decimal(plob_pure_loss(eta)) - ref) <= Decimal("1e-12") * ref
+    # The public entries take the damping probability p; p = 1 - eta is exact for eta >= 1/2.
+    if eta >= 0.5:
+        assert (ad_rci(1.0 - eta), ad_squashed(1.0 - eta)) == (lower, upper)
+
+
+def _ad_rci_bisection(p_tot: float) -> float:
+    """The bisection on the damping probability that ``ad_rci`` used before it
+    was written in the survival probability, as a reference."""
+    lo, hi = 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        slope = math.log2(1.0 - mid) - math.log2(mid)
+        pu = p_tot * mid
+        if pu > 0.0:
+            slope -= p_tot * (math.log2(1.0 - pu) - math.log2(pu))
+        if slope > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return max(0.0, h2(lo) - h2(lo * p_tot), h2(hi) - h2(hi * p_tot))
+
+
+def test_ad_rci_matches_the_bisection_on_p():
+    # eta from 1e-6 to 1 - 1e-6, as damping probabilities. The bisection
+    # differences two binary entropies below 1 bit, so it carries an absolute
+    # error of a few units of 2^-52: against the decimal reference it is up to
+    # 9e-11 relative off for eta from 1e-6 to 1e-5, and within 1e-12 from 1e-3.
+    etas = [10.0 ** (k / 40) for k in range(-240, 0)] + [1.0 - 10.0 ** (k / 40) for k in range(-240, -28)]
+    for p in (1.0 - eta for eta in etas):
+        old = _ad_rci_bisection(p)
+        assert abs(ad_rci(p) - old) <= 1e-12 * old + 4 * sys.float_info.epsilon
+
+
+def test_bounds_hold_no_cache():
+    import qnetcap.bounds as bounds_mod
+
+    assert [name for name, value in vars(bounds_mod).items() if hasattr(value, "cache_clear")] == []
 
 
 def test_ad_squashed_values():

@@ -15,7 +15,7 @@ from qnetcap.channels import (
     channel_to_json,
     compose_ad,
     compose_tl,
-    fibre_channel,
+    fibre_native,
     fibre_transmissivity,
 )
 from qnetcap.errors import DomainError, EmptyCompoundError, FamilyError
@@ -40,11 +40,20 @@ def test_channel_param_domains():
         FibreParams(-1.0)
 
 
+@pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan, 0.0])
+def test_fibre_loss_rate_must_be_finite_and_positive(gamma):
+    # An infinite rate would give a zero-length fibre transmissivity 10^(-inf*0) = nan.
+    with pytest.raises(DomainError, match="loss rate must be finite"):
+        FibreParams(0.0, gamma=gamma)
+
+
 def test_compose_ad_examples():
-    assert compose_ad([0.2]) == pytest.approx(0.2, rel=1e-15)
-    assert compose_ad([0.1, 0.2]) == pytest.approx(0.28, rel=1e-15)
-    assert compose_ad([0.5, 1.0]) == 1.0
-    assert compose_ad([0.0, 0.0, 0.0]) == 0.0
+    # Survival probabilities eta = 1 - p of the damping chains p = [0.2],
+    # [0.1, 0.2], [0.5, 1.0] and [0, 0, 0].
+    assert compose_ad([0.8]) == pytest.approx(0.8, rel=1e-15)
+    assert compose_ad([0.9, 0.8]) == pytest.approx(0.72, rel=1e-15)
+    assert compose_ad([0.5, 0.0]) == 0.0
+    assert compose_ad([1.0, 1.0, 1.0]) == 1.0
 
 
 def test_compose_ad_empty():
@@ -61,17 +70,17 @@ def test_compose_ad_domain():
 
 @given(st.lists(probs, min_size=1, max_size=6))
 @settings(max_examples=300)
-def test_compose_ad_range_and_order(ps):
-    p = compose_ad(ps)
-    assert 0.0 <= p <= 1.0
-    assert compose_ad(list(reversed(ps))) == pytest.approx(p, abs=1e-15)
-    assert p >= max(ps) - 1e-15
+def test_compose_ad_range_and_order(etas):
+    eta = compose_ad(etas)
+    assert 0.0 <= eta <= 1.0
+    assert compose_ad(list(reversed(etas))) == pytest.approx(eta, abs=1e-15)
+    assert eta <= min(etas) + 1e-15
 
 
 @given(st.lists(probs, min_size=1, max_size=4), probs)
 @settings(max_examples=200)
-def test_compose_ad_monotone(ps, extra):
-    assert compose_ad(ps + [extra]) >= compose_ad(ps) - 1e-15
+def test_compose_ad_monotone(etas, extra):
+    assert compose_ad(etas + [extra]) <= compose_ad(etas) + 1e-15
 
 
 def test_compose_tl_examples():
@@ -135,11 +144,12 @@ def test_compose_tl_pure_loss_closure(ts):
 
 
 def test_node_split_ad_examples():
-    assert compound("ad", 0.0, 0.2, 0.0) == pytest.approx(0.2, rel=1e-15)
-    assert compound("ad", 0.1, 0.0, 0.1) == pytest.approx(0.19, rel=1e-12)
+    # In survival probabilities: ideal devices are eta = 1, p = 0.1 is eta = 0.9.
+    assert compound("ad", 1.0, 0.8, 1.0) == pytest.approx(0.8, rel=1e-15)
+    assert compound("ad", 0.9, 1.0, 0.9) == pytest.approx(0.81, rel=1e-12)
     # total internal efficiency 0.1 with a d=100 km fibre at gamma=0.02
-    p_xy = 1.0 - 10.0 ** (-0.02 * 100.0)
-    assert compound("ad", 0.0, p_xy, 0.9) == pytest.approx(0.999, rel=1e-12)
+    eta_xy = 10.0 ** (-0.02 * 100.0)
+    assert compound("ad", 1.0, eta_xy, 0.1) == pytest.approx(0.001, rel=1e-12)
 
 
 def test_node_split_tl_examples():
@@ -165,22 +175,22 @@ def test_node_split_tl_is_compose_tl(tau_s, n_s, eta, n_xy, tau_r, n_r):
 
 @given(probs, probs, probs)
 @settings(max_examples=300)
-def test_node_split_ad_matches_compose(p_s, p_xy, p_r):
-    assert compound("ad", p_s, p_xy, p_r) == compose_ad([p_s, p_xy, p_r])
+def test_node_split_ad_matches_compose(eta_s, eta_xy, eta_r):
+    assert compound("ad", eta_s, eta_xy, eta_r) == compose_ad([eta_s, eta_xy, eta_r])
 
 
 def test_fibre_channel():
-    assert fibre_channel(FibreParams(0.0), "ad") == AmplitudeDamping(0.0)
-    ch = fibre_channel(FibreParams(50.0), "ad")
-    assert ch.p == pytest.approx(0.9, rel=1e-12)
-    th = fibre_channel(FibreParams(100.0), "tl")
-    assert th.tau == pytest.approx(0.01, rel=1e-12)
-    assert th.nbar == 0.002
+    # A fibre's family-native numbers: survival eta ("ad"), (tau, nbar) ("tl").
+    assert fibre_native(FibreParams(0.0), "ad") == 1.0
+    assert fibre_native(FibreParams(50.0), "ad") == pytest.approx(0.1, rel=1e-12)
+    tau, nbar = fibre_native(FibreParams(100.0), "tl")
+    assert tau == pytest.approx(0.01, rel=1e-12)
+    assert nbar == 0.002
     # Noiseless fibre is thermal loss with nbar 0, a zero-length one included.
-    assert fibre_channel(FibreParams(100.0, nbar_B=0.0), "tl") == ThermalLoss(th.tau, 0.0)
-    assert fibre_channel(FibreParams(0.0, nbar_B=0.0), "tl") == ThermalLoss(1.0, 0.0)
+    assert fibre_native(FibreParams(100.0, nbar_B=0.0), "tl") == (tau, 0.0)
+    assert fibre_native(FibreParams(0.0, nbar_B=0.0), "tl") == (1.0, 0.0)
     with pytest.raises(FamilyError):
-        fibre_channel(FibreParams(10.0), "qubit")
+        fibre_native(FibreParams(10.0), "qubit")
 
 
 def test_fibre_transmissivity_is_the_one_loss_law():
@@ -188,7 +198,9 @@ def test_fibre_transmissivity_is_the_one_loss_law():
     assert fibre_transmissivity(0.02, 0.0) == 1.0
     for d in (0.0, 3.7, 150.0, 1e5):
         assert FibreParams(d, gamma=0.03).transmissivity == fibre_transmissivity(0.03, d)
-        assert FibreParams(d, gamma=0.03).damping == 1.0 - fibre_transmissivity(0.03, d)
+        # A damping fibre's survival probability is its transmissivity, unrounded.
+        assert fibre_native(FibreParams(d, gamma=0.03), "ad") == fibre_transmissivity(0.03, d)
+    assert not hasattr(FibreParams(1.0), "damping")
 
 
 def test_channel_json_round_trip():

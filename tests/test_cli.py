@@ -564,6 +564,40 @@ def test_receiver_noise_on_a_dark_fibre_is_not_attainable(tmp_path, capsys):
         assert math.isnan(tlo) == (d > 15210.0)
 
 
+def test_internal_loss_solve_near_full_fibre_loss(tmp_path, capsys):
+    # The fibre transmits about 1e-12, so the damping bounds are about 4e-13
+    # and the internal loss moves them in their 13th digit. Computed through
+    # the damping probability 1 - eta, eta is lost to rounding, and the scan
+    # sees the lower bound rise: "not monotone", exit 5, for every target.
+    spec = write_json(tmp_path / "wrn.json", {"cell": "triangular6", "radius": 2, "family": "ad",
+                                              "edge_length_km": 60.19673081209978, "gamma": 0.2})
+    argv = ("threshold", "--spec", spec, "--param", "internal-loss", "--target")
+    code, out, err = run(capsys, *argv, "1e-12")
+    assert code == EXIT_OK, err
+    report = json.loads(out)
+    for side in ("bulk", "user"):
+        lo, hi = report[side]["bracket"]
+        assert 0.0 < lo < hi < 1.0
+    # Per-edge bounds below 1e-12 cannot carry 7.8e-4 end to end.
+    code, out, err = run(capsys, *argv, "7.803142414353759e-4")
+    assert (code, out, json.loads(err)["error"]) == (EXIT_NOT_ATTAINABLE, "", "not-attainable")
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_infinite_loss_rate_is_a_violation(tmp_path, capsys, command):
+    # 10^(-inf * 0) is nan, so an infinite gamma is refused where the fibre is read.
+    net = write_json(tmp_path / "net.json", {
+        "family": "tl", "nodes": [{"id": "a", "role": "user"}, {"id": "b"}, {"id": "c", "role": "user"}],
+        "edges": [{"a": "a", "b": "b", "fibre": {"length_km": 0, "gamma": math.inf}},
+                  {"a": "b", "b": "c", "fibre": {"length_km": 5.0}}],
+        "users": ["a", "c"],
+    })
+    code, out, err = run(capsys, command, "--in", net)
+    assert code == EXIT_VALIDATION
+    violations = json.loads(out if command == "validate" else err)["violations"]
+    assert violations == ["edge a-b: loss rate must be finite and > 0 per km, got inf"]
+
+
 @pytest.mark.parametrize("cell", ["manhattan8", "triangular6"])
 def test_analyze_gives_a_dark_fibre_network_capacity_zero(tmp_path, capsys, cell):
     # 20,000 km of fibre transmits 10^(-400), which is 0.0; a file may also say 1e400 km.
@@ -814,6 +848,7 @@ PARAMS = st.sampled_from(["edge-length", "internal-loss", "receiver-noise"])
 @example(("analyze", {**NETWORKS[0], "nodes": [{"id": "b", "send": {"kind": "tl", "tau": HUGE_INT}}]}, ()))
 @example(("sweep", {**SWEEPS[0], "steps": HUGE_INT}, ()))
 @example(("analyze", {**NETWORKS[0], "edges": [{"a": "a", "b": "c", "fibre": {"length_km": 2e4}}]}, ()))
+@example(("analyze", {**NETWORKS[0], "edges": [{"a": "a", "b": "c", "fibre": {"length_km": 0, "gamma": 1e999}}]}, ()))
 def test_every_subcommand_maps_arbitrary_json_to_an_exit_code(tmp_path, case):
     command, data, extra = case
     path = tmp_path / "in.json"

@@ -15,7 +15,7 @@ from qnetcap.channels import (
     Identity,
     NodeSpec,
     ThermalLoss,
-    fibre_channel,
+    fibre_native,
 )
 from qnetcap.errors import (
     DomainError,
@@ -261,9 +261,7 @@ def test_apply_split_matches_per_edge_bounds(name):
     assert (bg.nodes, bg.a, bg.b) == (graph.names, graph.a, graph.b)
     nodes = list(graph.nodes.values())
     for i, (u, v, c) in enumerate(zip(graph.a, graph.b, graph.cls)):
-        source = graph.classes[c]
-        channel = fibre_channel(source, fam) if isinstance(source, FibreParams) else source
-        assert _edge_bounds(bg, i) == oriented_edge_bounds(channel, nodes[u], nodes[v], fam)
+        assert _edge_bounds(bg, i) == oriented_edge_bounds(graph.classes[c], nodes[u], nodes[v], fam)
 
 
 @pytest.mark.parametrize("source", ["generated", "loaded", "copied"])
@@ -312,7 +310,7 @@ def _directions(graph):
     forward then backward direction, in edge order."""
     fam = resolved_family(graph)
     native = bounds.family_native(fam)
-    channels = [native(fibre_channel(c, fam) if isinstance(c, FibreParams) else c) for c in graph.classes]
+    channels = [fibre_native(c, fam) if isinstance(c, FibreParams) else native(c) for c in graph.classes]
     return [
         (fam, native(graph.send[s]), channels[c], native(graph.recv[r]))
         for u, v, c in zip(graph.a, graph.b, graph.cls) for s, r in ((u, v), (v, u))

@@ -461,11 +461,13 @@ def test_bound_functions_evaluate_one_side(monkeypatch, spec, param, other):
     def forbidden(*args):
         raise AssertionError(f"{other} evaluated for the lower side")
 
-    monkeypatch.setattr(bounds_mod, other, forbidden)
+    # The damping bounds are evaluated by their survival-probability kernels.
+    kernel = {"ad_squashed": "_ad_squashed", "ad_rci": "_ad_rci"}
+    monkeypatch.setattr(bounds_mod, kernel.get(other, other), forbidden)
     lower_fn(0.1)
     monkeypatch.undo()
     lower_name = "ad_rci" if other == "ad_squashed" else "tl_rci"
-    monkeypatch.setattr(bounds_mod, lower_name, forbidden)
+    monkeypatch.setattr(bounds_mod, kernel.get(lower_name, lower_name), forbidden)
     assert upper_fn(0.1) == expected_upper
 
 
