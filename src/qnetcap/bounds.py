@@ -14,6 +14,11 @@ device noise the two directions give different compound channels.
 ``direction_bounds`` bounds one direction, and ``orient`` picks,
 independently for the lower and the upper bound, the more favourable one;
 ``network.apply_split`` goes through both.
+
+A thermal compound that transmits nothing is bounded 0 on both sides, with
+the kind ``DARK_FIBRE``: -log2(1-eta) -> 0 as eta -> 0. That holds whether a
+fibre's transmissivity is 0 or the compound's product underflows, and it is
+decided here alone, for the graph and the threshold solver alike.
 """
 
 from __future__ import annotations
@@ -159,7 +164,7 @@ class BoundKind(enum.Enum):
     SQUASHED_UPPER = "squashed-upper"
     REE_UPPER = "ree-upper"
     PLOB_EXACT = "plob-exact"
-    DARK_FIBRE = "dark-fibre"  # a thermal fibre of transmissivity 0: exactly 0
+    DARK_FIBRE = "dark-fibre"  # a thermal compound of transmissivity 0: exactly 0
 
 
 def family_native(fam: str):
@@ -176,14 +181,20 @@ def compound(fam: str, send, edge, recv):
     directed use of an edge passes the sender's send channel, the edge, then
     the receiver's recv channel. Arguments and result are family-native: a
     damping survival probability eta = 1 - p ("ad") or a (tau, nbar) pair ("tl").
+    A thermal edge of transmissivity 0 gives (0, 0), whose bounds are 0.
     """
-    return (compose_ad if fam == FAMILY_AD else compose_tl)((send, edge, recv))
+    if fam == FAMILY_AD:
+        return compose_ad((send, edge, recv))
+    if edge[0] == 0.0:
+        return 0.0, 0.0
+    return compose_tl((send, edge, recv))
 
 
 def compound_bound(fam: str, reduced, selector: str) -> tuple[float, BoundKind]:
     """The "lower" or "upper" bound of a reduced compound, with its kind.
 
-    Only the selected side is evaluated. Unit transmissivity raises
+    Only the selected side is evaluated. A thermal compound of transmissivity
+    0 is bounded 0, of kind ``DARK_FIBRE``. Unit transmissivity raises
     DomainError; callers that give ideal edges a meaning handle them first.
     """
     if fam == FAMILY_AD:
@@ -191,6 +202,8 @@ def compound_bound(fam: str, reduced, selector: str) -> tuple[float, BoundKind]:
             return _ad_rci(reduced), BoundKind.RCI_LOWER
         return _ad_squashed(reduced), BoundKind.SQUASHED_UPPER
     eta_tot, nbar_tot = reduced
+    if eta_tot == 0.0:
+        return 0.0, BoundKind.DARK_FIBRE
     if nbar_tot == 0.0:
         return plob_pure_loss(eta_tot), BoundKind.PLOB_EXACT
     if selector == "lower":
@@ -203,8 +216,8 @@ def direction_bounds(fam: str, send, edge, recv) -> tuple[float, BoundKind, floa
 
     Arguments are family-native, as for ``compound``. A thermal compound of
     unit transmissivity is an ideal edge and has no finite bound. The result
-    equals both sides of ``compound_bound``; a noisy thermal compound
-    evaluates its rate expression once for both.
+    equals both sides of ``compound_bound``; a noisy thermal compound that
+    transmits something evaluates its rate expression once for both.
     """
     reduced = compound(fam, send, edge, recv)
     if fam == FAMILY_TL:
@@ -213,7 +226,7 @@ def direction_bounds(fam: str, send, edge, recv) -> tuple[float, BoundKind, floa
             if nbar_tot != 0.0:
                 raise DomainError("thermal edge with unit transmissivity and added noise is not modelled")
             return math.inf, BoundKind.PLOB_EXACT, math.inf, BoundKind.PLOB_EXACT
-        if nbar_tot != 0.0:
+        if nbar_tot != 0.0 and eta_tot != 0.0:
             raw = _tl_rci_raw(eta_tot, nbar_tot)
             return (max(0.0, raw), BoundKind.RCI_LOWER,
                     _tl_ree_from_raw(raw, eta_tot, nbar_tot), BoundKind.REE_UPPER)

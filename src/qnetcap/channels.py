@@ -10,8 +10,8 @@ special case. ``fibre_transmissivity`` is the one fibre loss law.
 A chain of same-family channels reduces to a single channel of that family:
 damping survival probabilities multiply, as transmissivities do, and
 thermal-loss links combine through the additive-noise recursion implemented
-in ``compose_tl``. ``as_damping``/``as_thermal`` convert a channel spec to
-those family-native numbers and reject a channel of the other family.
+in ``compose_tl``. ``as_damping``/``as_thermal`` convert a channel spec or a
+fibre to those family-native numbers and reject a channel of the other family.
 """
 
 from __future__ import annotations
@@ -74,21 +74,25 @@ def family(channel: ChannelSpec) -> str | None:
     raise FamilyError(f"not a channel spec: {channel!r}")
 
 
-def as_damping(channel: ChannelSpec) -> float:
-    """Survival probability eta = 1 - p of an AD-family channel (Identity counts as eta = 1)."""
+def as_damping(channel: ChannelSpec | FibreParams) -> float:
+    """Survival probability eta = 1 - p of an AD-family channel or a fibre (Identity: 1)."""
     if isinstance(channel, AmplitudeDamping):
         return 1.0 - channel.p
     if isinstance(channel, Identity):
         return 1.0
+    if isinstance(channel, FibreParams):
+        return channel.transmissivity
     raise FamilyError(f"expected an amplitude-damping channel, got {channel!r}")
 
 
-def as_thermal(channel: ChannelSpec) -> tuple[float, float]:
-    """(tau, nbar) of a thermal-family channel (Identity counts as (1, 0))."""
+def as_thermal(channel: ChannelSpec | FibreParams) -> tuple[float, float]:
+    """(tau, nbar) of a thermal-family channel or a fibre (Identity: (1, 0))."""
     if isinstance(channel, ThermalLoss):
         return channel.tau, channel.nbar
     if isinstance(channel, Identity):
         return 1.0, 0.0
+    if isinstance(channel, FibreParams):
+        return channel.transmissivity, channel.nbar_B
     raise FamilyError(f"expected a thermal-loss channel, got {channel!r}")
 
 
@@ -195,15 +199,6 @@ def compose_tl(channels: Iterable[tuple[float, float]]) -> tuple[float, float]:
             raise DomainError(f"compound photon number {nbar_tot} below rounding tolerance")
         nbar_tot = 0.0
     return tau_tot, nbar_tot
-
-
-def fibre_native(params: FibreParams, fam: str):
-    """Family-native numbers of a fibre: eta = 10^(-gamma*d) ("ad"), or (eta, nbar_B) ("tl")."""
-    if fam == FAMILY_AD:
-        return params.transmissivity
-    if fam == FAMILY_TL:
-        return params.transmissivity, params.nbar_B
-    raise FamilyError(f"unknown channel family {fam!r}")
 
 
 def channel_to_json(channel: ChannelSpec) -> dict:

@@ -312,13 +312,14 @@ def _qkd_columns(spec: wrn.WrnSpec, setup) -> tuple[list[str], Callable[[float],
     return ["nbar_r_llo", "nbar_r_tlo"], (lambda d: [cell(scheme, d) for scheme in schemes])
 
 
-# (variable, family) -> (x column, re-spec at x, solved param, pass the QKD
-# setup to the solve, extra columns). targetCapacity sweeps the target itself.
+# (variable, family) -> (x column, re-spec at x, solved param, extra columns).
+# targetCapacity sweeps the target itself. The QKD setup goes to the solve
+# unless the extra columns report it.
 _SWEEPS = {
-    ("edgeLength", "ad"): ("edge_length_km", _respec_length, "internalLoss", True, None),
-    ("edgeLength", "tl"): ("edge_length_km", _respec_length, "receiverNoise", False, _qkd_columns),
-    ("internalLoss", "ad"): ("p_int", _respec_loss, "edgeLength", True, None),
-    ("receiverNoise", "tl"): ("nbar_r", _respec_noise, "edgeLength", True, None),
+    ("edgeLength", "ad"): ("edge_length_km", _respec_length, "internalLoss", None),
+    ("edgeLength", "tl"): ("edge_length_km", _respec_length, "receiverNoise", _qkd_columns),
+    ("internalLoss", "ad"): ("p_int", _respec_loss, "edgeLength", None),
+    ("receiverNoise", "tl"): ("nbar_r", _respec_noise, "edgeLength", None),
 }
 
 
@@ -329,7 +330,7 @@ def _sweep_rows(data: dict, spec: wrn.WrnSpec, setup) -> tuple[list[str], list[l
         param = data.get("param", wrn.PARAM_EDGE_LENGTH)
         if not isinstance(param, str) or param not in _SOLVED_STEM:
             raise _InputError(f"unknown param {param!r}")
-        x_column, respec, pass_setup, columns = "target_capacity", None, True, None
+        x_column, respec, columns = "target_capacity", None, None
     else:
         if "target" not in data:
             raise _InputError(f"sweeps over {variable} need a fixed 'target' capacity")
@@ -340,7 +341,7 @@ def _sweep_rows(data: dict, spec: wrn.WrnSpec, setup) -> tuple[list[str], list[l
         if variable == "receiverNoise" and setup is not None:
             raise _InputError("receiverNoise sweeps take no qkd_setup: the QKD receiver model "
                               "sets the receiver noise that the sweep varies")
-        x_column, respec, param, pass_setup, columns = _SWEEPS[variable, spec.family]
+        x_column, respec, param, columns = _SWEEPS[variable, spec.family]
     stem = _SOLVED_STEM[param]
     header = [x_column, f"{stem}_lower", f"{stem}_upper"]
     with_rho = param == wrn.PARAM_EDGE_LENGTH
@@ -348,7 +349,7 @@ def _sweep_rows(data: dict, spec: wrn.WrnSpec, setup) -> tuple[list[str], list[l
         header += ["rho_min_lower", "rho_min_upper"]
     extra_header, extra_cells = columns(spec, setup) if columns is not None else ([], lambda x: [])
     header += extra_header
-    solve_setup = setup if pass_setup else None
+    solve_setup = setup if columns is None else None
     if respec is None:  # one solve over every target
         results = wrn.thresholds(spec, [(x, "delta") for x in points], param, solve_setup)
     else:  # one solve per re-specced point, made as its row is

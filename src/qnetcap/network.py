@@ -28,7 +28,6 @@ from .channels import (
     channel_to_json,
     check_role,
     family,
-    fibre_native,
 )
 from .errors import DomainError, FamilyError, ValidationError
 
@@ -206,10 +205,6 @@ def validate(graph: NetworkGraph) -> list[str]:
     return violations
 
 
-# Both sides of a thermal fibre that transmits nothing.
-_DARK = (0.0, BoundKind.DARK_FIBRE, 0.0, BoundKind.DARK_FIBRE)
-
-
 def _numbered(values) -> tuple[list[int], list]:
     """Each value's number among the distinct values, and those values in order."""
     index: dict = {}
@@ -223,10 +218,8 @@ def apply_split(graph: NetworkGraph) -> BoundedGraph:
     graph's one channel family is resolved once and passed down to every edge.
     Each class is resolved to a family-native channel once. A direction whose
     family-native (send, channel, recv) numbers equal the previous
-    direction's reuses its bounds, so a lattice is bounded once. A thermal
-    fibre of transmissivity 0 has bound 0 on both sides, of kind
-    ``DARK_FIBRE``. Orientation ids and ties are still decided per edge.
-    Deterministic and idempotent.
+    direction's reuses its bounds, so a lattice is bounded once. Orientation
+    ids and ties are still decided per edge. Deterministic and idempotent.
     """
     if graph._valid_family is None:
         violations = validate(graph)
@@ -236,12 +229,7 @@ def apply_split(graph: NetworkGraph) -> BoundedGraph:
     native = family_native(fam)
     send_id, sends = _numbered(map(native, graph.send))
     recv_id, recvs = _numbered(map(native, graph.recv))
-    channel_id, channels = _numbered(
-        native(c) if not isinstance(c, FibreParams)
-        else None if fam == FAMILY_TL and c.transmissivity == 0.0
-        else fibre_native(c, fam)
-        for c in graph.classes
-    )
+    channel_id, channels = _numbered(map(native, graph.classes))
 
     key = values = None  # the last direction bounded, and its bounds
 
@@ -249,7 +237,7 @@ def apply_split(graph: NetworkGraph) -> BoundedGraph:
         nonlocal key, values
         if direction != key:
             s, c, r = key = direction
-            values = _DARK if channels[c] is None else direction_bounds(fam, sends[s], channels[c], recvs[r])
+            values = direction_bounds(fam, sends[s], channels[c], recvs[r])
         return values
 
     names = graph.names

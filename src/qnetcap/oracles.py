@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .bounds import BoundKind, direction_bounds, family_native, orient
-from .channels import ChannelSpec, FibreParams, NodeSpec, fibre_native
+from .channels import ChannelSpec, FibreParams, NodeSpec
 from .errors import DomainError, KrausError, SizeError
 from .network import BoundedGraph, Cut, NetworkGraph, annotate_uniform, check_selector
 from .routing import FlowResult, max_flow, min_neighbourhood_capacity
@@ -173,7 +173,7 @@ def oriented_edge_bounds(edge: ChannelSpec | FibreParams, node_a: NodeSpec, node
     """Bounds of one edge, a channel or a fibre, in the graph family ``fam``, each side's
     direction chosen by ``bounds.orient``: the per-edge reference for ``apply_split``."""
     native = family_native(fam)
-    channel = fibre_native(edge, fam) if isinstance(edge, FibreParams) else native(edge)
+    channel = native(edge)
     forward = direction_bounds(fam, native(node_a.send), channel, native(node_b.recv))
     backward = direction_bounds(fam, native(node_b.send), channel, native(node_a.recv))
     lower_back, upper_back = orient(node_a.id, node_b.id, forward, backward)

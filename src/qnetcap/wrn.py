@@ -349,7 +349,7 @@ def solve_threshold(
 
 
 def _compound_at(spec: WrnSpec, param: str, qkd_setup: qkd_mod.QkdSetup | None):
-    """(xi -> reduced edge compound in family-native numbers, or None for a dark fibre; bracket)."""
+    """(xi -> reduced edge compound in family-native numbers, bracket)."""
     families = {PARAM_EDGE_LENGTH: spec.family, PARAM_INTERNAL_LOSS: FAMILY_AD,
                 PARAM_RECEIVER_NOISE: FAMILY_TL}
     if param not in families:
@@ -370,8 +370,7 @@ def _compound_at(spec: WrnSpec, param: str, qkd_setup: qkd_mod.QkdSetup | None):
     if param == PARAM_RECEIVER_NOISE:
         tau_r, send_t = as_thermal(spec.recv)[0], as_thermal(spec.send)
         fibre = (eta(spec.edge_length_km), spec.nbar_B)
-        at = (lambda n: compound(FAMILY_TL, send_t, fibre, (tau_r, n))) if fibre[0] > 0.0 else None
-        return at, BRACKET_START
+        return (lambda n: compound(FAMILY_TL, send_t, fibre, (tau_r, n))), BRACKET_START
     if spec.family == FAMILY_AD:
         eta_send, eta_recv = as_damping(spec.send), as_damping(spec.recv)
         return (lambda d: compound(FAMILY_AD, eta_send, eta(d), eta_recv)), BRACKET_START
@@ -396,12 +395,9 @@ def bound_functions(
     The remaining parameters are frozen from the spec. With a QKD setup the
     receiver template becomes ThermalLoss(tau_eff, nbar_r(eta(d))) and the
     sender is ideal; that combination only applies to thermal-loss lattices
-    varied over edge length. Each function evaluates its own side only; a
-    dark fibre (transmissivity 0) bounds both by 0, as full damping does.
+    varied over edge length. Each function evaluates its own side only.
     """
     at, bracket = _compound_at(spec, param, qkd_setup)
-    if at is None:
-        return (lambda x: 0.0), (lambda x: 0.0), bracket
     fam = spec.family
     return (
         lambda x: compound_bound(fam, at(x), "lower")[0],

@@ -256,6 +256,8 @@ devices = st.tuples(st.floats(min_value=1e-6, max_value=1.0), st.just(0.0) | nba
 @example((FAMILY_TL, (1.0, 0.0), (0.1, 0.5), (1.0, 0.0)))  # entanglement breaking: nbar_tot 0.5 >= eta 0.1
 @example((FAMILY_TL, (0.9, 0.01), (0.5, 0.002), (0.9, 0.01)))
 @example((FAMILY_AD, 0.0, 1.0, 0.0))
+@example((FAMILY_TL, (0.9, 0.01), (0.0, 0.002), (0.9, 0.01)))  # a dark fibre
+@example((FAMILY_TL, (1e-200, 0.0), (0.5, 0.01), (1e-200, 0.0)))  # the product underflows to 0
 @settings(max_examples=300, deadline=None)
 def test_direction_bounds_is_both_sides_of_compound_bound(case):
     fam, send, edge, recv = case
@@ -264,6 +266,8 @@ def test_direction_bounds_is_both_sides_of_compound_bound(case):
     got = direction_bounds(fam, send, edge, recv)
     assert [x.hex() if isinstance(x, float) else x for x in got] == \
         [x.hex() if isinstance(x, float) else x for x in expected]
+    if fam == FAMILY_TL and reduced[0] == 0.0:  # a compound that transmits nothing
+        assert got == (0.0, BoundKind.DARK_FIBRE, 0.0, BoundKind.DARK_FIBRE)
 
 
 def test_plob_values():

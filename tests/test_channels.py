@@ -4,18 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnetcap.bounds import compound
+from qnetcap.bounds import compound, family_native
 from qnetcap.channels import (
     AmplitudeDamping,
     FibreParams,
     Identity,
     NodeSpec,
     ThermalLoss,
+    as_damping,
+    as_thermal,
     channel_from_json,
     channel_to_json,
     compose_ad,
     compose_tl,
-    fibre_native,
     fibre_transmissivity,
 )
 from qnetcap.errors import DomainError, EmptyCompoundError, FamilyError
@@ -181,16 +182,16 @@ def test_node_split_ad_matches_compose(eta_s, eta_xy, eta_r):
 
 def test_fibre_channel():
     # A fibre's family-native numbers: survival eta ("ad"), (tau, nbar) ("tl").
-    assert fibre_native(FibreParams(0.0), "ad") == 1.0
-    assert fibre_native(FibreParams(50.0), "ad") == pytest.approx(0.1, rel=1e-12)
-    tau, nbar = fibre_native(FibreParams(100.0), "tl")
+    assert as_damping(FibreParams(0.0)) == 1.0
+    assert as_damping(FibreParams(50.0)) == pytest.approx(0.1, rel=1e-12)
+    tau, nbar = as_thermal(FibreParams(100.0))
     assert tau == pytest.approx(0.01, rel=1e-12)
     assert nbar == 0.002
     # Noiseless fibre is thermal loss with nbar 0, a zero-length one included.
-    assert fibre_native(FibreParams(100.0, nbar_B=0.0), "tl") == (tau, 0.0)
-    assert fibre_native(FibreParams(0.0, nbar_B=0.0), "tl") == (1.0, 0.0)
+    assert as_thermal(FibreParams(100.0, nbar_B=0.0)) == (tau, 0.0)
+    assert as_thermal(FibreParams(0.0, nbar_B=0.0)) == (1.0, 0.0)
     with pytest.raises(FamilyError):
-        fibre_native(FibreParams(10.0), "qubit")
+        family_native("qubit")
 
 
 def test_fibre_transmissivity_is_the_one_loss_law():
@@ -199,7 +200,7 @@ def test_fibre_transmissivity_is_the_one_loss_law():
     for d in (0.0, 3.7, 150.0, 1e5):
         assert FibreParams(d, gamma=0.03).transmissivity == fibre_transmissivity(0.03, d)
         # A damping fibre's survival probability is its transmissivity, unrounded.
-        assert fibre_native(FibreParams(d, gamma=0.03), "ad") == fibre_transmissivity(0.03, d)
+        assert as_damping(FibreParams(d, gamma=0.03)) == fibre_transmissivity(0.03, d)
     assert not hasattr(FibreParams(1.0), "damping")
 
 

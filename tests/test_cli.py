@@ -616,6 +616,42 @@ def test_analyze_gives_a_dark_fibre_network_capacity_zero(tmp_path, capsys, cell
         assert report["mincut"]["value"] == 0.0
 
 
+@pytest.mark.parametrize("gamma", [0.33, 1.0, 2.0])
+@pytest.mark.parametrize("cell, fam", [("manhattan8", "tl"), ("triangular6", "ad")])
+def test_edge_length_solves_on_lossy_fibre(tmp_path, capsys, cell, fam, gamma):
+    # The scan samples up to 1000 km, where 10^(-gamma d) is 0.0 from gamma 0.33 on.
+    lattice = {"cell": cell, "family": fam, "radius": 2, "edge_length_km": 10.0, "gamma": gamma}
+    spec = write_json(tmp_path / "wrn.json", lattice)
+    code, out, err = run(capsys, "threshold", "--spec", spec, "--target", "1e-2", "--param", "edge-length")
+    assert code == EXIT_OK, err
+    report = json.loads(out)
+    for side in ("bulk", "user"):
+        lo, hi = report[side]["bracket"]
+        assert 0.0 < lo <= hi < math.inf
+    sweep = write_json(tmp_path / "sweep.json", {
+        "variable": "targetCapacity", "start": 1e-3, "stop": 1e-2, "steps": 5, "scale": "log", "wrn": lattice})
+    code, out, err = run(capsys, "sweep", "--spec", sweep)
+    assert code == EXIT_OK, err
+    rows = [[float(x) for x in line.split(",")] for line in out.splitlines()[3:]]
+    assert len(rows) == 5
+    assert not any(math.isnan(x) for row in rows for x in row)
+
+
+def test_analyze_bounds_an_underflowing_compound_by_zero(tmp_path, capsys):
+    # Each direction passes 1e-200 * 0.5 * 1e-200, which is 0.0.
+    device = {"kind": "tl", "tau": 1e-200, "nbar": 0.0}
+    net = write_json(tmp_path / "net.json", {
+        "family": "tl",
+        "nodes": [{"id": user, "role": "user", "recv": device, "send": device} for user in ("a", "b")],
+        "edges": [{"a": "a", "b": "b", "channel": {"kind": "tl", "tau": 0.5, "nbar": 0.01}}],
+        "users": ["a", "b"],
+    })
+    code, out, err = run(capsys, "analyze", "--in", net)
+    assert code == EXIT_OK, err
+    report = json.loads(out)["report"]
+    assert [side for entry in report.values() for side in entry.values()] == [0.0] * 6
+
+
 def test_qkd_setup_has_no_background_photon_key(tmp_path, capsys):
     # The fibre background is the lattice's nbar_B; the receiver has none.
     spec = write_json(tmp_path / "wrn.json", {**MAN_SPEC, "qkd_setup": {"nbar_B": 0.002}})
@@ -782,17 +818,20 @@ NETWORK_PATHS += [("edges", i, "channel", key) for i in range(3)
 
 
 def with_drawn_lengths(bases, *nest):
-    """A base as it is, or with the edge_length_km of its lattice (under ``nest``) drawn up to 1e5 km."""
+    """A base as it is, or with the edge_length_km of its lattice (under ``nest``) drawn up to
+    1e5 km and its gamma in [1e-3, 2], so that fibres which transmit nothing reach the solver."""
 
-    def place(base, length):
+    def place(base, length, gamma):
         doc = copy.deepcopy(base)
         lattice = doc
         for key in nest:
             lattice = lattice[key]
         lattice["edge_length_km"] = length
+        lattice["gamma"] = gamma
         return doc
 
-    return st.one_of(st.sampled_from(bases), st.builds(place, st.sampled_from(bases), st.floats(1e-3, 1e5)))
+    return st.one_of(st.sampled_from(bases),
+                     st.builds(place, st.sampled_from(bases), st.floats(1e-3, 1e5), st.floats(1e-3, 2.0)))
 
 
 def with_fibre_lengths(bases):

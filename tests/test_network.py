@@ -15,7 +15,6 @@ from qnetcap.channels import (
     Identity,
     NodeSpec,
     ThermalLoss,
-    fibre_native,
 )
 from qnetcap.errors import (
     DomainError,
@@ -310,9 +309,8 @@ def _directions(graph):
     forward then backward direction, in edge order."""
     fam = resolved_family(graph)
     native = bounds.family_native(fam)
-    channels = [fibre_native(c, fam) if isinstance(c, FibreParams) else native(c) for c in graph.classes]
     return [
-        (fam, native(graph.send[s]), channels[c], native(graph.recv[r]))
+        (fam, native(graph.send[s]), native(graph.classes[c]), native(graph.recv[r]))
         for u, v, c in zip(graph.a, graph.b, graph.cls) for s, r in ((u, v), (v, u))
     ]
 
@@ -361,6 +359,9 @@ def test_a_fibre_that_transmits_nothing_has_bound_zero(fam, length):
         assert (bg.lower_kind[0], bg.upper_kind[0]) == (BoundKind.DARK_FIBRE, BoundKind.DARK_FIBRE)
     else:  # full damping: the damping bounds are 0 of themselves
         assert (bg.lower_kind[0], bg.upper_kind[0]) == (BoundKind.RCI_LOWER, BoundKind.SQUASHED_UPPER)
+    nodes = list(graph.nodes.values())
+    for i, (u, v, c) in enumerate(zip(graph.a, graph.b, graph.cls)):
+        assert _edge_bounds(bg, i) == oriented_edge_bounds(graph.classes[c], nodes[u], nodes[v], fam)
 
 
 def test_graph_views_match_columns():
