@@ -17,10 +17,9 @@ fibre to those family-native numbers and reject a channel of the other family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
-from .errors import DomainError, EmptyCompoundError, FamilyError
+from .errors import DomainError, EmptyCompoundError, FamilyError, checked
 
 # Tiny negative nbar totals from rounding are clamped; anything lower is a bug.
 NBAR_CLAMP_TOL = 1e-12
@@ -29,34 +28,36 @@ FAMILY_AD = "ad"
 FAMILY_TL = "tl"
 
 
-@dataclass(frozen=True)
-class AmplitudeDamping:
+@checked
+class AmplitudeDamping(NamedTuple):
     """Qubit energy-dissipation channel with damping probability p."""
 
     p: float
 
-    def __post_init__(self):
+    def _check(self):
         if not 0.0 <= self.p <= 1.0 or math.isnan(self.p):
             raise DomainError(f"damping probability must lie in [0, 1], got {self.p}")
 
 
-@dataclass(frozen=True)
-class ThermalLoss:
+@checked
+class ThermalLoss(NamedTuple):
     """Bosonic loss channel: transmissivity tau, output thermal photons nbar."""
 
     tau: float
     nbar: float = 0.0
 
-    def __post_init__(self):
+    def _check(self):
         if not 0.0 < self.tau <= 1.0 or math.isnan(self.tau):
             raise DomainError(f"transmissivity must lie in (0, 1], got {self.tau}")
         if self.nbar < 0.0 or math.isnan(self.nbar):
             raise DomainError(f"thermal photon number must be >= 0, got {self.nbar}")
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     """Neutral element for composition in either family."""
+
+    def __bool__(self) -> bool:  # a tuple of no fields would read as false
+        return True
 
 
 IDENTITY = Identity()
@@ -101,8 +102,8 @@ def fibre_transmissivity(gamma: float, length_km: float) -> float:
     return 10.0 ** (-gamma * length_km)
 
 
-@dataclass(frozen=True)
-class FibreParams:
+@checked
+class FibreParams(NamedTuple):
     """Fibre link of length_km with loss rate gamma (per km, base-10 exponent).
 
     The background photon number nbar_B is a fixed per-edge constant added at
@@ -113,7 +114,7 @@ class FibreParams:
     gamma: float = 0.02
     nbar_B: float = 0.002
 
-    def __post_init__(self):
+    def _check(self):
         if self.length_km < 0.0 or math.isnan(self.length_km):
             raise DomainError(f"fibre length must be >= 0 km, got {self.length_km}")
         if not 0.0 < self.gamma < math.inf:  # an infinite rate makes 10^(-gamma*0) nan
@@ -126,8 +127,8 @@ class FibreParams:
         return fibre_transmissivity(self.gamma, self.length_km)
 
 
-@dataclass(frozen=True)
-class NodeSpec:
+@checked
+class NodeSpec(NamedTuple):
     """A network node with internal receive and send channels.
 
     ``recv`` acts on anything arriving at the node before local processing;
@@ -140,7 +141,7 @@ class NodeSpec:
     send: ChannelSpec = IDENTITY
     role: str = "repeater"
 
-    def __post_init__(self):
+    def _check(self):
         check_role(self.role)
 
 

@@ -14,7 +14,6 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import importlib
 import json
 import math
@@ -108,11 +107,14 @@ def _error(kind: str, message: str, **extra) -> None:
 
 
 def _number(key: str, value, kind=float):
-    """``kind(value)``, or an input error that names the spec key."""
+    """``kind(value)``, or an input error that names the spec key; an int refuses a fraction."""
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise _InputError(f"{key} is not a valid {kind.__name__}: {value!r}") from exc
+    if kind is int and isinstance(value, float) and number != value:
+        raise _InputError(f"{key} is not a valid int: {value!r}")
+    return number
 
 
 def _parse_qkd_setup(data) -> qkd.QkdSetup:
@@ -123,14 +125,13 @@ def _parse_qkd_setup(data) -> qkd.QkdSetup:
     fields = dict(data)
     preset = fields.pop("preset", None)
     base = qkd.from_preset(preset) if preset is not None else qkd.QkdSetup()
-    known = {f.name for f in dataclasses.fields(qkd.QkdSetup)}
-    unknown = sorted(set(fields) - known)
+    unknown = sorted(set(fields) - set(qkd.QkdSetup._fields))
     if unknown:
         raise _InputError(f"unknown qkd_setup keys: {', '.join(unknown)}")
     for key, value in fields.items():
         if key != "scheme":
             fields[key] = _number(f"qkd_setup.{key}", value)
-    return dataclasses.replace(base, **fields)
+    return base._replace(**fields)
 
 
 def _parse_wrn_spec(data) -> tuple[wrn.WrnSpec, qkd.QkdSetup | None]:
@@ -169,9 +170,12 @@ def cmd_generate(args) -> int:
         gamma=args.gamma,
         nbar_B=args.nbar_b,
     )
+    for flag, value in (("--d", args.d), ("--nbar-b", args.nbar_b)):
+        if math.isinf(value):  # JSON has no infinity; the spec refuses nan and -inf
+            raise _InputError(f"a network file holds finite numbers only, got {flag} {value}")
     graph = wrn.generate(spec)
     # One compact line: json.dumps with an indent runs the pure-Python encoder.
-    _emit(json.dumps(network.network_to_json(graph)) + "\n", args.out)
+    _emit(json.dumps(network.network_to_json(graph), allow_nan=False) + "\n", args.out)
     return EXIT_OK
 
 
@@ -285,15 +289,15 @@ _SOLVED_STEM = {
 
 
 def _respec_length(spec: wrn.WrnSpec, d: float) -> wrn.WrnSpec:
-    return dataclasses.replace(spec, edge_length_km=d)
+    return spec._replace(edge_length_km=d)
 
 
 def _respec_loss(spec: wrn.WrnSpec, p_int: float) -> wrn.WrnSpec:
-    return dataclasses.replace(spec, recv=AmplitudeDamping(p_int))
+    return spec._replace(recv=AmplitudeDamping(p_int))
 
 
 def _respec_noise(spec: wrn.WrnSpec, nbar_r: float) -> wrn.WrnSpec:
-    return dataclasses.replace(spec, recv=ThermalLoss(as_thermal(spec.recv)[0], nbar_r))
+    return spec._replace(recv=ThermalLoss(as_thermal(spec.recv)[0], nbar_r))
 
 
 def _qkd_columns(spec: wrn.WrnSpec, setup) -> tuple[list[str], Callable[[float], list[float]]]:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checked-record decorator."""
 
 
 class QnetcapError(Exception):
@@ -39,3 +39,17 @@ class ValidationError(QnetcapError, ValueError):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
+
+
+def checked(cls):
+    """Make each construction of the NamedTuple ``cls``, ``_replace``'s too, run its ``_check``."""
+    new = cls.__new__
+
+    def __new__(subcls, *args, **kwargs):
+        record = new(subcls, *args, **kwargs)
+        record._check()
+        return record
+
+    cls.__new__ = __new__
+    cls._make = classmethod(lambda subcls, values: subcls(*values))  # the stock one skips __new__
+    return cls

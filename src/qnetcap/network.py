@@ -12,7 +12,6 @@ BoundedGraph lives in ``routing.py``; the per-edge reference that
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .bounds import BOUND_ORDER_TOL, BoundKind, direction_bounds, family_native, orient
@@ -29,7 +28,7 @@ from .channels import (
     check_role,
     family,
 )
-from .errors import DomainError, FamilyError, ValidationError
+from .errors import DomainError, FamilyError, ValidationError, checked
 
 SELECTORS = ("lower", "upper")
 
@@ -45,8 +44,21 @@ EdgeView = NamedTuple("EdgeView", [("a", str), ("b", str), ("channel", ChannelSp
                                    ("fibre", FibreParams | None)])
 
 
-@dataclass(frozen=True)
-class NetworkGraph:
+class _GraphColumns(NamedTuple):
+    names: tuple[str, ...]
+    recv: tuple[ChannelSpec, ...]
+    send: tuple[ChannelSpec, ...]
+    role: tuple[str, ...]
+    a: tuple[int, ...]
+    b: tuple[int, ...]
+    cls: tuple[int, ...]
+    classes: tuple[FibreParams | ChannelSpec, ...]
+    users: tuple[str, str] | None = None
+    family: str | None = None
+
+
+@checked
+class NetworkGraph(_GraphColumns):
     """Immutable network description as columns; build once and share freely.
 
     Node i is named ``names[i]`` and has the channels ``recv[i]`` and
@@ -59,20 +71,12 @@ class NetworkGraph:
     The ``nodes`` and ``edges`` views rebuild one object per node or edge.
     """
 
-    names: tuple[str, ...]
-    recv: tuple[ChannelSpec, ...]
-    send: tuple[ChannelSpec, ...]
-    role: tuple[str, ...]
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-    cls: tuple[int, ...]
-    classes: tuple[FibreParams | ChannelSpec, ...]
-    users: tuple[str, str] | None = None
-    family: str | None = None
-    # The resolved family, set by ``validate`` once it finds the graph valid.
-    _valid_family: str | None = field(default=None, init=False, repr=False, compare=False)
+    # The resolved family, which ``validate`` sets once it finds the graph
+    # valid: the only attribute ever set on a graph. A ``_replace`` copy is
+    # a new graph and is checked again.
+    _valid_family: str | None = None
 
-    def __post_init__(self):
+    def _check(self):
         m = len(self.names)
         if not len(self.recv) == len(self.send) == len(self.role) <= m:
             raise DomainError("network graph needs a recv, send, role and name per node")
@@ -96,8 +100,8 @@ class NetworkGraph:
         return tuple(EdgeView(names[u], names[v], *sources[c]) for u, v, c in zip(self.a, self.b, self.cls))
 
 
-@dataclass(frozen=True)
-class BoundedGraph:
+@checked
+class BoundedGraph(NamedTuple):
     """A graph's edge bounds as columns, one entry per edge.
 
     Edge i joins node numbers ``a[i]`` and ``b[i]`` (indexes into ``nodes``);
@@ -118,7 +122,7 @@ class BoundedGraph:
     lower_sender: tuple[int, ...]
     upper_sender: tuple[int, ...]
 
-    def __post_init__(self):
+    def _check(self):
         columns = (self.b, self.lower, self.upper, self.lower_kind, self.upper_kind,
                    self.lower_sender, self.upper_sender)
         if any(len(column) != len(self.a) for column in columns):
@@ -137,8 +141,7 @@ class BoundedGraph:
         return self.lower if check_selector(selector) == "lower" else self.upper
 
 
-@dataclass(frozen=True)
-class Cut:
+class Cut(NamedTuple):
     """Bipartition of the node set separating the two end users."""
 
     a_side: frozenset
@@ -201,7 +204,7 @@ def validate(graph: NetworkGraph) -> list[str]:
         violations.append(str(exc))
     else:
         if not violations:
-            object.__setattr__(graph, "_valid_family", fam)
+            graph._valid_family = fam
     return violations
 
 
@@ -330,7 +333,8 @@ def load_network(data) -> tuple[NetworkGraph | None, list[str]]:
         roles.append(role)
     a, b, cls, classes = [], [], [], []
     # Class numbers by explicit channel, and by a fibre's (length_km, gamma,
-    # nbar_B): FibreParams equality, without building one per edge.
+    # nbar_B): FibreParams equality, without building one per edge. The key is
+    # tagged, as a channel record is a tuple too.
     class_of: dict = {}
     raw_edges = data.get("edges")
     if not isinstance(raw_edges, list):
@@ -353,11 +357,11 @@ def load_network(data) -> tuple[NetworkGraph | None, list[str]]:
                 if not isinstance(fibre, dict) or "length_km" not in fibre:
                     violations.append(f"edge {end_a}-{end_b}: fibre needs a 'length_km'")
                     continue
-                key = (float(fibre["length_km"]), float(fibre.get("gamma", 0.02)),
+                key = (FibreParams, float(fibre["length_km"]), float(fibre.get("gamma", 0.02)),
                        float(fibre.get("nbar_B", 0.002)))
             c = class_of.get(key)
             if c is None:
-                classes.append(key if has_channel else FibreParams(*key))
+                classes.append(key if has_channel else FibreParams(*key[1:]))
                 c = class_of[key] = len(classes) - 1
         except (DomainError, TypeError, ValueError, OverflowError) as exc:
             violations.append(f"edge {end_a}-{end_b}: {exc}")

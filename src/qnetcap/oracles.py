@@ -20,7 +20,6 @@ the standard library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .bounds import BoundKind, direction_bounds, family_native, orient
@@ -71,20 +70,24 @@ def eigvalsh2(m) -> tuple[float, float]:
     return c - r, c + r
 
 
-@dataclass(frozen=True, eq=False)
 class QubitChannel:
     """A qubit channel given by its Kraus operators, stored as 2x2 tuples."""
 
-    kraus: tuple[Matrix, ...]
+    __slots__ = ("kraus",)
 
-    def __post_init__(self):
-        if not self.kraus:
+    def __init__(self, kraus):
+        if not kraus:
             raise KrausError("a channel needs at least one Kraus operator")
-        kraus = tuple(_matrix(k, "Kraus operator", error=KrausError) for k in self.kraus)
+        kraus = tuple(_matrix(k, "Kraus operator", error=KrausError) for k in kraus)
         total = _sum(_mul(_dagger(k), k) for k in kraus)
         if not all(abs(total[i][j] - (i == j)) <= MATRIX_TOL for i in range(2) for j in range(2)):
             raise KrausError("Kraus set is not trace preserving")
         object.__setattr__(self, "kraus", kraus)
+
+    def __setattr__(self, name, *value):  # frozen: the Kraus set was checked once
+        raise AttributeError(f"cannot assign to QubitChannel.{name}")
+
+    __delattr__ = __setattr__
 
 
 def ad_channel(p: float) -> QubitChannel:

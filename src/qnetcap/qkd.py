@@ -14,9 +14,9 @@ is taken as ideal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, checked
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 PLANCK = 6.62607015e-34  # J*s
@@ -25,8 +25,8 @@ SCHEME_TLO = "tlo"
 SCHEME_LLO = "llo"
 
 
-@dataclass(frozen=True)
-class QkdSetup:
+@checked
+class QkdSetup(NamedTuple):
     """One receiver configuration; defaults follow a realistic 800 nm setup."""
 
     scheme: str = SCHEME_LLO
@@ -41,31 +41,21 @@ class QkdSetup:
     dt_lo: float = 1e-8  # LO pulse duration, s
     mu: float = 10.0  # modulation variance, shot-noise units
 
-    def __post_init__(self):
+    def _check(self):
         if self.scheme not in (SCHEME_TLO, SCHEME_LLO):
             raise DomainError(f"scheme must be 'tlo' or 'llo', got {self.scheme!r}")
-        for name, value in vars(self).items():
+        values = self._asdict()
+        for name, value in values.items():
             if name != "scheme" and not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value}")
         if self.nu_det not in (1, 2):
             raise DomainError(f"nu_det must be 1 (homodyne) or 2 (heterodyne), got {self.nu_det}")
-        positive = {
-            "wavelength": self.wavelength,
-            "bandwidth": self.bandwidth,
-            "p_lo": self.p_lo,
-            "clock": self.clock,
-            "dt_lo": self.dt_lo,
-        }
-        for name, value in positive.items():
-            if value <= 0.0:
-                raise DomainError(f"{name} must be > 0, got {value}")
-        non_negative = {
-            "nep": self.nep,
-            "linewidth": self.linewidth,
-        }
-        for name, value in non_negative.items():
-            if value < 0.0:
-                raise DomainError(f"{name} must be >= 0, got {value}")
+        for name in ("wavelength", "bandwidth", "p_lo", "clock", "dt_lo"):
+            if values[name] <= 0.0:
+                raise DomainError(f"{name} must be > 0, got {values[name]}")
+        for name in ("nep", "linewidth"):
+            if values[name] < 0.0:
+                raise DomainError(f"{name} must be >= 0, got {values[name]}")
         if not 0.0 < self.tau_eff <= 1.0:
             raise DomainError(f"tau_eff must lie in (0, 1], got {self.tau_eff}")
         if self.mu < 1.0:
@@ -132,4 +122,4 @@ def from_preset(name: str) -> QkdSetup:
 
 def with_scheme(setup: QkdSetup, scheme: str) -> QkdSetup:
     """Same hardware, other LO scheme; handy for scheme comparisons."""
-    return replace(setup, scheme=scheme)
+    return setup._replace(scheme=scheme)

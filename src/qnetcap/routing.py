@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 from .network import BoundedGraph, Cut
@@ -27,16 +27,14 @@ from .network import BoundedGraph, Cut
 RESIDUAL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PathResult:
+class PathResult(NamedTuple):
     """Widest-path outcome: bottleneck value and the node sequence used."""
 
     value: float
     path: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class FlowResult:
+class FlowResult(NamedTuple):
     """Max-flow outcome: value, a minimum cut, and a feasible flow.
 
     ``flows`` maps a directed node pair to the non-negative flow routed that
@@ -232,8 +230,7 @@ def min_neighbourhood_capacity(bg: BoundedGraph, selector: str) -> float:
     return _isolation(bg.values(selector), *_arcs(bg))
 
 
-@dataclass(frozen=True)
-class CapacityReport:
+class CapacityReport(NamedTuple):
     """The six end-to-end numbers for one bounded graph."""
 
     single_path_lower: float

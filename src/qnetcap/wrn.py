@@ -22,9 +22,8 @@ must reproduce, and check that its patches are weakly regular.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import qkd as qkd_mod
 from .bounds import compound, compound_bound
@@ -39,7 +38,7 @@ from .channels import (
     family,
     fibre_transmissivity,
 )
-from .errors import DomainError, FamilyError, MonotonicityError, NotAttainableError
+from .errors import DomainError, FamilyError, MonotonicityError, NotAttainableError, checked
 
 if TYPE_CHECKING:
     from .network import NetworkGraph
@@ -73,8 +72,8 @@ _CELLS = {
 }
 
 
-@dataclass(frozen=True)
-class WrnSpec:
+@checked
+class WrnSpec(NamedTuple):
     """A uniform weakly-regular lattice patch with one device template.
 
     ``radius`` counts concentric cell layers around the centre; the generated
@@ -90,10 +89,8 @@ class WrnSpec:
     send: ChannelSpec = Identity()
     gamma: float = 0.02
     nbar_B: float = 0.002
-    k: int = field(init=False)
-    commonalities: tuple = field(init=False)
 
-    def __post_init__(self):
+    def _check(self):
         if self.cell_type not in _CELLS:
             raise DomainError(f"cell type must be one of {sorted(_CELLS)}, got {self.cell_type!r}")
         if self.radius < 2:
@@ -111,13 +108,11 @@ class WrnSpec:
             fam = family(spec)
             if fam is not None and fam != self.family:
                 raise FamilyError(f"internal template {spec!r} does not match family {self.family!r}")
-        k, lambdas, _ = _CELLS[self.cell_type]
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "commonalities", lambdas)
 
-    @property
-    def xi_geom(self) -> float:
-        return _CELLS[self.cell_type][2]
+    # The cell type's degree, commonality multiset superset and geometric density factor.
+    k = property(lambda self: _CELLS[self.cell_type][0])
+    commonalities = property(lambda self: _CELLS[self.cell_type][1])
+    xi_geom = property(lambda self: _CELLS[self.cell_type][2])
 
 
 def delta(k: int, commonalities) -> int:
@@ -192,8 +187,7 @@ def generate(spec: WrnSpec) -> NetworkGraph:
     )
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(NamedTuple):
     """Bracketed threshold for one physical parameter at one scale."""
 
     param: str
@@ -203,7 +197,20 @@ class ThresholdResult:
     direction: str | None  # None only when neither side solves
     from_lower_fn: float  # xi* solved on the achievable (lower) bound; nan if unattainable
     from_upper_fn: float  # xi* solved on the upper bound; nan if unattainable
-    unattainable: NotAttainableError | None = field(default=None, compare=False, repr=False)
+    unattainable: NotAttainableError | None = None  # a side's first; ==, hash and repr leave it out
+
+    def __eq__(self, other):
+        return type(other) is ThresholdResult and self[:-1] == other[:-1]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:-1])
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self[:-1]))
+        return f"ThresholdResult({shown})"
 
     @property
     def bracket(self) -> tuple[float, float]:
@@ -220,8 +227,7 @@ class ThresholdResult:
         }
 
 
-@dataclass(frozen=True)
-class DensityResult:
+class DensityResult(NamedTuple):
     """Least nodes per km^2 compatible with a maximum link length."""
 
     d_max: float

@@ -41,6 +41,25 @@ def test_channel_param_domains():
         FibreParams(-1.0)
 
 
+@pytest.mark.parametrize("record, change, message", [
+    (AmplitudeDamping(0.5), {"p": 1.5}, "damping probability"),
+    (ThermalLoss(0.5, 0.1), {"nbar": -0.1}, "thermal photon number"),
+    (FibreParams(10.0), {"gamma": math.inf}, "loss rate"),
+    (NodeSpec("a"), {"role": "hub"}, "node role"),
+])
+def test_copy_with_a_change_runs_the_constructor_checks(record, change, message):
+    assert record._replace() == record
+    with pytest.raises(DomainError, match=message):
+        record._replace(**change)
+
+
+def test_channel_records_keep_their_reprs_and_truth():
+    assert repr(AmplitudeDamping(0.5)) == "AmplitudeDamping(p=0.5)"
+    assert repr(ThermalLoss(0.5)) == "ThermalLoss(tau=0.5, nbar=0.0)"
+    assert repr(Identity()) == "Identity()"
+    assert Identity() and Identity() == Identity()
+
+
 @pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan, 0.0])
 def test_fibre_loss_rate_must_be_finite_and_positive(gamma):
     # An infinite rate would give a zero-length fibre transmissivity 10^(-inf*0) = nan.

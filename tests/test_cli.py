@@ -1,6 +1,5 @@
 import contextlib
 import copy
-import dataclasses
 import decimal
 import json
 import math
@@ -145,6 +144,20 @@ def test_generate_writes_one_line_of_compact_json(tmp_path, capsys, cell, radius
     assert graph == generate(spec)
 
 
+@pytest.mark.parametrize("flag", ["--d", "--nbar-b"])
+def test_generate_refuses_an_infinite_number(tmp_path, capsys, flag):
+    # JSON has no infinity: the default json.dumps would write the token Infinity.
+    net = tmp_path / "net.json"
+    numbers = {"--d": "2.0", "--nbar-b": "0.002", flag: "inf"}
+    code, _, err = run(capsys, "generate", "--cell", "manhattan8", "--radius", "2",
+                       *(x for pair in numbers.items() for x in pair), "--out", str(net))
+    assert code == EXIT_INPUT
+    error = json.loads(err)
+    assert error["error"] == "input"
+    assert f"{flag} inf" in error["message"]
+    assert not net.exists()
+
+
 def test_generate_rejects_small_radius(capsys):
     code, _, err = run(capsys, "generate", "--cell", "triangular6", "--radius", "1", "--d", "1.0")
     assert code == EXIT_INPUT
@@ -236,6 +249,8 @@ def test_threshold_rejects_unknown_spec_key(tmp_path, capsys):
 MALFORMED_LATTICE = [
     ("radius", "x"),
     ("radius", None),
+    ("radius", 2.9),  # int() would truncate it to 2
+    ("radius", "2.9"),
     ("edge_length_km", "ten"),
     ("edge_length_km", "nan"),
     ("edge_length_km", 0),
@@ -311,6 +326,13 @@ def test_numeric_strings_in_spec_still_parse(tmp_path, capsys):
     plain = write_json(tmp_path / "plain.json", MAN_SPEC)
     quoted = write_json(tmp_path / "quoted.json", {**MAN_SPEC, "radius": "2", "edge_length_km": "10"})
     assert run(capsys, "threshold", "--spec", quoted, *argv) == run(capsys, "threshold", "--spec", plain, *argv)
+    whole = write_json(tmp_path / "whole.json", {**MAN_SPEC, "radius": 2.0})
+    assert run(capsys, "threshold", "--spec", whole, *argv) == run(capsys, "threshold", "--spec", plain, *argv)
+    sweeps = [write_json(tmp_path / f"sweep{i}.json", {**EDGE_SWEEP, "wrn": {**TRI_SPEC, "radius": radius}})
+              for i, radius in enumerate([2, 2.0, "2"])]
+    outputs = [run(capsys, "sweep", "--spec", sweep) for sweep in sweeps]
+    assert outputs[0][0] == EXIT_OK and "radius=2 " in outputs[0][1]
+    assert outputs[1] == outputs[0] == outputs[2]
 
 
 def test_cli_import_does_not_load_scipy(tmp_path):
@@ -338,9 +360,11 @@ def test_cli_import_does_not_load_scipy(tmp_path):
 
 # The qnetcap modules, and fractions (for omega), that each subcommand loads:
 # bounding a given network needs no solver, a threshold solve builds no graph.
+# No subcommand loads dataclasses or inspect, which the records do without.
 GRAPH_MODULES = {"qnetcap.network", "qnetcap.bounds", "qnetcap.channels", "qnetcap.errors"}
 SOLVER_MODULES = {"qnetcap.wrn", "qnetcap.qkd", "qnetcap.bounds", "qnetcap.channels", "qnetcap.errors",
                   "fractions"}
+PROBED_STDLIB = ("fractions", "dataclasses", "inspect")
 
 
 @pytest.mark.parametrize("command,loads", [
@@ -349,6 +373,7 @@ SOLVER_MODULES = {"qnetcap.wrn", "qnetcap.qkd", "qnetcap.bounds", "qnetcap.chann
     ("analyze", GRAPH_MODULES | {"qnetcap.routing"}),
     ("threshold", SOLVER_MODULES),
     ("sweep", SOLVER_MODULES),
+    ("selftest", GRAPH_MODULES | SOLVER_MODULES | {"qnetcap.routing", "qnetcap.oracles", "qnetcap.selfcheck"}),
 ])
 def test_each_subcommand_loads_only_what_it_runs(tmp_path, command, loads):
     net = tmp_path / "net.json"
@@ -361,16 +386,20 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, command, loads):
                       "--target", "1e-2", "--param", "edge-length"],
         "sweep": ["--spec", write_json(tmp_path / "sweep.json", {
             "variable": "targetCapacity", "start": 1e-3, "stop": 1e-2, "steps": 3, "wrn": MAN_SPEC})],
+        "selftest": ["--count", "2"],
     }[command]
+    out = [] if command == "selftest" else ["--out", str(tmp_path / "out")]
     probe = (
         "import sys, qnetcap.cli; "
-        f"assert qnetcap.cli.main({[command, *argv, '--out', str(tmp_path / 'out')]!r}) == 0; "
-        "print(sorted(m for m in sys.modules if m.startswith('qnetcap') or m == 'fractions'))"
+        f"assert qnetcap.cli.main({[command, *argv, *out]!r}) == 0; "
+        f"print(sorted(m for m in sys.modules if m.startswith('qnetcap') or m in {PROBED_STDLIB!r}))"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == repr(sorted(loads | {"qnetcap", "qnetcap.cli"}))
+    lines = proc.stdout.splitlines()  # selftest prints its batteries; an --out run prints nothing
+    assert lines[-1] == repr(sorted(loads | {"qnetcap", "qnetcap.cli"}))
+    assert command == "selftest" or len(lines) == 1
 
 
 def test_cli_tables_spell_the_solver_parameters():
@@ -763,7 +792,7 @@ MISSING = object()
 
 TL_DEVICE = {"kind": "tl", "tau": 0.9, "nbar": 0.01}
 AD_DEVICE = {"kind": "ad", "p": 0.05}
-QKD_FIELDS = ["preset", *(f.name for f in dataclasses.fields(QkdSetup))]
+QKD_FIELDS = ["preset", *QkdSetup._fields]
 LATTICES = [
     MAN_SPEC,
     {**TRI_SPEC, "family": "ad", "gamma": 0.02, "recv": AD_DEVICE, "send": AD_DEVICE},

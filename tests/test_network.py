@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -103,7 +102,7 @@ def test_family_resolution():
     ambiguous = _graph(_doc(["a", "b"], [_e("a", "b", channel={"kind": "id"})]))
     with pytest.raises(FamilyError):
         resolved_family(ambiguous)
-    assert resolved_family(dataclasses.replace(ambiguous, family="ad")) == "ad"
+    assert resolved_family(ambiguous._replace(family="ad")) == "ad"
     mixed = _graph(_doc(
         ["a", "b", "c"], [_e("a", "b"), _e("b", "c", channel={"kind": "ad", "p": 0.1})], users=("a", "c")
     ))
@@ -163,7 +162,7 @@ def test_bounded_graph_rejects_unknown_endpoint_numbers():
         with pytest.raises(DomainError, match=rf"edge #0: endpoints \({a}, {b}\) must number nodes 0 to 1"):
             _bounded(a=(a,), b=(b,))
     with pytest.raises(DomainError, match="must number nodes 0 to 0"):
-        dataclasses.replace(_bounded(), nodes=("a",))
+        _bounded()._replace(nodes=("a",))
 
 
 def test_bounded_graph_columns_have_one_entry_per_edge():
@@ -199,7 +198,7 @@ def test_neighbourhood_and_min_capacity():
 def test_min_neighbourhood_needs_two_distinct_graph_users(users):
     bg = bounded_from_values([("a", "m", 0.5), ("m", "b", 0.5)], users=("a", "b"))
     with pytest.raises(DomainError, match="two distinct graph nodes"):
-        min_neighbourhood_capacity(dataclasses.replace(bg, users=users), "lower")
+        min_neighbourhood_capacity(bg._replace(users=users), "lower")
     assert min_neighbourhood_capacity(bg, "lower") == 0.5
 
 
@@ -223,7 +222,7 @@ def _distinct_devices(graph, fam, seed):
         return ThermalLoss(rng.uniform(0.7, 1.0), rng.choice([0.0, rng.uniform(0.0, 0.02)]))
 
     recv, send = zip(*[(device(), device()) for _ in graph.role])
-    return dataclasses.replace(graph, recv=recv, send=send)
+    return graph._replace(recv=recv, send=send)
 
 
 def _alternating_chain(classes, hops=8):
@@ -269,8 +268,8 @@ def test_apply_split_bounds_a_repeated_class_once(monkeypatch, source):
     if source == "loaded":
         graph = _loaded(graph)
     elif source == "copied":  # an equal but distinct FibreParams as each edge's own class
-        graph = dataclasses.replace(graph, cls=tuple(range(len(graph.a))),
-                                    classes=tuple(dataclasses.replace(graph.classes[0]) for _ in graph.a))
+        graph = graph._replace(cls=tuple(range(len(graph.a))),
+                               classes=tuple(graph.classes[0]._replace() for _ in graph.a))
     calls = []
     compound = bounds.compound
 
@@ -402,7 +401,7 @@ def test_apply_split_validates_only_unchecked_graphs(monkeypatch):
     apply_split(loaded)
     assert calls == []  # load_network validated it
     with pytest.raises(ValidationError):
-        apply_split(dataclasses.replace(loaded, users=("a", "zz")))  # a new graph is checked again
+        apply_split(loaded._replace(users=("a", "zz")))  # a new graph is checked again
 
 
 def test_annotate_uniform():
@@ -459,7 +458,7 @@ def test_network_graph_rejects_columns_that_do_not_agree(change, message):
     graph = _graph(_doc(["a", "b", "c"], [_e("a", "b"), _e("b", "c")]))
     assert (graph.a, graph.b, graph.cls) == ((0, 1), (1, 2), (0, 0))
     with pytest.raises(DomainError, match=message):
-        dataclasses.replace(graph, **change)
+        graph._replace(**change)
 
 
 def test_load_network_collects_violations():

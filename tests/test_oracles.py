@@ -35,6 +35,16 @@ def test_qubit_channel_rejects_non_cptp():
         QubitChannel((np.eye(3, dtype=complex),))
 
 
+def test_qubit_channel_is_frozen():
+    channel = ad_channel(0.25)
+    kraus = channel.kraus
+    with pytest.raises(AttributeError):
+        channel.kraus = ()
+    with pytest.raises(AttributeError):
+        del channel.kraus
+    assert channel.kraus is kraus
+
+
 def test_apply_channel_damps_excited_state():
     excited = np.diag([0.0, 1.0]).astype(complex)
     rho = apply_channel(ad_channel(0.25), excited)

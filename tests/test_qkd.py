@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -34,10 +33,10 @@ def test_theta_ph_defaults():
 
 
 def test_theta_ph_degenerate_and_linear():
-    flat = dataclasses.replace(QkdSetup(), mu=1.0)
+    flat = QkdSetup()._replace(mu=1.0)
     assert theta_ph(flat) == 0.0
     base = QkdSetup()
-    doubled = dataclasses.replace(base, linewidth=2 * base.linewidth)
+    doubled = base._replace(linewidth=2 * base.linewidth)
     assert theta_ph(doubled) == pytest.approx(2 * theta_ph(base), rel=1e-14)
 
 
@@ -46,7 +45,7 @@ def test_theta_el_defaults():
     value = theta_el(setup, setup.p_lo)
     assert value == pytest.approx(1.45e-3, rel=5e-3)
     assert value == pytest.approx(0.0014498255714523003, rel=1e-13)
-    homodyne = dataclasses.replace(setup, nu_det=1)
+    homodyne = setup._replace(nu_det=1)
     assert theta_el(homodyne, setup.p_lo) == pytest.approx(value / 2, rel=1e-14)
     assert theta_el(setup, setup.p_lo / 2) == pytest.approx(2 * value, rel=1e-14)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -267,7 +266,7 @@ def _cases():
             for node, d in sorted(dist[far].items()):
                 by_distance.setdefault(d, node)
             for d in range(1, max(by_distance) + 1):
-                yield dataclasses.replace(bg, users=(far, by_distance[d]))
+                yield bg._replace(users=(far, by_distance[d]))
     yield bounded_from_values(_chain_rows(2000), users=("c0", "c2000"))
 
 

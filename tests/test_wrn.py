@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -143,8 +142,8 @@ def test_generated_patches_are_weakly_regular(cell, radius):
     # Dropping an edge at the centre changes its common neighbours' multisets.
     keep = [i for i, (u, v) in enumerate(zip(g.a, g.b)) if {g.names[u], g.names[v]} != {"n0_0", "n1_0"}]
     assert len(keep) == len(g.a) - 1
-    dropped = dataclasses.replace(g, **{column: tuple(getattr(g, column)[i] for i in keep)
-                                        for column in ("a", "b", "cls")})
+    dropped = g._replace(**{column: tuple(getattr(g, column)[i] for i in keep)
+                            for column in ("a", "b", "cls")})
     with pytest.raises(DomainError, match="commonality multiset"):
         check_weak_regularity(dropped, spec)
 
@@ -376,7 +375,7 @@ def test_threshold_round_trips_through_the_lattice(spec):
     for result in threshold_report(spec, target, "edgeLength"):
         want = spec.k * target / result.scale
         for length, side in ((result.from_lower_fn, "lower"), (result.from_upper_fn, "upper")):
-            at = dataclasses.replace(spec, edge_length_km=length)
+            at = spec._replace(edge_length_km=length)
             report = capacity_report(apply_split(generate(at)))
             assert getattr(report, f"flooding_{side}") == pytest.approx(want, rel=1e-6)
 
@@ -400,6 +399,26 @@ def test_threshold_result_json_shape():
         "target": 0.01,
     }
     assert list(data) == ["param", "x", "bracket", "direction", "target"]
+
+
+def test_threshold_result_leaves_unattainable_out_of_eq_and_repr():
+    sides = dict(param="edgeLength", scale_name="delta", scale=32.0, target=1e9, direction=None,
+                 from_lower_fn=math.nan, from_upper_fn=math.nan)
+    first = ThresholdResult(**sides, unattainable=NotAttainableError("first"))
+    second = ThresholdResult(**sides, unattainable=NotAttainableError("second"))
+    assert first == second and not first != second and hash(first) == hash(second)
+    assert repr(first) == repr(second) == repr(ThresholdResult(**sides))
+    assert "unattainable" not in repr(first) and first.unattainable.args == ("first",)
+    assert first != first._replace(target=1e8)
+
+
+def test_spec_copy_with_a_change_runs_the_checks():
+    spec = tri_spec()
+    assert spec._replace(edge_length_km=20.0) == tri_spec(edge_length_km=20.0)
+    with pytest.raises(DomainError, match="radius must be >= 2"):
+        spec._replace(radius=1)
+    with pytest.raises(FamilyError):
+        spec._replace(recv=ThermalLoss(0.9))
 
 
 def test_param_family_guards():
