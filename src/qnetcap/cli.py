@@ -71,18 +71,14 @@ _SWEEP_KEYS = {"variable", "start", "stop", "steps", "scale", "wrn", "target", "
 _SWEEP_VARIABLES = ("edgeLength", "internalLoss", "receiverNoise", "targetCapacity")
 
 
-class _InputError(Exception):
-    pass
-
-
 def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from exc
+        raise DomainError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _InputError(f"{path} is not valid JSON: {exc}") from exc
+        raise DomainError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -93,7 +89,7 @@ def _emit(text: str, out_path: str | None) -> None:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise _InputError(f"cannot write {out_path}: {exc}") from exc
+        raise DomainError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _emit_json(obj, out_path: str | None) -> None:
@@ -111,9 +107,9 @@ def _number(key: str, value, kind=float):
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise _InputError(f"{key} is not a valid {kind.__name__}: {value!r}") from exc
+        raise DomainError(f"{key} is not a valid {kind.__name__}: {value!r}") from exc
     if kind is int and isinstance(value, float) and number != value:
-        raise _InputError(f"{key} is not a valid int: {value!r}")
+        raise DomainError(f"{key} is not a valid int: {value!r}")
     return number
 
 
@@ -121,13 +117,13 @@ def _parse_qkd_setup(data) -> qkd.QkdSetup:
     if isinstance(data, str):
         return qkd.from_preset(data)
     if not isinstance(data, dict):
-        raise _InputError(f"qkd_setup must be a preset name or an object, got {type(data).__name__}")
+        raise DomainError(f"qkd_setup must be a preset name or an object, got {type(data).__name__}")
     fields = dict(data)
     preset = fields.pop("preset", None)
     base = qkd.from_preset(preset) if preset is not None else qkd.QkdSetup()
     unknown = sorted(set(fields) - set(qkd.QkdSetup._fields))
     if unknown:
-        raise _InputError(f"unknown qkd_setup keys: {', '.join(unknown)}")
+        raise DomainError(f"unknown qkd_setup keys: {', '.join(unknown)}")
     for key, value in fields.items():
         if key != "scheme":
             fields[key] = _number(f"qkd_setup.{key}", value)
@@ -136,19 +132,19 @@ def _parse_qkd_setup(data) -> qkd.QkdSetup:
 
 def _parse_wrn_spec(data) -> tuple[wrn.WrnSpec, qkd.QkdSetup | None]:
     if not isinstance(data, dict):
-        raise _InputError("lattice spec must be a JSON object")
+        raise DomainError("lattice spec must be a JSON object")
     unknown = sorted(set(data) - _WRN_KEYS)
     if unknown:
-        raise _InputError(f"unknown lattice spec keys: {', '.join(unknown)}")
+        raise DomainError(f"unknown lattice spec keys: {', '.join(unknown)}")
     for key in ("cell", "radius", "edge_length_km"):
         if key not in data:
-            raise _InputError(f"lattice spec is missing {key!r}")
+            raise DomainError(f"lattice spec is missing {key!r}")
     cell = data["cell"]
     if not isinstance(cell, str):
-        raise _InputError(f"cell must be a string, got {cell!r}")
+        raise DomainError(f"cell must be a string, got {cell!r}")
     family = data.get("family", DEFAULT_FAMILY.get(cell))
     if family is None:
-        raise _InputError(f"unknown cell {cell!r}; declare family explicitly")
+        raise DomainError(f"unknown cell {cell!r}; declare family explicitly")
     kwargs = {"cell_type": cell, "family": family}
     for key, kind in (("radius", int), ("edge_length_km", float), ("gamma", float), ("nbar_B", float)):
         if key in data:
@@ -172,7 +168,7 @@ def cmd_generate(args) -> int:
     )
     for flag, value in (("--d", args.d), ("--nbar-b", args.nbar_b)):
         if math.isinf(value):  # JSON has no infinity; the spec refuses nan and -inf
-            raise _InputError(f"a network file holds finite numbers only, got {flag} {value}")
+            raise DomainError(f"a network file holds finite numbers only, got {flag} {value}")
     graph = wrn.generate(spec)
     # One compact line: json.dumps with an indent runs the pure-Python encoder.
     _emit(json.dumps(network.network_to_json(graph), allow_nan=False) + "\n", args.out)
@@ -254,19 +250,19 @@ def _linspace(start: float, stop: float, steps: int) -> list[float]:
 def _sweep_points(spec: dict) -> list[float]:
     steps = spec["steps"]
     if not isinstance(steps, int) or not 2 <= steps <= MAX_SWEEP_STEPS:
-        raise _InputError(f"steps must be an integer from 2 to {MAX_SWEEP_STEPS}, got {steps!r}")
+        raise DomainError(f"steps must be an integer from 2 to {MAX_SWEEP_STEPS}, got {steps!r}")
     start, stop = _number("start", spec["start"]), _number("stop", spec["stop"])
     if not math.isfinite(stop - start):  # also catches a non-finite start or stop
-        raise _InputError(f"sweep range needs a finite stop - start, got [{start}, {stop}]")
+        raise DomainError(f"sweep range needs a finite stop - start, got [{start}, {stop}]")
     if not start < stop:
-        raise _InputError(f"sweep range needs start < stop, got [{start}, {stop}]")
+        raise DomainError(f"sweep range needs start < stop, got [{start}, {stop}]")
     scale = spec.get("scale", "linear")
     if scale == "linear":
         return _linspace(start, stop, steps)
     if scale != "log":
-        raise _InputError(f"scale must be 'linear' or 'log', got {scale!r}")
+        raise DomainError(f"scale must be 'linear' or 'log', got {scale!r}")
     if start <= 0.0:
-        raise _InputError(f"log sweeps need positive endpoints, got start={start}")
+        raise DomainError(f"log sweeps need positive endpoints, got start={start}")
     # numpy.geomspace: a power of ten at each point of the linear grid of
     # exponents, with both endpoints pinned to the exact inputs. A rounded
     # exponent can reach log10(stop), whose power may exceed even the largest
@@ -333,17 +329,17 @@ def _sweep_rows(data: dict, spec: wrn.WrnSpec, setup) -> tuple[list[str], list[l
     if variable == "targetCapacity":
         param = data.get("param", wrn.PARAM_EDGE_LENGTH)
         if not isinstance(param, str) or param not in _SOLVED_STEM:
-            raise _InputError(f"unknown param {param!r}")
+            raise DomainError(f"unknown param {param!r}")
         x_column, respec, columns = "target_capacity", None, None
     else:
         if "target" not in data:
-            raise _InputError(f"sweeps over {variable} need a fixed 'target' capacity")
+            raise DomainError(f"sweeps over {variable} need a fixed 'target' capacity")
         target = _number("target", data["target"])
         if (variable, spec.family) not in _SWEEPS:
             needs = "damping" if (variable, "ad") in _SWEEPS else "thermal"
-            raise _InputError(f"{variable} sweeps need a {needs}-family lattice")
+            raise DomainError(f"{variable} sweeps need a {needs}-family lattice")
         if variable == "receiverNoise" and setup is not None:
-            raise _InputError("receiverNoise sweeps take no qkd_setup: the QKD receiver model "
+            raise DomainError("receiverNoise sweeps take no qkd_setup: the QKD receiver model "
                               "sets the receiver noise that the sweep varies")
         x_column, respec, param, columns = _SWEEPS[variable, spec.family]
     stem = _SOLVED_STEM[param]
@@ -370,15 +366,15 @@ def _sweep_rows(data: dict, spec: wrn.WrnSpec, setup) -> tuple[list[str], list[l
 def cmd_sweep(args) -> int:
     data = _read_json(args.spec)
     if not isinstance(data, dict):
-        raise _InputError("sweep spec must be a JSON object")
+        raise DomainError("sweep spec must be a JSON object")
     unknown = sorted(set(data) - _SWEEP_KEYS)
     if unknown:
-        raise _InputError(f"unknown sweep spec keys: {', '.join(unknown)}")
+        raise DomainError(f"unknown sweep spec keys: {', '.join(unknown)}")
     for key in ("variable", "start", "stop", "steps", "wrn"):
         if key not in data:
-            raise _InputError(f"sweep spec is missing {key!r}")
+            raise DomainError(f"sweep spec is missing {key!r}")
     if data["variable"] not in _SWEEP_VARIABLES:
-        raise _InputError(f"variable must be one of {_SWEEP_VARIABLES}, got {data['variable']!r}")
+        raise DomainError(f"variable must be one of {_SWEEP_VARIABLES}, got {data['variable']!r}")
     spec, file_setup = _parse_wrn_spec(data["wrn"])
     setup = _parse_qkd_setup(data["qkd_setup"]) if "qkd_setup" in data else file_setup
     header, rows = _sweep_rows(data, spec, setup)
@@ -395,6 +391,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    if args.count < 1:
+        raise DomainError(f"--count must be at least 1, got {args.count}")
     failed = False
     for name, worst, tol in selfcheck.run(args.seed, args.count):
         ok = worst <= tol
@@ -457,9 +455,6 @@ def main(argv: list[str] | None = None) -> int:
         globals()[name] = importlib.import_module(f".{name}", __package__)
     try:
         return args.func(args)
-    except _InputError as exc:
-        _error("input", str(exc))
-        return EXIT_INPUT
     except ValidationError as exc:
         _error("validation", str(exc), violations=exc.violations)
         return EXIT_VALIDATION

@@ -6,7 +6,7 @@ class QnetcapError(Exception):
 
 
 class DomainError(QnetcapError, ValueError):
-    """A numeric argument lies outside its physical domain."""
+    """An input value, key or file lies outside its domain."""
 
 
 class EmptyCompoundError(DomainError):

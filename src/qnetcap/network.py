@@ -208,12 +208,6 @@ def validate(graph: NetworkGraph) -> list[str]:
     return violations
 
 
-def _numbered(values) -> tuple[list[int], list]:
-    """Each value's number among the distinct values, and those values in order."""
-    index: dict = {}
-    return [index.setdefault(value, len(index)) for value in values], list(index)
-
-
 def apply_split(graph: NetworkGraph) -> BoundedGraph:
     """Annotate every edge with orientation-optimized capacity bounds.
 
@@ -230,25 +224,25 @@ def apply_split(graph: NetworkGraph) -> BoundedGraph:
             raise ValidationError(violations)
     fam = graph._valid_family
     native = family_native(fam)
-    send_id, sends = _numbered(map(native, graph.send))
-    recv_id, recvs = _numbered(map(native, graph.recv))
-    channel_id, channels = _numbered(map(native, graph.classes))
+    sends = list(map(native, graph.send))
+    recvs = list(map(native, graph.recv))
+    channels = list(map(native, graph.classes))
 
     key = values = None  # the last direction bounded, and its bounds
 
     def bounded(direction):
         nonlocal key, values
         if direction != key:
-            s, c, r = key = direction
-            values = direction_bounds(fam, sends[s], channels[c], recvs[r])
+            key = direction
+            values = direction_bounds(fam, *direction)
         return values
 
     names = graph.names
     rows = []
     for u, v, c in zip(graph.a, graph.b, graph.cls):
-        c = channel_id[c]
-        forward_values = bounded((send_id[u], c, recv_id[v]))
-        backward_values = bounded((send_id[v], c, recv_id[u]))
+        c = channels[c]
+        forward_values = bounded((sends[u], c, recvs[v]))
+        backward_values = bounded((sends[v], c, recvs[u]))
         lower_back, upper_back = orient(names[u], names[v], forward_values, backward_values)
         lower, lower_kind, _, _ = backward_values if lower_back else forward_values
         _, _, upper, upper_kind = backward_values if upper_back else forward_values

@@ -188,7 +188,7 @@ def generate(spec: WrnSpec) -> NetworkGraph:
 
 
 class ThresholdResult(NamedTuple):
-    """Bracketed threshold for one physical parameter at one scale."""
+    """Bracketed threshold for one physical parameter at one scale; an unreached side is nan."""
 
     param: str
     scale_name: str  # "delta" | "omega"
@@ -197,20 +197,7 @@ class ThresholdResult(NamedTuple):
     direction: str | None  # None only when neither side solves
     from_lower_fn: float  # xi* solved on the achievable (lower) bound; nan if unattainable
     from_upper_fn: float  # xi* solved on the upper bound; nan if unattainable
-    unattainable: NotAttainableError | None = None  # a side's first; ==, hash and repr leave it out
-
-    def __eq__(self, other):
-        return type(other) is ThresholdResult and self[:-1] == other[:-1]
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self[:-1])
-
-    def __repr__(self):
-        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self[:-1]))
-        return f"ThresholdResult({shown})"
+    unattainable: str | None = None  # why the first unreached side is nan; None if both solve
 
     @property
     def bracket(self) -> tuple[float, float]:
@@ -424,7 +411,7 @@ def thresholds(spec: WrnSpec, cases, param: str,
     Each case is a (target, scale name) pair; the scale name is "delta" (bulk
     edges) or "omega" (user edges). Each bound function is scanned once and
     then solved for every case. A side whose per-edge target is out of reach
-    is nan, and the first such NotAttainableError is kept in ``unattainable``.
+    is nan, and ``unattainable`` holds the reason of the first such side.
     """
     scales = dict(zip(SCALE_NAMES, connectivity(spec)))
     lower_fn, upper_fn, bracket = bound_functions(spec, param, qkd_setup)
@@ -440,7 +427,7 @@ def thresholds(spec: WrnSpec, cases, param: str,
                 solved.append((_solve(fn, target, scale, bracket, scan), scan[0]))
             except NotAttainableError as exc:
                 solved.append((math.nan, None))
-                unattainable = unattainable or exc
+                unattainable = unattainable or str(exc)
         (xi_lo, direction), (xi_up, direction_up) = solved
         if None not in (direction, direction_up) and direction != direction_up:
             raise MonotonicityError("lower and upper bound functions disagree in direction")
@@ -460,10 +447,11 @@ def threshold_report(
 ) -> tuple[ThresholdResult, ThresholdResult]:
     """Bracketed thresholds for bulk edges (scale delta) and user edges (scale omega).
 
-    Raises NotAttainableError when either bound function misses the target.
+    Raises NotAttainableError, with the first ``unattainable`` reason, when
+    either bound function misses the target.
     """
     bulk, user = thresholds(spec, [(target, name) for name in SCALE_NAMES], param, qkd_setup)
     for result in (bulk, user):
         if result.unattainable is not None:
-            raise result.unattainable
+            raise NotAttainableError(result.unattainable)
     return bulk, user

@@ -769,6 +769,13 @@ def test_selftest_passes(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_selftest_refuses_a_count_below_one(capsys, count):
+    code, out, err = run(capsys, "selftest", "--count", count)
+    assert code == EXIT_INPUT and out == ""
+    assert json.loads(err) == {"error": "input", "message": f"--count must be at least 1, got {count}"}
+
+
 def test_selftest_runs_without_numpy():
     # An import of numpy fails in this interpreter, so any use of it would end
     # selftest with an ImportError instead of exit 0.

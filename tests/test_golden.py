@@ -1,8 +1,9 @@
 """Golden CLI corpus: output bytes and exit codes must not drift.
 
 Each case runs ``cli.main`` in-process with ``--out`` and compares the written
-file byte for byte, plus the exit code, against ``tests/golden/``. Failing
-cases (exit 2 or 4) write no file; only their exit code is pinned.
+file byte for byte, the exit code and the stderr text against ``tests/golden/``.
+Failing cases (exit 2 or 4) write no file; their exit code and their stderr
+JSON line are pinned, and every other case must write nothing to stderr.
 
 To re-record after an intended output change:
 
@@ -25,6 +26,7 @@ from qnetcap.wrn import WrnSpec, generate
 
 GOLDEN = Path(__file__).parent / "golden"
 EXIT_CODES = GOLDEN / "exit_codes.json"
+STDERR = GOLDEN / "stderr.json"
 
 MAN = {"cell": "manhattan8", "radius": 2, "edge_length_km": 10.0}
 TRI = {"cell": "triangular6", "radius": 2, "edge_length_km": 10.0}
@@ -117,23 +119,25 @@ CASES = {
 }
 
 
-def run_case(name: str, workdir: Path) -> tuple[int, bytes | None]:
-    """Exit code and output file bytes (None when no file was written)."""
+def run_case(name: str, workdir: Path) -> tuple[int, bytes | None, str]:
+    """Exit code, output file bytes (None when no file was written) and stderr."""
     command, obj, extra = CASES[name]
     src = workdir / f"{name}.json"
     out = workdir / f"{name}.out"
     src.write_text(json.dumps(obj))
     flag = "--in" if command == "analyze" else "--spec"
-    with contextlib.redirect_stderr(io.StringIO()):
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
         code = main([command, flag, str(src), *extra, "--out", str(out)])
-    return code, out.read_bytes() if out.exists() else None
+    return code, out.read_bytes() if out.exists() else None, stderr.getvalue()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden(name, tmp_path):
-    code, data = run_case(name, tmp_path)
+    code, data, stderr = run_case(name, tmp_path)
     expected = json.loads(EXIT_CODES.read_text())[name]
     assert code == expected
+    assert stderr == json.loads(STDERR.read_text()).get(name, "")
     golden = GOLDEN / f"{name}.out"
     if data is None:
         assert not golden.exists()
@@ -145,17 +149,20 @@ def record() -> None:
     import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
-    codes = {}
+    codes, stderrs = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(CASES):
-            code, data = run_case(name, Path(tmp))
+            code, data, stderr = run_case(name, Path(tmp))
             codes[name] = code
+            if stderr:
+                stderrs[name] = stderr
             target = GOLDEN / f"{name}.out"
             if data is None:
                 target.unlink(missing_ok=True)
             else:
                 target.write_bytes(data)
     EXIT_CODES.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+    STDERR.write_text(json.dumps(stderrs, indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
