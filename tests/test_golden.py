@@ -68,8 +68,12 @@ def _sweep(variable: str, wrn: dict, start: float, stop: float, **extra) -> dict
             "wrn": wrn, **extra}
 
 
-# name -> (subcommand, input object, extra arguments)
+# name -> (subcommand, input object or None for none, extra arguments)
 CASES = {
+    "generate-manhattan8-r2": ("generate", None, (
+        "--cell", "manhattan8", "--radius", "2", "--d", "7.5", "--gamma", "0.03", "--nbar-b", "0.001")),
+    "generate-triangular6-r3-tl": ("generate", None, (
+        "--cell", "triangular6", "--radius", "3", "--d", "10.0", "--family", "tl")),
     "analyze-tl-templates": ("analyze", _lattice(
         "manhattan8", "tl", TL_RECV, TL_SEND, {"kind": "tl", "tau": 0.7, "nbar": 0.03}), ()),
     "analyze-ad-templates": ("analyze", _lattice(
@@ -122,13 +126,14 @@ CASES = {
 def run_case(name: str, workdir: Path) -> tuple[int, bytes | None, str]:
     """Exit code, output file bytes (None when no file was written) and stderr."""
     command, obj, extra = CASES[name]
-    src = workdir / f"{name}.json"
     out = workdir / f"{name}.out"
-    src.write_text(json.dumps(obj))
-    flag = "--in" if command == "analyze" else "--spec"
+    if obj is not None:
+        src = workdir / f"{name}.json"
+        src.write_text(json.dumps(obj))
+        extra = ("--in" if command == "analyze" else "--spec", str(src), *extra)
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr):
-        code = main([command, flag, str(src), *extra, "--out", str(out)])
+        code = main([command, *extra, "--out", str(out)])
     return code, out.read_bytes() if out.exists() else None, stderr.getvalue()
 
 
