@@ -42,7 +42,7 @@ _LN2 = math.log(2.0)
 
 def h2(u: float) -> float:
     """Binary entropy -u log2 u - (1-u) log2(1-u), in bits."""
-    if not 0.0 <= u <= 1.0 or math.isnan(u):
+    if not 0.0 <= u <= 1.0:
         raise DomainError(f"probability must lie in [0, 1], got {u}")
     if u == 0.0 or u == 1.0:
         return 0.0
@@ -56,7 +56,7 @@ def bosonic_h(x: float) -> float:
     so that neither large x (cancellation) nor small x (rounding 1 + x) loses
     precision; below x = 1, where 1/x can overflow, ln(1 + 1/x) = ln(1+x) - ln x.
     """
-    if x < 0.0 or math.isnan(x):
+    if not x >= 0.0:
         raise DomainError(f"mean photon number must be >= 0, got {x}")
     if x == 0.0:
         return 0.0
@@ -126,7 +126,7 @@ def tl_rci(eta_tot: float, nbar_tot: float) -> float:
 
 def _tl_rci_raw(eta_tot: float, nbar_tot: float) -> float:
     rate = plob_pure_loss(eta_tot)
-    if nbar_tot < 0.0 or math.isnan(nbar_tot):
+    if not nbar_tot >= 0.0:
         raise DomainError(f"thermal photon number must be >= 0, got {nbar_tot}")
     return rate - bosonic_h(nbar_tot / (1.0 - eta_tot))
 
@@ -152,7 +152,7 @@ def _tl_ree_from_raw(raw: float, eta_tot: float, nbar_tot: float) -> float:
 
 def plob_pure_loss(eta: float) -> float:
     """Exact two-way capacity of the pure-loss channel, -log2(1-eta) = -log1p(-eta)/ln 2."""
-    if not 0.0 < eta < 1.0 or math.isnan(eta):
+    if not 0.0 < eta < 1.0:
         if eta == 1.0:
             raise DomainError("transmissivity 1 is divergent; treat as infinite capacity explicitly")
         raise DomainError(f"transmissivity must lie in (0, 1), got {eta}")

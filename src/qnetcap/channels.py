@@ -35,7 +35,7 @@ class AmplitudeDamping(NamedTuple):
     p: float
 
     def _check(self):
-        if not 0.0 <= self.p <= 1.0 or math.isnan(self.p):
+        if not 0.0 <= self.p <= 1.0:
             raise DomainError(f"damping probability must lie in [0, 1], got {self.p}")
 
 
@@ -47,9 +47,9 @@ class ThermalLoss(NamedTuple):
     nbar: float = 0.0
 
     def _check(self):
-        if not 0.0 < self.tau <= 1.0 or math.isnan(self.tau):
+        if not 0.0 < self.tau <= 1.0:
             raise DomainError(f"transmissivity must lie in (0, 1], got {self.tau}")
-        if self.nbar < 0.0 or math.isnan(self.nbar):
+        if not self.nbar >= 0.0:
             raise DomainError(f"thermal photon number must be >= 0, got {self.nbar}")
 
 
@@ -115,11 +115,11 @@ class FibreParams(NamedTuple):
     nbar_B: float = 0.002
 
     def _check(self):
-        if self.length_km < 0.0 or math.isnan(self.length_km):
+        if not self.length_km >= 0.0:
             raise DomainError(f"fibre length must be >= 0 km, got {self.length_km}")
         if not 0.0 < self.gamma < math.inf:  # an infinite rate makes 10^(-gamma*0) nan
             raise DomainError(f"loss rate must be finite and > 0 per km, got {self.gamma}")
-        if self.nbar_B < 0.0 or math.isnan(self.nbar_B):
+        if not self.nbar_B >= 0.0:
             raise DomainError(f"background photons must be >= 0, got {self.nbar_B}")
 
     @property
@@ -181,9 +181,9 @@ def compose_tl(channels: Iterable[tuple[float, float]]) -> tuple[float, float]:
     count = 0
     lossless = True
     for tau, nbar in channels:
-        if not 0.0 < tau <= 1.0 or math.isnan(tau):
+        if not 0.0 < tau <= 1.0:
             raise DomainError(f"transmissivity must lie in (0, 1], got {tau}")
-        if nbar < 0.0 or math.isnan(nbar):
+        if not nbar >= 0.0:
             raise DomainError(f"thermal photon number must be >= 0, got {nbar}")
         eps = nbar + 0.5 * abs(1.0 - tau)
         xi = tau * xi + eps

@@ -170,8 +170,7 @@ def cmd_generate(args) -> int:
         if math.isinf(value):  # JSON has no infinity; the spec refuses nan and -inf
             raise DomainError(f"a network file holds finite numbers only, got {flag} {value}")
     graph = wrn.generate(spec)
-    # One compact line: json.dumps with an indent runs the pure-Python encoder.
-    _emit(json.dumps(network.network_to_json(graph), allow_nan=False) + "\n", args.out)
+    _emit(network.network_to_json(graph) + "\n", args.out)
     return EXIT_OK
 
 
@@ -217,13 +216,13 @@ def cmd_threshold(args) -> int:
     spec, setup = _parse_wrn_spec(_read_json(args.spec))
     param = _PARAM_BY_FLAG[args.param]
     bulk, user = wrn.threshold_report(spec, args.target, param, qkd_setup=setup)
-    delta_val, omega_val = wrn.connectivity(spec)
+    delta_val, (omega_num, omega_den) = wrn.connectivity(spec)
     out = {
         "cell": spec.cell_type,
         "k": spec.k,
         "delta": delta_val,
-        "omega": f"{omega_val.numerator}/{omega_val.denominator}",
-        "omega_value": float(omega_val),
+        "omega": f"{omega_num}/{omega_den}",
+        "omega_value": omega_num / omega_den,
         "param": param,
         "target": args.target,
         "bulk": bulk.as_json(),

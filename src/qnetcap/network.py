@@ -12,6 +12,8 @@ BoundedGraph lives in ``routing.py``; the per-edge reference that
 
 from __future__ import annotations
 
+import json
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .bounds import BOUND_ORDER_TOL, BoundKind, direction_bounds, family_native, orient
@@ -266,28 +268,34 @@ def annotate_uniform(graph: NetworkGraph, value: float) -> BoundedGraph:
     return BoundedGraph(names, graph.users, a, b, values, values, exact, exact, a, a)
 
 
-def network_to_json(graph: NetworkGraph) -> dict:
-    """The per-edge-object JSON form; each edge has its own channel or fibre object."""
-    names = graph.names
-    nodes = []
-    for node_id, recv, send, role in zip(names, graph.recv, graph.send, graph.role):
-        entry: dict = {"id": node_id}
-        if not isinstance(recv, Identity):
-            entry["recv"] = channel_to_json(recv)
-        if not isinstance(send, Identity):
-            entry["send"] = channel_to_json(send)
-        entry["role"] = role
-        nodes.append(entry)
-    sources = [("fibre", {"length_km": c.length_km, "gamma": c.gamma, "nbar_B": c.nbar_B})
-               if isinstance(c, FibreParams) else ("channel", channel_to_json(c)) for c in graph.classes]
-    edges = [{"a": names[u], "b": names[v], sources[c][0]: {**sources[c][1]}}
-             for u, v, c in zip(graph.a, graph.b, graph.cls)]
-    data = {"nodes": nodes, "edges": edges}
+def network_to_json(graph: NetworkGraph) -> str:
+    """The per-edge-object JSON form, as the one line ``json.dumps`` writes; ValueError on inf or nan.
+
+    Each edge has its own channel or fibre object. The text is joined from the
+    columns, with each name, class and device record encoded once.
+    """
+    dumps = json.JSONEncoder(allow_nan=False).encode  # json.dumps(obj, allow_nan=False)
+    names = list(map(encode_basestring_ascii, graph.names))
+    sources = [f'"fibre": {dumps(c._asdict())}' if isinstance(c, FibreParams)
+               else f'"channel": {dumps(channel_to_json(c))}' for c in graph.classes]
+    devices: dict = {}  # by identity: equal records such as AmplitudeDamping(0.0) and (-0.0) print apart
+
+    def device(key: str, channel: ChannelSpec) -> str:
+        if isinstance(channel, Identity):
+            return ""
+        if id(channel) not in devices:
+            devices[id(channel)] = dumps(channel_to_json(channel))
+        return f', "{key}": {devices[id(channel)]}'
+
+    nodes = [f'{{"id": {name}{device("recv", recv)}{device("send", send)}, "role": {encode_basestring_ascii(role)}}}'
+             for name, recv, send, role in zip(names, graph.recv, graph.send, graph.role)]
+    edges = [f'{{"a": {names[u]}, "b": {names[v]}, {sources[c]}}}' for u, v, c in zip(graph.a, graph.b, graph.cls)]
+    text = f'{{"nodes": [{", ".join(nodes)}], "edges": [{", ".join(edges)}]'
     if graph.users is not None:
-        data["users"] = list(graph.users)
+        text += f', "users": {dumps(list(graph.users))}'
     if graph.family is not None:
-        data["family"] = graph.family
-    return data
+        text += f', "family": {dumps(graph.family)}'
+    return text + "}"
 
 
 def load_network(data) -> tuple[NetworkGraph | None, list[str]]:

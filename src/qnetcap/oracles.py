@@ -326,7 +326,7 @@ def verify_theorem2(spec: WrnSpec, edge_value: float, tol: float = 1e-9) -> bool
     """
     if not isinstance(spec, WrnSpec):
         raise DomainError("verify_theorem2 needs a WrnSpec; arbitrary graphs are not weakly regular")
-    if edge_value <= 0.0 or math.isnan(edge_value):
+    if not edge_value > 0.0:
         raise DomainError(f"edge value must be > 0, got {edge_value}")
     bg = annotate_uniform(generate(spec), edge_value)
     flood = max_flow(bg, "lower").value

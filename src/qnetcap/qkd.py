@@ -94,7 +94,7 @@ def receiver_noise(setup: QkdSetup, eta_channel: float) -> float:
     LLO: eta*tau_eff*theta_ph + theta_el at full LO power.
     TLO: theta_el evaluated at the attenuated LO power eta*tau_eff*P_LO.
     """
-    if not 0.0 < eta_channel <= 1.0 or math.isnan(eta_channel):
+    if not 0.0 < eta_channel <= 1.0:
         raise DomainError(f"channel transmissivity must lie in (0, 1], got {eta_channel}")
     if setup.scheme == SCHEME_LLO:
         return eta_channel * setup.tau_eff * theta_ph(setup) + theta_el(setup, setup.p_lo)

@@ -22,7 +22,6 @@ must reproduce, and check that its patches are weakly regular.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import qkd as qkd_mod
@@ -129,11 +128,13 @@ def delta(k: int, commonalities) -> int:
     return min(sum(k - entry - 1 for entry in lam) for lam in lambdas)
 
 
-def omega(k: int, delta_value: int) -> Fraction:
-    """User-edge connectivity constant delta*(k-1)/(delta-k+1), exact."""
+def omega(k: int, delta_value: int) -> tuple[int, int]:
+    """User-edge connectivity constant delta*(k-1)/(delta-k+1), as a reduced (numerator, denominator)."""
     if delta_value <= k - 1:
         raise DomainError(f"omega needs delta > k-1, got delta={delta_value}, k={k}")
-    return Fraction(delta_value * (k - 1), delta_value - (k - 1))
+    num, den = delta_value * (k - 1), delta_value - (k - 1)
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def _triangular_coords(rings: int):
@@ -225,7 +226,7 @@ class DensityResult(NamedTuple):
 def min_nodal_density(d_max: float, cell_type: str) -> DensityResult:
     if cell_type not in _CELLS:
         raise DomainError(f"cell type must be one of {sorted(_CELLS)}, got {cell_type!r}")
-    if d_max <= 0.0 or math.isnan(d_max):
+    if not d_max > 0.0:
         raise DomainError(f"maximum link length must be > 0 km, got {d_max}")
     xi_geom = _CELLS[cell_type][2]
     return DensityResult(d_max=d_max, xi_geom=xi_geom, rho_min=xi_geom / (d_max * d_max))
@@ -253,7 +254,7 @@ def _scan(fn: Callable[[float], float], bracket: tuple[float, float]) -> tuple[s
 def _solve(fn: Callable[[float], float], target: float, scale: float, bracket: tuple[float, float],
            scan: tuple[str | None, float]) -> float:
     """xi where fn(xi) meets target/scale, given the ``_scan`` of fn on ``bracket``."""
-    if target <= 0.0 or math.isnan(target):
+    if not target > 0.0:
         raise DomainError(f"capacity target must be > 0, got {target}")
     if scale <= 0.0:
         raise DomainError(f"scale must be > 0, got {scale}")
@@ -399,7 +400,7 @@ def bound_functions(
     )
 
 
-def connectivity(spec: WrnSpec) -> tuple[int, Fraction]:
+def connectivity(spec: WrnSpec) -> tuple[int, tuple[int, int]]:
     d = delta(spec.k, spec.commonalities)
     return d, omega(spec.k, d)
 
@@ -413,14 +414,15 @@ def thresholds(spec: WrnSpec, cases, param: str,
     then solved for every case. A side whose per-edge target is out of reach
     is nan, and ``unattainable`` holds the reason of the first such side.
     """
-    scales = dict(zip(SCALE_NAMES, connectivity(spec)))
+    d, (num, den) = connectivity(spec)
+    scales = dict(zip(SCALE_NAMES, (float(d), num / den)))
     lower_fn, upper_fn, bracket = bound_functions(spec, param, qkd_setup)
     sides = [(fn, _scan(fn, bracket)) for fn in (lower_fn, upper_fn)]
     results = []
     for target, scale_name in cases:
         if scale_name not in scales:
             raise DomainError(f"scale must be one of {SCALE_NAMES}, got {scale_name!r}")
-        scale = float(scales[scale_name])
+        scale = scales[scale_name]
         solved, unattainable = [], None
         for fn, scan in sides:
             try:

@@ -23,13 +23,17 @@ from qnetcap.channels import (
     FAMILY_AD,
     FAMILY_TL,
     AmplitudeDamping,
+    FibreParams,
     Identity,
     NodeSpec,
     ThermalLoss,
     as_thermal,
+    compose_tl,
 )
 from qnetcap.errors import DomainError, FamilyError
-from qnetcap.oracles import oriented_edge_bounds
+from qnetcap.oracles import oriented_edge_bounds, verify_theorem2
+from qnetcap.qkd import from_preset, receiver_noise
+from qnetcap.wrn import WrnSpec, min_nodal_density, solve_threshold
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 etas = st.floats(min_value=1e-6, max_value=1.0 - 1e-9, allow_nan=False)
@@ -332,3 +336,44 @@ def test_unit_transmissivity_with_noise_rejected():
     b = NodeSpec("b")
     with pytest.raises(DomainError):
         oriented_edge_bounds(ThermalLoss(1.0, 0.1), a, b, "tl")
+
+
+# Every domain check on a float is one comparison that NaN fails. Each entry:
+# the checked call of x, its message on a bad x, and whether it takes -0.0.
+DOMAIN_CHECKS = {
+    "AmplitudeDamping.p": (AmplitudeDamping, "damping probability must lie in [0, 1], got {}", True),
+    "ThermalLoss.tau": (ThermalLoss, "transmissivity must lie in (0, 1], got {}", False),
+    "ThermalLoss.nbar": (lambda x: ThermalLoss(0.5, x), "thermal photon number must be >= 0, got {}", True),
+    "FibreParams.length_km": (FibreParams, "fibre length must be >= 0 km, got {}", True),
+    "FibreParams.nbar_B": (lambda x: FibreParams(1.0, nbar_B=x), "background photons must be >= 0, got {}", True),
+    "compose_tl.tau": (lambda x: compose_tl([(0.5, 0.0), (x, 0.0)]), "transmissivity must lie in (0, 1], got {}",
+                       False),
+    "compose_tl.nbar": (lambda x: compose_tl([(0.5, 0.0), (0.5, x)]), "thermal photon number must be >= 0, got {}",
+                        True),
+    "h2": (h2, "probability must lie in [0, 1], got {}", True),
+    "bosonic_h": (bosonic_h, "mean photon number must be >= 0, got {}", True),
+    "tl_rci.nbar_tot": (lambda x: tl_rci(0.5, x), "thermal photon number must be >= 0, got {}", True),
+    "plob_pure_loss": (plob_pure_loss, "transmissivity must lie in (0, 1), got {}", False),
+    "receiver_noise": (lambda x: receiver_noise(from_preset("table1-heterodyne-llo"), x),
+                       "channel transmissivity must lie in (0, 1], got {}", False),
+    "min_nodal_density": (lambda x: min_nodal_density(x, "manhattan8"), "maximum link length must be > 0 km, got {}",
+                          False),
+    "solve_threshold.target": (lambda x: solve_threshold(lambda xi: 1.0 / xi, x, 4.0),
+                               "capacity target must be > 0, got {}", False),
+    "verify_theorem2": (lambda x: verify_theorem2(WrnSpec("triangular6", 2, 10.0, "ad"), x),
+                        "edge value must be > 0, got {}", False),
+}
+
+
+@pytest.mark.parametrize("name", DOMAIN_CHECKS)
+def test_domain_checks_refuse_nan_and_keep_negative_zero(name):
+    call, message, takes_negative_zero = DOMAIN_CHECKS[name]
+    with pytest.raises(DomainError) as nan:
+        call(math.nan)
+    assert str(nan.value) == message.format(math.nan)
+    if takes_negative_zero:
+        call(-0.0)
+    else:
+        with pytest.raises(DomainError) as zero:
+            call(-0.0)
+        assert str(zero.value) == message.format(-0.0)

@@ -31,6 +31,7 @@ from qnetcap.cli import (
 from qnetcap import network, wrn
 from qnetcap.qkd import QkdSetup
 from qnetcap.wrn import WrnSpec, generate
+from test_network import reference_json
 
 
 def run(capsys, *argv):
@@ -137,7 +138,7 @@ def test_generate_writes_one_line_of_compact_json(tmp_path, capsys, cell, radius
     assert code == EXIT_OK
     spec = WrnSpec(cell, radius, 2.0, DEFAULT_FAMILY[cell])
     text = net.read_text(encoding="utf-8")
-    assert text == json.dumps(network.network_to_json(generate(spec))) + "\n"
+    assert text == json.dumps(reference_json(generate(spec)), allow_nan=False) + "\n"
     assert text.count("\n") == 1
     graph, violations = network.load_network(json.loads(text))
     assert violations == []
@@ -358,13 +359,13 @@ def test_cli_import_does_not_load_scipy(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
-# The qnetcap modules, and fractions (for omega), that each subcommand loads:
-# bounding a given network needs no solver, a threshold solve builds no graph.
-# No subcommand loads dataclasses or inspect, which the records do without.
+# The qnetcap modules that each subcommand loads: bounding a given network
+# needs no solver, a threshold solve builds no graph. No subcommand loads
+# dataclasses or inspect, which the records do without, nor fractions (with
+# its decimal and numbers), as omega is a pair of integers.
 GRAPH_MODULES = {"qnetcap.network", "qnetcap.bounds", "qnetcap.channels", "qnetcap.errors"}
-SOLVER_MODULES = {"qnetcap.wrn", "qnetcap.qkd", "qnetcap.bounds", "qnetcap.channels", "qnetcap.errors",
-                  "fractions"}
-PROBED_STDLIB = ("fractions", "dataclasses", "inspect")
+SOLVER_MODULES = {"qnetcap.wrn", "qnetcap.qkd", "qnetcap.bounds", "qnetcap.channels", "qnetcap.errors"}
+PROBED_STDLIB = ("fractions", "decimal", "numbers", "dataclasses", "inspect")
 
 
 @pytest.mark.parametrize("command,loads", [
@@ -377,7 +378,7 @@ PROBED_STDLIB = ("fractions", "dataclasses", "inspect")
 ])
 def test_each_subcommand_loads_only_what_it_runs(tmp_path, command, loads):
     net = tmp_path / "net.json"
-    net.write_text(json.dumps(network.network_to_json(generate(WrnSpec("manhattan8", 2, 2.0, "tl")))))
+    net.write_text(network.network_to_json(generate(WrnSpec("manhattan8", 2, 2.0, "tl"))))
     argv = {
         "generate": ["--cell", "manhattan8", "--radius", "2", "--d", "2.0"],
         "validate": ["--in", str(net)],

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from qnetcap import bounds, network
 from qnetcap.bounds import BoundKind
 from qnetcap.channels import (
+    IDENTITY,
     AmplitudeDamping,
     FibreParams,
     Identity,
     NodeSpec,
     ThermalLoss,
+    channel_to_json,
 )
 from qnetcap.errors import (
     DomainError,
@@ -23,6 +25,7 @@ from qnetcap.errors import (
 from qnetcap.network import (
     BoundedGraph,
     EdgeView,
+    NetworkGraph,
     annotate_uniform,
     apply_split,
     load_network,
@@ -204,7 +207,7 @@ def test_min_neighbourhood_needs_two_distinct_graph_users(users):
 
 def _loaded(graph):
     """The graph as the CLI sees it: through JSON."""
-    loaded, violations = load_network(json.loads(json.dumps(network_to_json(graph))))
+    loaded, violations = load_network(json.loads(network_to_json(graph)))
     assert violations == []
     return loaded
 
@@ -412,6 +415,118 @@ def test_annotate_uniform():
         annotate_uniform(g, -1.0)
 
 
+def reference_json(graph):
+    """The v1 document built as one dict per node and per edge, each edge with its own source object:
+    the reference that ``network_to_json`` must print exactly as ``json.dumps`` does."""
+    names = graph.names
+    nodes = []
+    for node_id, recv, send, role in zip(names, graph.recv, graph.send, graph.role):
+        entry = {"id": node_id}
+        if not isinstance(recv, Identity):
+            entry["recv"] = channel_to_json(recv)
+        if not isinstance(send, Identity):
+            entry["send"] = channel_to_json(send)
+        entry["role"] = role
+        nodes.append(entry)
+    sources = [("fibre", {"length_km": c.length_km, "gamma": c.gamma, "nbar_B": c.nbar_B})
+               if isinstance(c, FibreParams) else ("channel", channel_to_json(c)) for c in graph.classes]
+    edges = [{"a": names[u], "b": names[v], sources[c][0]: {**sources[c][1]}}
+             for u, v, c in zip(graph.a, graph.b, graph.cls)]
+    data = {"nodes": nodes, "edges": edges}
+    if graph.users is not None:
+        data["users"] = list(graph.users)
+    if graph.family is not None:
+        data["family"] = graph.family
+    return data
+
+
+def _columns(names, recv, send, role, edges, classes, **extra):
+    """A NetworkGraph from node columns and (a, b, cls) edge triples."""
+    a, b, cls = zip(*edges) if edges else ((), (), ())
+    return NetworkGraph(tuple(names), tuple(recv), tuple(send), tuple(role), a, b, cls, tuple(classes), **extra)
+
+
+# Equal records that print apart: a writer that shared one text between equal
+# records would print the second of each pair as the first.
+AD_TWINS = (AmplitudeDamping(0.0), AmplitudeDamping(-0.0), AmplitudeDamping(1.0), AmplitudeDamping(1))
+TL_TWINS = (ThermalLoss(1.0, 0.0), ThermalLoss(1, -0.0), ThermalLoss(0.5, 0), ThermalLoss(0.5, 0.0))
+
+WRITER_GRAPHS = {
+    "tl-lattice": lambda: generate(WrnSpec("manhattan8", 3, 10.0, "tl")),
+    "ad-lattice": lambda: generate(WrnSpec("triangular6", 3, 7.5, "ad", gamma=0.03)),
+    "tl-lattice-devices": lambda: generate(WrnSpec(
+        "manhattan8", 2, 2.0, "tl", recv=ThermalLoss(0.9, 0.01), send=ThermalLoss(0.95), nbar_B=0.0)),
+    "ad-lattice-devices": lambda: generate(WrnSpec(
+        "triangular6", 2, 2.0, "ad", recv=AmplitudeDamping(0.05), send=AmplitudeDamping(0.02))),
+    "tl-channels-and-fibres": lambda: _columns(
+        "abcde", [IDENTITY, ThermalLoss(0.9, 0.01), Identity(), ThermalLoss(0.8), IDENTITY],
+        [ThermalLoss(0.95), IDENTITY, IDENTITY, ThermalLoss(0.7, 0.2), Identity()],
+        ["user", "repeater", "repeater", "repeater", "user"],
+        [(0, 1, 0), (1, 2, 1), (2, 3, 2), (3, 4, 3), (0, 2, 4), (1, 3, 5), (2, 4, 0)],
+        [FibreParams(10.0), FibreParams(20.0, 0.03, 0.0), ThermalLoss(0.5, 0.002), FibreParams(5.5, nbar_B=0.01),
+         IDENTITY, ThermalLoss(0.25)],
+        users=("a", "e"), family="tl"),
+    "ad-channels-and-fibres": lambda: _columns(
+        "abcd", [AmplitudeDamping(0.1), IDENTITY, AmplitudeDamping(0.3), IDENTITY],
+        [IDENTITY, AmplitudeDamping(0.2), IDENTITY, IDENTITY], ["user", "repeater", "repeater", "user"],
+        [(0, 1, 1), (1, 2, 0), (2, 3, 2), (0, 3, 1)],
+        [AmplitudeDamping(0.4), FibreParams(3.0), FibreParams(1e-300, 1e300, 5e-324)], users=("a", "d")),
+    "awkward-names": lambda: _columns(
+        ["caf\u00e9 \u5317", 'say "hi"', "back\\slash/", "ctl\x00\x1f\n\t\x7f", "\u2028\U0001f600", ""],
+        [IDENTITY] * 6, [IDENTITY] * 6, ["user", "repeater", "boss", "repeater", "r\u00f4le", "user"],
+        [(0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 4, 0), (4, 5, 0)], [FibreParams(1.0)],
+        users=("caf\u00e9 \u5317", ""), family="t\u00eal"),
+    "negative-zeros-and-ints": lambda: _columns(
+        [f"n{i}" for i in range(8)], [*AD_TWINS, *reversed(AD_TWINS)], [*reversed(AD_TWINS), *AD_TWINS],
+        ["repeater"] * 8,
+        [(i, i + 1, i % 4) for i in range(7)],
+        [FibreParams(-0.0, 1, 0), FibreParams(0.0, 1.0, 0.0), FibreParams(2, 0.02, -0.0), AmplitudeDamping(-0.0)]),
+    "thermal-twins": lambda: _columns(
+        "wxyz", TL_TWINS, TL_TWINS[::-1], ["user", "repeater", "repeater", "user"],
+        [(0, 1, 0), (1, 2, 1), (2, 3, 0)], [TL_TWINS[1], TL_TWINS[0]], users=("w", "z"), family="tl"),
+    "fibre-chain": lambda: _columns(
+        [f"c{i}" for i in range(41)], [IDENTITY] * 41, [ThermalLoss(0.9, 0.001 * i) for i in range(41)],
+        ["user", *["repeater"] * 39, "user"], [(i, i + 1, i) for i in range(40)],
+        [FibreParams(random.Random(i).uniform(0.0, 100.0), 0.02 + i / 1000, i / 7) for i in range(40)],
+        users=("c0", "c40")),
+    "unknown-endpoint-no-users": lambda: _columns(
+        ["a", "b", "ghost"], [IDENTITY] * 2, [IDENTITY] * 2, ["repeater"] * 2,
+        [(0, 2, 0), (1, 1, 0)], [FibreParams(4.0)]),
+    "empty": lambda: _columns([], [], [], [], [], []),
+}
+
+
+@pytest.mark.parametrize("name", WRITER_GRAPHS)
+def test_network_json_is_the_reference_document_dumped(name):
+    graph = WRITER_GRAPHS[name]()
+    text = network_to_json(graph)
+    assert text == json.dumps(reference_json(graph), allow_nan=False)
+    assert text.isascii() and "\n" not in text
+
+
+def test_network_json_prints_equal_records_apart():
+    graph = WRITER_GRAPHS["negative-zeros-and-ints"]()
+    nodes = json.loads(network_to_json(graph))["nodes"]
+    printed = [json.dumps(node["recv"]) for node in nodes[:4]]
+    assert printed == ['{"kind": "ad", "p": 0.0}', '{"kind": "ad", "p": -0.0}',
+                       '{"kind": "ad", "p": 1.0}', '{"kind": "ad", "p": 1}']
+
+
+@pytest.mark.parametrize("change", [
+    {"recv": (ThermalLoss(0.5, math.inf), IDENTITY)},
+    {"send": (IDENTITY, ThermalLoss(0.5, math.inf))},
+    {"classes": (FibreParams(math.inf),)},
+    {"classes": (FibreParams(1.0, 0.02, math.inf),)},
+])
+def test_network_json_refuses_non_finite_numbers(change):
+    graph = _columns("ab", [IDENTITY] * 2, [IDENTITY] * 2, ["user"] * 2, [(0, 1, 0)], [FibreParams(1.0)],
+                     users=("a", "b"), family="tl")._replace(**change)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        json.dumps(reference_json(graph), allow_nan=False)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        network_to_json(graph)
+
+
 def test_network_json_round_trip():
     g = _graph(_doc(
         [{"id": "a", "role": "user"},
@@ -422,7 +537,7 @@ def test_network_json_round_trip():
         users=("a", "c"),
         family="tl",
     ))
-    data = json.loads(json.dumps(network_to_json(g)))
+    data = json.loads(network_to_json(g))
     loaded, violations = load_network(data)
     assert violations == []
     assert loaded == g
@@ -434,14 +549,14 @@ def test_network_json_round_trip():
 
 def test_network_json_gives_each_edge_its_own_source_object():
     graph = generate(WrnSpec("manhattan8", 2, 10.0, "tl"))
-    data = network_to_json(graph)
+    data = json.loads(network_to_json(graph))
     data["edges"][0]["fibre"]["length_km"] = 30.0
     assert data["edges"][1]["fibre"]["length_km"] == 10.0
     loaded, violations = load_network(data)
     assert violations == []
     assert loaded.classes == (FibreParams(30.0), FibreParams(10.0))
     assert loaded.cls == (0,) + (1,) * (len(graph.a) - 1)
-    assert network_to_json(graph)["edges"][0]["fibre"]["length_km"] == 10.0
+    assert json.loads(network_to_json(graph))["edges"][0]["fibre"]["length_km"] == 10.0
 
 
 @pytest.mark.parametrize("change, message", [
@@ -706,7 +821,12 @@ DOCS = st.fixed_dictionaries(
 @given(DOCS)
 def test_network_json_round_trips_to_the_same_columns_and_bytes(doc):
     graph, _ = load_network(json.loads(json.dumps(doc)))
-    text = json.dumps(network_to_json(graph))
+    if any(c.length_km == math.inf for c in graph.classes if isinstance(c, FibreParams)):
+        with pytest.raises(ValueError, match="not JSON compliant"):  # a network file holds finite numbers
+            network_to_json(graph)
+        return
+    text = network_to_json(graph)
+    assert text == json.dumps(reference_json(graph))
     again, _ = load_network(json.loads(text))
     assert again == graph  # every column and the class table
-    assert json.dumps(network_to_json(again)) == text
+    assert network_to_json(again) == text

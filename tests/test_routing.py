@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -296,7 +297,7 @@ def test_dinic_sink_level_cutoff_changes_no_flow(monkeypatch):
 def _hetero_lattice(seed):
     """Thermal-loss lattice with a seeded fibre per edge and devices per node."""
     rng = random.Random(seed)
-    data = network_to_json(generate(WrnSpec("manhattan8", 3, 10.0, "tl")))
+    data = json.loads(network_to_json(generate(WrnSpec("manhattan8", 3, 10.0, "tl"))))
 
     def device():
         return {"kind": "tl", "tau": rng.uniform(0.85, 1.0), "nbar": rng.uniform(0.0, 0.005)}

@@ -61,8 +61,9 @@ def test_delta_domain():
 
 
 def test_omega_values():
-    assert omega(6, 18) == Fraction(90, 13)
-    assert omega(8, 32) == Fraction(224, 25)
+    assert omega(6, 18) == (90, 13)
+    assert omega(8, 32) == (224, 25)
+    assert omega(4, 6) == (6, 1)
     with pytest.raises(DomainError):
         omega(6, 5)
     with pytest.raises(DomainError):
@@ -148,11 +149,20 @@ def test_generated_patches_are_weakly_regular(cell, radius):
         check_weak_regularity(dropped, spec)
 
 
+def test_omega_is_the_reduced_fraction():
+    for k in range(2, 13):
+        for d in range(k, 80):
+            num, den = omega(k, d)
+            exact = Fraction(d * (k - 1), d - k + 1)
+            assert (num, den) == (exact.numerator, exact.denominator)
+            assert num / den == float(exact)  # the scale every target is divided by, bit for bit
+
+
 def test_connectivity_constants():
     d, w = connectivity(tri_spec())
-    assert (d, w) == (18, Fraction(90, 13))
+    assert (d, w) == (18, (90, 13))
     d, w = connectivity(man_spec())
-    assert (d, w) == (32, Fraction(224, 25))
+    assert (d, w) == (32, (224, 25))
 
 
 def test_solve_threshold_analytic():
