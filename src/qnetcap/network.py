@@ -255,7 +255,7 @@ def apply_split(graph: NetworkGraph) -> BoundedGraph:
 
 def annotate_uniform(graph: NetworkGraph, value: float) -> BoundedGraph:
     """BoundedGraph with every edge at the same exact value; users are not checked."""
-    if value < 0.0:
+    if not value >= 0.0:
         raise DomainError(f"edge value must be >= 0, got {value}")
     if graph.users is None:
         raise ValidationError(["users: required"])
@@ -272,20 +272,15 @@ def network_to_json(graph: NetworkGraph) -> str:
     """The per-edge-object JSON form, as the one line ``json.dumps`` writes; ValueError on inf or nan.
 
     Each edge has its own channel or fibre object. The text is joined from the
-    columns, with each name, class and device record encoded once.
+    columns, with each name and class encoded once.
     """
     dumps = json.JSONEncoder(allow_nan=False).encode  # json.dumps(obj, allow_nan=False)
     names = list(map(encode_basestring_ascii, graph.names))
     sources = [f'"fibre": {dumps(c._asdict())}' if isinstance(c, FibreParams)
                else f'"channel": {dumps(channel_to_json(c))}' for c in graph.classes]
-    devices: dict = {}  # by identity: equal records such as AmplitudeDamping(0.0) and (-0.0) print apart
 
     def device(key: str, channel: ChannelSpec) -> str:
-        if isinstance(channel, Identity):
-            return ""
-        if id(channel) not in devices:
-            devices[id(channel)] = dumps(channel_to_json(channel))
-        return f', "{key}": {devices[id(channel)]}'
+        return "" if isinstance(channel, Identity) else f', "{key}": {dumps(channel_to_json(channel))}'
 
     nodes = [f'{{"id": {name}{device("recv", recv)}{device("send", send)}, "role": {encode_basestring_ascii(role)}}}'
              for name, recv, send, role in zip(names, graph.recv, graph.send, graph.role)]

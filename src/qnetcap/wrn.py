@@ -256,7 +256,7 @@ def _solve(fn: Callable[[float], float], target: float, scale: float, bracket: t
     """xi where fn(xi) meets target/scale, given the ``_scan`` of fn on ``bracket``."""
     if not target > 0.0:
         raise DomainError(f"capacity target must be > 0, got {target}")
-    if scale <= 0.0:
+    if not scale > 0.0:
         raise DomainError(f"scale must be > 0, got {scale}")
     goal = target / float(scale)
     direction, first = scan

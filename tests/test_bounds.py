@@ -31,9 +31,10 @@ from qnetcap.channels import (
     compose_tl,
 )
 from qnetcap.errors import DomainError, FamilyError
+from qnetcap.network import annotate_uniform
 from qnetcap.oracles import oriented_edge_bounds, verify_theorem2
 from qnetcap.qkd import from_preset, receiver_noise
-from qnetcap.wrn import WrnSpec, min_nodal_density, solve_threshold
+from qnetcap.wrn import WrnSpec, generate, min_nodal_density, solve_threshold
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 etas = st.floats(min_value=1e-6, max_value=1.0 - 1e-9, allow_nan=False)
@@ -360,6 +361,10 @@ DOMAIN_CHECKS = {
                           False),
     "solve_threshold.target": (lambda x: solve_threshold(lambda xi: 1.0 / xi, x, 4.0),
                                "capacity target must be > 0, got {}", False),
+    "solve_threshold.scale": (lambda x: solve_threshold(lambda xi: 1.0 / xi, 1.0, x), "scale must be > 0, got {}",
+                              False),
+    "annotate_uniform": (lambda x: annotate_uniform(generate(WrnSpec("triangular6", 2, 10.0, "ad")), x),
+                         "edge value must be >= 0, got {}", True),
     "verify_theorem2": (lambda x: verify_theorem2(WrnSpec("triangular6", 2, 10.0, "ad"), x),
                         "edge value must be > 0, got {}", False),
 }

@@ -31,7 +31,6 @@ from qnetcap.cli import (
 from qnetcap import network, wrn
 from qnetcap.qkd import QkdSetup
 from qnetcap.wrn import WrnSpec, generate
-from test_network import reference_json
 
 
 def run(capsys, *argv):
@@ -131,7 +130,7 @@ def test_generate_is_deterministic(tmp_path, capsys):
 
 @pytest.mark.parametrize("radius", [2, 3])
 @pytest.mark.parametrize("cell", ["triangular6", "manhattan8"])
-def test_generate_writes_one_line_of_compact_json(tmp_path, capsys, cell, radius):
+def test_generate_writes_one_line_of_compact_json(tmp_path, capsys, cell, radius, reference_json):
     net = tmp_path / "net.json"
     code, _, _ = run(capsys, "generate", "--cell", cell, "--radius", str(radius),
                      "--d", "2.0", "--out", str(net))
