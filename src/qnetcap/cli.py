@@ -8,12 +8,14 @@ batteries with a fixed seed).
 
 Exit codes: 0 ok, 2 input error, 3 validation failure, 4 unattainable target,
 5 internal numeric failure. Given identical inputs all output files are
-byte-identical.
+byte-identical. The cycle collector is paused while a subcommand runs and
+then restored to the caller's state.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import json
 import math
@@ -77,8 +79,10 @@ def _read_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DomainError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DomainError(f"{path} is nested too deeply to read: {exc}") from exc
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -97,9 +101,7 @@ def _emit_json(obj, out_path: str | None) -> None:
 
 
 def _error(kind: str, message: str, **extra) -> None:
-    payload = {"error": kind, "message": message}
-    payload.update(extra)
-    sys.stderr.write(json.dumps(payload) + "\n")
+    sys.stderr.write(json.dumps({"error": kind, "message": message, **extra}) + "\n")
 
 
 def _number(key: str, value, kind=float):
@@ -452,6 +454,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     for name in _MODULES[args.command]:
         globals()[name] = importlib.import_module(f".{name}", __package__)
+    # Safe: a subcommand's data is acyclic, so reference counting frees it, and a
+    # call is short; any cyclic garbage is returned when the process exits.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except ValidationError as exc:
@@ -466,6 +472,9 @@ def main(argv: list[str] | None = None) -> int:
     except QnetcapError as exc:
         _error("input", str(exc))
         return EXIT_INPUT
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -213,12 +213,12 @@ def validate(graph: NetworkGraph) -> list[str]:
 def apply_split(graph: NetworkGraph) -> BoundedGraph:
     """Annotate every edge with orientation-optimized capacity bounds.
 
-    A graph not yet found valid by ``validate`` is validated first. The
-    graph's one channel family is resolved once and passed down to every edge.
-    Each class is resolved to a family-native channel once. A direction whose
-    family-native (send, channel, recv) numbers equal the previous
-    direction's reuses its bounds, so a lattice is bounded once. Orientation
-    ids and ties are still decided per edge. Deterministic and idempotent.
+    A graph not yet found valid by ``validate`` is validated first, and its
+    one channel family is resolved once. Each class is resolved to a
+    family-native channel once. A direction whose family-native (send,
+    channel, recv) equals the previous direction's reuses its bounds, so a
+    lattice is bounded once. Orientation is decided per edge, whose entries
+    go straight onto the six result columns. Deterministic and idempotent.
     """
     if graph._valid_family is None:
         violations = validate(graph)
@@ -230,27 +230,26 @@ def apply_split(graph: NetworkGraph) -> BoundedGraph:
     recvs = list(map(native, graph.recv))
     channels = list(map(native, graph.classes))
 
-    key = values = None  # the last direction bounded, and its bounds
-
-    def bounded(direction):
-        nonlocal key, values
-        if direction != key:
-            key = direction
-            values = direction_bounds(fam, *direction)
-        return values
-
     names = graph.names
-    rows = []
+    columns = lower, upper, lower_kind, upper_kind, lower_sender, upper_sender = [], [], [], [], [], []
+    key = values = None  # the last direction bounded, and its bounds
     for u, v, c in zip(graph.a, graph.b, graph.cls):
         c = channels[c]
-        forward_values = bounded((sends[u], c, recvs[v]))
-        backward_values = bounded((sends[v], c, recvs[u]))
-        lower_back, upper_back = orient(names[u], names[v], forward_values, backward_values)
-        lower, lower_kind, _, _ = backward_values if lower_back else forward_values
-        _, _, upper, upper_kind = backward_values if upper_back else forward_values
-        rows.append((lower, upper, lower_kind, upper_kind, v if lower_back else u, v if upper_back else u))
-    columns = tuple(zip(*rows)) or ((),) * 6
-    return BoundedGraph(names, graph.users, graph.a, graph.b, *columns)
+        if (direction := (sends[u], c, recvs[v])) != key:
+            key, values = direction, direction_bounds(fam, *direction)
+        forward_values = values
+        if (direction := (sends[v], c, recvs[u])) != key:
+            key, values = direction, direction_bounds(fam, *direction)
+        lower_back, upper_back = orient(names[u], names[v], forward_values, values)
+        lower_values = values if lower_back else forward_values
+        upper_values = values if upper_back else forward_values
+        lower.append(lower_values[0])
+        lower_kind.append(lower_values[1])
+        upper.append(upper_values[2])
+        upper_kind.append(upper_values[3])
+        lower_sender.append(v if lower_back else u)
+        upper_sender.append(v if upper_back else u)
+    return BoundedGraph(names, graph.users, graph.a, graph.b, *map(tuple, columns))
 
 
 def annotate_uniform(graph: NetworkGraph, value: float) -> BoundedGraph:

@@ -185,27 +185,20 @@ class _Dinic:
                 total += pushed
 
 
-def _max_flow(bg: BoundedGraph, values, s: int, t: int, head, out) -> FlowResult:
-    names = bg.nodes
+def _max_flow(bg: BoundedGraph, values, s: int, t: int, head, out) -> tuple[float, list[int], list[float]]:
+    """Max-flow value, the last phase's labelling and the residual capacities."""
     for u, v, value in zip(bg.a, bg.b, values):
         if not math.isfinite(value):
-            raise DomainError(f"edge {names[u]}-{names[v]} has non-finite value {value}")
+            raise DomainError(f"edge {bg.nodes[u]}-{bg.nodes[v]} has non-finite value {value}")
     cap = [c for c in values for _ in (0, 1)]  # arcs 2i and 2i+1 share edge i
-    value, level = _Dinic(out, head, cap).run(s, t)
-    on_a = [lv >= 0 for lv in level]
+    return (*_Dinic(out, head, cap).run(s, t), cap)
+
+
+def _mincut(bg: BoundedGraph, level: list[int]) -> Cut:
+    names, on_a = bg.nodes, [lv >= 0 for lv in level]
     a_side = frozenset(name for name, on in zip(names, on_a) if on)
-    b_side = frozenset(names) - a_side
-    cut_edges = tuple(sorted(
-        tuple(sorted((names[u], names[v]))) for u, v in zip(bg.a, bg.b) if on_a[u] != on_a[v]
-    ))
-    flows = {}
-    for u, v, capacity, residual in zip(bg.a, bg.b, values, cap[0::2]):
-        net = capacity - residual
-        if net > RESIDUAL_TOL:
-            flows[(names[u], names[v])] = net
-        elif net < -RESIDUAL_TOL:
-            flows[(names[v], names[u])] = -net
-    return FlowResult(value, Cut(a_side, b_side, cut_edges), flows)
+    edges = sorted(tuple(sorted((names[u], names[v]))) for u, v in zip(bg.a, bg.b) if on_a[u] != on_a[v])
+    return Cut(a_side, frozenset(names) - a_side, tuple(edges))
 
 
 def max_flow(bg: BoundedGraph, selector: str) -> FlowResult:
@@ -218,7 +211,16 @@ def max_flow(bg: BoundedGraph, selector: str) -> FlowResult:
     is the last phase's labelling: the set reachable from the first user in
     the final residual graph (deterministic).
     """
-    return _max_flow(bg, bg.values(selector), *_arcs(bg))
+    names, values = bg.nodes, bg.values(selector)
+    value, level, cap = _max_flow(bg, values, *_arcs(bg))
+    flows = {}
+    for u, v, capacity, residual in zip(bg.a, bg.b, values, cap[0::2]):
+        net = capacity - residual
+        if net > RESIDUAL_TOL:
+            flows[(names[u], names[v])] = net
+        elif net < -RESIDUAL_TOL:
+            flows[(names[v], names[u])] = -net
+    return FlowResult(value, _mincut(bg, level), flows)
 
 
 def _isolation(values, s: int, t: int, head, out) -> float:
@@ -257,19 +259,19 @@ def capacity_report(bg: BoundedGraph) -> CapacityReport:
 
     Each side's edge values are read once and serve its widest path, max flow
     and isolation cut. The upper flow goes first, so a non-finite edge value
-    raises the error ``max_flow(bg, "upper")`` would.
+    raises the error ``max_flow(bg, "upper")`` would. Only its cut is built.
     """
     arcs = _arcs(bg)
     lo, up = bg.lower, bg.upper
-    upper_flow = _max_flow(bg, up, *arcs)
+    upper_value, upper_level, _ = _max_flow(bg, up, *arcs)
     return CapacityReport(
         single_path_lower=_widest_path(bg, lo, *arcs).value,
         single_path_upper=_widest_path(bg, up, *arcs).value,
-        flooding_lower=_max_flow(bg, lo, *arcs).value,
-        flooding_upper=upper_flow.value,
+        flooding_lower=_max_flow(bg, lo, *arcs)[0],
+        flooding_upper=upper_value,
         min_neighbourhood_lower=_isolation(lo, *arcs),
         min_neighbourhood_upper=_isolation(up, *arcs),
-        upper_mincut=upper_flow.mincut,
+        upper_mincut=_mincut(bg, upper_level),
     )
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import decimal
+import gc
 import json
 import math
 import os
@@ -28,7 +29,7 @@ from qnetcap.cli import (
     _sweep_points,
     main,
 )
-from qnetcap import network, wrn
+from qnetcap import cli, network, wrn
 from qnetcap.qkd import QkdSetup
 from qnetcap.wrn import WrnSpec, generate
 
@@ -200,6 +201,93 @@ def test_analyze_rejects_invalid_network(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", "--in", net)
     assert code == EXIT_VALIDATION
     assert json.loads(err)["violations"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--in"],
+    ["analyze", "--in"],
+    ["threshold", "--target", "1e-2", "--param", "edge-length", "--spec"],
+    ["sweep", "--spec"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("content, message", [
+    (b"[" * 100_000 + b"]" * 100_000, "is nested too deeply to read: "),
+    (b'{"nodes": "\xff"}', "is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+], ids=["nested-too-deeply", "not-utf-8"])
+def test_unreadable_json_is_an_input_error(tmp_path, capsys, argv, content, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, out, err = run(capsys, *argv, str(bad))
+    assert (code, out) == (EXIT_INPUT, "")
+    error = json.loads(err)
+    assert error["error"] == "input"
+    assert error["message"].startswith(f"{bad} {message}")
+
+
+def _set_collector(on):
+    (gc.enable if on else gc.disable)()
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("outcome", ["ok", "missing", "invalid", "unattainable", "uncaught"])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch, collecting, outcome):
+    net = tmp_path / "net.json"
+    net.write_text(network.network_to_json(generate(WrnSpec("manhattan8", 2, 10.0, "tl"))))
+    spec = write_json(tmp_path / "wrn.json", MAN_SPEC)
+    argv, expected = {
+        "ok": (["analyze", "--in", str(net)], EXIT_OK),
+        "missing": (["analyze", "--in", str(tmp_path / "absent.json")], EXIT_INPUT),
+        "invalid": (["analyze", "--in", write_json(tmp_path / "bad.json", {"nodes": [], "edges": []})],
+                    EXIT_VALIDATION),
+        "unattainable": (["threshold", "--spec", spec, "--target", "1e9", "--param", "edge-length"],
+                         EXIT_NOT_ATTAINABLE),
+        "uncaught": (["analyze", "--in", str(net)], None),
+    }[outcome]
+
+    def boom(graph):
+        raise RuntimeError("boom")
+
+    if outcome == "uncaught":
+        monkeypatch.setattr(network, "apply_split", boom)
+    was = gc.isenabled()
+    _set_collector(collecting)
+    try:
+        if outcome == "uncaught":
+            with pytest.raises(RuntimeError, match="boom"):
+                main(argv)
+        else:
+            assert run(capsys, *argv)[0] == expected
+        assert gc.isenabled() is collecting
+    finally:
+        _set_collector(was)
+
+
+def test_analyze_starts_no_collection(tmp_path, monkeypatch):
+    net = tmp_path / "net.json"
+    net.write_text(network.network_to_json(generate(WrnSpec("manhattan8", 4, 10.0, "tl"))))
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    analyze = cli.cmd_analyze
+
+    def watched(args):  # counts from the start of the subcommand to its end
+        gc.callbacks.append(count)
+        try:
+            return analyze(args)
+        finally:
+            gc.callbacks.remove(count)
+
+    monkeypatch.setattr(cli, "cmd_analyze", watched)
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        assert main(["analyze", "--in", str(net), "--out", str(tmp_path / "report.json")]) == EXIT_OK
+    finally:
+        _set_collector(was)
+    assert starts == []
+    assert json.loads((tmp_path / "report.json").read_text())["report"]
 
 
 def test_threshold_edge_length_structure(tmp_path, capsys):

@@ -227,6 +227,19 @@ def _distinct_devices(graph, fam, seed):
     return graph._replace(recv=recv, send=send)
 
 
+def _distinct_fibres(graph, seed):
+    """Every edge on its own seeded fibre, as in a heterogeneous network file."""
+    rng = random.Random(seed)
+    classes = tuple(FibreParams(rng.uniform(5.0, 25.0), rng.uniform(0.01, 0.05), rng.uniform(0.0, 0.005))
+                    for _ in graph.a)
+    return graph._replace(cls=tuple(range(len(classes))), classes=classes)
+
+
+def _hetero(cell, fam, seed):
+    """A radius-3 lattice with distinct devices per node and a distinct fibre per edge, through JSON."""
+    return _loaded(_distinct_fibres(_distinct_devices(generate(WrnSpec(cell, 3, 10.0, fam)), fam, seed), seed))
+
+
 def _alternating_chain(classes, hops=8):
     """A thermal chain whose edges take the sources in ``classes`` in turn."""
     ids = [f"c{i}" for i in range(hops + 1)]
@@ -245,6 +258,8 @@ MEMO_GRAPHS = {
     "ad-manhattan8-asym": _lattice("manhattan8", "ad", recv=AmplitudeDamping(0.1), send=Identity()),
     "tl-distinct-devices": _distinct_devices(generate(WrnSpec("manhattan8", 2, 10.0, "tl")), "tl", 3),
     "ad-distinct-devices": _distinct_devices(generate(WrnSpec("triangular6", 2, 10.0, "ad")), "ad", 4),
+    "tl-hetero-manhattan8": _hetero("manhattan8", "tl", 5),
+    "ad-hetero-triangular6": _hetero("triangular6", "ad", 6),
     "alternating-fibres": _alternating_chain([{"fibre": {"length_km": 10.0}}, {"fibre": {"length_km": 25.0}}]),
     "alternating-fibre-channel": _alternating_chain(
         [{"fibre": {"length_km": 10.0}}, {"channel": {"kind": "tl", "tau": 0.5, "nbar": 0.01}},

@@ -327,6 +327,16 @@ def test_capacity_report_is_the_standalone_calls(monkeypatch):
         assert rep.upper_mincut == max_flow(bg, "upper").mincut
 
 
+def test_capacity_report_builds_only_the_upper_cut(monkeypatch):
+    cuts = []
+    mincut = routing._mincut
+    monkeypatch.setattr(routing, "_mincut", lambda bg, level: cuts.append(bg) or mincut(bg, level))
+    bg = _hetero_lattice(11)
+    rep = capacity_report(bg)
+    assert len(cuts) == 1
+    assert rep.upper_mincut == max_flow(bg, "upper").mincut
+
+
 def test_capacity_report_keeps_upper_mincut():
     bg = diamond()
     rep = capacity_report(bg)
