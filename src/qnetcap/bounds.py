@@ -1,24 +1,24 @@
 """Single-edge capacity bound functions and per-edge orientation optimization.
 
-Lower bounds are achievable rates from (reverse) coherent information; upper
-bounds come from relative entropy of entanglement for thermal-loss channels
-and squashed entanglement for amplitude damping. Pure loss is distillable, so
-its lower and upper bounds coincide at -log2(1-eta). The damping bounds are
-computed in the survival probability eta = 1 - p, and every bound is written
-with ``log1p`` so that it keeps its relative precision as eta -> 0.
+One function per bound, in the numbers the compound reduction produces:
+``ad_rci(eta)`` (coherent information) and ``ad_squashed(eta)`` (squashed
+entanglement) for amplitude damping of survival probability eta = 1 - p;
+``tl_bounds(eta, nbar)`` for both sides of a thermal-loss channel (reverse
+coherent information and relative entropy of entanglement, with their kinds);
+and ``plob_pure_loss(eta)``, -log2(1-eta). Each is written with ``log1p`` so
+that it keeps its relative precision as eta -> 0.
 
-Network annotation and threshold solves share ``compound`` (the node-split
-send -> edge -> recv reduction) and ``compound_bound`` (one side's bound). An
-undirected physical edge can be used in either direction, and with asymmetric
-device noise the two directions give different compound channels.
-``direction_bounds`` bounds one direction, and ``orient`` picks,
-independently for the lower and the upper bound, the more favourable one;
-``network.apply_split`` goes through both.
+``tl_bounds`` holds the only thermal case analysis. A compound that transmits
+nothing (a dark fibre, or a product that underflows to 0) is bounded 0 on both
+sides, of kind ``DARK_FIBRE``, as -log2(1-eta) -> 0; pure loss is distillable,
+so both sides are -log2(1-eta); otherwise one rate serves both sides.
 
-A thermal compound that transmits nothing is bounded 0 on both sides, with
-the kind ``DARK_FIBRE``: -log2(1-eta) -> 0 as eta -> 0. That holds whether a
-fibre's transmissivity is 0 or the compound's product underflows, and it is
-decided here alone, for the graph and the threshold solver alike.
+``compound`` reduces the node-split chain send -> edge -> recv to one channel.
+The threshold solver takes one side at a time from ``compound_bound``. An
+undirected edge can be used in either direction, and with asymmetric device
+noise the two give different compounds: ``direction_bounds`` bounds one
+direction, and ``orient`` picks, independently for the lower and the upper
+bound, the more favourable one; ``network.apply_split`` goes through both.
 """
 
 from __future__ import annotations
@@ -38,6 +38,14 @@ from .errors import DomainError, FamilyError
 
 BOUND_ORDER_TOL = 1e-12
 _LN2 = math.log(2.0)
+
+
+class BoundKind(enum.Enum):
+    RCI_LOWER = "rci-lower"
+    SQUASHED_UPPER = "squashed-upper"
+    REE_UPPER = "ree-upper"
+    PLOB_EXACT = "plob-exact"
+    DARK_FIBRE = "dark-fibre"  # a thermal compound of transmissivity 0: exactly 0
 
 
 def h2(u: float) -> float:
@@ -64,13 +72,8 @@ def bosonic_h(x: float) -> float:
     return (math.log1p(x) + x * t) / math.log(2.0)
 
 
-def ad_rci(p_tot: float) -> float:
-    """Best coherent-information rate of amplitude damping with probability p_tot."""
-    return _ad_rci(1.0 - p_tot)
-
-
-def _ad_rci(eta: float) -> float:
-    """``ad_rci`` in the survival probability eta = 1 - p.
+def ad_rci(eta: float) -> float:
+    """Best coherent-information rate of amplitude damping with survival probability eta = 1 - p.
 
     Maximizes f(u) = H2(u) - H2(q), q = pu, over the input excitation u. With
     r = eta*u/(1-u), f ln 2 = eta*u*ln((1-u)/u) + q*ln(1-eta) + (1-q)*ln(1+r)
@@ -80,7 +83,7 @@ def _ad_rci(eta: float) -> float:
     around it, and a step that leaves the bracket is replaced by bisection.
     """
     if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"damping probability must lie in [0, 1], got {1.0 - eta}")
+        raise DomainError(f"survival probability must lie in [0, 1], got {eta}")
     if eta in (0.0, 1.0):
         return eta
     p, log_p = 1.0 - eta, math.log1p(-eta)
@@ -102,16 +105,12 @@ def _ad_rci(eta: float) -> float:
     return max(0.0, value / _LN2)
 
 
-def ad_squashed(p_tot: float) -> float:
-    """Squashed-entanglement upper bound for amplitude damping with probability p_tot."""
-    return _ad_squashed(1.0 - p_tot)
-
-
-def _ad_squashed(eta: float) -> float:
-    """``ad_squashed`` in the survival probability: h2(1/4 + eta/4) - h2(1/4 - eta/4), as
+def ad_squashed(eta: float) -> float:
+    """Squashed-entanglement upper bound for amplitude damping with survival probability eta:
+    h2(1/4 + eta/4) - h2(1/4 - eta/4), as
     [eta ln((3+eta)/(1+eta)) + (3-eta) atanh(eta/3) - (1-eta) atanh(eta)] / (2 ln 2)."""
     if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"damping probability must lie in [0, 1], got {1.0 - eta}")
+        raise DomainError(f"survival probability must lie in [0, 1], got {eta}")
     if eta == 1.0:  # (1 - eta) * atanh(eta) below would be 0 * inf
         return 1.0
     value = eta * math.log((3.0 + eta) / (1.0 + eta)) + (3.0 - eta) * math.atanh(eta / 3.0) \
@@ -119,35 +118,29 @@ def _ad_squashed(eta: float) -> float:
     return max(0.0, value / (2.0 * _LN2))
 
 
-def tl_rci(eta_tot: float, nbar_tot: float) -> float:
-    """Reverse-coherent-information rate of a thermal-loss channel, clamped to >= 0."""
-    return max(0.0, _tl_rci_raw(eta_tot, nbar_tot))
+def tl_bounds(eta_tot: float, nbar_tot: float) -> tuple[float, BoundKind, float, BoundKind]:
+    """(lower, lower kind, upper, upper kind) of a thermal-loss channel.
 
-
-def _tl_rci_raw(eta_tot: float, nbar_tot: float) -> float:
+    The lower bound is the reverse coherent information, clamped to >= 0. The
+    upper bound adds -(nbar/(1-eta)) log2 eta to the same unclamped rate, so it
+    never falls below the lower. Once the output noise reaches the
+    transmissivity the channel is entanglement breaking and its capacity is
+    exactly 0; the expression touches 0 precisely at that point, and past it
+    the upper bound is pinned to 0 rather than letting the expression grow
+    again. Unit transmissivity raises DomainError; callers that give ideal
+    edges a meaning handle them first.
+    """
+    if eta_tot == 0.0:
+        return 0.0, BoundKind.DARK_FIBRE, 0.0, BoundKind.DARK_FIBRE
     rate = plob_pure_loss(eta_tot)
     if not nbar_tot >= 0.0:
         raise DomainError(f"thermal photon number must be >= 0, got {nbar_tot}")
-    return rate - bosonic_h(nbar_tot / (1.0 - eta_tot))
-
-
-def tl_ree(eta_tot: float, nbar_tot: float) -> float:
-    """Relative-entropy-of-entanglement upper bound for a thermal-loss channel.
-
-    Adds -(nbar/(1-eta)) log2 eta on top of the unclamped rate, so it never
-    falls below tl_rci. Once the output noise reaches the transmissivity the
-    channel is entanglement breaking and its capacity is exactly 0; the
-    expression touches 0 precisely at that point, and past it the bound is
-    pinned to 0 rather than letting the expression grow again.
-    """
-    return _tl_ree_from_raw(_tl_rci_raw(eta_tot, nbar_tot), eta_tot, nbar_tot)
-
-
-def _tl_ree_from_raw(raw: float, eta_tot: float, nbar_tot: float) -> float:
-    """``tl_ree`` given the unclamped rate ``raw`` of the same channel."""
-    if nbar_tot >= eta_tot:
-        return 0.0
-    return max(0.0, raw - (nbar_tot / (1.0 - eta_tot)) * math.log2(eta_tot))
+    if nbar_tot == 0.0:
+        return rate, BoundKind.PLOB_EXACT, rate, BoundKind.PLOB_EXACT
+    x = nbar_tot / (1.0 - eta_tot)
+    raw = rate - bosonic_h(x)
+    upper = 0.0 if nbar_tot >= eta_tot else max(0.0, raw - x * math.log2(eta_tot))
+    return max(0.0, raw), BoundKind.RCI_LOWER, upper, BoundKind.REE_UPPER
 
 
 def plob_pure_loss(eta: float) -> float:
@@ -157,14 +150,6 @@ def plob_pure_loss(eta: float) -> float:
             raise DomainError("transmissivity 1 is divergent; treat as infinite capacity explicitly")
         raise DomainError(f"transmissivity must lie in (0, 1), got {eta}")
     return -math.log1p(-eta) / _LN2
-
-
-class BoundKind(enum.Enum):
-    RCI_LOWER = "rci-lower"
-    SQUASHED_UPPER = "squashed-upper"
-    REE_UPPER = "ree-upper"
-    PLOB_EXACT = "plob-exact"
-    DARK_FIBRE = "dark-fibre"  # a thermal compound of transmissivity 0: exactly 0
 
 
 def family_native(fam: str):
@@ -193,22 +178,15 @@ def compound(fam: str, send, edge, recv):
 def compound_bound(fam: str, reduced, selector: str) -> tuple[float, BoundKind]:
     """The "lower" or "upper" bound of a reduced compound, with its kind.
 
-    Only the selected side is evaluated. A thermal compound of transmissivity
-    0 is bounded 0, of kind ``DARK_FIBRE``. Unit transmissivity raises
-    DomainError; callers that give ideal edges a meaning handle them first.
+    A damping compound evaluates only the selected side; a thermal one is a
+    slice of ``tl_bounds``.
     """
     if fam == FAMILY_AD:
         if selector == "lower":
-            return _ad_rci(reduced), BoundKind.RCI_LOWER
-        return _ad_squashed(reduced), BoundKind.SQUASHED_UPPER
-    eta_tot, nbar_tot = reduced
-    if eta_tot == 0.0:
-        return 0.0, BoundKind.DARK_FIBRE
-    if nbar_tot == 0.0:
-        return plob_pure_loss(eta_tot), BoundKind.PLOB_EXACT
-    if selector == "lower":
-        return tl_rci(eta_tot, nbar_tot), BoundKind.RCI_LOWER
-    return tl_ree(eta_tot, nbar_tot), BoundKind.REE_UPPER
+            return ad_rci(reduced), BoundKind.RCI_LOWER
+        return ad_squashed(reduced), BoundKind.SQUASHED_UPPER
+    bounds = tl_bounds(*reduced)
+    return bounds[:2] if selector == "lower" else bounds[2:]
 
 
 def direction_bounds(fam: str, send, edge, recv) -> tuple[float, BoundKind, float, BoundKind]:
@@ -216,21 +194,17 @@ def direction_bounds(fam: str, send, edge, recv) -> tuple[float, BoundKind, floa
 
     Arguments are family-native, as for ``compound``. A thermal compound of
     unit transmissivity is an ideal edge and has no finite bound. The result
-    equals both sides of ``compound_bound``; a noisy thermal compound that
-    transmits something evaluates its rate expression once for both.
+    equals both sides of ``compound_bound``.
     """
     reduced = compound(fam, send, edge, recv)
-    if fam == FAMILY_TL:
-        eta_tot, nbar_tot = reduced
-        if eta_tot == 1.0:
-            if nbar_tot != 0.0:
-                raise DomainError("thermal edge with unit transmissivity and added noise is not modelled")
-            return math.inf, BoundKind.PLOB_EXACT, math.inf, BoundKind.PLOB_EXACT
-        if nbar_tot != 0.0 and eta_tot != 0.0:
-            raw = _tl_rci_raw(eta_tot, nbar_tot)
-            return (max(0.0, raw), BoundKind.RCI_LOWER,
-                    _tl_ree_from_raw(raw, eta_tot, nbar_tot), BoundKind.REE_UPPER)
-    return (*compound_bound(fam, reduced, "lower"), *compound_bound(fam, reduced, "upper"))
+    if fam == FAMILY_AD:
+        return ad_rci(reduced), BoundKind.RCI_LOWER, ad_squashed(reduced), BoundKind.SQUASHED_UPPER
+    eta_tot, nbar_tot = reduced
+    if eta_tot == 1.0:
+        if nbar_tot != 0.0:
+            raise DomainError("thermal edge with unit transmissivity and added noise is not modelled")
+        return math.inf, BoundKind.PLOB_EXACT, math.inf, BoundKind.PLOB_EXACT
+    return tl_bounds(eta_tot, nbar_tot)
 
 
 def orient(a: str, b: str, forward, backward) -> tuple[bool, bool]:

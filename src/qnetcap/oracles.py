@@ -152,7 +152,7 @@ def gaussian_propagate(v, channels) -> Matrix:
     for tau, nbar in channels:
         if not 0.0 < tau <= 1.0:
             raise DomainError(f"transmissivity must lie in (0, 1], got {tau}")
-        if nbar < 0.0:
+        if not nbar >= 0.0:
             raise DomainError(f"thermal photon number must be >= 0, got {nbar}")
         noise = nbar + 0.5 * abs(1.0 - tau)
         out = tuple(tuple(tau * x + (noise if i == j else 0.0) for j, x in enumerate(row))

@@ -239,8 +239,8 @@ def _scan(fn: Callable[[float], float], bracket: tuple[float, float]) -> tuple[s
     goal, so one scan serves every goal solved on the same function.
     """
     lo, hi = bracket
-    if lo <= 0.0:
-        raise DomainError(f"search bracket must be positive, got [{lo}, {hi}]")
+    if not 0.0 < lo < hi < math.inf:
+        raise DomainError(f"search bracket must satisfy 0 < lo < hi < inf, got [{lo}, {hi}]")
     ratio = (hi / lo) ** (1.0 / (MONOTONE_SAMPLES - 1))
     xs = [lo * ratio**i for i in range(MONOTONE_SAMPLES - 1)] + [hi]
     values = [fn(x) for x in xs]
@@ -336,8 +336,9 @@ def solve_threshold(
     ``bound_fn`` must be monotone on the bracket: one scan of samples gives
     its direction. Bisection runs to relative 1e-9 in xi, then on while there
     is room, until the result reproduces target/scale to relative 1e-6. Raises
-    NotAttainableError when the target lies outside the function's range even
-    after bracket expansion, and MonotonicityError for non-monotone input.
+    DomainError unless 0 < lo < hi < inf, NotAttainableError when the target
+    lies outside the function's range even after bracket expansion, and
+    MonotonicityError for non-monotone input.
     """
     return _solve(bound_fn, target, scale, bracket, _scan(bound_fn, bracket))
 

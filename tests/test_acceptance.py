@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qnetcap.bounds import ad_rci, ad_squashed, compound, h2, tl_ree, tl_rci
+from qnetcap.bounds import ad_rci, ad_squashed, compound, h2, tl_bounds
 from qnetcap.channels import AmplitudeDamping
 from qnetcap.oracles import ad_rci_at_u, verify_theorem2
 from qnetcap.qkd import from_preset, theta_el, theta_ph, with_scheme
@@ -133,10 +133,11 @@ def test_criterion_7_uniform_lattice_flooding_is_k_times_c():
 
 def test_criterion_8_bound_ordering_and_constants():
     for p in np.linspace(0.0, 1.0, 10_000):
-        assert ad_rci(p) <= ad_squashed(p)
+        assert ad_rci(1.0 - p) <= ad_squashed(1.0 - p)
     for eta in np.linspace(0.01, 0.99, 100):
         for nbar in np.linspace(0.0, 1.5, 100):
-            assert tl_rci(eta, nbar) <= tl_ree(eta, nbar)
+            lower, _, upper, _ = tl_bounds(eta, nbar)
+            assert lower <= upper
     for u in np.linspace(0.01, 0.99, 50):
         for p in np.linspace(0.01, 0.99, 50):
             assert abs(ad_rci_at_u(p, u) - (h2(u) - h2(u * p))) <= 1e-9

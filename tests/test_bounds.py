@@ -16,8 +16,7 @@ from qnetcap.bounds import (
     direction_bounds,
     h2,
     plob_pure_loss,
-    tl_rci,
-    tl_ree,
+    tl_bounds,
 )
 from qnetcap.channels import (
     FAMILY_AD,
@@ -32,7 +31,7 @@ from qnetcap.channels import (
 )
 from qnetcap.errors import DomainError, FamilyError
 from qnetcap.network import annotate_uniform
-from qnetcap.oracles import oriented_edge_bounds, verify_theorem2
+from qnetcap.oracles import gaussian_propagate, oriented_edge_bounds, verify_theorem2
 from qnetcap.qkd import from_preset, receiver_noise
 from qnetcap.wrn import WrnSpec, generate, min_nodal_density, solve_threshold
 
@@ -83,19 +82,19 @@ def test_bosonic_h_matches_decimal_reference():
 
 
 def test_ad_rci_endpoints_and_peak():
-    assert ad_rci(0.0) == 1.0
-    assert ad_rci(1.0) == 0.0
-    assert ad_rci(0.5) == pytest.approx(0.27155330316361204, rel=1e-10)
-    assert ad_rci(0.1) == pytest.approx(0.7300846722655403, rel=1e-10)
+    assert ad_rci(1.0 - 0.0) == 1.0
+    assert ad_rci(1.0 - 1.0) == 0.0
+    assert ad_rci(1.0 - 0.5) == pytest.approx(0.27155330316361204, rel=1e-10)
+    assert ad_rci(1.0 - 0.1) == pytest.approx(0.7300846722655403, rel=1e-10)
     with pytest.raises(DomainError):
-        ad_rci(1.0001)
+        ad_rci(1.0 - 1.0001)
 
 
 def test_ad_rci_beats_every_grid_point():
     # the maximized value cannot fall below the objective at any u
     grid = [i / 1000 for i in range(1001)]
     for p in (1e-300, 1e-9, 1e-4, 0.05, 0.3, 0.6, 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-12):
-        best = ad_rci(p)
+        best = ad_rci(1.0 - p)
         for u in grid:
             assert best >= h2(u) - h2(u * p) - 1e-12
 
@@ -148,9 +147,7 @@ def test_bounds_match_decimal_reference_down_to_full_loss(eta):
     if eta < 1.0:
         ref = _plob_decimal(eta)
         assert abs(Decimal(plob_pure_loss(eta)) - ref) <= Decimal("1e-12") * ref
-    # The public entries take the damping probability p; p = 1 - eta is exact for eta >= 1/2.
-    if eta >= 0.5:
-        assert (ad_rci(1.0 - eta), ad_squashed(1.0 - eta)) == (lower, upper)
+    assert (ad_rci(eta), ad_squashed(eta)) == (lower, upper)
 
 
 def _ad_rci_bisection(p_tot: float) -> float:
@@ -177,7 +174,7 @@ def test_ad_rci_matches_the_bisection_on_p():
     etas = [10.0 ** (k / 40) for k in range(-240, 0)] + [1.0 - 10.0 ** (k / 40) for k in range(-240, -28)]
     for p in (1.0 - eta for eta in etas):
         old = _ad_rci_bisection(p)
-        assert abs(ad_rci(p) - old) <= 1e-12 * old + 4 * sys.float_info.epsilon
+        assert abs(ad_rci(1.0 - p) - old) <= 1e-12 * old + 4 * sys.float_info.epsilon
 
 
 def test_bounds_hold_no_cache():
@@ -187,16 +184,16 @@ def test_bounds_hold_no_cache():
 
 
 def test_ad_squashed_values():
-    assert ad_squashed(0.0) == pytest.approx(1.0, rel=1e-15)
-    assert ad_squashed(1.0) == 0.0
-    assert ad_squashed(0.5) == pytest.approx(0.41086955972536865, rel=1e-12)
+    assert ad_squashed(1.0 - 0.0) == pytest.approx(1.0, rel=1e-15)
+    assert ad_squashed(1.0 - 1.0) == 0.0
+    assert ad_squashed(1.0 - 0.5) == pytest.approx(0.41086955972536865, rel=1e-12)
 
 
 @given(unit)
 @example(p=5e-324)
 @settings(max_examples=300, deadline=None)
 def test_ad_bound_order(p):
-    assert ad_rci(p) <= ad_squashed(p) + 1e-12
+    assert ad_rci(1.0 - p) <= ad_squashed(1.0 - p) + 1e-12
 
 
 @given(st.floats(min_value=0.0, max_value=0.999), st.floats(min_value=1e-4, max_value=0.2))
@@ -204,33 +201,38 @@ def test_ad_bound_order(p):
 @settings(max_examples=150, deadline=None)
 def test_ad_rci_monotone_in_p(p, dp):
     hi = min(1.0, p + dp)
-    assert ad_rci(hi) <= ad_rci(p) + 1e-10
+    assert ad_rci(1.0 - hi) <= ad_rci(1.0 - p) + 1e-10
 
 
 def test_tl_rci_values_and_domain():
-    assert tl_rci(0.5, 0.0) == pytest.approx(1.0, rel=1e-15)
-    assert tl_rci(0.5, 0.01) == pytest.approx(0.8579823409637992, rel=1e-12)
-    assert tl_rci(0.5, 10.0) == 0.0
+    assert tl_bounds(0.5, 0.0)[0] == pytest.approx(1.0, rel=1e-15)
+    assert tl_bounds(0.5, 0.01)[0] == pytest.approx(0.8579823409637992, rel=1e-12)
+    assert tl_bounds(0.5, 10.0)[0] == 0.0
+    # A compound that transmits nothing is bounded 0; outside [0, 1) there is no bound.
+    assert tl_bounds(0.0, 0.0) == (0.0, BoundKind.DARK_FIBRE, 0.0, BoundKind.DARK_FIBRE)
+    with pytest.raises(DomainError, match="divergent"):
+        tl_bounds(1.0, 0.0)
     with pytest.raises(DomainError):
-        tl_rci(1.0, 0.0)
+        tl_bounds(-0.5, 0.0)
     with pytest.raises(DomainError):
-        tl_rci(0.0, 0.0)
+        tl_bounds(1.5, 0.01)
     with pytest.raises(DomainError):
-        tl_rci(0.5, -0.1)
+        tl_bounds(0.5, -0.1)
 
 
 def test_tl_ree_values():
-    assert tl_ree(0.5, 0.01) == pytest.approx(0.8779823409637992, rel=1e-12)
+    assert tl_bounds(0.5, 0.01)[2] == pytest.approx(0.8779823409637992, rel=1e-12)
     # entanglement-breaking regime: capacity is exactly zero
-    assert tl_ree(0.1, 1.0) == 0.0
-    assert tl_ree(0.1, 0.1) == 0.0
-    assert tl_ree(0.3, 0.9) == 0.0
+    assert tl_bounds(0.1, 1.0)[2] == 0.0
+    assert tl_bounds(0.1, 0.1)[2] == 0.0
+    assert tl_bounds(0.3, 0.9)[2] == 0.0
 
 
 @given(etas, nbars)
 @settings(max_examples=400)
 def test_tl_bound_order(eta, nbar):
-    assert tl_rci(eta, nbar) <= tl_ree(eta, nbar) + 1e-12
+    lower, _, upper, _ = tl_bounds(eta, nbar)
+    assert lower <= upper + 1e-12
 
 
 @given(etas, st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=0.5))
@@ -238,15 +240,14 @@ def test_tl_bound_order(eta, nbar):
 @example(eta=0.5, nbar=5e-324, dn=0.125)  # subnormal x: 1/x overflows
 @settings(max_examples=200)
 def test_tl_ree_monotone_in_noise(eta, nbar, dn):
-    assert tl_ree(eta, nbar + dn) <= tl_ree(eta, nbar) + 1e-12
+    assert tl_bounds(eta, nbar + dn)[2] <= tl_bounds(eta, nbar)[2] + 1e-12
 
 
 @given(etas)
 @settings(max_examples=200)
 def test_pure_loss_bounds_coincide(eta):
     exact = plob_pure_loss(eta)
-    assert tl_rci(eta, 0.0) == exact
-    assert tl_ree(eta, 0.0) == exact
+    assert tl_bounds(eta, 0.0) == (exact, BoundKind.PLOB_EXACT, exact, BoundKind.PLOB_EXACT)
 
 
 # Device links may be ideal; the fibre never is, so no compound is an ideal edge.
@@ -275,6 +276,91 @@ def test_direction_bounds_is_both_sides_of_compound_bound(case):
         assert got == (0.0, BoundKind.DARK_FIBRE, 0.0, BoundKind.DARK_FIBRE)
 
 
+
+def _reference_tl_rate(eta_tot, nbar_tot):
+    rate = plob_pure_loss(eta_tot)
+    if not nbar_tot >= 0.0:
+        raise DomainError(f"thermal photon number must be >= 0, got {nbar_tot}")
+    return rate - bosonic_h(nbar_tot / (1.0 - eta_tot))
+
+
+def _reference_tl_side(reduced, selector):
+    """The thermal branch of ``compound_bound`` as it was when each side had a
+    function of its own, each evaluating the rate expression, as a reference."""
+    eta_tot, nbar_tot = reduced
+    if eta_tot == 0.0:
+        return 0.0, BoundKind.DARK_FIBRE
+    if nbar_tot == 0.0:
+        return plob_pure_loss(eta_tot), BoundKind.PLOB_EXACT
+    raw = _reference_tl_rate(eta_tot, nbar_tot)
+    if selector == "lower":
+        return max(0.0, raw), BoundKind.RCI_LOWER
+    if nbar_tot >= eta_tot:
+        return 0.0, BoundKind.REE_UPPER
+    return max(0.0, raw - (nbar_tot / (1.0 - eta_tot)) * math.log2(eta_tot)), BoundKind.REE_UPPER
+
+
+def _reference_tl_direction(send, edge, recv):
+    reduced = compound(FAMILY_TL, send, edge, recv)
+    if reduced[0] == 1.0:
+        if reduced[1] != 0.0:
+            raise DomainError("thermal edge with unit transmissivity and added noise is not modelled")
+        return math.inf, BoundKind.PLOB_EXACT, math.inf, BoundKind.PLOB_EXACT
+    return (*_reference_tl_side(reduced, "lower"), *_reference_tl_side(reduced, "upper"))
+
+
+def _bits(fn, *args):
+    """fn(*args) with floats as hex, or the message of the DomainError it raises."""
+    try:
+        result = fn(*args)
+    except DomainError as exc:
+        return str(exc)
+    return [x.hex() if isinstance(x, float) else x for x in result]
+
+
+# Dark, subnormal, within an ulp of 1, past either end, NaN and infinity.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 0.5, math.nextafter(1.0, 0.0), 1.0,
+               -0.5, 1.5, math.nan, math.inf]
+
+
+@st.composite
+def thermal_compounds(draw):
+    eta = draw(st.sampled_from(EDGE_FLOATS) | st.floats(0.0, 1.0) | st.floats(0.0, 1e-300)
+               | st.floats(1.0 - 1e-9, 1.0) | st.floats())
+    # Some noise draws are a multiple of eta, so that nbar >= eta and its boundary are hit.
+    nbar = draw(st.sampled_from(EDGE_FLOATS) | st.floats(0.0, 3.0) | st.floats(0.0, 2.0).map(lambda r: r * eta)
+                | st.just(eta) | st.floats())
+    return eta, nbar
+
+
+@given(thermal_compounds())
+@example((0.1, 0.1))  # the upper bound touches 0 where nbar = eta
+@example((0.0, math.nan))  # a dark compound whatever its noise
+@example((5e-324, 0.5))
+@example((math.nextafter(1.0, 0.0), 1e-3))
+@example((1.0, 0.0))
+@example((0.5, -0.0))
+@settings(max_examples=1500, deadline=None)
+def test_tl_bounds_match_the_per_side_reference(reduced):
+    lower, upper = (_bits(_reference_tl_side, reduced, selector) for selector in ("lower", "upper"))
+    assert _bits(compound_bound, FAMILY_TL, reduced, "lower") == lower
+    assert _bits(compound_bound, FAMILY_TL, reduced, "upper") == upper
+    assert _bits(tl_bounds, *reduced) == (lower if isinstance(lower, str) else lower + upper)
+
+
+thermal_devices = st.tuples(st.sampled_from([1.0, 1e-200, 0.5]) | st.floats(1e-6, 1.0),
+                            st.sampled_from([0.0, 5e-324]) | nbars)
+
+
+@given(thermal_devices, st.tuples(st.sampled_from([0.0, 5e-324, 1.0]) | etas, st.just(0.0) | nbars), thermal_devices)
+@example((1.0, 0.0), (1.0, 0.0), (1.0, 0.0))  # an ideal edge
+@example((1.0, 0.0), (1.0, 0.01), (1.0, 0.0))
+@example((1e-200, 0.0), (0.5, 0.01), (1e-200, 0.0))
+@example((1.0, 0.0), (0.1, 0.5), (1.0, 0.0))
+@settings(max_examples=1000, deadline=None)
+def test_tl_direction_bounds_match_the_per_side_reference(send, edge, recv):
+    assert _bits(direction_bounds, FAMILY_TL, send, edge, recv) == _bits(_reference_tl_direction, send, edge, recv)
+
 def test_plob_values():
     assert plob_pure_loss(0.5) == 1.0
     assert plob_pure_loss(0.75) == 2.0
@@ -302,7 +388,7 @@ def test_oriented_bounds_prefer_better_direction():
     clean = NodeSpec("c")
     eb = oriented_edge_bounds(ThermalLoss(0.5, 0.001), noisy, clean, "tl")
     split = compound("tl", as_thermal(noisy.send), (0.5, 0.001), as_thermal(clean.recv))
-    assert eb.lower == pytest.approx(tl_rci(*split), rel=1e-12)
+    assert eb.lower == pytest.approx(tl_bounds(*split)[0], rel=1e-12)
     assert eb.lower_orientation == ("n", "c")
 
 
@@ -353,7 +439,11 @@ DOMAIN_CHECKS = {
                         True),
     "h2": (h2, "probability must lie in [0, 1], got {}", True),
     "bosonic_h": (bosonic_h, "mean photon number must be >= 0, got {}", True),
-    "tl_rci.nbar_tot": (lambda x: tl_rci(0.5, x), "thermal photon number must be >= 0, got {}", True),
+    "tl_bounds.nbar_tot": (lambda x: tl_bounds(0.5, x), "thermal photon number must be >= 0, got {}", True),
+    "ad_rci": (ad_rci, "survival probability must lie in [0, 1], got {}", True),
+    "ad_squashed": (ad_squashed, "survival probability must lie in [0, 1], got {}", True),
+    "gaussian_propagate.nbar": (lambda x: gaussian_propagate(((1.0, 0.0), (0.0, 1.0)), [(0.5, x)]),
+                                "thermal photon number must be >= 0, got {}", True),
     "plob_pure_loss": (plob_pure_loss, "transmissivity must lie in (0, 1), got {}", False),
     "receiver_noise": (lambda x: receiver_noise(from_preset("table1-heterodyne-llo"), x),
                        "channel transmissivity must lie in (0, 1], got {}", False),
@@ -363,6 +453,8 @@ DOMAIN_CHECKS = {
                                "capacity target must be > 0, got {}", False),
     "solve_threshold.scale": (lambda x: solve_threshold(lambda xi: 1.0 / xi, 1.0, x), "scale must be > 0, got {}",
                               False),
+    "solve_threshold.bracket": (lambda x: solve_threshold(lambda xi: 1.0 / xi, 1.0, 1.0, (x, 1e3)),
+                                "search bracket must satisfy 0 < lo < hi < inf, got [{}, 1000.0]", False),
     "annotate_uniform": (lambda x: annotate_uniform(generate(WrnSpec("triangular6", 2, 10.0, "ad")), x),
                          "edge value must be >= 0, got {}", True),
     "verify_theorem2": (lambda x: verify_theorem2(WrnSpec("triangular6", 2, 10.0, "ad"), x),

@@ -201,6 +201,11 @@ def test_solve_threshold_bad_target():
         solve_threshold(lambda x: 1.0 / x, 0.0, 1.0)
     with pytest.raises(DomainError):
         solve_threshold(lambda x: 1.0 / x, 1.0, -2.0)
+    # A reversed, empty or unbounded bracket; a NaN end is a DOMAIN_CHECKS case.
+    for lo, hi in ((1e3, 1e-6), (1.0, 1.0), (1e-6, math.inf), (1e-6, math.nan)):
+        with pytest.raises(DomainError) as raised:
+            solve_threshold(lambda x: 1.0 / x, 1.0, 1.0, (lo, hi))
+        assert str(raised.value) == f"search bracket must satisfy 0 < lo < hi < inf, got [{lo}, {hi}]"
 
 
 def _reference_scan_direction(fn, lo, hi, goal):
@@ -476,26 +481,31 @@ def test_thresholds_mark_unattainable_sides():
 @pytest.mark.parametrize("spec,param,other", [
     (tri_spec(), "edgeLength", "ad_squashed"),
     (tri_spec(), "internalLoss", "ad_squashed"),
-    (man_spec(), "edgeLength", "tl_ree"),
-    (man_spec(), "receiverNoise", "tl_ree"),
+    (man_spec(), "edgeLength", "bosonic_h"),
+    (man_spec(), "receiverNoise", "bosonic_h"),
 ])
 def test_bound_functions_evaluate_one_side(monkeypatch, spec, param, other):
     import qnetcap.bounds as bounds_mod
 
     lower_fn, upper_fn, _ = bound_functions(spec, param)
-    expected_upper = upper_fn(0.1)
+    expected = lower_fn(0.1), upper_fn(0.1)
+    if other == "bosonic_h":
+        # Both thermal sides come from one rate expression, with one entropy term.
+        calls = []
+        bosonic_h = bounds_mod.bosonic_h
+        monkeypatch.setattr(bounds_mod, "bosonic_h", lambda x: calls.append(x) or bosonic_h(x))
+        assert lower_fn(0.1) == expected[0] and len(calls) == 1
+        assert upper_fn(0.1) == expected[1] and len(calls) == 2
+        return
 
     def forbidden(*args):
-        raise AssertionError(f"{other} evaluated for the lower side")
+        raise AssertionError("the other side was evaluated")
 
-    # The damping bounds are evaluated by their survival-probability kernels.
-    kernel = {"ad_squashed": "_ad_squashed", "ad_rci": "_ad_rci"}
-    monkeypatch.setattr(bounds_mod, kernel.get(other, other), forbidden)
-    lower_fn(0.1)
+    monkeypatch.setattr(bounds_mod, other, forbidden)
+    assert lower_fn(0.1) == expected[0]
     monkeypatch.undo()
-    lower_name = "ad_rci" if other == "ad_squashed" else "tl_rci"
-    monkeypatch.setattr(bounds_mod, kernel.get(lower_name, lower_name), forbidden)
-    assert upper_fn(0.1) == expected_upper
+    monkeypatch.setattr(bounds_mod, "ad_rci", forbidden)
+    assert upper_fn(0.1) == expected[1]
 
 
 def test_receiver_noise_solve():
