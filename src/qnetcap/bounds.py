@@ -14,11 +14,12 @@ sides, of kind ``DARK_FIBRE``, as -log2(1-eta) -> 0; pure loss is distillable,
 so both sides are -log2(1-eta); otherwise one rate serves both sides.
 
 ``compound`` reduces the node-split chain send -> edge -> recv to one channel.
-The threshold solver takes one side at a time from ``compound_bound``. An
-undirected edge can be used in either direction, and with asymmetric device
-noise the two give different compounds: ``direction_bounds`` bounds one
-direction, and ``orient`` picks, independently for the lower and the upper
-bound, the more favourable one; ``network.apply_split`` goes through both.
+One scan sample of the threshold solver reduces one compound and evaluates both
+sides of it; a bisection step evaluates one side. An undirected edge can be
+used in either direction, and with asymmetric device noise the two give
+different compounds: ``direction_bounds`` bounds one direction, and ``orient``
+picks, independently for the lower and the upper bound, the more favourable
+one; ``network.apply_split`` goes through both.
 """
 
 from __future__ import annotations
@@ -166,35 +167,33 @@ def compound(fam: str, send, edge, recv):
     directed use of an edge passes the sender's send channel, the edge, then
     the receiver's recv channel. Arguments and result are family-native: a
     damping survival probability eta = 1 - p ("ad") or a (tau, nbar) pair ("tl").
-    A thermal edge of transmissivity 0 gives (0, 0), whose bounds are 0.
+    A thermal edge of transmissivity 0 gives (0, 0), whose bounds are 0. An
+    in-domain thermal chain is reduced here in ``compose_tl``'s order of
+    operations, so to the same bits; any other, and a compound noise below 0,
+    goes to ``compose_tl`` for its clamp or its error.
     """
     if fam == FAMILY_AD:
         return compose_ad((send, edge, recv))
-    if edge[0] == 0.0:
+    (tau_s, nbar_s), (tau_e, nbar_e), (tau_r, nbar_r) = send, edge, recv
+    if tau_e == 0.0:
         return 0.0, 0.0
+    if 0.0 < tau_s <= 1.0 and 0.0 < tau_e <= 1.0 and 0.0 < tau_r <= 1.0 \
+            and nbar_s >= 0.0 and nbar_e >= 0.0 and nbar_r >= 0.0:
+        tau = tau_s * tau_e * tau_r
+        if nbar_s == nbar_e == nbar_r == 0.0:
+            return tau, 0.0
+        xi = tau_e * (nbar_s + 0.5 * (1.0 - tau_s)) + (nbar_e + 0.5 * (1.0 - tau_e))
+        nbar = tau_r * xi + (nbar_r + 0.5 * (1.0 - tau_r)) - 0.5 * (1.0 - tau)
+        if nbar >= 0.0:
+            return tau, nbar
     return compose_tl((send, edge, recv))
-
-
-def compound_bound(fam: str, reduced, selector: str) -> tuple[float, BoundKind]:
-    """The "lower" or "upper" bound of a reduced compound, with its kind.
-
-    A damping compound evaluates only the selected side; a thermal one is a
-    slice of ``tl_bounds``.
-    """
-    if fam == FAMILY_AD:
-        if selector == "lower":
-            return ad_rci(reduced), BoundKind.RCI_LOWER
-        return ad_squashed(reduced), BoundKind.SQUASHED_UPPER
-    bounds = tl_bounds(*reduced)
-    return bounds[:2] if selector == "lower" else bounds[2:]
 
 
 def direction_bounds(fam: str, send, edge, recv) -> tuple[float, BoundKind, float, BoundKind]:
     """(lower, lower kind, upper, upper kind) of one directed use of an edge.
 
     Arguments are family-native, as for ``compound``. A thermal compound of
-    unit transmissivity is an ideal edge and has no finite bound. The result
-    equals both sides of ``compound_bound``.
+    unit transmissivity is an ideal edge and has no finite bound.
     """
     reduced = compound(fam, send, edge, recv)
     if fam == FAMILY_AD:

@@ -8,9 +8,10 @@ down to a per-edge requirement: bulk edges must carry C/delta, user-connected
 edges C/omega. Solving bound_function(xi) = target/scale for the physical
 parameter xi (edge length, internal loss, or receiver noise) yields the
 tolerable-parameter thresholds; running the solve with the lower and the upper
-bound function brackets the true threshold. ``thresholds`` scans each bound
-function once for its direction and then bisects it for every requested
-(target, scale) goal.
+bound function brackets the true threshold. ``thresholds`` scans the pair of
+bound functions once, each sample reducing its compound once for both sides,
+takes each side's direction from it and then bisects each side for every
+requested (target, scale) goal.
 
 With every edge at one uniform value c, these lattices satisfy the threshold
 conditions outright and the flooding capacity equals k*c exactly (the
@@ -22,10 +23,10 @@ must reproduce, and check that its patches are weakly regular.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import qkd as qkd_mod
-from .bounds import compound, compound_bound
+from .bounds import ad_rci, ad_squashed, compound, tl_bounds
 from .channels import (
     FAMILY_AD,
     FAMILY_TL,
@@ -92,6 +93,8 @@ class WrnSpec(NamedTuple):
     def _check(self):
         if self.cell_type not in _CELLS:
             raise DomainError(f"cell type must be one of {sorted(_CELLS)}, got {self.cell_type!r}")
+        if not isinstance(self.radius, int):
+            raise DomainError(f"radius must be an integer, got {self.radius!r}")
         if self.radius < 2:
             raise DomainError(f"radius must be >= 2 so the users sit deep inside, got {self.radius}")
         # Negated comparisons so that NaN is rejected too.
@@ -232,34 +235,43 @@ def min_nodal_density(d_max: float, cell_type: str) -> DensityResult:
     return DensityResult(d_max=d_max, xi_geom=xi_geom, rho_min=xi_geom / (d_max * d_max))
 
 
-def _scan(fn: Callable[[float], float], bracket: tuple[float, float]) -> tuple[str | None, float]:
-    """(direction, first sample) of fn from geometric samples of the bracket.
-
-    The direction is None for a constant function. Nothing here depends on a
-    goal, so one scan serves every goal solved on the same function.
-    """
+def _samples(bracket: tuple[float, float]) -> list[float]:
+    """MONOTONE_SAMPLES geometric samples of the bracket, from exactly lo to exactly hi."""
     lo, hi = bracket
     if not 0.0 < lo < hi < math.inf:
         raise DomainError(f"search bracket must satisfy 0 < lo < hi < inf, got [{lo}, {hi}]")
     ratio = (hi / lo) ** (1.0 / (MONOTONE_SAMPLES - 1))
-    xs = [lo * ratio**i for i in range(MONOTONE_SAMPLES - 1)] + [hi]
-    values = [fn(x) for x in xs]
+    return [lo * ratio**i for i in range(MONOTONE_SAMPLES - 1)] + [hi]
+
+
+def _scan(fn: Callable[[float], float], bracket: tuple[float, float]) -> tuple[str | None, Sequence[float]]:
+    """``_verdict`` of fn at the ``_samples`` of the bracket."""
+    return _verdict([fn(x) for x in _samples(bracket)])
+
+
+def _verdict(values: Sequence[float]) -> tuple[str | None, Sequence[float]]:
+    """(direction, values) of one function's samples; the direction is None
+    for a constant. Nothing here depends on a goal, so one scan serves every
+    goal solved on the same function.
+    """
     rises = any(b > a for a, b in zip(values, values[1:]))
     falls = any(b < a for a, b in zip(values, values[1:]))
     if rises and falls:
         raise MonotonicityError("bound function is not monotone on the search bracket")
-    return (DIRECTION_MIN if rises else DIRECTION_MAX if falls else None), values[0]
+    return (DIRECTION_MIN if rises else DIRECTION_MAX if falls else None), values
 
 
 def _solve(fn: Callable[[float], float], target: float, scale: float, bracket: tuple[float, float],
-           scan: tuple[str | None, float]) -> float:
-    """xi where fn(xi) meets target/scale, given the ``_scan`` of fn on ``bracket``."""
+           scan: tuple[str | None, Sequence[float]]) -> float:
+    """xi where fn(xi) meets target/scale, given the ``_scan`` of fn on ``bracket``,
+    whose first and last values are fn(lo) and fn(hi)."""
     if not target > 0.0:
         raise DomainError(f"capacity target must be > 0, got {target}")
     if not scale > 0.0:
         raise DomainError(f"scale must be > 0, got {scale}")
     goal = target / float(scale)
-    direction, first = scan
+    direction, values = scan
+    first = values[0]
     if direction is None:  # a constant either misses the goal or never crosses it
         if first < goal:
             raise NotAttainableError(
@@ -273,7 +285,7 @@ def _solve(fn: Callable[[float], float], target: float, scale: float, bracket: t
         return sign * (fn(x) - goal)
 
     lo, hi = bracket
-    r_lo, r_hi = residual(lo), residual(hi)
+    r_lo, r_hi = sign * (first - goal), sign * (values[-1] - goal)
     # Expanding past the bound function's own domain (fibre transmissivity
     # saturating at 1.0, say) means no representable parameter certifies
     # the target, which is a solvability verdict and not a caller mistake.
@@ -380,25 +392,29 @@ def _compound_at(spec: WrnSpec, param: str, qkd_setup: qkd_mod.QkdSetup | None):
     return (lambda d: compound(FAMILY_TL, send_t, (eta(d), spec.nbar_B), recv_t)), BRACKET_START
 
 
-def bound_functions(
-    spec: WrnSpec,
-    param: str,
-    qkd_setup: qkd_mod.QkdSetup | None = None,
-) -> tuple[Callable[[float], float], Callable[[float], float], tuple[float, float]]:
-    """(lower fn, upper fn, start bracket) for one tunable parameter.
+def bound_functions(spec: WrnSpec, param: str, qkd_setup: qkd_mod.QkdSetup | None = None):
+    """(lower fn, upper fn, start bracket, both fn) for one tunable parameter.
 
     The remaining parameters are frozen from the spec. With a QKD setup the
     receiver template becomes ThermalLoss(tau_eff, nbar_r(eta(d))) and the
     sender is ideal; that combination only applies to thermal-loss lattices
-    varied over edge length. Each function evaluates its own side only.
+    varied over edge length. The family picks each side's bound here, once.
+    The lower and upper functions evaluate their own side only; ``both``
+    reduces the compound once and returns (lower, upper).
     """
     at, bracket = _compound_at(spec, param, qkd_setup)
-    fam = spec.family
-    return (
-        lambda x: compound_bound(fam, at(x), "lower")[0],
-        lambda x: compound_bound(fam, at(x), "upper")[0],
-        bracket,
-    )
+    if spec.family == FAMILY_AD:
+        def both(x: float) -> tuple[float, float]:
+            eta = at(x)
+            return ad_rci(eta), ad_squashed(eta)
+
+        return (lambda x: ad_rci(at(x))), (lambda x: ad_squashed(at(x))), bracket, both
+
+    def both(x: float) -> tuple[float, float]:
+        lower, _, upper, _ = tl_bounds(*at(x))
+        return lower, upper
+
+    return (lambda x: tl_bounds(*at(x))[0]), (lambda x: tl_bounds(*at(x))[2]), bracket, both
 
 
 def connectivity(spec: WrnSpec) -> tuple[int, tuple[int, int]]:
@@ -411,14 +427,17 @@ def thresholds(spec: WrnSpec, cases, param: str,
     """Thresholds from the lower and the upper bound function, one per case.
 
     Each case is a (target, scale name) pair; the scale name is "delta" (bulk
-    edges) or "omega" (user edges). Each bound function is scanned once and
-    then solved for every case. A side whose per-edge target is out of reach
-    is nan, and ``unattainable`` holds the reason of the first such side.
+    edges) or "omega" (user edges). One scan evaluates both bound functions at
+    each sample, and each is then solved for every case. A side whose
+    per-edge target is out of reach is nan, and ``unattainable`` holds the
+    reason of the first such side.
     """
     d, (num, den) = connectivity(spec)
     scales = dict(zip(SCALE_NAMES, (float(d), num / den)))
-    lower_fn, upper_fn, bracket = bound_functions(spec, param, qkd_setup)
-    sides = [(fn, _scan(fn, bracket)) for fn in (lower_fn, upper_fn)]
+    lower_fn, upper_fn, bracket, both = bound_functions(spec, param, qkd_setup)
+    # The verdicts run on the lower side first, as if each side had its own scan.
+    scans = [_verdict(values) for values in zip(*map(both, _samples(bracket)))]
+    sides = list(zip((lower_fn, upper_fn), scans))
     results = []
     for target, scale_name in cases:
         if scale_name not in scales:

@@ -12,14 +12,12 @@ from qnetcap.bounds import (
     ad_squashed,
     bosonic_h,
     compound,
-    compound_bound,
     direction_bounds,
     h2,
     plob_pure_loss,
     tl_bounds,
 )
 from qnetcap.channels import (
-    FAMILY_AD,
     FAMILY_TL,
     AmplitudeDamping,
     FibreParams,
@@ -140,14 +138,11 @@ REFERENCE_ETAS = [10.0 ** (k / 2) for k in range(-30, 1)] + [1.0 - 10.0 ** -k fo
 
 @pytest.mark.parametrize("eta", REFERENCE_ETAS)
 def test_bounds_match_decimal_reference_down_to_full_loss(eta):
-    lower, _ = compound_bound(FAMILY_AD, eta, "lower")
-    upper, _ = compound_bound(FAMILY_AD, eta, "upper")
-    for got, ref in ((lower, _ad_rci_decimal(eta)), (upper, _ad_squashed_decimal(eta))):
+    for got, ref in ((ad_rci(eta), _ad_rci_decimal(eta)), (ad_squashed(eta), _ad_squashed_decimal(eta))):
         assert abs(Decimal(got) - ref) <= Decimal("1e-12") * ref
     if eta < 1.0:
         ref = _plob_decimal(eta)
         assert abs(Decimal(plob_pure_loss(eta)) - ref) <= Decimal("1e-12") * ref
-    assert (ad_rci(eta), ad_squashed(eta)) == (lower, upper)
 
 
 def _ad_rci_bisection(p_tot: float) -> float:
@@ -250,33 +245,6 @@ def test_pure_loss_bounds_coincide(eta):
     assert tl_bounds(eta, 0.0) == (exact, BoundKind.PLOB_EXACT, exact, BoundKind.PLOB_EXACT)
 
 
-# Device links may be ideal; the fibre never is, so no compound is an ideal edge.
-devices = st.tuples(st.floats(min_value=1e-6, max_value=1.0), st.just(0.0) | nbars)
-
-
-@given(st.one_of(
-    st.tuples(st.just(FAMILY_TL), devices, st.tuples(etas, st.just(0.0) | nbars), devices),
-    st.tuples(st.just(FAMILY_AD), unit, unit, unit),
-))
-@example((FAMILY_TL, (1.0, 0.0), (0.5, 0.0), (0.9, 0.0)))  # pure loss
-@example((FAMILY_TL, (1.0, 0.0), (0.1, 0.5), (1.0, 0.0)))  # entanglement breaking: nbar_tot 0.5 >= eta 0.1
-@example((FAMILY_TL, (0.9, 0.01), (0.5, 0.002), (0.9, 0.01)))
-@example((FAMILY_AD, 0.0, 1.0, 0.0))
-@example((FAMILY_TL, (0.9, 0.01), (0.0, 0.002), (0.9, 0.01)))  # a dark fibre
-@example((FAMILY_TL, (1e-200, 0.0), (0.5, 0.01), (1e-200, 0.0)))  # the product underflows to 0
-@settings(max_examples=300, deadline=None)
-def test_direction_bounds_is_both_sides_of_compound_bound(case):
-    fam, send, edge, recv = case
-    reduced = compound(fam, send, edge, recv)
-    expected = (*compound_bound(fam, reduced, "lower"), *compound_bound(fam, reduced, "upper"))
-    got = direction_bounds(fam, send, edge, recv)
-    assert [x.hex() if isinstance(x, float) else x for x in got] == \
-        [x.hex() if isinstance(x, float) else x for x in expected]
-    if fam == FAMILY_TL and reduced[0] == 0.0:  # a compound that transmits nothing
-        assert got == (0.0, BoundKind.DARK_FIBRE, 0.0, BoundKind.DARK_FIBRE)
-
-
-
 def _reference_tl_rate(eta_tot, nbar_tot):
     rate = plob_pure_loss(eta_tot)
     if not nbar_tot >= 0.0:
@@ -285,8 +253,9 @@ def _reference_tl_rate(eta_tot, nbar_tot):
 
 
 def _reference_tl_side(reduced, selector):
-    """The thermal branch of ``compound_bound`` as it was when each side had a
-    function of its own, each evaluating the rate expression, as a reference."""
+    """The thermal branch of the former per-side ``compound_bound`` as it was
+    when each side had a function of its own, each evaluating the rate
+    expression, as a reference."""
     eta_tot, nbar_tot = reduced
     if eta_tot == 0.0:
         return 0.0, BoundKind.DARK_FIBRE
@@ -300,8 +269,15 @@ def _reference_tl_side(reduced, selector):
     return max(0.0, raw - (nbar_tot / (1.0 - eta_tot)) * math.log2(eta_tot)), BoundKind.REE_UPPER
 
 
+def _reference_compound_tl(send, edge, recv):
+    """``compound`` on thermal links as it was before its closed form."""
+    if edge[0] == 0.0:
+        return 0.0, 0.0
+    return compose_tl((send, edge, recv))
+
+
 def _reference_tl_direction(send, edge, recv):
-    reduced = compound(FAMILY_TL, send, edge, recv)
+    reduced = _reference_compound_tl(send, edge, recv)
     if reduced[0] == 1.0:
         if reduced[1] != 0.0:
             raise DomainError("thermal edge with unit transmissivity and added noise is not modelled")
@@ -343,9 +319,41 @@ def thermal_compounds(draw):
 @settings(max_examples=1500, deadline=None)
 def test_tl_bounds_match_the_per_side_reference(reduced):
     lower, upper = (_bits(_reference_tl_side, reduced, selector) for selector in ("lower", "upper"))
-    assert _bits(compound_bound, FAMILY_TL, reduced, "lower") == lower
-    assert _bits(compound_bound, FAMILY_TL, reduced, "upper") == upper
     assert _bits(tl_bounds, *reduced) == (lower if isinstance(lower, str) else lower + upper)
+
+
+def _outcome(fn, *args):
+    """fn(*args) with floats as hex, or the type and message of what it raises."""
+    try:
+        result = fn(*args)
+    except DomainError as exc:
+        return type(exc), str(exc)
+    return [x.hex() for x in result]
+
+
+# Dark, negative zero, subnormal, unit, NaN, infinity, and either side of the domain.
+LINK_FLOATS = [0.0, -0.0, 5e-324, 1.0, math.nan, math.inf, 1e-300, 0.5, -0.5, 1.5]
+thermal_links = st.tuples(st.sampled_from(LINK_FLOATS) | st.floats(0.0, 1.0) | st.floats(),
+                          st.sampled_from(LINK_FLOATS) | st.floats(0.0, 3.0) | st.floats(0.0, 1e-300) | st.floats())
+
+
+@given(thermal_links, thermal_links, thermal_links)
+# Rounding leaves each of these compound noises at -5.55e-17, which compose_tl clamps to 0.
+@example((0.1859062658947177, 1e-300), (0.8599465287952899, 0.0), (0.7431466604224978, 5e-324))
+@example((0.9144446394025773, 1e-300), (0.5343300438262426, 0.0), (0.06532276962299033, 0.0))
+@example((0.17757811046169503, 5e-324), (0.5008996195572266, 5e-324), (0.930107881773361, 0.0))
+@example((1.0, 0.0), (1.0, 0.0), (1.0, 0.0))  # an ideal edge
+@example((1.0, -0.0), (0.5, -0.0), (1.0, 0.0))  # pure loss with negative zeros
+@example((0.5, 0.01), (0.0, math.nan), (0.5, 0.01))  # a dark edge whatever its noise
+@example((0.5, math.nan), (0.5, 0.01), (0.5, 0.01))
+@example((0.5, 0.01), (math.nan, 0.01), (0.5, 0.01))
+@example((0.5, 0.01), (0.5, math.inf), (0.5, 0.01))
+@example((0.5, 0.01), (0.5, 0.01), (-0.0, 0.01))
+@example((5e-324, 0.01), (5e-324, 0.0), (5e-324, 0.0))  # the product underflows to 0
+@settings(max_examples=3000, deadline=None)
+def test_closed_form_tl_compound_is_compose_tl(send, edge, recv):
+    got = _outcome(compound, FAMILY_TL, send, edge, recv)
+    assert got == _outcome(_reference_compound_tl, send, edge, recv)
 
 
 thermal_devices = st.tuples(st.sampled_from([1.0, 1e-200, 0.5]) | st.floats(1e-6, 1.0),
@@ -440,6 +448,9 @@ DOMAIN_CHECKS = {
     "h2": (h2, "probability must lie in [0, 1], got {}", True),
     "bosonic_h": (bosonic_h, "mean photon number must be >= 0, got {}", True),
     "tl_bounds.nbar_tot": (lambda x: tl_bounds(0.5, x), "thermal photon number must be >= 0, got {}", True),
+    "compound.nbar": (lambda x: compound(FAMILY_TL, (0.5, 0.0), (0.5, x), (1.0, 0.0)),
+                      "thermal photon number must be >= 0, got {}", True),
+    "WrnSpec.radius": (lambda x: WrnSpec("manhattan8", x, 10.0, "tl"), "radius must be an integer, got {}", False),
     "ad_rci": (ad_rci, "survival probability must lie in [0, 1], got {}", True),
     "ad_squashed": (ad_squashed, "survival probability must lie in [0, 1], got {}", True),
     "gaussian_propagate.nbar": (lambda x: gaussian_propagate(((1.0, 0.0), (0.0, 1.0)), [(0.5, x)]),

@@ -7,11 +7,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qnetcap import wrn
-from qnetcap.channels import AmplitudeDamping, Identity, ThermalLoss
+from qnetcap.bounds import ad_rci, ad_squashed, direction_bounds, tl_bounds
+from qnetcap.channels import (
+    AmplitudeDamping,
+    Identity,
+    ThermalLoss,
+    as_damping,
+    as_thermal,
+    compose_ad,
+    compose_tl,
+    fibre_transmissivity,
+)
 from qnetcap.cli import main
 from qnetcap.errors import DomainError, FamilyError, MonotonicityError, NotAttainableError
 from qnetcap.network import annotate_uniform, apply_split, validate
 from qnetcap.oracles import check_weak_regularity, edge_count, node_count, verify_theorem2
+from qnetcap.qkd import from_preset
 from qnetcap.routing import capacity_report, max_flow
 from qnetcap.wrn import (
     CELL_MANHATTAN,
@@ -330,26 +341,27 @@ def test_one_loop_solve_matches_the_two_loop_reference(kind, a, b, target, scale
 
 
 def _count_scans(monkeypatch):
+    """The brackets scanned: one ``_samples`` call per scan of a pair of bound functions."""
     calls = []
-    scan = wrn._scan
+    samples = wrn._samples
 
-    def counting(fn, bracket):
+    def counting(bracket):
         calls.append(bracket)
-        return scan(fn, bracket)
+        return samples(bracket)
 
-    monkeypatch.setattr(wrn, "_scan", counting)
+    monkeypatch.setattr(wrn, "_samples", counting)
     return calls
 
 
-def test_threshold_report_scans_each_side_once(monkeypatch):
+def test_threshold_report_scans_once(monkeypatch):
     calls = _count_scans(monkeypatch)
     threshold_report(man_spec(), 1e-2, "edgeLength")
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("variable,extra,scans", [
-    ("targetCapacity", {"start": 1e-3, "stop": 1e-1, "scale": "log"}, lambda n: 2),
-    ("edgeLength", {"start": 1.0, "stop": 40.0, "target": 1e-2}, lambda n: 2 * n),
+    ("targetCapacity", {"start": 1e-3, "stop": 1e-1, "scale": "log"}, lambda n: 1),
+    ("edgeLength", {"start": 1.0, "stop": 40.0, "target": 1e-2}, lambda n: n),
 ])
 def test_sweeps_scan_once_per_spec(tmp_path, monkeypatch, variable, extra, scans):
     steps = 7
@@ -359,6 +371,213 @@ def test_sweeps_scan_once_per_spec(tmp_path, monkeypatch, variable, extra, scans
     calls = _count_scans(monkeypatch)
     assert main(["sweep", "--spec", str(path), "--out", str(tmp_path / "out.csv")]) == 0
     assert len(calls) == scans(steps)
+
+
+def _reference_compound(fam, send, edge, recv):
+    """``bounds.compound`` as it was before its thermal closed form."""
+    if fam == "ad":
+        return compose_ad((send, edge, recv))
+    if edge[0] == 0.0:
+        return 0.0, 0.0
+    return compose_tl((send, edge, recv))
+
+
+def _reference_side_scan(fn, bracket):
+    """``_scan`` as it was when each bound function had a scan of its own."""
+    lo, hi = bracket
+    if not 0.0 < lo < hi < math.inf:
+        raise DomainError(f"search bracket must satisfy 0 < lo < hi < inf, got [{lo}, {hi}]")
+    ratio = (hi / lo) ** (1.0 / (wrn.MONOTONE_SAMPLES - 1))
+    xs = [lo * ratio**i for i in range(wrn.MONOTONE_SAMPLES - 1)] + [hi]
+    values = [fn(x) for x in xs]
+    rises = any(b > a for a, b in zip(values, values[1:]))
+    falls = any(b < a for a, b in zip(values, values[1:]))
+    if rises and falls:
+        raise MonotonicityError("bound function is not monotone on the search bracket")
+    return (DIRECTION_MIN if rises else DIRECTION_MAX if falls else None), values[0]
+
+
+def _reference_side_solve(fn, target, scale, bracket, scan):
+    """``_solve`` as it was when it evaluated fn at the bracket ends again."""
+    if not target > 0.0:
+        raise DomainError(f"capacity target must be > 0, got {target}")
+    if not scale > 0.0:
+        raise DomainError(f"scale must be > 0, got {scale}")
+    goal = target / float(scale)
+    direction, first = scan
+    if direction is None:
+        if first < goal:
+            raise NotAttainableError(
+                f"bound function is constant at {first:g} on the search bracket, "
+                f"below the per-edge target {goal:g}"
+            )
+        raise MonotonicityError("bound function is constant on the search bracket")
+    sign = -1.0 if direction == DIRECTION_MAX else 1.0
+
+    def residual(x):
+        return sign * (fn(x) - goal)
+
+    lo, hi = bracket
+    r_lo, r_hi = residual(lo), residual(hi)
+    try:
+        expansions = 0
+        while r_lo > 0.0 and expansions < wrn.MAX_EXPANSIONS:
+            lo /= 2.0
+            r_lo = residual(lo)
+            expansions += 1
+        expansions = 0
+        while r_hi < 0.0 and expansions < wrn.MAX_EXPANSIONS:
+            hi *= 2.0
+            r_hi = residual(hi)
+            expansions += 1
+    except DomainError as exc:
+        raise NotAttainableError(f"per-edge target {goal:g} is out of reach: {exc}") from exc
+    if r_lo > 0.0 or r_hi < 0.0:
+        raise NotAttainableError(f"no parameter value in ({lo:g}, {hi:g}) reaches the per-edge target {goal:g}")
+    if r_lo == 0.0:
+        return lo
+    if r_hi == 0.0:
+        return hi
+    steps, narrow = 0, False
+    while True:
+        xi = 0.5 * (lo + hi)
+        achieved = fn(xi)
+        r = sign * (achieved - goal)
+        missed = abs(achieved - goal) > wrn.RESIDUAL_REL_TOL * goal
+        if r == 0.0 or narrow and not (missed and lo < xi < hi):
+            break
+        if r < 0.0:
+            lo = xi
+        else:
+            hi = xi
+        steps += 1
+        narrow = narrow or steps == 200 or hi - lo <= wrn.XI_REL_TOL * max(abs(lo), abs(hi))
+    if missed:
+        raise MonotonicityError(
+            f"bisection landed at bound value {achieved:g}, target {goal:g}; "
+            "the function may step discontinuously"
+        )
+    return xi
+
+
+def _reference_thresholds(spec, cases, param, qkd_setup=None):
+    """``thresholds`` as it was when it scanned the lower and the upper bound
+    function separately, each sample reducing its compound once per side, with
+    ``compound`` and the per-side bound selection as they were then."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wrn, "compound", _reference_compound)
+        at, bracket = wrn._compound_at(spec, param, qkd_setup)
+        if spec.family == "ad":
+            lower_fn, upper_fn = (lambda x: ad_rci(at(x))), (lambda x: ad_squashed(at(x)))
+        else:
+            lower_fn, upper_fn = (lambda x: tl_bounds(*at(x))[0]), (lambda x: tl_bounds(*at(x))[2])
+        d, (num, den) = connectivity(spec)
+        scales = dict(zip(wrn.SCALE_NAMES, (float(d), num / den)))
+        sides = [(fn, _reference_side_scan(fn, bracket)) for fn in (lower_fn, upper_fn)]
+        results = []
+        for target, scale_name in cases:
+            if scale_name not in scales:
+                raise DomainError(f"scale must be one of {wrn.SCALE_NAMES}, got {scale_name!r}")
+            scale = scales[scale_name]
+            solved, unattainable = [], None
+            for fn, scan in sides:
+                try:
+                    solved.append((_reference_side_solve(fn, target, scale, bracket, scan), scan[0]))
+                except NotAttainableError as exc:
+                    solved.append((math.nan, None))
+                    unattainable = unattainable or str(exc)
+            (xi_lo, direction), (xi_up, direction_up) = solved
+            if None not in (direction, direction_up) and direction != direction_up:
+                raise MonotonicityError("lower and upper bound functions disagree in direction")
+            results.append(ThresholdResult(
+                param=param, scale_name=scale_name, scale=scale, target=target,
+                direction=direction or direction_up, from_lower_fn=xi_lo, from_upper_fn=xi_up,
+                unattainable=unattainable,
+            ))
+        return results
+
+
+def _threshold_bits(solve, *args):
+    """Every field of every result with floats as hex, or the type and message raised."""
+    try:
+        results = solve(*args)
+    except (DomainError, FamilyError, MonotonicityError, NotAttainableError) as exc:
+        return type(exc), str(exc)
+    return [tuple(x.hex() if isinstance(x, float) else x for x in result) for result in results]
+
+
+_THRESHOLD_CASES = [(t, name) for t in (1e-4, 1e-2, 0.3, 1e9) for name in ("delta", "omega")]
+
+
+@pytest.mark.parametrize("spec,param,qkd", [
+    pytest.param(man_spec(edge_length_km=10.0), "edgeLength", None, id="tl-edgeLength"),
+    pytest.param(man_spec(recv=ThermalLoss(0.8, 0.001), send=ThermalLoss(0.9, 0.002)), "edgeLength", None,
+                 id="tl-templates-edgeLength"),
+    pytest.param(man_spec(edge_length_km=20.0), "receiverNoise", None, id="tl-receiverNoise"),
+    pytest.param(man_spec(), "edgeLength", from_preset("table1-heterodyne-llo"), id="tl-qkd-edgeLength"),
+    pytest.param(man_spec(gamma=0.5), "edgeLength", None, id="tl-lossy-fibre-edgeLength"),
+    pytest.param(tri_spec(edge_length_km=10.0), "edgeLength", None, id="ad-edgeLength"),
+    pytest.param(tri_spec(recv=AmplitudeDamping(0.05)), "edgeLength", None, id="ad-templates-edgeLength"),
+    pytest.param(tri_spec(edge_length_km=50.0), "internalLoss", None, id="ad-internalLoss"),
+])
+def test_thresholds_match_the_two_scan_reference(spec, param, qkd):
+    assert _threshold_bits(thresholds, spec, _THRESHOLD_CASES, param, qkd) == \
+        _threshold_bits(_reference_thresholds, spec, _THRESHOLD_CASES, param, qkd)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["ad", "tl"]),
+    length=st.floats(1e-3, 500.0),
+    gamma=st.floats(1e-3, 1.0),
+    nbar_b=st.sampled_from([0.0]) | st.floats(0.0, 0.05),
+    device=st.floats(0.5, 1.0),
+    device_noise=st.sampled_from([0.0]) | st.floats(0.0, 0.01),
+    target=st.floats(1e-5, 10.0),
+)
+def test_thresholds_match_the_two_scan_reference_on_drawn_specs(
+        family, length, gamma, nbar_b, device, device_noise, target):
+    template = AmplitudeDamping(1.0 - device) if family == "ad" else ThermalLoss(device, device_noise)
+    spec = WrnSpec(CELL_TRIANGULAR if family == "ad" else CELL_MANHATTAN, 2, length, family,
+                   recv=template, gamma=gamma, nbar_B=nbar_b)
+    params = ["edgeLength", "internalLoss" if family == "ad" else "receiverNoise"]
+    cases = [(target, "delta"), (target, "omega")]
+    for param in params:
+        assert _threshold_bits(thresholds, spec, cases, param) == \
+            _threshold_bits(_reference_thresholds, spec, cases, param)
+
+
+# The solver-sweep benchmark's thermal edge-length sweep.
+_EDGE_LENGTH_TL_SWEEP = {
+    "variable": "edgeLength", "start": 1.0, "stop": 100.0, "steps": 40, "target": 1e-2,
+    "wrn": {"cell": "manhattan8", "radius": 2, "edge_length_km": 10.0,
+            "recv": {"kind": "tl", "tau": 0.8, "nbar": 0.0}},
+}
+
+
+def _sweep_compounds(tmp_path, monkeypatch, spec):
+    """Compound reductions made by a ``sweep`` CLI call on ``spec``."""
+    counted = []
+    compound_at = wrn._compound_at
+
+    def counting(*args):
+        at, bracket = compound_at(*args)
+        return (lambda x: counted.append(x) or at(x)), bracket
+
+    monkeypatch.setattr(wrn, "_compound_at", counting)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(spec))
+    assert main(["sweep", "--spec", str(path), "--out", str(tmp_path / "out.csv")]) == 0
+    return len(counted)
+
+
+def test_one_scan_cuts_the_compound_count_of_a_sweep(tmp_path, monkeypatch):
+    # A scan sample reduces its compound once for both sides, and each side's
+    # solve starts from the scan's end values, where each side had a scan of
+    # its own and evaluated the bracket ends again.
+    assert _sweep_compounds(tmp_path, monkeypatch, _EDGE_LENGTH_TL_SWEEP) == 6082
+    monkeypatch.setattr(wrn, "thresholds", _reference_thresholds)
+    assert _sweep_compounds(tmp_path, monkeypatch, _EDGE_LENGTH_TL_SWEEP) == 8794
 
 
 def test_thresholds_solve_many_goals_as_one_goal_each():
@@ -375,7 +594,7 @@ def test_threshold_report_brackets_and_residual():
     assert bulk.direction == DIRECTION_MAX
     lo, hi = bulk.bracket
     assert lo <= hi
-    lower_fn, upper_fn, _ = bound_functions(spec, "edgeLength")
+    lower_fn, upper_fn, _, _ = bound_functions(spec, "edgeLength")
     assert lower_fn(bulk.from_lower_fn) * 32.0 == pytest.approx(1e-2, rel=1e-6)
     assert upper_fn(bulk.from_upper_fn) * 32.0 == pytest.approx(1e-2, rel=1e-6)
     # user edges carry less per-edge burden than bulk edges (omega < delta),
@@ -424,6 +643,15 @@ def test_threshold_result_is_a_plain_record():
     assert first != first._replace(target=1e8)
 
 
+@pytest.mark.parametrize("radius", [math.nan, 2.5, 3.0, -math.inf, "3", None])
+def test_spec_refuses_a_radius_that_is_not_an_integer(radius):
+    with pytest.raises(DomainError) as raised:
+        WrnSpec("manhattan8", radius, 10.0, "tl")
+    assert str(raised.value) == f"radius must be an integer, got {radius!r}"
+    with pytest.raises(DomainError, match="radius must be an integer"):
+        tri_spec()._replace(radius=radius)
+
+
 def test_spec_copy_with_a_change_runs_the_checks():
     spec = tri_spec()
     assert spec._replace(edge_length_km=20.0) == tri_spec(edge_length_km=20.0)
@@ -449,7 +677,7 @@ def test_internal_loss_solve():
     bulk, _ = threshold_report(spec, 1e-3, "internalLoss")
     lo, hi = bulk.bracket
     assert 0.0 < lo <= hi < 1.0
-    lower_fn, _, _ = bound_functions(spec, "internalLoss")
+    lower_fn, *_ = bound_functions(spec, "internalLoss")
     assert lower_fn(bulk.from_lower_fn) * 18.0 == pytest.approx(1e-3, rel=1e-6)
 
 
@@ -487,8 +715,13 @@ def test_thresholds_mark_unattainable_sides():
 def test_bound_functions_evaluate_one_side(monkeypatch, spec, param, other):
     import qnetcap.bounds as bounds_mod
 
-    lower_fn, upper_fn, _ = bound_functions(spec, param)
+    lower_fn, upper_fn, _, both = bound_functions(spec, param)
     expected = lower_fn(0.1), upper_fn(0.1)
+    reduced = []
+    compound = wrn.compound
+    monkeypatch.setattr(wrn, "compound", lambda *args: reduced.append(1) or compound(*args))
+    # One scan sample reduces its compound once and gives both sides.
+    assert both(0.1) == expected and len(reduced) == 1
     if other == "bosonic_h":
         # Both thermal sides come from one rate expression, with one entropy term.
         calls = []
@@ -496,16 +729,57 @@ def test_bound_functions_evaluate_one_side(monkeypatch, spec, param, other):
         monkeypatch.setattr(bounds_mod, "bosonic_h", lambda x: calls.append(x) or bosonic_h(x))
         assert lower_fn(0.1) == expected[0] and len(calls) == 1
         assert upper_fn(0.1) == expected[1] and len(calls) == 2
+        assert both(0.1) == expected and len(calls) == 3
         return
 
     def forbidden(*args):
         raise AssertionError("the other side was evaluated")
 
-    monkeypatch.setattr(bounds_mod, other, forbidden)
+    # The solver looks the damping bounds up in ``wrn``; patching them there
+    # reaches it, which the forbidden side's own function shows.
+    monkeypatch.setattr(wrn, other, forbidden)
     assert lower_fn(0.1) == expected[0]
-    monkeypatch.undo()
-    monkeypatch.setattr(bounds_mod, "ad_rci", forbidden)
+    with pytest.raises(AssertionError, match="other side"):
+        upper_fn(0.1)
+    monkeypatch.setattr(wrn, other, ad_squashed)
+    monkeypatch.setattr(wrn, "ad_rci", forbidden)
     assert upper_fn(0.1) == expected[1]
+    with pytest.raises(AssertionError, match="other side"):
+        lower_fn(0.1)
+
+
+# Device links may be ideal; the fibre never is, so no compound is an ideal edge.
+@given(
+    family=st.sampled_from(["ad", "tl"]),
+    length=st.sampled_from([1e5, 1e-3]) | st.floats(1e-3, 2000.0),  # 1e5 km transmits nothing
+    gamma=st.floats(1e-3, 1.0),
+    nbar_b=st.sampled_from([0.0]) | st.floats(0.0, 1.0),
+    devices=st.tuples(st.sampled_from([1.0, 1e-200]) | st.floats(1e-6, 1.0),
+                      st.sampled_from([0.0]) | st.floats(0.0, 3.0)),
+)
+@example(family="tl", length=10.0, gamma=0.02, nbar_b=0.0, devices=(0.9, 0.0))  # pure loss
+@example(family="tl", length=50.0, gamma=0.02, nbar_b=0.5, devices=(1.0, 0.0))  # entanglement breaking
+@example(family="tl", length=10.0, gamma=0.02, nbar_b=0.01, devices=(1e-200, 0.0))  # the product underflows
+@example(family="ad", length=1e5, gamma=0.02, nbar_b=0.0, devices=(1.0, 0.0))  # fully damped
+@settings(max_examples=300, deadline=None)
+def test_bound_functions_are_both_sides_of_direction_bounds(family, length, gamma, nbar_b, devices):
+    # The solver and the graph bound one directed edge use through the same
+    # compound and the same bounds, to the bit.
+    tau, nbar = devices
+    template = AmplitudeDamping(1.0 - tau) if family == "ad" else ThermalLoss(tau, nbar)
+    spec = WrnSpec(CELL_TRIANGULAR if family == "ad" else CELL_MANHATTAN, 2, 10.0, family,
+                   recv=template, send=template, gamma=gamma, nbar_B=nbar_b)
+    lower_fn, upper_fn, _, both = bound_functions(spec, "edgeLength")
+    eta = fibre_transmissivity(gamma, length)
+    if family == "ad":
+        device = as_damping(template)
+        expected = direction_bounds(family, device, eta, device)
+    else:
+        device = as_thermal(template)
+        expected = direction_bounds(family, device, (eta, nbar_b), device)
+    got = (lower_fn(length), upper_fn(length))
+    assert [x.hex() for x in got] == [expected[0].hex(), expected[2].hex()]
+    assert both(length) == got
 
 
 def test_receiver_noise_solve():
