@@ -13,13 +13,13 @@ nothing (a dark fibre, or a product that underflows to 0) is bounded 0 on both
 sides, of kind ``DARK_FIBRE``, as -log2(1-eta) -> 0; pure loss is distillable,
 so both sides are -log2(1-eta); otherwise one rate serves both sides.
 
-``compound`` reduces the node-split chain send -> edge -> recv to one channel.
-One scan sample of the threshold solver reduces one compound and evaluates both
-sides of it; a bisection step evaluates one side. An undirected edge can be
-used in either direction, and with asymmetric device noise the two give
-different compounds: ``direction_bounds`` bounds one direction, and ``orient``
-picks, independently for the lower and the upper bound, the more favourable
-one; ``network.apply_split`` goes through both.
+``compound``, the package's one compound reduction, turns the node-split chain
+send -> edge -> recv into one channel. One scan sample of the threshold solver
+reduces one compound and evaluates both sides of it; a bisection step evaluates
+one side. An undirected edge can be used in either direction, and with
+asymmetric device noise the two give different compounds: ``direction_bounds``
+bounds one direction, and ``orient`` picks, independently for the lower and the
+upper bound, the more favourable one; ``network.apply_split`` goes through both.
 """
 
 from __future__ import annotations
@@ -27,17 +27,12 @@ from __future__ import annotations
 import enum
 import math
 
-from .channels import (
-    FAMILY_AD,
-    FAMILY_TL,
-    as_damping,
-    as_thermal,
-    compose_ad,
-    compose_tl,
-)
+from .channels import FAMILY_AD, FAMILY_TL, as_damping, as_thermal
 from .errors import DomainError, FamilyError
 
 BOUND_ORDER_TOL = 1e-12
+# Tiny negative compound noise from rounding is clamped; anything lower is a bug.
+NBAR_CLAMP_TOL = 1e-12
 _LN2 = math.log(2.0)
 
 
@@ -167,26 +162,39 @@ def compound(fam: str, send, edge, recv):
     directed use of an edge passes the sender's send channel, the edge, then
     the receiver's recv channel. Arguments and result are family-native: a
     damping survival probability eta = 1 - p ("ad") or a (tau, nbar) pair ("tl").
-    A thermal edge of transmissivity 0 gives (0, 0), whose bounds are 0. An
-    in-domain thermal chain is reduced here in ``compose_tl``'s order of
-    operations, so to the same bits; any other, and a compound noise below 0,
-    goes to ``compose_tl`` for its clamp or its error.
+    A bad link value raises DomainError naming the first one (send, edge, recv;
+    tau before nbar). Survival probabilities and transmissivities multiply; the
+    added noise follows xi_j = tau_j * xi_{j-1} + nbar_j + (1 - tau_j) / 2 from
+    xi_0 = 0, and the compound photon number is xi_3 - (1 - tau) / 2. A thermal
+    edge of transmissivity 0 gives (0, 0), whose bounds are 0; pure-loss links
+    give nbar exactly 0. Rounding can leave the compound noise a hair below 0:
+    within NBAR_CLAMP_TOL it is clamped to 0, beyond that it is an error.
     """
     if fam == FAMILY_AD:
-        return compose_ad((send, edge, recv))
+        if 0.0 <= send <= 1.0 and 0.0 <= edge <= 1.0 and 0.0 <= recv <= 1.0:
+            return send * edge * recv
+        bad = next(eta for eta in (send, edge, recv) if not 0.0 <= eta <= 1.0)
+        raise DomainError(f"survival probability must lie in [0, 1], got {bad}")
     (tau_s, nbar_s), (tau_e, nbar_e), (tau_r, nbar_r) = send, edge, recv
     if tau_e == 0.0:
         return 0.0, 0.0
-    if 0.0 < tau_s <= 1.0 and 0.0 < tau_e <= 1.0 and 0.0 < tau_r <= 1.0 \
-            and nbar_s >= 0.0 and nbar_e >= 0.0 and nbar_r >= 0.0:
-        tau = tau_s * tau_e * tau_r
-        if nbar_s == nbar_e == nbar_r == 0.0:
-            return tau, 0.0
-        xi = tau_e * (nbar_s + 0.5 * (1.0 - tau_s)) + (nbar_e + 0.5 * (1.0 - tau_e))
-        nbar = tau_r * xi + (nbar_r + 0.5 * (1.0 - tau_r)) - 0.5 * (1.0 - tau)
-        if nbar >= 0.0:
-            return tau, nbar
-    return compose_tl((send, edge, recv))
+    if not (0.0 < tau_s <= 1.0 and 0.0 < tau_e <= 1.0 and 0.0 < tau_r <= 1.0
+            and nbar_s >= 0.0 and nbar_e >= 0.0 and nbar_r >= 0.0):
+        for tau, nbar in (send, edge, recv):
+            if not 0.0 < tau <= 1.0:
+                raise DomainError(f"transmissivity must lie in (0, 1], got {tau}")
+            if not nbar >= 0.0:
+                raise DomainError(f"thermal photon number must be >= 0, got {nbar}")
+    tau = tau_s * tau_e * tau_r
+    if nbar_s == nbar_e == nbar_r == 0.0:
+        return tau, 0.0
+    xi = tau_e * (nbar_s + 0.5 * (1.0 - tau_s)) + (nbar_e + 0.5 * (1.0 - tau_e))
+    nbar = tau_r * xi + (nbar_r + 0.5 * (1.0 - tau_r)) - 0.5 * (1.0 - tau)
+    if nbar < 0.0:
+        if nbar < -NBAR_CLAMP_TOL:
+            raise DomainError(f"compound photon number {nbar} below rounding tolerance")
+        nbar = 0.0
+    return tau, nbar
 
 
 def direction_bounds(fam: str, send, edge, recv) -> tuple[float, BoundKind, float, BoundKind]:

@@ -1,4 +1,4 @@
-"""Channel specifications, fibre parameterization, and chain composition.
+"""Channel specifications and fibre parameterization.
 
 Two channel families are modelled. Amplitude damping acts on qubits and is
 specified by a damping probability p, but computed in the survival probability
@@ -7,22 +7,17 @@ acts on bosonic modes and is described by a transmissivity tau together with
 the mean photon number nbar added at the output; pure loss is the nbar = 0
 special case. ``fibre_transmissivity`` is the one fibre loss law.
 
-A chain of same-family channels reduces to a single channel of that family:
-damping survival probabilities multiply, as transmissivities do, and
-thermal-loss links combine through the additive-noise recursion implemented
-in ``compose_tl``. ``as_damping``/``as_thermal`` convert a channel spec or a
-fibre to those family-native numbers and reject a channel of the other family.
+``as_damping``/``as_thermal`` convert a channel spec or a fibre to those
+family-native numbers and reject a channel of the other family;
+``bounds.compound`` reduces a node-split chain of them to one channel.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Union
+from typing import NamedTuple, Union
 
-from .errors import DomainError, EmptyCompoundError, FamilyError, checked
-
-# Tiny negative nbar totals from rounding are clamped; anything lower is a bug.
-NBAR_CLAMP_TOL = 1e-12
+from .errors import DomainError, FamilyError, checked
 
 FAMILY_AD = "ad"
 FAMILY_TL = "tl"
@@ -150,56 +145,6 @@ def check_role(role: str) -> str:
     if role not in ("repeater", "user"):
         raise DomainError(f"node role must be 'repeater' or 'user', got {role!r}")
     return role
-
-
-def compose_ad(etas: Iterable[float]) -> float:
-    """Survival probability of a chain of damping channels: prod_j eta_j."""
-    eta_tot, count = 1.0, 0
-    for eta in etas:
-        if not 0.0 <= eta <= 1.0:
-            raise DomainError(f"survival probability must lie in [0, 1], got {eta}")
-        eta_tot *= eta
-        count += 1
-    if count == 0:
-        raise EmptyCompoundError("compose_ad needs at least one channel")
-    return eta_tot
-
-
-def compose_tl(channels: Iterable[tuple[float, float]]) -> tuple[float, float]:
-    """Reduce a chain of thermal-loss links to one (tau_tot, nbar_tot) pair.
-
-    Transmissivities multiply. The added noise accumulates through
-    xi_j = tau_j * xi_{j-1} + nbar_j + |1 - tau_j| / 2 starting from xi_0 = 0,
-    and the compound output photon number is nbar_tot = xi_N - |1 - tau_tot| / 2.
-    A chain of pure-loss links stays pure loss: nbar_tot is pinned to 0 rather
-    than left to rounding residue. Elsewhere rounding can leave nbar_tot a hair
-    below zero; within NBAR_CLAMP_TOL it is clamped to 0, beyond that it is an
-    error.
-    """
-    tau_tot = 1.0
-    xi = 0.0
-    count = 0
-    lossless = True
-    for tau, nbar in channels:
-        if not 0.0 < tau <= 1.0:
-            raise DomainError(f"transmissivity must lie in (0, 1], got {tau}")
-        if not nbar >= 0.0:
-            raise DomainError(f"thermal photon number must be >= 0, got {nbar}")
-        eps = nbar + 0.5 * abs(1.0 - tau)
-        xi = tau * xi + eps
-        tau_tot *= tau
-        lossless = lossless and nbar == 0.0
-        count += 1
-    if count == 0:
-        raise EmptyCompoundError("compose_tl needs at least one channel")
-    if lossless:
-        return tau_tot, 0.0
-    nbar_tot = xi - 0.5 * abs(1.0 - tau_tot)
-    if nbar_tot < 0.0:
-        if nbar_tot < -NBAR_CLAMP_TOL:
-            raise DomainError(f"compound photon number {nbar_tot} below rounding tolerance")
-        nbar_tot = 0.0
-    return tau_tot, nbar_tot
 
 
 def channel_to_json(channel: ChannelSpec) -> dict:

@@ -9,10 +9,6 @@ class DomainError(QnetcapError, ValueError):
     """An input value, key or file lies outside its domain."""
 
 
-class EmptyCompoundError(DomainError):
-    """A compound-channel reduction was requested for zero channels."""
-
-
 class FamilyError(QnetcapError, TypeError):
     """Channel families (amplitude damping vs thermal loss) were mixed or ambiguous."""
 

@@ -41,6 +41,12 @@ def check_selector(selector: str) -> str:
     return selector
 
 
+def _check_users(users) -> None:
+    """DomainError unless ``users`` is a pair of node names."""
+    if not (isinstance(users, tuple) and len(users) == 2 and all(isinstance(u, str) for u in users)):
+        raise DomainError(f"users must be a pair of node names, got {users!r}")
+
+
 # One edge by endpoint names, with its explicit channel or its fibre.
 EdgeView = NamedTuple("EdgeView", [("a", str), ("b", str), ("channel", ChannelSpec | None),
                                    ("fibre", FibreParams | None)])
@@ -69,7 +75,8 @@ class NetworkGraph(_GraphColumns):
     has. Edge i joins node numbers ``a[i]`` and ``b[i]`` over
     ``classes[cls[i]]``, a FibreParams or an explicit channel; each distinct
     one is in the table once. Construction raises DomainError unless the
-    columns agree in length and every number indexes ``names`` or ``classes``.
+    columns agree in length, every number indexes ``names`` or ``classes``
+    and ``users`` is None or a pair of names.
     The ``nodes`` and ``edges`` views rebuild one object per node or edge.
     """
 
@@ -87,6 +94,8 @@ class NetworkGraph(_GraphColumns):
         for what, column, size in (("a", self.a, m), ("b", self.b, m), ("cls", self.cls, len(self.classes))):
             if column and not (min(column) >= 0 and max(column) < size):
                 raise DomainError(f"network graph column {what} must hold numbers 0 to {size - 1}")
+        if self.users is not None:
+            _check_users(self.users)
 
     @property
     def nodes(self) -> dict[str, NodeSpec]:
@@ -109,8 +118,9 @@ class BoundedGraph(NamedTuple):
     Edge i joins node numbers ``a[i]`` and ``b[i]`` (indexes into ``nodes``);
     each side has its value, bound kind and sender, the node its chosen
     direction sends from. Construction is the one gate, raising DomainError
-    unless every endpoint numbers a node and 0 <= lower <= upper (within
-    ``BOUND_ORDER_TOL``). NaN and inf pass; ``routing.max_flow`` rejects them.
+    unless ``users`` is a pair of names, every endpoint numbers a node and
+    0 <= lower <= upper (within ``BOUND_ORDER_TOL``). NaN and inf pass;
+    ``routing.max_flow`` rejects them.
     """
 
     nodes: tuple[str, ...]
@@ -129,6 +139,7 @@ class BoundedGraph(NamedTuple):
                    self.lower_sender, self.upper_sender)
         if any(len(column) != len(self.a) for column in columns):
             raise DomainError("bounded graph columns must have one entry per edge")
+        _check_users(self.users)
         n = len(self.nodes)
         for i, (u, v, lower, upper) in enumerate(zip(self.a, self.b, self.lower, self.upper)):
             if not (0 <= u < n and 0 <= v < n):

@@ -1,7 +1,8 @@
 """Randomized equivalence batteries pitting fast paths against slow oracles.
 
-Compound-channel reductions are replayed as explicit Kraus-operator or
-Gaussian covariance simulations; the flow solver is replayed as exhaustive
+``bounds.compound``, the reduction every bound goes through, is replayed on
+random (send, edge, recv) chains as explicit Kraus-operator or Gaussian
+covariance simulations; the flow solver is replayed as exhaustive
 cut and path enumeration on small random graphs. Each battery returns the
 worst deviation it saw, so callers pick their own tolerance. Every draw is
 one ``rng.random()`` call, so a ``random.Random`` and a numpy ``Generator``
@@ -12,7 +13,8 @@ from __future__ import annotations
 
 import random
 
-from .channels import compose_ad, compose_tl
+from .bounds import compound
+from .channels import FAMILY_AD, FAMILY_TL
 from .network import BoundedGraph
 from .oracles import (
     ad_channel,
@@ -38,28 +40,29 @@ def _pair(rng: random.Random, n: int) -> tuple[int, int]:
     return i, j + (j >= i)
 
 
-def random_ad_compound(rng: random.Random, max_links: int = 5) -> list[float]:
-    return [rng.random() for _ in range(1 + _below(rng, max_links))]
+def random_ad_compound(rng: random.Random) -> list[float]:
+    """Damping probabilities of a (send, edge, recv) chain, each uniform on [0, 1)."""
+    return [rng.random() for _ in range(3)]
 
 
-def random_tl_compound(rng: random.Random, max_links: int = 5) -> list[tuple[float, float]]:
-    """Links with tau uniform on [0.05, 1) and nbar uniform on [0, 0.5)."""
-    return [(0.05 + 0.95 * rng.random(), 0.5 * rng.random()) for _ in range(1 + _below(rng, max_links))]
+def random_tl_compound(rng: random.Random) -> list[tuple[float, float]]:
+    """(send, edge, recv) links with tau uniform on [0.05, 1) and nbar uniform on [0, 0.5)."""
+    return [(0.05 + 0.95 * rng.random(), 0.5 * rng.random()) for _ in range(3)]
 
 
 def ad_compound_error(ps: list[float]) -> float:
-    """|compose_ad - Kraus simulation|: the surviving population of |1> is eta_tot."""
+    """|compound - Kraus simulation|: the surviving population of |1> is eta_tot."""
     rho = EXCITED
     for p in ps:
         rho = apply_channel(ad_channel(p), rho)
-    return abs(compose_ad([1.0 - p for p in ps]) - rho[1][1].real)
+    return abs(compound(FAMILY_AD, *[1.0 - p for p in ps]) - rho[1][1].real)
 
 
 def tl_compound_error(links: list[tuple[float, float]], nbar_in: float = 0.0) -> float:
     """Max entry deviation between stepwise and one-shot covariance propagation."""
     v0 = ((nbar_in + 0.5, 0.0), (0.0, nbar_in + 0.5))
     stepwise = gaussian_propagate(v0, links)
-    one_shot = gaussian_propagate(v0, [compose_tl(links)])
+    one_shot = gaussian_propagate(v0, [compound(FAMILY_TL, *links)])
     return max(abs(x - y) for row, other in zip(stepwise, one_shot) for x, y in zip(row, other))
 
 

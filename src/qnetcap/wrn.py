@@ -270,6 +270,8 @@ def _solve(fn: Callable[[float], float], target: float, scale: float, bracket: t
     if not scale > 0.0:
         raise DomainError(f"scale must be > 0, got {scale}")
     goal = target / float(scale)
+    if goal == 0.0:  # a goal of 0 is met wherever the bound is 0, as at a dark fibre
+        raise DomainError(f"per-edge target {target}/{scale} underflows to 0")
     direction, values = scan
     first = values[0]
     if direction is None:  # a constant either misses the goal or never crosses it

@@ -18,6 +18,7 @@ from qnetcap.bounds import (
     tl_bounds,
 )
 from qnetcap.channels import (
+    FAMILY_AD,
     FAMILY_TL,
     AmplitudeDamping,
     FibreParams,
@@ -25,7 +26,6 @@ from qnetcap.channels import (
     NodeSpec,
     ThermalLoss,
     as_thermal,
-    compose_tl,
 )
 from qnetcap.errors import DomainError, FamilyError
 from qnetcap.network import annotate_uniform
@@ -269,15 +269,8 @@ def _reference_tl_side(reduced, selector):
     return max(0.0, raw - (nbar_tot / (1.0 - eta_tot)) * math.log2(eta_tot)), BoundKind.REE_UPPER
 
 
-def _reference_compound_tl(send, edge, recv):
-    """``compound`` on thermal links as it was before its closed form."""
-    if edge[0] == 0.0:
-        return 0.0, 0.0
-    return compose_tl((send, edge, recv))
-
-
-def _reference_tl_direction(send, edge, recv):
-    reduced = _reference_compound_tl(send, edge, recv)
+def _reference_tl_direction(reference_compound, send, edge, recv):
+    reduced = reference_compound(FAMILY_TL, send, edge, recv)
     if reduced[0] == 1.0:
         if reduced[1] != 0.0:
             raise DomainError("thermal edge with unit transmissivity and added noise is not modelled")
@@ -328,7 +321,7 @@ def _outcome(fn, *args):
         result = fn(*args)
     except DomainError as exc:
         return type(exc), str(exc)
-    return [x.hex() for x in result]
+    return [x.hex() for x in (result if isinstance(result, tuple) else (result,))]
 
 
 # Dark, negative zero, subnormal, unit, NaN, infinity, and either side of the domain.
@@ -338,7 +331,7 @@ thermal_links = st.tuples(st.sampled_from(LINK_FLOATS) | st.floats(0.0, 1.0) | s
 
 
 @given(thermal_links, thermal_links, thermal_links)
-# Rounding leaves each of these compound noises at -5.55e-17, which compose_tl clamps to 0.
+# Rounding leaves each of these compound noises at -5.55e-17, which is clamped to 0.
 @example((0.1859062658947177, 1e-300), (0.8599465287952899, 0.0), (0.7431466604224978, 5e-324))
 @example((0.9144446394025773, 1e-300), (0.5343300438262426, 0.0), (0.06532276962299033, 0.0))
 @example((0.17757811046169503, 5e-324), (0.5008996195572266, 5e-324), (0.930107881773361, 0.0))
@@ -351,9 +344,25 @@ thermal_links = st.tuples(st.sampled_from(LINK_FLOATS) | st.floats(0.0, 1.0) | s
 @example((0.5, 0.01), (0.5, 0.01), (-0.0, 0.01))
 @example((5e-324, 0.01), (5e-324, 0.0), (5e-324, 0.0))  # the product underflows to 0
 @settings(max_examples=3000, deadline=None)
-def test_closed_form_tl_compound_is_compose_tl(send, edge, recv):
+def test_closed_form_tl_compound_is_compose_tl(reference_compound, send, edge, recv):
     got = _outcome(compound, FAMILY_TL, send, edge, recv)
-    assert got == _outcome(_reference_compound_tl, send, edge, recv)
+    assert got == _outcome(reference_compound, FAMILY_TL, send, edge, recv)
+
+
+# Both ends of the domain, an ulp past each, negative zero, subnormal, NaN and infinity.
+SURVIVAL_FLOATS = [0.0, -0.0, 5e-324, 1e-300, 0.5, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0),
+                   -5e-324, math.nan, math.inf, -math.inf]
+survivals = st.sampled_from(SURVIVAL_FLOATS) | st.floats(0.0, 1.0) | st.floats()
+
+
+@given(survivals, survivals, survivals)
+@example(0.5, math.nan, 1.2)  # the first bad value is named
+@example(-0.0, 0.5, 1.0)
+@example(5e-324, 5e-324, 1.0)  # the product underflows to 0
+@settings(max_examples=3000, deadline=None)
+def test_closed_form_ad_compound_is_compose_ad(reference_compound, send, edge, recv):
+    got = _outcome(compound, FAMILY_AD, send, edge, recv)
+    assert got == _outcome(reference_compound, FAMILY_AD, send, edge, recv)
 
 
 thermal_devices = st.tuples(st.sampled_from([1.0, 1e-200, 0.5]) | st.floats(1e-6, 1.0),
@@ -366,8 +375,9 @@ thermal_devices = st.tuples(st.sampled_from([1.0, 1e-200, 0.5]) | st.floats(1e-6
 @example((1e-200, 0.0), (0.5, 0.01), (1e-200, 0.0))
 @example((1.0, 0.0), (0.1, 0.5), (1.0, 0.0))
 @settings(max_examples=1000, deadline=None)
-def test_tl_direction_bounds_match_the_per_side_reference(send, edge, recv):
-    assert _bits(direction_bounds, FAMILY_TL, send, edge, recv) == _bits(_reference_tl_direction, send, edge, recv)
+def test_tl_direction_bounds_match_the_per_side_reference(reference_compound, send, edge, recv):
+    assert _bits(direction_bounds, FAMILY_TL, send, edge, recv) == \
+        _bits(_reference_tl_direction, reference_compound, send, edge, recv)
 
 def test_plob_values():
     assert plob_pure_loss(0.5) == 1.0
@@ -441,15 +451,19 @@ DOMAIN_CHECKS = {
     "ThermalLoss.nbar": (lambda x: ThermalLoss(0.5, x), "thermal photon number must be >= 0, got {}", True),
     "FibreParams.length_km": (FibreParams, "fibre length must be >= 0 km, got {}", True),
     "FibreParams.nbar_B": (lambda x: FibreParams(1.0, nbar_B=x), "background photons must be >= 0, got {}", True),
-    "compose_tl.tau": (lambda x: compose_tl([(0.5, 0.0), (x, 0.0)]), "transmissivity must lie in (0, 1], got {}",
-                       False),
-    "compose_tl.nbar": (lambda x: compose_tl([(0.5, 0.0), (0.5, x)]), "thermal photon number must be >= 0, got {}",
-                        True),
+    # The send tau varies: an edge tau of -0.0 takes the dark-edge shortcut. These two
+    # entries keep the names of the checks of the n-ary reduction that compound replaced.
+    "compose_tl.tau": (lambda x: compound(FAMILY_TL, (x, 0.0), (0.5, 0.0), (1.0, 0.0)),
+                       "transmissivity must lie in (0, 1], got {}", False),
+    "compose_tl.nbar": (lambda x: compound(FAMILY_TL, (0.5, 0.0), (0.5, 0.0), (0.5, x)),
+                        "thermal photon number must be >= 0, got {}", True),
     "h2": (h2, "probability must lie in [0, 1], got {}", True),
     "bosonic_h": (bosonic_h, "mean photon number must be >= 0, got {}", True),
     "tl_bounds.nbar_tot": (lambda x: tl_bounds(0.5, x), "thermal photon number must be >= 0, got {}", True),
     "compound.nbar": (lambda x: compound(FAMILY_TL, (0.5, 0.0), (0.5, x), (1.0, 0.0)),
                       "thermal photon number must be >= 0, got {}", True),
+    "compound.eta": (lambda x: compound(FAMILY_AD, 0.5, x, 1.0), "survival probability must lie in [0, 1], got {}",
+                     True),
     "WrnSpec.radius": (lambda x: WrnSpec("manhattan8", x, 10.0, "tl"), "radius must be an integer, got {}", False),
     "ad_rci": (ad_rci, "survival probability must lie in [0, 1], got {}", True),
     "ad_squashed": (ad_squashed, "survival probability must lie in [0, 1], got {}", True),

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from qnetcap.bounds import compound, family_native
 from qnetcap.channels import (
+    FAMILY_AD,
+    FAMILY_TL,
     AmplitudeDamping,
     FibreParams,
     Identity,
@@ -15,11 +17,9 @@ from qnetcap.channels import (
     as_thermal,
     channel_from_json,
     channel_to_json,
-    compose_ad,
-    compose_tl,
     fibre_transmissivity,
 )
-from qnetcap.errors import DomainError, EmptyCompoundError, FamilyError
+from qnetcap.errors import DomainError, FamilyError
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 taus = st.floats(min_value=1e-6, max_value=1.0, allow_nan=False)
@@ -67,65 +67,63 @@ def test_fibre_loss_rate_must_be_finite_and_positive(gamma):
         FibreParams(0.0, gamma=gamma)
 
 
+IDEAL_TL = (1.0, 0.0)
+
+
 def test_compose_ad_examples():
     # Survival probabilities eta = 1 - p of the damping chains p = [0.2],
-    # [0.1, 0.2], [0.5, 1.0] and [0, 0, 0].
-    assert compose_ad([0.8]) == pytest.approx(0.8, rel=1e-15)
-    assert compose_ad([0.9, 0.8]) == pytest.approx(0.72, rel=1e-15)
-    assert compose_ad([0.5, 0.0]) == 0.0
-    assert compose_ad([1.0, 1.0, 1.0]) == 1.0
-
-
-def test_compose_ad_empty():
-    with pytest.raises(EmptyCompoundError):
-        compose_ad([])
+    # [0.1, 0.2], [0.5, 1.0] and [0, 0, 0], ideal devices filling the rest.
+    assert compound(FAMILY_AD, 1.0, 0.8, 1.0) == pytest.approx(0.8, rel=1e-15)
+    assert compound(FAMILY_AD, 0.9, 0.8, 1.0) == pytest.approx(0.72, rel=1e-15)
+    assert compound(FAMILY_AD, 0.5, 0.0, 1.0) == 0.0
+    assert compound(FAMILY_AD, 1.0, 1.0, 1.0) == 1.0
 
 
 def test_compose_ad_domain():
     with pytest.raises(DomainError):
-        compose_ad([0.5, 1.2])
+        compound(FAMILY_AD, 0.5, 1.2, 1.0)
     with pytest.raises(DomainError):
-        compose_ad([-0.1])
+        compound(FAMILY_AD, -0.1, 1.0, 1.0)
 
 
-@given(st.lists(probs, min_size=1, max_size=6))
+@given(st.lists(probs, min_size=3, max_size=3))
 @settings(max_examples=300)
 def test_compose_ad_range_and_order(etas):
-    eta = compose_ad(etas)
+    eta = compound(FAMILY_AD, *etas)
     assert 0.0 <= eta <= 1.0
-    assert compose_ad(list(reversed(etas))) == pytest.approx(eta, abs=1e-15)
+    assert compound(FAMILY_AD, *reversed(etas)) == pytest.approx(eta, abs=1e-15)
     assert eta <= min(etas) + 1e-15
 
 
-@given(st.lists(probs, min_size=1, max_size=4), probs)
+@given(probs, probs, probs)
 @settings(max_examples=200)
-def test_compose_ad_monotone(etas, extra):
-    assert compose_ad(etas + [extra]) <= compose_ad(etas) + 1e-15
+def test_compose_ad_monotone(send, edge, extra):
+    # A lossy receiver in place of an ideal one loses survival probability.
+    assert compound(FAMILY_AD, send, edge, extra) <= compound(FAMILY_AD, send, edge, 1.0) + 1e-15
 
 
 def test_compose_tl_examples():
-    assert compose_tl([(0.5, 0.1)]) == (0.5, pytest.approx(0.1, abs=1e-15))
-    assert compose_tl([(0.5, 0.0), (0.4, 0.0)]) == (pytest.approx(0.2), 0.0)
-    tau, nbar = compose_tl([(0.8, 0.1), (0.5, 0.2)])
+    assert compound(FAMILY_TL, IDEAL_TL, (0.5, 0.1), IDEAL_TL) == (0.5, pytest.approx(0.1, abs=1e-15))
+    assert compound(FAMILY_TL, (0.5, 0.0), (0.4, 0.0), IDEAL_TL) == (pytest.approx(0.2), 0.0)
+    tau, nbar = compound(FAMILY_TL, (0.8, 0.1), (0.5, 0.2), IDEAL_TL)
     assert tau == pytest.approx(0.4, rel=1e-15)
     assert nbar == pytest.approx(0.2 + 0.5 * 0.1, rel=1e-12)
 
 
-def test_compose_tl_empty_and_domain():
-    with pytest.raises(EmptyCompoundError):
-        compose_tl([])
+def test_compose_tl_domain():
+    # The send link goes out of domain: an edge of transmissivity 0 is a dark edge.
     with pytest.raises(DomainError):
-        compose_tl([(0.0, 0.1)])
+        compound(FAMILY_TL, (0.0, 0.1), (0.5, 0.0), IDEAL_TL)
     with pytest.raises(DomainError):
-        compose_tl([(1.1, 0.0)])
+        compound(FAMILY_TL, (1.1, 0.0), (0.5, 0.0), IDEAL_TL)
     with pytest.raises(DomainError):
-        compose_tl([(0.5, -0.2)])
+        compound(FAMILY_TL, (0.5, -0.2), (0.5, 0.0), IDEAL_TL)
 
 
-@given(st.lists(st.tuples(taus, nbars), min_size=1, max_size=6))
+@given(st.lists(st.tuples(taus, nbars), min_size=3, max_size=3))
 @settings(max_examples=300)
 def test_compose_tl_invariants(links):
-    tau_tot, nbar_tot = compose_tl(links)
+    tau_tot, nbar_tot = compound(FAMILY_TL, *links)
     assert 0.0 < tau_tot <= 1.0
     assert nbar_tot >= 0.0
     prod = 1.0
@@ -142,20 +140,20 @@ def test_compose_tl_invariants(links):
     assert nbar_tot == pytest.approx(expanded, abs=1e-12)
 
 
-@given(st.lists(st.tuples(taus, nbars), min_size=2, max_size=6))
+@given(st.tuples(taus, nbars), st.tuples(taus, nbars), st.tuples(taus, nbars))
 @settings(max_examples=200)
-def test_compose_tl_associative(links):
-    whole = compose_tl(links)
-    prefix = compose_tl(links[:2])
-    split = compose_tl([prefix] + links[2:])
+def test_compose_tl_associative(send, edge, recv):
+    # Merging the send device into the fibre first gives the same compound.
+    whole = compound(FAMILY_TL, send, edge, recv)
+    split = compound(FAMILY_TL, IDEAL_TL, compound(FAMILY_TL, send, edge, IDEAL_TL), recv)
     assert split[0] == pytest.approx(whole[0], rel=1e-12)
     assert split[1] == pytest.approx(whole[1], abs=1e-12)
 
 
-@given(st.lists(taus, min_size=1, max_size=6))
+@given(st.lists(taus, min_size=3, max_size=3))
 @settings(max_examples=200)
 def test_compose_tl_pure_loss_closure(ts):
-    tau_tot, nbar_tot = compose_tl([(t, 0.0) for t in ts])
+    tau_tot, nbar_tot = compound(FAMILY_TL, *[(t, 0.0) for t in ts])
     assert nbar_tot == 0.0
     prod = 1.0
     for t in ts:
@@ -185,9 +183,9 @@ def test_node_split_tl_examples():
 
 @given(taus, nbars, taus, nbars, taus, nbars)
 @settings(max_examples=1000)
-def test_node_split_tl_is_compose_tl(tau_s, n_s, eta, n_xy, tau_r, n_r):
+def test_node_split_tl_is_compose_tl(reference_compound, tau_s, n_s, eta, n_xy, tau_r, n_r):
     split = compound("tl", (tau_s, n_s), (eta, n_xy), (tau_r, n_r))
-    assert split == compose_tl([(tau_s, n_s), (eta, n_xy), (tau_r, n_r)])
+    assert split == reference_compound("tl", (tau_s, n_s), (eta, n_xy), (tau_r, n_r))
     eta_tot, nbar_tot = split
     assert eta_tot == pytest.approx(tau_r * tau_s * eta, rel=1e-12)
     assert nbar_tot == pytest.approx(n_r + tau_r * n_xy + eta * tau_r * n_s, abs=1e-12)
@@ -195,8 +193,8 @@ def test_node_split_tl_is_compose_tl(tau_s, n_s, eta, n_xy, tau_r, n_r):
 
 @given(probs, probs, probs)
 @settings(max_examples=300)
-def test_node_split_ad_matches_compose(eta_s, eta_xy, eta_r):
-    assert compound("ad", eta_s, eta_xy, eta_r) == compose_ad([eta_s, eta_xy, eta_r])
+def test_node_split_ad_matches_compose(reference_compound, eta_s, eta_xy, eta_r):
+    assert compound("ad", eta_s, eta_xy, eta_r) == reference_compound("ad", eta_s, eta_xy, eta_r)
 
 
 def test_fibre_channel():

@@ -29,7 +29,7 @@ from qnetcap.cli import (
     _sweep_points,
     main,
 )
-from qnetcap import cli, network, wrn
+from qnetcap import bounds, cli, network, selfcheck, wrn
 from qnetcap.qkd import QkdSetup
 from qnetcap.wrn import WrnSpec, generate
 
@@ -324,6 +324,21 @@ def test_threshold_unattainable_target(tmp_path, capsys):
                        "--target", "1e9", "--param", "edge-length")
     assert code == EXIT_NOT_ATTAINABLE
     assert json.loads(err)["error"] == "not-attainable"
+
+
+@pytest.mark.parametrize("command", ["threshold", "sweep"])
+def test_a_target_whose_per_edge_goal_underflows_is_refused(tmp_path, capsys, command):
+    # 5e-324 / delta rounds to 0, which the bound meets where it is 0: at the far end of the scan.
+    argv = {
+        "threshold": ["--spec", write_json(tmp_path / "wrn.json", MAN_SPEC),
+                      "--target", "5e-324", "--param", "edge-length"],
+        "sweep": ["--spec", write_json(tmp_path / "sweep.json", {
+            "variable": "targetCapacity", "start": 5e-324, "stop": 1e-2, "steps": 3, "scale": "log",
+            "wrn": MAN_SPEC})],
+    }[command]
+    code, out, err = run(capsys, command, *argv)
+    assert code == EXIT_INPUT and out == ""
+    assert json.loads(err) == {"error": "input", "message": "per-edge target 5e-324/32.0 underflows to 0"}
 
 
 def test_threshold_rejects_unknown_spec_key(tmp_path, capsys):
@@ -855,6 +870,33 @@ def test_selftest_passes(capsys):
     assert code == EXIT_OK
     assert "PASS" in out
     assert "FAIL" not in out
+
+
+def _off_by(family, rel):
+    """``bounds.compound`` with each number it returns for ``family`` off by a factor 1 + rel."""
+    def compound(fam, send, edge, recv):
+        reduced = bounds.compound(fam, send, edge, recv)
+        if fam != family:
+            return reduced
+        return reduced * (1.0 + rel) if fam == "ad" else tuple(x * (1.0 + rel) for x in reduced)
+    return compound
+
+
+def test_selftest_batteries_run_the_compound_that_ships(capsys, monkeypatch):
+    assert selfcheck.compound is bounds.compound
+    calls = []
+    monkeypatch.setattr(selfcheck, "compound", lambda *args: calls.append(args[0]) or bounds.compound(*args))
+    code, _, _ = run(capsys, "selftest", "--seed", "7", "--count", "10")
+    assert code == EXIT_OK
+    assert calls == ["ad"] * 10 + ["tl"] * 10
+
+
+@pytest.mark.parametrize("family,battery", [("ad", "ad-compound-vs-kraus"), ("tl", "tl-compound-vs-gaussian")])
+def test_selftest_fails_on_a_compound_off_by_one_part_in_a_billion(capsys, monkeypatch, family, battery):
+    monkeypatch.setattr(selfcheck, "compound", _off_by(family, 1e-9))
+    code, out, _ = run(capsys, "selftest", "--seed", "7", "--count", "50")
+    assert code == EXIT_NUMERIC
+    assert [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")] == [f"FAIL {battery}"]
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])

@@ -151,6 +151,17 @@ def _bounded(**columns):
     return BoundedGraph(**{**row, **columns})
 
 
+@pytest.mark.parametrize("users", [("a",), ("a", "b", "c"), "ab", ("a", 1), ["a", "b"]],
+                         ids=["one", "three", "string", "not-a-name", "list"])
+def test_graph_records_refuse_users_that_are_not_a_pair_of_names(users):
+    # Past construction, validate indexed users[1] and routing unpacked two.
+    with pytest.raises(DomainError, match="users must be a pair of node names"):
+        _bounded(users=users)
+    with pytest.raises(DomainError, match="users must be a pair of node names"):
+        _columns("ab", [IDENTITY] * 2, [IDENTITY] * 2, ["user"] * 2, [(0, 1, 0)], [FibreParams(1.0)], users=users)
+    _columns("ab", [IDENTITY] * 2, [IDENTITY] * 2, ["repeater"] * 2, [(0, 1, 0)], [FibreParams(1.0)], users=None)
+
+
 def test_bounded_graph_enforces_bound_order():
     with pytest.raises(DomainError, match="bounds out of order"):
         _bounded(lower=(1.0,), upper=(0.5,))

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from fractions import Fraction
@@ -14,8 +15,6 @@ from qnetcap.channels import (
     ThermalLoss,
     as_damping,
     as_thermal,
-    compose_ad,
-    compose_tl,
     fibre_transmissivity,
 )
 from qnetcap.cli import main
@@ -373,15 +372,6 @@ def test_sweeps_scan_once_per_spec(tmp_path, monkeypatch, variable, extra, scans
     assert len(calls) == scans(steps)
 
 
-def _reference_compound(fam, send, edge, recv):
-    """``bounds.compound`` as it was before its thermal closed form."""
-    if fam == "ad":
-        return compose_ad((send, edge, recv))
-    if edge[0] == 0.0:
-        return 0.0, 0.0
-    return compose_tl((send, edge, recv))
-
-
 def _reference_side_scan(fn, bracket):
     """``_scan`` as it was when each bound function had a scan of its own."""
     lo, hi = bracket
@@ -460,12 +450,13 @@ def _reference_side_solve(fn, target, scale, bracket, scan):
     return xi
 
 
-def _reference_thresholds(spec, cases, param, qkd_setup=None):
+def _reference_thresholds(reference_compound, spec, cases, param, qkd_setup=None):
     """``thresholds`` as it was when it scanned the lower and the upper bound
     function separately, each sample reducing its compound once per side, with
-    ``compound`` and the per-side bound selection as they were then."""
+    ``compound`` (the ``reference_compound`` fixture) and the per-side bound
+    selection as they were then."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(wrn, "compound", _reference_compound)
+        patch.setattr(wrn, "compound", reference_compound)
         at, bracket = wrn._compound_at(spec, param, qkd_setup)
         if spec.family == "ad":
             lower_fn, upper_fn = (lambda x: ad_rci(at(x))), (lambda x: ad_squashed(at(x)))
@@ -520,9 +511,9 @@ _THRESHOLD_CASES = [(t, name) for t in (1e-4, 1e-2, 0.3, 1e9) for name in ("delt
     pytest.param(tri_spec(recv=AmplitudeDamping(0.05)), "edgeLength", None, id="ad-templates-edgeLength"),
     pytest.param(tri_spec(edge_length_km=50.0), "internalLoss", None, id="ad-internalLoss"),
 ])
-def test_thresholds_match_the_two_scan_reference(spec, param, qkd):
+def test_thresholds_match_the_two_scan_reference(reference_compound, spec, param, qkd):
     assert _threshold_bits(thresholds, spec, _THRESHOLD_CASES, param, qkd) == \
-        _threshold_bits(_reference_thresholds, spec, _THRESHOLD_CASES, param, qkd)
+        _threshold_bits(_reference_thresholds, reference_compound, spec, _THRESHOLD_CASES, param, qkd)
 
 
 @settings(max_examples=60, deadline=None)
@@ -536,7 +527,7 @@ def test_thresholds_match_the_two_scan_reference(spec, param, qkd):
     target=st.floats(1e-5, 10.0),
 )
 def test_thresholds_match_the_two_scan_reference_on_drawn_specs(
-        family, length, gamma, nbar_b, device, device_noise, target):
+        reference_compound, family, length, gamma, nbar_b, device, device_noise, target):
     template = AmplitudeDamping(1.0 - device) if family == "ad" else ThermalLoss(device, device_noise)
     spec = WrnSpec(CELL_TRIANGULAR if family == "ad" else CELL_MANHATTAN, 2, length, family,
                    recv=template, gamma=gamma, nbar_B=nbar_b)
@@ -544,7 +535,7 @@ def test_thresholds_match_the_two_scan_reference_on_drawn_specs(
     cases = [(target, "delta"), (target, "omega")]
     for param in params:
         assert _threshold_bits(thresholds, spec, cases, param) == \
-            _threshold_bits(_reference_thresholds, spec, cases, param)
+            _threshold_bits(_reference_thresholds, reference_compound, spec, cases, param)
 
 
 # The solver-sweep benchmark's thermal edge-length sweep.
@@ -571,12 +562,12 @@ def _sweep_compounds(tmp_path, monkeypatch, spec):
     return len(counted)
 
 
-def test_one_scan_cuts_the_compound_count_of_a_sweep(tmp_path, monkeypatch):
+def test_one_scan_cuts_the_compound_count_of_a_sweep(tmp_path, monkeypatch, reference_compound):
     # A scan sample reduces its compound once for both sides, and each side's
     # solve starts from the scan's end values, where each side had a scan of
     # its own and evaluated the bracket ends again.
     assert _sweep_compounds(tmp_path, monkeypatch, _EDGE_LENGTH_TL_SWEEP) == 6082
-    monkeypatch.setattr(wrn, "thresholds", _reference_thresholds)
+    monkeypatch.setattr(wrn, "thresholds", functools.partial(_reference_thresholds, reference_compound))
     assert _sweep_compounds(tmp_path, monkeypatch, _EDGE_LENGTH_TL_SWEEP) == 8794
 
 
