@@ -157,17 +157,25 @@ def channel_to_json(channel: ChannelSpec) -> dict:
     raise FamilyError(f"not a channel spec: {channel!r}")
 
 
+def _field(data: dict, key: str, default: float | None = None) -> float:
+    """``float`` of a channel field; a JSON boolean, which float() reads as 1 or 0, is refused."""
+    value = data[key] if default is None else data.get(key, default)
+    if value is True or value is False:
+        raise DomainError(f"channel field {key!r} must be a number, got {value}")
+    return float(value)
+
+
 def channel_from_json(data: dict) -> ChannelSpec:
     if not isinstance(data, dict) or "kind" not in data:
         raise DomainError(f"channel object needs a 'kind' tag, got {data!r}")
     kind = data["kind"]
     try:
         if kind == "ad":
-            return AmplitudeDamping(float(data["p"]))
+            return AmplitudeDamping(_field(data, "p"))
         if kind == "tl":
-            return ThermalLoss(float(data["tau"]), float(data.get("nbar", 0.0)))
+            return ThermalLoss(_field(data, "tau"), _field(data, "nbar", 0.0))
         if kind == "pl":  # pure loss: thermal loss with no added photons
-            return ThermalLoss(float(data["eta"]))
+            return ThermalLoss(_field(data, "eta"))
         if kind == "id":
             return IDENTITY
     except KeyError as exc:

@@ -105,7 +105,10 @@ def _error(kind: str, message: str, **extra) -> None:
 
 
 def _number(key: str, value, kind=float):
-    """``kind(value)``, or an input error that names the spec key; an int refuses a fraction."""
+    """``kind(value)``, or an input error that names the spec key; an int refuses a fraction,
+    and neither takes a JSON boolean."""
+    if value is True or value is False:
+        raise DomainError(f"{key} is not a valid {kind.__name__}: {value!r}")
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -177,15 +180,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    data = _read_json(getattr(args, "in"))
-    _, violations = network.load_network(data)
+    _, violations = network.load_network(_read_json(getattr(args, "in")))
     _emit_json({"violations": violations}, args.out)
     return EXIT_OK if not violations else EXIT_VALIDATION
 
 
 def cmd_analyze(args) -> int:
-    data = _read_json(getattr(args, "in"))
-    graph, violations = network.load_network(data)
+    graph, violations = network.load_network(_read_json(getattr(args, "in")))
     if violations or graph is None:
         _error("validation", "network failed validation", violations=violations)
         return EXIT_VALIDATION

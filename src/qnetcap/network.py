@@ -308,11 +308,22 @@ def load_network(data) -> tuple[NetworkGraph | None, list[str]]:
 
     Returns (graph, violations); the graph is None only when the input is too
     malformed to build one at all. A node or edge with a violation of its own
-    is left out of the graph.
+    is left out of the graph. ``data`` is not changed, and no reference to it
+    is held past building the graph's columns, so a document that only the
+    call holds is freed before validation.
     """
-    violations: list[str] = []
     if not isinstance(data, dict):
         return None, ["network: top-level object required"]
+    violations: list[str] = []
+    graph = _graph_columns(data, violations)
+    del data
+    violations.extend(validate(graph))
+    # Deduplicate while keeping first-seen order.
+    return graph, list(dict.fromkeys(violations))
+
+
+def _graph_columns(data: dict, violations: list[str]) -> NetworkGraph:
+    """The graph of a network JSON object; appends the violations of its nodes, edges and users."""
     number: dict[str, int] = {}
     recvs, sends, roles = [], [], []
     raw_nodes = data.get("nodes")
@@ -364,8 +375,12 @@ def load_network(data) -> tuple[NetworkGraph | None, list[str]]:
                 if not isinstance(fibre, dict) or "length_km" not in fibre:
                     violations.append(f"edge {end_a}-{end_b}: fibre needs a 'length_km'")
                     continue
-                key = (FibreParams, float(fibre["length_km"]), float(fibre.get("gamma", 0.02)),
-                       float(fibre.get("nbar_B", 0.002)))
+                length, gamma, nbar_b = fibre["length_km"], fibre.get("gamma", 0.02), fibre.get("nbar_B", 0.002)
+                # By identity: True == 1.0 with the same hash, so float() and the class memo would take it.
+                if (length is True or length is False or gamma is True or gamma is False
+                        or nbar_b is True or nbar_b is False):
+                    raise DomainError(f"fibre fields must be numbers, got {fibre!r}")
+                key = (FibreParams, float(length), float(gamma), float(nbar_b))
             c = class_of.get(key)
             if c is None:
                 classes.append(key if has_channel else FibreParams(*key[1:]))
@@ -387,8 +402,5 @@ def load_network(data) -> tuple[NetworkGraph | None, list[str]]:
     fam = data.get("family")
     if fam is not None:
         fam = str(fam)
-    graph = NetworkGraph(tuple(number), tuple(recvs), tuple(sends), tuple(roles), tuple(a), tuple(b),
-                         tuple(cls), tuple(classes), users=users, family=fam)
-    violations.extend(validate(graph))
-    # Deduplicate while keeping first-seen order.
-    return graph, list(dict.fromkeys(violations))
+    return NetworkGraph(tuple(number), tuple(recvs), tuple(sends), tuple(roles), tuple(a), tuple(b),
+                        tuple(cls), tuple(classes), users=users, family=fam)

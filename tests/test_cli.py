@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +291,28 @@ def test_analyze_starts_no_collection(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "report.json").read_text())["report"]
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="a call takes over its argument's reference from CPython 3.11")
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_validate_and_analyze_peak_at_the_parsed_document(tmp_path, command):
+    # Once the graph is built the document is freed, so validation, bounding
+    # and routing reuse its memory: the call's peak is reading the file.
+    net = tmp_path / "net.json"
+    assert main(["generate", "--cell", "manhattan8", "--radius", "10", "--d", "10", "--out", str(net)]) == EXIT_OK
+    argv = [command, "--in", str(net), "--out", str(tmp_path / "out.json")]
+    assert main(argv) == EXIT_OK  # imports the modules and fills the caches untraced
+    tracemalloc.start()
+    try:
+        cli._read_json(str(net))
+        parse_peak = tracemalloc.get_traced_memory()[1]  # the file text and its parsed document
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == EXIT_OK
+        call_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert call_peak <= 1.05 * parse_peak
+
+
 def test_threshold_edge_length_structure(tmp_path, capsys):
     spec = write_json(tmp_path / "wrn.json", MAN_SPEC)
     code, out, _ = run(capsys, "threshold", "--spec", spec,
@@ -422,6 +445,60 @@ def test_malformed_qkd_setup_is_input_error(tmp_path, capsys, command, field, va
     error = json.loads(err)
     assert error["error"] == "input"
     assert field in error["message"]
+
+
+# A JSON boolean is not a number, though float() and int() read it as 1 or 0.
+BOOLEAN_SPEC_VALUES = [
+    ("threshold", "radius", {"radius": True}, {}),
+    ("threshold", "edge_length_km", {"edge_length_km": True}, {}),
+    ("threshold", "gamma", {"gamma": False}, {}),
+    ("threshold", "nbar_B", {"nbar_B": True}, {}),
+    ("threshold", "'tau'", {"recv": {"kind": "tl", "tau": True}}, {}),
+    ("threshold", "'nbar'", {"send": {"kind": "tl", "tau": 0.9, "nbar": False}}, {}),
+    ("threshold", "qkd_setup.nu_det", {"qkd_setup": {"nu_det": True}}, {}),
+    ("sweep", "'p'", {"recv": {"kind": "ad", "p": False}}, {}),
+    ("sweep", "start", {}, {"variable": "targetCapacity", "scale": "log", "start": False, "stop": 0.1}),
+    ("sweep", "stop", {}, {"stop": True}),
+    ("sweep", "target", {}, {"target": True}),
+]
+
+
+@pytest.mark.parametrize("command,key,lattice,sweep", [
+    pytest.param(*case, id=f"{case[0]}-{json.dumps({**case[2], **case[3]})}") for case in BOOLEAN_SPEC_VALUES])
+def test_boolean_spec_value_is_input_error(tmp_path, capsys, command, key, lattice, sweep):
+    if command == "threshold":
+        spec = write_json(tmp_path / "wrn.json", {**MAN_SPEC, **lattice})
+        argv = ["threshold", "--spec", spec, "--target", "1e-2", "--param", "edge-length"]
+    else:
+        spec = write_json(tmp_path / "sweep.json", {**EDGE_SWEEP, "wrn": {**TRI_SPEC, **lattice}, **sweep})
+        argv = ["sweep", "--spec", spec]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_INPUT, "")
+    error = json.loads(err)
+    assert error["error"] == "input"
+    assert key in error["message"]
+    assert "True" in error["message"] or "False" in error["message"]  # refused as a boolean, not as 1 or 0
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+@pytest.mark.parametrize("where,violation", [
+    ("length_km", "edge a-b: fibre fields must be numbers, got {'length_km': True}"),
+    ("tau", "node 'b': channel field 'tau' must be a number, got True"),
+])
+def test_boolean_network_value_is_a_violation(tmp_path, capsys, command, where, violation):
+    doc = {"family": "tl",
+           "nodes": [{"id": "a", "role": "user"}, {"id": "b", "recv": {"kind": "tl", "tau": 1.0}},
+                     {"id": "c", "role": "user"}],
+           "edges": [{"a": "a", "b": "b", "fibre": {"length_km": 1.0}},
+                     {"a": "b", "b": "c", "fibre": {"length_km": 7.0}}],
+           "users": ["a", "c"]}
+    if where == "length_km":
+        doc["edges"].insert(0, {"a": "a", "b": "b", "fibre": {"length_km": True}})
+    else:
+        doc["nodes"][1]["recv"]["tau"] = True
+    code, out, err = run(capsys, command, "--in", write_json(tmp_path / "net.json", doc))
+    assert code == EXIT_VALIDATION
+    assert json.loads(out if command == "validate" else err)["violations"][0] == violation
 
 
 def test_numeric_strings_in_spec_still_parse(tmp_path, capsys):

@@ -4,6 +4,10 @@ Each case runs ``cli.main`` in-process with ``--out`` and compares the written
 file byte for byte, the exit code and the stderr text against ``tests/golden/``.
 Failing cases (exit 2 or 4) write no file; their exit code and their stderr
 JSON line are pinned, and every other case must write nothing to stderr.
+The usage cases pin what argparse prints for ``--help`` and for usage errors,
+with stdout, stderr and the exit code in ``usage.json``, at 80 columns. That
+text is argparse's: CPython 3.10 to 3.12 print it alike, and 3.13 wraps the
+``threshold`` usage lines differently.
 
 To re-record after an intended output change:
 
@@ -15,8 +19,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -27,6 +33,7 @@ from qnetcap.wrn import WrnSpec, generate
 GOLDEN = Path(__file__).parent / "golden"
 EXIT_CODES = GOLDEN / "exit_codes.json"
 STDERR = GOLDEN / "stderr.json"
+USAGE = GOLDEN / "usage.json"
 
 MAN = {"cell": "manhattan8", "radius": 2, "edge_length_km": 10.0}
 TRI = {"cell": "triangular6", "radius": 2, "edge_length_km": 10.0}
@@ -123,6 +130,36 @@ CASES = {
 }
 
 
+COMMANDS = ("generate", "validate", "analyze", "threshold", "sweep", "selftest")
+
+# name -> arguments; argparse answers each before any file is read.
+USAGE_CASES = {
+    "help": ("--help",),
+    **{f"help-{command}": (command, "--help") for command in COMMANDS},
+    "usage-no-command": (),
+    "usage-generate-no-cell": ("generate", "--radius", "2", "--d", "10"),
+    "usage-validate-no-in": ("validate",),
+    "usage-analyze-no-in": ("analyze", "--out", "report.json"),
+    "usage-threshold-no-spec": ("threshold", "--target", "1e-2", "--param", "edge-length"),
+    "usage-sweep-no-spec": ("sweep",),
+    "usage-selftest-count-without-value": ("selftest", "--count"),
+    "usage-threshold-bad-param": ("threshold", "--spec", "wrn.json", "--target", "1e-2", "--param", "edge"),
+    "usage-threshold-bad-target": ("threshold", "--spec", "wrn.json", "--target", "x", "--param", "edge-length"),
+}
+
+
+def run_usage(name: str) -> dict:
+    """Exit code, stdout and stderr of one usage case, at a terminal width of 80."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        try:
+            code = main(list(USAGE_CASES[name]))
+        except SystemExit as exc:
+            code = exc.code
+    return {"exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+
+
 def run_case(name: str, workdir: Path) -> tuple[int, bytes | None, str]:
     """Exit code, output file bytes (None when no file was written) and stderr."""
     command, obj, extra = CASES[name]
@@ -150,6 +187,11 @@ def test_golden(name, tmp_path):
         assert data == golden.read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(USAGE_CASES))
+def test_usage(name):
+    assert run_usage(name) == json.loads(USAGE.read_text())[name]
+
+
 def record() -> None:
     import tempfile
 
@@ -168,6 +210,12 @@ def record() -> None:
                 target.write_bytes(data)
     EXIT_CODES.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
     STDERR.write_text(json.dumps(stderrs, indent=2, sort_keys=True) + "\n")
+    record_usage()
+
+
+def record_usage() -> None:
+    usage = {name: run_usage(name) for name in sorted(USAGE_CASES)}
+    USAGE.write_text(json.dumps(usage, indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

@@ -648,6 +648,38 @@ def test_load_network_fibre_memo_matches_per_edge_parse():
     assert graph.cls == (0, 0, 1, 0, 0, 0, 0, 2, 2, 0, 0, 0, 3)
 
 
+@pytest.mark.parametrize("field,value", [(field, value) for field in ("length_km", "gamma", "nbar_B")
+                                         for value in (True, False)])
+def test_load_network_refuses_a_boolean_fibre_field(field, value):
+    # The edge before it holds the float that the boolean equals, and hashes
+    # as: the boolean must not reach float() or the class memo.
+    same = {"length_km": 5.0, field: float(value)}
+    boolean = {"length_km": 5.0, field: value}
+    graph, violations = load_network(_doc(["a", "b", "c"], [_e("a", "b", fibre=same), _e("b", "c", fibre=boolean)],
+                                          users=("a", "c"), family="tl"))
+    assert violations[-1] == f"edge b-c: fibre fields must be numbers, got {boolean!r}"
+    assert (1, 2) not in zip(graph.a, graph.b)
+    assert all(type(x) is float for c in graph.classes for x in c)
+
+
+DOCUMENTS = {
+    "lattice": json.loads(network_to_json(generate(WrnSpec("triangular6", 3, 10.0, "ad")))),
+    "violations": _doc([{"id": "a", "role": "user"}, "b", "b", {"x": 1}],
+                       [_e("a", "a"), _e("a", "q"), _e("a", "b", fibre={"length_km": True}), 7,
+                        _e("b", "a", channel={"kind": "ad", "p": 0.2})], users=("a", "z"), family="tl"),
+}
+
+
+@pytest.mark.parametrize("name", DOCUMENTS)
+def test_load_network_leaves_its_argument_unchanged(name):
+    text = json.dumps(DOCUMENTS[name])
+    held = json.loads(text)
+    graph, violations = load_network(held)
+    assert json.dumps(held) == text
+    assert load_network(json.loads(text)) == (graph, violations)  # with no reference left outside the call
+    assert violations or name == "lattice"
+
+
 def test_load_network_rejects_garbage():
     _, violations = load_network([1, 2, 3])
     assert violations
