@@ -17,10 +17,11 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib
+import itertools
 import json
 import math
 import sys
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .channels import AmplitudeDamping, ThermalLoss, as_thermal, channel_from_json, fibre_transmissivity
 from .errors import DomainError, MonotonicityError, NotAttainableError, QnetcapError, ValidationError
@@ -73,10 +74,11 @@ _SWEEP_KEYS = {"variable", "start", "stop", "steps", "scale", "wrn", "target", "
 _SWEEP_VARIABLES = ("edgeLength", "internalLoss", "receiverNoise", "targetCapacity")
 
 
-def _read_json(path: str):
+def _read_json(path: str, parse: Callable = json.loads):
+    """``parse`` of the text of the file at ``path``; input errors name the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return parse(fh.read())
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -85,19 +87,20 @@ def _read_json(path: str):
         raise DomainError(f"{path} is nested too deeply to read: {exc}") from exc
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(chunks: Iterable[str], out_path: str | None) -> None:
+    """Write the text ``chunks`` to the file ``out_path``, or to stdout when it is None."""
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise DomainError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _emit_json(obj, out_path: str | None) -> None:
-    _emit(json.dumps(obj, indent=2) + "\n", out_path)
+    _emit((json.dumps(obj, indent=2), "\n"), out_path)
 
 
 def _error(kind: str, message: str, **extra) -> None:
@@ -175,18 +178,19 @@ def cmd_generate(args) -> int:
         if math.isinf(value):  # JSON has no infinity; the spec refuses nan and -inf
             raise DomainError(f"a network file holds finite numbers only, got {flag} {value}")
     graph = wrn.generate(spec)
-    _emit(network.network_to_json(graph) + "\n", args.out)
+    # Every value is encoded before the file is opened, and the text is written in pieces.
+    _emit(itertools.chain(network.network_json_chunks(graph), ("\n",)), args.out)
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
-    _, violations = network.load_network(_read_json(getattr(args, "in")))
+    _, violations = _read_json(getattr(args, "in"), network.read_network)
     _emit_json({"violations": violations}, args.out)
     return EXIT_OK if not violations else EXIT_VALIDATION
 
 
 def cmd_analyze(args) -> int:
-    graph, violations = network.load_network(_read_json(getattr(args, "in")))
+    graph, violations = _read_json(getattr(args, "in"), network.read_network)
     if violations or graph is None:
         _error("validation", "network failed validation", violations=violations)
         return EXIT_VALIDATION
@@ -388,7 +392,7 @@ def cmd_sweep(args) -> int:
     ]
     for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(("\n".join(lines), "\n"), args.out)
     return EXIT_OK
 
 

@@ -13,8 +13,10 @@ BoundedGraph lives in ``routing.py``; the per-edge reference that
 from __future__ import annotations
 
 import json
+import re
+from itertools import islice
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .bounds import BOUND_ORDER_TOL, BoundKind, direction_bounds, family_native, orient
 from .channels import (
@@ -279,11 +281,13 @@ def annotate_uniform(graph: NetworkGraph, value: float) -> BoundedGraph:
 
 
 def network_to_json(graph: NetworkGraph) -> str:
-    """The per-edge-object JSON form, as the one line ``json.dumps`` writes; ValueError on inf or nan.
+    """The per-edge-object JSON form, as the one line ``json.dumps`` writes; ValueError on inf or nan."""
+    return "".join(network_json_chunks(graph))
 
-    Each edge has its own channel or fibre object. The text is joined from the
-    columns, with each name and class encoded once.
-    """
+
+def network_json_chunks(graph: NetworkGraph) -> Iterator[str]:
+    """The text of ``network_to_json`` in pieces of up to 1024 records, joined from the columns;
+    every name, class and device is encoded, and any ValueError raised, before this returns."""
     dumps = json.JSONEncoder(allow_nan=False).encode  # json.dumps(obj, allow_nan=False)
     names = list(map(encode_basestring_ascii, graph.names))
     sources = [f'"fibre": {dumps(c._asdict())}' if isinstance(c, FibreParams)
@@ -292,15 +296,27 @@ def network_to_json(graph: NetworkGraph) -> str:
     def device(key: str, channel: ChannelSpec) -> str:
         return "" if isinstance(channel, Identity) else f', "{key}": {dumps(channel_to_json(channel))}'
 
-    nodes = [f'{{"id": {name}{device("recv", recv)}{device("send", send)}, "role": {encode_basestring_ascii(role)}}}'
-             for name, recv, send, role in zip(names, graph.recv, graph.send, graph.role)]
-    edges = [f'{{"a": {names[u]}, "b": {names[v]}, {sources[c]}}}' for u, v, c in zip(graph.a, graph.b, graph.cls)]
-    text = f'{{"nodes": [{", ".join(nodes)}], "edges": [{", ".join(edges)}]'
+    recvs = [device("recv", recv) for recv in graph.recv]
+    sends = [device("send", send) for send in graph.send]
+    tail = "]"
     if graph.users is not None:
-        text += f', "users": {dumps(list(graph.users))}'
+        tail += f', "users": {dumps(list(graph.users))}'
     if graph.family is not None:
-        text += f', "family": {dumps(graph.family)}'
-    return text + "}"
+        tail += f', "family": {dumps(graph.family)}'
+    nodes = (f'{{"id": {name}{recv}{send}, "role": {encode_basestring_ascii(role)}}}'
+             for name, recv, send, role in zip(names, recvs, sends, graph.role))
+    edges = (f'{{"a": {names[u]}, "b": {names[v]}, {sources[c]}}}' for u, v, c in zip(graph.a, graph.b, graph.cls))
+
+    def chunks() -> Iterator[str]:
+        for head, records in (('{"nodes": [', nodes), ('], "edges": [', edges)):
+            yield head
+            sep = ""
+            while piece := ", ".join(islice(records, 1024)):
+                yield sep + piece
+                sep = ", "
+        yield tail + "}"
+
+    return chunks()
 
 
 def load_network(data) -> tuple[NetworkGraph | None, list[str]]:
@@ -315,21 +331,91 @@ def load_network(data) -> tuple[NetworkGraph | None, list[str]]:
     if not isinstance(data, dict):
         return None, ["network: top-level object required"]
     violations: list[str] = []
-    graph = _graph_columns(data, violations)
-    del data
+    nodes, edges = data.get("nodes"), data.get("edges")
+    graph = _graph_columns(nodes if isinstance(nodes, list) else None,
+                           edges if isinstance(edges, list) else None, data, violations)
+    del data, nodes, edges
     violations.extend(validate(graph))
     # Deduplicate while keeping first-seen order.
     return graph, list(dict.fromkeys(violations))
 
 
-def _graph_columns(data: dict, violations: list[str]) -> NetworkGraph:
-    """The graph of a network JSON object; appends the violations of its nodes, edges and users."""
+def read_network(text: str) -> tuple[NetworkGraph | None, list[str]]:
+    """``load_network(json.loads(text))``, never holding the parsed document: the scanner of
+    ``json.loads`` decodes the records of a non-empty "nodes" array and then a non-empty "edges"
+    array one at a time, in an object with unique keys. Other text goes through ``json.loads``.
+    """
+    rest: dict = {}
+    violations: list[str] = []
+    records = _records(text, rest).__next__
+    # Text of another shape raises ValueError, TypeError (no punctuation where
+    # one is due) or RuntimeError: a RecursionError, or the StopIteration of a
+    # scan that finds no value, which leaves the generator as one (PEP 479).
+    try:
+        graph = _graph_columns(iter(records, _END), iter(records, _END), rest, violations)
+    except (ValueError, TypeError, RuntimeError):
+        return load_network(json.loads(text))
+    del text, records  # before validation
+    violations.extend(validate(graph))
+    return graph, list(dict.fromkeys(violations))
+
+
+# Ends the records of "nodes", and then those of "edges", in ``_records``.
+_END = object()
+# A JSON punctuation character and the whitespace around it.
+_PUNCT = re.compile(r"[ \t\n\r]*([][{}:,])[ \t\n\r]*")
+
+
+def _records(text: str, rest: dict) -> Iterator:
+    """Yield the records of the "nodes" array, _END, those of the "edges" array
+    and, once the text is read to its end, _END; the other members of the
+    object go into ``rest``. Raises if the text is not of that shape."""
+    scan, punct = json.JSONDecoder().scan_once, _PUNCT.match
+    if (m := punct(text))[1] != "{":
+        raise ValueError("not an object")
+    names = set()
+    while True:
+        name, i = scan(text, m.end())
+        if (m := punct(text, i))[1] != ":" or type(name) is not str or name in names or (
+                name == "edges" and "nodes" not in names):
+            raise ValueError("not a member with a new string key, or edges before nodes")
+        names.add(name)
+        if name in ("nodes", "edges"):
+            if (m := punct(text, m.end()))[1] != "[":
+                raise ValueError("not an array")
+            i = m.end()
+            while True:
+                record, i = scan(text, i)
+                yield record
+                if text.startswith(", {", i):  # the separator ``generate`` writes
+                    i += 2
+                elif (m := punct(text, i))[1] == ",":
+                    i = m.end()
+                else:
+                    break
+            if m[1] != "]":
+                raise ValueError("not an array")
+            if name == "nodes":
+                yield _END
+            i = m.end()
+        else:
+            rest[name], i = scan(text, m.end())
+        if (m := punct(text, i))[1] != ",":
+            break
+    if m[1] != "}" or m.end() != len(text) or "edges" not in names:
+        raise ValueError("not one object with an edges array")
+    yield _END
+
+
+def _graph_columns(raw_nodes: Iterable | None, raw_edges: Iterable | None, data,
+                   violations: list[str]) -> NetworkGraph:
+    """The graph of a network object's node and edge records (None if missing) and other members
+    ``data``; appends the violations of its nodes, edges and users."""
     number: dict[str, int] = {}
     recvs, sends, roles = [], [], []
-    raw_nodes = data.get("nodes")
-    if not isinstance(raw_nodes, list):
+    if raw_nodes is None:
         violations.append("nodes: required")
-        raw_nodes = []
+        raw_nodes = ()
     for i, raw in enumerate(raw_nodes):
         if not isinstance(raw, dict) or "id" not in raw:
             violations.append(f"node #{i}: object with an 'id' required")
@@ -354,10 +440,9 @@ def _graph_columns(data: dict, violations: list[str]) -> NetworkGraph:
     # nbar_B): FibreParams equality, without building one per edge. The key is
     # tagged, as a channel record is a tuple too.
     class_of: dict = {}
-    raw_edges = data.get("edges")
-    if not isinstance(raw_edges, list):
+    if raw_edges is None:
         violations.append("edges: required")
-        raw_edges = []
+        raw_edges = ()
     for i, raw in enumerate(raw_edges):
         if not isinstance(raw, dict) or "a" not in raw or "b" not in raw:
             violations.append(f"edge #{i}: object with endpoints 'a' and 'b' required")

@@ -153,13 +153,21 @@ _TRI_HALF_DIRS = ((1, 0), (0, 1), (-1, 1))
 _KING_HALF_DIRS = ((1, 0), (0, 1), (1, 1), (1, -1))
 
 
+# The largest radius ``generate`` builds: manhattan8 r=100 is 640,800 edges, and
+# ``generate`` peaks at 78 MiB and ``analyze`` at 198 MiB on it (README).
+MAX_GENERATE_RADIUS = 100
+
+
 def generate(spec: WrnSpec) -> NetworkGraph:
     """Build the lattice patch as a NetworkGraph whose edges share one fibre class.
 
     Node (x, y) is named ``n{x}_{y}``. End users are the two lattice nodes at
     offsets (-2, 0) and (2, 0) from the centre: four hops apart, non-adjacent,
     and at least two node rings away from the boundary for every allowed radius.
+    DomainError for a radius above ``MAX_GENERATE_RADIUS``.
     """
+    if spec.radius > MAX_GENERATE_RADIUS:
+        raise DomainError(f"generate builds a radius of at most {MAX_GENERATE_RADIUS}, got {spec.radius}")
     # Imported here: the threshold solver, the rest of this module, never
     # builds a graph, so ``threshold`` and ``sweep`` do not load ``network``.
     from .network import NetworkGraph

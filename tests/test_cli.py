@@ -5,6 +5,7 @@ import gc
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -166,6 +167,35 @@ def test_generate_rejects_small_radius(capsys):
     assert "radius" in json.loads(err)["message"]
 
 
+@contextlib.contextmanager
+def address_space_limited(extra_bytes):
+    """The process may map at most ``extra_bytes`` more while the block runs (Linux)."""
+    import resource
+
+    with open("/proc/self/status") as fh:
+        size = next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmSize:"))
+    saved = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, (size + extra_bytes, saved[1]))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, saved)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_generate_refuses_a_radius_above_the_cap(tmp_path, capsys):
+    # Without the cap this radius would build lists until memory ran out; the
+    # limit turns that into a MemoryError in this process.
+    net = tmp_path / "net.json"
+    with address_space_limited(256 * 2**20):
+        code, _, err = run(capsys, "generate", "--cell", "manhattan8", "--radius", "100000000",
+                           "--d", "1", "--out", str(net))
+    assert code == EXIT_INPUT
+    assert json.loads(err)["message"] == (
+        f"generate builds a radius of at most {wrn.MAX_GENERATE_RADIUS}, got 100000000")
+    assert not net.exists()
+
+
 def test_validate_reports_missing_users(tmp_path, capsys):
     net = write_json(tmp_path / "net.json", {
         "family": "ad",
@@ -311,6 +341,44 @@ def test_validate_and_analyze_peak_at_the_parsed_document(tmp_path, command):
     finally:
         tracemalloc.stop()
     assert call_peak <= 1.05 * parse_peak
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak of ``call()`` above what was held before it."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="a call takes over its argument's reference from CPython 3.11")
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_validate_and_analyze_never_hold_the_parsed_document(tmp_path, command):
+    # The records are decoded one at a time, so a call peaks well below the
+    # document that json.load builds (about equal to it before).
+    net = tmp_path / "net.json"
+    assert main(["generate", "--cell", "manhattan8", "--radius", "10", "--d", "10", "--out", str(net)]) == EXIT_OK
+    argv = [command, "--in", str(net), "--out", str(tmp_path / "out.json")]
+    assert main(argv) == EXIT_OK  # imports the modules and fills the caches untraced
+    parse_peak = traced_peak(lambda: cli._read_json(str(net)))
+    codes = []
+    call_peak = traced_peak(lambda: codes.append(main(argv)))
+    assert codes == [EXIT_OK]
+    assert call_peak <= 0.5 * parse_peak
+
+
+def test_generate_peaks_below_twice_its_file(tmp_path):
+    # The file is written in pieces, so the whole text never exists.
+    net = tmp_path / "net.json"
+    argv = ["generate", "--cell", "manhattan8", "--radius", "10", "--d", "10", "--out", str(net)]
+    assert main(argv) == EXIT_OK  # imports the modules untraced
+    codes = []
+    call_peak = traced_peak(lambda: codes.append(main(argv)))
+    assert codes == [EXIT_OK]
+    assert call_peak <= 2 * net.stat().st_size
 
 
 def test_threshold_edge_length_structure(tmp_path, capsys):
@@ -1138,3 +1206,26 @@ def test_every_subcommand_maps_arbitrary_json_to_an_exit_code(tmp_path, case):
     flag = "--in" if command in ("validate", "analyze") else "--spec"
     code = main([command, flag, str(path), *extra, "--out", str(tmp_path / "out")])
     assert code in (EXIT_OK, EXIT_INPUT, EXIT_VALIDATION, EXIT_NOT_ATTAINABLE, EXIT_NUMERIC)
+
+
+# Texts of the fuzz networks as other writers lay them out: indents, other
+# separators, the top-level keys in any order (edges first included), a key
+# given twice, and empty arrays.
+LAYOUTS = [{}, {"indent": 0}, {"indent": 2}, {"separators": (",", ":")}, {"separators": (" ,\n\t", " : ")}]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(spoiled(with_fibre_lengths(NETWORKS), NETWORK_PATHS, NETWORK_BAD), st.sampled_from(LAYOUTS),
+       st.sampled_from(["as is", "permuted", "duplicated", "empty nodes", "empty edges"]),
+       st.randoms(use_true_random=False))
+@example(NETWORKS[0], {}, "duplicated", random.Random(0))
+def test_read_network_reads_any_layout_as_json_loads_does(doc, layout, variant, rng):
+    if variant == "permuted":
+        doc = dict(rng.sample(list(doc.items()), len(doc)))
+    elif variant.startswith("empty"):
+        doc = {**doc, variant.split()[1]: []}
+    text = json.dumps(doc, **layout)
+    if variant == "duplicated":  # json.loads keeps the last value of a key
+        key = rng.choice(["nodes", "edges", "users", "family"])
+        text = f'{{"{key}": ["x"], {text[1:]}' if doc else f'{{"{key}": ["x"]}}'
+    assert network.read_network(text) == network.load_network(json.loads(text))

@@ -27,7 +27,7 @@ from unittest import mock
 import pytest
 
 from qnetcap.cli import main
-from qnetcap.network import network_to_json
+from qnetcap.network import load_network, network_to_json, read_network
 from qnetcap.wrn import WrnSpec, generate
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -69,13 +69,28 @@ def _ideal_edge() -> dict:
     }
 
 
+_NET = {
+    "family": "tl",
+    "nodes": [{"id": "a", "role": "user"}, {"id": "b"}, {"id": "c", "role": "user"}],
+    "edges": [{"a": "a", "b": "b", "fibre": {"length_km": 5.0}}, {"a": "b", "b": "c", "fibre": {"length_km": 7.0}}],
+    "users": ["a", "c"],
+}
+_NET_TEXT = json.dumps(_NET)
+
+
+def _net_bytes(old: str, new: str) -> bytes:
+    """``_NET_TEXT``, with ``old``, which it holds once, replaced by ``new``, as UTF-8."""
+    assert _NET_TEXT.count(old) == 1
+    return _NET_TEXT.replace(old, new).encode("utf-8")
+
+
 def _sweep(variable: str, wrn: dict, start: float, stop: float, **extra) -> dict:
     scale = "log" if variable == "targetCapacity" else "linear"
     return {"variable": variable, "start": start, "stop": stop, "steps": 8, "scale": scale,
             "wrn": wrn, **extra}
 
 
-# name -> (subcommand, input object or None for none, extra arguments)
+# name -> (subcommand, input object, or the input file's bytes, or None for none, extra arguments)
 CASES = {
     "generate-manhattan8-r2": ("generate", None, (
         "--cell", "manhattan8", "--radius", "2", "--d", "7.5", "--gamma", "0.03", "--nbar-b", "0.001")),
@@ -127,6 +142,18 @@ CASES = {
     "sweep-receiverNoise-tl-templates": (
         "sweep", _sweep("receiverNoise", MAN_T, 0.0, 0.05, target=1e-2), ()),
     "sweep-receiverNoise-ad": ("sweep", _sweep("receiverNoise", TRI, 0.0, 0.05, target=1e-2), ()),
+    "analyze-syntax-error-in-nodes": ("analyze", _net_bytes('{"id": "b"}', '{"id" "b"}'), ()),
+    "analyze-syntax-error-in-edges": ("analyze", _net_bytes('}}, {"a": "b"', '}} {"a": "b"'), ()),
+    "validate-trailing-data": ("validate", (_NET_TEXT + ' {"nodes": []}').encode("utf-8"), ()),
+    "analyze-utf8-bom": ("analyze", ("\ufeff" + _NET_TEXT).encode("utf-8"), ()),
+    "validate-truncated": ("validate", _NET_TEXT[:_NET_TEXT.index('"length_km": 7.0')].encode("utf-8"), ()),
+    "analyze-deeply-nested-edge": (
+        "analyze", _net_bytes('"fibre": {"length_km": 7.0}', '"channel": ' + "[" * 100_000 + "]" * 100_000), ()),
+    "validate-number-as-key": ("validate", _net_bytes('"users"', '7: 0, "users"'), ()),
+    "validate-nodes-closed-by-brace": (
+        "validate", _net_bytes('"role": "user"}], "edges"', '"role": "user"}}, "edges"'), ()),
+    "validate-edges-before-nodes": ("validate", {key: _NET[key] for key in ("family", "edges", "nodes", "users")}, ()),
+    "validate-duplicate-key": ("validate", _net_bytes('"users"', '"users": ["a", "b"], "users"'), ()),
 }
 
 
@@ -164,14 +191,16 @@ def run_case(name: str, workdir: Path) -> tuple[int, bytes | None, str]:
     """Exit code, output file bytes (None when no file was written) and stderr."""
     command, obj, extra = CASES[name]
     out = workdir / f"{name}.out"
+    src = workdir / f"{name}.json"
     if obj is not None:
-        src = workdir / f"{name}.json"
-        src.write_text(json.dumps(obj))
-        extra = ("--in" if command == "analyze" else "--spec", str(src), *extra)
+        src.write_bytes(obj if isinstance(obj, bytes) else json.dumps(obj).encode("utf-8"))
+        extra = ("--in" if command in ("analyze", "validate") else "--spec", str(src), *extra)
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr):
         code = main([command, *extra, "--out", str(out)])
-    return code, out.read_bytes() if out.exists() else None, stderr.getvalue()
+    # A message that names the input file names it without its directory.
+    stderr = stderr.getvalue().replace(json.dumps(str(src))[1:-1], src.name)
+    return code, out.read_bytes() if out.exists() else None, stderr
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -185,6 +214,28 @@ def test_golden(name, tmp_path):
         assert not golden.exists()
     else:
         assert data == golden.read_bytes()
+
+
+def outcome(read, text: str):
+    """``read(text)``, or the type and message of what it raised."""
+    try:
+        return read(text)
+    except (ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
+
+
+NETWORK_INPUTS = sorted(name for name, (command, obj, _) in CASES.items()
+                        if command in ("analyze", "validate") or (command == "generate" and obj is None))
+
+
+@pytest.mark.parametrize("name", NETWORK_INPUTS)
+def test_read_network_reads_the_golden_networks_as_json_loads_does(name):
+    command, obj, _ = CASES[name]
+    if command == "generate":
+        text = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    else:
+        text = obj.decode("utf-8") if isinstance(obj, bytes) else json.dumps(obj)
+    assert outcome(read_network, text) == outcome(lambda t: load_network(json.loads(t)), text)
 
 
 @pytest.mark.parametrize("name", sorted(USAGE_CASES))

@@ -29,6 +29,7 @@ from qnetcap.network import (
     apply_split,
     load_network,
     network_to_json,
+    read_network,
     resolved_family,
     validate,
 )
@@ -678,6 +679,69 @@ def test_load_network_leaves_its_argument_unchanged(name):
     assert json.dumps(held) == text
     assert load_network(json.loads(text)) == (graph, violations)  # with no reference left outside the call
     assert violations or name == "lattice"
+
+
+def _hetero(cell: str, radius: int, fam: str, seed: int) -> dict:
+    """A generated lattice with a distinct fibre per edge and a distinct device per node."""
+    rng = random.Random(seed)
+    doc = json.loads(network_to_json(generate(WrnSpec(cell, radius, 10.0, fam))))
+
+    def device():
+        if fam == "ad":
+            return {"kind": "ad", "p": rng.uniform(0.0, 0.2)}
+        return {"kind": "tl", "tau": rng.uniform(0.8, 1.0), "nbar": rng.uniform(0.0, 0.02)}
+
+    for node in doc["nodes"]:
+        node["recv"], node["send"] = device(), device()
+    for edge in doc["edges"]:
+        edge["fibre"] = {"length_km": rng.uniform(1.0, 40.0), "gamma": 0.02, "nbar_B": 0.002}
+    return doc
+
+
+def _chain(hops: int, seed: int) -> dict:
+    rng = random.Random(seed)
+    names = [f"c{i}" for i in range(hops + 1)]
+    return _doc(names, [_e(u, v, fibre={"length_km": rng.uniform(1.0, 20.0)}) for u, v in zip(names, names[1:])],
+                users=(names[0], names[-1]), family="tl")
+
+
+@pytest.mark.parametrize("build,args", [
+    (_hetero, ("manhattan8", 20, "tl", 3)), (_hetero, ("triangular6", 10, "ad", 4)),
+    (_hetero, ("manhattan8", 3, "tl", 5)), (_chain, (2000, 6)),
+], ids=["manhattan8-r20", "triangular6-r10", "manhattan8-r3", "chain2000"])
+def test_read_network_is_load_network_of_json_loads(build, args):
+    doc = build(*args)
+    text = json.dumps(doc)
+    graph, violations = read_network(text)
+    assert violations == []
+    assert (graph, violations) == load_network(json.loads(text))
+    assert read_network(json.dumps(doc, indent=2)) == (graph, violations)
+
+
+_NODES = '[{"id": "a", "role": "user"}, {"id": "b", "role": "user"}]'
+_EDGES = '[{"a": "a", "b": "b", "fibre": {"length_km": 5.0}}]'
+
+
+# Texts that are not JSON, each wrong in one place that the reader checks.
+@pytest.mark.parametrize("text", [
+    f', "nodes": {_NODES}, "edges": {_EDGES}}}',
+    f'{{"nodes" , {_NODES}, "edges": {_EDGES}}}',
+    f'{{"nodes": , {_NODES[1:]}, "edges": {_EDGES}}}',
+    f'{{"nodes": {_NODES}, "edges": {_EDGES}, 7: 0}}',
+    f'{{"nodes": {_NODES[:-1]}}}, "edges": {_EDGES}}}',
+    f'{{"nodes": {_NODES}, "edges": {_EDGES}}} {{}}',
+    f'{{"nodes": {_NODES}, "edges": {_EDGES}, }}',
+    f'{{"nodes": {_NODES}, "edges": {_EDGES}',
+    f'{{"nodes": {_NODES}, "edges": {_EDGES}]',
+    f'{{"nodes": {_NODES}: "edges": {_EDGES}}}',
+    f'{{"nodes": {_NODES.replace("}, {", "}: {")}, "edges": {_EDGES}}}',
+])
+def test_read_network_raises_what_json_loads_raises(text):
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(text)
+    with pytest.raises(json.JSONDecodeError) as raised:
+        read_network(text)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_load_network_rejects_garbage():
