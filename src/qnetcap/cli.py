@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import importlib
 import itertools
 import json
 import math
@@ -26,6 +25,8 @@ from typing import TYPE_CHECKING, Callable, Iterable
 from .channels import AmplitudeDamping, ThermalLoss, as_thermal, channel_from_json, fibre_transmissivity
 from .errors import DomainError, MonotonicityError, NotAttainableError, QnetcapError, ValidationError
 
+# Each function imports the package modules it calls, so a call loads only the
+# code it runs: bounding a network needs no solver, a threshold solve no graph.
 if TYPE_CHECKING:
     from . import network, qkd, routing, selfcheck, wrn
 
@@ -43,18 +44,6 @@ SWEEP_SCHEMA = "qnetcap-sweep/1"
 
 # Larger sweeps are refused: each point is one threshold solve.
 MAX_SWEEP_STEPS = 10_000
-
-# The package modules each subcommand runs on. ``main`` imports these for the
-# subcommand it runs and binds them in this module, so a call loads only the
-# code it uses: bounding a network needs no solver, a threshold solve no graph.
-_MODULES = {
-    "generate": ("network", "wrn"),
-    "validate": ("network",),
-    "analyze": ("network", "routing"),
-    "threshold": ("qkd", "wrn"),
-    "sweep": ("qkd", "wrn"),
-    "selftest": ("selfcheck",),
-}
 
 # Module-level tables spell the solver's parameter names (``wrn.PARAM_*``)
 # out, so that loading this module does not load ``wrn``.
@@ -81,10 +70,12 @@ def _read_json(path: str, parse: Callable = json.loads):
             return parse(fh.read())
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DomainError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise DomainError(f"{path} is nested too deeply to read: {exc}") from exc
+    except QnetcapError:
+        raise
+    except ValueError as exc:  # malformed JSON or UTF-8, or an integer literal too long for int()
+        raise DomainError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _emit(chunks: Iterable[str], out_path: str | None) -> None:
@@ -122,6 +113,7 @@ def _number(key: str, value, kind=float):
 
 
 def _parse_qkd_setup(data) -> qkd.QkdSetup:
+    from . import qkd
     if isinstance(data, str):
         return qkd.from_preset(data)
     if not isinstance(data, dict):
@@ -139,6 +131,7 @@ def _parse_qkd_setup(data) -> qkd.QkdSetup:
 
 
 def _parse_wrn_spec(data) -> tuple[wrn.WrnSpec, qkd.QkdSetup | None]:
+    from . import wrn
     if not isinstance(data, dict):
         raise DomainError("lattice spec must be a JSON object")
     unknown = sorted(set(data) - _WRN_KEYS)
@@ -165,6 +158,7 @@ def _parse_wrn_spec(data) -> tuple[wrn.WrnSpec, qkd.QkdSetup | None]:
 
 
 def cmd_generate(args) -> int:
+    from . import network, wrn
     family = args.family or DEFAULT_FAMILY[args.cell]
     spec = wrn.WrnSpec(
         cell_type=args.cell,
@@ -184,13 +178,15 @@ def cmd_generate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    _, violations = _read_json(getattr(args, "in"), network.read_network)
+    from . import network
+    _, violations = _read_json(getattr(args, "in"), network.load_network)
     _emit_json({"violations": violations}, args.out)
     return EXIT_OK if not violations else EXIT_VALIDATION
 
 
 def cmd_analyze(args) -> int:
-    graph, violations = _read_json(getattr(args, "in"), network.read_network)
+    from . import network, routing
+    graph, violations = _read_json(getattr(args, "in"), network.load_network)
     if violations or graph is None:
         _error("validation", "network failed validation", violations=violations)
         return EXIT_VALIDATION
@@ -206,6 +202,7 @@ def cmd_analyze(args) -> int:
 
 
 def _rho_cells(d_star: float, cell_type: str) -> float:
+    from . import wrn
     if math.isnan(d_star):
         return math.nan
     return wrn.min_nodal_density(d_star, cell_type).rho_min
@@ -220,6 +217,7 @@ def _rho_min_entry(bracket: tuple[float, float], cell_type: str) -> dict:
 
 
 def cmd_threshold(args) -> int:
+    from . import wrn
     spec, setup = _parse_wrn_spec(_read_json(args.spec))
     param = _PARAM_BY_FLAG[args.param]
     bulk, user = wrn.threshold_report(spec, args.target, param, qkd_setup=setup)
@@ -304,6 +302,7 @@ def _respec_noise(spec: wrn.WrnSpec, nbar_r: float) -> wrn.WrnSpec:
 
 def _qkd_columns(spec: wrn.WrnSpec, setup) -> tuple[list[str], Callable[[float], list[float]]]:
     """Headers and cells: receiver noise of both LO schemes, nan where too little light arrives."""
+    from . import qkd
     base = setup if setup is not None else qkd.from_preset("table1-heterodyne-llo")
     schemes = [qkd.with_scheme(base, scheme) for scheme in ("llo", "tlo")]
     for scheme in schemes:  # a setup that fails at full transmission fails at every length
@@ -330,6 +329,7 @@ _SWEEPS = {
 
 
 def _sweep_rows(data: dict, spec: wrn.WrnSpec, setup) -> tuple[list[str], list[list[float]]]:
+    from . import wrn
     variable = data["variable"]
     points = _sweep_points(data)
     if variable == "targetCapacity":
@@ -397,6 +397,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import selfcheck
     if args.count < 1:
         raise DomainError(f"--count must be at least 1, got {args.count}")
     failed = False
@@ -457,8 +458,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    for name in _MODULES[args.command]:
-        globals()[name] = importlib.import_module(f".{name}", __package__)
     # Safe: a subcommand's data is acyclic, so reference counting frees it, and a
     # call is short; any cyclic garbage is returned when the process exits.
     collecting = gc.isenabled()

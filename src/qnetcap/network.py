@@ -319,31 +319,16 @@ def network_json_chunks(graph: NetworkGraph) -> Iterator[str]:
     return chunks()
 
 
-def load_network(data) -> tuple[NetworkGraph | None, list[str]]:
-    """Parse a network JSON object, collecting violations instead of raising.
+def load_network(text: str) -> tuple[NetworkGraph | None, list[str]]:
+    """Read the text of a network JSON file, collecting violations instead of raising.
 
     Returns (graph, violations); the graph is None only when the input is too
     malformed to build one at all. A node or edge with a violation of its own
-    is left out of the graph. ``data`` is not changed, and no reference to it
-    is held past building the graph's columns, so a document that only the
-    call holds is freed before validation.
-    """
-    if not isinstance(data, dict):
-        return None, ["network: top-level object required"]
-    violations: list[str] = []
-    nodes, edges = data.get("nodes"), data.get("edges")
-    graph = _graph_columns(nodes if isinstance(nodes, list) else None,
-                           edges if isinstance(edges, list) else None, data, violations)
-    del data, nodes, edges
-    violations.extend(validate(graph))
-    # Deduplicate while keeping first-seen order.
-    return graph, list(dict.fromkeys(violations))
-
-
-def read_network(text: str) -> tuple[NetworkGraph | None, list[str]]:
-    """``load_network(json.loads(text))``, never holding the parsed document: the scanner of
-    ``json.loads`` decodes the records of a non-empty "nodes" array and then a non-empty "edges"
-    array one at a time, in an object with unique keys. Other text goes through ``json.loads``.
+    is left out of the graph. The scanner of ``json.loads`` decodes the records
+    of a non-empty "nodes" array and then a non-empty "edges" array one at a
+    time, in an object with unique keys, so the parsed document is never held.
+    Other text goes through ``_load_json``: malformed text raises what
+    ``json.loads`` raises.
     """
     rest: dict = {}
     violations: list[str] = []
@@ -354,8 +339,21 @@ def read_network(text: str) -> tuple[NetworkGraph | None, list[str]]:
     try:
         graph = _graph_columns(iter(records, _END), iter(records, _END), rest, violations)
     except (ValueError, TypeError, RuntimeError):
-        return load_network(json.loads(text))
+        return _load_json(text)
     del text, records  # before validation
+    violations.extend(validate(graph))
+    return graph, list(dict.fromkeys(violations))
+
+
+def _load_json(text: str) -> tuple[NetworkGraph | None, list[str]]:
+    """``load_network`` of any text, through the whole document ``json.loads`` parses."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        return None, ["network: top-level object required"]
+    violations: list[str] = []
+    nodes, edges = data.get("nodes"), data.get("edges")
+    graph = _graph_columns(nodes if isinstance(nodes, list) else None,
+                           edges if isinstance(edges, list) else None, data, violations)
     violations.extend(validate(graph))
     return graph, list(dict.fromkeys(violations))
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from . import qkd as qkd_mod
 from .bounds import ad_rci, ad_squashed, compound, tl_bounds
 from .channels import (
     FAMILY_AD,
@@ -41,6 +40,7 @@ from .channels import (
 from .errors import DomainError, FamilyError, MonotonicityError, NotAttainableError, checked
 
 if TYPE_CHECKING:
+    from . import qkd as qkd_mod
     from .network import NetworkGraph
 
 # Bisection tolerances: relative width in xi, relative residual in the bound.
@@ -392,9 +392,10 @@ def _compound_at(spec: WrnSpec, param: str, qkd_setup: qkd_mod.QkdSetup | None):
         eta_send, eta_recv = as_damping(spec.send), as_damping(spec.recv)
         return (lambda d: compound(FAMILY_AD, eta_send, eta(d), eta_recv)), BRACKET_START
     if qkd_setup is not None:
+        from .qkd import receiver_noise  # only a QKD solve loads the receiver models
         def qkd_compound(d: float):
             eta_d = eta(d)
-            recv = (qkd_setup.tau_eff, qkd_mod.receiver_noise(qkd_setup, eta_d))
+            recv = (qkd_setup.tau_eff, receiver_noise(qkd_setup, eta_d))
             return compound(FAMILY_TL, (1.0, 0.0), (eta_d, spec.nbar_B), recv)
 
         return qkd_compound, BRACKET_START

@@ -32,6 +32,7 @@ from qnetcap.cli import (
     main,
 )
 from qnetcap import bounds, cli, network, selfcheck, wrn
+from qnetcap.errors import DomainError
 from qnetcap.qkd import QkdSetup
 from qnetcap.wrn import WrnSpec, generate
 
@@ -142,7 +143,7 @@ def test_generate_writes_one_line_of_compact_json(tmp_path, capsys, cell, radius
     text = net.read_text(encoding="utf-8")
     assert text == json.dumps(reference_json(generate(spec)), allow_nan=False) + "\n"
     assert text.count("\n") == 1
-    graph, violations = network.load_network(json.loads(text))
+    graph, violations = network.load_network(text)
     assert violations == []
     assert graph == generate(spec)
 
@@ -243,7 +244,12 @@ def test_analyze_rejects_invalid_network(tmp_path, capsys):
 @pytest.mark.parametrize("content, message", [
     (b"[" * 100_000 + b"]" * 100_000, "is nested too deeply to read: "),
     (b'{"nodes": "\xff"}', "is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
-], ids=["nested-too-deeply", "not-utf-8"])
+    # json.loads refuses an integer literal of more than 4300 digits with a plain ValueError.
+    pytest.param(b'{"nodes": [{"id": 1' + b"0" * 5000 + b'}], "edge_length_km": 1' + b"0" * 5000 + b'}',
+                 "is not valid JSON: Exceeds the limit (4300 digits)",
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="this Python converts an int of any length")),
+], ids=["nested-too-deeply", "not-utf-8", "integer-too-long"])
 def test_unreadable_json_is_an_input_error(tmp_path, capsys, argv, content, message):
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
@@ -252,6 +258,29 @@ def test_unreadable_json_is_an_input_error(tmp_path, capsys, argv, content, mess
     error = json.loads(err)
     assert error["error"] == "input"
     assert error["message"].startswith(f"{bad} {message}")
+
+
+def test_read_json_passes_on_the_package_errors_of_its_parser(tmp_path):
+    path = write_json(tmp_path / "spec.json", {})
+
+    def parse(text):
+        raise DomainError("refused by the parser")
+
+    with pytest.raises(DomainError) as raised:
+        cli._read_json(path, parse)
+    assert str(raised.value) == "refused by the parser"
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_validate_and_analyze_read_through_load_network(tmp_path, monkeypatch, command):
+    # The one network reader, and the name that perfbench's traced run times it under.
+    net = tmp_path / "net.json"
+    net.write_text(network.network_to_json(generate(WrnSpec("manhattan8", 2, 10.0, "tl"))))
+    calls = []
+    load_network = network.load_network
+    monkeypatch.setattr(network, "load_network", lambda text: calls.append(text) or load_network(text))
+    assert main([command, "--in", str(net), "--out", str(tmp_path / "out.json")]) == EXIT_OK
+    assert calls == [net.read_text()]
 
 
 def _set_collector(on):
@@ -607,12 +636,30 @@ def test_cli_import_does_not_load_scipy(tmp_path):
 
 
 # The qnetcap modules that each subcommand loads: bounding a given network
-# needs no solver, a threshold solve builds no graph. No subcommand loads
-# dataclasses or inspect, which the records do without, nor fractions (with
-# its decimal and numbers), as omega is a pair of integers.
+# needs no solver, a threshold solve builds no graph, and only a QKD receiver
+# loads its models. No subcommand loads dataclasses or inspect, which the
+# records do without, nor fractions (with its decimal and numbers), as omega is
+# a pair of integers.
 GRAPH_MODULES = {"qnetcap.network", "qnetcap.bounds", "qnetcap.channels", "qnetcap.errors"}
-SOLVER_MODULES = {"qnetcap.wrn", "qnetcap.qkd", "qnetcap.bounds", "qnetcap.channels", "qnetcap.errors"}
+SOLVER_MODULES = {"qnetcap.wrn", "qnetcap.bounds", "qnetcap.channels", "qnetcap.errors"}
 PROBED_STDLIB = ("fractions", "decimal", "numbers", "dataclasses", "inspect")
+
+
+def _probe(code: str) -> str:
+    """What a fresh interpreter that imports the package from ``src`` prints running ``code``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True)
+    return proc.stdout
+
+
+def _modules_loaded_by(argv: list[str]) -> list[str]:
+    """The printed lines of a fresh ``main(argv)``, the last being the qnetcap and probed stdlib modules loaded."""
+    return _probe(
+        "import sys, qnetcap.cli; "
+        f"assert qnetcap.cli.main({argv!r}) == 0; "
+        f"print(sorted(m for m in sys.modules if m.startswith('qnetcap') or m in {PROBED_STDLIB!r}))"
+    ).splitlines()
 
 
 @pytest.mark.parametrize("command,loads", [
@@ -637,17 +684,26 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, command, loads):
         "selftest": ["--count", "2"],
     }[command]
     out = [] if command == "selftest" else ["--out", str(tmp_path / "out")]
-    probe = (
-        "import sys, qnetcap.cli; "
-        f"assert qnetcap.cli.main({[command, *argv, *out]!r}) == 0; "
-        f"print(sorted(m for m in sys.modules if m.startswith('qnetcap') or m in {PROBED_STDLIB!r}))"
-    )
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
-                          capture_output=True, text=True, check=True)
-    lines = proc.stdout.splitlines()  # selftest prints its batteries; an --out run prints nothing
+    lines = _modules_loaded_by([command, *argv, *out])  # selftest prints its batteries; an --out run prints nothing
     assert lines[-1] == repr(sorted(loads | {"qnetcap", "qnetcap.cli"}))
     assert command == "selftest" or len(lines) == 1
+
+
+@pytest.mark.parametrize("command,spec", [
+    ("threshold", {**MAN_SPEC, "qkd_setup": "table1-heterodyne-llo"}),
+    ("sweep", {"variable": "edgeLength", "start": 5.0, "stop": 10.0, "steps": 2, "target": 1e-2, "wrn": MAN_SPEC}),
+], ids=["threshold-qkd_setup", "sweep-edgeLength"])
+def test_a_qkd_receiver_loads_the_receiver_models(tmp_path, command, spec):
+    # A spec that names a QKD setup, and a thermal edgeLength sweep, whose nbar_r_* columns are QKD receivers.
+    extra = ["--target", "1e-2", "--param", "edge-length"] if command == "threshold" else []
+    lines = _modules_loaded_by([command, "--spec", write_json(tmp_path / "spec.json", spec), *extra,
+                                "--out", str(tmp_path / "out")])
+    assert lines == [repr(sorted(SOLVER_MODULES | {"qnetcap", "qnetcap.cli", "qnetcap.qkd"}))]
+
+
+def test_a_spec_helper_runs_before_main():
+    # Each function imports the package modules it calls, so no helper relies on main having run.
+    assert _probe(f"import qnetcap.cli as cli; print(cli._parse_wrn_spec({MAN_SPEC!r})[0].k)") == "8\n"
 
 
 def test_cli_tables_spell_the_solver_parameters():
@@ -1228,4 +1284,4 @@ def test_read_network_reads_any_layout_as_json_loads_does(doc, layout, variant, 
     if variant == "duplicated":  # json.loads keeps the last value of a key
         key = rng.choice(["nodes", "edges", "users", "family"])
         text = f'{{"{key}": ["x"], {text[1:]}' if doc else f'{{"{key}": ["x"]}}'
-    assert network.read_network(text) == network.load_network(json.loads(text))
+    assert network.load_network(text) == network._load_json(text)

@@ -27,7 +27,7 @@ from unittest import mock
 import pytest
 
 from qnetcap.cli import main
-from qnetcap.network import load_network, network_to_json, read_network
+from qnetcap.network import _load_json, load_network, network_to_json
 from qnetcap.wrn import WrnSpec, generate
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -235,7 +235,7 @@ def test_read_network_reads_the_golden_networks_as_json_loads_does(name):
         text = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
     else:
         text = obj.decode("utf-8") if isinstance(obj, bytes) else json.dumps(obj)
-    assert outcome(read_network, text) == outcome(lambda t: load_network(json.loads(t)), text)
+    assert outcome(load_network, text) == outcome(_load_json, text)
 
 
 @pytest.mark.parametrize("name", sorted(USAGE_CASES))

@@ -104,11 +104,11 @@ def test_max_flow_disconnected():
 
 def _network(node_ids, users):
     """Nodes ``node_ids`` and the chain a-m-b over ThermalLoss(0.5), loaded whatever its violations."""
-    graph, _ = load_network({
+    graph, _ = load_network(json.dumps({
         "nodes": [{"id": n} for n in node_ids],
         "edges": [{"a": a, "b": b, "channel": {"kind": "tl", "tau": 0.5}} for a, b in (("a", "m"), ("m", "b"))],
         "users": list(users),
-    })
+    }))
     return graph
 
 
@@ -307,7 +307,7 @@ def _hetero_lattice(seed):
         node["send"] = device()
     for edge in data["edges"]:
         edge["fibre"] = {"length_km": rng.uniform(5.0, 25.0)}
-    graph, violations = load_network(data)
+    graph, violations = load_network(json.dumps(data))
     assert violations == []
     return apply_split(graph)
 
