@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from qnetcap.bounds import NBAR_CLAMP_TOL
@@ -90,3 +95,23 @@ def _reference_compound(fam, send, edge, recv):
 @pytest.fixture(scope="session")
 def reference_compound():
     return _reference_compound
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _python(*args, env=None, **kwargs) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ``args`` that imports the package from ``src``. ``env`` sets
+    variables over this process's environment, a value of None removing one."""
+    environ = {**os.environ, "PYTHONPATH": str(SRC)}
+    for key, value in (env or {}).items():
+        if value is None:
+            environ.pop(key, None)
+        else:
+            environ[key] = value
+    return subprocess.run([sys.executable, *args], env=environ, **kwargs)
+
+
+@pytest.fixture(scope="session")
+def python():
+    return _python

@@ -1119,6 +1119,82 @@ def test_selftest_runs_without_numpy():
     assert proc.stdout.count("PASS") == 4
 
 
+# The process entry: ``python -m qnetcap.cli`` ends through ``cli.run``.
+
+def test_run_flushes_runs_the_exit_handlers_and_ends_with_mains_code(monkeypatch):
+    steps = []
+
+    class Exited(Exception):
+        pass
+
+    def exit_(code):
+        steps.append(("exit", code))
+        raise Exited
+
+    monkeypatch.setattr(cli, "main", lambda: steps.append("main") or EXIT_NOT_ATTAINABLE)
+    monkeypatch.setattr(sys.stdout, "flush", lambda: steps.append("flush stdout"))
+    monkeypatch.setattr(sys.stderr, "flush", lambda: steps.append("flush stderr"))
+    monkeypatch.setattr(cli.atexit, "_run_exitfuncs", lambda: steps.append("atexit"))
+    monkeypatch.setattr(cli.os, "_exit", exit_)
+    with pytest.raises(Exited):
+        cli.run()
+    assert steps == ["main", "flush stdout", "atexit", "flush stderr", ("exit", EXIT_NOT_ATTAINABLE)]
+
+
+def test_generate_to_a_pipe_writes_the_whole_network(python):
+    # More than stdout's 8 KiB buffer, so the tail is written only by run's flush.
+    proc = python("-m", "qnetcap.cli", "generate", "--cell", "manhattan8", "--radius", "5", "--d", "10",
+                  env={"PYTHONUNBUFFERED": None}, capture_output=True)
+    expected = network.network_to_json(generate(WrnSpec("manhattan8", 5, 10.0, "tl"))) + "\n"
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+    assert len(expected) > 8192 and proc.stdout == expected.encode("utf-8")
+
+
+def test_exit_handlers_registered_before_the_entry_run(tmp_path, python):
+    marker, out = tmp_path / "marker", tmp_path / "net.json"
+    argv = ["qnetcap", "generate", "--cell", "manhattan8", "--radius", "2", "--d", "10", "--out", str(out)]
+    proc = python("-c", "import atexit, pathlib, runpy, sys; "
+                  f"atexit.register(pathlib.Path({str(marker)!r}).write_text, 'ran'); "
+                  f"sys.argv = {argv!r}; runpy.run_module('qnetcap.cli', run_name='__main__')",
+                  capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "", "")
+    assert marker.read_text() == "ran" and out.exists()
+
+
+def assert_stdout_failed(proc, errno_text):
+    # One error line and nothing else: the pending bytes are not flushed again.
+    assert proc.returncode == EXIT_INPUT
+    assert json.loads(proc.stderr) == {"error": "input", "message": f"cannot write standard output: {errno_text}"}
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["validate", "--in", "NET"],
+    ["generate", "--cell", "manhattan8", "--radius", "5", "--d", "10"],
+    ["selftest", "--count", "1"],
+], ids=["validate", "generate", "selftest"])
+def test_a_full_stdout_is_an_input_error(tmp_path, python, argv, unbuffered):
+    net = tmp_path / "net.json"
+    net.write_text(network.network_to_json(generate(WrnSpec("manhattan8", 2, 10.0, "tl"))))
+    with open("/dev/full", "w") as full:
+        proc = python("-m", "qnetcap.cli", *[str(net) if arg == "NET" else arg for arg in argv],
+                      env={"PYTHONUNBUFFERED": unbuffered}, stdout=full, stderr=subprocess.PIPE, text=True)
+    assert_stdout_failed(proc, "[Errno 28] No space left on device")
+
+
+def test_a_closed_pipe_on_stdout_is_an_input_error(python):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = python("-m", "qnetcap.cli", "generate", "--cell", "manhattan8", "--radius", "5", "--d", "10",
+                      stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert_stdout_failed(proc, "[Errno 32] Broken pipe")
+
+
 # Fuzz: valid documents for every subcommand, each with up to two documented
 # keys (nested ones included) set to a malformed value or removed. BAD holds
 # no integer above 1, so every sweep keeps its 2 or 3 points; network

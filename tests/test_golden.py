@@ -2,8 +2,10 @@
 
 Each case runs ``cli.main`` in-process with ``--out`` and compares the written
 file byte for byte, the exit code and the stderr text against ``tests/golden/``.
-Failing cases (exit 2 or 4) write no file; their exit code and their stderr
-JSON line are pinned, and every other case must write nothing to stderr.
+A few cases also run as ``python -m qnetcap.cli``, through the process entry.
+Cases that exit 2 or 4, or analyze an invalid network (exit 3), write no
+file; their exit code and their stderr JSON line are pinned, and every other
+case must write nothing to stderr.
 The usage cases pin what argparse prints for ``--help`` and for usage errors,
 with stdout, stderr and the exit code in ``usage.json``, at 80 columns. That
 text is argparse's: CPython 3.10 to 3.12 print it alike, and 3.13 wraps the
@@ -76,6 +78,21 @@ _NET = {
     "users": ["a", "c"],
 }
 _NET_TEXT = json.dumps(_NET)
+
+# One violation of each structural kind: a parallel edge, a self-loop, an
+# unknown endpoint, and the role 'user' on a node that is not an end user.
+_VIOLATIONS = {
+    "family": "tl",
+    "nodes": [{"id": "a", "role": "user"}, {"id": "b", "role": "user"}, {"id": "c", "role": "user"}],
+    "edges": [
+        {"a": "a", "b": "b", "fibre": {"length_km": 5.0}},
+        {"a": "b", "b": "a", "fibre": {"length_km": 6.0}},
+        {"a": "b", "b": "b", "fibre": {"length_km": 1.0}},
+        {"a": "b", "b": "z", "fibre": {"length_km": 2.0}},
+        {"a": "b", "b": "c", "fibre": {"length_km": 7.0}},
+    ],
+    "users": ["a", "c"],
+}
 
 
 def _net_bytes(old: str, new: str) -> bytes:
@@ -154,6 +171,8 @@ CASES = {
         "validate", _net_bytes('"role": "user"}], "edges"', '"role": "user"}}, "edges"'), ()),
     "validate-edges-before-nodes": ("validate", {key: _NET[key] for key in ("family", "edges", "nodes", "users")}, ()),
     "validate-duplicate-key": ("validate", _net_bytes('"users"', '"users": ["a", "b"], "users"'), ()),
+    "validate-violations": ("validate", _VIOLATIONS, ()),
+    "analyze-violations": ("analyze", _VIOLATIONS, ()),
 }
 
 
@@ -187,33 +206,56 @@ def run_usage(name: str) -> dict:
     return {"exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
 
 
-def run_case(name: str, workdir: Path) -> tuple[int, bytes | None, str]:
-    """Exit code, output file bytes (None when no file was written) and stderr."""
+def in_process(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stderr of ``main(argv)``."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stderr.getvalue()
+
+
+def run_case(name: str, workdir: Path, call=in_process) -> tuple[int, bytes | None, str]:
+    """Exit code, output file bytes (None when no file was written) and stderr of ``call``."""
     command, obj, extra = CASES[name]
     out = workdir / f"{name}.out"
     src = workdir / f"{name}.json"
     if obj is not None:
         src.write_bytes(obj if isinstance(obj, bytes) else json.dumps(obj).encode("utf-8"))
         extra = ("--in" if command in ("analyze", "validate") else "--spec", str(src), *extra)
-    stderr = io.StringIO()
-    with contextlib.redirect_stderr(stderr):
-        code = main([command, *extra, "--out", str(out)])
+    code, stderr = call([command, *extra, "--out", str(out)])
     # A message that names the input file names it without its directory.
-    stderr = stderr.getvalue().replace(json.dumps(str(src))[1:-1], src.name)
+    stderr = stderr.replace(json.dumps(str(src))[1:-1], src.name)
     return code, out.read_bytes() if out.exists() else None, stderr
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_golden(name, tmp_path):
-    code, data, stderr = run_case(name, tmp_path)
-    expected = json.loads(EXIT_CODES.read_text())[name]
-    assert code == expected
+def assert_golden(name: str, code: int, data: bytes | None, stderr: str) -> None:
+    assert code == json.loads(EXIT_CODES.read_text())[name]
     assert stderr == json.loads(STDERR.read_text()).get(name, "")
     golden = GOLDEN / f"{name}.out"
     if data is None:
         assert not golden.exists()
     else:
         assert data == golden.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name, tmp_path):
+    assert_golden(name, *run_case(name, tmp_path))
+
+
+# Every subcommand that writes a file, and exit codes 0, 2, 3 and 4.
+PROCESS_CASES = ("generate-manhattan8-r2", "validate-violations", "analyze-syntax-error-in-edges",
+                 "threshold-unattainable-tl", "sweep-edgeLength-ad")
+
+
+@pytest.mark.parametrize("name", PROCESS_CASES)
+def test_golden_through_the_process_entry(name, tmp_path, python):
+    def in_a_process(argv: list[str]) -> tuple[int, str]:
+        proc = python("-m", "qnetcap.cli", *argv, capture_output=True, text=True)
+        assert proc.stdout == ""
+        return proc.returncode, proc.stderr
+
+    assert_golden(name, *run_case(name, tmp_path, in_a_process))
 
 
 def outcome(read, text: str):

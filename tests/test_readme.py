@@ -1,6 +1,7 @@
 """The README's Python API block runs against the package as installed."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import qnetcap
+from qnetcap import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -64,3 +66,10 @@ def test_package_declares_no_runtime_dependencies():
     pyproject = tomllib.loads((README.parent / "pyproject.toml").read_text(encoding="utf-8"))
     assert pyproject["project"]["dependencies"] == []
     assert any(dep.startswith("numpy") for dep in pyproject["project"]["optional-dependencies"]["test"])
+
+
+def test_installed_command_ends_through_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((README.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    module, _, name = pyproject["project"]["scripts"]["qnetcap"].partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.run
