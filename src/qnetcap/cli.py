@@ -426,8 +426,24 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if not failed else EXIT_NUMERIC
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose help and usage on stdout have ``_emit``'s guard:
+    a failed write is an input error. They are flushed at once, since argparse
+    ends the call with ``SystemExit``, which ``run`` does not flush after."""
+
+    def _print_message(self, message, file=None):
+        if file is not sys.stdout:
+            return super()._print_message(message, file)
+        try:
+            sys.stdout.write(message)
+            sys.stdout.flush()
+        except OSError as exc:
+            _error("input", _stdout_failed(exc))
+            self.exit(EXIT_INPUT)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qnetcap",
         description="Capacity bounds for quantum repeater networks.",
     )
@@ -506,19 +522,26 @@ def run() -> NoReturn:
     and the package imported adds about 10 ms to a call, and the OS frees the
     memory anyway; every file the package opens is closed by its ``with``
     block, and it starts no threads. So stdout is flushed, the ``atexit``
-    handlers run, stderr is flushed, and ``os._exit`` ends the process, as mypy
-    ends its runs. An exception that leaves ``main`` (argparse's ``SystemExit``
-    included) takes the interpreter's normal exit.
+    handlers run, stdout is flushed again for what they printed, stderr is
+    flushed, and ``os._exit`` ends the process, as mypy ends its runs. An
+    exception that leaves ``main`` (argparse's ``SystemExit`` included) takes
+    the interpreter's normal exit.
     """
-    code = main()
+    code = _flush_stdout(main())
+    atexit._run_exitfuncs()
+    code = _flush_stdout(code)
+    sys.stderr.flush()
+    os._exit(code)
+
+
+def _flush_stdout(code: int) -> int:
+    """``code``, or EXIT_INPUT when what stdout holds cannot be written."""
     try:
         sys.stdout.flush()
     except OSError as exc:
         _error("input", _stdout_failed(exc))
-        code = EXIT_INPUT
-    atexit._run_exitfuncs()
-    sys.stderr.flush()
-    os._exit(code)
+        return EXIT_INPUT
+    return code
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ BoundedGraph lives in ``routing.py``; the per-edge reference that
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from itertools import islice
@@ -324,11 +325,16 @@ def load_network(text: str) -> tuple[NetworkGraph | None, list[str]]:
 
     Returns (graph, violations); the graph is None only when the input is too
     malformed to build one at all. A node or edge with a violation of its own
-    is left out of the graph. The scanner of ``json.loads`` decodes the records
-    of a non-empty "nodes" array and then a non-empty "edges" array one at a
-    time, in an object with unique keys, so the parsed document is never held.
-    Other text goes through ``_load_json``: malformed text raises what
-    ``json.loads`` raises.
+    is left out of the graph. The records of a non-empty "nodes" array and then
+    a non-empty "edges" array, in an object with unique keys, are read one at a
+    time, so the parsed document is never held. An edge record in the layout
+    that ``network_json_chunks`` writes, whose names hold no escape or control
+    character and whose fibre is three numbers each with a fraction or an
+    exponent, is read from its text; one whose fibre text is that of the last
+    edge so read takes that edge's class undecoded. The scanner of
+    ``json.loads`` decodes any other record, and other text goes through
+    ``_load_json``, so every text reads as it would through ``json.loads``:
+    malformed text raises what it raises.
     """
     rest: dict = {}
     violations: list[str] = []
@@ -362,13 +368,37 @@ def _load_json(text: str) -> tuple[NetworkGraph | None, list[str]]:
 _END = object()
 # A JSON punctuation character and the whitespace around it.
 _PUNCT = re.compile(r"[ \t\n\r]*([][{}:,])[ \t\n\r]*")
+_scan = json.JSONDecoder().scan_once
+
+# An edge record as ``network_json_chunks`` writes it. A name with no quote,
+# backslash or control character is its own text. float() of a number's text
+# with a fraction or an exponent is what the scanner reads; an integer is read
+# as an int, whose float() differs for -0 and for one too large for a float.
+_NAME = r'"([^"\\\x00-\x1f]*)"'
+_FLOAT = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
+
+
+@functools.cache
+def _edge_patterns() -> tuple:
+    """The patterns of an edge record up to its fibre, and of a whole edge record
+    whose fibre is three such numbers, the fibre's text to the record's end in
+    a group; compiled on first use, as most commands read no network file."""
+    head = rf'\{{"a": {_NAME}, "b": {_NAME}, "fibre": '
+    fibre = rf'(\{{"length_km": {_FLOAT}, "gamma": {_FLOAT}, "nbar_B": {_FLOAT}\}}\}})'
+    return re.compile(head), re.compile(head + fibre)
 
 
 def _records(text: str, rest: dict) -> Iterator:
     """Yield the records of the "nodes" array, _END, those of the "edges" array
     and, once the text is read to its end, _END; the other members of the
-    object go into ``rest``. Raises if the text is not of that shape."""
-    scan, punct = json.JSONDecoder().scan_once, _PUNCT.match
+    object go into ``rest``. Raises if the text is not of that shape.
+
+    An edge record that the second pattern of ``_edge_patterns`` matches is
+    yielded as the tuple (a, b, fibre), where fibre is the texts of the fibre's
+    three numbers: the same tuple as the last such edge's when its fibre text
+    is the same. The scanner decodes any other record."""
+    scan, punct = _scan, _PUNCT.match
+    head, edge = (pattern.match for pattern in _edge_patterns())
     if (m := punct(text))[1] != "{":
         raise ValueError("not an object")
     names = set()
@@ -382,8 +412,25 @@ def _records(text: str, rest: dict) -> Iterator:
             if (m := punct(text, m.end()))[1] != "[":
                 raise ValueError("not an array")
             i = m.end()
+            # The last matched fibre's text, to its record's end, and numbers.
+            # While fibres repeat, an edge is matched only up to its fibre, whose
+            # text is compared with the last; that costs a second match where
+            # the fibre differs, so an edge after one with a fibre of its own is
+            # matched whole, once.
+            last = numbers = None
+            repeating = False
             while True:
-                record, i = scan(text, i)
+                if name != "edges":
+                    record, i = scan(text, i)
+                elif repeating and (matched := head(text, i)) and text.startswith(last, j := matched.end()):
+                    record, i = (*matched.groups(), numbers), j + len(last)
+                elif matched := edge(text, i):
+                    groups = matched.groups()
+                    if not (repeating := groups[2] == last):
+                        last, numbers = groups[2], groups[3:]
+                    record, i = (groups[0], groups[1], numbers), matched.end()
+                else:
+                    record, i = scan(text, i)
                 yield record
                 if text.startswith(", {", i):  # the separator ``generate`` writes
                     i += 2
@@ -407,8 +454,9 @@ def _records(text: str, rest: dict) -> Iterator:
 
 def _graph_columns(raw_nodes: Iterable | None, raw_edges: Iterable | None, data,
                    violations: list[str]) -> NetworkGraph:
-    """The graph of a network object's node and edge records (None if missing) and other members
-    ``data``; appends the violations of its nodes, edges and users."""
+    """The graph of a network object's node and edge records (None if missing), each a decoded
+    value or a tuple from ``_records``, and other members ``data``; appends the violations of
+    its nodes, edges and users."""
     number: dict[str, int] = {}
     recvs, sends, roles = [], [], []
     if raw_nodes is None:
@@ -438,39 +486,52 @@ def _graph_columns(raw_nodes: Iterable | None, raw_edges: Iterable | None, data,
     # nbar_B): FibreParams equality, without building one per edge. The key is
     # tagged, as a channel record is a tuple too.
     class_of: dict = {}
+    # The last fibre decoded, which got class c: ``_records`` yields the same
+    # tuple for a repeated fibre text, and it is not decoded again.
+    last = c = None
     if raw_edges is None:
         violations.append("edges: required")
         raw_edges = ()
     for i, raw in enumerate(raw_edges):
-        if not isinstance(raw, dict) or "a" not in raw or "b" not in raw:
+        if type(raw) is tuple:
+            end_a, end_b, fibre = raw
+            has_channel = False
+        elif not isinstance(raw, dict) or "a" not in raw or "b" not in raw:
             violations.append(f"edge #{i}: object with endpoints 'a' and 'b' required")
             continue
-        end_a, end_b = str(raw["a"]), str(raw["b"])
-        has_channel = "channel" in raw
-        if has_channel == ("fibre" in raw):
-            violations.append(f"edge {end_a}-{end_b}: exactly one of 'channel' or 'fibre' required")
-            continue
-        try:
-            if has_channel:
-                key = channel_from_json(raw["channel"])
-            else:
-                fibre = raw["fibre"]
-                if not isinstance(fibre, dict) or "length_km" not in fibre:
-                    violations.append(f"edge {end_a}-{end_b}: fibre needs a 'length_km'")
-                    continue
-                length, gamma, nbar_b = fibre["length_km"], fibre.get("gamma", 0.02), fibre.get("nbar_B", 0.002)
-                # By identity: True == 1.0 with the same hash, so float() and the class memo would take it.
-                if (length is True or length is False or gamma is True or gamma is False
-                        or nbar_b is True or nbar_b is False):
-                    raise DomainError(f"fibre fields must be numbers, got {fibre!r}")
-                key = (FibreParams, float(length), float(gamma), float(nbar_b))
-            c = class_of.get(key)
-            if c is None:
-                classes.append(key if has_channel else FibreParams(*key[1:]))
-                c = class_of[key] = len(classes) - 1
-        except (DomainError, TypeError, ValueError, OverflowError) as exc:
-            violations.append(f"edge {end_a}-{end_b}: {exc}")
-            continue
+        else:
+            end_a, end_b = str(raw["a"]), str(raw["b"])
+            has_channel = "channel" in raw
+            if has_channel == ("fibre" in raw):
+                violations.append(f"edge {end_a}-{end_b}: exactly one of 'channel' or 'fibre' required")
+                continue
+            fibre = raw.get("fibre")
+        if last is None or fibre is not last:
+            last = None
+            try:
+                if has_channel:
+                    key = channel_from_json(raw["channel"])
+                elif type(fibre) is tuple:
+                    length, gamma, nbar_b = fibre
+                    key = (FibreParams, float(length), float(gamma), float(nbar_b))
+                else:
+                    if not isinstance(fibre, dict) or "length_km" not in fibre:
+                        violations.append(f"edge {end_a}-{end_b}: fibre needs a 'length_km'")
+                        continue
+                    length, gamma, nbar_b = fibre["length_km"], fibre.get("gamma", 0.02), fibre.get("nbar_B", 0.002)
+                    # By identity: True == 1.0 with the same hash, so float() and the class memo would take it.
+                    if (length is True or length is False or gamma is True or gamma is False
+                            or nbar_b is True or nbar_b is False):
+                        raise DomainError(f"fibre fields must be numbers, got {fibre!r}")
+                    key = (FibreParams, float(length), float(gamma), float(nbar_b))
+                c = class_of.get(key)
+                if c is None:
+                    classes.append(key if has_channel else FibreParams(*key[1:]))
+                    c = class_of[key] = len(classes) - 1
+            except (DomainError, TypeError, ValueError, OverflowError) as exc:
+                violations.append(f"edge {end_a}-{end_b}: {exc}")
+                continue
+            last = fibre
         # An endpoint that names no node is numbered after the nodes.
         a.append(number.setdefault(end_a, len(number)))
         b.append(number.setdefault(end_b, len(number)))

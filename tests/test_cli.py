@@ -1138,7 +1138,15 @@ def test_run_flushes_runs_the_exit_handlers_and_ends_with_mains_code(monkeypatch
     monkeypatch.setattr(cli.os, "_exit", exit_)
     with pytest.raises(Exited):
         cli.run()
-    assert steps == ["main", "flush stdout", "atexit", "flush stderr", ("exit", EXIT_NOT_ATTAINABLE)]
+    assert steps == ["main", "flush stdout", "atexit", "flush stdout", "flush stderr", ("exit", EXIT_NOT_ATTAINABLE)]
+
+
+def test_what_an_exit_handler_prints_to_a_buffered_stdout_is_written(python):
+    proc = python("-c", "import atexit, runpy, sys; atexit.register(print, 'bye'); "
+                  "sys.argv = ['qnetcap', 'selftest', '--count', '1']; runpy.run_module('qnetcap.cli', run_name='__main__')",
+                  env={"PYTHONUNBUFFERED": None}, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert proc.stdout.count("PASS") == 4 and proc.stdout.endswith("\nbye\n")
 
 
 def test_generate_to_a_pipe_writes_the_whole_network(python):
@@ -1174,7 +1182,9 @@ def assert_stdout_failed(proc, errno_text):
     ["validate", "--in", "NET"],
     ["generate", "--cell", "manhattan8", "--radius", "5", "--d", "10"],
     ["selftest", "--count", "1"],
-], ids=["validate", "generate", "selftest"])
+    ["--help"],
+    ["analyze", "--help"],
+], ids=["validate", "generate", "selftest", "help", "subcommand-help"])
 def test_a_full_stdout_is_an_input_error(tmp_path, python, argv, unbuffered):
     net = tmp_path / "net.json"
     net.write_text(network.network_to_json(generate(WrnSpec("manhattan8", 2, 10.0, "tl"))))

@@ -1,6 +1,8 @@
 import json
 import math
 import random
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -898,3 +900,136 @@ def test_network_json_round_trips_to_the_same_columns_and_bytes(reference_json, 
     again, _ = load_network(text)
     assert again == graph  # every column and the class table
     assert network_to_json(again) == text
+
+
+# The edges ``generate`` writes are read from their text without the scanner,
+# and a repeated fibre is decoded once; any text must read as it would through
+# ``json.loads``. Each mutation changes a generated text in one place:
+# one record, or a few consecutive edge records.
+def _generated(cell: str, radius: int, templates: bool) -> str:
+    fam = "tl" if cell == "manhattan8" else "ad"
+    devices = {}
+    if templates:
+        devices = ({"recv": ThermalLoss(0.9, 0.01), "send": ThermalLoss(0.95)} if fam == "tl"
+                   else {"recv": AmplitudeDamping(0.05), "send": AmplitudeDamping(0.1)})
+    return network_to_json(generate(WrnSpec(cell, radius, 10.0, fam, **devices)))
+
+
+def _spans(text: str, head: str, end: str) -> list[tuple[int, int]]:
+    """(start, end) of each record that starts with ``head``, ending after the next ``end``."""
+    spans, i = [], 0
+    while (i := text.find(head, i)) >= 0:
+        spans.append((i, i := text.index(end, i) + len(end)))
+    return spans
+
+
+_FIBRE_A = '{"length_km": 10.0, "gamma": 0.02, "nbar_B": 0.002}'
+_FIBRE_B = '{"length_km": 7.5, "gamma": 0.02, "nbar_B": 0.002}'
+_FIBRE_BAD = '{"length_km": -1.0, "gamma": 0.02, "nbar_B": 0.002}'
+
+
+def _set_fibre(record: str, fibre: str) -> str:
+    return record[:record.index('"fibre": ') + 9] + fibre + "}"
+
+
+def _set_field(field: str, value: str):
+    def mutate(record: str) -> str:
+        start = record.index(f'"{field}": ') + len(field) + 4
+        end = min(record.index(c, start) for c in ",}" if c in record[start:])
+        return record[:start] + value + record[end:]
+    return mutate
+
+
+# Mutations of one edge record, or of the edge records from it on.
+EDGE_MUTATIONS = {
+    "escaped-name": lambda r: r.replace('"a": "n', '"a": "\\u006e', 1),
+    "non-ascii-name": lambda r: r.replace('"a": "n', '"a": "ñ', 1),
+    **{f"{field}-{value}": _set_field(field, value)
+       for field in ("length_km", "gamma", "nbar_B")
+       for value in ("10", "-0", "1" + "0" * 400, "1e1", "-0.0", "NaN", "true", "false", "-1.0")},
+    "duplicate-a": lambda r: r.replace('{"a": ', '{"a": "zz", "a": ', 1),
+    "duplicate-fibre": lambda r: r[:-1] + ', "fibre": ' + _FIBRE_B + "}",
+    "null-fibre": lambda r: _set_fibre(r, "null"),
+    "unknown-endpoint": lambda r: r[:r.index('"b": "') + 6] + "zz" + r[r.index('", "fibre"'):],
+}
+# Mutations of several consecutive edge records.
+RUN_MUTATIONS = {
+    "repeat-after-violation": (_FIBRE_BAD, _FIBRE_BAD, _FIBRE_A),
+    "violation-after-repeat": (_FIBRE_A, _FIBRE_A, _FIBRE_BAD, _FIBRE_A),
+    "alternating": (_FIBRE_A, _FIBRE_B, _FIBRE_A),
+    "new-run": (_FIBRE_B, _FIBRE_B, _FIBRE_B, _FIBRE_A),
+    "null-after-violation": (_FIBRE_BAD, "null"),
+}
+
+
+def _mutated(text: str, mutation: str, at: int) -> str:
+    if mutation == "duplicate-node":
+        nodes = _spans(text, '{"id": ', '"role": ')
+        (start, _), (prev, _) = nodes[1 + at % (len(nodes) - 1)], nodes[at % (len(nodes) - 1)]
+        prev_id = text[prev + 7:text.index('"', prev + 8) + 1]
+        return text[:start + 7] + prev_id + text[text.index('"', start + 8) + 1:]
+    edges = _spans(text, '{"a": ', "}}")
+    if mutation in RUN_MUTATIONS:
+        fibres = RUN_MUTATIONS[mutation]
+        k = at % (len(edges) - len(fibres))
+        pieces, last = [], 0
+        for (start, end), fibre in zip(edges[k:], fibres):
+            pieces += [text[last:start], _set_fibre(text[start:end], fibre)]
+            last = end
+        return "".join(pieces) + text[last:]
+    start, end = edges[at % len(edges)]
+    return text[:start] + EDGE_MUTATIONS[mutation](text[start:end]) + text[end:]
+
+
+def _read(reader, text: str):
+    """What ``reader`` makes of ``text``: the graph's repr, with the sign of every
+    zero, and the violations, or the type and message of what it raises."""
+    try:
+        graph, violations = reader(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return repr(graph), violations
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.sampled_from(["manhattan8", "triangular6"]), st.integers(2, 3), st.booleans(),
+       st.sampled_from([None, "duplicate-node", *EDGE_MUTATIONS, *RUN_MUTATIONS]), st.integers(0, 10**6))
+def test_load_network_reads_generated_and_mutated_texts_as_json_loads_does(cell, radius, templates, mutation, at):
+    text = _generated(cell, radius, templates)
+    if mutation is not None:
+        text = _mutated(text, mutation, at)
+        assert text != _generated(cell, radius, templates)
+    expected = _read(network._load_json, text)
+    # Every such text is one object whose records the reader walks itself.
+    with mock.patch.object(network, "_load_json", side_effect=AssertionError("read through json.loads")):
+        assert _read(load_network, text) == expected
+
+
+def test_every_edge_of_a_generated_lattice_after_the_first_repeats_its_fibre(monkeypatch):
+    text = _generated("manhattan8", 10, templates=False)
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name].append(args)
+            return function(*args)
+        return wrapper
+
+    calls = {"scan": [], "head": [], "edge": []}
+    head, edge = network._edge_patterns()
+    monkeypatch.setattr(network, "_scan", counted("scan", network._scan))
+    monkeypatch.setattr(network, "_edge_patterns", lambda: (
+        SimpleNamespace(match=counted("head", head.match)), SimpleNamespace(match=counted("edge", edge.match))))
+    graph, violations = load_network(text)
+    assert (graph, violations) == (generate(WrnSpec("manhattan8", 10, 10.0, "tl")), [])
+    # No edge goes through the scanner. The first two are matched whole, and
+    # from the third on an edge is matched up to its fibre, whose text is
+    # compared with theirs.
+    assert not any(text.startswith('{"a": ', at) for _, at in calls["scan"])
+    assert len(calls["edge"]) == 2
+    assert len(calls["head"]) == len(graph.a) - 2
+
+
+def test_the_edge_patterns_need_no_python_3_11_syntax():
+    # Possessive repeats and atomic groups are a re.error before Python 3.11.
+    for pattern in network._edge_patterns():
+        assert not any(token in pattern.pattern for token in ("*+", "++", "?+", "}+", "(?>")), pattern
