@@ -9,7 +9,7 @@ special case. ``fibre_transmissivity`` is the one fibre loss law.
 
 ``as_damping``/``as_thermal`` convert a channel spec or a fibre to those
 family-native numbers and reject a channel of the other family;
-``bounds.compound`` reduces a node-split chain of them to one channel.
+``bounds.compounds`` reduces node-split chains of them to single channels.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ A NetworkGraph holds, as columns, the nodes (names, internal device channels
 and roles), the undirected edges as pairs of node numbers, each with a class
 in a table of distinct fibres and explicit channels, and the pair of end
 users. ``apply_split`` turns it into a BoundedGraph by wrapping every
-edge in its endpoints' internal channels and evaluating the capacity bound
-functions, orientation-optimized per edge. Everything computed on a
+edge in its endpoints' internal channels and running the bound kernels over
+the directions, orientation-optimized per edge. Everything computed on a
 BoundedGraph lives in ``routing.py``; the per-edge reference that
 ``apply_split`` is tested against is ``oracles.oriented_edge_bounds``.
 """
@@ -17,9 +17,8 @@ import json
 import re
 from itertools import islice
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .bounds import BOUND_ORDER_TOL, BoundKind, direction_bounds, family_native, orient
 from .channels import (
     FAMILY_AD,
     FAMILY_TL,
@@ -35,7 +34,11 @@ from .channels import (
 )
 from .errors import DomainError, FamilyError, ValidationError, checked
 
+if TYPE_CHECKING:  # ``validate`` runs without the bound functions
+    from .bounds import BoundKind
+
 SELECTORS = ("lower", "upper")
+BOUND_ORDER_TOL = 1e-12  # how far rounding may take a lower bound above its upper
 
 
 def check_selector(selector: str) -> str:
@@ -230,10 +233,12 @@ def apply_split(graph: NetworkGraph) -> BoundedGraph:
     A graph not yet found valid by ``validate`` is validated first, and its
     one channel family is resolved once. Each class is resolved to a
     family-native channel once. A direction whose family-native (send,
-    channel, recv) equals the previous direction's reuses its bounds, so a
-    lattice is bounded once. Orientation is decided per edge, whose entries
-    go straight onto the six result columns. Deterministic and idempotent.
+    channel, recv) equals the previous direction's shares its bounds, so a
+    lattice is bounded once; the others are bounded in one call of each
+    ``bounds`` kernel. Each side of an edge takes its better direction, a tie
+    going to the smaller (sender, receiver) pair. Deterministic and idempotent.
     """
+    from .bounds import bound_columns, compounds, family_native
     if graph._valid_family is None:
         violations = validate(graph)
         if violations:
@@ -244,26 +249,33 @@ def apply_split(graph: NetworkGraph) -> BoundedGraph:
     recvs = list(map(native, graph.recv))
     channels = list(map(native, graph.classes))
 
-    names = graph.names
-    columns = lower, upper, lower_kind, upper_kind, lower_sender, upper_sender = [], [], [], [], [], []
-    key = values = None  # the last direction bounded, and its bounds
-    for u, v, c in zip(graph.a, graph.b, graph.cls):
+    names, a, b = graph.names, graph.a, graph.b
+    directions, at = [], []  # the directions bounded; each edge's forward and backward one among them
+    last, n = None, -1
+    for u, v, c in zip(a, b, graph.cls):
         c = channels[c]
-        if (direction := (sends[u], c, recvs[v])) != key:
-            key, values = direction, direction_bounds(fam, *direction)
-        forward_values = values
-        if (direction := (sends[v], c, recvs[u])) != key:
-            key, values = direction, direction_bounds(fam, *direction)
-        lower_back, upper_back = orient(names[u], names[v], forward_values, values)
-        lower_values = values if lower_back else forward_values
-        upper_values = values if upper_back else forward_values
-        lower.append(lower_values[0])
-        lower_kind.append(lower_values[1])
-        upper.append(upper_values[2])
-        upper_kind.append(upper_values[3])
+        if (direction := (sends[u], c, recvs[v])) != last:
+            directions.append(last := direction)
+            n += 1
+        at.append(n)
+        if (direction := (sends[v], c, recvs[u])) != last:
+            directions.append(last := direction)
+            n += 1
+        at.append(n)
+    lo, lo_kind, up, up_kind = bound_columns(fam, compounds(fam, directions))
+    columns = lower, upper, lower_kind, upper_kind, lower_sender, upper_sender = [], [], [], [], [], []
+    for u, v, i, j in zip(a, b, at[0::2], at[1::2]):
+        if names[v] < names[u]:  # ties go to the smaller (sender, receiver) pair
+            lower_back, upper_back = not lo[i] > lo[j], not up[i] > up[j]
+        else:
+            lower_back, upper_back = lo[j] > lo[i], up[j] > up[i]
+        lower.append(lo[j] if lower_back else lo[i])
+        lower_kind.append(lo_kind[j] if lower_back else lo_kind[i])
         lower_sender.append(v if lower_back else u)
+        upper.append(up[j] if upper_back else up[i])
+        upper_kind.append(up_kind[j] if upper_back else up_kind[i])
         upper_sender.append(v if upper_back else u)
-    return BoundedGraph(names, graph.users, graph.a, graph.b, *map(tuple, columns))
+    return BoundedGraph(names, graph.users, a, b, *map(tuple, columns))
 
 
 def annotate_uniform(graph: NetworkGraph, value: float) -> BoundedGraph:
@@ -276,6 +288,7 @@ def annotate_uniform(graph: NetworkGraph, value: float) -> BoundedGraph:
     for u, v in zip(a, b):
         if max(u, v) >= n:
             raise DomainError(f"edge {names[u]}-{names[v]}: unknown endpoint {names[u if u >= n else v]!r}")
+    from .bounds import BoundKind
     exact = (BoundKind.PLOB_EXACT,) * len(a)
     values = (value,) * len(a)
     return BoundedGraph(names, graph.users, a, b, values, values, exact, exact, a, a)

@@ -8,9 +8,10 @@ path enumeration on small graphs, a capacity and conservation check of a
 max-flow result, closed-form sizes and weak regularity of generated lattice
 patches, and the flooding = k*c consequence on uniformly valued lattices.
 ``oriented_edge_bounds`` is the per-edge reference for ``network.apply_split``,
-and ``bounded_from_values`` builds the small test graphs the routing oracles
-run on. The tests and the ``selfcheck`` batteries pit these against the fast
-paths, which never depend on this module.
+``bosonic_h`` the thermal lower bound's entropy term, and ``bounded_from_values``
+builds the small test graphs the routing oracles run on. The tests and the
+``selfcheck`` batteries pit these against the fast paths, which never depend
+on this module.
 
 Every matrix here is 2x2. Inputs are read as ``m[i][j]``, so nested lists and
 numpy arrays both serve, and results are nested tuples: the module needs only
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple
 
-from .bounds import BoundKind, direction_bounds, family_native, orient
+from .bounds import BoundKind, direction_bounds, family_native
 from .channels import ChannelSpec, FibreParams, NodeSpec
 from .errors import DomainError, KrausError, SizeError
 from .network import BoundedGraph, Cut, NetworkGraph, annotate_uniform, check_selector
@@ -109,6 +110,16 @@ def von_neumann_entropy(rho) -> float:
     return -sum(x * math.log2(x) for x in lam if x > EIG_ZERO_TOL)
 
 
+def bosonic_h(x: float) -> float:
+    """Thermal-state entropy (x+1)log2(x+1) - x log2 x, in bits, evaluated as ``bounds.bound_columns`` does."""
+    if not x >= 0.0:
+        raise DomainError(f"mean photon number must be >= 0, got {x}")
+    if x == 0.0:
+        return 0.0
+    t = math.log1p(1.0 / x) if x >= 1.0 else math.log1p(x) - math.log(x)
+    return (math.log1p(x) + x * t) / math.log(2.0)
+
+
 def ad_rci_at_u(p: float, u: float) -> float:
     """Reverse coherent information of AD(p) for input excitation u.
 
@@ -173,14 +184,15 @@ class OrientedBounds(NamedTuple):
 
 def oriented_edge_bounds(edge: ChannelSpec | FibreParams, node_a: NodeSpec, node_b: NodeSpec,
                          fam: str) -> OrientedBounds:
-    """Bounds of one edge, a channel or a fibre, in the graph family ``fam``, each side's
-    direction chosen by ``bounds.orient``: the per-edge reference for ``apply_split``."""
+    """The per-edge reference for ``apply_split``: bounds of one edge, a channel or a fibre, in the graph
+    family ``fam``, each side from the direction that bounds it higher, a tie from the smaller id pair."""
     native = family_native(fam)
     channel = native(edge)
     forward = direction_bounds(fam, native(node_a.send), channel, native(node_b.recv))
     backward = direction_bounds(fam, native(node_b.send), channel, native(node_a.recv))
-    lower_back, upper_back = orient(node_a.id, node_b.id, forward, backward)
     ends = ((node_a.id, node_b.id), (node_b.id, node_a.id))
+    lower_back, upper_back = (backward[k] > forward[k] or (not forward[k] > backward[k] and ends[1] < ends[0])
+                              for k in (0, 2))
     lower, lower_kind, _, _ = (forward, backward)[lower_back]
     _, _, upper, upper_kind = (forward, backward)[upper_back]
     return OrientedBounds(lower, upper, ends[lower_back], ends[upper_back], lower_kind, upper_kind)

@@ -84,9 +84,10 @@ def _widest_path(bg: BoundedGraph, values, s: int, t: int, head, out) -> PathRes
             continue  # superseded by a wider entry, popped earlier
         if u == t:
             break
+        wu = width[u]
         for arc in out[u]:
             v = head[arc]
-            w = min(width[u], values[arc >> 1])
+            w = value if (value := values[arc >> 1]) < wu else wu  # min(wu, value): wu wins ties and NaN
             if w > width[v]:  # never true for a node already popped
                 width[v] = w
                 pred[v] = u

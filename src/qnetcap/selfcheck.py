@@ -1,19 +1,19 @@
 """Randomized equivalence batteries pitting fast paths against slow oracles.
 
-``bounds.compound``, the reduction every bound goes through, is replayed on
-random (send, edge, recv) chains as explicit Kraus-operator or Gaussian
-covariance simulations; the flow solver is replayed as exhaustive
-cut and path enumeration on small random graphs. Each battery returns the
-worst deviation it saw, so callers pick their own tolerance. Every draw is
-one ``rng.random()`` call, so a ``random.Random`` and a numpy ``Generator``
-both serve as ``rng``.
+``bounds.compounds``, the reduction every bound goes through, reduces random
+(send, edge, recv) chains in one call, which are replayed as explicit
+Kraus-operator or Gaussian covariance simulations; the flow solver is
+replayed as exhaustive cut and path enumeration on small random graphs.
+Each battery returns the worst deviation it saw, so callers pick their own
+tolerance. Every draw is one ``rng.random()`` call, so a ``random.Random``
+and a numpy ``Generator`` both serve as ``rng``.
 """
 
 from __future__ import annotations
 
 import random
 
-from .bounds import compound
+from .bounds import compounds
 from .channels import FAMILY_AD, FAMILY_TL
 from .network import BoundedGraph
 from .oracles import (
@@ -50,32 +50,31 @@ def random_tl_compound(rng: random.Random) -> list[tuple[float, float]]:
     return [(0.05 + 0.95 * rng.random(), 0.5 * rng.random()) for _ in range(3)]
 
 
-def ad_compound_error(ps: list[float]) -> float:
-    """|compound - Kraus simulation|: the surviving population of |1> is eta_tot."""
+def ad_compound_error(ps: list[float], eta_tot: float) -> float:
+    """|eta_tot - Kraus simulation| of the chain ``ps``: the surviving population of |1> is eta_tot."""
     rho = EXCITED
     for p in ps:
         rho = apply_channel(ad_channel(p), rho)
-    return abs(compound(FAMILY_AD, *[1.0 - p for p in ps]) - rho[1][1].real)
+    return abs(eta_tot - rho[1][1].real)
 
 
-def tl_compound_error(links: list[tuple[float, float]], nbar_in: float = 0.0) -> float:
-    """Max entry deviation between stepwise and one-shot covariance propagation."""
+def tl_compound_error(links: list[tuple[float, float]], reduced: tuple[float, float], nbar_in: float = 0.0) -> float:
+    """Max entry deviation between stepwise propagation through ``links`` and one through ``reduced``."""
     v0 = ((nbar_in + 0.5, 0.0), (0.0, nbar_in + 0.5))
     stepwise = gaussian_propagate(v0, links)
-    one_shot = gaussian_propagate(v0, [compound(FAMILY_TL, *links)])
+    one_shot = gaussian_propagate(v0, [reduced])
     return max(abs(x - y) for row, other in zip(stepwise, one_shot) for x, y in zip(row, other))
 
 
 def check_ad_compounds(rng: random.Random, count: int) -> float:
-    return max(ad_compound_error(random_ad_compound(rng)) for _ in range(count))
+    chains = [random_ad_compound(rng) for _ in range(count)]
+    return max(map(ad_compound_error, chains, compounds(FAMILY_AD, [[1.0 - p for p in ps] for ps in chains])))
 
 
 def check_tl_compounds(rng: random.Random, count: int) -> float:
-    worst = 0.0
-    for _ in range(count):
-        links = random_tl_compound(rng)
-        worst = max(worst, tl_compound_error(links, rng.random()))
-    return worst
+    draws = [(random_tl_compound(rng), rng.random()) for _ in range(count)]
+    reduced = compounds(FAMILY_TL, [links for links, _ in draws])
+    return max((tl_compound_error(links, r, nbar_in) for (links, nbar_in), r in zip(draws, reduced)), default=0.0)
 
 
 def random_bounded_graph(rng: random.Random, max_nodes: int = 10) -> BoundedGraph:

@@ -3,15 +3,16 @@ import sys
 from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qnetcap.bounds import (
     BoundKind,
     ad_rci,
     ad_squashed,
-    bosonic_h,
+    bound_columns,
     compound,
+    compounds,
     direction_bounds,
     h2,
     plob_pure_loss,
@@ -29,7 +30,7 @@ from qnetcap.channels import (
 )
 from qnetcap.errors import DomainError, FamilyError
 from qnetcap.network import annotate_uniform
-from qnetcap.oracles import gaussian_propagate, oriented_edge_bounds, verify_theorem2
+from qnetcap.oracles import bosonic_h, gaussian_propagate, oriented_edge_bounds, verify_theorem2
 from qnetcap.qkd import from_preset, receiver_noise
 from qnetcap.wrn import WrnSpec, generate, min_nodal_density, solve_threshold
 
@@ -378,6 +379,89 @@ thermal_devices = st.tuples(st.sampled_from([1.0, 1e-200, 0.5]) | st.floats(1e-6
 def test_tl_direction_bounds_match_the_per_side_reference(reference_compound, send, edge, recv):
     assert _bits(direction_bounds, FAMILY_TL, send, edge, recv) == \
         _bits(_reference_tl_direction, reference_compound, send, edge, recv)
+
+# Directions of every branch of the kernels, each on its own and mixed in batches.
+CLAMPED = [  # rounding leaves each compound noise at -5.55e-17, which is clamped to 0
+    ((0.1859062658947177, 1e-300), (0.8599465287952899, 0.0), (0.7431466604224978, 5e-324)),
+    ((0.9144446394025773, 1e-300), (0.5343300438262426, 0.0), (0.06532276962299033, 0.0)),
+]
+IDEAL, IDEAL_NOISY = ((1.0, 0.0), (1.0, 0.0), (1.0, 0.0)), ((1.0, 0.0), (1.0, 0.01), (1.0, 0.0))
+UNDERFLOW = ((1e-160, 0.0), (1e-160, 0.01), (1e-160, 0.0))  # the product underflows to 0
+BREAKING = ((1.0, 0.0), (0.1, 0.5), (1.0, 0.0))  # nbar >= tau
+PURE_LOSS, DARK = ((0.9, 0.0), (0.5, 0.0), (0.8, 0.0)), ((0.5, 0.01), (0.0, math.nan), (0.5, 0.01))
+NOISY = [((1.0, 0.0), (0.5, 0.01), (1.0, 0.0)), ((0.9, 0.02), (0.3, 0.002), (0.8, 0.05))]
+tl_directions = (st.tuples(thermal_devices, st.tuples(st.sampled_from([0.0, 5e-324, 1.0]) | etas,
+                                                      st.just(0.0) | nbars), thermal_devices)
+                 | st.sampled_from([*CLAMPED, IDEAL, IDEAL_NOISY, UNDERFLOW, BREAKING, PURE_LOSS, DARK, *NOISY])
+                 | st.tuples(thermal_links, thermal_links, thermal_links))  # mostly bad links
+ad_directions = (st.tuples(*[st.sampled_from([0.0, 1.0, 5e-324, 1e-160]) | unit] * 3)
+                 | st.tuples(survivals, survivals, survivals))  # often bad links
+
+
+def _hex(column):
+    return [x.hex() if isinstance(x, float) else x for x in column]
+
+
+def _kernels(fam, directions):
+    """(compounds, columns) of one kernel call each, floats as hex, or the DomainError message."""
+    try:
+        reduced = compounds(fam, directions)
+        return _hex(reduced if fam == FAMILY_AD else [x for r in reduced for x in r]), \
+            [_hex(column) for column in bound_columns(fam, reduced)]
+    except DomainError as exc:
+        return str(exc)
+
+
+def _one_by_one(fam, directions):
+    """What ``_kernels`` gives, from one-element calls: the message of the first direction with a bad
+    link, else that of the first whose compound cannot be bounded, else the results in batch order."""
+    try:
+        reduced = [compound(fam, *d) for d in directions]
+        rows = [direction_bounds(fam, *d) for d in directions]
+    except DomainError as exc:
+        return str(exc)
+    return _hex(reduced if fam == FAMILY_AD else [x for r in reduced for x in r]), \
+        [_hex(column) for column in zip(*rows)] if rows else [[], [], [], []]
+
+
+@given(st.lists(tl_directions, max_size=8))
+@example([*CLAMPED, IDEAL, UNDERFLOW, BREAKING, PURE_LOSS, DARK, *NOISY])
+@example([NOISY[0], IDEAL_NOISY, NOISY[1]])
+@example([NOISY[0], ((0.5, 0.01), (math.nan, 0.01), (0.5, 0.01)), IDEAL_NOISY])  # a bad link comes first
+@settings(max_examples=600, deadline=None)
+def test_thermal_kernels_are_their_one_element_calls(directions):
+    got = _kernels(FAMILY_TL, directions)
+    assert got == _one_by_one(FAMILY_TL, directions)
+    if not isinstance(got, str):
+        # tl_bounds is the bound kernel of one compound, which it refuses at unit transmissivity.
+        for i, (eta, nbar) in enumerate(compounds(FAMILY_TL, directions)):
+            if eta != 1.0:
+                assert _hex(tl_bounds(eta, nbar)) == [column[i] for column in got[1]]
+
+
+@given(st.lists(ad_directions, max_size=8))
+@example([(0.0, 0.5, 0.5), (1.0, 1.0, 1.0), (5e-324, 5e-324, 1.0), (0.9, 0.5, 0.8), (0.3, 1.0, 0.7)])
+@example([(0.9, 0.5, 0.8), (0.5, math.nan, 1.2), (-0.0, 1.5, 1.0)])  # the first bad value is named
+@settings(max_examples=600, deadline=None)
+def test_damping_kernels_are_their_one_element_calls(directions):
+    got = _kernels(FAMILY_AD, directions)
+    assert got == _one_by_one(FAMILY_AD, directions)
+    if not isinstance(got, str):
+        # ad_rci and ad_squashed are the bound kernel's one-element calls, one side each.
+        reduced = compounds(FAMILY_AD, directions)
+        assert [_hex(map(ad_rci, reduced)), _hex(map(ad_squashed, reduced))] == got[1][0::2]
+
+
+@given(etas | st.sampled_from([5e-324, 1e-300, math.nextafter(1.0, 0.0)]),
+       nbars | st.sampled_from([5e-324, 1e-300]) | st.floats(0.0, 1e-300))
+@example(0.1, 0.1)
+@settings(max_examples=500, deadline=None)
+def test_thermal_lower_bound_is_the_rate_less_the_oracle_entropy(eta, nbar):
+    # The entropy term of the bound kernel, bit for bit, is oracles.bosonic_h.
+    assume(nbar > 0.0)
+    raw = -math.log1p(-eta) / math.log(2.0) - bosonic_h(nbar / (1.0 - eta))
+    assert tl_bounds(eta, nbar)[0].hex() == max(0.0, raw).hex()
+
 
 def test_plob_values():
     assert plob_pure_loss(0.5) == 1.0

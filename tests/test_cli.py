@@ -635,12 +635,12 @@ def test_cli_import_does_not_load_scipy(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
-# The qnetcap modules that each subcommand loads: bounding a given network
-# needs no solver, a threshold solve builds no graph, and only a QKD receiver
-# loads its models. No subcommand loads dataclasses or inspect, which the
+# The qnetcap modules that each subcommand loads: validating a network
+# needs no bounds, bounding one needs no solver, a threshold solve builds no
+# graph, and only a QKD receiver loads its models. No subcommand loads dataclasses or inspect, which the
 # records do without, nor fractions (with its decimal and numbers), as omega is
 # a pair of integers.
-GRAPH_MODULES = {"qnetcap.network", "qnetcap.bounds", "qnetcap.channels", "qnetcap.errors"}
+GRAPH_MODULES = {"qnetcap.network", "qnetcap.channels", "qnetcap.errors"}
 SOLVER_MODULES = {"qnetcap.wrn", "qnetcap.bounds", "qnetcap.channels", "qnetcap.errors"}
 PROBED_STDLIB = ("fractions", "decimal", "numbers", "dataclasses", "inspect")
 
@@ -665,7 +665,7 @@ def _modules_loaded_by(argv: list[str]) -> list[str]:
 @pytest.mark.parametrize("command,loads", [
     ("generate", GRAPH_MODULES | SOLVER_MODULES),
     ("validate", GRAPH_MODULES),
-    ("analyze", GRAPH_MODULES | {"qnetcap.routing"}),
+    ("analyze", GRAPH_MODULES | {"qnetcap.bounds", "qnetcap.routing"}),
     ("threshold", SOLVER_MODULES),
     ("sweep", SOLVER_MODULES),
     ("selftest", GRAPH_MODULES | SOLVER_MODULES | {"qnetcap.routing", "qnetcap.oracles", "qnetcap.selfcheck"}),
@@ -1074,27 +1074,32 @@ def test_selftest_passes(capsys):
 
 
 def _off_by(family, rel):
-    """``bounds.compound`` with each number it returns for ``family`` off by a factor 1 + rel."""
-    def compound(fam, send, edge, recv):
-        reduced = bounds.compound(fam, send, edge, recv)
+    """``bounds.compounds`` with each number it returns for ``family`` off by a factor 1 + rel."""
+    def compounds(fam, directions):
+        reduced = bounds.compounds(fam, directions)
         if fam != family:
             return reduced
-        return reduced * (1.0 + rel) if fam == "ad" else tuple(x * (1.0 + rel) for x in reduced)
-    return compound
+        return [r * (1.0 + rel) if fam == "ad" else tuple(x * (1.0 + rel) for x in r) for r in reduced]
+    return compounds
 
 
 def test_selftest_batteries_run_the_compound_that_ships(capsys, monkeypatch):
-    assert selfcheck.compound is bounds.compound
+    assert selfcheck.compounds is bounds.compounds
     calls = []
-    monkeypatch.setattr(selfcheck, "compound", lambda *args: calls.append(args[0]) or bounds.compound(*args))
+
+    def counting(fam, directions):
+        calls.append((fam, len(directions)))
+        return bounds.compounds(fam, directions)
+
+    monkeypatch.setattr(selfcheck, "compounds", counting)
     code, _, _ = run(capsys, "selftest", "--seed", "7", "--count", "10")
     assert code == EXIT_OK
-    assert calls == ["ad"] * 10 + ["tl"] * 10
+    assert calls == [("ad", 10), ("tl", 10)]  # each battery's chains in one kernel call
 
 
 @pytest.mark.parametrize("family,battery", [("ad", "ad-compound-vs-kraus"), ("tl", "tl-compound-vs-gaussian")])
 def test_selftest_fails_on_a_compound_off_by_one_part_in_a_billion(capsys, monkeypatch, family, battery):
-    monkeypatch.setattr(selfcheck, "compound", _off_by(family, 1e-9))
+    monkeypatch.setattr(selfcheck, "compounds", _off_by(family, 1e-9))
     code, out, _ = run(capsys, "selftest", "--seed", "7", "--count", "50")
     assert code == EXIT_NUMERIC
     assert [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")] == [f"FAIL {battery}"]

@@ -300,17 +300,11 @@ def test_apply_split_bounds_a_repeated_class_once(monkeypatch, source):
     elif source == "copied":  # an equal but distinct FibreParams as each edge's own class
         graph = graph._replace(cls=tuple(range(len(graph.a))),
                                classes=tuple(graph.classes[0]._replace() for _ in graph.a))
-    calls = []
-    compound = bounds.compound
-
-    def counting(*args):
-        calls.append(args)
-        return compound(*args)
-
-    monkeypatch.setattr(bounds, "compound", counting)
+    batches = _kernel_batches(monkeypatch)
     bg = apply_split(graph)
+    (handed,) = batches
     assert len(bg.a) == len(graph.a) > 1000
-    assert 1 <= len(calls) <= 2
+    assert 1 <= len(handed) <= 2
     # Both directions tie on every edge, so each keeps its own smaller id pair.
     pairs = [(graph.names[u], graph.names[v]) for u, v in zip(graph.a, graph.b)]
     assert all(
@@ -320,26 +314,26 @@ def test_apply_split_bounds_a_repeated_class_once(monkeypatch, source):
     assert any(tuple(sorted(pair)) != pair for pair in pairs)
 
 
-def _counting_direction_bounds(monkeypatch):
-    """The (fam, send, channel, recv) argument tuples of every ``direction_bounds`` call."""
-    calls = []
-    direction_bounds = network.direction_bounds
+def _kernel_batches(monkeypatch):
+    """The batches of family-native (send, channel, recv) directions handed
+    to the compound kernel, one list per call."""
+    batches = []
+    compounds = bounds.compounds
 
-    def counting(*args):
-        calls.append(args)
-        return direction_bounds(*args)
+    def counting(fam, directions):
+        batches.append(list(directions))
+        return compounds(fam, directions)
 
-    monkeypatch.setattr(network, "direction_bounds", counting)
-    return calls
+    monkeypatch.setattr(bounds, "compounds", counting)
+    return batches
 
 
 def _directions(graph):
-    """The (fam, send, channel, recv) family-native tuple of each edge's
-    forward then backward direction, in edge order."""
-    fam = resolved_family(graph)
-    native = bounds.family_native(fam)
+    """The family-native (send, channel, recv) of each edge's forward then
+    backward direction, in edge order."""
+    native = bounds.family_native(resolved_family(graph))
     return [
-        (fam, native(graph.send[s]), native(graph.classes[c]), native(graph.recv[r]))
+        (native(graph.send[s]), native(graph.classes[c]), native(graph.recv[r]))
         for u, v, c in zip(graph.a, graph.b, graph.cls) for s, r in ((u, v), (v, u))
     ]
 
@@ -348,22 +342,24 @@ def _directions(graph):
 def test_apply_split_bounds_a_direction_unless_it_repeats_the_previous(monkeypatch, name):
     graph = MEMO_GRAPHS[name]
     directions = _directions(graph)
-    calls = _counting_direction_bounds(monkeypatch)
+    batches = _kernel_batches(monkeypatch)
     apply_split(graph)
-    assert calls == [d for i, d in enumerate(directions) if i == 0 or d != directions[i - 1]]
-    if "asym" in name:  # a generated lattice: one call per distinct direction
-        assert len(calls) == len(set(directions)) == 1
+    (handed,) = batches  # one kernel call for the whole graph
+    assert handed == [d for i, d in enumerate(directions) if i == 0 or d != directions[i - 1]]
+    if "asym" in name:  # a generated lattice: its one distinct direction
+        assert len(handed) == len(set(directions)) == 1
 
 
-@pytest.mark.parametrize("pattern, expected_calls", [("ABAB", 4), ("AABB", 2), ("ABBA", 3)])
-def test_apply_split_reuses_only_the_previous_direction(monkeypatch, pattern, expected_calls):
+@pytest.mark.parametrize("pattern, expected_directions", [("ABAB", 4), ("AABB", 2), ("ABBA", 3)])
+def test_apply_split_reuses_only_the_previous_direction(monkeypatch, pattern, expected_directions):
     sources = {"A": {"fibre": {"length_km": 10.0}}, "B": {"fibre": {"length_km": 25.0}}}
     graph = _alternating_chain([sources[k] for k in pattern], hops=len(pattern))
-    calls = _counting_direction_bounds(monkeypatch)
+    batches = _kernel_batches(monkeypatch)
     bg = apply_split(graph)
+    (handed,) = batches
     # Every node has the same devices, so each class has one direction, and
     # a class is bounded again wherever it follows the other one.
-    assert len(calls) == expected_calls
+    assert len(handed) == expected_directions
     by_class = {c: bg.lower[i] for i, c in enumerate(graph.cls)}
     assert bg.lower == tuple(by_class[c] for c in graph.cls)
     assert by_class[0] > by_class[1]

@@ -700,8 +700,8 @@ def test_thresholds_mark_unattainable_sides():
 @pytest.mark.parametrize("spec,param,other", [
     (tri_spec(), "edgeLength", "ad_squashed"),
     (tri_spec(), "internalLoss", "ad_squashed"),
-    (man_spec(), "edgeLength", "bosonic_h"),
-    (man_spec(), "receiverNoise", "bosonic_h"),
+    (man_spec(), "edgeLength", "bound_columns"),
+    (man_spec(), "receiverNoise", "bound_columns"),
 ])
 def test_bound_functions_evaluate_one_side(monkeypatch, spec, param, other):
     import qnetcap.bounds as bounds_mod
@@ -713,14 +713,16 @@ def test_bound_functions_evaluate_one_side(monkeypatch, spec, param, other):
     monkeypatch.setattr(wrn, "compound", lambda *args: reduced.append(1) or compound(*args))
     # One scan sample reduces its compound once and gives both sides.
     assert both(0.1) == expected and len(reduced) == 1
-    if other == "bosonic_h":
-        # Both thermal sides come from one rate expression, with one entropy term.
-        calls = []
-        bosonic_h = bounds_mod.bosonic_h
-        monkeypatch.setattr(bounds_mod, "bosonic_h", lambda x: calls.append(x) or bosonic_h(x))
-        assert lower_fn(0.1) == expected[0] and len(calls) == 1
-        assert upper_fn(0.1) == expected[1] and len(calls) == 2
-        assert both(0.1) == expected and len(calls) == 3
+    if other == "bound_columns":
+        # Both thermal sides come from one rate expression, so each call
+        # hands the bound kernel its one compound once.
+        handed = []
+        bound_columns = bounds_mod.bound_columns
+        monkeypatch.setattr(bounds_mod, "bound_columns",
+                            lambda fam, reduced: handed.extend(reduced) or bound_columns(fam, reduced))
+        assert lower_fn(0.1) == expected[0] and len(handed) == 1
+        assert upper_fn(0.1) == expected[1] and len(handed) == 2
+        assert both(0.1) == expected and len(handed) == 3
         return
 
     def forbidden(*args):
