@@ -3,13 +3,13 @@
 Two kernels hold all the numerics, each a loop over a batch with no Python
 call per element: ``compounds``, the package's one compound reduction, turns
 node-split chains send -> edge -> recv into channels, and ``bound_columns``
-turns those into the (lower, lower kind, upper, upper kind) columns, with one
-loop per damping side; ``network.apply_split`` calls each once per graph. The
-scalar functions are one-element calls of the kernels that keep their own
-domain checks: ``compound`` and ``direction_bounds`` for one direction,
-``ad_rci(eta)`` and ``ad_squashed(eta)`` for one damping side, as a bisection
-step of the threshold solver needs, ``tl_bounds(eta, nbar)`` for both thermal
-sides and ``plob_pure_loss(eta)``, -log2(1-eta).
+turns those into the (lower, lower kind, upper, upper kind) columns.
+``network.apply_split`` calls each once per graph and a threshold scan once
+per solve. One value is a one-element batch, as in
+``bound_columns("tl", [(eta, nbar)])``. The damping branch of
+``bound_columns`` is two loops, one per side, ``coherent_information`` and
+``squashed_entanglement``, which a bisection step of the threshold solver
+calls on its own side only.
 """
 
 from __future__ import annotations
@@ -34,15 +34,6 @@ class BoundKind(enum.Enum):
 
 
 _RCI, _SQUASHED, _REE, _EXACT, _DARK = BoundKind  # the members in order, read without the enum's slow lookup
-
-
-def h2(u: float) -> float:
-    """Binary entropy -u log2 u - (1-u) log2(1-u), in bits."""
-    if not 0.0 <= u <= 1.0:
-        raise DomainError(f"probability must lie in [0, 1], got {u}")
-    if u == 0.0 or u == 1.0:
-        return 0.0
-    return -u * math.log2(u) - (1.0 - u) * math.log2(1.0 - u)
 
 
 def compounds(fam: str, directions) -> list:
@@ -93,7 +84,7 @@ def compounds(fam: str, directions) -> list:
     return reduced
 
 
-def _coherent_information(etas) -> list[float]:
+def coherent_information(etas) -> list[float]:
     """The damping lower bound of each survival probability eta = 1 - p of ``etas``.
 
     It maximizes the coherent information f(u) = H2(u) - H2(q), q = pu, over
@@ -132,7 +123,7 @@ def _coherent_information(etas) -> list[float]:
     return lower
 
 
-def _squashed_entanglement(etas) -> list[float]:
+def squashed_entanglement(etas) -> list[float]:
     """The damping upper bound h2(1/4 + eta/4) - h2(1/4 - eta/4) of each eta of ``etas``, as
     [eta ln((3+eta)/(1+eta)) + (3-eta) atanh(eta/3) - (1-eta) atanh(eta)] / (2 ln 2)."""
     upper = []
@@ -149,7 +140,7 @@ def _squashed_entanglement(etas) -> list[float]:
 def bound_columns(fam: str, reduced) -> list[list]:
     """The [lower, lower kind, upper, upper kind] columns of the compounds ``reduced``.
 
-    Damping compounds get ``_coherent_information`` and ``_squashed_entanglement``,
+    Damping compounds get ``coherent_information`` and ``squashed_entanglement``,
     a loop each. Compounds are as ``compounds`` gives them: only the error below is checked.
 
     Thermal loss, (eta, nbar): a compound that transmits nothing (a dark
@@ -167,7 +158,7 @@ def bound_columns(fam: str, reduced) -> list[list]:
     formula's relative precision as eta -> 0.
     """
     if fam == FAMILY_AD:
-        lower, upper = _coherent_information(reduced), _squashed_entanglement(reduced)
+        lower, upper = coherent_information(reduced), squashed_entanglement(reduced)
         return [lower, [_RCI] * len(lower), upper, [_SQUASHED] * len(upper)]
     lower, lower_kind, upper, upper_kind = [], [], [], []
     for eta, nbar in reduced:
@@ -190,53 +181,8 @@ def bound_columns(fam: str, reduced) -> list[list]:
     return [lower, lower_kind, upper, upper_kind]
 
 
-def ad_rci(eta: float) -> float:
-    """Best coherent-information rate of amplitude damping with survival probability eta = 1 - p."""
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"survival probability must lie in [0, 1], got {eta}")
-    return _coherent_information((eta,))[0]
-
-
-def ad_squashed(eta: float) -> float:
-    """Squashed-entanglement upper bound for amplitude damping with survival probability eta."""
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"survival probability must lie in [0, 1], got {eta}")
-    return _squashed_entanglement((eta,))[0]
-
-
-def tl_bounds(eta_tot: float, nbar_tot: float) -> tuple[float, BoundKind, float, BoundKind]:
-    """(lower, lower kind, upper, upper kind) of a thermal-loss channel; unit transmissivity
-    raises DomainError, and callers that give ideal edges a meaning handle them first."""
-    if eta_tot != 0.0 and not (0.0 < eta_tot < 1.0 and nbar_tot >= 0.0):
-        plob_pure_loss(eta_tot)  # raises for a bad transmissivity
-        raise DomainError(f"thermal photon number must be >= 0, got {nbar_tot}")
-    lower, lower_kind, upper, upper_kind = bound_columns(FAMILY_TL, ((eta_tot, nbar_tot),))
-    return lower[0], lower_kind[0], upper[0], upper_kind[0]
-
-
-def plob_pure_loss(eta: float) -> float:
-    """Exact two-way capacity of the pure-loss channel, -log2(1-eta) = -log1p(-eta)/ln 2."""
-    if not 0.0 < eta < 1.0:
-        if eta == 1.0:
-            raise DomainError("transmissivity 1 is divergent; treat as infinite capacity explicitly")
-        raise DomainError(f"transmissivity must lie in (0, 1), got {eta}")
-    return bound_columns(FAMILY_TL, ((eta, 0.0),))[0][0]
-
-
 def family_native(fam: str):
     """``as_damping`` or ``as_thermal``: the converter to ``fam``'s native numbers."""
     if fam not in (FAMILY_AD, FAMILY_TL):
         raise FamilyError(f"unknown channel family {fam!r}")
     return as_damping if fam == FAMILY_AD else as_thermal
-
-
-def compound(fam: str, send, edge, recv):
-    """The channel that ``compounds`` reduces the one chain send -> edge -> recv to."""
-    return compounds(fam, ((send, edge, recv),))[0]
-
-
-def direction_bounds(fam: str, send, edge, recv) -> tuple[float, BoundKind, float, BoundKind]:
-    """(lower, lower kind, upper, upper kind) of one directed use of an edge, in family-native
-    numbers; a thermal compound of unit transmissivity is an ideal edge, bounded ``inf``."""
-    lower, lower_kind, upper, upper_kind = bound_columns(fam, compounds(fam, ((send, edge, recv),)))
-    return lower[0], lower_kind[0], upper[0], upper_kind[0]

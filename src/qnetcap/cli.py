@@ -25,7 +25,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Callable, Iterable, NoReturn
 
-from .channels import AmplitudeDamping, ThermalLoss, as_thermal, channel_from_json, fibre_transmissivity
+from .channels import AmplitudeDamping, FibreParams, ThermalLoss, as_thermal, channel_from_json, fibre_transmissivity
 from .errors import DomainError, MonotonicityError, NotAttainableError, QnetcapError, ValidationError
 
 # Each function imports the package modules it calls, so a call loads only the
@@ -454,8 +454,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--radius", required=True, type=int)
     gen.add_argument("--d", required=True, type=float, help="edge length in km")
     gen.add_argument("--family", choices=("ad", "tl"))
-    gen.add_argument("--gamma", type=float, default=0.02)
-    gen.add_argument("--nbar-b", type=float, default=0.002)
+    gen.add_argument("--gamma", type=float, default=FibreParams._field_defaults["gamma"])
+    gen.add_argument("--nbar-b", type=float, default=FibreParams._field_defaults["nbar_B"])
     gen.add_argument("--out")
     gen.set_defaults(func=cmd_generate)
 

@@ -531,7 +531,8 @@ def _graph_columns(raw_nodes: Iterable | None, raw_edges: Iterable | None, data,
                     if not isinstance(fibre, dict) or "length_km" not in fibre:
                         violations.append(f"edge {end_a}-{end_b}: fibre needs a 'length_km'")
                         continue
-                    length, gamma, nbar_b = fibre["length_km"], fibre.get("gamma", 0.02), fibre.get("nbar_B", 0.002)
+                    length, gamma = fibre["length_km"], fibre.get("gamma", FibreParams._field_defaults["gamma"])
+                    nbar_b = fibre.get("nbar_B", FibreParams._field_defaults["nbar_B"])
                     # By identity: True == 1.0 with the same hash, so float() and the class memo would take it.
                     if (length is True or length is False or gamma is True or gamma is False
                             or nbar_b is True or nbar_b is False):

@@ -8,10 +8,10 @@ path enumeration on small graphs, a capacity and conservation check of a
 max-flow result, closed-form sizes and weak regularity of generated lattice
 patches, and the flooding = k*c consequence on uniformly valued lattices.
 ``oriented_edge_bounds`` is the per-edge reference for ``network.apply_split``,
-``bosonic_h`` the thermal lower bound's entropy term, and ``bounded_from_values``
-builds the small test graphs the routing oracles run on. The tests and the
-``selfcheck`` batteries pit these against the fast paths, which never depend
-on this module.
+``h2`` the binary entropy of the damping bounds, ``bosonic_h`` the thermal
+lower bound's entropy term, and ``bounded_from_values`` builds the small test
+graphs the routing oracles run on. The tests and the ``selfcheck`` batteries
+pit these against the fast paths, which never depend on this module.
 
 Every matrix here is 2x2. Inputs are read as ``m[i][j]``, so nested lists and
 numpy arrays both serve, and results are nested tuples: the module needs only
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple
 
-from .bounds import BoundKind, direction_bounds, family_native
+from .bounds import BoundKind, bound_columns, compounds, family_native
 from .channels import ChannelSpec, FibreParams, NodeSpec
 from .errors import DomainError, KrausError, SizeError
 from .network import BoundedGraph, Cut, NetworkGraph, annotate_uniform, check_selector
@@ -110,6 +110,15 @@ def von_neumann_entropy(rho) -> float:
     return -sum(x * math.log2(x) for x in lam if x > EIG_ZERO_TOL)
 
 
+def h2(u: float) -> float:
+    """Binary entropy -u log2 u - (1-u) log2(1-u), in bits."""
+    if not 0.0 <= u <= 1.0:
+        raise DomainError(f"probability must lie in [0, 1], got {u}")
+    if u == 0.0 or u == 1.0:
+        return 0.0
+    return -u * math.log2(u) - (1.0 - u) * math.log2(1.0 - u)
+
+
 def bosonic_h(x: float) -> float:
     """Thermal-state entropy (x+1)log2(x+1) - x log2 x, in bits, evaluated as ``bounds.bound_columns`` does."""
     if not x >= 0.0:
@@ -188,8 +197,9 @@ def oriented_edge_bounds(edge: ChannelSpec | FibreParams, node_a: NodeSpec, node
     family ``fam``, each side from the direction that bounds it higher, a tie from the smaller id pair."""
     native = family_native(fam)
     channel = native(edge)
-    forward = direction_bounds(fam, native(node_a.send), channel, native(node_b.recv))
-    backward = direction_bounds(fam, native(node_b.send), channel, native(node_a.recv))
+    directions = ((native(node_a.send), channel, native(node_b.recv)),
+                  (native(node_b.send), channel, native(node_a.recv)))
+    forward, backward = zip(*bound_columns(fam, compounds(fam, directions)))
     ends = ((node_a.id, node_b.id), (node_b.id, node_a.id))
     lower_back, upper_back = (backward[k] > forward[k] or (not forward[k] > backward[k] and ends[1] < ends[0])
                               for k in (0, 2))

@@ -8,10 +8,9 @@ down to a per-edge requirement: bulk edges must carry C/delta, user-connected
 edges C/omega. Solving bound_function(xi) = target/scale for the physical
 parameter xi (edge length, internal loss, or receiver noise) yields the
 tolerable-parameter thresholds; running the solve with the lower and the upper
-bound function brackets the true threshold. ``thresholds`` scans the pair of
-bound functions once, each sample reducing its compound once for both sides,
-takes each side's direction from it and then bisects each side for every
-requested (target, scale) goal.
+bound function brackets the true threshold. ``thresholds`` scans both sides
+at once, in one call of each ``bounds`` kernel on the chains of its samples,
+and then bisects each side, one value per step, for every (target, scale) goal.
 
 With every edge at one uniform value c, these lattices satisfy the threshold
 conditions outright and the flooding capacity equals k*c exactly (the
@@ -25,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .bounds import ad_rci, ad_squashed, compound, tl_bounds
+from .bounds import bound_columns, coherent_information, compounds, squashed_entanglement
 from .channels import (
     FAMILY_AD,
     FAMILY_TL,
@@ -87,8 +86,8 @@ class WrnSpec(NamedTuple):
     family: str
     recv: ChannelSpec = Identity()
     send: ChannelSpec = Identity()
-    gamma: float = 0.02
-    nbar_B: float = 0.002
+    gamma: float = FibreParams._field_defaults["gamma"]
+    nbar_B: float = FibreParams._field_defaults["nbar_B"]
 
     def _check(self):
         if self.cell_type not in _CELLS:
@@ -365,8 +364,8 @@ def solve_threshold(
     return _solve(bound_fn, target, scale, bracket, _scan(bound_fn, bracket))
 
 
-def _compound_at(spec: WrnSpec, param: str, qkd_setup: qkd_mod.QkdSetup | None):
-    """(xi -> reduced edge compound in family-native numbers, bracket)."""
+def _chain_at(spec: WrnSpec, param: str, qkd_setup: qkd_mod.QkdSetup | None):
+    """(xi -> the (send, edge, recv) chain of one directed edge use in family-native numbers, bracket)."""
     families = {PARAM_EDGE_LENGTH: spec.family, PARAM_INTERNAL_LOSS: FAMILY_AD,
                 PARAM_RECEIVER_NOISE: FAMILY_TL}
     if param not in families:
@@ -383,49 +382,56 @@ def _compound_at(spec: WrnSpec, param: str, qkd_setup: qkd_mod.QkdSetup | None):
     if param == PARAM_INTERNAL_LOSS:
         # The swept internal loss p stands in for both device templates.
         eta_edge = eta(spec.edge_length_km)
-        return (lambda p: compound(FAMILY_AD, 1.0 - p, eta_edge, 1.0)), (BRACKET_START[0], 1.0 - 1e-9)
+        return (lambda p: (1.0 - p, eta_edge, 1.0)), (BRACKET_START[0], 1.0 - 1e-9)
     if param == PARAM_RECEIVER_NOISE:
         tau_r, send_t = as_thermal(spec.recv)[0], as_thermal(spec.send)
         fibre = (eta(spec.edge_length_km), spec.nbar_B)
-        return (lambda n: compound(FAMILY_TL, send_t, fibre, (tau_r, n))), BRACKET_START
+        return (lambda n: (send_t, fibre, (tau_r, n))), BRACKET_START
     if spec.family == FAMILY_AD:
         eta_send, eta_recv = as_damping(spec.send), as_damping(spec.recv)
-        return (lambda d: compound(FAMILY_AD, eta_send, eta(d), eta_recv)), BRACKET_START
+        return (lambda d: (eta_send, eta(d), eta_recv)), BRACKET_START
     if qkd_setup is not None:
         from .qkd import receiver_noise  # only a QKD solve loads the receiver models
-        def qkd_compound(d: float):
+        def qkd_chain(d: float):
             eta_d = eta(d)
-            recv = (qkd_setup.tau_eff, receiver_noise(qkd_setup, eta_d))
-            return compound(FAMILY_TL, (1.0, 0.0), (eta_d, spec.nbar_B), recv)
+            return (1.0, 0.0), (eta_d, spec.nbar_B), (qkd_setup.tau_eff, receiver_noise(qkd_setup, eta_d))
 
-        return qkd_compound, BRACKET_START
+        return qkd_chain, BRACKET_START
     send_t, recv_t = as_thermal(spec.send), as_thermal(spec.recv)
-    return (lambda d: compound(FAMILY_TL, send_t, (eta(d), spec.nbar_B), recv_t)), BRACKET_START
+    return (lambda d: (send_t, (eta(d), spec.nbar_B), recv_t)), BRACKET_START
 
 
 def bound_functions(spec: WrnSpec, param: str, qkd_setup: qkd_mod.QkdSetup | None = None):
-    """(lower fn, upper fn, start bracket, both fn) for one tunable parameter.
+    """(lower fn, upper fn, start bracket, columns fn) for one tunable parameter.
 
     The remaining parameters are frozen from the spec. With a QKD setup the
     receiver template becomes ThermalLoss(tau_eff, nbar_r(eta(d))) and the
     sender is ideal; that combination only applies to thermal-loss lattices
-    varied over edge length. The family picks each side's bound here, once.
-    The lower and upper functions evaluate their own side only; ``both``
-    reduces the compound once and returns (lower, upper).
+    varied over edge length. The lower and upper functions bound one value on
+    their own side only, as a bisection step needs; ``columns(xs)`` gives the
+    ``bounds.bound_columns`` of a batch of values, one call of each kernel, as
+    a scan needs. A thermal compound of unit transmissivity, whose capacity
+    diverges, raises DomainError where a graph bounds it ``inf``.
     """
-    at, bracket = _compound_at(spec, param, qkd_setup)
-    if spec.family == FAMILY_AD:
-        def both(x: float) -> tuple[float, float]:
-            eta = at(x)
-            return ad_rci(eta), ad_squashed(eta)
+    chain, bracket = _chain_at(spec, param, qkd_setup)
+    fam = spec.family
 
-        return (lambda x: ad_rci(at(x))), (lambda x: ad_squashed(at(x))), bracket, both
+    def reduce(chains) -> list:
+        reduced = compounds(fam, chains)
+        if fam == FAMILY_TL:
+            for eta, _ in reduced:
+                if eta == 1.0:
+                    raise DomainError("transmissivity 1 is divergent; treat as infinite capacity explicitly")
+        return reduced
 
-    def both(x: float) -> tuple[float, float]:
-        lower, _, upper, _ = tl_bounds(*at(x))
-        return lower, upper
+    def columns(xs) -> list[list]:
+        return bound_columns(fam, reduce([chain(x) for x in xs]))
 
-    return (lambda x: tl_bounds(*at(x))[0]), (lambda x: tl_bounds(*at(x))[2]), bracket, both
+    if fam == FAMILY_AD:
+        return (lambda x: coherent_information(reduce((chain(x),)))[0]), \
+            (lambda x: squashed_entanglement(reduce((chain(x),)))[0]), bracket, columns
+    return (lambda x: bound_columns(fam, reduce((chain(x),)))[0][0]), \
+        (lambda x: bound_columns(fam, reduce((chain(x),)))[2][0]), bracket, columns
 
 
 def connectivity(spec: WrnSpec) -> tuple[int, tuple[int, int]]:
@@ -438,16 +444,17 @@ def thresholds(spec: WrnSpec, cases, param: str,
     """Thresholds from the lower and the upper bound function, one per case.
 
     Each case is a (target, scale name) pair; the scale name is "delta" (bulk
-    edges) or "omega" (user edges). One scan evaluates both bound functions at
-    each sample, and each is then solved for every case. A side whose
-    per-edge target is out of reach is nan, and ``unattainable`` holds the
-    reason of the first such side.
+    edges) or "omega" (user edges). One scan bounds both sides of every sample
+    in one call of each bound kernel, and each side is then solved for every
+    case. A side whose per-edge target is out of reach is nan, and
+    ``unattainable`` holds the reason of the first such side.
     """
     d, (num, den) = connectivity(spec)
     scales = dict(zip(SCALE_NAMES, (float(d), num / den)))
-    lower_fn, upper_fn, bracket, both = bound_functions(spec, param, qkd_setup)
+    lower_fn, upper_fn, bracket, columns = bound_functions(spec, param, qkd_setup)
     # The verdicts run on the lower side first, as if each side had its own scan.
-    scans = [_verdict(values) for values in zip(*map(both, _samples(bracket)))]
+    lower, _, upper, _ = columns(_samples(bracket))
+    scans = [_verdict(lower), _verdict(upper)]
     sides = list(zip((lower_fn, upper_fn), scans))
     results = []
     for target, scale_name in cases:

@@ -82,7 +82,8 @@ def _compose_tl(channels):
 
 
 def _reference_compound(fam, send, edge, recv):
-    """``bounds.compound`` as it was before its closed form: the n-ary chain
+    """The reduction of one chain, as ``bounds.compounds`` does it for each of a
+    batch, as it was before its closed form: the n-ary chain
     reductions ``compose_ad``/``compose_tl`` that the package once had, run on
     the three links, after the dark-edge shortcut."""
     if fam == "ad":

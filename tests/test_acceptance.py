@@ -12,9 +12,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qnetcap.bounds import ad_rci, ad_squashed, compound, h2, tl_bounds
+from qnetcap.bounds import bound_columns, compounds
 from qnetcap.channels import AmplitudeDamping
-from qnetcap.oracles import ad_rci_at_u, verify_theorem2
+from qnetcap.oracles import ad_rci_at_u, h2, verify_theorem2
 from qnetcap.qkd import from_preset, theta_el, theta_ph, with_scheme
 from qnetcap.selfcheck import check_ad_compounds, check_tl_compounds, routing_errors
 from qnetcap.wrn import (
@@ -104,7 +104,7 @@ def test_criterion_5_compound_channels_match_simulation():
     for _ in range(200):
         tau_s, eta, tau_r = rng.uniform(0.05, 1.0, 3)
         nbar_s, nbar_xy, nbar_r = rng.uniform(1e-6, 0.5, 3)
-        split = compound("tl", (tau_s, nbar_s), (eta, nbar_xy), (tau_r, nbar_r))
+        [split] = compounds("tl", [((tau_s, nbar_s), (eta, nbar_xy), (tau_r, nbar_r))])
         assert split == xi_chain(
             [(tau_s, nbar_s), (eta, nbar_xy), (tau_r, nbar_r)]
         )
@@ -133,10 +133,11 @@ def test_criterion_7_uniform_lattice_flooding_is_k_times_c():
 
 def test_criterion_8_bound_ordering_and_constants():
     for p in np.linspace(0.0, 1.0, 10_000):
-        assert ad_rci(1.0 - p) <= ad_squashed(1.0 - p)
+        (lower,), _, (upper,), _ = bound_columns("ad", [1.0 - p])
+        assert lower <= upper
     for eta in np.linspace(0.01, 0.99, 100):
         for nbar in np.linspace(0.0, 1.5, 100):
-            lower, _, upper, _ = tl_bounds(eta, nbar)
+            (lower,), _, (upper,), _ = bound_columns("tl", [(eta, nbar)])
             assert lower <= upper
     for u in np.linspace(0.01, 0.99, 50):
         for p in np.linspace(0.01, 0.99, 50):

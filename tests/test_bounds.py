@@ -6,18 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qnetcap.bounds import (
-    BoundKind,
-    ad_rci,
-    ad_squashed,
-    bound_columns,
-    compound,
-    compounds,
-    direction_bounds,
-    h2,
-    plob_pure_loss,
-    tl_bounds,
-)
+from qnetcap.bounds import BoundKind, bound_columns, coherent_information, compounds, squashed_entanglement
 from qnetcap.channels import (
     FAMILY_AD,
     FAMILY_TL,
@@ -30,13 +19,34 @@ from qnetcap.channels import (
 )
 from qnetcap.errors import DomainError, FamilyError
 from qnetcap.network import annotate_uniform
-from qnetcap.oracles import bosonic_h, gaussian_propagate, oriented_edge_bounds, verify_theorem2
+from qnetcap.oracles import bosonic_h, gaussian_propagate, h2, oriented_edge_bounds, verify_theorem2
 from qnetcap.qkd import from_preset, receiver_noise
 from qnetcap.wrn import WrnSpec, generate, min_nodal_density, solve_threshold
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 etas = st.floats(min_value=1e-6, max_value=1.0 - 1e-9, allow_nan=False)
 nbars = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
+
+
+def _compound(fam, send, edge, recv):
+    """The one compound ``compounds`` reduces a one-chain batch to."""
+    return compounds(fam, [(send, edge, recv)])[0]
+
+
+def _direction(fam, send, edge, recv):
+    """(lower, lower kind, upper, upper kind) of one direction, from one-element batches of both kernels."""
+    return tuple(column[0] for column in bound_columns(fam, [_compound(fam, send, edge, recv)]))
+
+
+def _tl(eta, nbar):
+    """(lower, lower kind, upper, upper kind) of one thermal compound, a one-element batch."""
+    return tuple(column[0] for column in bound_columns(FAMILY_TL, [(eta, nbar)]))
+
+
+def _ad_rci(eta):
+    return coherent_information([eta])[0]
+
+
 
 
 def test_h2_values():
@@ -81,19 +91,20 @@ def test_bosonic_h_matches_decimal_reference():
 
 
 def test_ad_rci_endpoints_and_peak():
-    assert ad_rci(1.0 - 0.0) == 1.0
-    assert ad_rci(1.0 - 1.0) == 0.0
-    assert ad_rci(1.0 - 0.5) == pytest.approx(0.27155330316361204, rel=1e-10)
-    assert ad_rci(1.0 - 0.1) == pytest.approx(0.7300846722655403, rel=1e-10)
+    assert _ad_rci(1.0 - 0.0) == 1.0
+    assert _ad_rci(1.0 - 1.0) == 0.0
+    assert _ad_rci(1.0 - 0.5) == pytest.approx(0.27155330316361204, rel=1e-10)
+    assert _ad_rci(1.0 - 0.1) == pytest.approx(0.7300846722655403, rel=1e-10)
+    # The kernels bound what ``compounds`` gives, which refuses a survival probability below 0.
     with pytest.raises(DomainError):
-        ad_rci(1.0 - 1.0001)
+        _compound(FAMILY_AD, 1.0 - 1.0001, 1.0, 1.0)
 
 
 def test_ad_rci_beats_every_grid_point():
     # the maximized value cannot fall below the objective at any u
     grid = [i / 1000 for i in range(1001)]
     for p in (1e-300, 1e-9, 1e-4, 0.05, 0.3, 0.6, 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-12):
-        best = ad_rci(1.0 - p)
+        best = _ad_rci(1.0 - p)
         for u in grid:
             assert best >= h2(u) - h2(u * p) - 1e-12
 
@@ -139,16 +150,17 @@ REFERENCE_ETAS = [10.0 ** (k / 2) for k in range(-30, 1)] + [1.0 - 10.0 ** -k fo
 
 @pytest.mark.parametrize("eta", REFERENCE_ETAS)
 def test_bounds_match_decimal_reference_down_to_full_loss(eta):
-    for got, ref in ((ad_rci(eta), _ad_rci_decimal(eta)), (ad_squashed(eta), _ad_squashed_decimal(eta))):
+    (lower,), _, (upper,), _ = bound_columns(FAMILY_AD, [eta])
+    for got, ref in ((lower, _ad_rci_decimal(eta)), (upper, _ad_squashed_decimal(eta))):
         assert abs(Decimal(got) - ref) <= Decimal("1e-12") * ref
     if eta < 1.0:
         ref = _plob_decimal(eta)
-        assert abs(Decimal(plob_pure_loss(eta)) - ref) <= Decimal("1e-12") * ref
+        assert abs(Decimal(_tl(eta, 0.0)[0]) - ref) <= Decimal("1e-12") * ref
 
 
 def _ad_rci_bisection(p_tot: float) -> float:
-    """The bisection on the damping probability that ``ad_rci`` used before it
-    was written in the survival probability, as a reference."""
+    """The bisection on the damping probability that the damping lower bound used
+    before it was written in the survival probability, as a reference."""
     lo, hi = 0.0, 1.0
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         slope = math.log2(1.0 - mid) - math.log2(mid)
@@ -168,9 +180,10 @@ def test_ad_rci_matches_the_bisection_on_p():
     # error of a few units of 2^-52: against the decimal reference it is up to
     # 9e-11 relative off for eta from 1e-6 to 1e-5, and within 1e-12 from 1e-3.
     etas = [10.0 ** (k / 40) for k in range(-240, 0)] + [1.0 - 10.0 ** (k / 40) for k in range(-240, -28)]
-    for p in (1.0 - eta for eta in etas):
+    ps = [1.0 - eta for eta in etas]
+    for p, got in zip(ps, coherent_information([1.0 - p for p in ps])):
         old = _ad_rci_bisection(p)
-        assert abs(ad_rci(1.0 - p) - old) <= 1e-12 * old + 4 * sys.float_info.epsilon
+        assert abs(got - old) <= 1e-12 * old + 4 * sys.float_info.epsilon
 
 
 def test_bounds_hold_no_cache():
@@ -180,16 +193,16 @@ def test_bounds_hold_no_cache():
 
 
 def test_ad_squashed_values():
-    assert ad_squashed(1.0 - 0.0) == pytest.approx(1.0, rel=1e-15)
-    assert ad_squashed(1.0 - 1.0) == 0.0
-    assert ad_squashed(1.0 - 0.5) == pytest.approx(0.41086955972536865, rel=1e-12)
+    assert squashed_entanglement([1.0 - 0.0, 1.0 - 1.0, 1.0 - 0.5]) == \
+        [pytest.approx(1.0, rel=1e-15), 0.0, pytest.approx(0.41086955972536865, rel=1e-12)]
 
 
 @given(unit)
 @example(p=5e-324)
 @settings(max_examples=300, deadline=None)
 def test_ad_bound_order(p):
-    assert ad_rci(1.0 - p) <= ad_squashed(1.0 - p) + 1e-12
+    lower, _, upper, _ = bound_columns(FAMILY_AD, [1.0 - p])
+    assert lower[0] <= upper[0] + 1e-12
 
 
 @given(st.floats(min_value=0.0, max_value=0.999), st.floats(min_value=1e-4, max_value=0.2))
@@ -197,37 +210,35 @@ def test_ad_bound_order(p):
 @settings(max_examples=150, deadline=None)
 def test_ad_rci_monotone_in_p(p, dp):
     hi = min(1.0, p + dp)
-    assert ad_rci(1.0 - hi) <= ad_rci(1.0 - p) + 1e-10
+    assert _ad_rci(1.0 - hi) <= _ad_rci(1.0 - p) + 1e-10
 
 
 def test_tl_rci_values_and_domain():
-    assert tl_bounds(0.5, 0.0)[0] == pytest.approx(1.0, rel=1e-15)
-    assert tl_bounds(0.5, 0.01)[0] == pytest.approx(0.8579823409637992, rel=1e-12)
-    assert tl_bounds(0.5, 10.0)[0] == 0.0
-    # A compound that transmits nothing is bounded 0; outside [0, 1) there is no bound.
-    assert tl_bounds(0.0, 0.0) == (0.0, BoundKind.DARK_FIBRE, 0.0, BoundKind.DARK_FIBRE)
-    with pytest.raises(DomainError, match="divergent"):
-        tl_bounds(1.0, 0.0)
-    with pytest.raises(DomainError):
-        tl_bounds(-0.5, 0.0)
-    with pytest.raises(DomainError):
-        tl_bounds(1.5, 0.01)
-    with pytest.raises(DomainError):
-        tl_bounds(0.5, -0.1)
+    assert _tl(0.5, 0.0)[0] == pytest.approx(1.0, rel=1e-15)
+    assert _tl(0.5, 0.01)[0] == pytest.approx(0.8579823409637992, rel=1e-12)
+    assert _tl(0.5, 10.0)[0] == 0.0
+    # A compound that transmits nothing is bounded 0, an ideal edge inf, and one
+    # with unit transmissivity and added noise is refused.
+    assert _tl(0.0, 0.0) == (0.0, BoundKind.DARK_FIBRE, 0.0, BoundKind.DARK_FIBRE)
+    assert _tl(1.0, 0.0) == (math.inf, BoundKind.PLOB_EXACT, math.inf, BoundKind.PLOB_EXACT)
+    with pytest.raises(DomainError, match="unit transmissivity and added noise"):
+        _tl(1.0, 0.01)
+    # Outside [0, 1] and for negative noise there is no compound to bound.
+    for bad in ((-0.5, 0.0), (1.5, 0.01), (0.5, -0.1)):
+        with pytest.raises(DomainError):
+            _compound(FAMILY_TL, bad, (0.5, 0.0), (1.0, 0.0))
 
 
 def test_tl_ree_values():
-    assert tl_bounds(0.5, 0.01)[2] == pytest.approx(0.8779823409637992, rel=1e-12)
+    assert _tl(0.5, 0.01)[2] == pytest.approx(0.8779823409637992, rel=1e-12)
     # entanglement-breaking regime: capacity is exactly zero
-    assert tl_bounds(0.1, 1.0)[2] == 0.0
-    assert tl_bounds(0.1, 0.1)[2] == 0.0
-    assert tl_bounds(0.3, 0.9)[2] == 0.0
+    assert bound_columns(FAMILY_TL, [(0.1, 1.0), (0.1, 0.1), (0.3, 0.9)])[2] == [0.0, 0.0, 0.0]
 
 
 @given(etas, nbars)
 @settings(max_examples=400)
 def test_tl_bound_order(eta, nbar):
-    lower, _, upper, _ = tl_bounds(eta, nbar)
+    lower, _, upper, _ = _tl(eta, nbar)
     assert lower <= upper + 1e-12
 
 
@@ -236,18 +247,28 @@ def test_tl_bound_order(eta, nbar):
 @example(eta=0.5, nbar=5e-324, dn=0.125)  # subnormal x: 1/x overflows
 @settings(max_examples=200)
 def test_tl_ree_monotone_in_noise(eta, nbar, dn):
-    assert tl_bounds(eta, nbar + dn)[2] <= tl_bounds(eta, nbar)[2] + 1e-12
+    noisier, upper = bound_columns(FAMILY_TL, [(eta, nbar + dn), (eta, nbar)])[2]
+    assert noisier <= upper + 1e-12
 
 
 @given(etas)
 @settings(max_examples=200)
 def test_pure_loss_bounds_coincide(eta):
-    exact = plob_pure_loss(eta)
-    assert tl_bounds(eta, 0.0) == (exact, BoundKind.PLOB_EXACT, exact, BoundKind.PLOB_EXACT)
+    exact = -math.log1p(-eta) / math.log(2.0)
+    assert _tl(eta, 0.0) == (exact, BoundKind.PLOB_EXACT, exact, BoundKind.PLOB_EXACT)
+
+
+def _reference_plob(eta):
+    """-log2(1-eta) with the domain checks of the former ``plob_pure_loss``, as a reference."""
+    if not 0.0 < eta < 1.0:
+        if eta == 1.0:
+            raise DomainError("transmissivity 1 is divergent; treat as infinite capacity explicitly")
+        raise DomainError(f"transmissivity must lie in (0, 1), got {eta}")
+    return -math.log1p(-eta) / math.log(2.0)
 
 
 def _reference_tl_rate(eta_tot, nbar_tot):
-    rate = plob_pure_loss(eta_tot)
+    rate = _reference_plob(eta_tot)
     if not nbar_tot >= 0.0:
         raise DomainError(f"thermal photon number must be >= 0, got {nbar_tot}")
     return rate - bosonic_h(nbar_tot / (1.0 - eta_tot))
@@ -261,7 +282,7 @@ def _reference_tl_side(reduced, selector):
     if eta_tot == 0.0:
         return 0.0, BoundKind.DARK_FIBRE
     if nbar_tot == 0.0:
-        return plob_pure_loss(eta_tot), BoundKind.PLOB_EXACT
+        return _reference_plob(eta_tot), BoundKind.PLOB_EXACT
     raw = _reference_tl_rate(eta_tot, nbar_tot)
     if selector == "lower":
         return max(0.0, raw), BoundKind.RCI_LOWER
@@ -270,13 +291,16 @@ def _reference_tl_side(reduced, selector):
     return max(0.0, raw - (nbar_tot / (1.0 - eta_tot)) * math.log2(eta_tot)), BoundKind.REE_UPPER
 
 
-def _reference_tl_direction(reference_compound, send, edge, recv):
-    reduced = reference_compound(FAMILY_TL, send, edge, recv)
+def _reference_tl_bounds(reduced):
     if reduced[0] == 1.0:
         if reduced[1] != 0.0:
             raise DomainError("thermal edge with unit transmissivity and added noise is not modelled")
         return math.inf, BoundKind.PLOB_EXACT, math.inf, BoundKind.PLOB_EXACT
     return (*_reference_tl_side(reduced, "lower"), *_reference_tl_side(reduced, "upper"))
+
+
+def _reference_tl_direction(reference_compound, send, edge, recv):
+    return _reference_tl_bounds(reference_compound(FAMILY_TL, send, edge, recv))
 
 
 def _bits(fn, *args):
@@ -312,8 +336,11 @@ def thermal_compounds(draw):
 @example((0.5, -0.0))
 @settings(max_examples=1500, deadline=None)
 def test_tl_bounds_match_the_per_side_reference(reduced):
-    lower, upper = (_bits(_reference_tl_side, reduced, selector) for selector in ("lower", "upper"))
-    assert _bits(tl_bounds, *reduced) == (lower if isinstance(lower, str) else lower + upper)
+    # The kernel bounds what ``compounds`` gives: a dark compound whatever its
+    # noise, or a transmissivity in (0, 1] with noise >= 0.
+    eta, nbar = reduced
+    assume(eta == 0.0 or 0.0 < eta <= 1.0 and nbar >= 0.0)
+    assert _bits(_tl, *reduced) == _bits(_reference_tl_bounds, reduced)
 
 
 def _outcome(fn, *args):
@@ -346,7 +373,7 @@ thermal_links = st.tuples(st.sampled_from(LINK_FLOATS) | st.floats(0.0, 1.0) | s
 @example((5e-324, 0.01), (5e-324, 0.0), (5e-324, 0.0))  # the product underflows to 0
 @settings(max_examples=3000, deadline=None)
 def test_closed_form_tl_compound_is_compose_tl(reference_compound, send, edge, recv):
-    got = _outcome(compound, FAMILY_TL, send, edge, recv)
+    got = _outcome(_compound, FAMILY_TL, send, edge, recv)
     assert got == _outcome(reference_compound, FAMILY_TL, send, edge, recv)
 
 
@@ -362,7 +389,7 @@ survivals = st.sampled_from(SURVIVAL_FLOATS) | st.floats(0.0, 1.0) | st.floats()
 @example(5e-324, 5e-324, 1.0)  # the product underflows to 0
 @settings(max_examples=3000, deadline=None)
 def test_closed_form_ad_compound_is_compose_ad(reference_compound, send, edge, recv):
-    got = _outcome(compound, FAMILY_AD, send, edge, recv)
+    got = _outcome(_compound, FAMILY_AD, send, edge, recv)
     assert got == _outcome(reference_compound, FAMILY_AD, send, edge, recv)
 
 
@@ -377,7 +404,7 @@ thermal_devices = st.tuples(st.sampled_from([1.0, 1e-200, 0.5]) | st.floats(1e-6
 @example((1.0, 0.0), (0.1, 0.5), (1.0, 0.0))
 @settings(max_examples=1000, deadline=None)
 def test_tl_direction_bounds_match_the_per_side_reference(reference_compound, send, edge, recv):
-    assert _bits(direction_bounds, FAMILY_TL, send, edge, recv) == \
+    assert _bits(_direction, FAMILY_TL, send, edge, recv) == \
         _bits(_reference_tl_direction, reference_compound, send, edge, recv)
 
 # Directions of every branch of the kernels, each on its own and mixed in batches.
@@ -416,8 +443,8 @@ def _one_by_one(fam, directions):
     """What ``_kernels`` gives, from one-element calls: the message of the first direction with a bad
     link, else that of the first whose compound cannot be bounded, else the results in batch order."""
     try:
-        reduced = [compound(fam, *d) for d in directions]
-        rows = [direction_bounds(fam, *d) for d in directions]
+        reduced = [_compound(fam, *d) for d in directions]
+        rows = [_direction(fam, *d) for d in directions]
     except DomainError as exc:
         return str(exc)
     return _hex(reduced if fam == FAMILY_AD else [x for r in reduced for x in r]), \
@@ -430,13 +457,7 @@ def _one_by_one(fam, directions):
 @example([NOISY[0], ((0.5, 0.01), (math.nan, 0.01), (0.5, 0.01)), IDEAL_NOISY])  # a bad link comes first
 @settings(max_examples=600, deadline=None)
 def test_thermal_kernels_are_their_one_element_calls(directions):
-    got = _kernels(FAMILY_TL, directions)
-    assert got == _one_by_one(FAMILY_TL, directions)
-    if not isinstance(got, str):
-        # tl_bounds is the bound kernel of one compound, which it refuses at unit transmissivity.
-        for i, (eta, nbar) in enumerate(compounds(FAMILY_TL, directions)):
-            if eta != 1.0:
-                assert _hex(tl_bounds(eta, nbar)) == [column[i] for column in got[1]]
+    assert _kernels(FAMILY_TL, directions) == _one_by_one(FAMILY_TL, directions)
 
 
 @given(st.lists(ad_directions, max_size=8))
@@ -447,9 +468,9 @@ def test_damping_kernels_are_their_one_element_calls(directions):
     got = _kernels(FAMILY_AD, directions)
     assert got == _one_by_one(FAMILY_AD, directions)
     if not isinstance(got, str):
-        # ad_rci and ad_squashed are the bound kernel's one-element calls, one side each.
+        # The damping columns are the two one-side loops, each on the whole batch.
         reduced = compounds(FAMILY_AD, directions)
-        assert [_hex(map(ad_rci, reduced)), _hex(map(ad_squashed, reduced))] == got[1][0::2]
+        assert [_hex(coherent_information(reduced)), _hex(squashed_entanglement(reduced))] == got[1][0::2]
 
 
 @given(etas | st.sampled_from([5e-324, 1e-300, math.nextafter(1.0, 0.0)]),
@@ -460,16 +481,12 @@ def test_thermal_lower_bound_is_the_rate_less_the_oracle_entropy(eta, nbar):
     # The entropy term of the bound kernel, bit for bit, is oracles.bosonic_h.
     assume(nbar > 0.0)
     raw = -math.log1p(-eta) / math.log(2.0) - bosonic_h(nbar / (1.0 - eta))
-    assert tl_bounds(eta, nbar)[0].hex() == max(0.0, raw).hex()
+    assert _tl(eta, nbar)[0].hex() == max(0.0, raw).hex()
 
 
 def test_plob_values():
-    assert plob_pure_loss(0.5) == 1.0
-    assert plob_pure_loss(0.75) == 2.0
-    with pytest.raises(DomainError):
-        plob_pure_loss(1.0)
-    with pytest.raises(DomainError):
-        plob_pure_loss(0.0)
+    # Pure loss: transmissivity 0 transmits nothing and 1 is an ideal edge.
+    assert bound_columns(FAMILY_TL, [(0.5, 0.0), (0.75, 0.0), (0.0, 0.0), (1.0, 0.0)])[0] == [1.0, 2.0, 0.0, math.inf]
 
 
 def test_oriented_bounds_symmetric_edge():
@@ -489,8 +506,8 @@ def test_oriented_bounds_prefer_better_direction():
     noisy = NodeSpec("n", recv=ThermalLoss(0.8, 0.05), send=ThermalLoss(1.0, 0.0))
     clean = NodeSpec("c")
     eb = oriented_edge_bounds(ThermalLoss(0.5, 0.001), noisy, clean, "tl")
-    split = compound("tl", as_thermal(noisy.send), (0.5, 0.001), as_thermal(clean.recv))
-    assert eb.lower == pytest.approx(tl_bounds(*split)[0], rel=1e-12)
+    split = _direction("tl", as_thermal(noisy.send), (0.5, 0.001), as_thermal(clean.recv))
+    assert eb.lower == pytest.approx(split[0], rel=1e-12)
     assert eb.lower_orientation == ("n", "c")
 
 
@@ -536,24 +553,20 @@ DOMAIN_CHECKS = {
     "FibreParams.length_km": (FibreParams, "fibre length must be >= 0 km, got {}", True),
     "FibreParams.nbar_B": (lambda x: FibreParams(1.0, nbar_B=x), "background photons must be >= 0, got {}", True),
     # The send tau varies: an edge tau of -0.0 takes the dark-edge shortcut. These two
-    # entries keep the names of the checks of the n-ary reduction that compound replaced.
-    "compose_tl.tau": (lambda x: compound(FAMILY_TL, (x, 0.0), (0.5, 0.0), (1.0, 0.0)),
+    # entries keep the names of the checks of the n-ary reduction that compounds replaced.
+    "compose_tl.tau": (lambda x: _compound(FAMILY_TL, (x, 0.0), (0.5, 0.0), (1.0, 0.0)),
                        "transmissivity must lie in (0, 1], got {}", False),
-    "compose_tl.nbar": (lambda x: compound(FAMILY_TL, (0.5, 0.0), (0.5, 0.0), (0.5, x)),
+    "compose_tl.nbar": (lambda x: _compound(FAMILY_TL, (0.5, 0.0), (0.5, 0.0), (0.5, x)),
                         "thermal photon number must be >= 0, got {}", True),
     "h2": (h2, "probability must lie in [0, 1], got {}", True),
     "bosonic_h": (bosonic_h, "mean photon number must be >= 0, got {}", True),
-    "tl_bounds.nbar_tot": (lambda x: tl_bounds(0.5, x), "thermal photon number must be >= 0, got {}", True),
-    "compound.nbar": (lambda x: compound(FAMILY_TL, (0.5, 0.0), (0.5, x), (1.0, 0.0)),
+    "compound.nbar": (lambda x: _compound(FAMILY_TL, (0.5, 0.0), (0.5, x), (1.0, 0.0)),
                       "thermal photon number must be >= 0, got {}", True),
-    "compound.eta": (lambda x: compound(FAMILY_AD, 0.5, x, 1.0), "survival probability must lie in [0, 1], got {}",
+    "compound.eta": (lambda x: _compound(FAMILY_AD, 0.5, x, 1.0), "survival probability must lie in [0, 1], got {}",
                      True),
     "WrnSpec.radius": (lambda x: WrnSpec("manhattan8", x, 10.0, "tl"), "radius must be an integer, got {}", False),
-    "ad_rci": (ad_rci, "survival probability must lie in [0, 1], got {}", True),
-    "ad_squashed": (ad_squashed, "survival probability must lie in [0, 1], got {}", True),
     "gaussian_propagate.nbar": (lambda x: gaussian_propagate(((1.0, 0.0), (0.0, 1.0)), [(0.5, x)]),
                                 "thermal photon number must be >= 0, got {}", True),
-    "plob_pure_loss": (plob_pure_loss, "transmissivity must lie in (0, 1), got {}", False),
     "receiver_noise": (lambda x: receiver_noise(from_preset("table1-heterodyne-llo"), x),
                        "channel transmissivity must lie in (0, 1], got {}", False),
     "min_nodal_density": (lambda x: min_nodal_density(x, "manhattan8"), "maximum link length must be > 0 km, got {}",

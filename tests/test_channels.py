@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnetcap.bounds import compound, family_native
+from qnetcap.bounds import compounds, family_native
 from qnetcap.channels import (
     FAMILY_AD,
     FAMILY_TL,
@@ -24,6 +24,11 @@ from qnetcap.errors import DomainError, FamilyError
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 taus = st.floats(min_value=1e-6, max_value=1.0, allow_nan=False)
 nbars = st.floats(min_value=0.0, max_value=2.0, allow_nan=False)
+
+
+def _compound(fam, send, edge, recv):
+    """The one compound ``compounds`` reduces a one-chain batch to."""
+    return compounds(fam, [(send, edge, recv)])[0]
 
 
 def test_channel_param_domains():
@@ -73,25 +78,25 @@ IDEAL_TL = (1.0, 0.0)
 def test_compose_ad_examples():
     # Survival probabilities eta = 1 - p of the damping chains p = [0.2],
     # [0.1, 0.2], [0.5, 1.0] and [0, 0, 0], ideal devices filling the rest.
-    assert compound(FAMILY_AD, 1.0, 0.8, 1.0) == pytest.approx(0.8, rel=1e-15)
-    assert compound(FAMILY_AD, 0.9, 0.8, 1.0) == pytest.approx(0.72, rel=1e-15)
-    assert compound(FAMILY_AD, 0.5, 0.0, 1.0) == 0.0
-    assert compound(FAMILY_AD, 1.0, 1.0, 1.0) == 1.0
+    assert _compound(FAMILY_AD, 1.0, 0.8, 1.0) == pytest.approx(0.8, rel=1e-15)
+    assert _compound(FAMILY_AD, 0.9, 0.8, 1.0) == pytest.approx(0.72, rel=1e-15)
+    assert _compound(FAMILY_AD, 0.5, 0.0, 1.0) == 0.0
+    assert _compound(FAMILY_AD, 1.0, 1.0, 1.0) == 1.0
 
 
 def test_compose_ad_domain():
     with pytest.raises(DomainError):
-        compound(FAMILY_AD, 0.5, 1.2, 1.0)
+        _compound(FAMILY_AD, 0.5, 1.2, 1.0)
     with pytest.raises(DomainError):
-        compound(FAMILY_AD, -0.1, 1.0, 1.0)
+        _compound(FAMILY_AD, -0.1, 1.0, 1.0)
 
 
 @given(st.lists(probs, min_size=3, max_size=3))
 @settings(max_examples=300)
 def test_compose_ad_range_and_order(etas):
-    eta = compound(FAMILY_AD, *etas)
+    eta = _compound(FAMILY_AD, *etas)
     assert 0.0 <= eta <= 1.0
-    assert compound(FAMILY_AD, *reversed(etas)) == pytest.approx(eta, abs=1e-15)
+    assert _compound(FAMILY_AD, *reversed(etas)) == pytest.approx(eta, abs=1e-15)
     assert eta <= min(etas) + 1e-15
 
 
@@ -99,13 +104,13 @@ def test_compose_ad_range_and_order(etas):
 @settings(max_examples=200)
 def test_compose_ad_monotone(send, edge, extra):
     # A lossy receiver in place of an ideal one loses survival probability.
-    assert compound(FAMILY_AD, send, edge, extra) <= compound(FAMILY_AD, send, edge, 1.0) + 1e-15
+    assert _compound(FAMILY_AD, send, edge, extra) <= _compound(FAMILY_AD, send, edge, 1.0) + 1e-15
 
 
 def test_compose_tl_examples():
-    assert compound(FAMILY_TL, IDEAL_TL, (0.5, 0.1), IDEAL_TL) == (0.5, pytest.approx(0.1, abs=1e-15))
-    assert compound(FAMILY_TL, (0.5, 0.0), (0.4, 0.0), IDEAL_TL) == (pytest.approx(0.2), 0.0)
-    tau, nbar = compound(FAMILY_TL, (0.8, 0.1), (0.5, 0.2), IDEAL_TL)
+    assert _compound(FAMILY_TL, IDEAL_TL, (0.5, 0.1), IDEAL_TL) == (0.5, pytest.approx(0.1, abs=1e-15))
+    assert _compound(FAMILY_TL, (0.5, 0.0), (0.4, 0.0), IDEAL_TL) == (pytest.approx(0.2), 0.0)
+    tau, nbar = _compound(FAMILY_TL, (0.8, 0.1), (0.5, 0.2), IDEAL_TL)
     assert tau == pytest.approx(0.4, rel=1e-15)
     assert nbar == pytest.approx(0.2 + 0.5 * 0.1, rel=1e-12)
 
@@ -113,17 +118,17 @@ def test_compose_tl_examples():
 def test_compose_tl_domain():
     # The send link goes out of domain: an edge of transmissivity 0 is a dark edge.
     with pytest.raises(DomainError):
-        compound(FAMILY_TL, (0.0, 0.1), (0.5, 0.0), IDEAL_TL)
+        _compound(FAMILY_TL, (0.0, 0.1), (0.5, 0.0), IDEAL_TL)
     with pytest.raises(DomainError):
-        compound(FAMILY_TL, (1.1, 0.0), (0.5, 0.0), IDEAL_TL)
+        _compound(FAMILY_TL, (1.1, 0.0), (0.5, 0.0), IDEAL_TL)
     with pytest.raises(DomainError):
-        compound(FAMILY_TL, (0.5, -0.2), (0.5, 0.0), IDEAL_TL)
+        _compound(FAMILY_TL, (0.5, -0.2), (0.5, 0.0), IDEAL_TL)
 
 
 @given(st.lists(st.tuples(taus, nbars), min_size=3, max_size=3))
 @settings(max_examples=300)
 def test_compose_tl_invariants(links):
-    tau_tot, nbar_tot = compound(FAMILY_TL, *links)
+    tau_tot, nbar_tot = _compound(FAMILY_TL, *links)
     assert 0.0 < tau_tot <= 1.0
     assert nbar_tot >= 0.0
     prod = 1.0
@@ -144,8 +149,8 @@ def test_compose_tl_invariants(links):
 @settings(max_examples=200)
 def test_compose_tl_associative(send, edge, recv):
     # Merging the send device into the fibre first gives the same compound.
-    whole = compound(FAMILY_TL, send, edge, recv)
-    split = compound(FAMILY_TL, IDEAL_TL, compound(FAMILY_TL, send, edge, IDEAL_TL), recv)
+    whole = _compound(FAMILY_TL, send, edge, recv)
+    split = _compound(FAMILY_TL, IDEAL_TL, _compound(FAMILY_TL, send, edge, IDEAL_TL), recv)
     assert split[0] == pytest.approx(whole[0], rel=1e-12)
     assert split[1] == pytest.approx(whole[1], abs=1e-12)
 
@@ -153,7 +158,7 @@ def test_compose_tl_associative(send, edge, recv):
 @given(st.lists(taus, min_size=3, max_size=3))
 @settings(max_examples=200)
 def test_compose_tl_pure_loss_closure(ts):
-    tau_tot, nbar_tot = compound(FAMILY_TL, *[(t, 0.0) for t in ts])
+    tau_tot, nbar_tot = _compound(FAMILY_TL, *[(t, 0.0) for t in ts])
     assert nbar_tot == 0.0
     prod = 1.0
     for t in ts:
@@ -163,20 +168,20 @@ def test_compose_tl_pure_loss_closure(ts):
 
 def test_node_split_ad_examples():
     # In survival probabilities: ideal devices are eta = 1, p = 0.1 is eta = 0.9.
-    assert compound("ad", 1.0, 0.8, 1.0) == pytest.approx(0.8, rel=1e-15)
-    assert compound("ad", 0.9, 1.0, 0.9) == pytest.approx(0.81, rel=1e-12)
+    assert _compound("ad", 1.0, 0.8, 1.0) == pytest.approx(0.8, rel=1e-15)
+    assert _compound("ad", 0.9, 1.0, 0.9) == pytest.approx(0.81, rel=1e-12)
     # total internal efficiency 0.1 with a d=100 km fibre at gamma=0.02
     eta_xy = 10.0 ** (-0.02 * 100.0)
-    assert compound("ad", 1.0, eta_xy, 0.1) == pytest.approx(0.001, rel=1e-12)
+    assert _compound("ad", 1.0, eta_xy, 0.1) == pytest.approx(0.001, rel=1e-12)
 
 
 def test_node_split_tl_examples():
     ideal = (1.0, 0.0)
-    assert compound("tl", ideal, (0.5, 0.0), ideal) == (0.5, 0.0)
-    eta, nbar = compound("tl", ideal, (0.8, 0.002), (0.8, 0.0))
+    assert _compound("tl", ideal, (0.5, 0.0), ideal) == (0.5, 0.0)
+    eta, nbar = _compound("tl", ideal, (0.8, 0.002), (0.8, 0.0))
     assert eta == pytest.approx(0.64, rel=1e-12)
     assert nbar == pytest.approx(0.0016, rel=1e-12)
-    eta, nbar = compound("tl", (0.95, 0.005), (0.5, 0.002), (0.9, 0.01))
+    eta, nbar = _compound("tl", (0.95, 0.005), (0.5, 0.002), (0.9, 0.01))
     assert eta == pytest.approx(0.4275, rel=1e-12)
     assert nbar == pytest.approx(0.01 + 0.9 * 0.002 + 0.5 * 0.9 * 0.005, rel=1e-12)
 
@@ -184,7 +189,7 @@ def test_node_split_tl_examples():
 @given(taus, nbars, taus, nbars, taus, nbars)
 @settings(max_examples=1000)
 def test_node_split_tl_is_compose_tl(reference_compound, tau_s, n_s, eta, n_xy, tau_r, n_r):
-    split = compound("tl", (tau_s, n_s), (eta, n_xy), (tau_r, n_r))
+    split = _compound("tl", (tau_s, n_s), (eta, n_xy), (tau_r, n_r))
     assert split == reference_compound("tl", (tau_s, n_s), (eta, n_xy), (tau_r, n_r))
     eta_tot, nbar_tot = split
     assert eta_tot == pytest.approx(tau_r * tau_s * eta, rel=1e-12)
@@ -194,7 +199,7 @@ def test_node_split_tl_is_compose_tl(reference_compound, tau_s, n_s, eta, n_xy, 
 @given(probs, probs, probs)
 @settings(max_examples=300)
 def test_node_split_ad_matches_compose(reference_compound, eta_s, eta_xy, eta_r):
-    assert compound("ad", eta_s, eta_xy, eta_r) == reference_compound("ad", eta_s, eta_xy, eta_r)
+    assert _compound("ad", eta_s, eta_xy, eta_r) == reference_compound("ad", eta_s, eta_xy, eta_r)
 
 
 def test_fibre_channel():

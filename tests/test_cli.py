@@ -446,6 +446,16 @@ def test_threshold_unattainable_target(tmp_path, capsys):
     assert json.loads(err)["error"] == "not-attainable"
 
 
+def test_a_pure_loss_solve_refuses_unit_transmissivity(tmp_path, capsys):
+    # Halving the edge length toward a goal no fibre reaches ends at a compound of
+    # transmissivity 1, which the solver refuses where a graph bounds it inf.
+    spec = write_json(tmp_path / "wrn.json", {**MAN_SPEC, "nbar_B": 0.0})
+    code, _, err = run(capsys, "threshold", "--spec", spec, "--target", "1e9", "--param", "edge-length")
+    assert code == EXIT_NOT_ATTAINABLE
+    assert json.loads(err)["message"] == ("per-edge target 3.125e+07 is out of reach: "
+                                          "transmissivity 1 is divergent; treat as infinite capacity explicitly")
+
+
 @pytest.mark.parametrize("command", ["threshold", "sweep"])
 def test_a_target_whose_per_edge_goal_underflows_is_refused(tmp_path, capsys, command):
     # 5e-324 / delta rounds to 0, which the bound meets where it is 0: at the far end of the scan.

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnetcap.bounds import h2
 from qnetcap.errors import DomainError, KrausError
 from qnetcap.oracles import (
     QubitChannel,
@@ -18,6 +17,7 @@ from qnetcap.oracles import (
     check_covariance,
     eigvalsh2,
     gaussian_propagate,
+    h2,
     von_neumann_entropy,
 )
 

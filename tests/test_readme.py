@@ -3,6 +3,7 @@
 import ast
 import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -21,6 +22,28 @@ def python_api_block() -> str:
     match = re.search(r"^## Python API\n+```python\n(.*?)^```", text, re.M | re.S)
     assert match, "README has no python block under '## Python API'"
     return match.group(1)
+
+
+def test_the_python_api_prose_names_only_what_the_package_defines():
+    # Every backticked ``module.name`` of a qnetcap module and every bare
+    # ``name(`` in the section's prose resolves, so the README cannot go on
+    # naming a removed function.
+    modules = {"qnetcap": qnetcap, **{info.name: importlib.import_module(f"qnetcap.{info.name}")
+                                      for info in pkgutil.iter_modules(qnetcap.__path__)}}
+    section = re.search(r"^## Python API\n(.*?)(?=^## |\Z)", README.read_text(encoding="utf-8"), re.M | re.S)
+    prose = re.sub(r"^```.*?^```", "", section.group(1), flags=re.M | re.S)
+    named, missing = [], []
+    for span in re.findall(r"`([^`]+)`", prose):
+        for module, name in re.findall(r"(?<![\w.])([A-Za-z_]\w*)\.([A-Za-z_]\w*)", span):
+            if module in modules:
+                named.append(f"{module}.{name}")
+                if not hasattr(modules[module], name):
+                    missing.append(named[-1])
+        for name in re.findall(r"(?<![\w.])([A-Za-z_]\w*)\(", span):
+            named.append(f"{name}(")
+            if not any(hasattr(module, name) for module in modules.values()):
+                missing.append(named[-1])
+    assert len(named) >= 10 and missing == []
 
 
 def test_readme_python_api_block_runs(capsys):

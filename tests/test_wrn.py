@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qnetcap import wrn
-from qnetcap.bounds import ad_rci, ad_squashed, direction_bounds, tl_bounds
+from qnetcap import bounds
+from qnetcap.bounds import bound_columns, compounds
 from qnetcap.channels import (
     AmplitudeDamping,
     Identity,
@@ -452,40 +453,45 @@ def _reference_side_solve(fn, target, scale, bracket, scan):
 
 def _reference_thresholds(reference_compound, spec, cases, param, qkd_setup=None):
     """``thresholds`` as it was when it scanned the lower and the upper bound
-    function separately, each sample reducing its compound once per side, with
-    ``compound`` (the ``reference_compound`` fixture) and the per-side bound
-    selection as they were then."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(wrn, "compound", reference_compound)
-        at, bracket = wrn._compound_at(spec, param, qkd_setup)
-        if spec.family == "ad":
-            lower_fn, upper_fn = (lambda x: ad_rci(at(x))), (lambda x: ad_squashed(at(x)))
-        else:
-            lower_fn, upper_fn = (lambda x: tl_bounds(*at(x))[0]), (lambda x: tl_bounds(*at(x))[2])
-        d, (num, den) = connectivity(spec)
-        scales = dict(zip(wrn.SCALE_NAMES, (float(d), num / den)))
-        sides = [(fn, _reference_side_scan(fn, bracket)) for fn in (lower_fn, upper_fn)]
-        results = []
-        for target, scale_name in cases:
-            if scale_name not in scales:
-                raise DomainError(f"scale must be one of {wrn.SCALE_NAMES}, got {scale_name!r}")
-            scale = scales[scale_name]
-            solved, unattainable = [], None
-            for fn, scan in sides:
-                try:
-                    solved.append((_reference_side_solve(fn, target, scale, bracket, scan), scan[0]))
-                except NotAttainableError as exc:
-                    solved.append((math.nan, None))
-                    unattainable = unattainable or str(exc)
-            (xi_lo, direction), (xi_up, direction_up) = solved
-            if None not in (direction, direction_up) and direction != direction_up:
-                raise MonotonicityError("lower and upper bound functions disagree in direction")
-            results.append(ThresholdResult(
-                param=param, scale_name=scale_name, scale=scale, target=target,
-                direction=direction or direction_up, from_lower_fn=xi_lo, from_upper_fn=xi_up,
-                unattainable=unattainable,
-            ))
-        return results
+    function separately, each sample reducing the chain ``wrn._chain_at``
+    builds once per side with ``compound`` as it was then (the
+    ``reference_compound`` fixture), and bounding one side of one compound,
+    where a thermal compound of unit transmissivity is refused."""
+    chain, bracket = wrn._chain_at(spec, param, qkd_setup)
+
+    def side(k):
+        def fn(x):
+            reduced = reference_compound(spec.family, *chain(x))
+            if spec.family == "tl" and reduced[0] == 1.0:
+                raise DomainError("transmissivity 1 is divergent; treat as infinite capacity explicitly")
+            return bound_columns(spec.family, [reduced])[k][0]
+        return fn
+
+    lower_fn, upper_fn = side(0), side(2)
+    d, (num, den) = connectivity(spec)
+    scales = dict(zip(wrn.SCALE_NAMES, (float(d), num / den)))
+    sides = [(fn, _reference_side_scan(fn, bracket)) for fn in (lower_fn, upper_fn)]
+    results = []
+    for target, scale_name in cases:
+        if scale_name not in scales:
+            raise DomainError(f"scale must be one of {wrn.SCALE_NAMES}, got {scale_name!r}")
+        scale = scales[scale_name]
+        solved, unattainable = [], None
+        for fn, scan in sides:
+            try:
+                solved.append((_reference_side_solve(fn, target, scale, bracket, scan), scan[0]))
+            except NotAttainableError as exc:
+                solved.append((math.nan, None))
+                unattainable = unattainable or str(exc)
+        (xi_lo, direction), (xi_up, direction_up) = solved
+        if None not in (direction, direction_up) and direction != direction_up:
+            raise MonotonicityError("lower and upper bound functions disagree in direction")
+        results.append(ThresholdResult(
+            param=param, scale_name=scale_name, scale=scale, target=target,
+            direction=direction or direction_up, from_lower_fn=xi_lo, from_upper_fn=xi_up,
+            unattainable=unattainable,
+        ))
+    return results
 
 
 def _threshold_bits(solve, *args):
@@ -547,15 +553,15 @@ _EDGE_LENGTH_TL_SWEEP = {
 
 
 def _sweep_compounds(tmp_path, monkeypatch, spec):
-    """Compound reductions made by a ``sweep`` CLI call on ``spec``."""
+    """Chains built, each reduced to one compound, by a ``sweep`` CLI call on ``spec``."""
     counted = []
-    compound_at = wrn._compound_at
+    chain_at = wrn._chain_at
 
     def counting(*args):
-        at, bracket = compound_at(*args)
-        return (lambda x: counted.append(x) or at(x)), bracket
+        chain, bracket = chain_at(*args)
+        return (lambda x: counted.append(x) or chain(x)), bracket
 
-    monkeypatch.setattr(wrn, "_compound_at", counting)
+    monkeypatch.setattr(wrn, "_chain_at", counting)
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(spec))
     assert main(["sweep", "--spec", str(path), "--out", str(tmp_path / "out.csv")]) == 0
@@ -569,6 +575,25 @@ def test_one_scan_cuts_the_compound_count_of_a_sweep(tmp_path, monkeypatch, refe
     assert _sweep_compounds(tmp_path, monkeypatch, _EDGE_LENGTH_TL_SWEEP) == 6082
     monkeypatch.setattr(wrn, "thresholds", functools.partial(_reference_thresholds, reference_compound))
     assert _sweep_compounds(tmp_path, monkeypatch, _EDGE_LENGTH_TL_SWEEP) == 8794
+
+
+@pytest.mark.parametrize("spec,param", [(man_spec(), "edgeLength"), (tri_spec(), "internalLoss")],
+                         ids=["tl", "ad"])
+def test_a_scan_is_one_call_of_each_kernel(monkeypatch, spec, param):
+    # The 64 scan samples are reduced in one compounds call and bounded in one
+    # bound_columns call; each bisection or expansion step is a batch of one.
+    calls = {"compounds": [], "bound_columns": []}
+    for name, sizes in calls.items():
+        kernel = getattr(bounds, name)
+        monkeypatch.setattr(wrn, name, lambda fam, batch, kernel=kernel, sizes=sizes:
+                            sizes.append(len(batch)) or kernel(fam, batch))
+    thresholds(spec, [(1e-2, "delta"), (1e-2, "omega")], param)
+    scans, steps = calls["compounds"][0], calls["compounds"][1:]
+    assert scans == wrn.MONOTONE_SAMPLES and steps and set(steps) == {1}
+    if spec.family == "tl":
+        assert calls["bound_columns"] == [wrn.MONOTONE_SAMPLES] + steps
+    else:  # a damping step bounds its own side through that side's loop
+        assert calls["bound_columns"] == [wrn.MONOTONE_SAMPLES]
 
 
 def test_thresholds_solve_many_goals_as_one_goal_each():
@@ -698,44 +723,40 @@ def test_thresholds_mark_unattainable_sides():
 
 
 @pytest.mark.parametrize("spec,param,other", [
-    (tri_spec(), "edgeLength", "ad_squashed"),
-    (tri_spec(), "internalLoss", "ad_squashed"),
+    (tri_spec(), "edgeLength", "squashed_entanglement"),
+    (tri_spec(), "internalLoss", "squashed_entanglement"),
     (man_spec(), "edgeLength", "bound_columns"),
     (man_spec(), "receiverNoise", "bound_columns"),
 ])
 def test_bound_functions_evaluate_one_side(monkeypatch, spec, param, other):
-    import qnetcap.bounds as bounds_mod
-
-    lower_fn, upper_fn, _, both = bound_functions(spec, param)
+    lower_fn, upper_fn, _, columns = bound_functions(spec, param)
     expected = lower_fn(0.1), upper_fn(0.1)
     reduced = []
-    compound = wrn.compound
-    monkeypatch.setattr(wrn, "compound", lambda *args: reduced.append(1) or compound(*args))
-    # One scan sample reduces its compound once and gives both sides.
-    assert both(0.1) == expected and len(reduced) == 1
+    monkeypatch.setattr(wrn, "compounds", lambda fam, chains: reduced.extend(chains) or compounds(fam, chains))
+    # A batch of values is reduced in one call and gives both sides of each.
+    lower, _, upper, _ = columns([0.1, 0.1])
+    assert (lower, upper) == ([expected[0]] * 2, [expected[1]] * 2) and len(reduced) == 2
     if other == "bound_columns":
         # Both thermal sides come from one rate expression, so each call
         # hands the bound kernel its one compound once.
         handed = []
-        bound_columns = bounds_mod.bound_columns
-        monkeypatch.setattr(bounds_mod, "bound_columns",
+        monkeypatch.setattr(wrn, "bound_columns",
                             lambda fam, reduced: handed.extend(reduced) or bound_columns(fam, reduced))
         assert lower_fn(0.1) == expected[0] and len(handed) == 1
         assert upper_fn(0.1) == expected[1] and len(handed) == 2
-        assert both(0.1) == expected and len(handed) == 3
         return
 
     def forbidden(*args):
         raise AssertionError("the other side was evaluated")
 
-    # The solver looks the damping bounds up in ``wrn``; patching them there
-    # reaches it, which the forbidden side's own function shows.
+    # The solver looks each damping side's loop up in ``wrn``; patching it
+    # there reaches it, which the forbidden side's own function shows.
     monkeypatch.setattr(wrn, other, forbidden)
     assert lower_fn(0.1) == expected[0]
     with pytest.raises(AssertionError, match="other side"):
         upper_fn(0.1)
-    monkeypatch.setattr(wrn, other, ad_squashed)
-    monkeypatch.setattr(wrn, "ad_rci", forbidden)
+    monkeypatch.setattr(wrn, other, bounds.squashed_entanglement)
+    monkeypatch.setattr(wrn, "coherent_information", forbidden)
     assert upper_fn(0.1) == expected[1]
     with pytest.raises(AssertionError, match="other side"):
         lower_fn(0.1)
@@ -757,22 +778,23 @@ def test_bound_functions_evaluate_one_side(monkeypatch, spec, param, other):
 @settings(max_examples=300, deadline=None)
 def test_bound_functions_are_both_sides_of_direction_bounds(family, length, gamma, nbar_b, devices):
     # The solver and the graph bound one directed edge use through the same
-    # compound and the same bounds, to the bit.
+    # two kernels, to the bit, whether one value is bounded or a batch.
     tau, nbar = devices
     template = AmplitudeDamping(1.0 - tau) if family == "ad" else ThermalLoss(tau, nbar)
     spec = WrnSpec(CELL_TRIANGULAR if family == "ad" else CELL_MANHATTAN, 2, 10.0, family,
                    recv=template, send=template, gamma=gamma, nbar_B=nbar_b)
-    lower_fn, upper_fn, _, both = bound_functions(spec, "edgeLength")
+    lower_fn, upper_fn, _, columns = bound_functions(spec, "edgeLength")
     eta = fibre_transmissivity(gamma, length)
     if family == "ad":
         device = as_damping(template)
-        expected = direction_bounds(family, device, eta, device)
+        direction = (device, eta, device)
     else:
         device = as_thermal(template)
-        expected = direction_bounds(family, device, (eta, nbar_b), device)
-    got = (lower_fn(length), upper_fn(length))
-    assert [x.hex() for x in got] == [expected[0].hex(), expected[2].hex()]
-    assert both(length) == got
+        direction = (device, (eta, nbar_b), device)
+    expected = bound_columns(family, compounds(family, [direction]))
+    got = [lower_fn(length), upper_fn(length)]
+    assert [x.hex() for x in got] == [expected[0][0].hex(), expected[2][0].hex()]
+    assert columns([length]) == expected
 
 
 def test_receiver_noise_solve():
