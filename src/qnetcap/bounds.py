@@ -145,17 +145,17 @@ def bound_columns(fam: str, reduced) -> list[list]:
 
     Thermal loss, (eta, nbar): a compound that transmits nothing (a dark
     fibre, or a product that underflows to 0) is bounded 0, of kind
-    ``DARK_FIBRE``, and pure loss, which is distillable, -log2(1-eta).
-    Otherwise the lower bound is the rate -log2(1-eta) - g(x), x =
-    nbar/(1-eta), clamped to >= 0, with the thermal entropy g(x) =
+    ``DARK_FIBRE``, and pure loss, which is distillable, -log2(1-eta). Once
+    the noise reaches the transmissivity, nbar >= eta, the channel is
+    entanglement breaking and both sides are 0, of kinds ``RCI_LOWER`` and
+    ``REE_UPPER``. Otherwise the lower bound is the rate -log2(1-eta) - g(x),
+    x = nbar/(1-eta), clamped to >= 0, with the thermal entropy g(x) =
     (x+1)log2(x+1) - x log2 x as (ln(1+x) + x*ln(1 + 1/x)) / ln 2, where below
     x = 1, as 1/x can overflow, ln(1 + 1/x) = ln(1+x) - ln x. The upper bound
     adds -x log2 eta to the same unclamped rate, so it never falls below the
-    lower; once the noise reaches the transmissivity the channel is
-    entanglement breaking, and the upper bound is pinned to 0 where the
-    expression touches 0. Unit transmissivity is an ideal edge, bounded
-    ``inf``; with added noise it raises DomainError. ``log1p`` keeps every
-    formula's relative precision as eta -> 0.
+    lower. Unit transmissivity is an ideal edge, bounded ``inf``; with added
+    noise it raises DomainError. ``log1p`` keeps every formula's relative
+    precision as eta -> 0.
     """
     if fam == FAMILY_AD:
         lower, upper = coherent_information(reduced), squashed_entanglement(reduced)
@@ -169,10 +169,12 @@ def bound_columns(fam: str, reduced) -> list[list]:
             low, low_kind, high, high_kind = 0.0, _DARK, 0.0, _DARK
         elif nbar == 0.0:
             low, low_kind, high, high_kind = rate, _EXACT, rate, _EXACT
+        elif nbar >= eta:
+            low, low_kind, high, high_kind = 0.0, _RCI, 0.0, _REE
         else:
             x = nbar / (1.0 - eta)
             low = rate - (math.log1p(x) + x * (math.log1p(1.0 / x) if x >= 1.0 else math.log1p(x) - math.log(x))) / _LN2
-            high = 0.0 if nbar >= eta else low - x * math.log2(eta)
+            high = low - x * math.log2(eta)
             low, low_kind, high, high_kind = low if low > 0.0 else 0.0, _RCI, high if high > 0.0 else 0.0, _REE
         lower.append(low)
         lower_kind.append(low_kind)

@@ -3,8 +3,8 @@
 Commands: generate (lattice patch to network JSON), validate (structural
 checks), analyze (six-number capacity report plus min-cut), threshold
 (bracketed tolerable-parameter solve, with connectivity constants and nodal
-density), sweep (CSV tables over one variable), selftest (randomized oracle
-batteries with a fixed seed).
+density), sweep (CSV tables over one variable, built by the ``sweep``
+module), selftest (randomized oracle batteries with a fixed seed).
 
 Exit codes: 0 ok, 2 input error, 3 validation failure, 4 unattainable target,
 5 internal numeric failure; a failed write to standard output is an input
@@ -25,8 +25,8 @@ import os
 import sys
 from typing import TYPE_CHECKING, Callable, Iterable, NoReturn
 
-from .channels import AmplitudeDamping, FibreParams, ThermalLoss, as_thermal, channel_from_json, fibre_transmissivity
-from .errors import DomainError, MonotonicityError, NotAttainableError, QnetcapError, ValidationError
+from .channels import FibreParams, channel_from_json
+from .errors import DomainError, MonotonicityError, NotAttainableError, QnetcapError, ValidationError, checked_number
 
 # Each function imports the package modules it calls, so a call loads only the
 # code it runs: bounding a network needs no solver, a threshold solve no graph.
@@ -43,11 +43,6 @@ EXIT_NUMERIC = 5
 # qubit scenario, the diagonal-square cell the bosonic one.
 DEFAULT_FAMILY = {"triangular6": "ad", "manhattan8": "tl"}
 
-SWEEP_SCHEMA = "qnetcap-sweep/1"
-
-# Larger sweeps are refused: each point is one threshold solve.
-MAX_SWEEP_STEPS = 10_000
-
 # Module-level tables spell the solver's parameter names (``wrn.PARAM_*``)
 # out, so that loading this module does not load ``wrn``.
 _PARAM_BY_FLAG = {
@@ -60,10 +55,6 @@ _WRN_KEYS = {
     "cell", "radius", "edge_length_km", "family", "gamma", "nbar_B",
     "recv", "send", "qkd_setup",
 }
-
-_SWEEP_KEYS = {"variable", "start", "stop", "steps", "scale", "wrn", "target", "param", "qkd_setup"}
-
-_SWEEP_VARIABLES = ("edgeLength", "internalLoss", "receiverNoise", "targetCapacity")
 
 
 def _read_json(path: str, parse: Callable = json.loads):
@@ -116,20 +107,6 @@ def _error(kind: str, message: str, **extra) -> None:
     sys.stderr.write(json.dumps({"error": kind, "message": message, **extra}) + "\n")
 
 
-def _number(key: str, value, kind=float):
-    """``kind(value)``, or an input error that names the spec key; an int refuses a fraction,
-    and neither takes a JSON boolean."""
-    if value is True or value is False:
-        raise DomainError(f"{key} is not a valid {kind.__name__}: {value!r}")
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"{key} is not a valid {kind.__name__}: {value!r}") from exc
-    if kind is int and isinstance(value, float) and number != value:
-        raise DomainError(f"{key} is not a valid int: {value!r}")
-    return number
-
-
 def _parse_qkd_setup(data) -> qkd.QkdSetup:
     from . import qkd
     if isinstance(data, str):
@@ -144,7 +121,7 @@ def _parse_qkd_setup(data) -> qkd.QkdSetup:
         raise DomainError(f"unknown qkd_setup keys: {', '.join(unknown)}")
     for key, value in fields.items():
         if key != "scheme":
-            fields[key] = _number(f"qkd_setup.{key}", value)
+            fields[key] = checked_number(f"qkd_setup.{key}", value)
     return base._replace(**fields)
 
 
@@ -167,7 +144,7 @@ def _parse_wrn_spec(data) -> tuple[wrn.WrnSpec, qkd.QkdSetup | None]:
     kwargs = {"cell_type": cell, "family": family}
     for key, kind in (("radius", int), ("edge_length_km", float), ("gamma", float), ("nbar_B", float)):
         if key in data:
-            kwargs[key] = _number(key, data[key], kind)
+            kwargs[key] = checked_number(key, data[key], kind)
     for side in ("recv", "send"):
         if side in data:
             kwargs[side] = channel_from_json(data[side])
@@ -219,21 +196,6 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _rho_cells(d_star: float, cell_type: str) -> float:
-    from . import wrn
-    if math.isnan(d_star):
-        return math.nan
-    return wrn.min_nodal_density(d_star, cell_type).rho_min
-
-
-def _rho_min_entry(bracket: tuple[float, float], cell_type: str) -> dict:
-    d_lo, d_hi = bracket
-    return {
-        "bracket": [_rho_cells(d_hi, cell_type), _rho_cells(d_lo, cell_type)],
-        "midpoint": _rho_cells(0.5 * (d_lo + d_hi), cell_type),
-    }
-
-
 def cmd_threshold(args) -> int:
     from . import wrn
     spec, setup = _parse_wrn_spec(_read_json(args.spec))
@@ -252,165 +214,31 @@ def cmd_threshold(args) -> int:
         "user": user.as_json(),
     }
     if param == wrn.PARAM_EDGE_LENGTH:
-        out["rho_min"] = _rho_min_entry(bulk.bracket, spec.cell_type)
+        d_lo, d_hi = bulk.bracket
+        out["rho_min"] = {
+            "bracket": [wrn.rho_min(d_hi, spec.cell_type), wrn.rho_min(d_lo, spec.cell_type)],
+            "midpoint": wrn.rho_min(0.5 * (d_lo + d_hi), spec.cell_type),
+        }
     _emit_json(out, args.out)
     return EXIT_OK
 
 
-def _linspace(start: float, stop: float, steps: int) -> list[float]:
-    """``numpy.linspace(start, stop, steps)``, bit for bit, on a finite span."""
-    span = stop - start
-    step = span / (steps - 1)
-    if step == 0.0:  # subnormal span: scale before multiplying, as numpy does
-        xs = [i / (steps - 1) * span + start for i in range(steps)]
-    else:
-        xs = [i * step + start for i in range(steps)]
-    xs[-1] = stop
-    return xs
-
-
-def _sweep_points(spec: dict) -> list[float]:
-    steps = spec["steps"]
-    if not isinstance(steps, int) or not 2 <= steps <= MAX_SWEEP_STEPS:
-        raise DomainError(f"steps must be an integer from 2 to {MAX_SWEEP_STEPS}, got {steps!r}")
-    start, stop = _number("start", spec["start"]), _number("stop", spec["stop"])
-    if not math.isfinite(stop - start):  # also catches a non-finite start or stop
-        raise DomainError(f"sweep range needs a finite stop - start, got [{start}, {stop}]")
-    if not start < stop:
-        raise DomainError(f"sweep range needs start < stop, got [{start}, {stop}]")
-    scale = spec.get("scale", "linear")
-    if scale == "linear":
-        return _linspace(start, stop, steps)
-    if scale != "log":
-        raise DomainError(f"scale must be 'linear' or 'log', got {scale!r}")
-    if start <= 0.0:
-        raise DomainError(f"log sweeps need positive endpoints, got start={start}")
-    # numpy.geomspace: a power of ten at each point of the linear grid of
-    # exponents, with both endpoints pinned to the exact inputs. A rounded
-    # exponent can reach log10(stop), whose power may exceed even the largest
-    # float; such a point is stop itself.
-    log_stop = math.log10(stop)
-    inner = _linspace(math.log10(start), log_stop, steps)[1:-1]
-    return [start, *(10.0**y if y < log_stop else stop for y in inner), stop]
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-# Column stem of each solved parameter; edge-length columns add rho_min_*.
-_SOLVED_STEM = {
-    "edgeLength": "d_max",
-    "internalLoss": "p_int_max",
-    "receiverNoise": "nbar_r_max",
-}
-
-
-def _respec_length(spec: wrn.WrnSpec, d: float) -> wrn.WrnSpec:
-    return spec._replace(edge_length_km=d)
-
-
-def _respec_loss(spec: wrn.WrnSpec, p_int: float) -> wrn.WrnSpec:
-    return spec._replace(recv=AmplitudeDamping(p_int))
-
-
-def _respec_noise(spec: wrn.WrnSpec, nbar_r: float) -> wrn.WrnSpec:
-    return spec._replace(recv=ThermalLoss(as_thermal(spec.recv)[0], nbar_r))
-
-
-def _qkd_columns(spec: wrn.WrnSpec, setup) -> tuple[list[str], Callable[[float], list[float]]]:
-    """Headers and cells: receiver noise of both LO schemes, nan where too little light arrives."""
-    from . import qkd
-    base = setup if setup is not None else qkd.from_preset("table1-heterodyne-llo")
-    schemes = [qkd.with_scheme(base, scheme) for scheme in ("llo", "tlo")]
-    for scheme in schemes:  # a setup that fails at full transmission fails at every length
-        qkd.receiver_noise(scheme, 1.0)
-
-    def cell(scheme, d: float) -> float:
-        try:
-            return qkd.receiver_noise(scheme, fibre_transmissivity(spec.gamma, d))
-        except DomainError:
-            return math.nan
-
-    return ["nbar_r_llo", "nbar_r_tlo"], (lambda d: [cell(scheme, d) for scheme in schemes])
-
-
-# (variable, family) -> (x column, re-spec at x, solved param, extra columns).
-# targetCapacity sweeps the target itself. The QKD setup goes to the solve
-# unless the extra columns report it.
-_SWEEPS = {
-    ("edgeLength", "ad"): ("edge_length_km", _respec_length, "internalLoss", None),
-    ("edgeLength", "tl"): ("edge_length_km", _respec_length, "receiverNoise", _qkd_columns),
-    ("internalLoss", "ad"): ("p_int", _respec_loss, "edgeLength", None),
-    ("receiverNoise", "tl"): ("nbar_r", _respec_noise, "edgeLength", None),
-}
-
-
-def _sweep_rows(data: dict, spec: wrn.WrnSpec, setup) -> tuple[list[str], list[list[float]]]:
-    from . import wrn
-    variable = data["variable"]
-    points = _sweep_points(data)
-    if variable == "targetCapacity":
-        param = data.get("param", wrn.PARAM_EDGE_LENGTH)
-        if not isinstance(param, str) or param not in _SOLVED_STEM:
-            raise DomainError(f"unknown param {param!r}")
-        x_column, respec, columns = "target_capacity", None, None
-    else:
-        if "target" not in data:
-            raise DomainError(f"sweeps over {variable} need a fixed 'target' capacity")
-        target = _number("target", data["target"])
-        if (variable, spec.family) not in _SWEEPS:
-            needs = "damping" if (variable, "ad") in _SWEEPS else "thermal"
-            raise DomainError(f"{variable} sweeps need a {needs}-family lattice")
-        if variable == "receiverNoise" and setup is not None:
-            raise DomainError("receiverNoise sweeps take no qkd_setup: the QKD receiver model "
-                              "sets the receiver noise that the sweep varies")
-        x_column, respec, param, columns = _SWEEPS[variable, spec.family]
-    stem = _SOLVED_STEM[param]
-    header = [x_column, f"{stem}_lower", f"{stem}_upper"]
-    with_rho = param == wrn.PARAM_EDGE_LENGTH
-    if with_rho:
-        header += ["rho_min_lower", "rho_min_upper"]
-    extra_header, extra_cells = columns(spec, setup) if columns is not None else ([], lambda x: [])
-    header += extra_header
-    solve_setup = setup if columns is None else None
-    if respec is None:  # one solve over every target
-        results = wrn.thresholds(spec, [(x, "delta") for x in points], param, solve_setup)
-    else:  # one solve per re-specced point, made as its row is
-        results = (wrn.thresholds(respec(spec, x), [(target, "delta")], param, solve_setup)[0]
-                   for x in points)
-    rows = []
-    for x, result in zip(points, results):
-        lo, up = result.from_lower_fn, result.from_upper_fn
-        rho = [_rho_cells(lo, spec.cell_type), _rho_cells(up, spec.cell_type)] if with_rho else []
-        rows.append([x, lo, up, *rho, *extra_cells(x)])
-    return header, rows
-
-
 def cmd_sweep(args) -> int:
+    from . import sweep
     data = _read_json(args.spec)
     if not isinstance(data, dict):
         raise DomainError("sweep spec must be a JSON object")
-    unknown = sorted(set(data) - _SWEEP_KEYS)
+    unknown = sorted(set(data) - sweep.SWEEP_KEYS)
     if unknown:
         raise DomainError(f"unknown sweep spec keys: {', '.join(unknown)}")
     for key in ("variable", "start", "stop", "steps", "wrn"):
         if key not in data:
             raise DomainError(f"sweep spec is missing {key!r}")
-    if data["variable"] not in _SWEEP_VARIABLES:
-        raise DomainError(f"variable must be one of {_SWEEP_VARIABLES}, got {data['variable']!r}")
+    if data["variable"] not in sweep.SWEEP_VARIABLES:
+        raise DomainError(f"variable must be one of {sweep.SWEEP_VARIABLES}, got {data['variable']!r}")
     spec, file_setup = _parse_wrn_spec(data["wrn"])
     setup = _parse_qkd_setup(data["qkd_setup"]) if "qkd_setup" in data else file_setup
-    header, rows = _sweep_rows(data, spec, setup)
-    lines = [
-        f"# {SWEEP_SCHEMA}",
-        f"# variable={data['variable']} cell={spec.cell_type} family={spec.family} "
-        f"radius={spec.radius} scale=delta",
-        ",".join(header),
-    ]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    _emit(("\n".join(lines), "\n"), args.out)
+    _emit(("\n".join(sweep.csv_lines(data, spec, setup)), "\n"), args.out)
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the checked-record decorator."""
+"""Exception types shared across the package, the checked-record decorator and the checked spec number."""
 
 
 class QnetcapError(Exception):
@@ -49,3 +49,17 @@ def checked(cls):
     cls.__new__ = __new__
     cls._make = classmethod(lambda subcls, values: subcls(*values))  # the stock one skips __new__
     return cls
+
+
+def checked_number(key: str, value, kind=float):
+    """``kind(value)``, or an input error that names the spec key; an int refuses a fraction,
+    and neither takes a JSON boolean."""
+    if value is True or value is False:
+        raise DomainError(f"{key} is not a valid {kind.__name__}: {value!r}")
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{key} is not a valid {kind.__name__}: {value!r}") from exc
+    if kind is int and isinstance(value, float) and number != value:
+        raise DomainError(f"{key} is not a valid int: {value!r}")
+    return number

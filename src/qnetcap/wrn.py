@@ -242,6 +242,13 @@ def min_nodal_density(d_max: float, cell_type: str) -> DensityResult:
     return DensityResult(d_max=d_max, xi_geom=xi_geom, rho_min=xi_geom / (d_max * d_max))
 
 
+def rho_min(d_max: float, cell_type: str) -> float:
+    """``min_nodal_density(d_max, cell_type).rho_min``, and nan for a nan ``d_max``."""
+    if math.isnan(d_max):
+        return math.nan
+    return min_nodal_density(d_max, cell_type).rho_min
+
+
 def _samples(bracket: tuple[float, float]) -> list[float]:
     """MONOTONE_SAMPLES geometric samples of the bracket, from exactly lo to exactly hi."""
     lo, hi = bracket

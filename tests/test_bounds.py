@@ -235,6 +235,14 @@ def test_tl_ree_values():
     assert bound_columns(FAMILY_TL, [(0.1, 1.0), (0.1, 0.1), (0.3, 0.9)])[2] == [0.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("eta", [1e-300, 0.1, 0.5, math.nextafter(1.0, 0.0)])
+def test_entanglement_breaking_compounds_are_zero_on_both_sides(eta):
+    # From nbar = eta on, infinite noise included, both sides are +0.0 by one rule, not by the
+    # clamp of an entropy term that is NaN at nbar = inf.
+    for nbar in (eta, math.nextafter(eta, math.inf), math.inf):
+        assert _bits(_tl, eta, nbar) == ["0x0.0p+0", BoundKind.RCI_LOWER, "0x0.0p+0", BoundKind.REE_UPPER]
+
+
 @given(etas, nbars)
 @settings(max_examples=400)
 def test_tl_bound_order(eta, nbar):

@@ -23,17 +23,13 @@ from qnetcap.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_VALIDATION,
-    MAX_SWEEP_STEPS,
     _PARAM_BY_FLAG,
-    _SOLVED_STEM,
-    _SWEEP_VARIABLES,
-    _SWEEPS,
-    _sweep_points,
     main,
 )
 from qnetcap import bounds, cli, network, selfcheck, wrn
 from qnetcap.errors import DomainError
 from qnetcap.qkd import QkdSetup
+from qnetcap.sweep import MAX_SWEEP_STEPS, SWEEP_VARIABLES, _SOLVED_STEM, _SWEEPS, _sweep_points
 from qnetcap.wrn import WrnSpec, generate
 
 
@@ -672,15 +668,8 @@ def _modules_loaded_by(argv: list[str]) -> list[str]:
     ).splitlines()
 
 
-@pytest.mark.parametrize("command,loads", [
-    ("generate", GRAPH_MODULES | SOLVER_MODULES),
-    ("validate", GRAPH_MODULES),
-    ("analyze", GRAPH_MODULES | {"qnetcap.bounds", "qnetcap.routing"}),
-    ("threshold", SOLVER_MODULES),
-    ("sweep", SOLVER_MODULES),
-    ("selftest", GRAPH_MODULES | SOLVER_MODULES | {"qnetcap.routing", "qnetcap.oracles", "qnetcap.selfcheck"}),
-])
-def test_each_subcommand_loads_only_what_it_runs(tmp_path, command, loads):
+def _subcommand_argv(tmp_path, command: str) -> list[str]:
+    """A small valid call of ``command``; all but selftest write to a file."""
     net = tmp_path / "net.json"
     net.write_text(network.network_to_json(generate(WrnSpec("manhattan8", 2, 2.0, "tl"))))
     argv = {
@@ -694,9 +683,21 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, command, loads):
         "selftest": ["--count", "2"],
     }[command]
     out = [] if command == "selftest" else ["--out", str(tmp_path / "out")]
-    lines = _modules_loaded_by([command, *argv, *out])  # selftest prints its batteries; an --out run prints nothing
+    return [command, *argv, *out]
+
+
+@pytest.mark.parametrize("command,loads", [
+    ("generate", GRAPH_MODULES | SOLVER_MODULES),
+    ("validate", GRAPH_MODULES),
+    ("analyze", GRAPH_MODULES | {"qnetcap.bounds", "qnetcap.routing"}),
+    ("threshold", SOLVER_MODULES),
+    ("sweep", SOLVER_MODULES | {"qnetcap.sweep"}),
+    ("selftest", GRAPH_MODULES | SOLVER_MODULES | {"qnetcap.routing", "qnetcap.oracles", "qnetcap.selfcheck"}),
+])
+def test_each_subcommand_loads_only_what_it_runs(tmp_path, command, loads):
+    lines = _modules_loaded_by(_subcommand_argv(tmp_path, command))
     assert lines[-1] == repr(sorted(loads | {"qnetcap", "qnetcap.cli"}))
-    assert command == "selftest" or len(lines) == 1
+    assert command == "selftest" or len(lines) == 1  # selftest prints its batteries; an --out run prints nothing
 
 
 @pytest.mark.parametrize("command,spec", [
@@ -708,7 +709,8 @@ def test_a_qkd_receiver_loads_the_receiver_models(tmp_path, command, spec):
     extra = ["--target", "1e-2", "--param", "edge-length"] if command == "threshold" else []
     lines = _modules_loaded_by([command, "--spec", write_json(tmp_path / "spec.json", spec), *extra,
                                 "--out", str(tmp_path / "out")])
-    assert lines == [repr(sorted(SOLVER_MODULES | {"qnetcap", "qnetcap.cli", "qnetcap.qkd"}))]
+    table = {"qnetcap.sweep"} if command == "sweep" else set()
+    assert lines == [repr(sorted(SOLVER_MODULES | table | {"qnetcap", "qnetcap.cli", "qnetcap.qkd"}))]
 
 
 def test_a_spec_helper_runs_before_main():
@@ -717,10 +719,10 @@ def test_a_spec_helper_runs_before_main():
 
 
 def test_cli_tables_spell_the_solver_parameters():
+    # cli spells the names so that parsing a flag loads no solver; the sweep tables key on wrn's.
     params = {wrn.PARAM_EDGE_LENGTH, wrn.PARAM_INTERNAL_LOSS, wrn.PARAM_RECEIVER_NOISE}
     assert set(_PARAM_BY_FLAG.values()) == set(_SOLVED_STEM) == params
-    assert {row[2] for row in _SWEEPS.values()} <= params
-    assert {variable for variable, _ in _SWEEPS} == params == set(_SWEEP_VARIABLES) - {"targetCapacity"}
+    assert {variable for variable, _ in _SWEEPS} == params == set(SWEEP_VARIABLES) - {"targetCapacity"}
 
 
 def test_threshold_family_mismatch(tmp_path, capsys):
@@ -1182,6 +1184,22 @@ def test_exit_handlers_registered_before_the_entry_run(tmp_path, python):
                   capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "", "")
     assert marker.read_text() == "ran" and out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "validate", "analyze", "threshold", "sweep", "selftest"])
+def test_no_subcommand_imports_the_cli_module_a_second_time(tmp_path, python, command):
+    # Run as ``python -m qnetcap.cli``, the front end is ``__main__``: a package module that
+    # imported ``qnetcap.cli`` would compile and run it again as a module of its own.
+    loaded = tmp_path / "loaded"
+    argv = ["qnetcap", *_subcommand_argv(tmp_path, command)]
+    proc = python("-c", "import atexit, json, pathlib, runpy, sys; "
+                  f"atexit.register(lambda: pathlib.Path({str(loaded)!r}).write_text("
+                  "json.dumps(sorted(m for m in sys.modules if m.startswith('qnetcap'))))); "
+                  f"sys.argv = {argv!r}; runpy.run_module('qnetcap.cli', run_name='__main__', alter_sys=True)",
+                  capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    modules = json.loads(loaded.read_text())
+    assert "qnetcap.cli" not in modules and ("qnetcap.sweep" in modules) == (command == "sweep")
 
 
 def assert_stdout_failed(proc, errno_text):

@@ -377,3 +377,67 @@ def test_cut_and_flow_json():
     assert data["A"] == ["a"]
     assert data["B"] == ["b", "m1", "m2"]
     assert all(isinstance(pair, list) and len(pair) == 2 for pair in data["edges"])
+
+
+def _hetero_manhattan(seed):
+    """manhattan8 r=20 with a distinct fibre per edge and a distinct device per node."""
+    rng = random.Random(seed)
+    doc = json.loads(network_to_json(generate(WrnSpec("manhattan8", 20, 10.0, "tl"))))
+
+    def device():
+        return {"kind": "tl", "tau": rng.uniform(0.8, 1.0), "nbar": rng.uniform(0.0, 0.02)}
+
+    for node in doc["nodes"]:
+        node["recv"], node["send"] = device(), device()
+    for edge in doc["edges"]:
+        edge["fibre"] = {"length_km": rng.uniform(1.0, 40.0), "gamma": 0.02, "nbar_B": 0.002}
+    return doc
+
+
+def _fibre_chain(hops, seed):
+    rng = random.Random(seed)
+    names = [f"c{i}" for i in range(hops + 1)]
+    edges = [{"a": u, "b": v, "fibre": {"length_km": rng.uniform(1.0, 20.0)}} for u, v in zip(names, names[1:])]
+    return {"nodes": [{"id": n} for n in names], "edges": edges, "users": [names[0], names[-1]], "family": "tl"}
+
+
+def _reachable_over(bg, values, floor):
+    """The nodes the first user reaches over edges of value above ``floor``."""
+    adj = {n: [] for n in bg.nodes}
+    for u, v, value in zip(bg.a, bg.b, values):
+        if value > floor:
+            adj[bg.nodes[u]].append(bg.nodes[v])
+            adj[bg.nodes[v]].append(bg.nodes[u])
+    seen = {bg.users[0]}
+    queue = [bg.users[0]]
+    for u in queue:
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return seen
+
+
+@pytest.mark.parametrize("build,args", [(_hetero_manhattan, (3,)), (_fibre_chain, (2000, 6))],
+                         ids=["manhattan8-r20", "chain2000"])
+def test_capacity_report_is_certified_at_full_size(build, args):
+    # Optimality certificates, each checkable in O(E): a feasible flow and a cut of the same
+    # value prove each other maximal and minimal; a path of bottleneck w, with the second user
+    # out of reach over edges above w, proves no path is wider.
+    graph, violations = load_network(json.dumps(build(*args)))
+    assert violations == []
+    bg = apply_split(graph)
+    report = capacity_report(bg)
+    assert report.upper_mincut == max_flow(bg, "upper").mincut
+    for side in ("lower", "upper"):
+        values = bg.values(side)
+        flow = max_flow(bg, side)
+        assert flow.value == getattr(report, f"flooding_{side}") > 0.0
+        check_flow_feasible(flow, bg, side)
+        assert cut_value(bg, side, flow.mincut.a_side) == pytest.approx(flow.value, rel=1e-9)
+        widest = widest_path(bg, side)
+        assert widest.value == getattr(report, f"single_path_{side}") > 0.0
+        assert (widest.path[0], widest.path[-1]) == bg.users
+        edge_value = {frozenset((bg.nodes[u], bg.nodes[v])): value for u, v, value in zip(bg.a, bg.b, values)}
+        assert all(edge_value[frozenset(hop)] >= widest.value for hop in zip(widest.path, widest.path[1:]))
+        assert bg.users[1] not in _reachable_over(bg, values, widest.value)
