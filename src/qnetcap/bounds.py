@@ -17,8 +17,8 @@ from __future__ import annotations
 import enum
 import math
 
-from .channels import FAMILY_AD, FAMILY_TL, as_damping, as_thermal
-from .errors import DomainError, FamilyError
+from .channels import FAMILY_AD
+from .errors import DomainError
 
 # Tiny negative compound noise from rounding is clamped; anything lower is a bug.
 NBAR_CLAMP_TOL = 1e-12
@@ -182,9 +182,3 @@ def bound_columns(fam: str, reduced) -> list[list]:
         upper_kind.append(high_kind)
     return [lower, lower_kind, upper, upper_kind]
 
-
-def family_native(fam: str):
-    """``as_damping`` or ``as_thermal``: the converter to ``fam``'s native numbers."""
-    if fam not in (FAMILY_AD, FAMILY_TL):
-        raise FamilyError(f"unknown channel family {fam!r}")
-    return as_damping if fam == FAMILY_AD else as_thermal

@@ -7,8 +7,8 @@ acts on bosonic modes and is described by a transmissivity tau together with
 the mean photon number nbar added at the output; pure loss is the nbar = 0
 special case. ``fibre_transmissivity`` is the one fibre loss law.
 
-``as_damping``/``as_thermal`` convert a channel spec or a fibre to those
-family-native numbers and reject a channel of the other family;
+``native(fam, channel)`` is the one conversion of a channel spec or a fibre
+to those family-native numbers, and rejects a channel of the other family;
 ``bounds.compounds`` reduces node-split chains of them to single channels.
 """
 
@@ -70,28 +70,6 @@ def family(channel: ChannelSpec) -> str | None:
     raise FamilyError(f"not a channel spec: {channel!r}")
 
 
-def as_damping(channel: ChannelSpec | FibreParams) -> float:
-    """Survival probability eta = 1 - p of an AD-family channel or a fibre (Identity: 1)."""
-    if isinstance(channel, AmplitudeDamping):
-        return 1.0 - channel.p
-    if isinstance(channel, Identity):
-        return 1.0
-    if isinstance(channel, FibreParams):
-        return channel.transmissivity
-    raise FamilyError(f"expected an amplitude-damping channel, got {channel!r}")
-
-
-def as_thermal(channel: ChannelSpec | FibreParams) -> tuple[float, float]:
-    """(tau, nbar) of a thermal-family channel or a fibre (Identity: (1, 0))."""
-    if isinstance(channel, ThermalLoss):
-        return channel.tau, channel.nbar
-    if isinstance(channel, Identity):
-        return 1.0, 0.0
-    if isinstance(channel, FibreParams):
-        return channel.transmissivity, channel.nbar_B
-    raise FamilyError(f"expected a thermal-loss channel, got {channel!r}")
-
-
 def fibre_transmissivity(gamma: float, length_km: float) -> float:
     """Transmissivity 10^(-gamma*d) of d km of fibre with loss rate gamma."""
     return 10.0 ** (-gamma * length_km)
@@ -117,9 +95,27 @@ class FibreParams(NamedTuple):
         if not self.nbar_B >= 0.0:
             raise DomainError(f"background photons must be >= 0, got {self.nbar_B}")
 
-    @property
-    def transmissivity(self) -> float:
-        return fibre_transmissivity(self.gamma, self.length_km)
+
+def native(fam: str, channel: ChannelSpec | FibreParams):
+    """The numbers of a channel spec or a fibre in family ``fam``: "ad", eta = 1 - p; "tl", (tau, nbar).
+    Identity is 1.0 or (1.0, 0.0); a fibre is its ``fibre_transmissivity``, with its nbar_B in "tl"."""
+    if fam == FAMILY_TL:
+        if isinstance(channel, FibreParams):  # first: every class of a generated network is a fibre
+            return fibre_transmissivity(channel.gamma, channel.length_km), channel.nbar_B
+        if isinstance(channel, ThermalLoss):
+            return channel.tau, channel.nbar
+        if isinstance(channel, Identity):
+            return 1.0, 0.0
+        raise FamilyError(f"expected a thermal-loss channel, got {channel!r}")
+    if fam == FAMILY_AD:
+        if isinstance(channel, FibreParams):
+            return fibre_transmissivity(channel.gamma, channel.length_km)
+        if isinstance(channel, AmplitudeDamping):
+            return 1.0 - channel.p
+        if isinstance(channel, Identity):
+            return 1.0
+        raise FamilyError(f"expected an amplitude-damping channel, got {channel!r}")
+    raise FamilyError(f"unknown channel family {fam!r}")
 
 
 @checked

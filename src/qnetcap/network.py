@@ -31,6 +31,7 @@ from .channels import (
     channel_to_json,
     check_role,
     family,
+    native,
 )
 from .errors import DomainError, FamilyError, ValidationError, checked
 
@@ -238,16 +239,15 @@ def apply_split(graph: NetworkGraph) -> BoundedGraph:
     ``bounds`` kernel. Each side of an edge takes its better direction, a tie
     going to the smaller (sender, receiver) pair. Deterministic and idempotent.
     """
-    from .bounds import bound_columns, compounds, family_native
+    from .bounds import bound_columns, compounds
     if graph._valid_family is None:
         violations = validate(graph)
         if violations:
             raise ValidationError(violations)
     fam = graph._valid_family
-    native = family_native(fam)
-    sends = list(map(native, graph.send))
-    recvs = list(map(native, graph.recv))
-    channels = list(map(native, graph.classes))
+    sends = [native(fam, send) for send in graph.send]
+    recvs = [native(fam, recv) for recv in graph.recv]
+    channels = [native(fam, channel) for channel in graph.classes]
 
     names, a, b = graph.names, graph.a, graph.b
     directions, at = [], []  # the directions bounded; each edge's forward and backward one among them

@@ -23,8 +23,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple
 
-from .bounds import BoundKind, bound_columns, compounds, family_native
-from .channels import ChannelSpec, FibreParams, NodeSpec
+from .bounds import BoundKind, bound_columns, compounds
+from .channels import ChannelSpec, FibreParams, NodeSpec, native
 from .errors import DomainError, KrausError, SizeError
 from .network import BoundedGraph, Cut, NetworkGraph, annotate_uniform, check_selector
 from .routing import FlowResult, max_flow, min_neighbourhood_capacity
@@ -195,10 +195,9 @@ def oriented_edge_bounds(edge: ChannelSpec | FibreParams, node_a: NodeSpec, node
                          fam: str) -> OrientedBounds:
     """The per-edge reference for ``apply_split``: bounds of one edge, a channel or a fibre, in the graph
     family ``fam``, each side from the direction that bounds it higher, a tie from the smaller id pair."""
-    native = family_native(fam)
-    channel = native(edge)
-    directions = ((native(node_a.send), channel, native(node_b.recv)),
-                  (native(node_b.send), channel, native(node_a.recv)))
+    channel = native(fam, edge)
+    directions = ((native(fam, node_a.send), channel, native(fam, node_b.recv)),
+                  (native(fam, node_b.send), channel, native(fam, node_a.recv)))
     forward, backward = zip(*bound_columns(fam, compounds(fam, directions)))
     ends = ((node_a.id, node_b.id), (node_b.id, node_a.id))
     lower_back, upper_back = (backward[k] > forward[k] or (not forward[k] > backward[k] and ends[1] < ends[0])

@@ -91,25 +91,27 @@ def theta_el(setup: QkdSetup, p_lo_det: float) -> float:
 def receiver_noise(setup: QkdSetup, eta_channel: float) -> float:
     """Receiver-added photon number for a channel of transmissivity eta.
 
-    LLO: eta*tau_eff*theta_ph + theta_el at full LO power.
-    TLO: theta_el evaluated at the attenuated LO power eta*tau_eff*P_LO.
+    LLO: eta*tau_eff*theta_ph + theta_el at full LO power, finite at eta = 0.
+    TLO: theta_el evaluated at the attenuated LO power eta*tau_eff*P_LO; once
+    2*h*nu times that power underflows to 0 (eta = 0 included) no LO light is
+    detected and the noise is inf. A setup that fails at full power is refused.
     """
-    if not 0.0 < eta_channel <= 1.0:
-        raise DomainError(f"channel transmissivity must lie in (0, 1], got {eta_channel}")
+    if not 0.0 <= eta_channel <= 1.0:
+        raise DomainError(f"channel transmissivity must lie in [0, 1], got {eta_channel}")
     if setup.scheme == SCHEME_LLO:
         return eta_channel * setup.tau_eff * theta_ph(setup) + theta_el(setup, setup.p_lo)
-    return theta_el(setup, eta_channel * setup.tau_eff * setup.p_lo)
-
-
-def _preset(scheme: str, nu_det: int) -> QkdSetup:
-    return QkdSetup(scheme=scheme, nu_det=nu_det)
+    try:
+        return theta_el(setup, eta_channel * setup.tau_eff * setup.p_lo)
+    except DomainError:
+        theta_el(setup, setup.tau_eff * setup.p_lo)  # raises for a setup that fails at full power
+        return math.inf
 
 
 PRESETS = {
-    "table1-homodyne-llo": _preset(SCHEME_LLO, 1),
-    "table1-homodyne-tlo": _preset(SCHEME_TLO, 1),
-    "table1-heterodyne-llo": _preset(SCHEME_LLO, 2),
-    "table1-heterodyne-tlo": _preset(SCHEME_TLO, 2),
+    "table1-homodyne-llo": QkdSetup(scheme=SCHEME_LLO, nu_det=1),
+    "table1-homodyne-tlo": QkdSetup(scheme=SCHEME_TLO, nu_det=1),
+    "table1-heterodyne-llo": QkdSetup(scheme=SCHEME_LLO, nu_det=2),
+    "table1-heterodyne-tlo": QkdSetup(scheme=SCHEME_TLO, nu_det=2),
 }
 
 

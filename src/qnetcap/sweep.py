@@ -10,7 +10,7 @@ import math
 from typing import Callable
 
 from . import wrn
-from .channels import AmplitudeDamping, ThermalLoss, as_thermal, fibre_transmissivity
+from .channels import FAMILY_TL, AmplitudeDamping, ThermalLoss, fibre_transmissivity, native
 from .errors import DomainError, checked_number
 
 SWEEP_SCHEMA = "qnetcap-sweep/1"
@@ -81,24 +81,18 @@ def _respec_loss(spec: wrn.WrnSpec, p_int: float) -> wrn.WrnSpec:
 
 
 def _respec_noise(spec: wrn.WrnSpec, nbar_r: float) -> wrn.WrnSpec:
-    return spec._replace(recv=ThermalLoss(as_thermal(spec.recv)[0], nbar_r))
+    return spec._replace(recv=ThermalLoss(native(FAMILY_TL, spec.recv)[0], nbar_r))
 
 
 def _qkd_columns(spec: wrn.WrnSpec, setup) -> tuple[list[str], Callable[[float], list[float]]]:
-    """Headers and cells: receiver noise of both LO schemes, nan where too little light arrives."""
+    """Headers and cells: receiver noise of both LO schemes, inf where no transmitted LO light is detected."""
     from . import qkd
     base = setup if setup is not None else qkd.from_preset("table1-heterodyne-llo")
     schemes = [qkd.with_scheme(base, scheme) for scheme in ("llo", "tlo")]
-    for scheme in schemes:  # a setup that fails at full transmission fails at every length
+    for scheme in schemes:  # a setup that fails at full transmission is refused before any solve
         qkd.receiver_noise(scheme, 1.0)
-
-    def cell(scheme, d: float) -> float:
-        try:
-            return qkd.receiver_noise(scheme, fibre_transmissivity(spec.gamma, d))
-        except DomainError:
-            return math.nan
-
-    return ["nbar_r_llo", "nbar_r_tlo"], (lambda d: [cell(scheme, d) for scheme in schemes])
+    return ["nbar_r_llo", "nbar_r_tlo"], (
+        lambda d: [qkd.receiver_noise(scheme, fibre_transmissivity(spec.gamma, d)) for scheme in schemes])
 
 
 # (variable, family) -> (x column, re-spec at x, solved param, extra columns).

@@ -31,10 +31,9 @@ from .channels import (
     ChannelSpec,
     FibreParams,
     Identity,
-    as_damping,
-    as_thermal,
     family,
     fibre_transmissivity,
+    native,
 )
 from .errors import DomainError, FamilyError, MonotonicityError, NotAttainableError, checked
 
@@ -390,13 +389,12 @@ def _chain_at(spec: WrnSpec, param: str, qkd_setup: qkd_mod.QkdSetup | None):
         # The swept internal loss p stands in for both device templates.
         eta_edge = eta(spec.edge_length_km)
         return (lambda p: (1.0 - p, eta_edge, 1.0)), (BRACKET_START[0], 1.0 - 1e-9)
+    send, recv = native(spec.family, spec.send), native(spec.family, spec.recv)
     if param == PARAM_RECEIVER_NOISE:
-        tau_r, send_t = as_thermal(spec.recv)[0], as_thermal(spec.send)
-        fibre = (eta(spec.edge_length_km), spec.nbar_B)
-        return (lambda n: (send_t, fibre, (tau_r, n))), BRACKET_START
+        tau_r, fibre = recv[0], (eta(spec.edge_length_km), spec.nbar_B)
+        return (lambda n: (send, fibre, (tau_r, n))), BRACKET_START
     if spec.family == FAMILY_AD:
-        eta_send, eta_recv = as_damping(spec.send), as_damping(spec.recv)
-        return (lambda d: (eta_send, eta(d), eta_recv)), BRACKET_START
+        return (lambda d: (send, eta(d), recv)), BRACKET_START
     if qkd_setup is not None:
         from .qkd import receiver_noise  # only a QKD solve loads the receiver models
         def qkd_chain(d: float):
@@ -404,8 +402,7 @@ def _chain_at(spec: WrnSpec, param: str, qkd_setup: qkd_mod.QkdSetup | None):
             return (1.0, 0.0), (eta_d, spec.nbar_B), (qkd_setup.tau_eff, receiver_noise(qkd_setup, eta_d))
 
         return qkd_chain, BRACKET_START
-    send_t, recv_t = as_thermal(spec.send), as_thermal(spec.recv)
-    return (lambda d: (send_t, (eta(d), spec.nbar_B), recv_t)), BRACKET_START
+    return (lambda d: (send, (eta(d), spec.nbar_B), recv)), BRACKET_START
 
 
 def bound_functions(spec: WrnSpec, param: str, qkd_setup: qkd_mod.QkdSetup | None = None):

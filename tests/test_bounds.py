@@ -15,7 +15,7 @@ from qnetcap.channels import (
     Identity,
     NodeSpec,
     ThermalLoss,
-    as_thermal,
+    native,
 )
 from qnetcap.errors import DomainError, FamilyError
 from qnetcap.network import annotate_uniform
@@ -514,7 +514,7 @@ def test_oriented_bounds_prefer_better_direction():
     noisy = NodeSpec("n", recv=ThermalLoss(0.8, 0.05), send=ThermalLoss(1.0, 0.0))
     clean = NodeSpec("c")
     eb = oriented_edge_bounds(ThermalLoss(0.5, 0.001), noisy, clean, "tl")
-    split = _direction("tl", as_thermal(noisy.send), (0.5, 0.001), as_thermal(clean.recv))
+    split = _direction("tl", native("tl", noisy.send), (0.5, 0.001), native("tl", clean.recv))
     assert eb.lower == pytest.approx(split[0], rel=1e-12)
     assert eb.lower_orientation == ("n", "c")
 
@@ -576,7 +576,7 @@ DOMAIN_CHECKS = {
     "gaussian_propagate.nbar": (lambda x: gaussian_propagate(((1.0, 0.0), (0.0, 1.0)), [(0.5, x)]),
                                 "thermal photon number must be >= 0, got {}", True),
     "receiver_noise": (lambda x: receiver_noise(from_preset("table1-heterodyne-llo"), x),
-                       "channel transmissivity must lie in (0, 1], got {}", False),
+                       "channel transmissivity must lie in [0, 1], got {}", True),
     "min_nodal_density": (lambda x: min_nodal_density(x, "manhattan8"), "maximum link length must be > 0 km, got {}",
                           False),
     "solve_threshold.target": (lambda x: solve_threshold(lambda xi: 1.0 / xi, x, 4.0),

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnetcap.bounds import compounds, family_native
+from qnetcap.bounds import compounds
 from qnetcap.channels import (
     FAMILY_AD,
     FAMILY_TL,
@@ -13,11 +13,10 @@ from qnetcap.channels import (
     Identity,
     NodeSpec,
     ThermalLoss,
-    as_damping,
-    as_thermal,
     channel_from_json,
     channel_to_json,
     fibre_transmissivity,
+    native,
 )
 from qnetcap.errors import DomainError, FamilyError
 
@@ -202,28 +201,50 @@ def test_node_split_ad_matches_compose(reference_compound, eta_s, eta_xy, eta_r)
     assert _compound("ad", eta_s, eta_xy, eta_r) == reference_compound("ad", eta_s, eta_xy, eta_r)
 
 
-def test_fibre_channel():
-    # A fibre's family-native numbers: survival eta ("ad"), (tau, nbar) ("tl").
-    assert as_damping(FibreParams(0.0)) == 1.0
-    assert as_damping(FibreParams(50.0)) == pytest.approx(0.1, rel=1e-12)
-    tau, nbar = as_thermal(FibreParams(100.0))
-    assert tau == pytest.approx(0.01, rel=1e-12)
-    assert nbar == 0.002
-    # Noiseless fibre is thermal loss with nbar 0, a zero-length one included.
-    assert as_thermal(FibreParams(100.0, nbar_B=0.0)) == (tau, 0.0)
-    assert as_thermal(FibreParams(0.0, nbar_B=0.0)) == (1.0, 0.0)
-    with pytest.raises(FamilyError):
-        family_native("qubit")
+# (family, record, its documented family-native numbers): "ad" eta = 1 - p, "tl" (tau, nbar),
+# Identity 1.0 or (1.0, 0.0), a fibre 10^(-gamma*d) with its nbar_B in "tl".
+NATIVE_CASES = [
+    pytest.param(FAMILY_AD, AmplitudeDamping(0.3), 1.0 - 0.3, id="ad-damping"),
+    pytest.param(FAMILY_AD, AmplitudeDamping(1.0), 0.0, id="ad-full-damping"),
+    pytest.param(FAMILY_AD, Identity(), 1.0, id="ad-identity"),
+    pytest.param(FAMILY_AD, FibreParams(50.0), 10.0 ** (-0.02 * 50.0), id="ad-fibre"),
+    pytest.param(FAMILY_AD, FibreParams(3.7, gamma=0.03), 10.0 ** (-0.03 * 3.7), id="ad-fibre-gamma"),
+    pytest.param(FAMILY_AD, FibreParams(0.0), 1.0, id="ad-fibre-zero-length"),
+    pytest.param(FAMILY_AD, FibreParams(20000.0), 0.0, id="ad-fibre-underflow"),  # 10^-400 underflows to 0.0
+    pytest.param(FAMILY_TL, ThermalLoss(0.7, 0.02), (0.7, 0.02), id="tl-thermal"),
+    pytest.param(FAMILY_TL, ThermalLoss(0.4), (0.4, 0.0), id="tl-pure-loss"),
+    pytest.param(FAMILY_TL, Identity(), (1.0, 0.0), id="tl-identity"),
+    pytest.param(FAMILY_TL, FibreParams(100.0), (10.0 ** (-0.02 * 100.0), 0.002), id="tl-fibre"),
+    pytest.param(FAMILY_TL, FibreParams(100.0, nbar_B=0.0), (10.0 ** (-0.02 * 100.0), 0.0), id="tl-fibre-noiseless"),
+    pytest.param(FAMILY_TL, FibreParams(0.0, nbar_B=0.0), (1.0, 0.0), id="tl-fibre-zero-length"),
+    pytest.param(FAMILY_TL, FibreParams(20000.0, nbar_B=0.5), (0.0, 0.5), id="tl-fibre-underflow"),
+]
+
+
+def _bits(numbers):
+    return [x.hex() for x in numbers] if isinstance(numbers, tuple) else numbers.hex()
+
+
+@pytest.mark.parametrize("fam, record, numbers", NATIVE_CASES)
+def test_native_gives_the_documented_numbers_and_refuses_other_families(fam, record, numbers):
+    assert _bits(native(fam, record)) == _bits(numbers)
+    if isinstance(record, FibreParams):  # the one fibre loss law, in either family
+        assert native(FAMILY_AD, record) == fibre_transmissivity(record.gamma, record.length_km)
+    if isinstance(record, (AmplitudeDamping, ThermalLoss)):
+        other, expected = (FAMILY_TL, "a thermal-loss") if fam == FAMILY_AD else (FAMILY_AD, "an amplitude-damping")
+        with pytest.raises(FamilyError) as wrong:
+            native(other, record)
+        assert str(wrong.value) == f"expected {expected} channel, got {record!r}"
+    with pytest.raises(FamilyError) as unknown:
+        native("qubit", record)
+    assert str(unknown.value) == "unknown channel family 'qubit'"
 
 
 def test_fibre_transmissivity_is_the_one_loss_law():
     assert fibre_transmissivity(0.02, 100.0) == 10.0 ** -2.0
     assert fibre_transmissivity(0.02, 0.0) == 1.0
-    for d in (0.0, 3.7, 150.0, 1e5):
-        assert FibreParams(d, gamma=0.03).transmissivity == fibre_transmissivity(0.03, d)
-        # A damping fibre's survival probability is its transmissivity, unrounded.
-        assert as_damping(FibreParams(d, gamma=0.03)) == fibre_transmissivity(0.03, d)
     assert not hasattr(FibreParams(1.0), "damping")
+    assert not hasattr(FibreParams(1.0), "transmissivity")
 
 
 def test_channel_json_round_trip():

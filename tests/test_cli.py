@@ -28,7 +28,7 @@ from qnetcap.cli import (
 )
 from qnetcap import bounds, cli, network, selfcheck, wrn
 from qnetcap.errors import DomainError
-from qnetcap.qkd import QkdSetup
+from qnetcap.qkd import PRESETS, QkdSetup
 from qnetcap.sweep import MAX_SWEEP_STEPS, SWEEP_VARIABLES, _SOLVED_STEM, _SWEEPS, _sweep_points
 from qnetcap.wrn import WrnSpec, generate
 
@@ -904,9 +904,24 @@ def test_receiver_noise_on_a_dark_fibre_is_not_attainable(tmp_path, capsys):
     assert [row[0] for row in rows] == [10000.0, 12000.0, 14000.0, 16000.0, 18000.0, 20000.0]
     for d, lo, up, llo, tlo in rows:
         assert math.isnan(lo) and math.isnan(up)
-        # No light from ~16,180 km; the transmitted LO's detected power underflows from ~15,210 km.
-        assert math.isnan(llo) == (d > 16180.0)
-        assert math.isnan(tlo) == (d > 15210.0)
+        # No light arrives from ~16,180 km, where a local LO still adds its electronic noise;
+        # the transmitted LO's detected power underflows from ~15,210 km, where its noise is inf.
+        assert math.isfinite(llo)
+        assert math.isinf(tlo) == (d > 15210.0)
+
+
+@pytest.mark.parametrize("gamma", [0.31, 0.35, 1.0])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_qkd_edge_length_solve_scans_past_the_last_light(tmp_path, capsys, gamma, preset):
+    # The scan samples lengths up to 1000 km, where these fibres transmit nothing
+    # (or the transmitted LO's detected power underflows); the solve still brackets.
+    spec = write_json(tmp_path / "wrn.json", {**MAN_SPEC, "gamma": gamma, "qkd_setup": preset})
+    code, out, err = run(capsys, "threshold", "--spec", spec, "--param", "edge-length", "--target", "1e-2")
+    assert code == EXIT_OK, err
+    report = json.loads(out)
+    for side in ("bulk", "user"):
+        lo, hi = report[side]["bracket"]
+        assert 0.0 < lo <= hi < math.inf
 
 
 def test_internal_loss_solve_near_full_fibre_loss(tmp_path, capsys):

@@ -74,10 +74,33 @@ def test_receiver_noise_tlo_matches_scaled_power():
 
 
 def test_receiver_noise_eta_domain():
-    with pytest.raises(DomainError):
-        receiver_noise(QkdSetup(), 0.0)
-    with pytest.raises(DomainError):
-        receiver_noise(QkdSetup(), 1.1)
+    # Where no light arrives a local LO adds its full-power electronic noise, and a
+    # transmitted LO, whose detected power is 0, adds inf.
+    llo, tlo = QkdSetup(scheme="llo"), QkdSetup(scheme="tlo")
+    for eta in (0.0, -0.0):
+        assert receiver_noise(llo, eta) == theta_el(llo, llo.p_lo)
+        assert receiver_noise(tlo, eta) == math.inf
+    for eta in (math.nan, 1.1, math.inf, -5e-324):
+        with pytest.raises(DomainError) as refused:
+            receiver_noise(llo, eta)
+        assert str(refused.value) == f"channel transmissivity must lie in [0, 1], got {eta}"
+
+
+@pytest.mark.parametrize("eta", [1e-200, 1e-300, 1e-305, 1e-310, 5e-324])
+def test_tlo_noise_is_inf_exactly_where_the_detected_lo_power_underflows(eta):
+    tlo = QkdSetup(scheme="tlo")
+    denominator = 2.0 * PLANCK * (SPEED_OF_LIGHT / tlo.wavelength) * (eta * tlo.tau_eff * tlo.p_lo)
+    noise = receiver_noise(tlo, eta)
+    assert noise == (math.inf if denominator == 0.0 else theta_el(tlo, eta * tlo.tau_eff * tlo.p_lo))
+    assert math.isfinite(receiver_noise(with_scheme(tlo, "llo"), eta))
+
+
+@pytest.mark.parametrize("broken", [{"wavelength": 1e300}, {"nep": 1e200}])
+def test_a_tlo_setup_that_fails_at_full_power_is_refused_at_every_eta(broken):
+    setup = QkdSetup(scheme="tlo", **broken)
+    for eta in (1.0, 0.5, 1e-310, 0.0):
+        with pytest.raises(DomainError, match="electronic noise"):
+            receiver_noise(setup, eta)
 
 
 @given(etas, etas)

@@ -91,6 +91,34 @@ def test_package_declares_no_runtime_dependencies():
     assert any(dep.startswith("numpy") for dep in pyproject["project"]["optional-dependencies"]["test"])
 
 
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names ``tree`` imports and never reads; an annotation, quoted or under TYPE_CHECKING, reads them."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name.partition(".")[0], node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+    annotations = [node.annotation for node in ast.walk(tree) if isinstance(node, (ast.arg, ast.AnnAssign))]
+    annotations += [node.returns for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    quoted = [ast.parse(node.value, mode="eval") for annotation in annotations if annotation is not None
+              for node in ast.walk(annotation) if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    used = {node.id for root in (tree, *quoted) for node in ast.walk(root) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_the_unused_import_check_finds_an_unused_name():
+    source = "from __future__ import annotations\nimport os.path\nfrom typing import TYPE_CHECKING\n" \
+             "from .errors import DomainError, FamilyError\nif TYPE_CHECKING:\n    from . import wrn\n" \
+             "def f(x: 'wrn.WrnSpec') -> None:\n    raise DomainError(x)\n"
+    assert _unused_imports(ast.parse(source)) == ["FamilyError (line 4)", "os (line 2)"]
+
+
+@pytest.mark.parametrize("path", sorted((README.parent / "src" / "qnetcap").glob("*.py")), ids=lambda path: path.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
 def test_installed_command_ends_through_the_process_entry():
     tomllib = pytest.importorskip("tomllib")
     pyproject = tomllib.loads((README.parent / "pyproject.toml").read_text(encoding="utf-8"))

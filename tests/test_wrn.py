@@ -14,9 +14,8 @@ from qnetcap.channels import (
     AmplitudeDamping,
     Identity,
     ThermalLoss,
-    as_damping,
-    as_thermal,
     fibre_transmissivity,
+    native,
 )
 from qnetcap.cli import main
 from qnetcap.errors import DomainError, FamilyError, MonotonicityError, NotAttainableError
@@ -784,13 +783,8 @@ def test_bound_functions_are_both_sides_of_direction_bounds(family, length, gamm
     spec = WrnSpec(CELL_TRIANGULAR if family == "ad" else CELL_MANHATTAN, 2, 10.0, family,
                    recv=template, send=template, gamma=gamma, nbar_B=nbar_b)
     lower_fn, upper_fn, _, columns = bound_functions(spec, "edgeLength")
-    eta = fibre_transmissivity(gamma, length)
-    if family == "ad":
-        device = as_damping(template)
-        direction = (device, eta, device)
-    else:
-        device = as_thermal(template)
-        direction = (device, (eta, nbar_b), device)
+    eta, device = fibre_transmissivity(gamma, length), native(family, template)
+    direction = (device, eta if family == "ad" else (eta, nbar_b), device)
     expected = bound_columns(family, compounds(family, [direction]))
     got = [lower_fn(length), upper_fn(length)]
     assert [x.hex() for x in got] == [expected[0][0].hex(), expected[2][0].hex()]
