@@ -10,6 +10,11 @@ special case. ``fibre_transmissivity`` is the one fibre loss law.
 ``native(fam, channel)`` is the one conversion of a channel spec or a fibre
 to those family-native numbers, and rejects a channel of the other family;
 ``bounds.compounds`` reduces node-split chains of them to single channels.
+A row (kind, eta, last, length_km, gamma) holds a channel as those numbers:
+``row_of`` gives a record's, ``row_from_json`` reads one with no record, and
+``record`` builds the record back. Each record kind's range check,
+``check_damping``, ``check_thermal`` or ``check_fibre``, is shared by the
+record and the reader.
 """
 
 from __future__ import annotations
@@ -21,6 +26,28 @@ from .errors import DomainError, FamilyError, checked
 
 FAMILY_AD = "ad"
 FAMILY_TL = "tl"
+FIBRE = "fibre"  # the kind of a fibre in a row
+
+
+def check_damping(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"damping probability must lie in [0, 1], got {p}")
+
+
+def check_thermal(tau: float, nbar: float) -> None:
+    if not 0.0 < tau <= 1.0:
+        raise DomainError(f"transmissivity must lie in (0, 1], got {tau}")
+    if not nbar >= 0.0:
+        raise DomainError(f"thermal photon number must be >= 0, got {nbar}")
+
+
+def check_fibre(length_km: float, gamma: float, nbar_B: float) -> None:
+    if not length_km >= 0.0:
+        raise DomainError(f"fibre length must be >= 0 km, got {length_km}")
+    if not 0.0 < gamma < math.inf:  # an infinite rate makes 10^(-gamma*0) nan
+        raise DomainError(f"loss rate must be finite and > 0 per km, got {gamma}")
+    if not nbar_B >= 0.0:
+        raise DomainError(f"background photons must be >= 0, got {nbar_B}")
 
 
 @checked
@@ -30,8 +57,7 @@ class AmplitudeDamping(NamedTuple):
     p: float
 
     def _check(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise DomainError(f"damping probability must lie in [0, 1], got {self.p}")
+        check_damping(self.p)
 
 
 @checked
@@ -42,10 +68,7 @@ class ThermalLoss(NamedTuple):
     nbar: float = 0.0
 
     def _check(self):
-        if not 0.0 < self.tau <= 1.0:
-            raise DomainError(f"transmissivity must lie in (0, 1], got {self.tau}")
-        if not self.nbar >= 0.0:
-            raise DomainError(f"thermal photon number must be >= 0, got {self.nbar}")
+        check_thermal(self.tau, self.nbar)
 
 
 class Identity(NamedTuple):
@@ -57,17 +80,6 @@ class Identity(NamedTuple):
 
 IDENTITY = Identity()
 ChannelSpec = Union[AmplitudeDamping, ThermalLoss, Identity]
-
-
-def family(channel: ChannelSpec) -> str | None:
-    """Channel family tag: "ad", "tl", or None for the neutral Identity."""
-    if isinstance(channel, AmplitudeDamping):
-        return FAMILY_AD
-    if isinstance(channel, ThermalLoss):
-        return FAMILY_TL
-    if isinstance(channel, Identity):
-        return None
-    raise FamilyError(f"not a channel spec: {channel!r}")
 
 
 def fibre_transmissivity(gamma: float, length_km: float) -> float:
@@ -88,12 +100,7 @@ class FibreParams(NamedTuple):
     nbar_B: float = 0.002
 
     def _check(self):
-        if not self.length_km >= 0.0:
-            raise DomainError(f"fibre length must be >= 0 km, got {self.length_km}")
-        if not 0.0 < self.gamma < math.inf:  # an infinite rate makes 10^(-gamma*0) nan
-            raise DomainError(f"loss rate must be finite and > 0 per km, got {self.gamma}")
-        if not self.nbar_B >= 0.0:
-            raise DomainError(f"background photons must be >= 0, got {self.nbar_B}")
+        check_fibre(*self)
 
 
 def native(fam: str, channel: ChannelSpec | FibreParams):
@@ -153,6 +160,26 @@ def channel_to_json(channel: ChannelSpec) -> dict:
     raise FamilyError(f"not a channel spec: {channel!r}")
 
 
+def row_of(channel: ChannelSpec | FibreParams) -> tuple:
+    """The row of a channel spec or a fibre, its numbers from ``native``; FamilyError for anything else.
+    A row is a ``network.ChannelColumns`` entry: kind ("ad", "tl", FIBRE or None for Identity),
+    survival probability eta, the record's last field, and a fibre's length_km and gamma (else 0.0)."""
+    if isinstance(channel, FibreParams):
+        return (FIBRE, *native(FAMILY_TL, channel), channel.length_km, channel.gamma)
+    if isinstance(channel, AmplitudeDamping):
+        return FAMILY_AD, native(FAMILY_AD, channel), channel.p, 0.0, 0.0
+    return (FAMILY_TL if isinstance(channel, ThermalLoss) else None, *native(FAMILY_TL, channel), 0.0, 0.0)
+
+
+def record(kind: str | None, eta: float, last: float, length_km: float, gamma: float):
+    """The FibreParams or channel spec of a row."""
+    if kind == FIBRE:
+        return FibreParams(length_km, gamma, last)
+    if kind == FAMILY_TL:
+        return ThermalLoss(eta, last)
+    return IDENTITY if kind is None else AmplitudeDamping(last)
+
+
 def _field(data: dict, key: str, default: float | None = None) -> float:
     """``float`` of a channel field; a JSON boolean, which float() reads as 1 or 0, is refused."""
     value = data[key] if default is None else data.get(key, default)
@@ -161,23 +188,32 @@ def _field(data: dict, key: str, default: float | None = None) -> float:
     return float(value)
 
 
-def channel_from_json(data: dict) -> ChannelSpec:
+def row_from_json(data: dict) -> tuple:
+    """The row of a channel object, range-checked with its record's check."""
     if not isinstance(data, dict) or "kind" not in data:
         raise DomainError(f"channel object needs a 'kind' tag, got {data!r}")
     kind = data["kind"]
     try:
-        if kind == "ad":
-            return AmplitudeDamping(_field(data, "p"))
         if kind == "tl":
-            return ThermalLoss(_field(data, "tau"), _field(data, "nbar", 0.0))
-        if kind == "pl":  # pure loss: thermal loss with no added photons
-            return ThermalLoss(_field(data, "eta"))
-        if kind == "id":
-            return IDENTITY
+            tau, nbar = _field(data, "tau"), _field(data, "nbar", 0.0)
+        elif kind == "pl":  # pure loss: thermal loss with no added photons
+            tau, nbar = _field(data, "eta"), 0.0
+        elif kind == "ad":
+            check_damping(p := _field(data, "p"))
+            return FAMILY_AD, 1.0 - p, p, 0.0, 0.0
+        elif kind == "id":
+            return None, 1.0, 0.0, 0.0, 0.0
+        else:
+            raise DomainError(f"unknown channel kind {kind!r}")
     except KeyError as exc:
         raise DomainError(f"channel kind {kind!r} is missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, DomainError):
             raise
         raise DomainError(f"bad channel field in {data!r}: {exc}") from exc
-    raise DomainError(f"unknown channel kind {kind!r}")
+    check_thermal(tau, nbar)
+    return FAMILY_TL, tau, nbar, 0.0, 0.0
+
+
+def channel_from_json(data: dict) -> ChannelSpec:
+    return record(*row_from_json(data))

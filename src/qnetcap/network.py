@@ -1,13 +1,14 @@
 """Undirected network graphs, their JSON form, validation and edge-bound annotation.
 
-A NetworkGraph holds, as columns, the nodes (names, internal device channels
-and roles), the undirected edges as pairs of node numbers, each with a class
-in a table of distinct fibres and explicit channels, and the pair of end
-users. ``apply_split`` turns it into a BoundedGraph by wrapping every
-edge in its endpoints' internal channels and running the bound kernels over
-the directions, orientation-optimized per edge. Everything computed on a
-BoundedGraph lives in ``routing.py``; the per-edge reference that
-``apply_split`` is tested against is ``oracles.oriented_edge_bounds``.
+A NetworkGraph holds, as columns, the nodes (names, device tables and roles),
+the undirected edges as pairs of node numbers, each with a class in a table
+of distinct fibres and explicit channels, and the pair of end users; the
+reader fills the tables with no record. ``apply_split`` turns it into a
+BoundedGraph by zipping the tables' columns into every edge's directions and
+running the bound kernels over them, orientation-optimized per edge.
+Everything computed on a BoundedGraph lives in ``routing.py``; the per-edge
+reference that ``apply_split`` is tested against is
+``oracles.oriented_edge_bounds``.
 """
 
 from __future__ import annotations
@@ -22,16 +23,16 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 from .channels import (
     FAMILY_AD,
     FAMILY_TL,
+    FIBRE,
     ChannelSpec,
     FibreParams,
-    IDENTITY,
-    Identity,
     NodeSpec,
-    channel_from_json,
     channel_to_json,
+    check_fibre,
     check_role,
-    family,
-    native,
+    fibre_transmissivity,
+    record,
+    row_from_json,
 )
 from .errors import DomainError, FamilyError, ValidationError, checked
 
@@ -59,15 +60,37 @@ EdgeView = NamedTuple("EdgeView", [("a", str), ("b", str), ("channel", ChannelSp
                                    ("fibre", FibreParams | None)])
 
 
+class ChannelColumns(NamedTuple):
+    """Channels as columns, unchecked: entry i is one channel's ``kind`` ("ad", "tl", FIBRE or None
+    for Identity), survival probability ``eta`` (tau, 1 - p, the ``fibre_transmissivity`` or 1.0),
+    its record's ``last`` field (nbar, p, nbar_B or 0.0) and a fibre's ``length_km`` and ``gamma``
+    (else 0.0). A channel's ``native`` numbers are then (eta, last) in "tl" and eta in "ad"."""
+
+    kind: tuple[str | None, ...]
+    eta: tuple[float, ...]
+    last: tuple[float, ...]
+    length_km: tuple[float, ...]
+    gamma: tuple[float, ...]
+
+    @classmethod
+    def of(cls, rows: list[tuple]) -> ChannelColumns:
+        """The table of a list of rows, such as ``row_of`` and ``row_from_json`` give."""
+        return cls(*zip(*rows)) if rows else cls((), (), (), (), ())
+
+    def records(self) -> tuple:
+        """Each entry as a FibreParams or a channel spec, built on demand."""
+        return tuple(map(record, *self))
+
+
 class _GraphColumns(NamedTuple):
     names: tuple[str, ...]
-    recv: tuple[ChannelSpec, ...]
-    send: tuple[ChannelSpec, ...]
+    recv: ChannelColumns
+    send: ChannelColumns
     role: tuple[str, ...]
     a: tuple[int, ...]
     b: tuple[int, ...]
     cls: tuple[int, ...]
-    classes: tuple[FibreParams | ChannelSpec, ...]
+    classes: ChannelColumns
     users: tuple[str, str] | None = None
     family: str | None = None
 
@@ -76,15 +99,15 @@ class _GraphColumns(NamedTuple):
 class NetworkGraph(_GraphColumns):
     """Immutable network description as columns; build once and share freely.
 
-    Node i is named ``names[i]`` and has the channels ``recv[i]`` and
-    ``send[i]`` and the role ``role[i]``. Names past the last node are
-    endpoints that name no node, which only a graph that fails ``validate``
-    has. Edge i joins node numbers ``a[i]`` and ``b[i]`` over
-    ``classes[cls[i]]``, a FibreParams or an explicit channel; each distinct
-    one is in the table once. Construction raises DomainError unless the
+    Node i is named ``names[i]``, has the role ``role[i]`` and entry i of the
+    ``recv`` and ``send`` tables. Names past the last node are endpoints that
+    name no node, which only a graph that fails ``validate`` has. Edge i
+    joins node numbers ``a[i]`` and ``b[i]`` over entry ``cls[i]`` of
+    ``classes``, a fibre or an explicit channel, each distinct one once. The
+    tables are ``ChannelColumns``. Construction raises DomainError unless the
     columns agree in length, every number indexes ``names`` or ``classes``
-    and ``users`` is None or a pair of names.
-    The ``nodes`` and ``edges`` views rebuild one object per node or edge.
+    and ``users`` is None or a pair of names. The ``nodes`` and ``edges``
+    views, like a table's ``records()``, build records on demand.
     """
 
     # The resolved family, which ``validate`` sets once it finds the graph
@@ -93,12 +116,14 @@ class NetworkGraph(_GraphColumns):
     _valid_family: str | None = None
 
     def _check(self):
-        m = len(self.names)
-        if not len(self.recv) == len(self.send) == len(self.role) <= m:
+        m, n, tables = len(self.names), len(self.role), (self.recv, self.send, self.classes)
+        if not all(type(table) is ChannelColumns and len(set(map(len, table))) == 1 for table in tables):
+            raise DomainError("network graph recv, send and classes must be ChannelColumns of equal columns")
+        if not (n <= m and len(self.recv.kind) == len(self.send.kind) == n):
             raise DomainError("network graph needs a recv, send, role and name per node")
         if not len(self.a) == len(self.b) == len(self.cls):
             raise DomainError("network graph needs an a, b and cls per edge")
-        for what, column, size in (("a", self.a, m), ("b", self.b, m), ("cls", self.cls, len(self.classes))):
+        for what, column, size in (("a", self.a, m), ("b", self.b, m), ("cls", self.cls, len(self.classes.kind))):
             if column and not (min(column) >= 0 and max(column) < size):
                 raise DomainError(f"network graph column {what} must hold numbers 0 to {size - 1}")
         if self.users is not None:
@@ -108,13 +133,13 @@ class NetworkGraph(_GraphColumns):
     def nodes(self) -> dict[str, NodeSpec]:
         """Each node as a NodeSpec, by name, built on demand."""
         return {name: NodeSpec(name, recv, send, role)
-                for name, recv, send, role in zip(self.names, self.recv, self.send, self.role)}
+                for name, recv, send, role in zip(self.names, self.recv.records(), self.send.records(), self.role)}
 
     @property
     def edges(self) -> tuple[EdgeView, ...]:
         """Each edge as an EdgeView, built on demand."""
         names = self.names
-        sources = [(None, c) if isinstance(c, FibreParams) else (c, None) for c in self.classes]
+        sources = [(None, c) if isinstance(c, FibreParams) else (c, None) for c in self.classes.records()]
         return tuple(EdgeView(names[u], names[v], *sources[c]) for u, v, c in zip(self.a, self.b, self.cls))
 
 
@@ -170,9 +195,8 @@ class Cut(NamedTuple):
 
 
 def resolved_family(graph: NetworkGraph) -> str:
-    """The single channel family of the graph, declared or inferred."""
-    explicit = (c for c in graph.classes if not isinstance(c, FibreParams))
-    found = {family(ch) for ch in {*graph.recv, *graph.send, *explicit}} - {None}
+    """The single channel family of the graph, declared or inferred from the kinds of its tables."""
+    found = {*graph.recv.kind, *graph.send.kind, *graph.classes.kind} - {None, FIBRE}
     if len(found) > 1:
         raise FamilyError("family mismatch: graph mixes amplitude-damping and thermal-loss channels")
     if found:
@@ -232,8 +256,8 @@ def apply_split(graph: NetworkGraph) -> BoundedGraph:
     """Annotate every edge with orientation-optimized capacity bounds.
 
     A graph not yet found valid by ``validate`` is validated first, and its
-    one channel family is resolved once. Each class is resolved to a
-    family-native channel once. A direction whose family-native (send,
+    one channel family is resolved once. The tables' columns are the family-native
+    numbers, zipped into (eta, last) pairs in "tl". A direction whose (send,
     channel, recv) equals the previous direction's shares its bounds, so a
     lattice is bounded once; the others are bounded in one call of each
     ``bounds`` kernel. Each side of an edge takes its better direction, a tie
@@ -245,9 +269,11 @@ def apply_split(graph: NetworkGraph) -> BoundedGraph:
         if violations:
             raise ValidationError(violations)
     fam = graph._valid_family
-    sends = [native(fam, send) for send in graph.send]
-    recvs = [native(fam, recv) for recv in graph.recv]
-    channels = [native(fam, channel) for channel in graph.classes]
+    tables = graph.send, graph.recv, graph.classes
+    if fam == FAMILY_TL:
+        sends, recvs, channels = (list(zip(table.eta, table.last)) for table in tables)
+    else:
+        sends, recvs, channels = (table.eta for table in tables)
 
     names, a, b = graph.names, graph.a, graph.b
     directions, at = [], []  # the directions bounded; each edge's forward and backward one among them
@@ -305,13 +331,13 @@ def network_json_chunks(graph: NetworkGraph) -> Iterator[str]:
     dumps = json.JSONEncoder(allow_nan=False).encode  # json.dumps(obj, allow_nan=False)
     names = list(map(encode_basestring_ascii, graph.names))
     sources = [f'"fibre": {dumps(c._asdict())}' if isinstance(c, FibreParams)
-               else f'"channel": {dumps(channel_to_json(c))}' for c in graph.classes]
+               else f'"channel": {dumps(channel_to_json(c))}' for c in graph.classes.records()]
 
-    def device(key: str, channel: ChannelSpec) -> str:
-        return "" if isinstance(channel, Identity) else f', "{key}": {dumps(channel_to_json(channel))}'
+    def device(key: str, row: tuple) -> str:
+        return "" if row[0] is None else f', "{key}": {dumps(channel_to_json(record(*row)))}'
 
-    recvs = [device("recv", recv) for recv in graph.recv]
-    sends = [device("send", send) for send in graph.send]
+    recvs = [device("recv", row) for row in zip(*graph.recv)]
+    sends = [device("send", row) for row in zip(*graph.send)]
     tail = "]"
     if graph.users is not None:
         tail += f', "users": {dumps(list(graph.users))}'
@@ -379,6 +405,7 @@ def _load_json(text: str) -> tuple[NetworkGraph | None, list[str]]:
 
 # Ends the records of "nodes", and then those of "edges", in ``_records``.
 _END = object()
+_IDENTITY = row_from_json({"kind": "id"})  # the row of a node with no device on a side
 # A JSON punctuation character and the whitespace around it.
 _PUNCT = re.compile(r"[ \t\n\r]*([][{}:,])[ \t\n\r]*")
 _scan = json.JSONDecoder().scan_once
@@ -469,7 +496,7 @@ def _graph_columns(raw_nodes: Iterable | None, raw_edges: Iterable | None, data,
                    violations: list[str]) -> NetworkGraph:
     """The graph of a network object's node and edge records (None if missing), each a decoded
     value or a tuple from ``_records``, and other members ``data``; appends the violations of
-    its nodes, edges and users."""
+    its nodes, edges and users. Devices and classes go into their tables as range-checked rows."""
     number: dict[str, int] = {}
     recvs, sends, roles = [], [], []
     if raw_nodes is None:
@@ -484,8 +511,8 @@ def _graph_columns(raw_nodes: Iterable | None, raw_edges: Iterable | None, data,
             violations.append(f"node {node_id!r}: duplicate id")
             continue
         try:
-            recv = channel_from_json(raw["recv"]) if "recv" in raw else IDENTITY
-            send = channel_from_json(raw["send"]) if "send" in raw else IDENTITY
+            recv = row_from_json(raw["recv"]) if "recv" in raw else _IDENTITY
+            send = row_from_json(raw["send"]) if "send" in raw else _IDENTITY
             role = check_role(str(raw.get("role", "repeater")))
         except DomainError as exc:
             violations.append(f"node {node_id!r}: {exc}")
@@ -495,9 +522,9 @@ def _graph_columns(raw_nodes: Iterable | None, raw_edges: Iterable | None, data,
         sends.append(send)
         roles.append(role)
     a, b, cls, classes = [], [], [], []
-    # Class numbers by explicit channel, and by a fibre's (length_km, gamma,
-    # nbar_B): FibreParams equality, without building one per edge. The key is
-    # tagged, as a channel record is a tuple too.
+    # Class numbers by an explicit channel's row, and by a fibre's (length_km,
+    # gamma, nbar_B), which cannot equal a row, whose first entry is a kind:
+    # record equality, without building a record.
     class_of: dict = {}
     # The last fibre decoded, which got class c: ``_records`` yields the same
     # tuple for a repeated fibre text, and it is not decoded again.
@@ -523,10 +550,10 @@ def _graph_columns(raw_nodes: Iterable | None, raw_edges: Iterable | None, data,
             last = None
             try:
                 if has_channel:
-                    key = channel_from_json(raw["channel"])
+                    key = row_from_json(raw["channel"])
                 elif type(fibre) is tuple:
                     length, gamma, nbar_b = fibre
-                    key = (FibreParams, float(length), float(gamma), float(nbar_b))
+                    key = (float(length), float(gamma), float(nbar_b))
                 else:
                     if not isinstance(fibre, dict) or "length_km" not in fibre:
                         violations.append(f"edge {end_a}-{end_b}: fibre needs a 'length_km'")
@@ -537,10 +564,14 @@ def _graph_columns(raw_nodes: Iterable | None, raw_edges: Iterable | None, data,
                     if (length is True or length is False or gamma is True or gamma is False
                             or nbar_b is True or nbar_b is False):
                         raise DomainError(f"fibre fields must be numbers, got {fibre!r}")
-                    key = (FibreParams, float(length), float(gamma), float(nbar_b))
+                    key = (float(length), float(gamma), float(nbar_b))
                 c = class_of.get(key)
                 if c is None:
-                    classes.append(key if has_channel else FibreParams(*key[1:]))
+                    if not has_channel:  # a fibre's row: its checked numbers and transmissivity
+                        length, gamma, nbar_b = key
+                        check_fibre(length, gamma, nbar_b)
+                    classes.append(key if has_channel else (FIBRE, fibre_transmissivity(gamma, length), nbar_b,
+                                                            length, gamma))
                     c = class_of[key] = len(classes) - 1
             except (DomainError, TypeError, ValueError, OverflowError) as exc:
                 violations.append(f"edge {end_a}-{end_b}: {exc}")
@@ -560,5 +591,5 @@ def _graph_columns(raw_nodes: Iterable | None, raw_edges: Iterable | None, data,
     fam = data.get("family")
     if fam is not None:
         fam = str(fam)
-    return NetworkGraph(tuple(number), tuple(recvs), tuple(sends), tuple(roles), tuple(a), tuple(b),
-                        tuple(cls), tuple(classes), users=users, family=fam)
+    return NetworkGraph(tuple(number), ChannelColumns.of(recvs), ChannelColumns.of(sends), tuple(roles),
+                        tuple(a), tuple(b), tuple(cls), ChannelColumns.of(classes), users=users, family=fam)

@@ -5,8 +5,9 @@ formulas or fast algorithms, using a different route: explicit Kraus action on
 qubit density matrices, von Neumann entropies from closed-form 2x2 spectra,
 Gaussian covariance propagation for thermal-loss chains, exhaustive cut and
 path enumeration on small graphs, a capacity and conservation check of a
-max-flow result, closed-form sizes and weak regularity of generated lattice
-patches, and the flooding = k*c consequence on uniformly valued lattices.
+max-flow result, the O(E) optimality certificates of a max flow and a widest
+path on graphs of any size, closed-form sizes and weak regularity of generated
+lattice patches, and the flooding = k*c consequence on uniformly valued lattices.
 ``oriented_edge_bounds`` is the per-edge reference for ``network.apply_split``,
 ``h2`` the binary entropy of the damping bounds, ``bosonic_h`` the thermal
 lower bound's entropy term, and ``bounded_from_values`` builds the small test
@@ -27,7 +28,7 @@ from .bounds import BoundKind, bound_columns, compounds
 from .channels import ChannelSpec, FibreParams, NodeSpec, native
 from .errors import DomainError, KrausError, SizeError
 from .network import BoundedGraph, Cut, NetworkGraph, annotate_uniform, check_selector
-from .routing import FlowResult, max_flow, min_neighbourhood_capacity
+from .routing import FlowResult, PathResult, max_flow, min_neighbourhood_capacity
 from .wrn import CELL_TRIANGULAR, WrnSpec, generate
 
 # Eigenvalues at or below this are treated as exact zeros inside entropies.
@@ -250,6 +251,38 @@ def cut_value(bg: BoundedGraph, selector: str, a_side) -> float:
     """Sum of edge values crossing a bipartition."""
     a_side = frozenset(a_side)
     return sum(value for a, b, value in _named_edges(bg, selector) if (a in a_side) != (b in a_side))
+
+
+def max_flow_certificate_error(bg: BoundedGraph, selector: str, result: FlowResult) -> float:
+    """|flow value - cut value| of ``result`` when its flow is feasible and its cut separates the users,
+    which proves both optimal in O(E); inf when it is not."""
+    try:
+        check_flow_feasible(result, bg, selector)
+    except DomainError:
+        return math.inf
+    if bg.users[0] not in result.mincut.a_side or bg.users[1] in result.mincut.a_side:
+        return math.inf
+    return abs(cut_value(bg, selector, result.mincut.a_side) - result.value)
+
+
+def widest_path_certificate_error(bg: BoundedGraph, selector: str, result: PathResult) -> float:
+    """0.0 when ``result`` is a path between the users with no hop below its value and the second user
+    is out of reach over the edges above that value, which proves it widest in O(E); inf when not."""
+    edges, adj = _named_edges(bg, selector), {}
+    value = {frozenset((a, b)): v for a, b, v in edges}
+    hops = [value.get(frozenset(hop), -math.inf) for hop in zip(result.path, result.path[1:])]
+    if result.path[:1] + result.path[-1:] != bg.users or min(hops, default=-math.inf) < result.value:
+        return math.inf
+    for a, b, v in edges:
+        if v > result.value:
+            adj.setdefault(a, []).append(b)
+            adj.setdefault(b, []).append(a)
+    reached, stack = {bg.users[0]}, [bg.users[0]]
+    while stack:
+        fresh = [n for n in adj.get(stack.pop(), ()) if n not in reached]
+        reached.update(fresh)
+        stack += fresh
+    return math.inf if bg.users[1] in reached else 0.0
 
 
 def brute_force_min_cut(bg: BoundedGraph, selector: str) -> tuple[float, Cut]:

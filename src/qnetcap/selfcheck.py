@@ -3,7 +3,8 @@
 ``bounds.compounds``, the reduction every bound goes through, reduces random
 (send, edge, recv) chains in one call, which are replayed as explicit
 Kraus-operator or Gaussian covariance simulations; the flow solver is
-replayed as exhaustive cut and path enumeration on small random graphs.
+replayed as exhaustive cut and path enumeration on small random graphs, and
+its results on lattices of radius 2 to 6 must carry their O(E) certificates.
 Each battery returns the worst deviation it saw, so callers pick their own
 tolerance. Every draw is one ``rng.random()`` call, so a ``random.Random``
 and a numpy ``Generator`` both serve as ``rng``.
@@ -15,7 +16,7 @@ import random
 
 from .bounds import compounds
 from .channels import FAMILY_AD, FAMILY_TL
-from .network import BoundedGraph
+from .network import BoundedGraph, annotate_uniform
 from .oracles import (
     ad_channel,
     apply_channel,
@@ -23,8 +24,11 @@ from .oracles import (
     brute_force_min_cut,
     brute_force_widest_path,
     gaussian_propagate,
+    max_flow_certificate_error,
+    widest_path_certificate_error,
 )
 from .routing import max_flow, widest_path
+from .wrn import WrnSpec, generate
 
 EXCITED = ((0.0, 0.0), (0.0, 1.0))
 
@@ -115,15 +119,32 @@ def routing_errors(rng: random.Random, count: int, max_nodes: int = 10) -> tuple
     return worst_flow, worst_widest
 
 
+def certificate_errors(rng: random.Random, count: int) -> tuple[float, float]:
+    """(worst max-flow certificate error, worst widest-path one) over lattices of random cell,
+    radius 2 to 6 and edge values uniform on [0, 1)."""
+    worst_flow = worst_widest = 0.0
+    for _ in range(count):
+        cell = ("triangular6", "manhattan8")[_below(rng, 2)]
+        graph = generate(WrnSpec(cell, 2 + _below(rng, 5), 1.0, "tl"))
+        values = tuple(rng.random() for _ in graph.a)
+        bg = annotate_uniform(graph, 0.0)._replace(lower=values, upper=values)
+        worst_flow = max(worst_flow, max_flow_certificate_error(bg, "lower", max_flow(bg, "lower")))
+        worst_widest = max(worst_widest, widest_path_certificate_error(bg, "lower", widest_path(bg, "lower")))
+    return worst_flow, worst_widest
+
+
 def run(seed: int, count: int) -> list[tuple[str, float, float]]:
     """(battery, worst deviation, tolerance) for each battery, all drawn from one seeded RNG."""
     rng = random.Random(seed)
     ad_err = check_ad_compounds(rng, count)
     tl_err = check_tl_compounds(rng, count)
     flow_err, widest_err = routing_errors(rng, count, max_nodes=8)
+    flow_cert, widest_cert = certificate_errors(rng, count)
     return [
         ("ad-compound-vs-kraus", ad_err, 1e-12),
         ("tl-compound-vs-gaussian", tl_err, 1e-12),
         ("max-flow-vs-cut-enumeration", flow_err, 1e-9),
         ("widest-path-vs-enumeration", widest_err, 0.0),
+        ("max-flow-certificate", flow_cert, 1e-9),
+        ("widest-path-certificate", widest_cert, 0.0),
     ]

@@ -31,9 +31,9 @@ from .channels import (
     ChannelSpec,
     FibreParams,
     Identity,
-    family,
     fibre_transmissivity,
     native,
+    row_of,
 )
 from .errors import DomainError, FamilyError, MonotonicityError, NotAttainableError, checked
 
@@ -105,7 +105,7 @@ class WrnSpec(NamedTuple):
         if self.family not in (FAMILY_AD, FAMILY_TL):
             raise DomainError(f"family must be 'ad' or 'tl', got {self.family!r}")
         for spec in (self.recv, self.send):
-            fam = family(spec)
+            fam = row_of(spec)[0]  # the family of a channel spec, None for Identity
             if fam is not None and fam != self.family:
                 raise FamilyError(f"internal template {spec!r} does not match family {self.family!r}")
 
@@ -168,7 +168,7 @@ def generate(spec: WrnSpec) -> NetworkGraph:
         raise DomainError(f"generate builds a radius of at most {MAX_GENERATE_RADIUS}, got {spec.radius}")
     # Imported here: the threshold solver, the rest of this module, never
     # builds a graph, so ``threshold`` and ``sweep`` do not load ``network``.
-    from .network import NetworkGraph
+    from .network import ChannelColumns, NetworkGraph
 
     rings = 2 * spec.radius
     if spec.cell_type == CELL_TRIANGULAR:
@@ -187,11 +187,12 @@ def generate(spec: WrnSpec) -> NetworkGraph:
                 b.append(v)
     users = ((-2, 0), (2, 0))
     n = len(coords)
+    fibre = FibreParams(length_km=spec.edge_length_km, gamma=spec.gamma, nbar_B=spec.nbar_B)
+    recv, send = (ChannelColumns(*((x,) * n for x in row_of(device))) for device in (spec.recv, spec.send))
     return NetworkGraph(
-        tuple(f"n{x}_{y}" for x, y in coords), (spec.recv,) * n, (spec.send,) * n,
+        tuple(f"n{x}_{y}" for x, y in coords), recv, send,
         tuple("user" if coord in users else "repeater" for coord in coords),
-        tuple(a), tuple(b), (0,) * len(a),
-        (FibreParams(length_km=spec.edge_length_km, gamma=spec.gamma, nbar_B=spec.nbar_B),),
+        tuple(a), tuple(b), (0,) * len(a), ChannelColumns.of([row_of(fibre)]),
         users=tuple(f"n{x}_{y}" for x, y in users),
         family=spec.family,
     )

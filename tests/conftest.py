@@ -15,7 +15,7 @@ def _reference_json(graph):
     the reference that ``network_to_json`` must print exactly as ``json.dumps`` does."""
     names = graph.names
     nodes = []
-    for node_id, recv, send, role in zip(names, graph.recv, graph.send, graph.role):
+    for node_id, recv, send, role in zip(names, graph.recv.records(), graph.send.records(), graph.role):
         entry = {"id": node_id}
         if not isinstance(recv, Identity):
             entry["recv"] = channel_to_json(recv)
@@ -24,7 +24,7 @@ def _reference_json(graph):
         entry["role"] = role
         nodes.append(entry)
     sources = [("fibre", {"length_km": c.length_km, "gamma": c.gamma, "nbar_B": c.nbar_B})
-               if isinstance(c, FibreParams) else ("channel", channel_to_json(c)) for c in graph.classes]
+               if isinstance(c, FibreParams) else ("channel", channel_to_json(c)) for c in graph.classes.records()]
     edges = [{"a": names[u], "b": names[v], sources[c][0]: {**sources[c][1]}}
              for u, v, c in zip(graph.a, graph.b, graph.cls)]
     data = {"nodes": nodes, "edges": edges}

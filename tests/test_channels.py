@@ -17,8 +17,12 @@ from qnetcap.channels import (
     channel_to_json,
     fibre_transmissivity,
     native,
+    record,
+    row_from_json,
+    row_of,
 )
 from qnetcap.errors import DomainError, FamilyError
+from qnetcap.network import ChannelColumns
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 taus = st.floats(min_value=1e-6, max_value=1.0, allow_nan=False)
@@ -238,6 +242,15 @@ def test_native_gives_the_documented_numbers_and_refuses_other_families(fam, rec
     with pytest.raises(FamilyError) as unknown:
         native("qubit", record)
     assert str(unknown.value) == "unknown channel family 'qubit'"
+
+
+@pytest.mark.parametrize("fam, channel, numbers", NATIVE_CASES)
+def test_a_table_row_holds_the_native_numbers_and_gives_the_record_back(fam, channel, numbers):
+    table = ChannelColumns.of([row_of(channel)])
+    assert _bits(table.eta[0] if fam == FAMILY_AD else (table.eta[0], table.last[0])) == _bits(numbers)
+    assert table.records() == (channel,) and type(record(*row_of(channel))) is type(channel)
+    if not isinstance(channel, FibreParams):  # a channel object reads into the same row
+        assert row_from_json(channel_to_json(channel)) == row_of(channel)
 
 
 def test_fibre_transmissivity_is_the_one_loss_law():

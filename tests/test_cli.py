@@ -1148,7 +1148,7 @@ def test_selftest_runs_without_numpy():
     proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count("PASS") == 4
+    assert proc.stdout.count("PASS") == 6  # every battery, the two certificate ones included
 
 
 # The process entry: ``python -m qnetcap.cli`` ends through ``cli.run``.
@@ -1178,7 +1178,7 @@ def test_what_an_exit_handler_prints_to_a_buffered_stdout_is_written(python):
                   "sys.argv = ['qnetcap', 'selftest', '--count', '1']; runpy.run_module('qnetcap.cli', run_name='__main__')",
                   env={"PYTHONUNBUFFERED": None}, capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
-    assert proc.stdout.count("PASS") == 4 and proc.stdout.endswith("\nbye\n")
+    assert proc.stdout.count("PASS") == 6 and proc.stdout.endswith("\nbye\n")
 
 
 def test_generate_to_a_pipe_writes_the_whole_network(python):

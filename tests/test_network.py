@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import random
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnetcap import bounds, network
+from qnetcap import bounds, channels, network, oracles, sweep, wrn
 from qnetcap.bounds import BoundKind
 from qnetcap.channels import (
     IDENTITY,
@@ -18,6 +19,7 @@ from qnetcap.channels import (
     NodeSpec,
     ThermalLoss,
     native,
+    row_of,
 )
 from qnetcap.errors import (
     DomainError,
@@ -26,6 +28,7 @@ from qnetcap.errors import (
 )
 from qnetcap.network import (
     BoundedGraph,
+    ChannelColumns,
     EdgeView,
     NetworkGraph,
     annotate_uniform,
@@ -225,6 +228,11 @@ def _loaded(graph):
     return loaded
 
 
+def _table(records):
+    """The ChannelColumns of channel records."""
+    return ChannelColumns.of(list(map(row_of, records)))
+
+
 def _lattice(cell, fam, **devices):
     return _loaded(generate(WrnSpec(cell, 3, 10.0, fam, **devices)))
 
@@ -238,7 +246,7 @@ def _distinct_devices(graph, fam, seed):
         return ThermalLoss(rng.uniform(0.7, 1.0), rng.choice([0.0, rng.uniform(0.0, 0.02)]))
 
     recv, send = zip(*[(device(), device()) for _ in graph.role])
-    return graph._replace(recv=recv, send=send)
+    return graph._replace(recv=_table(recv), send=_table(send))
 
 
 def _distinct_fibres(graph, seed):
@@ -246,7 +254,7 @@ def _distinct_fibres(graph, seed):
     rng = random.Random(seed)
     classes = tuple(FibreParams(rng.uniform(5.0, 25.0), rng.uniform(0.01, 0.05), rng.uniform(0.0, 0.005))
                     for _ in graph.a)
-    return graph._replace(cls=tuple(range(len(classes))), classes=classes)
+    return graph._replace(cls=tuple(range(len(classes))), classes=_table(classes))
 
 
 def _hetero(cell, fam, seed):
@@ -288,9 +296,9 @@ def test_apply_split_matches_per_edge_bounds(name):
     fam = resolved_family(graph)
     bg = apply_split(graph)
     assert (bg.nodes, bg.a, bg.b) == (graph.names, graph.a, graph.b)
-    nodes = list(graph.nodes.values())
+    nodes, classes = list(graph.nodes.values()), graph.classes.records()
     for i, (u, v, c) in enumerate(zip(graph.a, graph.b, graph.cls)):
-        assert _edge_bounds(bg, i) == oriented_edge_bounds(graph.classes[c], nodes[u], nodes[v], fam)
+        assert _edge_bounds(bg, i) == oriented_edge_bounds(classes[c], nodes[u], nodes[v], fam)
 
 
 @pytest.mark.parametrize("source", ["generated", "loaded", "copied"])
@@ -298,9 +306,9 @@ def test_apply_split_bounds_a_repeated_class_once(monkeypatch, source):
     graph = generate(WrnSpec("manhattan8", 4, 10.0, "tl"))
     if source == "loaded":
         graph = _loaded(graph)
-    elif source == "copied":  # an equal but distinct FibreParams as each edge's own class
-        graph = graph._replace(cls=tuple(range(len(graph.a))),
-                               classes=tuple(graph.classes[0]._replace() for _ in graph.a))
+    elif source == "copied":  # an equal but distinct fibre row as each edge's own class
+        fibre = graph.classes.records()[0]
+        graph = graph._replace(cls=tuple(range(len(graph.a))), classes=_table(fibre._replace() for _ in graph.a))
     batches = _kernel_batches(monkeypatch)
     bg = apply_split(graph)
     (handed,) = batches
@@ -333,8 +341,9 @@ def _directions(graph):
     """The family-native (send, channel, recv) of each edge's forward then
     backward direction, in edge order."""
     fam = resolved_family(graph)
+    send, recv, classes = graph.send.records(), graph.recv.records(), graph.classes.records()
     return [
-        (native(fam, graph.send[s]), native(fam, graph.classes[c]), native(fam, graph.recv[r]))
+        (native(fam, send[s]), native(fam, classes[c]), native(fam, recv[r]))
         for u, v, c in zip(graph.a, graph.b, graph.cls) for s, r in ((u, v), (v, u))
     ]
 
@@ -377,7 +386,7 @@ def test_a_fibre_that_transmits_nothing_has_bound_zero(fam, length):
     )).replace('"LENGTH"', length)
     graph, violations = load_network(text)
     assert violations == []
-    assert native("ad", graph.classes[0]) == 0.0  # a fibre's transmissivity, in either family
+    assert native("ad", graph.classes.records()[0]) == graph.classes.eta[0] == 0.0  # in either family
     bg = apply_split(graph)
     assert (bg.lower[0], bg.upper[0]) == (0.0, 0.0)
     assert bg.lower[1] > 0.0
@@ -385,9 +394,9 @@ def test_a_fibre_that_transmits_nothing_has_bound_zero(fam, length):
         assert (bg.lower_kind[0], bg.upper_kind[0]) == (BoundKind.DARK_FIBRE, BoundKind.DARK_FIBRE)
     else:  # full damping: the damping bounds are 0 of themselves
         assert (bg.lower_kind[0], bg.upper_kind[0]) == (BoundKind.RCI_LOWER, BoundKind.SQUASHED_UPPER)
-    nodes = list(graph.nodes.values())
+    nodes, classes = list(graph.nodes.values()), graph.classes.records()
     for i, (u, v, c) in enumerate(zip(graph.a, graph.b, graph.cls)):
-        assert _edge_bounds(bg, i) == oriented_edge_bounds(graph.classes[c], nodes[u], nodes[v], fam)
+        assert _edge_bounds(bg, i) == oriented_edge_bounds(classes[c], nodes[u], nodes[v], fam)
 
 
 def test_graph_views_match_columns():
@@ -440,9 +449,9 @@ def test_annotate_uniform():
 
 
 def _columns(names, recv, send, role, edges, classes, **extra):
-    """A NetworkGraph from node columns and (a, b, cls) edge triples."""
+    """A NetworkGraph from node records, (a, b, cls) edge triples and class records."""
     a, b, cls = zip(*edges) if edges else ((), (), ())
-    return NetworkGraph(tuple(names), tuple(recv), tuple(send), tuple(role), a, b, cls, tuple(classes), **extra)
+    return NetworkGraph(tuple(names), _table(recv), _table(send), tuple(role), a, b, cls, _table(classes), **extra)
 
 
 # Equal records that print apart: a writer that shared one text between equal
@@ -511,7 +520,7 @@ def test_network_json_is_the_reference_document_dumped(name, reference_json):
 ])
 def test_network_json_refuses_non_finite_numbers(change, reference_json):
     graph = _columns("ab", [IDENTITY] * 2, [IDENTITY] * 2, ["user"] * 2, [(0, 1, 0)], [FibreParams(1.0)],
-                     users=("a", "b"), family="tl")._replace(**change)
+                     users=("a", "b"), family="tl")._replace(**{k: _table(v) for k, v in change.items()})
     with pytest.raises(ValueError, match="not JSON compliant"):
         json.dumps(reference_json(graph), allow_nan=False)
     with pytest.raises(ValueError, match="not JSON compliant"):
@@ -534,7 +543,7 @@ def test_network_json_round_trip():
     assert loaded.users == g.users
     assert loaded.family == "tl"
     assert loaded.nodes["b"].recv == ThermalLoss(0.9, 0.01)
-    assert loaded.classes[loaded.cls[1]] == FibreParams(50.0, gamma=0.02, nbar_B=0.001)
+    assert loaded.classes.records()[loaded.cls[1]] == FibreParams(50.0, gamma=0.02, nbar_B=0.001)
 
 
 def test_network_json_gives_each_edge_its_own_source_object():
@@ -544,7 +553,7 @@ def test_network_json_gives_each_edge_its_own_source_object():
     assert data["edges"][1]["fibre"]["length_km"] == 10.0
     loaded, violations = load_network(json.dumps(data))
     assert violations == []
-    assert loaded.classes == (FibreParams(30.0), FibreParams(10.0))
+    assert loaded.classes.records() == (FibreParams(30.0), FibreParams(10.0))
     assert loaded.cls == (0,) + (1,) * (len(graph.a) - 1)
     assert json.loads(network_to_json(graph))["edges"][0]["fibre"]["length_km"] == 10.0
 
@@ -558,6 +567,8 @@ def test_network_json_gives_each_edge_its_own_source_object():
     ({"cls": (0,)}, "an a, b and cls per edge"),
     ({"role": ("user", "repeater")}, "a recv, send, role and name per node"),
     ({"names": ("a", "b")}, "a recv, send, role and name per node"),
+    ({"recv": (IDENTITY,) * 3}, "must be ChannelColumns of equal columns"),  # records, not a table
+    ({"classes": ChannelColumns(("fibre",), (1.0,), (0.0,), (0.0,), ())}, "must be ChannelColumns of equal columns"),
 ])
 def test_network_graph_rejects_columns_that_do_not_agree(change, message):
     graph = _graph(_doc(["a", "b", "c"], [_e("a", "b"), _e("b", "c")]))
@@ -577,12 +588,12 @@ def test_load_network_collects_violations():
         }
     ))
     assert violations == []
-    assert loaded.classes[loaded.cls[0]] == ThermalLoss(0.5)
+    assert loaded.classes.records()[loaded.cls[0]] == ThermalLoss(0.5)
 
 
 def test_load_network_shares_the_fibre_of_a_lattice():
     graph = _loaded(generate(WrnSpec("manhattan8", 3, 10.0, "tl")))
-    assert graph.classes == (FibreParams(10.0),)
+    assert graph.classes.records() == (FibreParams(10.0),)
     assert set(graph.cls) == {0}
 
 
@@ -595,7 +606,7 @@ def _load_each_fibre(data):
         graph, found = load_network(json.dumps({**data, "nodes": [{"id": edge["a"]}, {"id": edge["b"]}],
                                                 "edges": [edge], "users": [edge["a"], edge["b"]]}))
         violations += found
-        fibres += [graph.classes[c] for c in graph.cls]
+        fibres += [graph.classes.records()[c] for c in graph.cls]
     return violations, fibres
 
 
@@ -636,12 +647,12 @@ def test_load_network_fibre_memo_matches_per_edge_parse():
         "edge n9-n10: fibre length must be >= 0 km, got -1.0",
         "edge n15-n16: fibre needs a 'length_km'",
     ]
-    assert [graph.classes[c] for c in graph.cls] == parsed
+    assert [graph.classes.records()[c] for c in graph.cls] == parsed
     assert len(graph.a) == len(fibres) - 5
     # Equal fibres share one class, across the malformed fibres between them
     # and across runs of other fibres; an integer length and the default gamma
     # are the same fibre as a float length and an explicit 0.02.
-    assert graph.classes == (FibreParams(10.0), FibreParams(25.0, nbar_B=0.0), FibreParams(5.0),
+    assert graph.classes.records() == (FibreParams(10.0), FibreParams(25.0, nbar_B=0.0), FibreParams(5.0),
                              FibreParams(10.0, gamma=0.03))
     assert graph.cls == (0, 0, 1, 0, 0, 0, 0, 2, 2, 0, 0, 0, 3)
 
@@ -657,7 +668,7 @@ def test_load_network_refuses_a_boolean_fibre_field(field, value):
     graph, violations = load_network(json.dumps(doc))
     assert violations[-1] == f"edge b-c: fibre fields must be numbers, got {boolean!r}"
     assert (1, 2) not in zip(graph.a, graph.b)
-    assert all(type(x) is float for c in graph.classes for x in c)
+    assert all(type(x) is float for column in graph.classes[1:] for x in column)
 
 
 def _hetero_doc(cell: str, radius: int, fam: str, seed: int) -> dict:
@@ -695,6 +706,95 @@ def test_read_network_is_load_network_of_json_loads(build, args):
     assert violations == []
     assert (graph, violations) == network._load_json(text)
     assert load_network(json.dumps(doc, indent=2)) == (graph, violations)
+
+
+# The layout perfbench writes: a node record with recv and send device objects
+# and an edge record with a fibre object of its own, every number distinct.
+FULL_SIZE = {"tl-manhattan8-r20": ("manhattan8", 20, "tl", 3), "ad-triangular6-r10": ("triangular6", 10, "ad", 4)}
+
+
+@pytest.mark.parametrize("name", FULL_SIZE)
+def test_apply_split_matches_per_edge_bounds_at_full_size(name):
+    graph, violations = load_network(json.dumps(_hetero_doc(*FULL_SIZE[name])))
+    assert violations == []
+    assert len(graph.classes.kind) == len(graph.a) > 3000  # a fibre of its own per edge
+    bg = apply_split(graph)
+    nodes, classes, fam = list(graph.nodes.values()), graph.classes.records(), FULL_SIZE[name][2]
+    assert [_edge_bounds(bg, i) for i in range(len(bg.a))] == [
+        oriented_edge_bounds(classes[c], nodes[u], nodes[v], fam) for u, v, c in zip(graph.a, graph.b, graph.cls)]
+
+
+def test_reading_and_splitting_builds_no_record_and_converts_nothing(monkeypatch):
+    texts = {FULL_SIZE[name][2]: json.dumps(_hetero_doc(*FULL_SIZE[name])) for name in FULL_SIZE}
+    calls = collections.Counter()
+
+    def counting(name, function):
+        def counted(*args):
+            calls[name] += 1
+            return function(*args)
+        return counted
+
+    for record in (FibreParams, ThermalLoss, AmplitudeDamping):  # what each construction runs
+        monkeypatch.setattr(record, "_check", counting(record.__name__, record._check))
+    for module in (channels, network):  # the shared range checks, where the reader looks them up
+        for name in ("check_fibre", "check_thermal", "check_damping"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for module in (channels, network, oracles, sweep, wrn):
+        if hasattr(module, "native"):
+            monkeypatch.setattr(module, "native", counting("native", module.native))
+    expected = collections.Counter()
+    for fam, text in texts.items():
+        graph, violations = load_network(text)
+        apply_split(graph)
+        assert violations == []
+        expected["check_fibre"] += len(graph.a)
+        expected["check_thermal" if fam == "tl" else "check_damping"] += 2 * len(graph.role)
+    assert calls == expected  # one range check per device and fibre, and nothing else
+    graph.edges  # the views build records on demand
+    assert calls["FibreParams"] == len(graph.a)
+
+
+# Out-of-range numbers and a JSON true in each number field of a fibre and a
+# device. Written compactly, each fibre of numbers matches the edge-record
+# pattern; indented, every record goes through the scanner.
+RANGE_DEVICES = [{"kind": "tl", "tau": 0.0}, {"kind": "tl", "tau": 1.5}, {"kind": "tl", "tau": 0.9, "nbar": -1.0},
+                 {"kind": "ad", "p": 1.5}, {"kind": "tl", "tau": True}, {"kind": "tl", "tau": 0.9, "nbar": True},
+                 {"kind": "ad", "p": True}, {"kind": "pl", "eta": True}]
+RANGE_FIBRES = [{"length_km": -1.0}, {"gamma": 0.0}, {"gamma": "INF"}, {"nbar_B": -0.001},
+                {"length_km": True}, {"gamma": True}, {"nbar_B": True}]
+RANGE_VIOLATIONS = [
+    "node 'd0': transmissivity must lie in (0, 1], got 0.0",
+    "node 'd1': transmissivity must lie in (0, 1], got 1.5",
+    "node 'd2': thermal photon number must be >= 0, got -1.0",
+    "node 'd3': damping probability must lie in [0, 1], got 1.5",
+    "node 'd4': channel field 'tau' must be a number, got True",
+    "node 'd5': channel field 'nbar' must be a number, got True",
+    "node 'd6': channel field 'p' must be a number, got True",
+    "node 'd7': channel field 'eta' must be a number, got True",
+    "edge n0-n1: fibre length must be >= 0 km, got -1.0",
+    "edge n1-n2: loss rate must be finite and > 0 per km, got 0.0",
+    "edge n2-n3: loss rate must be finite and > 0 per km, got inf",
+    "edge n3-n4: background photons must be >= 0, got -0.001",
+    "edge n4-n5: fibre fields must be numbers, got {'length_km': True, 'gamma': 0.02, 'nbar_B': 0.002}",
+    "edge n5-n6: fibre fields must be numbers, got {'length_km': 10.0, 'gamma': True, 'nbar_B': 0.002}",
+    "edge n6-n7: fibre fields must be numbers, got {'length_km': 10.0, 'gamma': 0.02, 'nbar_B': True}",
+]
+
+
+@pytest.mark.parametrize("indent", [None, 1], ids=["edge-pattern", "scanner"])
+def test_range_violations_keep_their_words_in_both_layouts(indent):
+    names = [f"n{i}" for i in range(len(RANGE_FIBRES) + 1)]
+    nodes = [*names, *({"id": f"d{i}", ("recv", "send")[i % 2]: d} for i, d in enumerate(RANGE_DEVICES))]
+    edges = [_e(a, b, fibre={"length_km": 10.0, "gamma": 0.02, "nbar_B": 0.002, **f})
+             for a, b, f in zip(names, names[1:], RANGE_FIBRES)]
+    text = json.dumps(_doc(nodes, edges, users=(names[0], names[-1]), family="tl"), indent=indent)
+    text = text.replace('"INF"', "1e999")  # json reads it as inf
+    graph, violations = load_network(text)
+    assert violations == network._load_json(text)[1] == RANGE_VIOLATIONS
+    assert graph.a == ()
+    matched = [record for record in network._records(text, {}) if type(record) is tuple]
+    assert len(matched) == (4 if indent is None else 0)
 
 
 _NODES = '[{"id": "a", "role": "user"}, {"id": "b", "role": "user"}]'
@@ -888,7 +988,7 @@ DOCS = st.fixed_dictionaries(
 @given(DOCS)
 def test_network_json_round_trips_to_the_same_columns_and_bytes(reference_json, doc):
     graph, _ = load_network(json.dumps(doc))
-    if any(c.length_km == math.inf for c in graph.classes if isinstance(c, FibreParams)):
+    if math.inf in graph.classes.length_km:
         with pytest.raises(ValueError, match="not JSON compliant"):  # a network file holds finite numbers
             network_to_json(graph)
         return
