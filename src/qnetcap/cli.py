@@ -15,7 +15,6 @@ caller's state. ``run`` is the process entry and ``main`` the in-process one.
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
 import itertools
@@ -23,6 +22,7 @@ import json
 import math
 import os
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, NoReturn
 
 from .channels import FibreParams, channel_from_json
@@ -254,72 +254,89 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if not failed else EXIT_NUMERIC
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse's parser, whose help and usage on stdout have ``_emit``'s guard:
-    a failed write is an input error. They are flushed at once, since argparse
-    ends the call with ``SystemExit``, which ``run`` does not flush after."""
+# The command line, declared once: each subcommand's help and flags, by flag the ``add_argument`` keywords.
+# A subcommand's handler is ``cmd_<subcommand>``, looked up when a call runs, so a replaced one is called.
+_COMMANDS = {
+    "generate": ("emit a lattice patch as network JSON", {
+        "--cell": {"required": True, "choices": sorted(DEFAULT_FAMILY)},
+        "--radius": {"required": True, "type": int},
+        "--d": {"required": True, "type": float, "help": "edge length in km"},
+        "--family": {"choices": ("ad", "tl")},
+        "--gamma": {"type": float, "default": FibreParams._field_defaults["gamma"]},
+        "--nbar-b": {"type": float, "default": FibreParams._field_defaults["nbar_B"]},
+        "--out": {},
+    }),
+    "validate": ("structural checks on a network JSON", {"--in": {"required": True}, "--out": {}}),
+    "analyze": ("six-number capacity report plus min-cut", {"--in": {"required": True}, "--out": {}}),
+    "threshold": ("bracketed tolerable-parameter solve", {
+        "--spec": {"required": True},
+        "--target": {"required": True, "type": float},
+        "--param": {"required": True, "choices": sorted(_PARAM_BY_FLAG)},
+        "--out": {},
+    }),
+    "sweep": ("CSV table over one swept variable", {"--spec": {"required": True}, "--out": {}}),
+    "selftest": ("randomized oracle batteries", {"--seed": {"type": int, "default": 0},
+                                                 "--count": {"type": int, "default": 30}}),
+}
 
-    def _print_message(self, message, file=None):
-        if file is not sys.stdout:
-            return super()._print_message(message, file)
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """argparse's reading of a well-formed ``argv``, else None: a subcommand, then ``--flag value`` pairs with exact
+    flags and values not starting with "-" passing type and choices, the last repeat counting, every required given."""
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    flags, values = _COMMANDS[argv[0]][1], {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        spec = flags.get(flag)
+        if spec is None or text.startswith("-"):
+            return None
         try:
-            sys.stdout.write(message)
-            sys.stdout.flush()
-        except OSError as exc:
-            _error("input", _stdout_failed(exc))
-            self.exit(EXIT_INPUT)
+            value = values[flag] = spec.get("type", str)(text)
+        except ValueError:
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+    if any(spec.get("required") and flag not in values for flag, spec in flags.items()):
+        return None
+    return SimpleNamespace(command=argv[0], func=globals()[f"cmd_{argv[0]}"], **{
+        flag[2:].replace("-", "_"): values.get(flag, spec.get("default")) for flag, spec in flags.items()})
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="qnetcap",
-        description="Capacity bounds for quantum repeater networks.",
-    )
+def _build_parser():
+    """argparse's parser of ``_COMMANDS``, for the calls ``_read_argv`` declines."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse's parser, whose help and usage on stdout have ``_emit``'s guard:
+        a failed write is an input error. They are flushed at once, since argparse
+        ends the call with ``SystemExit``, which ``run`` does not flush after."""
+
+        def _print_message(self, message, file=None):
+            if file is not sys.stdout:
+                return super()._print_message(message, file)
+            try:
+                sys.stdout.write(message)
+                sys.stdout.flush()
+            except OSError as exc:
+                _error("input", _stdout_failed(exc))
+                self.exit(EXIT_INPUT)
+
+    parser = _Parser(prog="qnetcap", description="Capacity bounds for quantum repeater networks.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("generate", help="emit a lattice patch as network JSON")
-    gen.add_argument("--cell", required=True, choices=sorted(DEFAULT_FAMILY))
-    gen.add_argument("--radius", required=True, type=int)
-    gen.add_argument("--d", required=True, type=float, help="edge length in km")
-    gen.add_argument("--family", choices=("ad", "tl"))
-    gen.add_argument("--gamma", type=float, default=FibreParams._field_defaults["gamma"])
-    gen.add_argument("--nbar-b", type=float, default=FibreParams._field_defaults["nbar_B"])
-    gen.add_argument("--out")
-    gen.set_defaults(func=cmd_generate)
-
-    val = sub.add_parser("validate", help="structural checks on a network JSON")
-    val.add_argument("--in", required=True)
-    val.add_argument("--out")
-    val.set_defaults(func=cmd_validate)
-
-    ana = sub.add_parser("analyze", help="six-number capacity report plus min-cut")
-    ana.add_argument("--in", required=True)
-    ana.add_argument("--out")
-    ana.set_defaults(func=cmd_analyze)
-
-    thr = sub.add_parser("threshold", help="bracketed tolerable-parameter solve")
-    thr.add_argument("--spec", required=True)
-    thr.add_argument("--target", required=True, type=float)
-    thr.add_argument("--param", required=True, choices=sorted(_PARAM_BY_FLAG))
-    thr.add_argument("--out")
-    thr.set_defaults(func=cmd_threshold)
-
-    swp = sub.add_parser("sweep", help="CSV table over one swept variable")
-    swp.add_argument("--spec", required=True)
-    swp.add_argument("--out")
-    swp.set_defaults(func=cmd_sweep)
-
-    st = sub.add_parser("selftest", help="randomized oracle batteries")
-    st.add_argument("--seed", type=int, default=0)
-    st.add_argument("--count", type=int, default=30)
-    st.set_defaults(func=cmd_selftest)
-
+    for command, (text, flags) in _COMMANDS.items():
+        subparser = sub.add_parser(command, help=text)
+        for flag, spec in flags.items():
+            subparser.add_argument(flag, **spec)
+        subparser.set_defaults(func=globals()[f"cmd_{command}"])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run the call ``argv`` (default ``sys.argv[1:]``) and return its exit code. A well-formed call
+    is read from ``_COMMANDS`` without argparse; argparse reads any other, and for help or a usage
+    error prints its text and raises ``SystemExit``."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_argv(argv) or _build_parser().parse_args(argv)
     # Safe: a subcommand's data is acyclic, so reference counting frees it, and a
     # call is short; any cyclic garbage is returned when the process exits.
     collecting = gc.isenabled()
@@ -352,8 +369,8 @@ def run() -> NoReturn:
     block, and it starts no threads. So stdout is flushed, the ``atexit``
     handlers run, stdout is flushed again for what they printed, stderr is
     flushed, and ``os._exit`` ends the process, as mypy ends its runs. An
-    exception that leaves ``main`` (argparse's ``SystemExit`` included) takes
-    the interpreter's normal exit.
+    exception that leaves ``main`` (argparse's ``SystemExit`` after help or a
+    usage error) takes the interpreter's normal exit.
     """
     code = _flush_stdout(main())
     atexit._run_exitfuncs()

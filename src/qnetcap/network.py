@@ -18,7 +18,7 @@ import json
 import re
 from itertools import islice
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .channels import (
     FAMILY_AD,
@@ -76,6 +76,13 @@ class ChannelColumns(NamedTuple):
     def of(cls, rows: list[tuple]) -> ChannelColumns:
         """The table of a list of rows, such as ``row_of`` and ``row_from_json`` give."""
         return cls(*zip(*rows)) if rows else cls((), (), (), (), ())
+
+    @classmethod
+    def devices(cls, recv: Sequence[tuple], send: Sequence[tuple]) -> tuple[ChannelColumns, ChannelColumns]:
+        """A graph's recv and send tables of such rows, a row per node, whose ``length_km`` and ``gamma``
+        are one shared column of 0.0."""
+        zeros = (0.0,) * len(recv)
+        return tuple(cls(*(islice(zip(*rows), 3) if rows else ((), (), ())), zeros, zeros) for rows in (recv, send))
 
     def records(self) -> tuple:
         """Each entry as a FibreParams or a channel spec, built on demand."""
@@ -591,5 +598,5 @@ def _graph_columns(raw_nodes: Iterable | None, raw_edges: Iterable | None, data,
     fam = data.get("family")
     if fam is not None:
         fam = str(fam)
-    return NetworkGraph(tuple(number), ChannelColumns.of(recvs), ChannelColumns.of(sends), tuple(roles),
+    return NetworkGraph(tuple(number), *ChannelColumns.devices(recvs, sends), tuple(roles),
                         tuple(a), tuple(b), tuple(cls), ChannelColumns.of(classes), users=users, family=fam)

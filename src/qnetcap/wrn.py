@@ -188,7 +188,7 @@ def generate(spec: WrnSpec) -> NetworkGraph:
     users = ((-2, 0), (2, 0))
     n = len(coords)
     fibre = FibreParams(length_km=spec.edge_length_km, gamma=spec.gamma, nbar_B=spec.nbar_B)
-    recv, send = (ChannelColumns(*((x,) * n for x in row_of(device))) for device in (spec.recv, spec.send))
+    recv, send = ChannelColumns.devices((row_of(spec.recv),) * n, (row_of(spec.send),) * n)
     return NetworkGraph(
         tuple(f"n{x}_{y}" for x, y in coords), recv, send,
         tuple("user" if coord in users else "repeater" for coord in coords),

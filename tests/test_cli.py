@@ -2,6 +2,7 @@ import contextlib
 import copy
 import decimal
 import gc
+import io
 import json
 import math
 import os
@@ -326,9 +327,10 @@ def test_analyze_starts_no_collection(tmp_path, monkeypatch):
         if phase == "start":
             starts.append(info["generation"])
 
-    analyze = cli.cmd_analyze
+    analyze, calls = cli.cmd_analyze, []
 
     def watched(args):  # counts from the start of the subcommand to its end
+        calls.append(args.command)
         gc.callbacks.append(count)
         try:
             return analyze(args)
@@ -342,7 +344,7 @@ def test_analyze_starts_no_collection(tmp_path, monkeypatch):
         assert main(["analyze", "--in", str(net), "--out", str(tmp_path / "report.json")]) == EXIT_OK
     finally:
         _set_collector(was)
-    assert starts == []
+    assert calls == ["analyze"] and starts == []
     assert json.loads((tmp_path / "report.json").read_text())["report"]
 
 
@@ -645,10 +647,11 @@ def test_cli_import_does_not_load_scipy(tmp_path):
 # needs no bounds, bounding one needs no solver, a threshold solve builds no
 # graph, and only a QKD receiver loads its models. No subcommand loads dataclasses or inspect, which the
 # records do without, nor fractions (with its decimal and numbers), as omega is
-# a pair of integers.
+# a pair of integers, nor argparse (with its gettext and locale), as a
+# well-formed call is read from the flag table.
 GRAPH_MODULES = {"qnetcap.network", "qnetcap.channels", "qnetcap.errors"}
 SOLVER_MODULES = {"qnetcap.wrn", "qnetcap.bounds", "qnetcap.channels", "qnetcap.errors"}
-PROBED_STDLIB = ("fractions", "decimal", "numbers", "dataclasses", "inspect")
+PROBED_STDLIB = ("fractions", "decimal", "numbers", "dataclasses", "inspect", "argparse", "gettext", "locale")
 
 
 def _probe(code: str) -> str:
@@ -711,6 +714,107 @@ def test_a_qkd_receiver_loads_the_receiver_models(tmp_path, command, spec):
                                 "--out", str(tmp_path / "out")])
     table = {"qnetcap.sweep"} if command == "sweep" else set()
     assert lines == [repr(sorted(SOLVER_MODULES | table | {"qnetcap", "qnetcap.cli", "qnetcap.qkd"}))]
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("help", ["--help"]),
+    ("usage-threshold-bad-target", ["threshold", "--spec", "wrn.json", "--target", "x", "--param", "edge-length"]),
+])
+def test_help_and_a_usage_error_print_the_pinned_text_from_a_fresh_process(python, name, argv):
+    # Only such calls load argparse, so its text and exit code are pinned through the process entry too.
+    proc = python("-m", "qnetcap.cli", *argv, env={"COLUMNS": "80"}, capture_output=True, text=True)
+    pinned = json.loads((Path(__file__).resolve().parent / "golden" / "usage.json").read_text())[name]
+    assert {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr} == pinned
+
+
+# The table reader against argparse: flags, values and tokens that each take one of the two paths.
+_DECLINED = ["-h", "--help", "--", "--rad", "--out=x", "--bogus", "-1e-2", "-1", "-", "", "generate"]
+# Each type's first four values convert, the rest do not.
+_VALUES = {int: ["2", "20", "1_0", " 7 ", "2.5", "x", "-", ""],
+           float: ["1e-2", "10", "nan", " inf", "x", "1e", "", "-"]}
+
+
+@st.composite
+def _well_formed(draw):
+    """A call that the table reader takes: a subcommand, then its flags in any order, some
+    repeated, with values that pass their type and choices."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    flags = cli._COMMANDS[command][1]
+    chosen = [flag for flag, spec in flags.items() if spec.get("required") or draw(st.booleans())]
+    chosen += draw(st.lists(st.sampled_from(list(flags)), max_size=2))
+    argv = [command]
+    for flag in draw(st.permutations(chosen)):
+        spec = flags[flag]
+        if "choices" in spec:
+            value = draw(st.sampled_from(list(spec["choices"])))
+        elif "type" in spec:
+            value = draw(st.sampled_from(_VALUES[spec["type"]][:4]))
+        else:
+            value = draw(st.text(st.characters(blacklist_characters="-\x00"), max_size=4) | st.just("x"))
+        argv += [flag, value]
+    return argv
+
+
+@st.composite
+def _any_call(draw):
+    """A well-formed call with tokens replaced, inserted or dropped: every way a call leaves the reader."""
+    argv = draw(_well_formed())
+    flags = list(cli._COMMANDS[argv[0]][1])
+    token = st.sampled_from(_DECLINED + flags + _VALUES[int] + _VALUES[float] + ["edge", "ad", "manhattan8"])
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["value", "replace", "insert", "drop"]))
+        if edit == "value" and len(argv) > 2:
+            argv[draw(st.sampled_from(range(2, len(argv), 2)))] = draw(token)
+        elif edit == "insert" or i == len(argv):
+            argv.insert(i, draw(token | st.text(max_size=3)))
+        elif edit == "replace":
+            argv[i] = draw(token)
+        else:
+            del argv[i]
+    return argv
+
+
+def _argparse_vars(argv: list[str]) -> str | None:
+    """``vars`` of argparse's reading of ``argv`` as ``_vars`` gives it, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return _vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _vars(args) -> str:
+    """``vars(args)`` by name as text, so that two readings of ``--d nan`` compare equal."""
+    return repr(sorted(vars(args).items()))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_well_formed())
+def test_the_table_reader_takes_every_well_formed_call_as_argparse_does(argv):
+    read = cli._read_argv(argv)
+    assert read is not None and _vars(read) == _argparse_vars(argv)
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(_any_call())
+@example(["threshold", "--spec", "s", "--target", "-1", "--param", "edge-length"])  # argparse takes -1 ...
+@example(["threshold", "--spec", "s", "--target", "-1e-2", "--param", "edge-length"])  # ... and refuses -1e-2
+@example(["threshold", "--spec", "s", "--target", "1", "--param", "edge"])
+@example(["analyze", "--i", "net.json"])
+@example(["selftest", "--count=2"])
+@example(["selftest", "--", "--count", "2"])
+@example([])
+def test_the_table_reader_answers_as_argparse_or_declines(argv):
+    read, expected = cli._read_argv(argv), _argparse_vars(argv)
+    assert (read is None) if expected is None else (read is None or _vars(read) == expected)
+
+
+def test_main_reads_the_command_line_when_given_no_arguments(tmp_path, monkeypatch):
+    out = tmp_path / "net.json"
+    monkeypatch.setattr(sys, "argv", ["qnetcap", "generate", "--cell", "manhattan8", "--radius", "2", "--d", "2",
+                                      "--out", str(out)])
+    assert main() == EXIT_OK and out.exists()
 
 
 def test_a_spec_helper_runs_before_main():
