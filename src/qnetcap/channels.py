@@ -1,4 +1,4 @@
-"""Channel specifications and fibre parameterization.
+"""Channel specifications, fibre parameterization and channel rows.
 
 Two channel families are modelled. Amplitude damping acts on qubits and is
 specified by a damping probability p, but computed in the survival probability
@@ -7,14 +7,15 @@ acts on bosonic modes and is described by a transmissivity tau together with
 the mean photon number nbar added at the output; pure loss is the nbar = 0
 special case. ``fibre_transmissivity`` is the one fibre loss law.
 
-``native(fam, channel)`` is the one conversion of a channel spec or a fibre
-to those family-native numbers, and rejects a channel of the other family;
-``bounds.compounds`` reduces node-split chains of them to single channels.
-A row (kind, eta, last, length_km, gamma) holds a channel as those numbers:
-``row_of`` gives a record's, ``row_from_json`` reads one with no record, and
-``record`` builds the record back. Each record kind's range check,
-``check_damping``, ``check_thermal`` or ``check_fibre``, is shared by the
-record and the reader.
+A row (kind, eta, last, length_km, gamma) holds a channel as those numbers,
+and every row is built and encoded here: ``row_of`` gives a record's,
+``fibre_row`` a fibre's, ``row_from_json`` reads a channel object with no
+record, ``row_to_json`` writes one, and ``record`` builds the record back.
+``native(fam, channel)`` gives a record's row numbers in family ``fam`` and
+rejects a channel of the other family; ``bounds.compounds`` reduces
+node-split chains of them to single channels. Each record kind's range
+check, ``check_damping``, ``check_thermal`` or ``check_fibre``, is shared by
+the record and the reader.
 """
 
 from __future__ import annotations
@@ -104,25 +105,16 @@ class FibreParams(NamedTuple):
 
 
 def native(fam: str, channel: ChannelSpec | FibreParams):
-    """The numbers of a channel spec or a fibre in family ``fam``: "ad", eta = 1 - p; "tl", (tau, nbar).
-    Identity is 1.0 or (1.0, 0.0); a fibre is its ``fibre_transmissivity``, with its nbar_B in "tl"."""
-    if fam == FAMILY_TL:
-        if isinstance(channel, FibreParams):  # first: every class of a generated network is a fibre
-            return fibre_transmissivity(channel.gamma, channel.length_km), channel.nbar_B
-        if isinstance(channel, ThermalLoss):
-            return channel.tau, channel.nbar
-        if isinstance(channel, Identity):
-            return 1.0, 0.0
-        raise FamilyError(f"expected a thermal-loss channel, got {channel!r}")
-    if fam == FAMILY_AD:
-        if isinstance(channel, FibreParams):
-            return fibre_transmissivity(channel.gamma, channel.length_km)
-        if isinstance(channel, AmplitudeDamping):
-            return 1.0 - channel.p
-        if isinstance(channel, Identity):
-            return 1.0
-        raise FamilyError(f"expected an amplitude-damping channel, got {channel!r}")
-    raise FamilyError(f"unknown channel family {fam!r}")
+    """The numbers of a channel spec or a fibre in family ``fam``, from its ``row_of``: "ad", eta = 1 - p;
+    "tl", (tau, nbar). Identity is 1.0 or (1.0, 0.0); a fibre is its ``fibre_transmissivity``, with its
+    nbar_B in "tl"."""
+    if fam not in (FAMILY_AD, FAMILY_TL):
+        raise FamilyError(f"unknown channel family {fam!r}")
+    kind, eta, last, _, _ = row_of(channel)
+    if kind not in (fam, None, FIBRE):
+        expected = "a thermal-loss" if fam == FAMILY_TL else "an amplitude-damping"
+        raise FamilyError(f"expected {expected} channel, got {channel!r}")
+    return (eta, last) if fam == FAMILY_TL else eta
 
 
 @checked
@@ -150,25 +142,24 @@ def check_role(role: str) -> str:
     return role
 
 
-def channel_to_json(channel: ChannelSpec) -> dict:
-    if isinstance(channel, AmplitudeDamping):
-        return {"kind": "ad", "p": channel.p}
-    if isinstance(channel, ThermalLoss):
-        return {"kind": "tl", "tau": channel.tau, "nbar": channel.nbar}
-    if isinstance(channel, Identity):
-        return {"kind": "id"}
-    raise FamilyError(f"not a channel spec: {channel!r}")
+def fibre_row(length_km: float, gamma: float, nbar_B: float) -> tuple:
+    """The row of a fibre's numbers, unchecked: its ``fibre_transmissivity`` and nbar_B, then length_km and gamma."""
+    return FIBRE, fibre_transmissivity(gamma, length_km), nbar_B, length_km, gamma
 
 
 def row_of(channel: ChannelSpec | FibreParams) -> tuple:
-    """The row of a channel spec or a fibre, its numbers from ``native``; FamilyError for anything else.
-    A row is a ``network.ChannelColumns`` entry: kind ("ad", "tl", FIBRE or None for Identity),
-    survival probability eta, the record's last field, and a fibre's length_km and gamma (else 0.0)."""
+    """The row of a channel spec or a fibre; FamilyError for any other object. A row is a
+    ``network.ChannelColumns`` entry: kind ("ad", "tl", FIBRE or None for Identity), survival
+    probability eta, the record's last field, and a fibre's length_km and gamma (else 0.0)."""
     if isinstance(channel, FibreParams):
-        return (FIBRE, *native(FAMILY_TL, channel), channel.length_km, channel.gamma)
+        return fibre_row(*channel)
+    if isinstance(channel, ThermalLoss):
+        return FAMILY_TL, channel.tau, channel.nbar, 0.0, 0.0
     if isinstance(channel, AmplitudeDamping):
-        return FAMILY_AD, native(FAMILY_AD, channel), channel.p, 0.0, 0.0
-    return (FAMILY_TL if isinstance(channel, ThermalLoss) else None, *native(FAMILY_TL, channel), 0.0, 0.0)
+        return FAMILY_AD, 1.0 - channel.p, channel.p, 0.0, 0.0
+    if isinstance(channel, Identity):
+        return None, 1.0, 0.0, 0.0, 0.0
+    raise FamilyError(f"not a channel spec or fibre: {channel!r}")
 
 
 def record(kind: str | None, eta: float, last: float, length_km: float, gamma: float):
@@ -178,6 +169,15 @@ def record(kind: str | None, eta: float, last: float, length_km: float, gamma: f
     if kind == FAMILY_TL:
         return ThermalLoss(eta, last)
     return IDENTITY if kind is None else AmplitudeDamping(last)
+
+
+def row_to_json(kind: str | None, eta: float, last: float, length_km: float, gamma: float) -> dict:
+    """The JSON object of a row, which ``row_from_json`` reads back: a fibre's is its FibreParams fields."""
+    if kind == FIBRE:
+        return {"length_km": length_km, "gamma": gamma, "nbar_B": last}
+    if kind == FAMILY_TL:
+        return {"kind": "tl", "tau": eta, "nbar": last}
+    return {"kind": "id"} if kind is None else {"kind": "ad", "p": last}
 
 
 def _field(data: dict, key: str, default: float | None = None) -> float:
@@ -213,7 +213,3 @@ def row_from_json(data: dict) -> tuple:
         raise DomainError(f"bad channel field in {data!r}: {exc}") from exc
     check_thermal(tau, nbar)
     return FAMILY_TL, tau, nbar, 0.0, 0.0
-
-
-def channel_from_json(data: dict) -> ChannelSpec:
-    return record(*row_from_json(data))

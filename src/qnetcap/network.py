@@ -2,13 +2,15 @@
 
 A NetworkGraph holds, as columns, the nodes (names, device tables and roles),
 the undirected edges as pairs of node numbers, each with a class in a table
-of distinct fibres and explicit channels, and the pair of end users; the
-reader fills the tables with no record. ``apply_split`` turns it into a
-BoundedGraph by zipping the tables' columns into every edge's directions and
-running the bound kernels over them, orientation-optimized per edge.
-Everything computed on a BoundedGraph lives in ``routing.py``; the per-edge
-reference that ``apply_split`` is tested against is
-``oracles.oriented_edge_bounds``.
+of distinct fibres and explicit channels, and the pair of end users. The
+tables hold ``channels`` rows: the reader ``load_network`` fills them, and
+the writer ``network_json_chunks`` encodes them, with no record built; the
+``nodes`` and ``edges`` views build records for callers that want them.
+``apply_split`` turns a graph into a BoundedGraph by zipping the tables'
+columns into every edge's directions and running the bound kernels over
+them, orientation-optimized per edge. Everything computed on a BoundedGraph
+lives in ``routing.py``; the per-edge reference that ``apply_split`` is
+tested against is ``oracles.oriented_edge_bounds``.
 """
 
 from __future__ import annotations
@@ -27,12 +29,12 @@ from .channels import (
     ChannelSpec,
     FibreParams,
     NodeSpec,
-    channel_to_json,
     check_fibre,
     check_role,
-    fibre_transmissivity,
+    fibre_row,
     record,
     row_from_json,
+    row_to_json,
 )
 from .errors import DomainError, FamilyError, ValidationError, checked
 
@@ -74,7 +76,8 @@ class ChannelColumns(NamedTuple):
 
     @classmethod
     def of(cls, rows: list[tuple]) -> ChannelColumns:
-        """The table of a list of rows, such as ``row_of`` and ``row_from_json`` give."""
+        """The table of a list of rows, such as ``channels.row_of``, ``fibre_row`` and ``row_from_json``
+        give; ``zip(*table)`` gives the rows back, which ``row_to_json`` encodes."""
         return cls(*zip(*rows)) if rows else cls((), (), (), (), ())
 
     @classmethod
@@ -85,7 +88,8 @@ class ChannelColumns(NamedTuple):
         return tuple(cls(*(islice(zip(*rows), 3) if rows else ((), (), ())), zeros, zeros) for rows in (recv, send))
 
     def records(self) -> tuple:
-        """Each entry as a FibreParams or a channel spec, built on demand."""
+        """Each entry as a FibreParams or a channel spec, built on demand: for callers that want
+        records, such as ``NetworkGraph.nodes`` and ``edges``; the reader and writer use rows."""
         return tuple(map(record, *self))
 
 
@@ -327,21 +331,18 @@ def annotate_uniform(graph: NetworkGraph, value: float) -> BoundedGraph:
     return BoundedGraph(names, graph.users, a, b, values, values, exact, exact, a, a)
 
 
-def network_to_json(graph: NetworkGraph) -> str:
-    """The per-edge-object JSON form, as the one line ``json.dumps`` writes; ValueError on inf or nan."""
-    return "".join(network_json_chunks(graph))
-
-
 def network_json_chunks(graph: NetworkGraph) -> Iterator[str]:
-    """The text of ``network_to_json`` in pieces of up to 1024 records, joined from the columns;
-    every name, class and device is encoded, and any ValueError raised, before this returns."""
+    """The per-edge-object JSON form, the one line ``json.dumps`` writes, in pieces of up to 1024
+    records joined from the columns: each class and device is its row's ``row_to_json``, with no
+    record built. Every name, class and device is encoded, and any ValueError (inf or nan) raised,
+    before this returns; ``"".join`` of the pieces is the whole text."""
     dumps = json.JSONEncoder(allow_nan=False).encode  # json.dumps(obj, allow_nan=False)
     names = list(map(encode_basestring_ascii, graph.names))
-    sources = [f'"fibre": {dumps(c._asdict())}' if isinstance(c, FibreParams)
-               else f'"channel": {dumps(channel_to_json(c))}' for c in graph.classes.records()]
+    sources = [f'"{"fibre" if row[0] == FIBRE else "channel"}": {dumps(row_to_json(*row))}'
+               for row in zip(*graph.classes)]
 
     def device(key: str, row: tuple) -> str:
-        return "" if row[0] is None else f', "{key}": {dumps(channel_to_json(record(*row)))}'
+        return "" if row[0] is None else f', "{key}": {dumps(row_to_json(*row))}'
 
     recvs = [device("recv", row) for row in zip(*graph.recv)]
     sends = [device("send", row) for row in zip(*graph.send)]
@@ -577,8 +578,7 @@ def _graph_columns(raw_nodes: Iterable | None, raw_edges: Iterable | None, data,
                     if not has_channel:  # a fibre's row: its checked numbers and transmissivity
                         length, gamma, nbar_b = key
                         check_fibre(length, gamma, nbar_b)
-                    classes.append(key if has_channel else (FIBRE, fibre_transmissivity(gamma, length), nbar_b,
-                                                            length, gamma))
+                    classes.append(key if has_channel else fibre_row(length, gamma, nbar_b))
                     c = class_of[key] = len(classes) - 1
             except (DomainError, TypeError, ValueError, OverflowError) as exc:
                 violations.append(f"edge {end_a}-{end_b}: {exc}")

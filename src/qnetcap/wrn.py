@@ -31,6 +31,7 @@ from .channels import (
     ChannelSpec,
     FibreParams,
     Identity,
+    fibre_row,
     fibre_transmissivity,
     native,
     row_of,
@@ -187,12 +188,13 @@ def generate(spec: WrnSpec) -> NetworkGraph:
                 b.append(v)
     users = ((-2, 0), (2, 0))
     n = len(coords)
-    fibre = FibreParams(length_km=spec.edge_length_km, gamma=spec.gamma, nbar_B=spec.nbar_B)
+    # The spec's checks cover ``check_fibre``'s, so the fibre's row needs no FibreParams.
+    fibre = fibre_row(spec.edge_length_km, spec.gamma, spec.nbar_B)
     recv, send = ChannelColumns.devices((row_of(spec.recv),) * n, (row_of(spec.send),) * n)
     return NetworkGraph(
         tuple(f"n{x}_{y}" for x, y in coords), recv, send,
         tuple("user" if coord in users else "repeater" for coord in coords),
-        tuple(a), tuple(b), (0,) * len(a), ChannelColumns.of([row_of(fibre)]),
+        tuple(a), tuple(b), (0,) * len(a), ChannelColumns.of([fibre]),
         users=tuple(f"n{x}_{y}" for x, y in users),
         family=spec.family,
     )

@@ -6,25 +6,36 @@ from pathlib import Path
 import pytest
 
 from qnetcap.bounds import NBAR_CLAMP_TOL
-from qnetcap.channels import FibreParams, Identity, channel_to_json
+from qnetcap.channels import AmplitudeDamping, FibreParams, Identity, ThermalLoss
 from qnetcap.errors import DomainError
 
 
+def _reference_channel(channel) -> dict:
+    """A channel spec's object, spelt from its record's fields."""
+    if isinstance(channel, AmplitudeDamping):
+        return {"kind": "ad", "p": channel.p}
+    if isinstance(channel, ThermalLoss):
+        return {"kind": "tl", "tau": channel.tau, "nbar": channel.nbar}
+    assert isinstance(channel, Identity)
+    return {"kind": "id"}
+
+
 def _reference_json(graph):
-    """The v1 document built as one dict per node and per edge, each edge with its own source object:
-    the reference that ``network_to_json`` must print exactly as ``json.dumps`` does."""
+    """The v1 document built as one dict per node and per edge, each edge with its own source object,
+    from the records of the graph's tables: the reference that ``network_json_chunks`` must print
+    exactly as ``json.dumps`` does."""
     names = graph.names
     nodes = []
     for node_id, recv, send, role in zip(names, graph.recv.records(), graph.send.records(), graph.role):
         entry = {"id": node_id}
         if not isinstance(recv, Identity):
-            entry["recv"] = channel_to_json(recv)
+            entry["recv"] = _reference_channel(recv)
         if not isinstance(send, Identity):
-            entry["send"] = channel_to_json(send)
+            entry["send"] = _reference_channel(send)
         entry["role"] = role
         nodes.append(entry)
     sources = [("fibre", {"length_km": c.length_km, "gamma": c.gamma, "nbar_B": c.nbar_B})
-               if isinstance(c, FibreParams) else ("channel", channel_to_json(c)) for c in graph.classes.records()]
+               if isinstance(c, FibreParams) else ("channel", _reference_channel(c)) for c in graph.classes.records()]
     edges = [{"a": names[u], "b": names[v], sources[c][0]: {**sources[c][1]}}
              for u, v, c in zip(graph.a, graph.b, graph.cls)]
     data = {"nodes": nodes, "edges": edges}

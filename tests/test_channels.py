@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -13,13 +14,13 @@ from qnetcap.channels import (
     Identity,
     NodeSpec,
     ThermalLoss,
-    channel_from_json,
-    channel_to_json,
+    fibre_row,
     fibre_transmissivity,
     native,
     record,
     row_from_json,
     row_of,
+    row_to_json,
 )
 from qnetcap.errors import DomainError, FamilyError
 from qnetcap.network import ChannelColumns
@@ -249,8 +250,11 @@ def test_a_table_row_holds_the_native_numbers_and_gives_the_record_back(fam, cha
     table = ChannelColumns.of([row_of(channel)])
     assert _bits(table.eta[0] if fam == FAMILY_AD else (table.eta[0], table.last[0])) == _bits(numbers)
     assert table.records() == (channel,) and type(record(*row_of(channel))) is type(channel)
-    if not isinstance(channel, FibreParams):  # a channel object reads into the same row
-        assert row_from_json(channel_to_json(channel)) == row_of(channel)
+    data = row_to_json(*row_of(channel))
+    if isinstance(channel, FibreParams):  # a fibre's object is its fields, and its row is its ``fibre_row``
+        assert data == channel._asdict() and row_of(channel) == fibre_row(*channel)
+    else:  # a channel object reads into the same row
+        assert row_from_json(data) == row_of(channel)
 
 
 def test_fibre_transmissivity_is_the_one_loss_law():
@@ -260,17 +264,56 @@ def test_fibre_transmissivity_is_the_one_loss_law():
     assert not hasattr(FibreParams(1.0), "transmissivity")
 
 
+# (record, the text of its row's object): every kind, with the ints and negative
+# zeros that equal other numbers but print apart.
+ROW_JSON_CASES = [
+    (AmplitudeDamping(0.3), '{"kind": "ad", "p": 0.3}'),
+    (AmplitudeDamping(-0.0), '{"kind": "ad", "p": -0.0}'),
+    (AmplitudeDamping(1), '{"kind": "ad", "p": 1}'),
+    (ThermalLoss(0.7, 0.02), '{"kind": "tl", "tau": 0.7, "nbar": 0.02}'),
+    (ThermalLoss(0.4), '{"kind": "tl", "tau": 0.4, "nbar": 0.0}'),
+    (ThermalLoss(1, -0.0), '{"kind": "tl", "tau": 1, "nbar": -0.0}'),
+    (Identity(), '{"kind": "id"}'),
+    (FibreParams(2, 0.02, -0.0), '{"length_km": 2, "gamma": 0.02, "nbar_B": -0.0}'),
+    (FibreParams(-0.0, 1, 0), '{"length_km": -0.0, "gamma": 1, "nbar_B": 0}'),
+]
+
+
+def _row_bits(row):
+    """A row's kind, then each number as a float, bit for bit."""
+    return [row[0], *(float(x).hex() for x in row[1:])]
+
+
+@pytest.mark.parametrize("channel, text", ROW_JSON_CASES, ids=[text for _, text in ROW_JSON_CASES])
+def test_row_to_json_spells_the_row_and_row_from_json_reads_it_back(channel, text):
+    row = row_of(channel)
+    assert json.dumps(row_to_json(*row)) == text
+    if isinstance(channel, FibreParams):  # a fibre object has no kind; the network reader reads it
+        assert record(*row) == channel and _row_bits(row) == _row_bits(fibre_row(*json.loads(text).values()))
+        return
+    read = row_from_json(json.loads(text))
+    assert _row_bits(read) == _row_bits(row)
+    assert _row_bits(row_from_json(row_to_json(*read))) == _row_bits(read)
+
+
 def test_channel_json_round_trip():
-    for ch in (AmplitudeDamping(0.3), ThermalLoss(0.7, 0.02), ThermalLoss(0.4), Identity()):
-        assert channel_from_json(channel_to_json(ch)) == ch
-    # "pl" (pure loss) still parses, as thermal loss with no added photons.
-    assert channel_from_json({"kind": "pl", "eta": 0.4}) == ThermalLoss(0.4, 0.0)
-    assert channel_to_json(AmplitudeDamping(0.3)) == {"kind": "ad", "p": 0.3}
-    assert channel_to_json(Identity()) == {"kind": "id"}
+    # "pl" (pure loss) still reads, as thermal loss with no added photons, and writes as "tl".
+    for data in ({"kind": "pl", "eta": 0.4}, {"kind": "pl", "eta": 1}):
+        row = row_from_json(data)
+        assert _row_bits(row) == _row_bits(row_of(ThermalLoss(data["eta"], 0.0)))
+        assert row_to_json(*row) == {"kind": "tl", "tau": float(data["eta"]), "nbar": 0.0}
     with pytest.raises(DomainError):
-        channel_from_json({"kind": "nope"})
+        row_from_json({"kind": "nope"})
     with pytest.raises(DomainError):
-        channel_from_json({"p": 0.1})
+        row_from_json({"p": 0.1})
+
+
+@pytest.mark.parametrize("other", [0.3, None, (0.5, 0.0), "tl", NodeSpec("x")], ids=repr)
+def test_row_of_refuses_what_is_not_a_channel_spec_or_fibre(other):
+    for convert in (row_of, lambda channel: native(FAMILY_AD, channel), lambda channel: native(FAMILY_TL, channel)):
+        with pytest.raises(FamilyError) as refused:
+            convert(other)
+        assert str(refused.value) == f"not a channel spec or fibre: {other!r}"
 
 
 def test_node_spec_role():

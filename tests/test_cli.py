@@ -272,7 +272,7 @@ def test_read_json_passes_on_the_package_errors_of_its_parser(tmp_path):
 def test_validate_and_analyze_read_through_load_network(tmp_path, monkeypatch, command):
     # The one network reader, and the name that perfbench's traced run times it under.
     net = tmp_path / "net.json"
-    net.write_text(network.network_to_json(generate(WrnSpec("manhattan8", 2, 10.0, "tl"))))
+    net.write_text("".join(network.network_json_chunks(generate(WrnSpec("manhattan8", 2, 10.0, "tl")))))
     calls = []
     load_network = network.load_network
     monkeypatch.setattr(network, "load_network", lambda text: calls.append(text) or load_network(text))
@@ -288,7 +288,7 @@ def _set_collector(on):
 @pytest.mark.parametrize("outcome", ["ok", "missing", "invalid", "unattainable", "uncaught"])
 def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch, collecting, outcome):
     net = tmp_path / "net.json"
-    net.write_text(network.network_to_json(generate(WrnSpec("manhattan8", 2, 10.0, "tl"))))
+    net.write_text("".join(network.network_json_chunks(generate(WrnSpec("manhattan8", 2, 10.0, "tl")))))
     spec = write_json(tmp_path / "wrn.json", MAN_SPEC)
     argv, expected = {
         "ok": (["analyze", "--in", str(net)], EXIT_OK),
@@ -320,7 +320,7 @@ def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch,
 
 def test_analyze_starts_no_collection(tmp_path, monkeypatch):
     net = tmp_path / "net.json"
-    net.write_text(network.network_to_json(generate(WrnSpec("manhattan8", 4, 10.0, "tl"))))
+    net.write_text("".join(network.network_json_chunks(generate(WrnSpec("manhattan8", 4, 10.0, "tl")))))
     starts = []
 
     def count(phase, info):
@@ -674,7 +674,7 @@ def _modules_loaded_by(argv: list[str]) -> list[str]:
 def _subcommand_argv(tmp_path, command: str) -> list[str]:
     """A small valid call of ``command``; all but selftest write to a file."""
     net = tmp_path / "net.json"
-    net.write_text(network.network_to_json(generate(WrnSpec("manhattan8", 2, 2.0, "tl"))))
+    net.write_text("".join(network.network_json_chunks(generate(WrnSpec("manhattan8", 2, 2.0, "tl")))))
     argv = {
         "generate": ["--cell", "manhattan8", "--radius", "2", "--d", "2.0"],
         "validate": ["--in", str(net)],
@@ -1289,7 +1289,7 @@ def test_generate_to_a_pipe_writes_the_whole_network(python):
     # More than stdout's 8 KiB buffer, so the tail is written only by run's flush.
     proc = python("-m", "qnetcap.cli", "generate", "--cell", "manhattan8", "--radius", "5", "--d", "10",
                   env={"PYTHONUNBUFFERED": None}, capture_output=True)
-    expected = network.network_to_json(generate(WrnSpec("manhattan8", 5, 10.0, "tl"))) + "\n"
+    expected = "".join(network.network_json_chunks(generate(WrnSpec("manhattan8", 5, 10.0, "tl")))) + "\n"
     assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
     assert len(expected) > 8192 and proc.stdout == expected.encode("utf-8")
 
@@ -1339,7 +1339,7 @@ def assert_stdout_failed(proc, errno_text):
 ], ids=["validate", "generate", "selftest", "help", "subcommand-help"])
 def test_a_full_stdout_is_an_input_error(tmp_path, python, argv, unbuffered):
     net = tmp_path / "net.json"
-    net.write_text(network.network_to_json(generate(WrnSpec("manhattan8", 2, 10.0, "tl"))))
+    net.write_text("".join(network.network_json_chunks(generate(WrnSpec("manhattan8", 2, 10.0, "tl")))))
     with open("/dev/full", "w") as full:
         proc = python("-m", "qnetcap.cli", *[str(net) if arg == "NET" else arg for arg in argv],
                       env={"PYTHONUNBUFFERED": unbuffered}, stdout=full, stderr=subprocess.PIPE, text=True)

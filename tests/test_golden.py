@@ -29,7 +29,7 @@ from unittest import mock
 import pytest
 
 from qnetcap.cli import main
-from qnetcap.network import _load_json, load_network, network_to_json
+from qnetcap.network import _load_json, load_network, network_json_chunks
 from qnetcap.wrn import WrnSpec, generate
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -52,7 +52,7 @@ def _lattice(cell: str, fam: str, recv: dict, send: dict, odd_recv: dict) -> dic
     """Radius-2 lattice JSON with device templates; every third node gets a
     different receiver, so the two directions of some edges differ."""
     spec = WrnSpec(cell_type=cell, radius=2, edge_length_km=10.0, family=fam)
-    data = json.loads(network_to_json(generate(spec)))
+    data = json.loads("".join(network_json_chunks(generate(spec))))
     for i, node in enumerate(data["nodes"]):
         node["recv"] = odd_recv if i % 3 == 0 else recv
         node["send"] = send

@@ -34,7 +34,7 @@ from qnetcap.network import (
     annotate_uniform,
     apply_split,
     load_network,
-    network_to_json,
+    network_json_chunks,
     resolved_family,
     validate,
 )
@@ -223,7 +223,7 @@ def test_min_neighbourhood_needs_two_distinct_graph_users(users):
 
 def _loaded(graph):
     """The graph as the CLI sees it: through JSON."""
-    loaded, violations = load_network(network_to_json(graph))
+    loaded, violations = load_network("".join(network_json_chunks(graph)))
     assert violations == []
     return loaded
 
@@ -507,7 +507,7 @@ WRITER_GRAPHS = {
 @pytest.mark.parametrize("name", WRITER_GRAPHS)
 def test_network_json_is_the_reference_document_dumped(name, reference_json):
     graph = WRITER_GRAPHS[name]()
-    text = network_to_json(graph)
+    text = "".join(network_json_chunks(graph))
     assert text == json.dumps(reference_json(graph), allow_nan=False)
     assert text.isascii() and "\n" not in text
 
@@ -524,7 +524,7 @@ def test_network_json_refuses_non_finite_numbers(change, reference_json):
     with pytest.raises(ValueError, match="not JSON compliant"):
         json.dumps(reference_json(graph), allow_nan=False)
     with pytest.raises(ValueError, match="not JSON compliant"):
-        network_to_json(graph)
+        "".join(network_json_chunks(graph))
 
 
 def test_network_json_round_trip():
@@ -537,7 +537,7 @@ def test_network_json_round_trip():
         users=("a", "c"),
         family="tl",
     ))
-    loaded, violations = load_network(network_to_json(g))
+    loaded, violations = load_network("".join(network_json_chunks(g)))
     assert violations == []
     assert loaded == g
     assert loaded.users == g.users
@@ -548,14 +548,14 @@ def test_network_json_round_trip():
 
 def test_network_json_gives_each_edge_its_own_source_object():
     graph = generate(WrnSpec("manhattan8", 2, 10.0, "tl"))
-    data = json.loads(network_to_json(graph))
+    data = json.loads("".join(network_json_chunks(graph)))
     data["edges"][0]["fibre"]["length_km"] = 30.0
     assert data["edges"][1]["fibre"]["length_km"] == 10.0
     loaded, violations = load_network(json.dumps(data))
     assert violations == []
     assert loaded.classes.records() == (FibreParams(30.0), FibreParams(10.0))
     assert loaded.cls == (0,) + (1,) * (len(graph.a) - 1)
-    assert json.loads(network_to_json(graph))["edges"][0]["fibre"]["length_km"] == 10.0
+    assert json.loads("".join(network_json_chunks(graph)))["edges"][0]["fibre"]["length_km"] == 10.0
 
 
 @pytest.mark.parametrize("change, message", [
@@ -674,7 +674,7 @@ def test_load_network_refuses_a_boolean_fibre_field(field, value):
 def _hetero_doc(cell: str, radius: int, fam: str, seed: int) -> dict:
     """A generated lattice with a distinct fibre per edge and a distinct device per node."""
     rng = random.Random(seed)
-    doc = json.loads(network_to_json(generate(WrnSpec(cell, radius, 10.0, fam))))
+    doc = json.loads("".join(network_json_chunks(generate(WrnSpec(cell, radius, 10.0, fam)))))
 
     def device():
         if fam == "ad":
@@ -724,8 +724,8 @@ def test_apply_split_matches_per_edge_bounds_at_full_size(name):
         oriented_edge_bounds(classes[c], nodes[u], nodes[v], fam) for u, v, c in zip(graph.a, graph.b, graph.cls)]
 
 
-def test_reading_and_splitting_builds_no_record_and_converts_nothing(monkeypatch):
-    texts = {FULL_SIZE[name][2]: json.dumps(_hetero_doc(*FULL_SIZE[name])) for name in FULL_SIZE}
+def _counted_conversions(monkeypatch) -> collections.Counter:
+    """Counts, by name, each record construction and each call of ``native`` and of a range check."""
     calls = collections.Counter()
 
     def counting(name, function):
@@ -743,6 +743,12 @@ def test_reading_and_splitting_builds_no_record_and_converts_nothing(monkeypatch
     for module in (channels, network, oracles, sweep, wrn):
         if hasattr(module, "native"):
             monkeypatch.setattr(module, "native", counting("native", module.native))
+    return calls
+
+
+def test_reading_and_splitting_builds_no_record_and_converts_nothing(monkeypatch):
+    texts = {FULL_SIZE[name][2]: json.dumps(_hetero_doc(*FULL_SIZE[name])) for name in FULL_SIZE}
+    calls = _counted_conversions(monkeypatch)
     expected = collections.Counter()
     for fam, text in texts.items():
         graph, violations = load_network(text)
@@ -753,6 +759,16 @@ def test_reading_and_splitting_builds_no_record_and_converts_nothing(monkeypatch
     assert calls == expected  # one range check per device and fibre, and nothing else
     graph.edges  # the views build records on demand
     assert calls["FibreParams"] == len(graph.a)
+
+
+def test_generating_and_writing_builds_no_record_and_converts_nothing(monkeypatch):
+    specs = [WrnSpec("triangular6", 3, 7.5, "ad", recv=AmplitudeDamping(0.05), send=AmplitudeDamping(0.1)),
+             WrnSpec("manhattan8", 3, 10.0, "tl", recv=ThermalLoss(0.9, 0.01), send=ThermalLoss(0.95))]
+    calls = _counted_conversions(monkeypatch)  # after the specs, whose templates are records
+    for spec in specs:
+        text = "".join(network_json_chunks(generate(spec)))
+        assert '"recv": {"kind": ' in text and '"fibre": {"length_km": ' in text
+    assert calls == collections.Counter()  # the spec's checks cover the fibre's, and rows are encoded as rows
 
 
 # Out-of-range numbers and a JSON true in each number field of a fibre and a
@@ -990,13 +1006,13 @@ def test_network_json_round_trips_to_the_same_columns_and_bytes(reference_json, 
     graph, _ = load_network(json.dumps(doc))
     if math.inf in graph.classes.length_km:
         with pytest.raises(ValueError, match="not JSON compliant"):  # a network file holds finite numbers
-            network_to_json(graph)
+            "".join(network_json_chunks(graph))
         return
-    text = network_to_json(graph)
+    text = "".join(network_json_chunks(graph))
     assert text == json.dumps(reference_json(graph))
     again, _ = load_network(text)
     assert again == graph  # every column and the class table
-    assert network_to_json(again) == text
+    assert "".join(network_json_chunks(again)) == text
 
 
 # The edges ``generate`` writes are read from their text without the scanner,
@@ -1009,7 +1025,7 @@ def _generated(cell: str, radius: int, templates: bool) -> str:
     if templates:
         devices = ({"recv": ThermalLoss(0.9, 0.01), "send": ThermalLoss(0.95)} if fam == "tl"
                    else {"recv": AmplitudeDamping(0.05), "send": AmplitudeDamping(0.1)})
-    return network_to_json(generate(WrnSpec(cell, radius, 10.0, fam, **devices)))
+    return "".join(network_json_chunks(generate(WrnSpec(cell, radius, 10.0, fam, **devices))))
 
 
 def _spans(text: str, head: str, end: str) -> list[tuple[int, int]]:

@@ -7,7 +7,7 @@ import pytest
 
 from qnetcap import routing
 from qnetcap.errors import DomainError, SizeError
-from qnetcap.network import annotate_uniform, apply_split, load_network, network_to_json
+from qnetcap.network import annotate_uniform, apply_split, load_network, network_json_chunks
 from qnetcap.oracles import (
     BRUTE_FORCE_MAX_NODES,
     bounded_from_values,
@@ -299,7 +299,7 @@ def test_dinic_sink_level_cutoff_changes_no_flow(monkeypatch):
 def _hetero_lattice(seed):
     """Thermal-loss lattice with a seeded fibre per edge and devices per node."""
     rng = random.Random(seed)
-    data = json.loads(network_to_json(generate(WrnSpec("manhattan8", 3, 10.0, "tl"))))
+    data = json.loads("".join(network_json_chunks(generate(WrnSpec("manhattan8", 3, 10.0, "tl")))))
 
     def device():
         return {"kind": "tl", "tau": rng.uniform(0.85, 1.0), "nbar": rng.uniform(0.0, 0.005)}
@@ -384,7 +384,7 @@ def test_cut_and_flow_json():
 def _hetero_manhattan(seed):
     """manhattan8 r=20 with a distinct fibre per edge and a distinct device per node."""
     rng = random.Random(seed)
-    doc = json.loads(network_to_json(generate(WrnSpec("manhattan8", 20, 10.0, "tl"))))
+    doc = json.loads("".join(network_json_chunks(generate(WrnSpec("manhattan8", 20, 10.0, "tl")))))
 
     def device():
         return {"kind": "tl", "tau": rng.uniform(0.8, 1.0), "nbar": rng.uniform(0.0, 0.02)}

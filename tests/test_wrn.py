@@ -93,6 +93,10 @@ def test_spec_validation():
         tri_spec(recv=ThermalLoss(0.9, 0.0))
     with pytest.raises(FamilyError):
         man_spec(send=AmplitudeDamping(0.1))
+    # A template that is not a channel spec is named as such, not as a channel of the other family.
+    with pytest.raises(FamilyError) as not_a_channel:
+        WrnSpec("triangular6", 2, 10.0, "ad", recv=0.3)
+    assert str(not_a_channel.value) == "not a channel spec or fibre: 0.3"
 
 
 def test_spec_derived_fields():
