@@ -1,4 +1,4 @@
-"""Channel specifications, fibre parameterization and channel rows.
+"""Channel rows: channel specifications, fibre parameterization and their JSON form.
 
 Two channel families are modelled. Amplitude damping acts on qubits and is
 specified by a damping probability p, but computed in the survival probability
@@ -7,80 +7,48 @@ acts on bosonic modes and is described by a transmissivity tau together with
 the mean photon number nbar added at the output; pure loss is the nbar = 0
 special case. ``fibre_transmissivity`` is the one fibre loss law.
 
-A row (kind, eta, last, length_km, gamma) holds a channel as those numbers,
-and every row is built and encoded here: ``row_of`` gives a record's,
-``fibre_row`` a fibre's, ``row_from_json`` reads a channel object with no
-record, ``row_to_json`` writes one, and ``record`` builds the record back.
-``native(fam, channel)`` gives a record's row numbers in family ``fam`` and
-rejects a channel of the other family; ``bounds.compounds`` reduces
-node-split chains of them to single channels. Each record kind's range
-check, ``check_damping``, ``check_thermal`` or ``check_fibre``, is shared by
-the record and the reader.
+A channel is its row (kind, eta, last, length_km, gamma): its kind ("ad",
+"tl", FIBRE, or None for an ideal device), its survival probability eta, its
+last parameter (p, nbar or nbar_B), and a fibre's length_km and gamma, else
+0.0. Only the constructors ``AmplitudeDamping``, ``ThermalLoss`` and
+``FibreParams`` build a row, each range-checking its numbers, and
+``IDENTITY`` is the row of an ideal device. ``row_from_json`` reads a channel
+object through them and ``row_to_json`` writes one; ``check_row`` is the one
+gate for a row from outside the package, and ``native(fam, row)`` gives a
+row's numbers in family ``fam`` and rejects a channel of the other family.
+``bounds.compounds`` reduces node-split chains of them to single channels.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .errors import DomainError, FamilyError, checked
 
 FAMILY_AD = "ad"
 FAMILY_TL = "tl"
 FIBRE = "fibre"  # the kind of a fibre in a row
+DEFAULT_GAMMA = 0.02  # a fibre's loss rate per km when none is given
+DEFAULT_NBAR_B = 0.002  # a fibre's background photons when none are given
+
+IDENTITY = (None, 1.0, 0.0, 0.0, 0.0)  # the row of an ideal device, neutral in either family
 
 
-def check_damping(p: float) -> None:
+def AmplitudeDamping(p: float) -> tuple:
+    """The row of the qubit energy-dissipation channel with damping probability p."""
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"damping probability must lie in [0, 1], got {p}")
+    return FAMILY_AD, 1.0 - p, p, 0.0, 0.0
 
 
-def check_thermal(tau: float, nbar: float) -> None:
+def ThermalLoss(tau: float, nbar: float = 0.0) -> tuple:
+    """The row of the bosonic loss channel of transmissivity tau adding nbar thermal photons at the output."""
     if not 0.0 < tau <= 1.0:
         raise DomainError(f"transmissivity must lie in (0, 1], got {tau}")
     if not nbar >= 0.0:
         raise DomainError(f"thermal photon number must be >= 0, got {nbar}")
-
-
-def check_fibre(length_km: float, gamma: float, nbar_B: float) -> None:
-    if not length_km >= 0.0:
-        raise DomainError(f"fibre length must be >= 0 km, got {length_km}")
-    if not 0.0 < gamma < math.inf:  # an infinite rate makes 10^(-gamma*0) nan
-        raise DomainError(f"loss rate must be finite and > 0 per km, got {gamma}")
-    if not nbar_B >= 0.0:
-        raise DomainError(f"background photons must be >= 0, got {nbar_B}")
-
-
-@checked
-class AmplitudeDamping(NamedTuple):
-    """Qubit energy-dissipation channel with damping probability p."""
-
-    p: float
-
-    def _check(self):
-        check_damping(self.p)
-
-
-@checked
-class ThermalLoss(NamedTuple):
-    """Bosonic loss channel: transmissivity tau, output thermal photons nbar."""
-
-    tau: float
-    nbar: float = 0.0
-
-    def _check(self):
-        check_thermal(self.tau, self.nbar)
-
-
-class Identity(NamedTuple):
-    """Neutral element for composition in either family."""
-
-    def __bool__(self) -> bool:  # a tuple of no fields would read as false
-        return True
-
-
-IDENTITY = Identity()
-ChannelSpec = Union[AmplitudeDamping, ThermalLoss, Identity]
+    return FAMILY_TL, tau, nbar, 0.0, 0.0
 
 
 def fibre_transmissivity(gamma: float, length_km: float) -> float:
@@ -88,32 +56,52 @@ def fibre_transmissivity(gamma: float, length_km: float) -> float:
     return 10.0 ** (-gamma * length_km)
 
 
-@checked
-class FibreParams(NamedTuple):
-    """Fibre link of length_km with loss rate gamma (per km, base-10 exponent).
+def FibreParams(length_km: float, gamma: float = DEFAULT_GAMMA, nbar_B: float = DEFAULT_NBAR_B) -> tuple:
+    """The row of a fibre link of length_km with loss rate gamma (per km, base-10 exponent).
 
     The background photon number nbar_B is a fixed per-edge constant added at
     the output, independent of the fibre length.
     """
+    if not length_km >= 0.0:
+        raise DomainError(f"fibre length must be >= 0 km, got {length_km}")
+    if not 0.0 < gamma < math.inf:  # an infinite rate makes 10^(-gamma*0) nan
+        raise DomainError(f"loss rate must be finite and > 0 per km, got {gamma}")
+    if not nbar_B >= 0.0:
+        raise DomainError(f"background photons must be >= 0, got {nbar_B}")
+    return FIBRE, fibre_transmissivity(gamma, length_km), nbar_B, length_km, gamma
 
-    length_km: float
-    gamma: float = 0.02
-    nbar_B: float = 0.002
 
-    def _check(self):
-        check_fibre(*self)
+def check_row(row) -> tuple:
+    """``row`` if it is the tuple its kind's constructor builds from the row's own fields. Out-of-range
+    numbers raise the constructor's DomainError, and anything else FamilyError."""
+    if type(row) is tuple and len(row) == 5:
+        kind, eta, last, length_km, gamma = row
+        try:
+            if kind == FAMILY_TL:
+                built = ThermalLoss(eta, last)
+            elif kind == FAMILY_AD:
+                built = AmplitudeDamping(last)
+            elif kind == FIBRE:
+                built = FibreParams(length_km, gamma, last)
+            else:
+                built = IDENTITY if kind is None else None
+        except TypeError:  # a field that is not a number
+            built = None
+        if row == built:
+            return row
+    raise FamilyError(f"not a channel spec or fibre: {row!r}")
 
 
-def native(fam: str, channel: ChannelSpec | FibreParams):
-    """The numbers of a channel spec or a fibre in family ``fam``, from its ``row_of``: "ad", eta = 1 - p;
-    "tl", (tau, nbar). Identity is 1.0 or (1.0, 0.0); a fibre is its ``fibre_transmissivity``, with its
+def native(fam: str, row: tuple):
+    """The numbers of a channel's or a fibre's ``check_row`` in family ``fam``: "ad", eta = 1 - p;
+    "tl", (tau, nbar). IDENTITY is 1.0 or (1.0, 0.0); a fibre is its ``fibre_transmissivity``, with its
     nbar_B in "tl"."""
     if fam not in (FAMILY_AD, FAMILY_TL):
         raise FamilyError(f"unknown channel family {fam!r}")
-    kind, eta, last, _, _ = row_of(channel)
+    kind, eta, last, _, _ = check_row(row)
     if kind not in (fam, None, FIBRE):
         expected = "a thermal-loss" if fam == FAMILY_TL else "an amplitude-damping"
-        raise FamilyError(f"expected {expected} channel, got {channel!r}")
+        raise FamilyError(f"expected {expected} channel, got {row_to_json(*row)}")
     return (eta, last) if fam == FAMILY_TL else eta
 
 
@@ -122,13 +110,13 @@ class NodeSpec(NamedTuple):
     """A network node with internal receive and send channels.
 
     ``recv`` acts on anything arriving at the node before local processing;
-    ``send`` acts on anything leaving it. Both default to Identity (an ideal
-    device). ``role`` distinguishes end users from repeaters.
+    ``send`` acts on anything leaving it. Both are rows and default to
+    IDENTITY (an ideal device). ``role`` distinguishes end users from repeaters.
     """
 
     id: str
-    recv: ChannelSpec = IDENTITY
-    send: ChannelSpec = IDENTITY
+    recv: tuple = IDENTITY
+    send: tuple = IDENTITY
     role: str = "repeater"
 
     def _check(self):
@@ -142,42 +130,18 @@ def check_role(role: str) -> str:
     return role
 
 
-def fibre_row(length_km: float, gamma: float, nbar_B: float) -> tuple:
-    """The row of a fibre's numbers, unchecked: its ``fibre_transmissivity`` and nbar_B, then length_km and gamma."""
-    return FIBRE, fibre_transmissivity(gamma, length_km), nbar_B, length_km, gamma
-
-
-def row_of(channel: ChannelSpec | FibreParams) -> tuple:
-    """The row of a channel spec or a fibre; FamilyError for any other object. A row is a
-    ``network.ChannelColumns`` entry: kind ("ad", "tl", FIBRE or None for Identity), survival
-    probability eta, the record's last field, and a fibre's length_km and gamma (else 0.0)."""
-    if isinstance(channel, FibreParams):
-        return fibre_row(*channel)
-    if isinstance(channel, ThermalLoss):
-        return FAMILY_TL, channel.tau, channel.nbar, 0.0, 0.0
-    if isinstance(channel, AmplitudeDamping):
-        return FAMILY_AD, 1.0 - channel.p, channel.p, 0.0, 0.0
-    if isinstance(channel, Identity):
-        return None, 1.0, 0.0, 0.0, 0.0
-    raise FamilyError(f"not a channel spec or fibre: {channel!r}")
-
-
-def record(kind: str | None, eta: float, last: float, length_km: float, gamma: float):
-    """The FibreParams or channel spec of a row."""
-    if kind == FIBRE:
-        return FibreParams(length_km, gamma, last)
-    if kind == FAMILY_TL:
-        return ThermalLoss(eta, last)
-    return IDENTITY if kind is None else AmplitudeDamping(last)
-
-
 def row_to_json(kind: str | None, eta: float, last: float, length_km: float, gamma: float) -> dict:
-    """The JSON object of a row, which ``row_from_json`` reads back: a fibre's is its FibreParams fields."""
+    """The JSON object of a row, which ``row_from_json`` reads back: a fibre's is its ``FibreParams``
+    arguments. FamilyError for a kind that names no channel."""
     if kind == FIBRE:
         return {"length_km": length_km, "gamma": gamma, "nbar_B": last}
     if kind == FAMILY_TL:
         return {"kind": "tl", "tau": eta, "nbar": last}
-    return {"kind": "id"} if kind is None else {"kind": "ad", "p": last}
+    if kind == FAMILY_AD:
+        return {"kind": "ad", "p": last}
+    if kind is None:
+        return {"kind": "id"}
+    raise FamilyError(f"unknown channel kind {kind!r}")
 
 
 def _field(data: dict, key: str, default: float | None = None) -> float:
@@ -189,27 +153,23 @@ def _field(data: dict, key: str, default: float | None = None) -> float:
 
 
 def row_from_json(data: dict) -> tuple:
-    """The row of a channel object, range-checked with its record's check."""
+    """The row of a channel object, built by its constructor."""
     if not isinstance(data, dict) or "kind" not in data:
         raise DomainError(f"channel object needs a 'kind' tag, got {data!r}")
     kind = data["kind"]
     try:
         if kind == "tl":
-            tau, nbar = _field(data, "tau"), _field(data, "nbar", 0.0)
-        elif kind == "pl":  # pure loss: thermal loss with no added photons
-            tau, nbar = _field(data, "eta"), 0.0
-        elif kind == "ad":
-            check_damping(p := _field(data, "p"))
-            return FAMILY_AD, 1.0 - p, p, 0.0, 0.0
-        elif kind == "id":
-            return None, 1.0, 0.0, 0.0, 0.0
-        else:
-            raise DomainError(f"unknown channel kind {kind!r}")
+            return ThermalLoss(_field(data, "tau"), _field(data, "nbar", 0.0))
+        if kind == "pl":  # pure loss: thermal loss with no added photons
+            return ThermalLoss(_field(data, "eta"))
+        if kind == "ad":
+            return AmplitudeDamping(_field(data, "p"))
+        if kind == "id":
+            return IDENTITY
     except KeyError as exc:
         raise DomainError(f"channel kind {kind!r} is missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, DomainError):
             raise
         raise DomainError(f"bad channel field in {data!r}: {exc}") from exc
-    check_thermal(tau, nbar)
-    return FAMILY_TL, tau, nbar, 0.0, 0.0
+    raise DomainError(f"unknown channel kind {kind!r}")

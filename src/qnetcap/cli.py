@@ -25,7 +25,7 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, NoReturn
 
-from .channels import FibreParams, record, row_from_json
+from .channels import DEFAULT_GAMMA, DEFAULT_NBAR_B, row_from_json
 from .errors import DomainError, MonotonicityError, NotAttainableError, QnetcapError, ValidationError, checked_number
 
 # Each function imports the package modules it calls, so a call loads only the
@@ -147,7 +147,7 @@ def _parse_wrn_spec(data) -> tuple[wrn.WrnSpec, qkd.QkdSetup | None]:
             kwargs[key] = checked_number(key, data[key], kind)
     for side in ("recv", "send"):
         if side in data:
-            kwargs[side] = record(*row_from_json(data[side]))
+            kwargs[side] = row_from_json(data[side])
     setup = _parse_qkd_setup(data["qkd_setup"]) if "qkd_setup" in data else None
     return wrn.WrnSpec(**kwargs), setup
 
@@ -262,8 +262,8 @@ _COMMANDS = {
         "--radius": {"required": True, "type": int},
         "--d": {"required": True, "type": float, "help": "edge length in km"},
         "--family": {"choices": ("ad", "tl")},
-        "--gamma": {"type": float, "default": FibreParams._field_defaults["gamma"]},
-        "--nbar-b": {"type": float, "default": FibreParams._field_defaults["nbar_B"]},
+        "--gamma": {"type": float, "default": DEFAULT_GAMMA},
+        "--nbar-b": {"type": float, "default": DEFAULT_NBAR_B},
         "--out": {},
     }),
     "validate": ("structural checks on a network JSON", {"--in": {"required": True}, "--out": {}}),

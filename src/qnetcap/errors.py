@@ -42,9 +42,9 @@ def checked(cls):
     new = cls.__new__
 
     def __new__(subcls, *args, **kwargs):
-        record = new(subcls, *args, **kwargs)
-        record._check()
-        return record
+        obj = new(subcls, *args, **kwargs)
+        obj._check()
+        return obj
 
     cls.__new__ = __new__
     cls._make = classmethod(lambda subcls, values: subcls(*values))  # the stock one skips __new__

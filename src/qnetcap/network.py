@@ -3,9 +3,9 @@
 A NetworkGraph holds, as columns, the nodes (names, device tables and roles),
 the undirected edges as pairs of node numbers, each with a class in a table
 of distinct fibres and explicit channels, and the pair of end users. The
-tables hold ``channels`` rows: the reader ``load_network`` fills them, and
-the writer ``network_json_chunks`` encodes them, with no record built; the
-``nodes`` and ``edges`` views build records for callers that want them.
+tables hold ``channels`` rows: the reader ``load_network`` fills them, the
+writer ``network_json_chunks`` encodes them, and the ``nodes`` and ``edges``
+views hand them out per node and per edge.
 ``apply_split`` turns a graph into a BoundedGraph by zipping the tables'
 columns into every edge's directions and running the bound kernels over
 them, orientation-optimized per edge. Everything computed on a BoundedGraph
@@ -23,16 +23,15 @@ from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .channels import (
+    DEFAULT_GAMMA,
+    DEFAULT_NBAR_B,
     FAMILY_AD,
     FAMILY_TL,
     FIBRE,
-    ChannelSpec,
+    IDENTITY,
     FibreParams,
     NodeSpec,
-    check_fibre,
     check_role,
-    fibre_row,
-    record,
     row_from_json,
     row_to_json,
 )
@@ -57,16 +56,15 @@ def _check_users(users) -> None:
         raise DomainError(f"users must be a pair of node names, got {users!r}")
 
 
-# One edge by endpoint names, with its explicit channel or its fibre.
-EdgeView = NamedTuple("EdgeView", [("a", str), ("b", str), ("channel", ChannelSpec | None),
-                                   ("fibre", FibreParams | None)])
+# One edge by endpoint names, with the row of its explicit channel or of its fibre.
+EdgeView = NamedTuple("EdgeView", [("a", str), ("b", str), ("channel", tuple | None), ("fibre", tuple | None)])
 
 
 class ChannelColumns(NamedTuple):
-    """Channels as columns, unchecked: entry i is one channel's ``kind`` ("ad", "tl", FIBRE or None
-    for Identity), survival probability ``eta`` (tau, 1 - p, the ``fibre_transmissivity`` or 1.0),
-    its record's ``last`` field (nbar, p, nbar_B or 0.0) and a fibre's ``length_km`` and ``gamma``
-    (else 0.0). A channel's ``native`` numbers are then (eta, last) in "tl" and eta in "ad"."""
+    """Channels as columns, unchecked: entry i is one channel's row, its ``kind`` ("ad", "tl", FIBRE
+    or None for IDENTITY), survival probability ``eta`` (tau, 1 - p, the ``fibre_transmissivity`` or
+    1.0), ``last`` parameter (nbar, p, nbar_B or 0.0) and a fibre's ``length_km`` and ``gamma`` (else
+    0.0). A channel's ``native`` numbers are then (eta, last) in "tl" and eta in "ad"."""
 
     kind: tuple[str | None, ...]
     eta: tuple[float, ...]
@@ -76,8 +74,8 @@ class ChannelColumns(NamedTuple):
 
     @classmethod
     def of(cls, rows: list[tuple]) -> ChannelColumns:
-        """The table of a list of rows, such as ``channels.row_of``, ``fibre_row`` and ``row_from_json``
-        give; ``zip(*table)`` gives the rows back, which ``row_to_json`` encodes."""
+        """The table of a list of rows, such as the ``channels`` constructors and ``row_from_json`` give;
+        ``zip(*table)`` gives the rows back, which ``row_to_json`` encodes."""
         return cls(*zip(*rows)) if rows else cls((), (), (), (), ())
 
     @classmethod
@@ -86,11 +84,6 @@ class ChannelColumns(NamedTuple):
         are one shared column of 0.0."""
         zeros = (0.0,) * len(recv)
         return tuple(cls(*(islice(zip(*rows), 3) if rows else ((), (), ())), zeros, zeros) for rows in (recv, send))
-
-    def records(self) -> tuple:
-        """Each entry as a FibreParams or a channel spec, built on demand: for callers that want
-        records, such as ``NetworkGraph.nodes`` and ``edges``; the reader and writer use rows."""
-        return tuple(map(record, *self))
 
 
 class _GraphColumns(NamedTuple):
@@ -117,8 +110,10 @@ class NetworkGraph(_GraphColumns):
     ``classes``, a fibre or an explicit channel, each distinct one once. The
     tables are ``ChannelColumns``. Construction raises DomainError unless the
     columns agree in length, every number indexes ``names`` or ``classes``
-    and ``users`` is None or a pair of names. The ``nodes`` and ``edges``
-    views, like a table's ``records()``, build records on demand.
+    and ``users`` is None or a pair of names. The rows themselves are
+    trusted: only ``load_network`` range-checks them, and ``validate``
+    reports a kind that names no channel. The ``nodes`` and ``edges`` views
+    hand the rows out per node and per edge, built on demand.
     """
 
     # The resolved family, which ``validate`` sets once it finds the graph
@@ -144,13 +139,13 @@ class NetworkGraph(_GraphColumns):
     def nodes(self) -> dict[str, NodeSpec]:
         """Each node as a NodeSpec, by name, built on demand."""
         return {name: NodeSpec(name, recv, send, role)
-                for name, recv, send, role in zip(self.names, self.recv.records(), self.send.records(), self.role)}
+                for name, recv, send, role in zip(self.names, zip(*self.recv), zip(*self.send), self.role)}
 
     @property
     def edges(self) -> tuple[EdgeView, ...]:
         """Each edge as an EdgeView, built on demand."""
         names = self.names
-        sources = [(None, c) if isinstance(c, FibreParams) else (c, None) for c in self.classes.records()]
+        sources = [(None, row) if row[0] == FIBRE else (row, None) for row in zip(*self.classes)]
         return tuple(EdgeView(names[u], names[v], *sources[c]) for u, v, c in zip(self.a, self.b, self.cls))
 
 
@@ -208,6 +203,8 @@ class Cut(NamedTuple):
 def resolved_family(graph: NetworkGraph) -> str:
     """The single channel family of the graph, declared or inferred from the kinds of its tables."""
     found = {*graph.recv.kind, *graph.send.kind, *graph.classes.kind} - {None, FIBRE}
+    if unknown := found - {FAMILY_AD, FAMILY_TL}:
+        raise FamilyError(f"unknown channel kind {', '.join(sorted(map(repr, unknown)))}")
     if len(found) > 1:
         raise FamilyError("family mismatch: graph mixes amplitude-damping and thermal-loss channels")
     if found:
@@ -333,9 +330,9 @@ def annotate_uniform(graph: NetworkGraph, value: float) -> BoundedGraph:
 
 def network_json_chunks(graph: NetworkGraph) -> Iterator[str]:
     """The per-edge-object JSON form, the one line ``json.dumps`` writes, in pieces of up to 1024
-    records joined from the columns: each class and device is its row's ``row_to_json``, with no
-    record built. Every name, class and device is encoded, and any ValueError (inf or nan) raised,
-    before this returns; ``"".join`` of the pieces is the whole text."""
+    records joined from the columns: each class and device is its row's ``row_to_json``. Every name,
+    class and device is encoded, and any ValueError (inf or nan) or FamilyError (a kind that names
+    no channel) raised, before this returns; ``"".join`` of the pieces is the whole text."""
     dumps = json.JSONEncoder(allow_nan=False).encode  # json.dumps(obj, allow_nan=False)
     names = list(map(encode_basestring_ascii, graph.names))
     sources = [f'"{"fibre" if row[0] == FIBRE else "channel"}": {dumps(row_to_json(*row))}'
@@ -413,7 +410,6 @@ def _load_json(text: str) -> tuple[NetworkGraph | None, list[str]]:
 
 # Ends the records of "nodes", and then those of "edges", in ``_records``.
 _END = object()
-_IDENTITY = row_from_json({"kind": "id"})  # the row of a node with no device on a side
 # A JSON punctuation character and the whitespace around it.
 _PUNCT = re.compile(r"[ \t\n\r]*([][{}:,])[ \t\n\r]*")
 _scan = json.JSONDecoder().scan_once
@@ -469,17 +465,17 @@ def _records(text: str, rest: dict) -> Iterator:
             repeating = False
             while True:
                 if name != "edges":
-                    record, i = scan(text, i)
+                    item, i = scan(text, i)
                 elif repeating and (matched := head(text, i)) and text.startswith(last, j := matched.end()):
-                    record, i = (*matched.groups(), numbers), j + len(last)
+                    item, i = (*matched.groups(), numbers), j + len(last)
                 elif matched := edge(text, i):
                     groups = matched.groups()
                     if not (repeating := groups[2] == last):
                         last, numbers = groups[2], groups[3:]
-                    record, i = (groups[0], groups[1], numbers), matched.end()
+                    item, i = (groups[0], groups[1], numbers), matched.end()
                 else:
-                    record, i = scan(text, i)
-                yield record
+                    item, i = scan(text, i)
+                yield item
                 if text.startswith(", {", i):  # the separator ``generate`` writes
                     i += 2
                 elif (m := punct(text, i))[1] == ",":
@@ -519,8 +515,8 @@ def _graph_columns(raw_nodes: Iterable | None, raw_edges: Iterable | None, data,
             violations.append(f"node {node_id!r}: duplicate id")
             continue
         try:
-            recv = row_from_json(raw["recv"]) if "recv" in raw else _IDENTITY
-            send = row_from_json(raw["send"]) if "send" in raw else _IDENTITY
+            recv = row_from_json(raw["recv"]) if "recv" in raw else IDENTITY
+            send = row_from_json(raw["send"]) if "send" in raw else IDENTITY
             role = check_role(str(raw.get("role", "repeater")))
         except DomainError as exc:
             violations.append(f"node {node_id!r}: {exc}")
@@ -531,8 +527,7 @@ def _graph_columns(raw_nodes: Iterable | None, raw_edges: Iterable | None, data,
         roles.append(role)
     a, b, cls, classes = [], [], [], []
     # Class numbers by an explicit channel's row, and by a fibre's (length_km,
-    # gamma, nbar_B), which cannot equal a row, whose first entry is a kind:
-    # record equality, without building a record.
+    # gamma, nbar_B), which cannot equal a row, whose first entry is a kind.
     class_of: dict = {}
     # The last fibre decoded, which got class c: ``_records`` yields the same
     # tuple for a repeated fibre text, and it is not decoded again.
@@ -566,8 +561,8 @@ def _graph_columns(raw_nodes: Iterable | None, raw_edges: Iterable | None, data,
                     if not isinstance(fibre, dict) or "length_km" not in fibre:
                         violations.append(f"edge {end_a}-{end_b}: fibre needs a 'length_km'")
                         continue
-                    length, gamma = fibre["length_km"], fibre.get("gamma", FibreParams._field_defaults["gamma"])
-                    nbar_b = fibre.get("nbar_B", FibreParams._field_defaults["nbar_B"])
+                    length, gamma = fibre["length_km"], fibre.get("gamma", DEFAULT_GAMMA)
+                    nbar_b = fibre.get("nbar_B", DEFAULT_NBAR_B)
                     # By identity: True == 1.0 with the same hash, so float() and the class memo would take it.
                     if (length is True or length is False or gamma is True or gamma is False
                             or nbar_b is True or nbar_b is False):
@@ -575,10 +570,7 @@ def _graph_columns(raw_nodes: Iterable | None, raw_edges: Iterable | None, data,
                     key = (float(length), float(gamma), float(nbar_b))
                 c = class_of.get(key)
                 if c is None:
-                    if not has_channel:  # a fibre's row: its checked numbers and transmissivity
-                        length, gamma, nbar_b = key
-                        check_fibre(length, gamma, nbar_b)
-                    classes.append(key if has_channel else fibre_row(length, gamma, nbar_b))
+                    classes.append(key if has_channel else FibreParams(*key))
                     c = class_of[key] = len(classes) - 1
             except (DomainError, TypeError, ValueError, OverflowError) as exc:
                 violations.append(f"edge {end_a}-{end_b}: {exc}")

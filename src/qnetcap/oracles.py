@@ -25,7 +25,7 @@ import math
 from typing import Iterable, NamedTuple
 
 from .bounds import BoundKind, bound_columns, compounds
-from .channels import ChannelSpec, FibreParams, NodeSpec, native
+from .channels import NodeSpec, native
 from .errors import DomainError, KrausError, SizeError
 from .network import BoundedGraph, Cut, NetworkGraph, annotate_uniform, check_selector
 from .routing import FlowResult, PathResult, max_flow, min_neighbourhood_capacity
@@ -192,9 +192,8 @@ class OrientedBounds(NamedTuple):
     upper_kind: BoundKind
 
 
-def oriented_edge_bounds(edge: ChannelSpec | FibreParams, node_a: NodeSpec, node_b: NodeSpec,
-                         fam: str) -> OrientedBounds:
-    """The per-edge reference for ``apply_split``: bounds of one edge, a channel or a fibre, in the graph
+def oriented_edge_bounds(edge: tuple, node_a: NodeSpec, node_b: NodeSpec, fam: str) -> OrientedBounds:
+    """The per-edge reference for ``apply_split``: bounds of one edge, a channel's or a fibre's row, in the graph
     family ``fam``, each side from the direction that bounds it higher, a tie from the smaller id pair."""
     channel = native(fam, edge)
     directions = ((native(fam, node_a.send), channel, native(fam, node_b.recv)),

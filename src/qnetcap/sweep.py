@@ -10,7 +10,7 @@ import math
 from typing import Callable
 
 from . import wrn
-from .channels import FAMILY_TL, AmplitudeDamping, ThermalLoss, fibre_transmissivity, native
+from .channels import AmplitudeDamping, ThermalLoss, fibre_transmissivity
 from .errors import DomainError, checked_number
 
 SWEEP_SCHEMA = "qnetcap-sweep/1"
@@ -81,7 +81,7 @@ def _respec_loss(spec: wrn.WrnSpec, p_int: float) -> wrn.WrnSpec:
 
 
 def _respec_noise(spec: wrn.WrnSpec, nbar_r: float) -> wrn.WrnSpec:
-    return spec._replace(recv=ThermalLoss(native(FAMILY_TL, spec.recv)[0], nbar_r))
+    return spec._replace(recv=ThermalLoss(spec.recv[1], nbar_r))
 
 
 def _qkd_columns(spec: wrn.WrnSpec, setup) -> tuple[list[str], Callable[[float], list[float]]]:

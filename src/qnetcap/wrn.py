@@ -26,15 +26,15 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .bounds import bound_columns, coherent_information, compounds, squashed_entanglement
 from .channels import (
+    DEFAULT_GAMMA,
+    DEFAULT_NBAR_B,
     FAMILY_AD,
     FAMILY_TL,
-    ChannelSpec,
+    IDENTITY,
     FibreParams,
-    Identity,
-    fibre_row,
+    check_row,
     fibre_transmissivity,
-    native,
-    row_of,
+    row_to_json,
 )
 from .errors import DomainError, FamilyError, MonotonicityError, NotAttainableError, checked
 
@@ -76,18 +76,19 @@ class WrnSpec(NamedTuple):
     """A uniform weakly-regular lattice patch with one device template.
 
     ``radius`` counts concentric cell layers around the centre; the generated
-    patch spans two node rings per cell layer. The recv/send template applies
-    to every node, end users included; leave both Identity for ideal devices.
+    patch spans two node rings per cell layer. The recv/send template, a
+    ``channels`` row of the spec's family, applies to every node, end users
+    included; leave both IDENTITY for ideal devices.
     """
 
     cell_type: str
     radius: int
     edge_length_km: float
     family: str
-    recv: ChannelSpec = Identity()
-    send: ChannelSpec = Identity()
-    gamma: float = FibreParams._field_defaults["gamma"]
-    nbar_B: float = FibreParams._field_defaults["nbar_B"]
+    recv: tuple = IDENTITY
+    send: tuple = IDENTITY
+    gamma: float = DEFAULT_GAMMA
+    nbar_B: float = DEFAULT_NBAR_B
 
     def _check(self):
         if self.cell_type not in _CELLS:
@@ -105,10 +106,10 @@ class WrnSpec(NamedTuple):
             raise DomainError(f"nbar_B must be >= 0, got {self.nbar_B}")
         if self.family not in (FAMILY_AD, FAMILY_TL):
             raise DomainError(f"family must be 'ad' or 'tl', got {self.family!r}")
-        for spec in (self.recv, self.send):
-            fam = row_of(spec)[0]  # the family of a channel spec, None for Identity
+        for row in (self.recv, self.send):
+            fam = check_row(row)[0]  # the family of a channel, None for IDENTITY
             if fam is not None and fam != self.family:
-                raise FamilyError(f"internal template {spec!r} does not match family {self.family!r}")
+                raise FamilyError(f"internal template {row_to_json(*row)} does not match family {self.family!r}")
 
     # The cell type's degree, commonality multiset superset and geometric density factor.
     k = property(lambda self: _CELLS[self.cell_type][0])
@@ -188,9 +189,8 @@ def generate(spec: WrnSpec) -> NetworkGraph:
                 b.append(v)
     users = ((-2, 0), (2, 0))
     n = len(coords)
-    # The spec's checks cover ``check_fibre``'s, so the fibre's row needs no FibreParams.
-    fibre = fibre_row(spec.edge_length_km, spec.gamma, spec.nbar_B)
-    recv, send = ChannelColumns.devices((row_of(spec.recv),) * n, (row_of(spec.send),) * n)
+    fibre = FibreParams(spec.edge_length_km, spec.gamma, spec.nbar_B)
+    recv, send = ChannelColumns.devices((spec.recv,) * n, (spec.send,) * n)
     return NetworkGraph(
         tuple(f"n{x}_{y}" for x, y in coords), recv, send,
         tuple("user" if coord in users else "repeater" for coord in coords),
@@ -392,7 +392,8 @@ def _chain_at(spec: WrnSpec, param: str, qkd_setup: qkd_mod.QkdSetup | None):
         # The swept internal loss p stands in for both device templates.
         eta_edge = eta(spec.edge_length_km)
         return (lambda p: (1.0 - p, eta_edge, 1.0)), (BRACKET_START[0], 1.0 - 1e-9)
-    send, recv = native(spec.family, spec.send), native(spec.family, spec.recv)
+    # The templates' family-native numbers; the spec has checked their family.
+    send, recv = (row[1:3] if spec.family == FAMILY_TL else row[1] for row in (spec.send, spec.recv))
     if param == PARAM_RECEIVER_NOISE:
         tau_r, fibre = recv[0], (eta(spec.edge_length_km), spec.nbar_B)
         return (lambda n: (send, fibre, (tau_r, n))), BRACKET_START

@@ -6,36 +6,37 @@ from pathlib import Path
 import pytest
 
 from qnetcap.bounds import NBAR_CLAMP_TOL
-from qnetcap.channels import AmplitudeDamping, FibreParams, Identity, ThermalLoss
 from qnetcap.errors import DomainError
 
 
-def _reference_channel(channel) -> dict:
-    """A channel spec's object, spelt from its record's fields."""
-    if isinstance(channel, AmplitudeDamping):
-        return {"kind": "ad", "p": channel.p}
-    if isinstance(channel, ThermalLoss):
-        return {"kind": "tl", "tau": channel.tau, "nbar": channel.nbar}
-    assert isinstance(channel, Identity)
+def _reference_channel(row) -> dict:
+    """A device's or an explicit channel's object, spelt by its row's kind from the row's fields."""
+    kind, eta, last, _, _ = row
+    if kind == "ad":
+        return {"kind": "ad", "p": last}
+    if kind == "tl":
+        return {"kind": "tl", "tau": eta, "nbar": last}
+    assert kind is None
     return {"kind": "id"}
 
 
 def _reference_json(graph):
     """The v1 document built as one dict per node and per edge, each edge with its own source object,
-    from the records of the graph's tables: the reference that ``network_json_chunks`` must print
+    from the rows of the graph's tables: the reference that ``network_json_chunks`` must print
     exactly as ``json.dumps`` does."""
     names = graph.names
     nodes = []
-    for node_id, recv, send, role in zip(names, graph.recv.records(), graph.send.records(), graph.role):
+    for node_id, recv, send, role in zip(names, zip(*graph.recv), zip(*graph.send), graph.role):
         entry = {"id": node_id}
-        if not isinstance(recv, Identity):
+        if recv[0] is not None:
             entry["recv"] = _reference_channel(recv)
-        if not isinstance(send, Identity):
+        if send[0] is not None:
             entry["send"] = _reference_channel(send)
         entry["role"] = role
         nodes.append(entry)
-    sources = [("fibre", {"length_km": c.length_km, "gamma": c.gamma, "nbar_B": c.nbar_B})
-               if isinstance(c, FibreParams) else ("channel", _reference_channel(c)) for c in graph.classes.records()]
+    sources = [("fibre", {"length_km": length_km, "gamma": gamma, "nbar_B": last})
+               if kind == "fibre" else ("channel", _reference_channel((kind, eta, last, length_km, gamma)))
+               for kind, eta, last, length_km, gamma in zip(*graph.classes)]
     edges = [{"a": names[u], "b": names[v], sources[c][0]: {**sources[c][1]}}
              for u, v, c in zip(graph.a, graph.b, graph.cls)]
     data = {"nodes": nodes, "edges": edges}

@@ -10,9 +10,9 @@ from qnetcap.bounds import BoundKind, bound_columns, coherent_information, compo
 from qnetcap.channels import (
     FAMILY_AD,
     FAMILY_TL,
+    IDENTITY,
     AmplitudeDamping,
     FibreParams,
-    Identity,
     NodeSpec,
     ThermalLoss,
     native,
@@ -531,9 +531,9 @@ def test_oriented_bounds_ad_kinds():
 def test_oriented_bounds_family_resolution():
     a = NodeSpec("a")
     b = NodeSpec("b")
-    eb = oriented_edge_bounds(Identity(), a, b, fam="tl")
+    eb = oriented_edge_bounds(IDENTITY, a, b, fam="tl")
     assert eb.lower == math.inf and eb.upper == math.inf
-    eb = oriented_edge_bounds(Identity(), a, b, fam="ad")
+    eb = oriented_edge_bounds(IDENTITY, a, b, fam="ad")
     assert eb.lower == 1.0 and eb.upper == 1.0
     mixed = NodeSpec("m", recv=ThermalLoss(0.9, 0.0))
     with pytest.raises(FamilyError):

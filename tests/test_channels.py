@@ -9,21 +9,21 @@ from qnetcap.bounds import compounds
 from qnetcap.channels import (
     FAMILY_AD,
     FAMILY_TL,
+    FIBRE,
+    IDENTITY,
     AmplitudeDamping,
     FibreParams,
-    Identity,
     NodeSpec,
     ThermalLoss,
-    fibre_row,
+    check_row,
     fibre_transmissivity,
     native,
-    record,
     row_from_json,
-    row_of,
     row_to_json,
 )
 from qnetcap.errors import DomainError, FamilyError
 from qnetcap.network import ChannelColumns
+from qnetcap.wrn import WrnSpec
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 taus = st.floats(min_value=1e-6, max_value=1.0, allow_nan=False)
@@ -51,9 +51,6 @@ def test_channel_param_domains():
 
 
 @pytest.mark.parametrize("record, change, message", [
-    (AmplitudeDamping(0.5), {"p": 1.5}, "damping probability"),
-    (ThermalLoss(0.5, 0.1), {"nbar": -0.1}, "thermal photon number"),
-    (FibreParams(10.0), {"gamma": math.inf}, "loss rate"),
     (NodeSpec("a"), {"role": "hub"}, "node role"),
 ])
 def test_copy_with_a_change_runs_the_constructor_checks(record, change, message):
@@ -62,11 +59,12 @@ def test_copy_with_a_change_runs_the_constructor_checks(record, change, message)
         record._replace(**change)
 
 
-def test_channel_records_keep_their_reprs_and_truth():
-    assert repr(AmplitudeDamping(0.5)) == "AmplitudeDamping(p=0.5)"
-    assert repr(ThermalLoss(0.5)) == "ThermalLoss(tau=0.5, nbar=0.0)"
-    assert repr(Identity()) == "Identity()"
-    assert Identity() and Identity() == Identity()
+def test_a_constructor_gives_its_row_and_identity_is_true():
+    assert AmplitudeDamping(0.5) == ("ad", 0.5, 0.5, 0.0, 0.0)
+    assert ThermalLoss(0.5) == ("tl", 0.5, 0.0, 0.0, 0.0)
+    assert FibreParams(10.0) == ("fibre", 10.0 ** -0.2, 0.002, 10.0, 0.02)
+    assert IDENTITY and IDENTITY == (None, 1.0, 0.0, 0.0, 0.0)
+    assert NodeSpec("a") == ("a", IDENTITY, IDENTITY, "repeater")
 
 
 @pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan, 0.0])
@@ -206,19 +204,19 @@ def test_node_split_ad_matches_compose(reference_compound, eta_s, eta_xy, eta_r)
     assert _compound("ad", eta_s, eta_xy, eta_r) == reference_compound("ad", eta_s, eta_xy, eta_r)
 
 
-# (family, record, its documented family-native numbers): "ad" eta = 1 - p, "tl" (tau, nbar),
-# Identity 1.0 or (1.0, 0.0), a fibre 10^(-gamma*d) with its nbar_B in "tl".
+# (family, row, its documented family-native numbers): "ad" eta = 1 - p, "tl" (tau, nbar),
+# IDENTITY 1.0 or (1.0, 0.0), a fibre 10^(-gamma*d) with its nbar_B in "tl".
 NATIVE_CASES = [
     pytest.param(FAMILY_AD, AmplitudeDamping(0.3), 1.0 - 0.3, id="ad-damping"),
     pytest.param(FAMILY_AD, AmplitudeDamping(1.0), 0.0, id="ad-full-damping"),
-    pytest.param(FAMILY_AD, Identity(), 1.0, id="ad-identity"),
+    pytest.param(FAMILY_AD, IDENTITY, 1.0, id="ad-identity"),
     pytest.param(FAMILY_AD, FibreParams(50.0), 10.0 ** (-0.02 * 50.0), id="ad-fibre"),
     pytest.param(FAMILY_AD, FibreParams(3.7, gamma=0.03), 10.0 ** (-0.03 * 3.7), id="ad-fibre-gamma"),
     pytest.param(FAMILY_AD, FibreParams(0.0), 1.0, id="ad-fibre-zero-length"),
     pytest.param(FAMILY_AD, FibreParams(20000.0), 0.0, id="ad-fibre-underflow"),  # 10^-400 underflows to 0.0
     pytest.param(FAMILY_TL, ThermalLoss(0.7, 0.02), (0.7, 0.02), id="tl-thermal"),
     pytest.param(FAMILY_TL, ThermalLoss(0.4), (0.4, 0.0), id="tl-pure-loss"),
-    pytest.param(FAMILY_TL, Identity(), (1.0, 0.0), id="tl-identity"),
+    pytest.param(FAMILY_TL, IDENTITY, (1.0, 0.0), id="tl-identity"),
     pytest.param(FAMILY_TL, FibreParams(100.0), (10.0 ** (-0.02 * 100.0), 0.002), id="tl-fibre"),
     pytest.param(FAMILY_TL, FibreParams(100.0, nbar_B=0.0), (10.0 ** (-0.02 * 100.0), 0.0), id="tl-fibre-noiseless"),
     pytest.param(FAMILY_TL, FibreParams(0.0, nbar_B=0.0), (1.0, 0.0), id="tl-fibre-zero-length"),
@@ -230,31 +228,31 @@ def _bits(numbers):
     return [x.hex() for x in numbers] if isinstance(numbers, tuple) else numbers.hex()
 
 
-@pytest.mark.parametrize("fam, record, numbers", NATIVE_CASES)
-def test_native_gives_the_documented_numbers_and_refuses_other_families(fam, record, numbers):
-    assert _bits(native(fam, record)) == _bits(numbers)
-    if isinstance(record, FibreParams):  # the one fibre loss law, in either family
-        assert native(FAMILY_AD, record) == fibre_transmissivity(record.gamma, record.length_km)
-    if isinstance(record, (AmplitudeDamping, ThermalLoss)):
+@pytest.mark.parametrize("fam, row, numbers", NATIVE_CASES)
+def test_native_gives_the_documented_numbers_and_refuses_other_families(fam, row, numbers):
+    assert _bits(native(fam, row)) == _bits(numbers)
+    if row[0] == FIBRE:  # the one fibre loss law, in either family
+        assert native(FAMILY_AD, row) == fibre_transmissivity(row[4], row[3])
+    if row[0] in (FAMILY_AD, FAMILY_TL):
         other, expected = (FAMILY_TL, "a thermal-loss") if fam == FAMILY_AD else (FAMILY_AD, "an amplitude-damping")
         with pytest.raises(FamilyError) as wrong:
-            native(other, record)
-        assert str(wrong.value) == f"expected {expected} channel, got {record!r}"
+            native(other, row)
+        assert str(wrong.value) == f"expected {expected} channel, got {row_to_json(*row)}"
     with pytest.raises(FamilyError) as unknown:
-        native("qubit", record)
+        native("qubit", row)
     assert str(unknown.value) == "unknown channel family 'qubit'"
 
 
-@pytest.mark.parametrize("fam, channel, numbers", NATIVE_CASES)
-def test_a_table_row_holds_the_native_numbers_and_gives_the_record_back(fam, channel, numbers):
-    table = ChannelColumns.of([row_of(channel)])
+@pytest.mark.parametrize("fam, row, numbers", NATIVE_CASES)
+def test_a_table_row_holds_the_native_numbers_and_gives_the_row_back(fam, row, numbers):
+    table = ChannelColumns.of([row])
     assert _bits(table.eta[0] if fam == FAMILY_AD else (table.eta[0], table.last[0])) == _bits(numbers)
-    assert table.records() == (channel,) and type(record(*row_of(channel))) is type(channel)
-    data = row_to_json(*row_of(channel))
-    if isinstance(channel, FibreParams):  # a fibre's object is its fields, and its row is its ``fibre_row``
-        assert data == channel._asdict() and row_of(channel) == fibre_row(*channel)
+    assert tuple(zip(*table)) == (row,)
+    data = row_to_json(*row)
+    if row[0] == FIBRE:  # a fibre's object is its FibreParams arguments
+        assert FibreParams(**data) == row
     else:  # a channel object reads into the same row
-        assert row_from_json(data) == row_of(channel)
+        assert row_from_json(data) == row
 
 
 def test_fibre_transmissivity_is_the_one_loss_law():
@@ -264,8 +262,8 @@ def test_fibre_transmissivity_is_the_one_loss_law():
     assert not hasattr(FibreParams(1.0), "transmissivity")
 
 
-# (record, the text of its row's object): every kind, with the ints and negative
-# zeros that equal other numbers but print apart.
+# (row, the text of its object): every kind, with the ints and negative zeros
+# that equal other numbers but print apart.
 ROW_JSON_CASES = [
     (AmplitudeDamping(0.3), '{"kind": "ad", "p": 0.3}'),
     (AmplitudeDamping(-0.0), '{"kind": "ad", "p": -0.0}'),
@@ -273,7 +271,7 @@ ROW_JSON_CASES = [
     (ThermalLoss(0.7, 0.02), '{"kind": "tl", "tau": 0.7, "nbar": 0.02}'),
     (ThermalLoss(0.4), '{"kind": "tl", "tau": 0.4, "nbar": 0.0}'),
     (ThermalLoss(1, -0.0), '{"kind": "tl", "tau": 1, "nbar": -0.0}'),
-    (Identity(), '{"kind": "id"}'),
+    (IDENTITY, '{"kind": "id"}'),
     (FibreParams(2, 0.02, -0.0), '{"length_km": 2, "gamma": 0.02, "nbar_B": -0.0}'),
     (FibreParams(-0.0, 1, 0), '{"length_km": -0.0, "gamma": 1, "nbar_B": 0}'),
 ]
@@ -284,12 +282,11 @@ def _row_bits(row):
     return [row[0], *(float(x).hex() for x in row[1:])]
 
 
-@pytest.mark.parametrize("channel, text", ROW_JSON_CASES, ids=[text for _, text in ROW_JSON_CASES])
-def test_row_to_json_spells_the_row_and_row_from_json_reads_it_back(channel, text):
-    row = row_of(channel)
+@pytest.mark.parametrize("row, text", ROW_JSON_CASES, ids=[text for _, text in ROW_JSON_CASES])
+def test_row_to_json_spells_the_row_and_row_from_json_reads_it_back(row, text):
     assert json.dumps(row_to_json(*row)) == text
-    if isinstance(channel, FibreParams):  # a fibre object has no kind; the network reader reads it
-        assert record(*row) == channel and _row_bits(row) == _row_bits(fibre_row(*json.loads(text).values()))
+    if row[0] == FIBRE:  # a fibre object has no kind; the network reader reads it
+        assert _row_bits(row) == _row_bits(FibreParams(*json.loads(text).values()))
         return
     read = row_from_json(json.loads(text))
     assert _row_bits(read) == _row_bits(row)
@@ -300,7 +297,7 @@ def test_channel_json_round_trip():
     # "pl" (pure loss) still reads, as thermal loss with no added photons, and writes as "tl".
     for data in ({"kind": "pl", "eta": 0.4}, {"kind": "pl", "eta": 1}):
         row = row_from_json(data)
-        assert _row_bits(row) == _row_bits(row_of(ThermalLoss(data["eta"], 0.0)))
+        assert _row_bits(row) == _row_bits(ThermalLoss(data["eta"], 0.0))
         assert row_to_json(*row) == {"kind": "tl", "tau": float(data["eta"]), "nbar": 0.0}
     with pytest.raises(DomainError):
         row_from_json({"kind": "nope"})
@@ -308,12 +305,33 @@ def test_channel_json_round_trip():
         row_from_json({"p": 0.1})
 
 
-@pytest.mark.parametrize("other", [0.3, None, (0.5, 0.0), "tl", NodeSpec("x")], ids=repr)
-def test_row_of_refuses_what_is_not_a_channel_spec_or_fibre(other):
-    for convert in (row_of, lambda channel: native(FAMILY_AD, channel), lambda channel: native(FAMILY_TL, channel)):
-        with pytest.raises(FamilyError) as refused:
+# (row, None if ``check_row`` passes it unchanged, "refused" for the FamilyError of anything that
+# is not a constructor's row, or the DomainError text of the constructor of its out-of-range numbers).
+CHECK_ROW_CASES = [
+    *((row, None) for row in (AmplitudeDamping(0.3), AmplitudeDamping(1), ThermalLoss(0.7, 0.02), ThermalLoss(1, -0.0),
+                              FibreParams(50.0), FibreParams(0.0, 0.03, 0.0), FibreParams(20000.0), IDENTITY)),
+    *((other, "refused") for other in (
+        0.3, None, (0.5, 0.0), "tl", NodeSpec("x"), ["tl", 0.5, 0.0, 0.0, 0.0], ("tl", 0.5, 0.0, 0.0),
+        ("xyz", 1.0, 0.0, 0.0, 0.0), ("ad", 0.5, 0.3, 0.0, 0.0), ("tl", 0.5, 0.0, 3.0, 0.0),
+        ("fibre", 0.5, 0.002, 10.0, 0.02), (None, 0.5, 0.0, 0.0, 0.0), ("tl", "0.5", 0.0, 0.0, 0.0))),
+    (("fibre", 1.0, 0.002, -3.0, 0.02), "fibre length must be >= 0 km, got -3.0"),
+    (("ad", -0.5, 1.5, 0.0, 0.0), "damping probability must lie in [0, 1], got 1.5"),
+    (("tl", 1.5, 0.0, 0.0, 0.0), "transmissivity must lie in (0, 1], got 1.5"),
+]
+
+
+@pytest.mark.parametrize("other, refusal", CHECK_ROW_CASES, ids=repr)
+def test_row_of_refuses_what_is_not_a_channel_spec_or_fibre(other, refusal):
+    if refusal is None:  # a constructor's row passes unchanged
+        assert check_row(other) is other
+        return
+    error, message = (FamilyError, f"not a channel spec or fibre: {other!r}") if refusal == "refused" else (
+        DomainError, refusal)
+    for convert in (check_row, lambda row: native(FAMILY_AD, row), lambda row: native(FAMILY_TL, row),
+                    lambda row: WrnSpec("manhattan8", 2, 10.0, "tl", recv=row)):
+        with pytest.raises(error) as refused:
             convert(other)
-        assert str(refused.value) == f"not a channel spec or fibre: {other!r}"
+        assert str(refused.value) == message
 
 
 def test_node_spec_role():

@@ -836,6 +836,15 @@ def test_threshold_family_mismatch(tmp_path, capsys):
     assert code == EXIT_INPUT
 
 
+def test_threshold_names_a_template_of_the_other_family_by_its_json(tmp_path, capsys):
+    spec = write_json(tmp_path / "wrn.json", {"cell": "manhattan8", "radius": 2, "edge_length_km": 10,
+                                              "recv": {"kind": "ad", "p": 0.1}})
+    code, out, err = run(capsys, "threshold", "--spec", spec, "--target", "1e-2", "--param", "edge-length")
+    assert code == EXIT_INPUT and out == ""
+    assert json.loads(err) == {"error": "input",
+                               "message": "internal template {'kind': 'ad', 'p': 0.1} does not match family 'tl'"}
+
+
 def test_sweep_target_capacity_rows(tmp_path, capsys):
     spec = write_json(tmp_path / "sweep.json", {
         "variable": "targetCapacity",

@@ -15,11 +15,9 @@ from qnetcap.channels import (
     IDENTITY,
     AmplitudeDamping,
     FibreParams,
-    Identity,
     NodeSpec,
     ThermalLoss,
     native,
-    row_of,
 )
 from qnetcap.errors import (
     DomainError,
@@ -228,9 +226,9 @@ def _loaded(graph):
     return loaded
 
 
-def _table(records):
-    """The ChannelColumns of channel records."""
-    return ChannelColumns.of(list(map(row_of, records)))
+def _table(rows):
+    """The ChannelColumns of channel rows."""
+    return ChannelColumns.of(list(rows))
 
 
 def _lattice(cell, fam, **devices):
@@ -277,7 +275,7 @@ MEMO_GRAPHS = {
     "tl-manhattan8-asym": _lattice("manhattan8", "tl", recv=ThermalLoss(0.9, 0.01), send=ThermalLoss(0.95, 0.0)),
     "tl-triangular6-asym": _lattice("triangular6", "tl", recv=ThermalLoss(0.8), send=ThermalLoss(0.97, 0.003)),
     "ad-triangular6-asym": _lattice("triangular6", "ad", recv=AmplitudeDamping(0.05), send=AmplitudeDamping(0.2)),
-    "ad-manhattan8-asym": _lattice("manhattan8", "ad", recv=AmplitudeDamping(0.1), send=Identity()),
+    "ad-manhattan8-asym": _lattice("manhattan8", "ad", recv=AmplitudeDamping(0.1), send=IDENTITY),
     "tl-distinct-devices": _distinct_devices(generate(WrnSpec("manhattan8", 2, 10.0, "tl")), "tl", 3),
     "ad-distinct-devices": _distinct_devices(generate(WrnSpec("triangular6", 2, 10.0, "ad")), "ad", 4),
     "tl-hetero-manhattan8": _hetero("manhattan8", "tl", 5),
@@ -296,7 +294,7 @@ def test_apply_split_matches_per_edge_bounds(name):
     fam = resolved_family(graph)
     bg = apply_split(graph)
     assert (bg.nodes, bg.a, bg.b) == (graph.names, graph.a, graph.b)
-    nodes, classes = list(graph.nodes.values()), graph.classes.records()
+    nodes, classes = list(graph.nodes.values()), tuple(zip(*graph.classes))
     for i, (u, v, c) in enumerate(zip(graph.a, graph.b, graph.cls)):
         assert _edge_bounds(bg, i) == oriented_edge_bounds(classes[c], nodes[u], nodes[v], fam)
 
@@ -307,8 +305,8 @@ def test_apply_split_bounds_a_repeated_class_once(monkeypatch, source):
     if source == "loaded":
         graph = _loaded(graph)
     elif source == "copied":  # an equal but distinct fibre row as each edge's own class
-        fibre = graph.classes.records()[0]
-        graph = graph._replace(cls=tuple(range(len(graph.a))), classes=_table(fibre._replace() for _ in graph.a))
+        assert tuple(zip(*graph.classes)) == (FibreParams(10.0),)
+        graph = graph._replace(cls=tuple(range(len(graph.a))), classes=_table(FibreParams(10.0) for _ in graph.a))
     batches = _kernel_batches(monkeypatch)
     bg = apply_split(graph)
     (handed,) = batches
@@ -341,7 +339,7 @@ def _directions(graph):
     """The family-native (send, channel, recv) of each edge's forward then
     backward direction, in edge order."""
     fam = resolved_family(graph)
-    send, recv, classes = graph.send.records(), graph.recv.records(), graph.classes.records()
+    send, recv, classes = tuple(zip(*graph.send)), tuple(zip(*graph.recv)), tuple(zip(*graph.classes))
     return [
         (native(fam, send[s]), native(fam, classes[c]), native(fam, recv[r]))
         for u, v, c in zip(graph.a, graph.b, graph.cls) for s, r in ((u, v), (v, u))
@@ -386,7 +384,7 @@ def test_a_fibre_that_transmits_nothing_has_bound_zero(fam, length):
     )).replace('"LENGTH"', length)
     graph, violations = load_network(text)
     assert violations == []
-    assert native("ad", graph.classes.records()[0]) == graph.classes.eta[0] == 0.0  # in either family
+    assert native("ad", tuple(zip(*graph.classes))[0]) == graph.classes.eta[0] == 0.0  # in either family
     bg = apply_split(graph)
     assert (bg.lower[0], bg.upper[0]) == (0.0, 0.0)
     assert bg.lower[1] > 0.0
@@ -394,7 +392,7 @@ def test_a_fibre_that_transmits_nothing_has_bound_zero(fam, length):
         assert (bg.lower_kind[0], bg.upper_kind[0]) == (BoundKind.DARK_FIBRE, BoundKind.DARK_FIBRE)
     else:  # full damping: the damping bounds are 0 of themselves
         assert (bg.lower_kind[0], bg.upper_kind[0]) == (BoundKind.RCI_LOWER, BoundKind.SQUASHED_UPPER)
-    nodes, classes = list(graph.nodes.values()), graph.classes.records()
+    nodes, classes = list(graph.nodes.values()), tuple(zip(*graph.classes))
     for i, (u, v, c) in enumerate(zip(graph.a, graph.b, graph.cls)):
         assert _edge_bounds(bg, i) == oriented_edge_bounds(classes[c], nodes[u], nodes[v], fam)
 
@@ -449,13 +447,13 @@ def test_annotate_uniform():
 
 
 def _columns(names, recv, send, role, edges, classes, **extra):
-    """A NetworkGraph from node records, (a, b, cls) edge triples and class records."""
+    """A NetworkGraph from device rows, (a, b, cls) edge triples and class rows."""
     a, b, cls = zip(*edges) if edges else ((), (), ())
     return NetworkGraph(tuple(names), _table(recv), _table(send), tuple(role), a, b, cls, _table(classes), **extra)
 
 
-# Equal records that print apart: a writer that shared one text between equal
-# records would print the second of each pair as the first.
+# Equal rows that print apart: a writer that shared one text between equal
+# rows would print the second of each pair as the first.
 AD_TWINS = (AmplitudeDamping(0.0), AmplitudeDamping(-0.0), AmplitudeDamping(1.0), AmplitudeDamping(1))
 TL_TWINS = (ThermalLoss(1.0, 0.0), ThermalLoss(1, -0.0), ThermalLoss(0.5, 0), ThermalLoss(0.5, 0.0))
 
@@ -467,8 +465,8 @@ WRITER_GRAPHS = {
     "ad-lattice-devices": lambda: generate(WrnSpec(
         "triangular6", 2, 2.0, "ad", recv=AmplitudeDamping(0.05), send=AmplitudeDamping(0.02))),
     "tl-channels-and-fibres": lambda: _columns(
-        "abcde", [IDENTITY, ThermalLoss(0.9, 0.01), Identity(), ThermalLoss(0.8), IDENTITY],
-        [ThermalLoss(0.95), IDENTITY, IDENTITY, ThermalLoss(0.7, 0.2), Identity()],
+        "abcde", [IDENTITY, ThermalLoss(0.9, 0.01), IDENTITY, ThermalLoss(0.8), IDENTITY],
+        [ThermalLoss(0.95), IDENTITY, IDENTITY, ThermalLoss(0.7, 0.2), IDENTITY],
         ["user", "repeater", "repeater", "repeater", "user"],
         [(0, 1, 0), (1, 2, 1), (2, 3, 2), (3, 4, 3), (0, 2, 4), (1, 3, 5), (2, 4, 0)],
         [FibreParams(10.0), FibreParams(20.0, 0.03, 0.0), ThermalLoss(0.5, 0.002), FibreParams(5.5, nbar_B=0.01),
@@ -527,6 +525,16 @@ def test_network_json_refuses_non_finite_numbers(change, reference_json):
         "".join(network_json_chunks(graph))
 
 
+def test_a_row_of_unknown_kind_is_a_violation_and_is_not_written():
+    graph = _columns("ab", [IDENTITY] * 2, [IDENTITY] * 2, ["user"] * 2, [(0, 1, 0)], [("xyz", 0.5, 0.5, 0.0, 0.0)],
+                     users=("a", "b"))
+    assert validate(graph) == ["unknown channel kind 'xyz'"]
+    with pytest.raises(ValidationError, match="unknown channel kind 'xyz'"):
+        apply_split(graph)
+    with pytest.raises(FamilyError, match="unknown channel kind 'xyz'"):
+        network_json_chunks(graph)
+
+
 def test_network_json_round_trip():
     g = _graph(_doc(
         [{"id": "a", "role": "user"},
@@ -543,7 +551,7 @@ def test_network_json_round_trip():
     assert loaded.users == g.users
     assert loaded.family == "tl"
     assert loaded.nodes["b"].recv == ThermalLoss(0.9, 0.01)
-    assert loaded.classes.records()[loaded.cls[1]] == FibreParams(50.0, gamma=0.02, nbar_B=0.001)
+    assert tuple(zip(*loaded.classes))[loaded.cls[1]] == FibreParams(50.0, gamma=0.02, nbar_B=0.001)
 
 
 def test_network_json_gives_each_edge_its_own_source_object():
@@ -553,7 +561,7 @@ def test_network_json_gives_each_edge_its_own_source_object():
     assert data["edges"][1]["fibre"]["length_km"] == 10.0
     loaded, violations = load_network(json.dumps(data))
     assert violations == []
-    assert loaded.classes.records() == (FibreParams(30.0), FibreParams(10.0))
+    assert tuple(zip(*loaded.classes)) == (FibreParams(30.0), FibreParams(10.0))
     assert loaded.cls == (0,) + (1,) * (len(graph.a) - 1)
     assert json.loads("".join(network_json_chunks(graph)))["edges"][0]["fibre"]["length_km"] == 10.0
 
@@ -567,7 +575,7 @@ def test_network_json_gives_each_edge_its_own_source_object():
     ({"cls": (0,)}, "an a, b and cls per edge"),
     ({"role": ("user", "repeater")}, "a recv, send, role and name per node"),
     ({"names": ("a", "b")}, "a recv, send, role and name per node"),
-    ({"recv": (IDENTITY,) * 3}, "must be ChannelColumns of equal columns"),  # records, not a table
+    ({"recv": (IDENTITY,) * 3}, "must be ChannelColumns of equal columns"),  # rows, not a table
     ({"classes": ChannelColumns(("fibre",), (1.0,), (0.0,), (0.0,), ())}, "must be ChannelColumns of equal columns"),
 ])
 def test_network_graph_rejects_columns_that_do_not_agree(change, message):
@@ -588,12 +596,12 @@ def test_load_network_collects_violations():
         }
     ))
     assert violations == []
-    assert loaded.classes.records()[loaded.cls[0]] == ThermalLoss(0.5)
+    assert tuple(zip(*loaded.classes))[loaded.cls[0]] == ThermalLoss(0.5)
 
 
 def test_load_network_shares_the_fibre_of_a_lattice():
     graph = _loaded(generate(WrnSpec("manhattan8", 3, 10.0, "tl")))
-    assert graph.classes.records() == (FibreParams(10.0),)
+    assert tuple(zip(*graph.classes)) == (FibreParams(10.0),)
     assert set(graph.cls) == {0}
 
 
@@ -606,7 +614,7 @@ def _load_each_fibre(data):
         graph, found = load_network(json.dumps({**data, "nodes": [{"id": edge["a"]}, {"id": edge["b"]}],
                                                 "edges": [edge], "users": [edge["a"], edge["b"]]}))
         violations += found
-        fibres += [graph.classes.records()[c] for c in graph.cls]
+        fibres += [tuple(zip(*graph.classes))[c] for c in graph.cls]
     return violations, fibres
 
 
@@ -647,12 +655,12 @@ def test_load_network_fibre_memo_matches_per_edge_parse():
         "edge n9-n10: fibre length must be >= 0 km, got -1.0",
         "edge n15-n16: fibre needs a 'length_km'",
     ]
-    assert [graph.classes.records()[c] for c in graph.cls] == parsed
+    assert [tuple(zip(*graph.classes))[c] for c in graph.cls] == parsed
     assert len(graph.a) == len(fibres) - 5
     # Equal fibres share one class, across the malformed fibres between them
     # and across runs of other fibres; an integer length and the default gamma
     # are the same fibre as a float length and an explicit 0.02.
-    assert graph.classes.records() == (FibreParams(10.0), FibreParams(25.0, nbar_B=0.0), FibreParams(5.0),
+    assert tuple(zip(*graph.classes)) == (FibreParams(10.0), FibreParams(25.0, nbar_B=0.0), FibreParams(5.0),
                              FibreParams(10.0, gamma=0.03))
     assert graph.cls == (0, 0, 1, 0, 0, 0, 0, 2, 2, 0, 0, 0, 3)
 
@@ -719,30 +727,26 @@ def test_apply_split_matches_per_edge_bounds_at_full_size(name):
     assert violations == []
     assert len(graph.classes.kind) == len(graph.a) > 3000  # a fibre of its own per edge
     bg = apply_split(graph)
-    nodes, classes, fam = list(graph.nodes.values()), graph.classes.records(), FULL_SIZE[name][2]
+    nodes, classes, fam = list(graph.nodes.values()), tuple(zip(*graph.classes)), FULL_SIZE[name][2]
     assert [_edge_bounds(bg, i) for i in range(len(bg.a))] == [
         oriented_edge_bounds(classes[c], nodes[u], nodes[v], fam) for u, v, c in zip(graph.a, graph.b, graph.cls)]
 
 
 def _counted_conversions(monkeypatch) -> collections.Counter:
-    """Counts, by name, each record construction and each call of ``native`` and of a range check."""
+    """Counts, by name, each call of a row constructor, which is a range check, and of ``native`` and
+    ``check_row``, in every module that looks one up."""
     calls = collections.Counter()
 
     def counting(name, function):
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls[name] += 1
-            return function(*args)
+            return function(*args, **kwargs)
         return counted
 
-    for record in (FibreParams, ThermalLoss, AmplitudeDamping):  # what each construction runs
-        monkeypatch.setattr(record, "_check", counting(record.__name__, record._check))
-    for module in (channels, network):  # the shared range checks, where the reader looks them up
-        for name in ("check_fibre", "check_thermal", "check_damping"):
+    for module in (channels, network, oracles, sweep, wrn):
+        for name in ("FibreParams", "ThermalLoss", "AmplitudeDamping", "native", "check_row"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    for module in (channels, network, oracles, sweep, wrn):
-        if hasattr(module, "native"):
-            monkeypatch.setattr(module, "native", counting("native", module.native))
     return calls
 
 
@@ -754,21 +758,22 @@ def test_reading_and_splitting_builds_no_record_and_converts_nothing(monkeypatch
         graph, violations = load_network(text)
         apply_split(graph)
         assert violations == []
-        expected["check_fibre"] += len(graph.a)
-        expected["check_thermal" if fam == "tl" else "check_damping"] += 2 * len(graph.role)
-    assert calls == expected  # one range check per device and fibre, and nothing else
-    graph.edges  # the views build records on demand
-    assert calls["FibreParams"] == len(graph.a)
+        expected["FibreParams"] += len(graph.a)
+        expected["ThermalLoss" if fam == "tl" else "AmplitudeDamping"] += 2 * len(graph.role)
+    assert calls == expected  # one range check per device and fibre, and no native or check_row call
+    graph.nodes, graph.edges  # the views hand out the rows as they are
+    assert calls == expected
 
 
 def test_generating_and_writing_builds_no_record_and_converts_nothing(monkeypatch):
     specs = [WrnSpec("triangular6", 3, 7.5, "ad", recv=AmplitudeDamping(0.05), send=AmplitudeDamping(0.1)),
              WrnSpec("manhattan8", 3, 10.0, "tl", recv=ThermalLoss(0.9, 0.01), send=ThermalLoss(0.95))]
-    calls = _counted_conversions(monkeypatch)  # after the specs, whose templates are records
+    calls = _counted_conversions(monkeypatch)  # after the specs, which check their templates
     for spec in specs:
         text = "".join(network_json_chunks(generate(spec)))
         assert '"recv": {"kind": ' in text and '"fibre": {"length_km": ' in text
-    assert calls == collections.Counter()  # the spec's checks cover the fibre's, and rows are encoded as rows
+    # One fibre row per lattice, and the templates' rows are copied and encoded as they are.
+    assert calls == collections.Counter(FibreParams=len(specs))
 
 
 # Out-of-range numbers and a JSON true in each number field of a fibre and a

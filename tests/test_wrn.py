@@ -12,7 +12,6 @@ from qnetcap import bounds
 from qnetcap.bounds import bound_columns, compounds
 from qnetcap.channels import (
     AmplitudeDamping,
-    Identity,
     ThermalLoss,
     fibre_transmissivity,
     native,
