@@ -32,6 +32,7 @@ FIBRE = "fibre"  # the kind of a fibre in a row
 DEFAULT_GAMMA = 0.02  # a fibre's loss rate per km when none is given
 DEFAULT_NBAR_B = 0.002  # a fibre's background photons when none are given
 
+ROLES = ("repeater", "user")  # the roles of a node
 IDENTITY = (None, 1.0, 0.0, 0.0, 0.0)  # the row of an ideal device, neutral in either family
 
 
@@ -125,7 +126,7 @@ class NodeSpec(NamedTuple):
 
 def check_role(role: str) -> str:
     """``role`` if it names a node role, else DomainError."""
-    if role not in ("repeater", "user"):
+    if role not in ROLES:
         raise DomainError(f"node role must be 'repeater' or 'user', got {role!r}")
     return role
 

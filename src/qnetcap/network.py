@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import json
 import re
-from itertools import islice
+from itertools import chain, count, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
@@ -30,6 +30,7 @@ from .channels import (
     FIBRE,
     IDENTITY,
     FibreParams,
+    ROLES,
     NodeSpec,
     check_role,
     row_from_json,
@@ -202,9 +203,11 @@ class Cut(NamedTuple):
 
 def resolved_family(graph: NetworkGraph) -> str:
     """The single channel family of the graph, declared or inferred from the kinds of its tables."""
-    found = {*graph.recv.kind, *graph.send.kind, *graph.classes.kind} - {None, FIBRE}
-    if unknown := found - {FAMILY_AD, FAMILY_TL}:
-        raise FamilyError(f"unknown channel kind {', '.join(sorted(map(repr, unknown)))}")
+    # Kinds compared, not hashed, as one may be unhashable; equal neighbours once.
+    kinds = [kind for kind, _ in groupby(chain(graph.recv.kind, graph.send.kind, graph.classes.kind))]
+    if unknown := [kind for kind in kinds if kind not in (None, FIBRE, FAMILY_AD, FAMILY_TL)]:
+        raise FamilyError(f"unknown channel kind {', '.join(sorted(set(map(repr, unknown))))}")
+    found = {fam for fam in (FAMILY_AD, FAMILY_TL) if fam in kinds}
     if len(found) > 1:
         raise FamilyError("family mismatch: graph mixes amplitude-damping and thermal-loss channels")
     if found:
@@ -370,15 +373,15 @@ def load_network(text: str) -> tuple[NetworkGraph | None, list[str]]:
     Returns (graph, violations); the graph is None only when the input is too
     malformed to build one at all. A node or edge with a violation of its own
     is left out of the graph. The records of a non-empty "nodes" array and then
-    a non-empty "edges" array, in an object with unique keys, are read one at a
-    time, so the parsed document is never held. An edge record in the layout
-    that ``network_json_chunks`` writes, whose names hold no escape or control
-    character and whose fibre is three numbers each with a fraction or an
-    exponent, is read from its text; one whose fibre text is that of the last
-    edge so read takes that edge's class undecoded. The scanner of
-    ``json.loads`` decodes any other record, and other text goes through
-    ``_load_json``, so every text reads as it would through ``json.loads``:
-    malformed text raises what it raises.
+    a non-empty "edges" array, in an object with unique keys, are read a record
+    or a run of about ``_CHUNK`` characters at a time, so the parsed document is
+    never held. Ideal nodes, an edge whose fibre is three numbers each with a
+    fraction or an exponent, and the edges after it with its fibre text, are
+    read from their text while they are in the layout ``network_json_chunks``
+    writes, with names that hold no quote, escape or unprintable character.
+    The scanner of ``json.loads`` decodes any other record, and other text goes
+    through ``_load_json``, so every text reads as it would through
+    ``json.loads``: malformed text raises what it raises.
     """
     rest: dict = {}
     violations: list[str] = []
@@ -413,6 +416,8 @@ _END = object()
 # A JSON punctuation character and the whitespace around it.
 _PUNCT = re.compile(r"[ \t\n\r]*([][{}:,])[ \t\n\r]*")
 _scan = json.JSONDecoder().scan_once
+# The least length of text that ``_run`` takes as one run.
+_CHUNK = 1 << 16
 
 # An edge record as ``network_json_chunks`` writes it. A name with no quote,
 # backslash or control character is its own text. float() of a number's text
@@ -423,13 +428,36 @@ _FLOAT = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))
 
 
 @functools.cache
-def _edge_patterns() -> tuple:
-    """The patterns of an edge record up to its fibre, and of a whole edge record
-    whose fibre is three such numbers, the fibre's text to the record's end in
-    a group; compiled on first use, as most commands read no network file."""
-    head = rf'\{{"a": {_NAME}, "b": {_NAME}, "fibre": '
-    fibre = rf'(\{{"length_km": {_FLOAT}, "gamma": {_FLOAT}, "nbar_B": {_FLOAT}\}}\}})'
-    return re.compile(head), re.compile(head + fibre)
+def _edge_pattern() -> re.Pattern:
+    """The pattern of a whole edge record whose fibre is three such numbers, the
+    fibre's text to the record's end in a group; compiled on first use, as most
+    commands read no network file."""
+    return re.compile(rf'\{{"a": {_NAME}, "b": {_NAME}, "fibre": '
+                      rf'(\{{"length_km": {_FLOAT}, "gamma": {_FLOAT}, "nbar_B": {_FLOAT}\}}\}})')
+
+
+def _run(text: str, i: int, head: str, inner: str, tail: str) -> tuple[list, list, int] | None:
+    """(firsts, seconds, end): the strings of the run of records from ``text[i]``,
+    each ``head``, a string, ``inner``, a string and ``tail``, joined by ", ", and
+    the index after it; else None. No string holds a quote, a backslash or an
+    unprintable character, so each is its own JSON text. A run ends at the first
+    record separator ``_CHUNK`` or more characters on, else at the array's end,
+    within twice ``_CHUNK``; its first record is looked at before any search."""
+    if not (text.startswith(head, i) and text.startswith(inner, j := text.find('"', i + len(head)))
+            and text.startswith(tail, text.find('"', j + len(inner)))):
+        return None
+    sep, stop = f"{tail}, {head}", i + 2 * _CHUNK
+    if (end := text.find(sep, i + _CHUNK, stop)) < 0 and (end := text.find(tail + "]", i, stop)) < 0:
+        return None
+    records = text[i + len(head):end].split(sep)
+    strings = inner.join(records).split(inner)
+    # With no quote in the strings, every quote is in an inner: two strings a
+    # record and a quote in every record leave one inner in each.
+    joined = "".join(strings)
+    if (len(strings) != 2 * len(records) or not all(map(str.__contains__, records, repeat('"')))
+            or '"' in joined or "\\" in joined or not joined.isprintable()):
+        return None
+    return strings[0::2], strings[1::2], end + len(tail)
 
 
 def _records(text: str, rest: dict) -> Iterator:
@@ -437,12 +465,13 @@ def _records(text: str, rest: dict) -> Iterator:
     and, once the text is read to its end, _END; the other members of the
     object go into ``rest``. Raises if the text is not of that shape.
 
-    An edge record that the second pattern of ``_edge_patterns`` matches is
-    yielded as the tuple (a, b, fibre), where fibre is the texts of the fibre's
-    three numbers: the same tuple as the last such edge's when its fibre text
-    is the same. The scanner decodes any other record."""
-    scan, punct = _scan, _PUNCT.match
-    head, edge = (pattern.match for pattern in _edge_patterns())
+    Ideal nodes, and the edges after the first when the pattern of
+    ``_edge_pattern`` matches it, come a run at a time while ``_run`` finds
+    runs, as (ids, roles) and as (as, bs, fibre); once a try fails, the rest of
+    the array comes a record at a time. A matched edge comes as (a, b, fibre),
+    fibre being the texts of its three numbers. The scanner decodes any other
+    record."""
+    scan, punct, edge = _scan, _PUNCT.match, _edge_pattern().match
     if (m := punct(text))[1] != "{":
         raise ValueError("not an object")
     names = set()
@@ -456,24 +485,25 @@ def _records(text: str, rest: dict) -> Iterator:
             if (m := punct(text, m.end()))[1] != "[":
                 raise ValueError("not an array")
             i = m.end()
-            # The last matched fibre's text, to its record's end, and numbers.
-            # While fibres repeat, an edge is matched only up to its fibre, whose
-            # text is compared with the last; that costs a second match where
-            # the fibre differs, so an edge after one with a fibre of its own is
-            # matched whole, once.
-            last = numbers = None
-            repeating = False
+            # A run's keys and the text that ends its records: an edges run
+            # carries the first edge's fibre. tail is "" once a try fails.
+            if name == "nodes":
+                head, inner, tail, fibre = '{"id": "', '", "role": "', '"}', ()
+            else:
+                head, inner, tail = '{"a": "', '", "b": "', None
             while True:
-                if name != "edges":
-                    item, i = scan(text, i)
-                elif repeating and (matched := head(text, i)) and text.startswith(last, j := matched.end()):
-                    item, i = (*matched.groups(), numbers), j + len(last)
-                elif matched := edge(text, i):
+                if tail and not (run := _run(text, i, head, inner, tail)):
+                    tail = ""
+                if tail:
+                    firsts, seconds, i = run
+                    item = (firsts, seconds, *fibre)
+                elif name == "edges" and (matched := edge(text, i)):
                     groups = matched.groups()
-                    if not (repeating := groups[2] == last):
-                        last, numbers = groups[2], groups[3:]
-                    item, i = (groups[0], groups[1], numbers), matched.end()
+                    item, i = (groups[0], groups[1], groups[3:]), matched.end()
+                    if tail is None:  # the first edge
+                        tail, fibre = '", "fibre": ' + groups[2], item[2:]
                 else:
+                    tail = ""
                     item, i = scan(text, i)
                 yield item
                 if text.startswith(", {", i):  # the separator ``generate`` writes
@@ -499,48 +529,66 @@ def _records(text: str, rest: dict) -> Iterator:
 def _graph_columns(raw_nodes: Iterable | None, raw_edges: Iterable | None, data,
                    violations: list[str]) -> NetworkGraph:
     """The graph of a network object's node and edge records (None if missing), each a decoded
-    value or a tuple from ``_records``, and other members ``data``; appends the violations of
-    its nodes, edges and users. Devices and classes go into their tables as range-checked rows."""
+    value or an item of ``_records``, and other members ``data``; appends the violations of
+    its nodes, edges and users. Devices and classes go into their tables as range-checked rows.
+
+    A run's nodes are numbered at once unless one of them repeats an id or has a role
+    that names none, and then one at a time. A run's edges are numbered at once, a and
+    then b of each edge in turn, and its fibre is decoded once."""
     number: dict[str, int] = {}
     recvs, sends, roles = [], [], []
     if raw_nodes is None:
         violations.append("nodes: required")
         raw_nodes = ()
+    skipped = 0  # the records of the runs before record i, less one a run
     for i, raw in enumerate(raw_nodes):
-        if not isinstance(raw, dict) or "id" not in raw:
-            violations.append(f"node #{i}: object with an 'id' required")
-            continue
-        node_id = str(raw["id"])
-        if node_id in number:
-            violations.append(f"node {node_id!r}: duplicate id")
-            continue
-        try:
-            recv = row_from_json(raw["recv"]) if "recv" in raw else IDENTITY
-            send = row_from_json(raw["send"]) if "send" in raw else IDENTITY
-            role = check_role(str(raw.get("role", "repeater")))
-        except DomainError as exc:
-            violations.append(f"node {node_id!r}: {exc}")
-            continue
-        number[node_id] = len(number)
-        recvs.append(recv)
-        sends.append(send)
-        roles.append(role)
+        batch = (raw,)
+        if type(raw) is tuple:  # a run of ideal nodes: their ids and roles
+            ids, run_roles = raw
+            skipped += len(ids) - 1
+            run = dict(zip(ids, count(len(number))))
+            if len(run) == len(ids) and number.keys().isdisjoint(run) and {*run_roles}.issubset(ROLES):
+                number.update(run)
+                recvs += [IDENTITY] * len(ids)
+                sends += [IDENTITY] * len(ids)
+                roles += run_roles
+                continue
+            batch = [{"id": node_id, "role": role} for node_id, role in zip(ids, run_roles)]
+        for raw in batch:
+            if not isinstance(raw, dict) or "id" not in raw:
+                violations.append(f"node #{i + skipped}: object with an 'id' required")
+                continue
+            node_id = str(raw["id"])
+            if node_id in number:
+                violations.append(f"node {node_id!r}: duplicate id")
+                continue
+            try:
+                recv = row_from_json(raw["recv"]) if "recv" in raw else IDENTITY
+                send = row_from_json(raw["send"]) if "send" in raw else IDENTITY
+                role = check_role(str(raw.get("role", "repeater")))
+            except DomainError as exc:
+                violations.append(f"node {node_id!r}: {exc}")
+                continue
+            number[node_id] = len(number)
+            recvs.append(recv)
+            sends.append(send)
+            roles.append(role)
     a, b, cls, classes = [], [], [], []
     # Class numbers by an explicit channel's row, and by a fibre's (length_km,
     # gamma, nbar_B), which cannot equal a row, whose first entry is a kind.
     class_of: dict = {}
-    # The last fibre decoded, which got class c: ``_records`` yields the same
-    # tuple for a repeated fibre text, and it is not decoded again.
-    last = c = None
     if raw_edges is None:
         violations.append("edges: required")
         raw_edges = ()
+    skipped = 0
     for i, raw in enumerate(raw_edges):
-        if type(raw) is tuple:
+        if type(raw) is tuple:  # one edge's names, or a run's lists of them, and its fibre's numbers
             end_a, end_b, fibre = raw
             has_channel = False
+            if type(end_a) is list:
+                skipped += len(end_a) - 1
         elif not isinstance(raw, dict) or "a" not in raw or "b" not in raw:
-            violations.append(f"edge #{i}: object with endpoints 'a' and 'b' required")
+            violations.append(f"edge #{i + skipped}: object with endpoints 'a' and 'b' required")
             continue
         else:
             end_a, end_b = str(raw["a"]), str(raw["b"])
@@ -549,33 +597,43 @@ def _graph_columns(raw_nodes: Iterable | None, raw_edges: Iterable | None, data,
                 violations.append(f"edge {end_a}-{end_b}: exactly one of 'channel' or 'fibre' required")
                 continue
             fibre = raw.get("fibre")
-        if last is None or fibre is not last:
-            last = None
-            try:
-                if has_channel:
-                    key = row_from_json(raw["channel"])
-                elif type(fibre) is tuple:
-                    length, gamma, nbar_b = fibre
-                    key = (float(length), float(gamma), float(nbar_b))
-                else:
-                    if not isinstance(fibre, dict) or "length_km" not in fibre:
-                        violations.append(f"edge {end_a}-{end_b}: fibre needs a 'length_km'")
-                        continue
-                    length, gamma = fibre["length_km"], fibre.get("gamma", DEFAULT_GAMMA)
-                    nbar_b = fibre.get("nbar_B", DEFAULT_NBAR_B)
-                    # By identity: True == 1.0 with the same hash, so float() and the class memo would take it.
-                    if (length is True or length is False or gamma is True or gamma is False
-                            or nbar_b is True or nbar_b is False):
-                        raise DomainError(f"fibre fields must be numbers, got {fibre!r}")
-                    key = (float(length), float(gamma), float(nbar_b))
-                c = class_of.get(key)
-                if c is None:
-                    classes.append(key if has_channel else FibreParams(*key))
-                    c = class_of[key] = len(classes) - 1
-            except (DomainError, TypeError, ValueError, OverflowError) as exc:
+        try:
+            if has_channel:
+                key = row_from_json(raw["channel"])
+            elif type(fibre) is tuple:
+                length, gamma, nbar_b = fibre
+                key = (float(length), float(gamma), float(nbar_b))
+            else:
+                if not isinstance(fibre, dict) or "length_km" not in fibre:
+                    violations.append(f"edge {end_a}-{end_b}: fibre needs a 'length_km'")
+                    continue
+                length, gamma = fibre["length_km"], fibre.get("gamma", DEFAULT_GAMMA)
+                nbar_b = fibre.get("nbar_B", DEFAULT_NBAR_B)
+                # By identity: True == 1.0 with the same hash, so float() and the class memo would take it.
+                if (length is True or length is False or gamma is True or gamma is False
+                        or nbar_b is True or nbar_b is False):
+                    raise DomainError(f"fibre fields must be numbers, got {fibre!r}")
+                key = (float(length), float(gamma), float(nbar_b))
+            c = class_of.get(key)
+            if c is None:
+                classes.append(key if has_channel else FibreParams(*key))
+                c = class_of[key] = len(classes) - 1
+        except (DomainError, TypeError, ValueError, OverflowError) as exc:
+            if type(end_a) is list:
+                violations += [f"edge {x}-{y}: {exc}" for x, y in zip(end_a, end_b)]
+            else:
                 violations.append(f"edge {end_a}-{end_b}: {exc}")
-                continue
-            last = fibre
+            continue
+        if type(end_a) is list:
+            try:
+                run_a, run_b = list(map(number.__getitem__, end_a)), list(map(number.__getitem__, end_b))
+            except KeyError:  # an endpoint that names no node: numbered edge by edge, as below
+                run_a, run_b = zip(*[(number.setdefault(x, len(number)), number.setdefault(y, len(number)))
+                                     for x, y in zip(end_a, end_b)])
+            a += run_a
+            b += run_b
+            cls += [c] * len(end_a)
+            continue
         # An endpoint that names no node is numbered after the nodes.
         a.append(number.setdefault(end_a, len(number)))
         b.append(number.setdefault(end_b, len(number)))

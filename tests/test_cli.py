@@ -703,6 +703,29 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, command, loads):
     assert command == "selftest" or len(lines) == 1  # selftest prints its batteries; an --out run prints nothing
 
 
+def test_validate_compiles_only_the_two_reader_patterns(tmp_path):
+    # A fresh process pays for every pattern it compiles, so reading a network
+    # compiles the punctuation pattern and the edge-record pattern, once each,
+    # and the package compiles nothing per call or per record.
+    argv = _subcommand_argv(tmp_path, "validate")
+    lines = _probe(
+        "import re, sys\n"
+        "compiled, compile_ = [], re._compile\n"
+        "def recording(pattern, flags):\n"
+        "    frame = sys._getframe(1)\n"
+        "    while frame.f_globals['__name__'].split('.')[0] == 're':\n"
+        "        frame = frame.f_back\n"
+        "    if frame.f_globals['__name__'].startswith('qnetcap'):\n"
+        "        compiled.append(pattern)\n"
+        "    return compile_(pattern, flags)\n"
+        "re._compile = recording\n"
+        "import qnetcap.cli\n"
+        f"assert qnetcap.cli.main({argv!r}) == 0\n"
+        "print(repr(compiled))"
+    ).splitlines()
+    assert lines == [repr([network._PUNCT.pattern, network._edge_pattern().pattern])]
+
+
 @pytest.mark.parametrize("command,spec", [
     ("threshold", {**MAN_SPEC, "qkd_setup": "table1-heterodyne-llo"}),
     ("sweep", {"variable": "edgeLength", "start": 5.0, "stop": 10.0, "steps": 2, "target": 1e-2, "wrn": MAN_SPEC}),

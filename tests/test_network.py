@@ -6,7 +6,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qnetcap import bounds, channels, network, oracles, sweep, wrn
@@ -535,6 +535,14 @@ def test_a_row_of_unknown_kind_is_a_violation_and_is_not_written():
         network_json_chunks(graph)
 
 
+def test_an_unhashable_kind_is_a_violation_not_a_type_error():
+    graph = _columns("ab", [IDENTITY] * 2, [IDENTITY] * 2, ["user"] * 2, [(0, 1, 0)], [(["ad"], 0.5, 0.5, 0.0, 0.0)],
+                     users=("a", "b"))
+    assert validate(graph) == ["unknown channel kind ['ad']"]
+    with pytest.raises(ValidationError, match=r"unknown channel kind \['ad'\]"):
+        apply_split(graph)
+
+
 def test_network_json_round_trip():
     g = _graph(_doc(
         [{"id": "a", "role": "user"},
@@ -1020,10 +1028,10 @@ def test_network_json_round_trips_to_the_same_columns_and_bytes(reference_json, 
     assert "".join(network_json_chunks(again)) == text
 
 
-# The edges ``generate`` writes are read from their text without the scanner,
-# and a repeated fibre is decoded once; any text must read as it would through
-# ``json.loads``. Each mutation changes a generated text in one place:
-# one record, or a few consecutive edge records.
+# The ideal nodes and the edges ``generate`` writes are read a run at a time,
+# without the scanner, and a run's fibre is decoded once; any text must read as
+# it would through ``json.loads``, wherever a run ends. Each mutation changes a
+# generated text in one place: one record, or a few consecutive records.
 def _generated(cell: str, radius: int, templates: bool) -> str:
     fam = "tl" if cell == "manhattan8" else "ad"
     devices = {}
@@ -1058,6 +1066,21 @@ def _set_field(field: str, value: str):
     return mutate
 
 
+# Mutations of one node record.
+NODE_MUTATIONS = {
+    "device-node": lambda r: r.replace(', "role"', ', "send": {"kind": "id"}, "role"', 1),
+    "role-boss": _set_field("role", '"boss"'),
+    "escaped-id": lambda r: r.replace('{"id": "n', '{"id": "\\u006e', 1),
+    "non-printable-id": lambda r: r.replace('{"id": "n', '{"id": "\x7fn', 1),
+    "role-first": lambda r: '{"role": ' + r[r.rindex('"role": ') + 8:-1] + ", " + r[1:r.rindex(', "role": ')] + "}",
+    "number-node": lambda r: "7",
+}
+# Two records of which the first has its second string twice and the second
+# lacks it: split at every separator, the strings still come in pairs.
+SHIFT_MUTATIONS = {
+    "shifted-role": ('{"id": ', '"}', '"role": '),
+    "shifted-b": ('{"a": ', "}}", '"b": '),
+}
 # Mutations of one edge record, or of the edge records from it on.
 EDGE_MUTATIONS = {
     "escaped-name": lambda r: r.replace('"a": "n', '"a": "\\u006e', 1),
@@ -1069,6 +1092,7 @@ EDGE_MUTATIONS = {
     "duplicate-fibre": lambda r: r[:-1] + ', "fibre": ' + _FIBRE_B + "}",
     "null-fibre": lambda r: _set_fibre(r, "null"),
     "unknown-endpoint": lambda r: r[:r.index('"b": "') + 6] + "zz" + r[r.index('", "fibre"'):],
+    "number-edge": lambda r: "7",
 }
 # Mutations of several consecutive edge records.
 RUN_MUTATIONS = {
@@ -1080,7 +1104,25 @@ RUN_MUTATIONS = {
 }
 
 
+def _shifted(first: str, second: str, key: str) -> tuple[str, str]:
+    """``first`` with its ``key`` member twice, and ``second`` without it."""
+    start = second.index(key) - 2
+    end = second.index('"', second.index('"', start + len(key) + 2) + 1) + 1
+    member = second[start:end]
+    at = first.index(key) - 2
+    return first[:at] + member + first[at:], second[:start] + second[end:]
+
+
 def _mutated(text: str, mutation: str, at: int) -> str:
+    if mutation in NODE_MUTATIONS:
+        start, end = _spans(text, '{"id": ', '"}')[at % text.count('{"id": ')]
+        return text[:start] + NODE_MUTATIONS[mutation](text[start:end]) + text[end:]
+    if mutation in SHIFT_MUTATIONS:
+        head, end_text, key = SHIFT_MUTATIONS[mutation]
+        spans = _spans(text, head, end_text)
+        (start, middle), (next_start, end) = spans[at % (len(spans) - 1):][:2]
+        first, second = _shifted(text[start:middle], text[next_start:end], key)
+        return text[:start] + first + text[middle:next_start] + second + text[end:]
     if mutation == "duplicate-node":
         nodes = _spans(text, '{"id": ', '"role": ')
         (start, _), (prev, _) = nodes[1 + at % (len(nodes) - 1)], nodes[at % (len(nodes) - 1)]
@@ -1111,43 +1153,84 @@ def _read(reader, text: str):
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(st.sampled_from(["manhattan8", "triangular6"]), st.integers(2, 3), st.booleans(),
-       st.sampled_from([None, "duplicate-node", *EDGE_MUTATIONS, *RUN_MUTATIONS]), st.integers(0, 10**6))
-def test_load_network_reads_generated_and_mutated_texts_as_json_loads_does(cell, radius, templates, mutation, at):
+       st.sampled_from([None, "duplicate-node", *NODE_MUTATIONS, *SHIFT_MUTATIONS, *EDGE_MUTATIONS, *RUN_MUTATIONS]),
+       st.integers(0, 10**6), st.one_of(st.just(network._CHUNK), st.integers(1, 400)))
+@example("manhattan8", 3, False, "number-node", 50, 100)  # records after a run keep their numbers
+@example("manhattan8", 3, False, "number-edge", 50, 200)
+def test_load_network_reads_generated_and_mutated_texts_as_json_loads_does(cell, radius, templates, mutation, at,
+                                                                           chunk):
     text = _generated(cell, radius, templates)
     if mutation is not None:
         text = _mutated(text, mutation, at)
         assert text != _generated(cell, radius, templates)
     expected = _read(network._load_json, text)
-    # Every such text is one object whose records the reader walks itself.
-    with mock.patch.object(network, "_load_json", side_effect=AssertionError("read through json.loads")):
+    # Every such text is one object whose records the reader walks itself,
+    # and a run of ``chunk`` or more characters ends at the next record.
+    with (mock.patch.object(network, "_load_json", side_effect=AssertionError("read through json.loads")),
+          mock.patch.object(network, "_CHUNK", chunk)):
         assert _read(load_network, text) == expected
 
 
-def test_every_edge_of_a_generated_lattice_after_the_first_repeats_its_fibre(monkeypatch):
-    text = _generated("manhattan8", 10, templates=False)
+def _expected_runs(ends: list[int], start: int, tail: int) -> int:
+    """How many runs cover the records that end at ``ends``, the first run starting
+    at ``start``: a run ends at the first record whose last ``tail`` characters
+    start ``_CHUNK`` or more characters after the run does, or at the last record."""
+    runs = 0
+    while ends:
+        runs += 1
+        last = next((k for k, end in enumerate(ends[:-1]) if end - tail >= start + network._CHUNK), len(ends) - 1)
+        start, ends = ends[last] + 2, ends[last + 1:]
+    return runs
 
+
+def test_every_edge_of_a_generated_lattice_after_the_first_repeats_its_fibre(monkeypatch):
     def counted(name, function):
         def wrapper(*args):
-            calls[name].append(args)
-            return function(*args)
+            result = function(*args)
+            calls[name].append((args, result))
+            return result
         return wrapper
 
-    calls = {"scan": [], "head": [], "edge": []}
-    head, edge = network._edge_patterns()
+    calls = {"scan": [], "edge": [], "run": []}
+    edge = network._edge_pattern()
     monkeypatch.setattr(network, "_scan", counted("scan", network._scan))
-    monkeypatch.setattr(network, "_edge_patterns", lambda: (
-        SimpleNamespace(match=counted("head", head.match)), SimpleNamespace(match=counted("edge", edge.match))))
-    graph, violations = load_network(text)
-    assert (graph, violations) == (generate(WrnSpec("manhattan8", 10, 10.0, "tl")), [])
-    # No edge goes through the scanner. The first two are matched whole, and
-    # from the third on an edge is matched up to its fibre, whose text is
-    # compared with theirs.
-    assert not any(text.startswith('{"a": ', at) for _, at in calls["scan"])
-    assert len(calls["edge"]) == 2
-    assert len(calls["head"]) == len(graph.a) - 2
+    monkeypatch.setattr(network, "_edge_pattern", lambda: SimpleNamespace(match=counted("edge", edge.match)))
+    monkeypatch.setattr(network, "_run", counted("run", network._run))
+    for templates, chunk in ((False, network._CHUNK), (True, network._CHUNK), (False, 1000)):
+        monkeypatch.setattr(network, "_CHUNK", chunk)
+        text = _generated("manhattan8", 10, templates)
+        for made in calls.values():
+            made.clear()
+        assert load_network(text) == network._load_json(text)
+        nodes, edges = _spans(text, '{"id": ', '"}'), _spans(text, '{"a": ', "}}")
+        scanned = [args[1] for args, _ in calls["scan"]]
+        # No edge goes through the scanner, nor any ideal node: the first edge
+        # is matched, and the edges after it and the ideal nodes are read in
+        # runs of what _CHUNK gives. Nodes with devices are scanned.
+        assert not any(text.startswith('{"a": ', at) for at in scanned)
+        assert sum(text.startswith('{"id": ', at) for at in scanned) == (len(nodes) if templates else 0)
+        assert [args[1] for args, _ in calls["edge"]] == [edges[0][0]]
+        runs = collections.Counter(args[2] for args, run in calls["run"] if run)
+        first = text[edges[0][0]:edges[0][1]]
+        tail = len(first) - first.index('", "fibre": ')
+        assert runs['{"a": "'] == _expected_runs([end for _, end in edges[1:]], edges[1][0], tail) > 1
+        assert runs['{"id": "'] == (0 if templates else _expected_runs([end for _, end in nodes], nodes[0][0], 2))
+    # A network with a device on every node and a fibre of its own on every
+    # edge, as perfbench's hetero lattices, takes no run: the reader looks at
+    # one record of each array and matches every edge once.
+    lattice = generate(WrnSpec("manhattan8", 10, 10.0, "tl", recv=ThermalLoss(0.9, 0.01)))
+    hetero = lattice._replace(cls=tuple(range(len(lattice.a))), classes=ChannelColumns.of(
+        [FibreParams(5.0 + k / 64) for k in range(len(lattice.a))]))
+    text = "".join(network_json_chunks(hetero))
+    for made in calls.values():
+        made.clear()
+    assert load_network(text) == (hetero, [])
+    assert [run for _, run in calls["run"]] == [None, None]
+    assert len(calls["edge"]) == len(hetero.a)
+    assert not any(text.startswith('{"a": ', args[1]) for args, _ in calls["scan"])
 
 
 def test_the_edge_patterns_need_no_python_3_11_syntax():
     # Possessive repeats and atomic groups are a re.error before Python 3.11.
-    for pattern in network._edge_patterns():
-        assert not any(token in pattern.pattern for token in ("*+", "++", "?+", "}+", "(?>")), pattern
+    pattern = network._edge_pattern().pattern
+    assert not any(token in pattern for token in ("*+", "++", "?+", "}+", "(?>")), pattern
