@@ -15,11 +15,12 @@ tested against is ``oracles.oriented_edge_bounds``.
 
 from __future__ import annotations
 
-import functools
 import json
 import re
 from itertools import chain, count, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii
+from math import isfinite
+from operator import is_
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .channels import (
@@ -29,10 +30,13 @@ from .channels import (
     FAMILY_TL,
     FIBRE,
     IDENTITY,
+    AmplitudeDamping,
     FibreParams,
     ROLES,
     NodeSpec,
+    ThermalLoss,
     check_role,
+    fibre_transmissivity,
     row_from_json,
     row_to_json,
 )
@@ -344,8 +348,15 @@ def network_json_chunks(graph: NetworkGraph) -> Iterator[str]:
     def device(key: str, row: tuple) -> str:
         return "" if row[0] is None else f', "{key}": {dumps(row_to_json(*row))}'
 
-    recvs = [device("recv", row) for row in zip(*graph.recv)]
-    sends = [device("send", row) for row in zip(*graph.send)]
+    def devices(key: str, table: ChannelColumns) -> list[str]:
+        """Each node's device text: once for a table of ideal devices, or one whose columns each
+        repeat one object, as ``generate``'s templates build it."""
+        if table.kind and (all(map(is_, table.kind, repeat(None)))
+                           or all(all(map(is_, column, repeat(column[0]))) for column in table)):
+            return [device(key, next(zip(*table)))] * len(table.kind)
+        return [device(key, row) for row in zip(*table)]
+
+    recvs, sends = devices("recv", graph.recv), devices("send", graph.send)
     tail = "]"
     if graph.users is not None:
         tail += f', "users": {dumps(list(graph.users))}'
@@ -375,13 +386,12 @@ def load_network(text: str) -> tuple[NetworkGraph | None, list[str]]:
     is left out of the graph. The records of a non-empty "nodes" array and then
     a non-empty "edges" array, in an object with unique keys, are read a record
     or a run of about ``_CHUNK`` characters at a time, so the parsed document is
-    never held. Ideal nodes, an edge whose fibre is three numbers each with a
-    fraction or an exponent, and the edges after it with its fibre text, are
-    read from their text while they are in the layout ``network_json_chunks``
-    writes, with names that hold no quote, escape or unprintable character.
-    The scanner of ``json.loads`` decodes any other record, and other text goes
-    through ``_load_json``, so every text reads as it would through
-    ``json.loads``: malformed text raises what it raises.
+    never held. The records after each array's first are read from their text,
+    a column per field, while they are in its layout, as ``network_json_chunks``
+    writes it, with names that hold no quote, escape or unprintable character
+    and numbers that are finite floats. The scanner of ``json.loads`` decodes
+    any other record, and other text goes through ``_load_json``, so every text
+    reads as it would through ``json.loads``: malformed text raises what it raises.
     """
     rest: dict = {}
     violations: list[str] = []
@@ -419,45 +429,75 @@ _scan = json.JSONDecoder().scan_once
 # The least length of text that ``_run`` takes as one run.
 _CHUNK = 1 << 16
 
-# An edge record as ``network_json_chunks`` writes it. A name with no quote,
-# backslash or control character is its own text. float() of a number's text
-# with a fraction or an exponent is what the scanner reads; an integer is read
-# as an int, whose float() differs for -0 and for one too large for a float.
-_NAME = r'"([^"\\\x00-\x1f]*)"'
-_FLOAT = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
+
+def _fields(record: dict) -> list:
+    """The fields of a decoded record in text order: each value in it, or in an object in it, that is
+    neither an object nor the value of a "kind"."""
+    return [field for key, value in record.items()
+            for field in (_fields(value) if type(value) is dict else () if key == "kind" else (value,))]
 
 
-@functools.cache
-def _edge_pattern() -> re.Pattern:
-    """The pattern of a whole edge record whose fibre is three such numbers, the
-    fibre's text to the record's end in a group; compiled on first use, as most
-    commands read no network file."""
-    return re.compile(rf'\{{"a": {_NAME}, "b": {_NAME}, "fibre": '
-                      rf'(\{{"length_km": {_FLOAT}, "gamma": {_FLOAT}, "nbar_B": {_FLOAT}\}}\}})')
+def _filled(record: dict, fields: Iterator) -> dict:
+    """``record`` with the value of each of its fields taken from ``fields`` in turn."""
+    return {key: _filled(value, fields) if type(value) is dict else value if key == "kind" else next(fields)
+            for key, value in record.items()}
 
 
-def _run(text: str, i: int, head: str, inner: str, tail: str) -> tuple[list, list, int] | None:
-    """(firsts, seconds, end): the strings of the run of records from ``text[i]``,
-    each ``head``, a string, ``inner``, a string and ``tail``, joined by ", ", and
-    the index after it; else None. No string holds a quote, a backslash or an
-    unprintable character, so each is its own JSON text. A run ends at the first
-    record separator ``_CHUNK`` or more characters on, else at the array's end,
-    within twice ``_CHUNK``; its first record is looked at before any search."""
-    if not (text.startswith(head, i) and text.startswith(inner, j := text.find('"', i + len(head)))
-            and text.startswith(tail, text.find('"', j + len(inner)))):
+def _layout(record, text: str, j: int) -> tuple[list[str], str, list[int]] | None:
+    """How ``_run`` reads the records after ``record``, the first of its array, which ends
+    at ``text[j]``: the text before each field of a record, the text after its last field that
+    is not shared, and the positions of its numbers; else None. The texts are those
+    ``json.dumps`` writes, and a field that is not a name is a number. Its trailing floats whose
+    text the next record repeats are shared: part of the text after the fields, decoded once."""
+    if type(record) is not dict or not (fields := _fields(record)):
         return None
-    sep, stop = f"{tail}, {head}", i + 2 * _CHUNK
-    if (end := text.find(sep, i + _CHUNK, stop)) < 0 and (end := text.find(tail + "]", i, stop)) < 0:
+    # The record written with a mark for each field, "\0" for a name and "\1" for a number.
+    marked = json.dumps(_filled(record, iter(["\0" if type(f) is str else "\1" for f in fields])))
+    if len(seps := marked.replace('"\\u0001"', "\\u0000").split("\\u0000")) != len(fields) + 1:
         return None
-    records = text[i + len(head):end].split(sep)
-    strings = inner.join(records).split(inner)
-    # With no quote in the strings, every quote is in an inner: two strings a
-    # record and a quote in every record leave one inner in each.
-    joined = "".join(strings)
-    if (len(strings) != 2 * len(records) or not all(map(str.__contains__, records, repeat('"')))
-            or '"' in joined or "\\" in joined or not joined.isprintable()):
+    tail, k, second = seps[-1], len(fields), text[j + 2:text.find(", " + seps[0], j + 2)]
+    while k > 1 and type(fields[k - 1]) is float and second.endswith(f"{seps[k - 1]}{fields[k - 1]!r}{tail}"):
+        k -= 1
+        tail = f"{seps[k]}{fields[k]!r}{tail}"
+    return seps[:k], tail, [p for p in range(k) if type(fields[p]) is not str]
+
+
+def _run(text: str, i: int, seps: list[str], tail: str, numbers: list[int]) -> tuple[list[list], int] | None:
+    """(columns, end): a column of each field of the run of records from ``text[i]``,
+    each its fields, each after its text in ``seps``, and then ``tail``, joined by ", ",
+    and the index after the run; else None. The run's text is cut at every separator
+    and taken only if, rebuilt from its fields, it is the text cut, and no name holds a
+    quote, a backslash or an unprintable character, so that each is its own JSON text.
+    The fields at ``numbers`` are decoded in one ``json.loads`` and must be finite
+    floats. A run ends at the first record separator ``_CHUNK`` or more characters on,
+    else at the array's end, within twice ``_CHUNK``; its first record's head is looked
+    at before any search."""
+    head, k, sep, stop = seps[0], len(seps), f"{tail}, {seps[0]}", i + 2 * _CHUNK
+    if not text.startswith(head, i) or (
+            (end := text.find(sep, i + _CHUNK, stop)) < 0 and (end := text.find(tail + "]", i, stop)) < 0):
         return None
-    return strings[0::2], strings[1::2], end + len(tail)
+    body = marked = text[i + len(head):end]
+    # Cut at each separator, the pieces joined by the shortest, which is cut last; unlike
+    # split, rsplit builds no search table for each match.
+    marker = min(cuts := dict.fromkeys([sep, *seps[1:]]), key=len)
+    for cut in cuts:
+        if cut != marker:
+            marked = marker.join(marked.rsplit(cut))
+    fields = marked.rsplit(marker)
+    pieces = [None] * (2 * len(fields))
+    try:  # a field count that is not a multiple of k fails the assignment
+        pieces[0::2], pieces[1::2] = fields, [*seps[1:], sep] * (len(fields) // k)
+        columns = [fields[p::k] for p in range(k)]
+        values = json.loads(f"[{','.join(chain.from_iterable(columns[p] for p in numbers))}]")
+    except (ValueError, RecursionError):
+        return None
+    names, n = "".join(chain.from_iterable(c for p, c in enumerate(columns) if p not in numbers)), len(columns[0])
+    if ("".join(pieces) != body + sep or '"' in names or "\\" in names or not names.isprintable()
+            or len(values) != n * len(numbers) or not {*map(type, values)} <= {float} or not isfinite(sum(values))):
+        return None
+    for at, p in enumerate(numbers):
+        columns[p] = values[at * n:(at + 1) * n]
+    return columns, end + len(tail)
 
 
 def _records(text: str, rest: dict) -> Iterator:
@@ -465,13 +505,13 @@ def _records(text: str, rest: dict) -> Iterator:
     and, once the text is read to its end, _END; the other members of the
     object go into ``rest``. Raises if the text is not of that shape.
 
-    Ideal nodes, and the edges after the first when the pattern of
-    ``_edge_pattern`` matches it, come a run at a time while ``_run`` finds
-    runs, as (ids, roles) and as (as, bs, fibre); once a try fails, the rest of
-    the array comes a record at a time. A matched edge comes as (a, b, fibre),
-    fibre being the texts of its three numbers. The scanner decodes any other
-    record."""
-    scan, punct, edge = _scan, _PUNCT.match, _edge_pattern().match
+    The scanner decodes each array's first record, and ``_layout`` tells from it
+    and the text of the next how ``_run`` reads the rest. Records then come a run
+    at a time, as (first, columns): the array's first record and a column of each
+    field ``_run`` gives. Once a try fails, or the consumer clears a run's columns,
+    the rest of the array from that run on comes a record at a time through the
+    scanner."""
+    scan, punct = _scan, _PUNCT.match
     if (m := punct(text))[1] != "{":
         raise ValueError("not an object")
     names = set()
@@ -484,28 +524,23 @@ def _records(text: str, rest: dict) -> Iterator:
         if name in ("nodes", "edges"):
             if (m := punct(text, m.end()))[1] != "[":
                 raise ValueError("not an array")
-            i = m.end()
-            # A run's keys and the text that ends its records: an edges run
-            # carries the first edge's fibre. tail is "" once a try fails.
-            if name == "nodes":
-                head, inner, tail, fibre = '{"id": "', '", "role": "', '"}', ()
-            else:
-                head, inner, tail = '{"a": "', '", "b": "', None
+            start = i = m.end()
+            layout = None
             while True:
-                if tail and not (run := _run(text, i, head, inner, tail)):
-                    tail = ""
-                if tail:
-                    firsts, seconds, i = run
-                    item = (firsts, seconds, *fibre)
-                elif name == "edges" and (matched := edge(text, i)):
-                    groups = matched.groups()
-                    item, i = (groups[0], groups[1], groups[3:]), matched.end()
-                    if tail is None:  # the first edge
-                        tail, fibre = '", "fibre": ' + groups[2], item[2:]
+                if layout and (run := _run(text, i, *layout)):
+                    yield first, run[0]
+                    if not run[0]:  # the graph took none of it: read its records one at a time
+                        layout = None
+                        continue
+                    i = run[1]
                 else:
-                    tail = ""
-                    item, i = scan(text, i)
-                yield item
+                    item, j = scan(text, i)
+                    if i == start:
+                        first, layout = item, _layout(item, text, j)
+                    else:
+                        layout = None
+                    i = j
+                    yield item
                 if text.startswith(", {", i):  # the separator ``generate`` writes
                     i += 2
                 elif (m := punct(text, i))[1] == ",":
@@ -526,15 +561,72 @@ def _records(text: str, rest: dict) -> Iterator:
     yield _END
 
 
+# The keys of the channel object ``row_to_json`` writes for each kind, and the constructor of its row.
+_WRITTEN = {FAMILY_TL: (["kind", "tau", "nbar"], ThermalLoss), FAMILY_AD: (["kind", "p"], AmplitudeDamping),
+            FIBRE: (["length_km", "gamma", "nbar_B"], FibreParams)}
+
+
+def _rows(kind, channel, columns: list[list[float]]) -> list[tuple] | None:
+    """The rows of a run's channels of ``kind``, each the object ``channel`` with its numbers
+    from ``columns``, as the constructor builds them; None unless ``channel`` is an object with
+    the keys ``row_to_json`` writes and floats for numbers. A number out of the constructor's
+    ranges raises its DomainError: the ranges are intervals, so the constructor checks each
+    column's least and greatest numbers."""
+    # Kinds compared, not hashed, as one may be a list.
+    if kind not in (FAMILY_TL, FAMILY_AD, FIBRE) or type(channel) is not dict or (
+            [*channel] != _WRITTEN[kind][0] or not {*map(type, _fields(channel))} <= {float}):
+        return None
+    for pick in (min, max):
+        _WRITTEN[kind][1](*map(pick, columns))
+    zeros = repeat(0.0)
+    if kind == FAMILY_TL:
+        return list(zip(repeat(kind), *columns, zeros, zeros))
+    if kind == FAMILY_AD:
+        return list(zip(repeat(kind), map((1.0).__sub__, *columns), *columns, zeros, zeros))
+    length, gamma, nbar_b = columns
+    return list(zip(repeat(kind), map(fibre_transmissivity, gamma, length), nbar_b, length, gamma))
+
+
+def _node_rows(first: dict, columns: list) -> tuple[list, list, list, list] | None:
+    """The ids, recv and send rows and roles of a run of nodes like ``first``, which has an
+    "id" and may have a "recv" and a "send" channel and a "role", in any order; else None."""
+    n = len(columns[0])
+    fields = chain(columns, ([value] * n for value in _fields(first)[len(columns):]))
+    node = {"id": None, "recv": [IDENTITY] * n, "send": [IDENTITY] * n, "role": ["repeater"] * n}
+    for key, value in first.items():
+        if key not in node or type(value) is not (str if key in ("id", "role") else dict):
+            return None
+        node[key] = next(fields) if type(value) is str else _rows(
+            value.get("kind"), value, list(islice(fields, len(_fields(value)))))
+    return None if None in node.values() else tuple(node.values())
+
+
+def _edge_rows(first: dict, columns: list) -> tuple[list, list] | None:
+    """The class keys and rows of a run of edges in the layout of ``first``, an "a", a "b" and a
+    "fibre" or a "channel", else None: a row per edge, or one when the run shares all its numbers."""
+    keys = [*first]
+    if keys[:2] != ["a", "b"] or keys[2:] not in (["fibre"], ["channel"]) or type(first["a"]) is not str or (
+            type(first["b"]) is not str or type(source := first[keys[2]]) is not dict):
+        return None
+    numbers, shared = columns[2:], _fields(source)[len(columns) - 2:]
+    n = len(numbers[0]) if numbers else 1
+    numbers += [[value] * n for value in shared]
+    rows = _rows(FIBRE if keys[2] == "fibre" else source.get("kind"), source, numbers)
+    # A fibre's class key is its (length_km, gamma, nbar_B); a channel's is its row.
+    return None if rows is None else (list(zip(*numbers)) if keys[2] == "fibre" else rows, rows)
+
+
 def _graph_columns(raw_nodes: Iterable | None, raw_edges: Iterable | None, data,
                    violations: list[str]) -> NetworkGraph:
     """The graph of a network object's node and edge records (None if missing), each a decoded
     value or an item of ``_records``, and other members ``data``; appends the violations of
     its nodes, edges and users. Devices and classes go into their tables as range-checked rows.
 
-    A run's nodes are numbered at once unless one of them repeats an id or has a role
-    that names none, and then one at a time. A run's edges are numbered at once, a and
-    then b of each edge in turn, and its fibre is decoded once."""
+    A run's nodes are numbered at once and its devices made rows at once, and a run's edges
+    numbered at once, a and then b of each edge in turn, and their fibres or channels made rows
+    and classes at once, a run's shared numbers once. A run in a layout ``network_json_chunks``
+    does not write, or with a number out of range, a repeated id or a role that names none,
+    is handed back: its columns are cleared, and the reader reads its records one at a time."""
     number: dict[str, int] = {}
     recvs, sends, roles = [], [], []
     if raw_nodes is None:
@@ -542,37 +634,40 @@ def _graph_columns(raw_nodes: Iterable | None, raw_edges: Iterable | None, data,
         raw_nodes = ()
     skipped = 0  # the records of the runs before record i, less one a run
     for i, raw in enumerate(raw_nodes):
-        batch = (raw,)
-        if type(raw) is tuple:  # a run of ideal nodes: their ids and roles
-            ids, run_roles = raw
-            skipped += len(ids) - 1
-            run = dict(zip(ids, count(len(number))))
-            if len(run) == len(ids) and number.keys().isdisjoint(run) and {*run_roles}.issubset(ROLES):
-                number.update(run)
-                recvs += [IDENTITY] * len(ids)
-                sends += [IDENTITY] * len(ids)
-                roles += run_roles
-                continue
-            batch = [{"id": node_id, "role": role} for node_id, role in zip(ids, run_roles)]
-        for raw in batch:
-            if not isinstance(raw, dict) or "id" not in raw:
-                violations.append(f"node #{i + skipped}: object with an 'id' required")
-                continue
-            node_id = str(raw["id"])
-            if node_id in number:
-                violations.append(f"node {node_id!r}: duplicate id")
-                continue
+        if type(raw) is tuple:  # a run: its array's first record and the columns of its fields
             try:
-                recv = row_from_json(raw["recv"]) if "recv" in raw else IDENTITY
-                send = row_from_json(raw["send"]) if "send" in raw else IDENTITY
-                role = check_role(str(raw.get("role", "repeater")))
-            except DomainError as exc:
-                violations.append(f"node {node_id!r}: {exc}")
-                continue
-            number[node_id] = len(number)
-            recvs.append(recv)
-            sends.append(send)
-            roles.append(role)
+                ids, run_recvs, run_sends, run_roles = _node_rows(*raw) or ((),) * 4
+            except DomainError:
+                ids = ()
+            run = dict(zip(ids, count(len(number))))
+            if ids and len(run) == len(ids) and number.keys().isdisjoint(run) and {*run_roles}.issubset(ROLES):
+                number.update(run)
+                recvs += run_recvs
+                sends += run_sends
+                roles += run_roles
+                skipped += len(ids) - 1
+            else:  # the reader reads its records again, one at a time
+                raw[1].clear()
+                skipped -= 1
+            continue
+        if not isinstance(raw, dict) or "id" not in raw:
+            violations.append(f"node #{i + skipped}: object with an 'id' required")
+            continue
+        node_id = str(raw["id"])
+        if node_id in number:
+            violations.append(f"node {node_id!r}: duplicate id")
+            continue
+        try:
+            recv = row_from_json(raw["recv"]) if "recv" in raw else IDENTITY
+            send = row_from_json(raw["send"]) if "send" in raw else IDENTITY
+            role = check_role(str(raw.get("role", "repeater")))
+        except DomainError as exc:
+            violations.append(f"node {node_id!r}: {exc}")
+            continue
+        number[node_id] = len(number)
+        recvs.append(recv)
+        sends.append(send)
+        roles.append(role)
     a, b, cls, classes = [], [], [], []
     # Class numbers by an explicit channel's row, and by a fibre's (length_km,
     # gamma, nbar_B), which cannot equal a row, whose first entry is a kind.
@@ -582,27 +677,42 @@ def _graph_columns(raw_nodes: Iterable | None, raw_edges: Iterable | None, data,
         raw_edges = ()
     skipped = 0
     for i, raw in enumerate(raw_edges):
-        if type(raw) is tuple:  # one edge's names, or a run's lists of them, and its fibre's numbers
-            end_a, end_b, fibre = raw
-            has_channel = False
-            if type(end_a) is list:
-                skipped += len(end_a) - 1
-        elif not isinstance(raw, dict) or "a" not in raw or "b" not in raw:
+        if type(raw) is tuple:  # a run: its array's first record and the columns of its fields
+            try:
+                run = _edge_rows(*raw)
+            except DomainError:
+                run = None
+            if run is None:  # the reader reads its records again, one at a time
+                raw[1].clear()
+                skipped -= 1
+                continue
+            (end_a, end_b, *_), (keys, rows) = raw[1], run
+            for key, row in zip(keys, rows):  # the first of equal keys, as 0.0 and -0.0, gives the row
+                if key not in class_of:
+                    class_of[key] = len(classes)
+                    classes.append(row)
+            try:
+                run_a, run_b = list(map(number.__getitem__, end_a)), list(map(number.__getitem__, end_b))
+            except KeyError:  # an endpoint that names no node: numbered edge by edge, as below
+                run_a, run_b = zip(*[(number.setdefault(x, len(number)), number.setdefault(y, len(number)))
+                                     for x, y in zip(end_a, end_b)])
+            a += run_a
+            b += run_b
+            cls += map(class_of.__getitem__, keys) if len(keys) > 1 else [class_of[keys[0]]] * len(end_a)
+            skipped += len(end_a) - 1
+            continue
+        if not isinstance(raw, dict) or "a" not in raw or "b" not in raw:
             violations.append(f"edge #{i + skipped}: object with endpoints 'a' and 'b' required")
             continue
-        else:
-            end_a, end_b = str(raw["a"]), str(raw["b"])
-            has_channel = "channel" in raw
-            if has_channel == ("fibre" in raw):
-                violations.append(f"edge {end_a}-{end_b}: exactly one of 'channel' or 'fibre' required")
-                continue
-            fibre = raw.get("fibre")
+        end_a, end_b = str(raw["a"]), str(raw["b"])
+        has_channel = "channel" in raw
+        if has_channel == ("fibre" in raw):
+            violations.append(f"edge {end_a}-{end_b}: exactly one of 'channel' or 'fibre' required")
+            continue
+        fibre = raw.get("fibre")
         try:
             if has_channel:
                 key = row_from_json(raw["channel"])
-            elif type(fibre) is tuple:
-                length, gamma, nbar_b = fibre
-                key = (float(length), float(gamma), float(nbar_b))
             else:
                 if not isinstance(fibre, dict) or "length_km" not in fibre:
                     violations.append(f"edge {end_a}-{end_b}: fibre needs a 'length_km'")
@@ -619,20 +729,7 @@ def _graph_columns(raw_nodes: Iterable | None, raw_edges: Iterable | None, data,
                 classes.append(key if has_channel else FibreParams(*key))
                 c = class_of[key] = len(classes) - 1
         except (DomainError, TypeError, ValueError, OverflowError) as exc:
-            if type(end_a) is list:
-                violations += [f"edge {x}-{y}: {exc}" for x, y in zip(end_a, end_b)]
-            else:
-                violations.append(f"edge {end_a}-{end_b}: {exc}")
-            continue
-        if type(end_a) is list:
-            try:
-                run_a, run_b = list(map(number.__getitem__, end_a)), list(map(number.__getitem__, end_b))
-            except KeyError:  # an endpoint that names no node: numbered edge by edge, as below
-                run_a, run_b = zip(*[(number.setdefault(x, len(number)), number.setdefault(y, len(number)))
-                                     for x, y in zip(end_a, end_b)])
-            a += run_a
-            b += run_b
-            cls += [c] * len(end_a)
+            violations.append(f"edge {end_a}-{end_b}: {exc}")
             continue
         # An endpoint that names no node is numbered after the nodes.
         a.append(number.setdefault(end_a, len(number)))

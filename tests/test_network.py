@@ -2,11 +2,10 @@ import collections
 import json
 import math
 import random
-from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qnetcap import bounds, channels, network, oracles, sweep, wrn
@@ -487,6 +486,11 @@ WRITER_GRAPHS = {
         ["repeater"] * 8,
         [(i, i + 1, i % 4) for i in range(7)],
         [FibreParams(-0.0, 1, 0), FibreParams(0.0, 1.0, 0.0), FibreParams(2, 0.02, -0.0), AmplitudeDamping(-0.0)]),
+    # Device columns equal throughout but printing apart, and a send table of one repeated row.
+    "equal-devices-that-print-apart": lambda: _columns(
+        "abcd", [TL_TWINS[0], ThermalLoss(1, 0.0), ThermalLoss(1.0, -0.0), TL_TWINS[0]], [TL_TWINS[2]] * 4,
+        ["user", "repeater", "repeater", "user"], [(0, 1, 0), (1, 2, 0), (2, 3, 0)], [FibreParams(1.0)],
+        users=("a", "d")),
     "thermal-twins": lambda: _columns(
         "wxyz", TL_TWINS, TL_TWINS[::-1], ["user", "repeater", "repeater", "user"],
         [(0, 1, 0), (1, 2, 1), (2, 3, 0)], [TL_TWINS[1], TL_TWINS[0]], users=("w", "z"), family="tl"),
@@ -755,20 +759,29 @@ def _counted_conversions(monkeypatch) -> collections.Counter:
         for name in ("FibreParams", "ThermalLoss", "AmplitudeDamping", "native", "check_row"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for kind, (keys, constructor) in network._WRITTEN.items():  # the range checks of a run's columns
+        monkeypatch.setitem(network._WRITTEN, kind, (keys, counting(constructor.__name__, constructor)))
     return calls
 
 
 def test_reading_and_splitting_builds_no_record_and_converts_nothing(monkeypatch):
     texts = {FULL_SIZE[name][2]: json.dumps(_hetero_doc(*FULL_SIZE[name])) for name in FULL_SIZE}
-    calls = _counted_conversions(monkeypatch)
+    calls, tried = _counted_conversions(monkeypatch), {"run": []}
+    monkeypatch.setattr(network, "_run", _counted(tried, "run", network._run))
     expected = collections.Counter()
     for fam, text in texts.items():
+        tried["run"].clear()
         graph, violations = load_network(text)
         apply_split(graph)
         assert violations == []
-        expected["FibreParams"] += len(graph.a)
-        expected["ThermalLoss" if fam == "tl" else "AmplitudeDamping"] += 2 * len(graph.role)
-    assert calls == expected  # one range check per device and fibre, and no native or check_row call
+        runs = collections.Counter(args[2][0] for args, run in tried["run"] if run)
+        # Each array's first record is read through the constructors, one range check per device
+        # and fibre. Every other record is in a run, whose columns each constructor checks once
+        # at their least and once at their greatest numbers.
+        assert sum(runs.values()) > 2
+        expected["FibreParams"] += 1 + 2 * runs['{"a": "']
+        expected["ThermalLoss" if fam == "tl" else "AmplitudeDamping"] += 2 + 2 * 2 * runs['{"id": "']
+    assert calls == expected  # and no native or check_row call
     graph.nodes, graph.edges  # the views hand out the rows as they are
     assert calls == expected
 
@@ -785,8 +798,7 @@ def test_generating_and_writing_builds_no_record_and_converts_nothing(monkeypatc
 
 
 # Out-of-range numbers and a JSON true in each number field of a fibre and a
-# device. Written compactly, each fibre of numbers matches the edge-record
-# pattern; indented, every record goes through the scanner.
+# device, written compactly and indented.
 RANGE_DEVICES = [{"kind": "tl", "tau": 0.0}, {"kind": "tl", "tau": 1.5}, {"kind": "tl", "tau": 0.9, "nbar": -1.0},
                  {"kind": "ad", "p": 1.5}, {"kind": "tl", "tau": True}, {"kind": "tl", "tau": 0.9, "nbar": True},
                  {"kind": "ad", "p": True}, {"kind": "pl", "eta": True}]
@@ -811,7 +823,7 @@ RANGE_VIOLATIONS = [
 ]
 
 
-@pytest.mark.parametrize("indent", [None, 1], ids=["edge-pattern", "scanner"])
+@pytest.mark.parametrize("indent", [None, 1], ids=["compact", "scanner"])
 def test_range_violations_keep_their_words_in_both_layouts(indent):
     names = [f"n{i}" for i in range(len(RANGE_FIBRES) + 1)]
     nodes = [*names, *({"id": f"d{i}", ("recv", "send")[i % 2]: d} for i, d in enumerate(RANGE_DEVICES))]
@@ -822,8 +834,48 @@ def test_range_violations_keep_their_words_in_both_layouts(indent):
     graph, violations = load_network(text)
     assert violations == network._load_json(text)[1] == RANGE_VIOLATIONS
     assert graph.a == ()
-    matched = [record for record in network._records(text, {}) if type(record) is tuple]
-    assert len(matched) == (4 if indent is None else 0)
+
+
+@pytest.mark.parametrize("fam", ["tl", "ad"])
+def test_range_violations_in_runs_keep_their_words(monkeypatch, fam):
+    # Finite numbers out of range inside runs: such a run is read record by
+    # record, with the words and the order of the scanner's records.
+    doc = _hetero_doc("manhattan8", 2, fam, 7)
+    nodes, edges = doc["nodes"], doc["edges"]
+    if fam == "tl":
+        nodes[3]["recv"]["tau"], nodes[5]["send"]["nbar"] = 1.5, -1.0
+        words = ["transmissivity must lie in (0, 1], got 1.5", "thermal photon number must be >= 0, got -1.0"]
+    else:
+        nodes[3]["recv"]["p"], nodes[5]["send"]["p"] = 1.5, -0.5
+        words = ["damping probability must lie in [0, 1], got 1.5", "damping probability must lie in [0, 1], got -0.5"]
+    edges[4]["fibre"]["length_km"] = -1.0
+    nodes.insert(-3, 7)  # numbered after the records of the runs handed back
+    edges.insert(-3, 7)
+    text = json.dumps(doc)
+    monkeypatch.setattr(network, "_CHUNK", 500)
+    with mock.patch.object(network, "_load_json", side_effect=AssertionError("read through json.loads")):
+        graph, violations = load_network(text)
+    assert (graph, violations) == network._load_json(text)
+    assert [v for v in violations if "unknown endpoint" not in v] == [
+        f"node {nodes[3]['id']!r}: {words[0]}", f"node {nodes[5]['id']!r}: {words[1]}",
+        f"node #{len(nodes) - 4}: object with an 'id' required",
+        f"edge {edges[4]['a']}-{edges[4]['b']}: fibre length must be >= 0 km, got -1.0",
+        f"edge #{len(edges) - 4}: object with endpoints 'a' and 'b' required"]
+    assert len([item for item in network._records(text, {}) if type(item) is tuple]) > 4
+
+
+@pytest.mark.parametrize("field", ["tau", "nbar", "length_km"])
+def test_a_run_of_numbers_written_as_strings_reads_as_json_loads_does(field):
+    # Every record's number in quotes, which float() reads: a name in the layout,
+    # so the run's records are read one at a time.
+    doc = _hetero_doc("manhattan8", 2, "tl", 8)
+    for record in doc["edges"] if field == "length_km" else doc["nodes"]:
+        channel = record["fibre"] if field == "length_km" else record["recv"]
+        channel[field] = str(channel[field])
+    text = json.dumps(doc)
+    with mock.patch.object(network, "_load_json", side_effect=AssertionError("read through json.loads")):
+        graph, violations = load_network(text)
+    assert (graph, violations) == network._load_json(text)
 
 
 _NODES = '[{"id": "a", "role": "user"}, {"id": "b", "role": "user"}]'
@@ -1028,17 +1080,19 @@ def test_network_json_round_trips_to_the_same_columns_and_bytes(reference_json, 
     assert "".join(network_json_chunks(again)) == text
 
 
-# The ideal nodes and the edges ``generate`` writes are read a run at a time,
-# without the scanner, and a run's fibre is decoded once; any text must read as
-# it would through ``json.loads``, wherever a run ends. Each mutation changes a
+# The records after each array's first are read a run at a time, without the
+# scanner, and a run's shared numbers are decoded once; any text must read as it
+# would through ``json.loads``, wherever a run ends. Each mutation changes a
 # generated text in one place: one record, or a few consecutive records.
-def _generated(cell: str, radius: int, templates: bool) -> str:
+# A text's layout: "ideal" nodes or device "templates" and one fibre, or a
+# device per node and a fibre per edge, sharing gamma and nbar_B ("hetero") or not.
+LAYOUTS = {"ideal": ("ideal", "shared"), "templates": ("templates", "shared"),
+           "hetero": ("own", "own"), "hetero-unshared": ("own", "unshared")}
+
+
+def _generated(cell: str, radius: int, layout: str) -> str:
     fam = "tl" if cell == "manhattan8" else "ad"
-    devices = {}
-    if templates:
-        devices = ({"recv": ThermalLoss(0.9, 0.01), "send": ThermalLoss(0.95)} if fam == "tl"
-                   else {"recv": AmplitudeDamping(0.05), "send": AmplitudeDamping(0.1)})
-    return "".join(network_json_chunks(generate(WrnSpec(cell, radius, 10.0, fam, **devices))))
+    return "".join(network_json_chunks(_layout_graph(fam, *LAYOUTS[layout], radius=radius)))
 
 
 def _spans(text: str, head: str, end: str) -> list[tuple[int, int]]:
@@ -1066,6 +1120,14 @@ def _set_field(field: str, value: str):
     return mutate
 
 
+def _swapped(first: str, second: str):
+    def mutate(record: str) -> str:
+        return record.replace(first, "\0").replace(second, first).replace("\0", second) if second in record else record
+    return mutate
+
+
+# Values that no run takes in a number's place.
+NUMBER_TEXTS = ("-0", "10", "1e400", "1" + "0" * 400, "NaN", "Infinity", "true", '"0.5"')
 # Mutations of one node record.
 NODE_MUTATIONS = {
     "device-node": lambda r: r.replace(', "role"', ', "send": {"kind": "id"}, "role"', 1),
@@ -1074,6 +1136,15 @@ NODE_MUTATIONS = {
     "non-printable-id": lambda r: r.replace('{"id": "n', '{"id": "\x7fn', 1),
     "role-first": lambda r: '{"role": ' + r[r.rindex('"role": ') + 8:-1] + ", " + r[1:r.rindex(', "role": ')] + "}",
     "number-node": lambda r: "7",
+}
+# Mutations of one node's devices, which leave an ideal node as it is. Swapping
+# two separators keeps every separator's count.
+DEVICE_MUTATIONS = {
+    "swapped-separators": _swapped(', "nbar": ', '}, "send": {"kind": "tl", "tau": '),
+    "other-family": lambda r: r.replace('"kind": "tl"', '"kind": "\0"').replace(
+        '"kind": "ad"', '"kind": "tl"').replace('"kind": "\0"', '"kind": "ad"'),
+    **{f"device-{value}": lambda r, value=value: _set_field("tau" if '"tau": ' in r else "p", value)(r)
+       if '"kind": ' in r else r for value in NUMBER_TEXTS},
 }
 # Two records of which the first has its second string twice and the second
 # lacks it: split at every separator, the strings still come in pairs.
@@ -1087,7 +1158,8 @@ EDGE_MUTATIONS = {
     "non-ascii-name": lambda r: r.replace('"a": "n', '"a": "ñ', 1),
     **{f"{field}-{value}": _set_field(field, value)
        for field in ("length_km", "gamma", "nbar_B")
-       for value in ("10", "-0", "1" + "0" * 400, "1e1", "-0.0", "NaN", "true", "false", "-1.0")},
+       for value in (*NUMBER_TEXTS, "1e1", "-0.0", "false", "-1.0")},
+    "mid-run-gamma": _set_field("gamma", "0.021"),
     "duplicate-a": lambda r: r.replace('{"a": ', '{"a": "zz", "a": ', 1),
     "duplicate-fibre": lambda r: r[:-1] + ', "fibre": ' + _FIBRE_B + "}",
     "null-fibre": lambda r: _set_fibre(r, "null"),
@@ -1114,9 +1186,10 @@ def _shifted(first: str, second: str, key: str) -> tuple[str, str]:
 
 
 def _mutated(text: str, mutation: str, at: int) -> str:
-    if mutation in NODE_MUTATIONS:
+    if mutation in NODE_MUTATIONS or mutation in DEVICE_MUTATIONS:
         start, end = _spans(text, '{"id": ', '"}')[at % text.count('{"id": ')]
-        return text[:start] + NODE_MUTATIONS[mutation](text[start:end]) + text[end:]
+        mutate = NODE_MUTATIONS.get(mutation) or DEVICE_MUTATIONS[mutation]
+        return text[:start] + mutate(text[start:end]) + text[end:]
     if mutation in SHIFT_MUTATIONS:
         head, end_text, key = SHIFT_MUTATIONS[mutation]
         spans = _spans(text, head, end_text)
@@ -1151,18 +1224,24 @@ def _read(reader, text: str):
     return repr(graph), violations
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(st.sampled_from(["manhattan8", "triangular6"]), st.integers(2, 3), st.booleans(),
-       st.sampled_from([None, "duplicate-node", *NODE_MUTATIONS, *SHIFT_MUTATIONS, *EDGE_MUTATIONS, *RUN_MUTATIONS]),
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.sampled_from(["manhattan8", "triangular6"]), st.integers(2, 3), st.sampled_from(sorted(LAYOUTS)),
+       st.sampled_from([None, "duplicate-node", *NODE_MUTATIONS, *DEVICE_MUTATIONS, *SHIFT_MUTATIONS,
+                        *EDGE_MUTATIONS, *RUN_MUTATIONS]),
        st.integers(0, 10**6), st.one_of(st.just(network._CHUNK), st.integers(1, 400)))
-@example("manhattan8", 3, False, "number-node", 50, 100)  # records after a run keep their numbers
-@example("manhattan8", 3, False, "number-edge", 50, 200)
-def test_load_network_reads_generated_and_mutated_texts_as_json_loads_does(cell, radius, templates, mutation, at,
+@example("manhattan8", 3, "ideal", "number-node", 50, 100)  # records after a run keep their numbers
+@example("manhattan8", 3, "ideal", "number-edge", 50, 200)
+@example("manhattan8", 2, "hetero", "swapped-separators", 7, 300)
+@example("manhattan8", 3, "hetero", "mid-run-gamma", 60, network._CHUNK)
+def test_load_network_reads_generated_and_mutated_texts_as_json_loads_does(cell, radius, layout, mutation, at,
                                                                            chunk):
-    text = _generated(cell, radius, templates)
+    text = _generated(cell, radius, layout)
     if mutation is not None:
         text = _mutated(text, mutation, at)
-        assert text != _generated(cell, radius, templates)
+        if mutation in DEVICE_MUTATIONS:  # a node with no device, or no thermal one to swap in
+            assume(text != _generated(cell, radius, layout))
+        else:
+            assert text != _generated(cell, radius, layout)
     expected = _read(network._load_json, text)
     # Every such text is one object whose records the reader walks itself,
     # and a run of ``chunk`` or more characters ends at the next record.
@@ -1183,54 +1262,90 @@ def _expected_runs(ends: list[int], start: int, tail: int) -> int:
     return runs
 
 
-def test_every_edge_of_a_generated_lattice_after_the_first_repeats_its_fibre(monkeypatch):
-    def counted(name, function):
-        def wrapper(*args):
-            result = function(*args)
-            calls[name].append((args, result))
-            return result
-        return wrapper
+def _counted(calls: dict, name: str, function):
+    """``function``, appending each call's arguments and result to ``calls[name]``."""
+    def wrapper(*args):
+        result = function(*args)
+        calls[name].append((args, result))
+        return result
+    return wrapper
 
-    calls = {"scan": [], "edge": [], "run": []}
-    edge = network._edge_pattern()
-    monkeypatch.setattr(network, "_scan", counted("scan", network._scan))
-    monkeypatch.setattr(network, "_edge_pattern", lambda: SimpleNamespace(match=counted("edge", edge.match)))
-    monkeypatch.setattr(network, "_run", counted("run", network._run))
+
+def test_every_edge_of_a_generated_lattice_after_the_first_repeats_its_fibre(monkeypatch):
+    calls = {"scan": [], "run": []}
+    monkeypatch.setattr(network, "_scan", _counted(calls, "scan", network._scan))
+    monkeypatch.setattr(network, "_run", _counted(calls, "run", network._run))
     for templates, chunk in ((False, network._CHUNK), (True, network._CHUNK), (False, 1000)):
         monkeypatch.setattr(network, "_CHUNK", chunk)
-        text = _generated("manhattan8", 10, templates)
+        text = _generated("manhattan8", 10, "templates" if templates else "ideal")
         for made in calls.values():
             made.clear()
         assert load_network(text) == network._load_json(text)
         nodes, edges = _spans(text, '{"id": ', '"}'), _spans(text, '{"a": ', "}}")
         scanned = [args[1] for args, _ in calls["scan"]]
-        # No edge goes through the scanner, nor any ideal node: the first edge
-        # is matched, and the edges after it and the ideal nodes are read in
-        # runs of what _CHUNK gives. Nodes with devices are scanned.
-        assert not any(text.startswith('{"a": ', at) for at in scanned)
-        assert sum(text.startswith('{"id": ', at) for at in scanned) == (len(nodes) if templates else 0)
-        assert [args[1] for args, _ in calls["edge"]] == [edges[0][0]]
-        runs = collections.Counter(args[2] for args, run in calls["run"] if run)
+        # Each array's first record goes through the scanner, and the records
+        # after it, devices and all, come in runs of what _CHUNK gives; the
+        # edges' run text ends with the first edge's fibre.
+        assert [at for at in scanned if text.startswith(('{"id": ', '{"a": '), at)] == [nodes[0][0], edges[0][0]]
+        runs = collections.Counter(args[2][0] for args, run in calls["run"] if run)
         first = text[edges[0][0]:edges[0][1]]
         tail = len(first) - first.index('", "fibre": ')
+        assert {args[3] for args, _ in calls["run"] if args[2][0] == '{"a": "'} == {first[-tail:]}
         assert runs['{"a": "'] == _expected_runs([end for _, end in edges[1:]], edges[1][0], tail) > 1
-        assert runs['{"id": "'] == (0 if templates else _expected_runs([end for _, end in nodes], nodes[0][0], 2))
-    # A network with a device on every node and a fibre of its own on every
-    # edge, as perfbench's hetero lattices, takes no run: the reader looks at
-    # one record of each array and matches every edge once.
-    lattice = generate(WrnSpec("manhattan8", 10, 10.0, "tl", recv=ThermalLoss(0.9, 0.01)))
-    hetero = lattice._replace(cls=tuple(range(len(lattice.a))), classes=ChannelColumns.of(
-        [FibreParams(5.0 + k / 64) for k in range(len(lattice.a))]))
-    text = "".join(network_json_chunks(hetero))
-    for made in calls.values():
-        made.clear()
-    assert load_network(text) == (hetero, [])
-    assert [run for _, run in calls["run"]] == [None, None]
-    assert len(calls["edge"]) == len(hetero.a)
-    assert not any(text.startswith('{"a": ', args[1]) for args, _ in calls["scan"])
+        assert runs['{"id": "'] == _expected_runs([end for _, end in nodes[1:]], nodes[1][0], 2)
 
 
-def test_the_edge_patterns_need_no_python_3_11_syntax():
-    # Possessive repeats and atomic groups are a re.error before Python 3.11.
-    pattern = network._edge_pattern().pattern
-    assert not any(token in pattern for token in ("*+", "++", "?+", "}+", "(?>")), pattern
+def _hetero_rows(fam: str, size: int, seed: int) -> list[tuple]:
+    rng = random.Random(seed)
+    if fam == "ad":
+        return [AmplitudeDamping(rng.uniform(0.0, 0.2)) for _ in range(size)]
+    return [ThermalLoss(rng.uniform(0.8, 1.0), rng.uniform(0.0, 0.02)) for _ in range(size)]
+
+
+def _layout_graph(fam: str, nodes: str, edges: str, radius: int = 6) -> NetworkGraph:
+    """A generated lattice whose nodes are "ideal", have "templates" or a device each ("own"), and
+    whose edges share one fibre ("shared"), have a fibre each, with one gamma and nbar_B ("own") or
+    not ("unshared"), or an explicit channel each ("channels")."""
+    templates = {"recv": _hetero_rows(fam, 1, 1)[0], "send": _hetero_rows(fam, 1, 2)[0]} if nodes == "templates" else {}
+    graph = generate(WrnSpec("manhattan8" if fam == "tl" else "triangular6", radius, 10.0, fam, **templates))
+    n, m = len(graph.role), len(graph.a)
+    if nodes == "own":
+        graph = graph._replace(**dict(zip(("recv", "send"), ChannelColumns.devices(
+            _hetero_rows(fam, n, 3), _hetero_rows(fam, n, 4)))))
+    rows = {"shared": None, "own": [FibreParams(5.0 + k / 64) for k in range(m)],
+            "unshared": [FibreParams(5.0 + k / 64, 0.02 + k / 1e6, 0.002 + k / 1e7) for k in range(m)],
+            "channels": _hetero_rows(fam, m, 5)}[edges]
+    return graph if rows is None else graph._replace(cls=tuple(range(m)), classes=ChannelColumns.of(rows))
+
+
+# Each record layout ``network_json_chunks`` writes, in both families.
+WRITER_LAYOUTS = [(fam, nodes, edges) for fam in ("tl", "ad") for nodes, edges in (
+    ("ideal", "shared"), ("templates", "own"), ("own", "own"), ("own", "unshared"), ("ideal", "channels"))]
+
+
+@pytest.mark.parametrize("fam, nodes, edges", WRITER_LAYOUTS, ids=["-".join(layout) for layout in WRITER_LAYOUTS])
+@pytest.mark.parametrize("chunk", [None, 1000], ids=["chunk", "small-chunk"])
+def test_every_record_after_the_first_of_its_array_is_read_in_runs(monkeypatch, fam, nodes, edges, chunk):
+    # A writer change that leaves the reader's layouts fails here, rather
+    # than reading such files record by record.
+    calls = {"scan": [], "run": []}
+    monkeypatch.setattr(network, "_scan", _counted(calls, "scan", network._scan))
+    monkeypatch.setattr(network, "_run", _counted(calls, "run", network._run))
+    if chunk:
+        monkeypatch.setattr(network, "_CHUNK", chunk)
+    graph = _layout_graph(fam, nodes, edges)
+    text = "".join(network_json_chunks(graph))
+    assert load_network(text) == (graph, [])
+    scanned = [args[1] for args, _ in calls["scan"]]
+    assert [at for at in scanned if text.startswith(('{"id": ', '{"a": '), at)] == [
+        text.index('{"id": '), text.index('{"a": ')]
+    taken = collections.Counter()
+    for args, run in calls["run"]:
+        assert run is not None
+        taken[args[2][0]] += len(run[0][0])
+    assert taken == {'{"id": "': len(graph.role) - 1, '{"a": "': len(graph.a) - 1}
+    # A run's numbers that the first two records share are decoded once.
+    per_channel = 1 if fam == "ad" else 2
+    numbers = {args[2][0]: len(args[4]) for args, _ in calls["run"]}
+    assert numbers == {'{"id": "': {"ideal": 0, "templates": 2 * per_channel, "own": 2 * per_channel}[nodes],
+                       '{"a": "': {"shared": 0, "own": 1, "unshared": 3, "channels": per_channel}[edges]}
