@@ -13,7 +13,9 @@ last parameter (p, nbar or nbar_B), and a fibre's length_km and gamma, else
 0.0. Only the constructors ``AmplitudeDamping``, ``ThermalLoss`` and
 ``FibreParams`` build a row, each range-checking its numbers, and
 ``IDENTITY`` is the row of an ideal device. ``row_from_json`` reads a channel
-object through them and ``row_to_json`` writes one; ``check_row`` is the one
+object through them and ``row_to_json`` writes one; ``rows_of`` builds the
+rows of columns of the numbers that ``written_numbers`` finds in such objects,
+as the constructors do. ``check_row`` is the one
 gate for a row from outside the package, and ``native(fam, row)`` gives a
 row's numbers in family ``fam`` and rejects a channel of the other family.
 ``bounds.compounds`` reduces node-split chains of them to single channels.
@@ -22,6 +24,7 @@ row's numbers in family ``fam`` and rejects a channel of the other family.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import NamedTuple
 
 from .errors import DomainError, FamilyError, checked
@@ -174,3 +177,28 @@ def row_from_json(data: dict) -> tuple:
             raise
         raise DomainError(f"bad channel field in {data!r}: {exc}") from exc
     raise DomainError(f"unknown channel kind {kind!r}")
+
+
+def written_numbers(data, fibre: bool) -> list | None:
+    """The numbers of ``data`` in text order, if it is the object ``row_to_json`` writes for a fibre, or
+    else for a channel, with floats for numbers; else None."""
+    kind = FIBRE if fibre else type(data) is dict and data.get("kind")
+    if type(data) is not dict or kind not in (FIBRE, FAMILY_TL, FAMILY_AD) or (
+            [*data] != [*row_to_json(kind, 1.0, 0.0, 0.0, 0.0)]):
+        return None
+    numbers = [value for key, value in data.items() if key != "kind"]
+    return numbers if all(type(value) is float for value in numbers) else None
+
+
+def rows_of(kind: str, columns: list[list[float]]) -> list[tuple]:
+    """The rows of the channels of ``kind`` whose ``written_numbers`` are ``columns``, a column per
+    number, as its constructor builds them. The constructor's ranges are intervals, so it checks
+    each column's least and greatest numbers, raising its DomainError."""
+    constructor = {FAMILY_TL: ThermalLoss, FAMILY_AD: AmplitudeDamping, FIBRE: FibreParams}[kind]
+    for pick in (min, max):
+        constructor(*map(pick, columns))
+    if kind == FIBRE:
+        length, gamma, nbar_b = columns
+        return list(zip(repeat(kind), map(fibre_transmissivity, gamma, length), nbar_b, length, gamma))
+    eta = columns[0] if kind == FAMILY_TL else map((1.0).__sub__, columns[0])
+    return list(zip(repeat(kind), eta, columns[-1], repeat(0.0), repeat(0.0)))

@@ -30,15 +30,14 @@ from .channels import (
     FAMILY_TL,
     FIBRE,
     IDENTITY,
-    AmplitudeDamping,
     FibreParams,
     ROLES,
     NodeSpec,
-    ThermalLoss,
     check_role,
-    fibre_transmissivity,
     row_from_json,
     row_to_json,
+    rows_of,
+    written_numbers,
 )
 from .errors import DomainError, FamilyError, ValidationError, checked
 
@@ -430,69 +429,70 @@ _scan = json.JSONDecoder().scan_once
 _CHUNK = 1 << 16
 
 
-def _fields(record: dict) -> list:
-    """The fields of a decoded record in text order: each value in it, or in an object in it, that is
-    neither an object nor the value of a "kind"."""
-    return [field for key, value in record.items()
-            for field in (_fields(value) if type(value) is dict else () if key == "kind" else (value,))]
+# The keys of each record layout ``network_json_chunks`` writes, and those that hold a name.
+_LAYOUTS = [["id", "role"], ["id", "recv", "role"], ["id", "send", "role"], ["id", "recv", "send", "role"],
+            ["a", "b", "fibre"], ["a", "b", "channel"]]
+_NAMES = ("id", "role", "a", "b")
 
 
-def _filled(record: dict, fields: Iterator) -> dict:
-    """``record`` with the value of each of its fields taken from ``fields`` in turn."""
-    return {key: _filled(value, fields) if type(value) is dict else value if key == "kind" else next(fields)
-            for key, value in record.items()}
+def _fields(record) -> list | None:
+    """The fields of ``record`` in text order, each name and each number of its device, fibre or
+    channel objects, if it is in a layout ``network_json_chunks`` writes with floats for numbers;
+    else None."""
+    if type(record) is not dict or [*record] not in _LAYOUTS:
+        return None
+    parts = [([value] if type(value) is str else None) if key in _NAMES else written_numbers(value, key == "fibre")
+             for key, value in record.items()]
+    return None if None in parts else [*chain.from_iterable(parts)]
 
 
 def _layout(record, text: str, j: int) -> tuple[list[str], str, list[int]] | None:
     """How ``_run`` reads the records after ``record``, the first of its array, which ends
-    at ``text[j]``: the text before each field of a record, the text after its last field that
-    is not shared, and the positions of its numbers; else None. The texts are those
-    ``json.dumps`` writes, and a field that is not a name is a number. Its trailing floats whose
-    text the next record repeats are shared: part of the text after the fields, decoded once."""
-    if type(record) is not dict or not (fields := _fields(record)):
+    at ``text[j]``, if ``_fields`` takes it: the text before each field of a record, the text
+    after its last field that is not shared, and the positions of its numbers; else None. The
+    texts are those ``json.dumps`` writes. Its trailing floats whose text the next record
+    repeats are shared: part of the text after the fields, decoded once."""
+    if (fields := _fields(record)) is None:
         return None
     # The record written with a mark for each field, "\0" for a name and "\1" for a number.
-    marked = json.dumps(_filled(record, iter(["\0" if type(f) is str else "\1" for f in fields])))
-    if len(seps := marked.replace('"\\u0001"', "\\u0000").split("\\u0000")) != len(fields) + 1:
-        return None
+    marked = json.dumps({key: "\0" if key in _NAMES else {k: v if k == "kind" else "\1" for k, v in value.items()}
+                         for key, value in record.items()})
+    seps = marked.replace('"\\u0001"', "\\u0000").split("\\u0000")
     tail, k, second = seps[-1], len(fields), text[j + 2:text.find(", " + seps[0], j + 2)]
-    while k > 1 and type(fields[k - 1]) is float and second.endswith(f"{seps[k - 1]}{fields[k - 1]!r}{tail}"):
+    while type(fields[k - 1]) is float and second.endswith(f"{seps[k - 1]}{fields[k - 1]!r}{tail}"):
         k -= 1
         tail = f"{seps[k]}{fields[k]!r}{tail}"
-    return seps[:k], tail, [p for p in range(k) if type(fields[p]) is not str]
+    return seps[:k], tail, [p for p in range(k) if type(fields[p]) is float]
 
 
 def _run(text: str, i: int, seps: list[str], tail: str, numbers: list[int]) -> tuple[list[list], int] | None:
-    """(columns, end): a column of each field of the run of records from ``text[i]``,
-    each its fields, each after its text in ``seps``, and then ``tail``, joined by ", ",
-    and the index after the run; else None. The run's text is cut at every separator
-    and taken only if, rebuilt from its fields, it is the text cut, and no name holds a
-    quote, a backslash or an unprintable character, so that each is its own JSON text.
-    The fields at ``numbers`` are decoded in one ``json.loads`` and must be finite
-    floats. A run ends at the first record separator ``_CHUNK`` or more characters on,
-    else at the array's end, within twice ``_CHUNK``; its first record's head is looked
-    at before any search."""
+    """(columns, end): a column of each field of the run of records from ``text[i]``, each its
+    fields, each after its text in ``seps``, and then ``tail``, joined by ", ", and the index
+    after the run; else None. The run is cut at every separator and taken only if, rebuilt
+    from its fields, it is the text cut, and no name holds a quote, a backslash or an
+    unprintable character, so that each is its own JSON text. The fields at ``numbers`` are
+    decoded in one ``json.loads`` and must be finite floats. A run ends at the first record
+    separator ``_CHUNK`` or more characters on, else at the array's end, within twice ``_CHUNK``."""
     head, k, sep, stop = seps[0], len(seps), f"{tail}, {seps[0]}", i + 2 * _CHUNK
     if not text.startswith(head, i) or (
             (end := text.find(sep, i + _CHUNK, stop)) < 0 and (end := text.find(tail + "]", i, stop)) < 0):
         return None
-    body = marked = text[i + len(head):end]
+    body = cut = text[i + len(head):end]
     # Cut at each separator, the pieces joined by the shortest, which is cut last; unlike
-    # split, rsplit builds no search table for each match.
-    marker = min(cuts := dict.fromkeys([sep, *seps[1:]]), key=len)
-    for cut in cuts:
-        if cut != marker:
-            marked = marker.join(marked.rsplit(cut))
-    fields = marked.rsplit(marker)
-    pieces = [None] * (2 * len(fields))
+    # split and replace, rsplit builds no search table for each match.
+    marker = min(pieces := dict.fromkeys([sep, *seps[1:]]), key=len)
+    for piece in pieces:
+        cut = marker.join(cut.rsplit(piece)) if piece != marker else cut
+    fields = cut.rsplit(marker)
+    rebuilt = [None] * (2 * len(fields))
     try:  # a field count that is not a multiple of k fails the assignment
-        pieces[0::2], pieces[1::2] = fields, [*seps[1:], sep] * (len(fields) // k)
+        rebuilt[0::2], rebuilt[1::2] = fields, [*seps[1:], sep] * (len(fields) // k)
         columns = [fields[p::k] for p in range(k)]
         values = json.loads(f"[{','.join(chain.from_iterable(columns[p] for p in numbers))}]")
     except (ValueError, RecursionError):
         return None
     names, n = "".join(chain.from_iterable(c for p, c in enumerate(columns) if p not in numbers)), len(columns[0])
-    if ("".join(pieces) != body + sep or '"' in names or "\\" in names or not names.isprintable()
+    if ("".join(rebuilt) != body + sep or '"' in names or "\\" in names or not names.isprintable()
             or len(values) != n * len(numbers) or not {*map(type, values)} <= {float} or not isfinite(sum(values))):
         return None
     for at, p in enumerate(numbers):
@@ -533,14 +533,11 @@ def _records(text: str, rest: dict) -> Iterator:
                         layout = None
                         continue
                     i = run[1]
-                else:
-                    item, j = scan(text, i)
-                    if i == start:
-                        first, layout = item, _layout(item, text, j)
-                    else:
-                        layout = None
+                else:  # the last record scanned is ``first`` while there is a layout
+                    first, j = scan(text, i)
+                    layout = _layout(first, text, j) if i == start else None
                     i = j
-                    yield item
+                    yield first
                 if text.startswith(", {", i):  # the separator ``generate`` writes
                     i += 2
                 elif (m := punct(text, i))[1] == ",":
@@ -561,59 +558,17 @@ def _records(text: str, rest: dict) -> Iterator:
     yield _END
 
 
-# The keys of the channel object ``row_to_json`` writes for each kind, and the constructor of its row.
-_WRITTEN = {FAMILY_TL: (["kind", "tau", "nbar"], ThermalLoss), FAMILY_AD: (["kind", "p"], AmplitudeDamping),
-            FIBRE: (["length_km", "gamma", "nbar_B"], FibreParams)}
-
-
-def _rows(kind, channel, columns: list[list[float]]) -> list[tuple] | None:
-    """The rows of a run's channels of ``kind``, each the object ``channel`` with its numbers
-    from ``columns``, as the constructor builds them; None unless ``channel`` is an object with
-    the keys ``row_to_json`` writes and floats for numbers. A number out of the constructor's
-    ranges raises its DomainError: the ranges are intervals, so the constructor checks each
-    column's least and greatest numbers."""
-    # Kinds compared, not hashed, as one may be a list.
-    if kind not in (FAMILY_TL, FAMILY_AD, FIBRE) or type(channel) is not dict or (
-            [*channel] != _WRITTEN[kind][0] or not {*map(type, _fields(channel))} <= {float}):
-        return None
-    for pick in (min, max):
-        _WRITTEN[kind][1](*map(pick, columns))
-    zeros = repeat(0.0)
-    if kind == FAMILY_TL:
-        return list(zip(repeat(kind), *columns, zeros, zeros))
-    if kind == FAMILY_AD:
-        return list(zip(repeat(kind), map((1.0).__sub__, *columns), *columns, zeros, zeros))
-    length, gamma, nbar_b = columns
-    return list(zip(repeat(kind), map(fibre_transmissivity, gamma, length), nbar_b, length, gamma))
-
-
-def _node_rows(first: dict, columns: list) -> tuple[list, list, list, list] | None:
-    """The ids, recv and send rows and roles of a run of nodes like ``first``, which has an
-    "id" and may have a "recv" and a "send" channel and a "role", in any order; else None."""
-    n = len(columns[0])
+def _run_rows(first: dict, columns: list, n: int) -> dict:
+    """Each key of ``first`` and its column in the run of records whose fields ``_run`` gives as
+    ``columns``, each shared number ``n`` times: a name's, or the rows of a device, fibre or
+    channel; {} if a number is out of its constructor's ranges."""
     fields = chain(columns, ([value] * n for value in _fields(first)[len(columns):]))
-    node = {"id": None, "recv": [IDENTITY] * n, "send": [IDENTITY] * n, "role": ["repeater"] * n}
-    for key, value in first.items():
-        if key not in node or type(value) is not (str if key in ("id", "role") else dict):
-            return None
-        node[key] = next(fields) if type(value) is str else _rows(
-            value.get("kind"), value, list(islice(fields, len(_fields(value)))))
-    return None if None in node.values() else tuple(node.values())
-
-
-def _edge_rows(first: dict, columns: list) -> tuple[list, list] | None:
-    """The class keys and rows of a run of edges in the layout of ``first``, an "a", a "b" and a
-    "fibre" or a "channel", else None: a row per edge, or one when the run shares all its numbers."""
-    keys = [*first]
-    if keys[:2] != ["a", "b"] or keys[2:] not in (["fibre"], ["channel"]) or type(first["a"]) is not str or (
-            type(first["b"]) is not str or type(source := first[keys[2]]) is not dict):
-        return None
-    numbers, shared = columns[2:], _fields(source)[len(columns) - 2:]
-    n = len(numbers[0]) if numbers else 1
-    numbers += [[value] * n for value in shared]
-    rows = _rows(FIBRE if keys[2] == "fibre" else source.get("kind"), source, numbers)
-    # A fibre's class key is its (length_km, gamma, nbar_B); a channel's is its row.
-    return None if rows is None else (list(zip(*numbers)) if keys[2] == "fibre" else rows, rows)
+    try:
+        return {key: next(fields) if key in _NAMES else rows_of(
+                    FIBRE if key == "fibre" else value["kind"], [*islice(fields, len(value) - (key != "fibre"))])
+                for key, value in first.items()}
+    except DomainError:
+        return {}
 
 
 def _graph_columns(raw_nodes: Iterable | None, raw_edges: Iterable | None, data,
@@ -622,11 +577,10 @@ def _graph_columns(raw_nodes: Iterable | None, raw_edges: Iterable | None, data,
     value or an item of ``_records``, and other members ``data``; appends the violations of
     its nodes, edges and users. Devices and classes go into their tables as range-checked rows.
 
-    A run's nodes are numbered at once and its devices made rows at once, and a run's edges
-    numbered at once, a and then b of each edge in turn, and their fibres or channels made rows
-    and classes at once, a run's shared numbers once. A run in a layout ``network_json_chunks``
-    does not write, or with a number out of range, a repeated id or a role that names none,
-    is handed back: its columns are cleared, and the reader reads its records one at a time."""
+    A run's nodes and edges are numbered, a and then b of each edge in turn, and its devices,
+    fibres or channels made rows, at once. A run in the other array's layout, or with a number
+    out of range, a repeated id or a role that names none, is handed back: its columns are
+    cleared, and the reader reads its records one at a time."""
     number: dict[str, int] = {}
     recvs, sends, roles = [], [], []
     if raw_nodes is None:
@@ -635,19 +589,18 @@ def _graph_columns(raw_nodes: Iterable | None, raw_edges: Iterable | None, data,
     skipped = 0  # the records of the runs before record i, less one a run
     for i, raw in enumerate(raw_nodes):
         if type(raw) is tuple:  # a run: its array's first record and the columns of its fields
-            try:
-                ids, run_recvs, run_sends, run_roles = _node_rows(*raw) or ((),) * 4
-            except DomainError:
-                ids = ()
-            run = dict(zip(ids, count(len(number))))
-            if ids and len(run) == len(ids) and number.keys().isdisjoint(run) and {*run_roles}.issubset(ROLES):
-                number.update(run)
-                recvs += run_recvs
-                sends += run_sends
-                roles += run_roles
+            first, columns = raw
+            run = _run_rows(first, columns, len(columns[0]))
+            ids = run.get("id", ())
+            numbered = dict(zip(ids, count(len(number))))
+            if ids and len(numbered) == len(ids) and number.keys().isdisjoint(numbered) and {*run["role"]} <= {*ROLES}:
+                number.update(numbered)
+                recvs += run.get("recv", [IDENTITY] * len(ids))
+                sends += run.get("send", [IDENTITY] * len(ids))
+                roles += run["role"]
                 skipped += len(ids) - 1
             else:  # the reader reads its records again, one at a time
-                raw[1].clear()
+                columns.clear()
                 skipped -= 1
             continue
         if not isinstance(raw, dict) or "id" not in raw:
@@ -668,29 +621,23 @@ def _graph_columns(raw_nodes: Iterable | None, raw_edges: Iterable | None, data,
         recvs.append(recv)
         sends.append(send)
         roles.append(role)
-    a, b, cls, classes = [], [], [], []
-    # Class numbers by an explicit channel's row, and by a fibre's (length_km,
-    # gamma, nbar_B), which cannot equal a row, whose first entry is a kind.
-    class_of: dict = {}
+    a, b, cls = [], [], []
+    class_of: dict = {}  # class numbers by row, in the order of the classes
     if raw_edges is None:
         violations.append("edges: required")
         raw_edges = ()
     skipped = 0
     for i, raw in enumerate(raw_edges):
         if type(raw) is tuple:  # a run: its array's first record and the columns of its fields
-            try:
-                run = _edge_rows(*raw)
-            except DomainError:
-                run = None
-            if run is None:  # the reader reads its records again, one at a time
-                raw[1].clear()
+            first, columns = raw
+            run = _run_rows(first, columns, len(columns[2]) if len(columns) > 2 else 1)
+            if "a" not in run:  # the reader reads its records again, one at a time
+                columns.clear()
                 skipped -= 1
                 continue
-            (end_a, end_b, *_), (keys, rows) = raw[1], run
-            for key, row in zip(keys, rows):  # the first of equal keys, as 0.0 and -0.0, gives the row
-                if key not in class_of:
-                    class_of[key] = len(classes)
-                    classes.append(row)
+            end_a, end_b, rows = run.values()
+            # The first of equal rows, as of 0.0 and -0.0 km, is the class; a run sharing all has one.
+            run_cls = [class_of.setdefault(row, len(class_of)) for row in rows]
             try:
                 run_a, run_b = list(map(number.__getitem__, end_a)), list(map(number.__getitem__, end_b))
             except KeyError:  # an endpoint that names no node: numbered edge by edge, as below
@@ -698,7 +645,7 @@ def _graph_columns(raw_nodes: Iterable | None, raw_edges: Iterable | None, data,
                                      for x, y in zip(end_a, end_b)])
             a += run_a
             b += run_b
-            cls += map(class_of.__getitem__, keys) if len(keys) > 1 else [class_of[keys[0]]] * len(end_a)
+            cls += run_cls if len(run_cls) == len(end_a) else run_cls * len(end_a)
             skipped += len(end_a) - 1
             continue
         if not isinstance(raw, dict) or "a" not in raw or "b" not in raw:
@@ -723,11 +670,8 @@ def _graph_columns(raw_nodes: Iterable | None, raw_edges: Iterable | None, data,
                 if (length is True or length is False or gamma is True or gamma is False
                         or nbar_b is True or nbar_b is False):
                     raise DomainError(f"fibre fields must be numbers, got {fibre!r}")
-                key = (float(length), float(gamma), float(nbar_b))
-            c = class_of.get(key)
-            if c is None:
-                classes.append(key if has_channel else FibreParams(*key))
-                c = class_of[key] = len(classes) - 1
+                key = FibreParams(float(length), float(gamma), float(nbar_b))
+            c = class_of.setdefault(key, len(class_of))
         except (DomainError, TypeError, ValueError, OverflowError) as exc:
             violations.append(f"edge {end_a}-{end_b}: {exc}")
             continue
@@ -746,4 +690,4 @@ def _graph_columns(raw_nodes: Iterable | None, raw_edges: Iterable | None, data,
     if fam is not None:
         fam = str(fam)
     return NetworkGraph(tuple(number), *ChannelColumns.devices(recvs, sends), tuple(roles),
-                        tuple(a), tuple(b), tuple(cls), ChannelColumns.of(classes), users=users, family=fam)
+                        tuple(a), tuple(b), tuple(cls), ChannelColumns.of(list(class_of)), users=users, family=fam)

@@ -20,6 +20,8 @@ from qnetcap.channels import (
     native,
     row_from_json,
     row_to_json,
+    rows_of,
+    written_numbers,
 )
 from qnetcap.errors import DomainError, FamilyError
 from qnetcap.network import ChannelColumns
@@ -332,6 +334,37 @@ def test_row_of_refuses_what_is_not_a_channel_spec_or_fibre(other, refusal):
         with pytest.raises(error) as refused:
             convert(other)
         assert str(refused.value) == message
+
+
+@settings(max_examples=50, derandomize=True)
+@given(st.lists(st.tuples(taus, nbars, probs, st.floats(min_value=0.0, max_value=300.0),
+                          st.floats(min_value=1e-4, max_value=1.0)), min_size=1, max_size=6))
+def test_rows_of_builds_the_rows_of_written_numbers_as_the_constructors_do(numbers):
+    rows = {FAMILY_TL: [ThermalLoss(tau, nbar) for tau, nbar, *_ in numbers],
+            FAMILY_AD: [AmplitudeDamping(p) for _, _, p, _, _ in numbers],
+            FIBRE: [FibreParams(length, gamma, nbar) for _, nbar, _, length, gamma in numbers]}
+    for kind, expected in rows.items():
+        written = [written_numbers(row_to_json(*row), kind == FIBRE) for row in expected]
+        assert rows_of(kind, [list(column) for column in zip(*written)]) == expected
+
+
+@pytest.mark.parametrize("data,fibre", [
+    ({"kind": "tl", "tau": {"v": 0.9}, "nbar": 0.0}, False), ({"kind": "tl", "nbar": 0.0, "tau": 0.9}, False),
+    ({"kind": "tl", "tau": 1, "nbar": 0.0}, False), ({"kind": "tl", "tau": 0.9}, False),
+    ({"kind": "pl", "eta": 0.9}, False), ({"kind": "id"}, False), ({"kind": ["ad"], "p": 0.1}, False),
+    ({"length_km": 5.0, "gamma": 0.02, "nbar_B": 0.0}, False), ({"kind": "ad", "p": 0.1}, True),
+    ({"length_km": {"v": 5.0}, "gamma": 0.02, "nbar_B": 0.0}, True), ({"length_km": 5.0}, True),
+    (["length_km", "gamma", "nbar_B"], True), ("tl", False),
+])
+def test_written_numbers_take_only_the_objects_row_to_json_writes(data, fibre):
+    assert written_numbers(data, fibre) is None
+
+
+def test_rows_of_checks_every_number_of_a_column():
+    with pytest.raises(DomainError, match="got 1.5"):
+        rows_of(FAMILY_TL, [[0.5, 1.5, 0.9], [0.0, 0.0, 0.0]])
+    with pytest.raises(DomainError, match="got -1.0"):
+        rows_of(FIBRE, [[3.0, -1.0], [0.02, 0.02], [0.0, 0.0]])
 
 
 def test_node_spec_role():

@@ -2,6 +2,7 @@ import collections
 import json
 import math
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -701,8 +702,8 @@ def _hetero_doc(cell: str, radius: int, fam: str, seed: int) -> dict:
             return {"kind": "ad", "p": rng.uniform(0.0, 0.2)}
         return {"kind": "tl", "tau": rng.uniform(0.8, 1.0), "nbar": rng.uniform(0.0, 0.02)}
 
-    for node in doc["nodes"]:
-        node["recv"], node["send"] = device(), device()
+    for node in doc["nodes"]:  # with its keys in the order the writer and perfbench write them
+        node["recv"], node["send"], node["role"] = device(), device(), node.pop("role")
     for edge in doc["edges"]:
         edge["fibre"] = {"length_km": rng.uniform(1.0, 40.0), "gamma": 0.02, "nbar_B": 0.002}
     return doc
@@ -759,8 +760,6 @@ def _counted_conversions(monkeypatch) -> collections.Counter:
         for name in ("FibreParams", "ThermalLoss", "AmplitudeDamping", "native", "check_row"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    for kind, (keys, constructor) in network._WRITTEN.items():  # the range checks of a run's columns
-        monkeypatch.setitem(network._WRITTEN, kind, (keys, counting(constructor.__name__, constructor)))
     return calls
 
 
@@ -1186,6 +1185,10 @@ def _shifted(first: str, second: str, key: str) -> tuple[str, str]:
 
 
 def _mutated(text: str, mutation: str, at: int) -> str:
+    if mutation == "wrapped-numbers":  # a number of every device and of every fibre in an object
+        for field in ("tau", "p", ("length_km", "nbar_B")[at % 2]):
+            text = re.sub(rf'"{field}": ([^,}}]+)', rf'"{field}": {{"v": \1}}', text)
+        return text
     if mutation in NODE_MUTATIONS or mutation in DEVICE_MUTATIONS:
         start, end = _spans(text, '{"id": ', '"}')[at % text.count('{"id": ')]
         mutate = NODE_MUTATIONS.get(mutation) or DEVICE_MUTATIONS[mutation]
@@ -1227,12 +1230,14 @@ def _read(reader, text: str):
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(st.sampled_from(["manhattan8", "triangular6"]), st.integers(2, 3), st.sampled_from(sorted(LAYOUTS)),
        st.sampled_from([None, "duplicate-node", *NODE_MUTATIONS, *DEVICE_MUTATIONS, *SHIFT_MUTATIONS,
-                        *EDGE_MUTATIONS, *RUN_MUTATIONS]),
+                        *EDGE_MUTATIONS, *RUN_MUTATIONS, "wrapped-numbers"]),
        st.integers(0, 10**6), st.one_of(st.just(network._CHUNK), st.integers(1, 400)))
 @example("manhattan8", 3, "ideal", "number-node", 50, 100)  # records after a run keep their numbers
 @example("manhattan8", 3, "ideal", "number-edge", 50, 200)
 @example("manhattan8", 2, "hetero", "swapped-separators", 7, 300)
 @example("manhattan8", 3, "hetero", "mid-run-gamma", 60, network._CHUNK)
+@example("manhattan8", 2, "hetero", "wrapped-numbers", 0, network._CHUNK)
+@example("triangular6", 2, "hetero-unshared", "wrapped-numbers", 1, network._CHUNK)
 def test_load_network_reads_generated_and_mutated_texts_as_json_loads_does(cell, radius, layout, mutation, at,
                                                                            chunk):
     text = _generated(cell, radius, layout)
