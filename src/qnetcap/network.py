@@ -3,25 +3,25 @@
 A NetworkGraph holds, as columns, the nodes (names, device tables and roles),
 the undirected edges as pairs of node numbers, each with a class in a table
 of distinct fibres and explicit channels, and the pair of end users. The
-tables hold ``channels`` rows: the reader ``load_network`` fills them, the
-writer ``network_json_chunks`` encodes them, and the ``nodes`` and ``edges``
-views hand them out per node and per edge.
-``apply_split`` turns a graph into a BoundedGraph by zipping the tables'
-columns into every edge's directions and running the bound kernels over
-them, orientation-optimized per edge. Everything computed on a BoundedGraph
-lives in ``routing.py``; the per-edge reference that ``apply_split`` is
-tested against is ``oracles.oriented_edge_bounds``.
+tables are tuples of ``channels`` rows: the reader ``load_network`` fills
+them, the writer ``network_json_chunks`` encodes them, and the ``nodes`` and
+``edges`` views hand them out per node and per edge.
+``apply_split`` turns a graph into a BoundedGraph by taking the rows'
+family-native numbers into every edge's directions and running the bound
+kernels over them, orientation-optimized per edge. Everything computed on a
+BoundedGraph lives in ``routing.py``; the per-edge reference that
+``apply_split`` is tested against is ``oracles.oriented_edge_bounds``.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from itertools import chain, count, groupby, islice, repeat
+from itertools import chain, count, cycle, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii
 from math import isfinite
-from operator import is_
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from operator import is_, itemgetter
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .channels import (
     DEFAULT_GAMMA,
@@ -64,41 +64,15 @@ def _check_users(users) -> None:
 EdgeView = NamedTuple("EdgeView", [("a", str), ("b", str), ("channel", tuple | None), ("fibre", tuple | None)])
 
 
-class ChannelColumns(NamedTuple):
-    """Channels as columns, unchecked: entry i is one channel's row, its ``kind`` ("ad", "tl", FIBRE
-    or None for IDENTITY), survival probability ``eta`` (tau, 1 - p, the ``fibre_transmissivity`` or
-    1.0), ``last`` parameter (nbar, p, nbar_B or 0.0) and a fibre's ``length_km`` and ``gamma`` (else
-    0.0). A channel's ``native`` numbers are then (eta, last) in "tl" and eta in "ad"."""
-
-    kind: tuple[str | None, ...]
-    eta: tuple[float, ...]
-    last: tuple[float, ...]
-    length_km: tuple[float, ...]
-    gamma: tuple[float, ...]
-
-    @classmethod
-    def of(cls, rows: list[tuple]) -> ChannelColumns:
-        """The table of a list of rows, such as the ``channels`` constructors and ``row_from_json`` give;
-        ``zip(*table)`` gives the rows back, which ``row_to_json`` encodes."""
-        return cls(*zip(*rows)) if rows else cls((), (), (), (), ())
-
-    @classmethod
-    def devices(cls, recv: Sequence[tuple], send: Sequence[tuple]) -> tuple[ChannelColumns, ChannelColumns]:
-        """A graph's recv and send tables of such rows, a row per node, whose ``length_km`` and ``gamma``
-        are one shared column of 0.0."""
-        zeros = (0.0,) * len(recv)
-        return tuple(cls(*(islice(zip(*rows), 3) if rows else ((), (), ())), zeros, zeros) for rows in (recv, send))
-
-
 class _GraphColumns(NamedTuple):
     names: tuple[str, ...]
-    recv: ChannelColumns
-    send: ChannelColumns
+    recv: tuple[tuple, ...]
+    send: tuple[tuple, ...]
     role: tuple[str, ...]
     a: tuple[int, ...]
     b: tuple[int, ...]
     cls: tuple[int, ...]
-    classes: ChannelColumns
+    classes: tuple[tuple, ...]
     users: tuple[str, str] | None = None
     family: str | None = None
 
@@ -112,11 +86,12 @@ class NetworkGraph(_GraphColumns):
     name no node, which only a graph that fails ``validate`` has. Edge i
     joins node numbers ``a[i]`` and ``b[i]`` over entry ``cls[i]`` of
     ``classes``, a fibre or an explicit channel, each distinct one once. The
-    tables are ``ChannelColumns``. Construction raises DomainError unless the
-    columns agree in length, every number indexes ``names`` or ``classes``
-    and ``users`` is None or a pair of names. The rows themselves are
-    trusted: only ``load_network`` range-checks them, and ``validate``
-    reports a kind that names no channel. The ``nodes`` and ``edges`` views
+    tables are tuples of ``channels`` rows (kind, eta, last, length_km,
+    gamma). Construction raises DomainError unless the tables are tuples, the
+    columns agree in length, every number indexes ``names`` or ``classes`` and
+    ``users`` is None or a pair of names. The rows themselves are trusted:
+    only ``load_network`` range-checks them, and ``validate`` reports a kind
+    that names no channel. The ``nodes`` and ``edges`` views
     hand the rows out per node and per edge, built on demand.
     """
 
@@ -127,13 +102,13 @@ class NetworkGraph(_GraphColumns):
 
     def _check(self):
         m, n, tables = len(self.names), len(self.role), (self.recv, self.send, self.classes)
-        if not all(type(table) is ChannelColumns and len(set(map(len, table))) == 1 for table in tables):
-            raise DomainError("network graph recv, send and classes must be ChannelColumns of equal columns")
-        if not (n <= m and len(self.recv.kind) == len(self.send.kind) == n):
+        if not all(type(table) is tuple for table in tables):
+            raise DomainError("network graph recv, send and classes must be tuples of rows")
+        if not (n <= m and len(self.recv) == len(self.send) == n):
             raise DomainError("network graph needs a recv, send, role and name per node")
         if not len(self.a) == len(self.b) == len(self.cls):
             raise DomainError("network graph needs an a, b and cls per edge")
-        for what, column, size in (("a", self.a, m), ("b", self.b, m), ("cls", self.cls, len(self.classes.kind))):
+        for what, column, size in (("a", self.a, m), ("b", self.b, m), ("cls", self.cls, len(self.classes))):
             if column and not (min(column) >= 0 and max(column) < size):
                 raise DomainError(f"network graph column {what} must hold numbers 0 to {size - 1}")
         if self.users is not None:
@@ -143,13 +118,13 @@ class NetworkGraph(_GraphColumns):
     def nodes(self) -> dict[str, NodeSpec]:
         """Each node as a NodeSpec, by name, built on demand."""
         return {name: NodeSpec(name, recv, send, role)
-                for name, recv, send, role in zip(self.names, zip(*self.recv), zip(*self.send), self.role)}
+                for name, recv, send, role in zip(self.names, self.recv, self.send, self.role)}
 
     @property
     def edges(self) -> tuple[EdgeView, ...]:
         """Each edge as an EdgeView, built on demand."""
         names = self.names
-        sources = [(None, row) if row[0] == FIBRE else (row, None) for row in zip(*self.classes)]
+        sources = [(None, row) if row[0] == FIBRE else (row, None) for row in self.classes]
         return tuple(EdgeView(names[u], names[v], *sources[c]) for u, v, c in zip(self.a, self.b, self.cls))
 
 
@@ -207,7 +182,7 @@ class Cut(NamedTuple):
 def resolved_family(graph: NetworkGraph) -> str:
     """The single channel family of the graph, declared or inferred from the kinds of its tables."""
     # Kinds compared, not hashed, as one may be unhashable; equal neighbours once.
-    kinds = [kind for kind, _ in groupby(chain(graph.recv.kind, graph.send.kind, graph.classes.kind))]
+    kinds = [kind for kind, _ in groupby(map(itemgetter(0), chain(graph.recv, graph.send, graph.classes)))]
     if unknown := [kind for kind in kinds if kind not in (None, FIBRE, FAMILY_AD, FAMILY_TL)]:
         raise FamilyError(f"unknown channel kind {', '.join(sorted(set(map(repr, unknown))))}")
     found = {fam for fam in (FAMILY_AD, FAMILY_TL) if fam in kinds}
@@ -270,8 +245,8 @@ def apply_split(graph: NetworkGraph) -> BoundedGraph:
     """Annotate every edge with orientation-optimized capacity bounds.
 
     A graph not yet found valid by ``validate`` is validated first, and its
-    one channel family is resolved once. The tables' columns are the family-native
-    numbers, zipped into (eta, last) pairs in "tl". A direction whose (send,
+    one channel family is resolved once. A row's family-native numbers are its
+    eta in "ad" and its (eta, last) pair in "tl". A direction whose (send,
     channel, recv) equals the previous direction's shares its bounds, so a
     lattice is bounded once; the others are bounded in one call of each
     ``bounds`` kernel. Each side of an edge takes its better direction, a tie
@@ -283,11 +258,8 @@ def apply_split(graph: NetworkGraph) -> BoundedGraph:
         if violations:
             raise ValidationError(violations)
     fam = graph._valid_family
-    tables = graph.send, graph.recv, graph.classes
-    if fam == FAMILY_TL:
-        sends, recvs, channels = (list(zip(table.eta, table.last)) for table in tables)
-    else:
-        sends, recvs, channels = (table.eta for table in tables)
+    numbers = itemgetter(1, 2) if fam == FAMILY_TL else itemgetter(1)
+    sends, recvs, channels = (list(map(numbers, table)) for table in (graph.send, graph.recv, graph.classes))
 
     names, a, b = graph.names, graph.a, graph.b
     directions, at = [], []  # the directions bounded; each edge's forward and backward one among them
@@ -336,24 +308,24 @@ def annotate_uniform(graph: NetworkGraph, value: float) -> BoundedGraph:
 
 def network_json_chunks(graph: NetworkGraph) -> Iterator[str]:
     """The per-edge-object JSON form, the one line ``json.dumps`` writes, in pieces of up to 1024
-    records joined from the columns: each class and device is its row's ``row_to_json``. Every name,
+    records: each class and device is its row's ``row_to_json``. Every name,
     class and device is encoded, and any ValueError (inf or nan) or FamilyError (a kind that names
     no channel) raised, before this returns; ``"".join`` of the pieces is the whole text."""
     dumps = json.JSONEncoder(allow_nan=False).encode  # json.dumps(obj, allow_nan=False)
     names = list(map(encode_basestring_ascii, graph.names))
     sources = [f'"{"fibre" if row[0] == FIBRE else "channel"}": {dumps(row_to_json(*row))}'
-               for row in zip(*graph.classes)]
+               for row in graph.classes]
 
     def device(key: str, row: tuple) -> str:
         return "" if row[0] is None else f', "{key}": {dumps(row_to_json(*row))}'
 
-    def devices(key: str, table: ChannelColumns) -> list[str]:
-        """Each node's device text: once for a table of ideal devices, or one whose columns each
-        repeat one object, as ``generate``'s templates build it."""
-        if table.kind and (all(map(is_, table.kind, repeat(None)))
-                           or all(all(map(is_, column, repeat(column[0]))) for column in table)):
-            return [device(key, next(zip(*table)))] * len(table.kind)
-        return [device(key, row) for row in zip(*table)]
+    def devices(key: str, table: tuple[tuple, ...]) -> list[str]:
+        """Each node's device text: once for a table of ideal devices, or one whose rows each repeat
+        the first row's fields by identity, as ``generate``'s templates build it."""
+        if table and (all(map(is_, map(itemgetter(0), table), repeat(None)))
+                      or all(map(is_, chain.from_iterable(table), cycle(table[0])))):
+            return [device(key, table[0])] * len(table)
+        return [device(key, row) for row in table]
 
     recvs, sends = devices("recv", graph.recv), devices("send", graph.send)
     tail = "]"
@@ -689,5 +661,5 @@ def _graph_columns(raw_nodes: Iterable | None, raw_edges: Iterable | None, data,
     fam = data.get("family")
     if fam is not None:
         fam = str(fam)
-    return NetworkGraph(tuple(number), *ChannelColumns.devices(recvs, sends), tuple(roles),
-                        tuple(a), tuple(b), tuple(cls), ChannelColumns.of(list(class_of)), users=users, family=fam)
+    return NetworkGraph(tuple(number), tuple(recvs), tuple(sends), tuple(roles),
+                        tuple(a), tuple(b), tuple(cls), tuple(class_of), users=users, family=fam)

@@ -153,8 +153,8 @@ _TRI_HALF_DIRS = ((1, 0), (0, 1), (-1, 1))
 _KING_HALF_DIRS = ((1, 0), (0, 1), (1, 1), (1, -1))
 
 
-# The largest radius ``generate`` builds: manhattan8 r=100 is 640,800 edges, and
-# ``generate`` peaks at 78 MiB and ``analyze`` at 198 MiB on it (README).
+# The largest radius ``generate`` builds: manhattan8 r=100 is 640,800 edges. The
+# README gives the memory peaks of ``generate``, ``validate`` and ``analyze`` on it.
 MAX_GENERATE_RADIUS = 100
 
 
@@ -170,7 +170,7 @@ def generate(spec: WrnSpec) -> NetworkGraph:
         raise DomainError(f"generate builds a radius of at most {MAX_GENERATE_RADIUS}, got {spec.radius}")
     # Imported here: the threshold solver, the rest of this module, never
     # builds a graph, so ``threshold`` and ``sweep`` do not load ``network``.
-    from .network import ChannelColumns, NetworkGraph
+    from .network import NetworkGraph
 
     rings = 2 * spec.radius
     if spec.cell_type == CELL_TRIANGULAR:
@@ -189,12 +189,10 @@ def generate(spec: WrnSpec) -> NetworkGraph:
                 b.append(v)
     users = ((-2, 0), (2, 0))
     n = len(coords)
-    fibre = FibreParams(spec.edge_length_km, spec.gamma, spec.nbar_B)
-    recv, send = ChannelColumns.devices((spec.recv,) * n, (spec.send,) * n)
     return NetworkGraph(
-        tuple(f"n{x}_{y}" for x, y in coords), recv, send,
+        tuple(f"n{x}_{y}" for x, y in coords), (spec.recv,) * n, (spec.send,) * n,
         tuple("user" if coord in users else "repeater" for coord in coords),
-        tuple(a), tuple(b), (0,) * len(a), ChannelColumns.of([fibre]),
+        tuple(a), tuple(b), (0,) * len(a), (FibreParams(spec.edge_length_km, spec.gamma, spec.nbar_B),),
         users=tuple(f"n{x}_{y}" for x, y in users),
         family=spec.family,
     )
@@ -279,8 +277,12 @@ def _verdict(values: Sequence[float]) -> tuple[str | None, Sequence[float]]:
 
 def _solve(fn: Callable[[float], float], target: float, scale: float, bracket: tuple[float, float],
            scan: tuple[str | None, Sequence[float]]) -> float:
-    """xi where fn(xi) meets target/scale, given the ``_scan`` of fn on ``bracket``,
-    whose first and last values are fn(lo) and fn(hi)."""
+    """xi where scale * fn(xi) crosses the capacity target, given the ``_scan`` of fn on ``bracket``,
+    whose first and last values are fn(lo) and fn(hi); fn must be monotone on the bracket. Bisection
+    runs to relative 1e-9 in xi, then on while there is room, until the result reproduces target/scale
+    to relative 1e-6. Raises DomainError unless target and scale are > 0, NotAttainableError when the
+    target lies outside the function's range even after bracket expansion, and MonotonicityError for
+    non-monotone input."""
     if not target > 0.0:
         raise DomainError(f"capacity target must be > 0, got {target}")
     if not scale > 0.0:
@@ -353,24 +355,6 @@ def _solve(fn: Callable[[float], float], target: float, scale: float, bracket: t
             "the function may step discontinuously"
         )
     return xi
-
-
-def solve_threshold(
-    bound_fn: Callable[[float], float],
-    target: float,
-    scale: float,
-    bracket: tuple[float, float] = BRACKET_START,
-) -> float:
-    """Parameter value where scale * bound_fn(xi) crosses the capacity target.
-
-    ``bound_fn`` must be monotone on the bracket: one scan of samples gives
-    its direction. Bisection runs to relative 1e-9 in xi, then on while there
-    is room, until the result reproduces target/scale to relative 1e-6. Raises
-    DomainError unless 0 < lo < hi < inf, NotAttainableError when the target
-    lies outside the function's range even after bracket expansion, and
-    MonotonicityError for non-monotone input.
-    """
-    return _solve(bound_fn, target, scale, bracket, _scan(bound_fn, bracket))
 
 
 def _chain_at(spec: WrnSpec, param: str, qkd_setup: qkd_mod.QkdSetup | None):

@@ -26,7 +26,7 @@ def _reference_json(graph):
     exactly as ``json.dumps`` does."""
     names = graph.names
     nodes = []
-    for node_id, recv, send, role in zip(names, zip(*graph.recv), zip(*graph.send), graph.role):
+    for node_id, recv, send, role in zip(names, graph.recv, graph.send, graph.role):
         entry = {"id": node_id}
         if recv[0] is not None:
             entry["recv"] = _reference_channel(recv)
@@ -36,7 +36,7 @@ def _reference_json(graph):
         nodes.append(entry)
     sources = [("fibre", {"length_km": length_km, "gamma": gamma, "nbar_B": last})
                if kind == "fibre" else ("channel", _reference_channel((kind, eta, last, length_km, gamma)))
-               for kind, eta, last, length_km, gamma in zip(*graph.classes)]
+               for kind, eta, last, length_km, gamma in graph.classes]
     edges = [{"a": names[u], "b": names[v], sources[c][0]: {**sources[c][1]}}
              for u, v, c in zip(graph.a, graph.b, graph.cls)]
     data = {"nodes": nodes, "edges": edges}

@@ -18,13 +18,15 @@ from qnetcap.oracles import ad_rci_at_u, h2, verify_theorem2
 from qnetcap.qkd import from_preset, theta_el, theta_ph, with_scheme
 from qnetcap.selfcheck import check_ad_compounds, check_tl_compounds, routing_errors
 from qnetcap.wrn import (
+    BRACKET_START,
     CELL_MANHATTAN,
     CELL_TRIANGULAR,
     WrnSpec,
+    _scan,
+    _solve,
     delta,
     min_nodal_density,
     omega,
-    solve_threshold,
     threshold_report,
 )
 
@@ -51,9 +53,8 @@ def test_criterion_1_pure_loss_k8_max_edge_length():
     assert bulk.from_lower_fn == bulk.from_upper_fn
     assert bulk.from_lower_fn == pytest.approx(183.0, abs=2.0)
     # same number from a hand-transcribed bound, bypassing the channel layer
-    direct = solve_threshold(
-        lambda d: -math.log2(1.0 - 10.0 ** (-0.02 * d)), TARGET, 32.0
-    )
+    plob = lambda d: -math.log2(1.0 - 10.0 ** (-0.02 * d))
+    direct = _solve(plob, TARGET, 32.0, BRACKET_START, _scan(plob, BRACKET_START))
     assert bulk.from_lower_fn == pytest.approx(direct, rel=1e-9)
     assert elapsed < 1.0
 

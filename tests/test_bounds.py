@@ -21,7 +21,7 @@ from qnetcap.errors import DomainError, FamilyError
 from qnetcap.network import annotate_uniform
 from qnetcap.oracles import bosonic_h, gaussian_propagate, h2, oriented_edge_bounds, verify_theorem2
 from qnetcap.qkd import from_preset, receiver_noise
-from qnetcap.wrn import WrnSpec, generate, min_nodal_density, solve_threshold
+from qnetcap.wrn import BRACKET_START, WrnSpec, _scan, _solve, generate, min_nodal_density
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 etas = st.floats(min_value=1e-6, max_value=1.0 - 1e-9, allow_nan=False)
@@ -552,6 +552,10 @@ def test_unit_transmissivity_with_noise_rejected():
         oriented_edge_bounds(ThermalLoss(1.0, 0.1), a, b, "tl")
 
 
+def _inverse(xi):
+    return 1.0 / xi
+
+
 # Every domain check on a float is one comparison that NaN fails. Each entry:
 # the checked call of x, its message on a bad x, and whether it takes -0.0.
 DOMAIN_CHECKS = {
@@ -579,11 +583,11 @@ DOMAIN_CHECKS = {
                        "channel transmissivity must lie in [0, 1], got {}", True),
     "min_nodal_density": (lambda x: min_nodal_density(x, "manhattan8"), "maximum link length must be > 0 km, got {}",
                           False),
-    "solve_threshold.target": (lambda x: solve_threshold(lambda xi: 1.0 / xi, x, 4.0),
+    "solve_threshold.target": (lambda x: _solve(_inverse, x, 4.0, BRACKET_START, _scan(_inverse, BRACKET_START)),
                                "capacity target must be > 0, got {}", False),
-    "solve_threshold.scale": (lambda x: solve_threshold(lambda xi: 1.0 / xi, 1.0, x), "scale must be > 0, got {}",
-                              False),
-    "solve_threshold.bracket": (lambda x: solve_threshold(lambda xi: 1.0 / xi, 1.0, 1.0, (x, 1e3)),
+    "solve_threshold.scale": (lambda x: _solve(_inverse, 1.0, x, BRACKET_START, _scan(_inverse, BRACKET_START)),
+                              "scale must be > 0, got {}", False),
+    "solve_threshold.bracket": (lambda x: _solve(_inverse, 1.0, 1.0, (x, 1e3), _scan(_inverse, (x, 1e3))),
                                 "search bracket must satisfy 0 < lo < hi < inf, got [{}, 1000.0]", False),
     "annotate_uniform": (lambda x: annotate_uniform(generate(WrnSpec("triangular6", 2, 10.0, "ad")), x),
                          "edge value must be >= 0, got {}", True),

@@ -405,9 +405,8 @@ def test_validate_of_a_hetero_lattice_peaks_below_the_parsed_document(tmp_path):
     rng, graph = random.Random(10), generate(WrnSpec("manhattan8", 10, 10.0, "tl"))
     n, m = len(graph.role), len(graph.a)
     devices = [ThermalLoss(rng.uniform(0.8, 1.0), rng.uniform(0.0, 0.02)) for _ in range(2 * n)]
-    graph = graph._replace(**dict(zip(("recv", "send"), network.ChannelColumns.devices(devices[:n], devices[n:]))),
-                           cls=tuple(range(m)),
-                           classes=network.ChannelColumns.of([FibreParams(rng.uniform(1.0, 40.0)) for _ in range(m)]))
+    graph = graph._replace(recv=tuple(devices[:n]), send=tuple(devices[n:]), cls=tuple(range(m)),
+                           classes=tuple(FibreParams(rng.uniform(1.0, 40.0)) for _ in range(m)))
     net = tmp_path / "net.json"
     net.write_text("".join(network.network_json_chunks(graph)))
     argv = ["validate", "--in", str(net), "--out", str(tmp_path / "out.json")]

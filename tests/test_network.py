@@ -26,7 +26,6 @@ from qnetcap.errors import (
 )
 from qnetcap.network import (
     BoundedGraph,
-    ChannelColumns,
     EdgeView,
     NetworkGraph,
     annotate_uniform,
@@ -226,11 +225,6 @@ def _loaded(graph):
     return loaded
 
 
-def _table(rows):
-    """The ChannelColumns of channel rows."""
-    return ChannelColumns.of(list(rows))
-
-
 def _lattice(cell, fam, **devices):
     return _loaded(generate(WrnSpec(cell, 3, 10.0, fam, **devices)))
 
@@ -244,7 +238,7 @@ def _distinct_devices(graph, fam, seed):
         return ThermalLoss(rng.uniform(0.7, 1.0), rng.choice([0.0, rng.uniform(0.0, 0.02)]))
 
     recv, send = zip(*[(device(), device()) for _ in graph.role])
-    return graph._replace(recv=_table(recv), send=_table(send))
+    return graph._replace(recv=recv, send=send)
 
 
 def _distinct_fibres(graph, seed):
@@ -252,7 +246,7 @@ def _distinct_fibres(graph, seed):
     rng = random.Random(seed)
     classes = tuple(FibreParams(rng.uniform(5.0, 25.0), rng.uniform(0.01, 0.05), rng.uniform(0.0, 0.005))
                     for _ in graph.a)
-    return graph._replace(cls=tuple(range(len(classes))), classes=_table(classes))
+    return graph._replace(cls=tuple(range(len(classes))), classes=classes)
 
 
 def _hetero(cell, fam, seed):
@@ -294,7 +288,7 @@ def test_apply_split_matches_per_edge_bounds(name):
     fam = resolved_family(graph)
     bg = apply_split(graph)
     assert (bg.nodes, bg.a, bg.b) == (graph.names, graph.a, graph.b)
-    nodes, classes = list(graph.nodes.values()), tuple(zip(*graph.classes))
+    nodes, classes = list(graph.nodes.values()), graph.classes
     for i, (u, v, c) in enumerate(zip(graph.a, graph.b, graph.cls)):
         assert _edge_bounds(bg, i) == oriented_edge_bounds(classes[c], nodes[u], nodes[v], fam)
 
@@ -305,8 +299,8 @@ def test_apply_split_bounds_a_repeated_class_once(monkeypatch, source):
     if source == "loaded":
         graph = _loaded(graph)
     elif source == "copied":  # an equal but distinct fibre row as each edge's own class
-        assert tuple(zip(*graph.classes)) == (FibreParams(10.0),)
-        graph = graph._replace(cls=tuple(range(len(graph.a))), classes=_table(FibreParams(10.0) for _ in graph.a))
+        assert graph.classes == (FibreParams(10.0),)
+        graph = graph._replace(cls=tuple(range(len(graph.a))), classes=tuple(FibreParams(10.0) for _ in graph.a))
     batches = _kernel_batches(monkeypatch)
     bg = apply_split(graph)
     (handed,) = batches
@@ -339,7 +333,7 @@ def _directions(graph):
     """The family-native (send, channel, recv) of each edge's forward then
     backward direction, in edge order."""
     fam = resolved_family(graph)
-    send, recv, classes = tuple(zip(*graph.send)), tuple(zip(*graph.recv)), tuple(zip(*graph.classes))
+    send, recv, classes = graph.send, graph.recv, graph.classes
     return [
         (native(fam, send[s]), native(fam, classes[c]), native(fam, recv[r]))
         for u, v, c in zip(graph.a, graph.b, graph.cls) for s, r in ((u, v), (v, u))
@@ -384,7 +378,7 @@ def test_a_fibre_that_transmits_nothing_has_bound_zero(fam, length):
     )).replace('"LENGTH"', length)
     graph, violations = load_network(text)
     assert violations == []
-    assert native("ad", tuple(zip(*graph.classes))[0]) == graph.classes.eta[0] == 0.0  # in either family
+    assert native("ad", graph.classes[0]) == graph.classes[0][1] == 0.0  # in either family
     bg = apply_split(graph)
     assert (bg.lower[0], bg.upper[0]) == (0.0, 0.0)
     assert bg.lower[1] > 0.0
@@ -392,7 +386,7 @@ def test_a_fibre_that_transmits_nothing_has_bound_zero(fam, length):
         assert (bg.lower_kind[0], bg.upper_kind[0]) == (BoundKind.DARK_FIBRE, BoundKind.DARK_FIBRE)
     else:  # full damping: the damping bounds are 0 of themselves
         assert (bg.lower_kind[0], bg.upper_kind[0]) == (BoundKind.RCI_LOWER, BoundKind.SQUASHED_UPPER)
-    nodes, classes = list(graph.nodes.values()), tuple(zip(*graph.classes))
+    nodes, classes = list(graph.nodes.values()), graph.classes
     for i, (u, v, c) in enumerate(zip(graph.a, graph.b, graph.cls)):
         assert _edge_bounds(bg, i) == oriented_edge_bounds(classes[c], nodes[u], nodes[v], fam)
 
@@ -449,7 +443,7 @@ def test_annotate_uniform():
 def _columns(names, recv, send, role, edges, classes, **extra):
     """A NetworkGraph from device rows, (a, b, cls) edge triples and class rows."""
     a, b, cls = zip(*edges) if edges else ((), (), ())
-    return NetworkGraph(tuple(names), _table(recv), _table(send), tuple(role), a, b, cls, _table(classes), **extra)
+    return NetworkGraph(tuple(names), tuple(recv), tuple(send), tuple(role), a, b, cls, tuple(classes), **extra)
 
 
 # Equal rows that print apart: a writer that shared one text between equal
@@ -487,7 +481,7 @@ WRITER_GRAPHS = {
         ["repeater"] * 8,
         [(i, i + 1, i % 4) for i in range(7)],
         [FibreParams(-0.0, 1, 0), FibreParams(0.0, 1.0, 0.0), FibreParams(2, 0.02, -0.0), AmplitudeDamping(-0.0)]),
-    # Device columns equal throughout but printing apart, and a send table of one repeated row.
+    # Device rows equal throughout but printing apart, and a send table of one repeated row.
     "equal-devices-that-print-apart": lambda: _columns(
         "abcd", [TL_TWINS[0], ThermalLoss(1, 0.0), ThermalLoss(1.0, -0.0), TL_TWINS[0]], [TL_TWINS[2]] * 4,
         ["user", "repeater", "repeater", "user"], [(0, 1, 0), (1, 2, 0), (2, 3, 0)], [FibreParams(1.0)],
@@ -523,7 +517,7 @@ def test_network_json_is_the_reference_document_dumped(name, reference_json):
 ])
 def test_network_json_refuses_non_finite_numbers(change, reference_json):
     graph = _columns("ab", [IDENTITY] * 2, [IDENTITY] * 2, ["user"] * 2, [(0, 1, 0)], [FibreParams(1.0)],
-                     users=("a", "b"), family="tl")._replace(**{k: _table(v) for k, v in change.items()})
+                     users=("a", "b"), family="tl")._replace(**change)
     with pytest.raises(ValueError, match="not JSON compliant"):
         json.dumps(reference_json(graph), allow_nan=False)
     with pytest.raises(ValueError, match="not JSON compliant"):
@@ -564,7 +558,7 @@ def test_network_json_round_trip():
     assert loaded.users == g.users
     assert loaded.family == "tl"
     assert loaded.nodes["b"].recv == ThermalLoss(0.9, 0.01)
-    assert tuple(zip(*loaded.classes))[loaded.cls[1]] == FibreParams(50.0, gamma=0.02, nbar_B=0.001)
+    assert loaded.classes[loaded.cls[1]] == FibreParams(50.0, gamma=0.02, nbar_B=0.001)
 
 
 def test_network_json_gives_each_edge_its_own_source_object():
@@ -574,7 +568,7 @@ def test_network_json_gives_each_edge_its_own_source_object():
     assert data["edges"][1]["fibre"]["length_km"] == 10.0
     loaded, violations = load_network(json.dumps(data))
     assert violations == []
-    assert tuple(zip(*loaded.classes)) == (FibreParams(30.0), FibreParams(10.0))
+    assert loaded.classes == (FibreParams(30.0), FibreParams(10.0))
     assert loaded.cls == (0,) + (1,) * (len(graph.a) - 1)
     assert json.loads("".join(network_json_chunks(graph)))["edges"][0]["fibre"]["length_km"] == 10.0
 
@@ -588,8 +582,8 @@ def test_network_json_gives_each_edge_its_own_source_object():
     ({"cls": (0,)}, "an a, b and cls per edge"),
     ({"role": ("user", "repeater")}, "a recv, send, role and name per node"),
     ({"names": ("a", "b")}, "a recv, send, role and name per node"),
-    ({"recv": (IDENTITY,) * 3}, "must be ChannelColumns of equal columns"),  # rows, not a table
-    ({"classes": ChannelColumns(("fibre",), (1.0,), (0.0,), (0.0,), ())}, "must be ChannelColumns of equal columns"),
+    ({"recv": [IDENTITY] * 3}, "must be tuples of rows"),  # a list, not a tuple
+    ({"recv": (IDENTITY,) * 2}, "a recv, send, role and name per node"),
 ])
 def test_network_graph_rejects_columns_that_do_not_agree(change, message):
     graph = _graph(_doc(["a", "b", "c"], [_e("a", "b"), _e("b", "c")]))
@@ -609,12 +603,12 @@ def test_load_network_collects_violations():
         }
     ))
     assert violations == []
-    assert tuple(zip(*loaded.classes))[loaded.cls[0]] == ThermalLoss(0.5)
+    assert loaded.classes[loaded.cls[0]] == ThermalLoss(0.5)
 
 
 def test_load_network_shares_the_fibre_of_a_lattice():
     graph = _loaded(generate(WrnSpec("manhattan8", 3, 10.0, "tl")))
-    assert tuple(zip(*graph.classes)) == (FibreParams(10.0),)
+    assert graph.classes == (FibreParams(10.0),)
     assert set(graph.cls) == {0}
 
 
@@ -627,7 +621,7 @@ def _load_each_fibre(data):
         graph, found = load_network(json.dumps({**data, "nodes": [{"id": edge["a"]}, {"id": edge["b"]}],
                                                 "edges": [edge], "users": [edge["a"], edge["b"]]}))
         violations += found
-        fibres += [tuple(zip(*graph.classes))[c] for c in graph.cls]
+        fibres += [graph.classes[c] for c in graph.cls]
     return violations, fibres
 
 
@@ -668,12 +662,12 @@ def test_load_network_fibre_memo_matches_per_edge_parse():
         "edge n9-n10: fibre length must be >= 0 km, got -1.0",
         "edge n15-n16: fibre needs a 'length_km'",
     ]
-    assert [tuple(zip(*graph.classes))[c] for c in graph.cls] == parsed
+    assert [graph.classes[c] for c in graph.cls] == parsed
     assert len(graph.a) == len(fibres) - 5
     # Equal fibres share one class, across the malformed fibres between them
     # and across runs of other fibres; an integer length and the default gamma
     # are the same fibre as a float length and an explicit 0.02.
-    assert tuple(zip(*graph.classes)) == (FibreParams(10.0), FibreParams(25.0, nbar_B=0.0), FibreParams(5.0),
+    assert graph.classes == (FibreParams(10.0), FibreParams(25.0, nbar_B=0.0), FibreParams(5.0),
                              FibreParams(10.0, gamma=0.03))
     assert graph.cls == (0, 0, 1, 0, 0, 0, 0, 2, 2, 0, 0, 0, 3)
 
@@ -738,9 +732,9 @@ FULL_SIZE = {"tl-manhattan8-r20": ("manhattan8", 20, "tl", 3), "ad-triangular6-r
 def test_apply_split_matches_per_edge_bounds_at_full_size(name):
     graph, violations = load_network(json.dumps(_hetero_doc(*FULL_SIZE[name])))
     assert violations == []
-    assert len(graph.classes.kind) == len(graph.a) > 3000  # a fibre of its own per edge
+    assert len(graph.classes) == len(graph.a) > 3000  # a fibre of its own per edge
     bg = apply_split(graph)
-    nodes, classes, fam = list(graph.nodes.values()), tuple(zip(*graph.classes)), FULL_SIZE[name][2]
+    nodes, classes, fam = list(graph.nodes.values()), graph.classes, FULL_SIZE[name][2]
     assert [_edge_bounds(bg, i) for i in range(len(bg.a))] == [
         oriented_edge_bounds(classes[c], nodes[u], nodes[v], fam) for u, v, c in zip(graph.a, graph.b, graph.cls)]
 
@@ -1068,7 +1062,7 @@ DOCS = st.fixed_dictionaries(
 @given(DOCS)
 def test_network_json_round_trips_to_the_same_columns_and_bytes(reference_json, doc):
     graph, _ = load_network(json.dumps(doc))
-    if math.inf in graph.classes.length_km:
+    if math.inf in [row[3] for row in graph.classes]:
         with pytest.raises(ValueError, match="not JSON compliant"):  # a network file holds finite numbers
             "".join(network_json_chunks(graph))
         return
@@ -1315,12 +1309,11 @@ def _layout_graph(fam: str, nodes: str, edges: str, radius: int = 6) -> NetworkG
     graph = generate(WrnSpec("manhattan8" if fam == "tl" else "triangular6", radius, 10.0, fam, **templates))
     n, m = len(graph.role), len(graph.a)
     if nodes == "own":
-        graph = graph._replace(**dict(zip(("recv", "send"), ChannelColumns.devices(
-            _hetero_rows(fam, n, 3), _hetero_rows(fam, n, 4)))))
+        graph = graph._replace(recv=tuple(_hetero_rows(fam, n, 3)), send=tuple(_hetero_rows(fam, n, 4)))
     rows = {"shared": None, "own": [FibreParams(5.0 + k / 64) for k in range(m)],
             "unshared": [FibreParams(5.0 + k / 64, 0.02 + k / 1e6, 0.002 + k / 1e7) for k in range(m)],
             "channels": _hetero_rows(fam, m, 5)}[edges]
-    return graph if rows is None else graph._replace(cls=tuple(range(m)), classes=ChannelColumns.of(rows))
+    return graph if rows is None else graph._replace(cls=tuple(range(m)), classes=tuple(rows))
 
 
 # Each record layout ``network_json_chunks`` writes, in both families.

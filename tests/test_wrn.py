@@ -23,19 +23,21 @@ from qnetcap.oracles import check_weak_regularity, edge_count, node_count, verif
 from qnetcap.qkd import from_preset
 from qnetcap.routing import capacity_report, max_flow
 from qnetcap.wrn import (
+    BRACKET_START,
     CELL_MANHATTAN,
     CELL_TRIANGULAR,
     DIRECTION_MAX,
     DIRECTION_MIN,
     ThresholdResult,
     WrnSpec,
+    _scan,
+    _solve,
     bound_functions,
     connectivity,
     delta,
     generate,
     min_nodal_density,
     omega,
-    solve_threshold,
     threshold_report,
     thresholds,
 )
@@ -180,44 +182,51 @@ def test_connectivity_constants():
 
 def test_solve_threshold_analytic():
     # F(x) = 1/x is decreasing: F(x*) = target/scale -> x* = scale/target
-    xi = solve_threshold(lambda x: 1.0 / x, target=2.0, scale=4.0)
+    fn = lambda x: 1.0 / x
+    xi = _solve(fn, 2.0, 4.0, BRACKET_START, _scan(fn, BRACKET_START))
     assert xi == pytest.approx(2.0, rel=1e-9)
     # increasing function
-    xi = solve_threshold(lambda x: x * x, target=9.0, scale=1.0)
+    fn = lambda x: x * x
+    xi = _solve(fn, 9.0, 1.0, BRACKET_START, _scan(fn, BRACKET_START))
     assert xi == pytest.approx(3.0, rel=1e-9)
 
 
 def test_solve_threshold_rejects_non_monotone():
     with pytest.raises(MonotonicityError):
-        solve_threshold(lambda x: math.sin(x), 0.1, 1.0, bracket=(1.0, 100.0))
+        _solve(math.sin, 0.1, 1.0, (1.0, 100.0), _scan(math.sin, (1.0, 100.0)))
     # Constant at or above the per-edge goal: no crossing to bracket.
     for level in (1.0, 0.5):
+        fn = lambda x: level
         with pytest.raises(MonotonicityError, match="constant"):
-            solve_threshold(lambda x: level, 0.5, 1.0)
+            _solve(fn, 0.5, 1.0, BRACKET_START, _scan(fn, BRACKET_START))
     # Monotone but discontinuous: bisection closes in on the step and the
     # residual can never be met.
+    fn = lambda x: 1.0 if x >= 3.0 else 0.0
     with pytest.raises(MonotonicityError, match="step discontinuously"):
-        solve_threshold(lambda x: 1.0 if x >= 3.0 else 0.0, 0.5, 1.0)
+        _solve(fn, 0.5, 1.0, BRACKET_START, _scan(fn, BRACKET_START))
 
 
 def test_solve_threshold_not_attainable():
     # bounded above by 1, target needs 2
+    fn = lambda x: 1.0 / (1.0 + x)
     with pytest.raises(NotAttainableError):
-        solve_threshold(lambda x: 1.0 / (1.0 + x), 2.0, 1.0)
+        _solve(fn, 2.0, 1.0, BRACKET_START, _scan(fn, BRACKET_START))
     # constant below the goal on the whole bracket
+    fn = lambda x: 0.0
     with pytest.raises(NotAttainableError, match="constant at 0"):
-        solve_threshold(lambda x: 0.0, 0.5, 1.0)
+        _solve(fn, 0.5, 1.0, BRACKET_START, _scan(fn, BRACKET_START))
 
 
 def test_solve_threshold_bad_target():
+    fn = lambda x: 1.0 / x
     with pytest.raises(DomainError):
-        solve_threshold(lambda x: 1.0 / x, 0.0, 1.0)
+        _solve(fn, 0.0, 1.0, BRACKET_START, _scan(fn, BRACKET_START))
     with pytest.raises(DomainError):
-        solve_threshold(lambda x: 1.0 / x, 1.0, -2.0)
+        _solve(fn, 1.0, -2.0, BRACKET_START, _scan(fn, BRACKET_START))
     # A reversed, empty or unbounded bracket; a NaN end is a DOMAIN_CHECKS case.
     for lo, hi in ((1e3, 1e-6), (1.0, 1.0), (1e-6, math.inf), (1e-6, math.nan)):
         with pytest.raises(DomainError) as raised:
-            solve_threshold(lambda x: 1.0 / x, 1.0, 1.0, (lo, hi))
+            _solve(fn, 1.0, 1.0, (lo, hi), _scan(fn, (lo, hi)))
         assert str(raised.value) == f"search bracket must satisfy 0 < lo < hi < inf, got [{lo}, {hi}]"
 
 
@@ -337,7 +346,7 @@ def _outcome(solve, *args):
 @example(kind="nan-above", a=1.0, b=1.5, target=1.25, scale=1.0, bracket=(0.5, 2.0))
 def test_one_loop_solve_matches_the_two_loop_reference(kind, a, b, target, scale, bracket):
     fn = _MONOTONE[kind](a, b)
-    assert _outcome(solve_threshold, fn, target, scale, bracket) == _outcome(
+    assert _outcome(lambda: _solve(fn, target, scale, bracket, _scan(fn, bracket))) == _outcome(
         _reference_solve, fn, target, scale, bracket
     )
 
@@ -705,7 +714,7 @@ def test_internal_loss_solve_meets_residual_where_steep():
     scale = float(delta(spec.k, spec.commonalities))
     goal = 1e-3 / scale
     for fn in bound_functions(spec, "internalLoss")[:2]:
-        xi = solve_threshold(fn, 1e-3, scale, bracket=(1e-6, 1.0 - 1e-9))
+        xi = _solve(fn, 1e-3, scale, (1e-6, 1.0 - 1e-9), _scan(fn, (1e-6, 1.0 - 1e-9)))
         assert abs(fn(xi) - goal) <= 1e-6 * goal
 
 
