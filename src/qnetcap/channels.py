@@ -32,6 +32,9 @@ from .errors import DomainError, FamilyError, checked
 FAMILY_AD = "ad"
 FAMILY_TL = "tl"
 FIBRE = "fibre"  # the kind of a fibre in a row
+# A lattice cell's family when a spec omits one: the triangular cell is the
+# qubit scenario, the diagonal-square cell the bosonic one.
+DEFAULT_FAMILY = {"triangular6": FAMILY_AD, "manhattan8": FAMILY_TL}
 DEFAULT_GAMMA = 0.02  # a fibre's loss rate per km when none is given
 DEFAULT_NBAR_B = 0.002  # a fibre's background photons when none are given
 

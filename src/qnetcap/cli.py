@@ -4,7 +4,9 @@ Commands: generate (lattice patch to network JSON), validate (structural
 checks), analyze (six-number capacity report plus min-cut), threshold
 (bracketed tolerable-parameter solve, with connectivity constants and nodal
 density), sweep (CSV tables over one variable, built by the ``sweep``
-module), selftest (randomized oracle batteries with a fixed seed).
+module), selftest (randomized oracle batteries with a fixed seed). A lattice
+spec's JSON form is read by ``wrn``, and a network file by ``network`` and
+``reader``.
 
 Exit codes: 0 ok, 2 input error, 3 validation failure, 4 unattainable target,
 5 internal numeric failure; a failed write to standard output is an input
@@ -25,23 +27,19 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, NoReturn
 
-from .channels import DEFAULT_GAMMA, DEFAULT_NBAR_B, row_from_json
-from .errors import DomainError, MonotonicityError, NotAttainableError, QnetcapError, ValidationError, checked_number
+from .channels import DEFAULT_FAMILY, DEFAULT_GAMMA, DEFAULT_NBAR_B
+from .errors import DomainError, MonotonicityError, NotAttainableError, QnetcapError, ValidationError
 
 # Each function imports the package modules it calls, so a call loads only the
 # code it runs: bounding a network needs no solver, a threshold solve no graph.
 if TYPE_CHECKING:
-    from . import network, qkd, routing, selfcheck, wrn
+    from . import network, routing, selfcheck, wrn
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_VALIDATION = 3
 EXIT_NOT_ATTAINABLE = 4
 EXIT_NUMERIC = 5
-
-# Lattice family defaults when a spec omits one: the triangular cell is the
-# qubit scenario, the diagonal-square cell the bosonic one.
-DEFAULT_FAMILY = {"triangular6": "ad", "manhattan8": "tl"}
 
 # Module-level tables spell the solver's parameter names (``wrn.PARAM_*``)
 # out, so that loading this module does not load ``wrn``.
@@ -50,12 +48,6 @@ _PARAM_BY_FLAG = {
     "internal-loss": "internalLoss",
     "receiver-noise": "receiverNoise",
 }
-
-_WRN_KEYS = {
-    "cell", "radius", "edge_length_km", "family", "gamma", "nbar_B",
-    "recv", "send", "qkd_setup",
-}
-
 
 def _read_json(path: str, parse: Callable = json.loads):
     """``parse`` of the text of the file at ``path``; input errors name the file."""
@@ -107,51 +99,6 @@ def _error(kind: str, message: str, **extra) -> None:
     sys.stderr.write(json.dumps({"error": kind, "message": message, **extra}) + "\n")
 
 
-def _parse_qkd_setup(data) -> qkd.QkdSetup:
-    from . import qkd
-    if isinstance(data, str):
-        return qkd.from_preset(data)
-    if not isinstance(data, dict):
-        raise DomainError(f"qkd_setup must be a preset name or an object, got {type(data).__name__}")
-    fields = dict(data)
-    preset = fields.pop("preset", None)
-    base = qkd.from_preset(preset) if preset is not None else qkd.QkdSetup()
-    unknown = sorted(set(fields) - set(qkd.QkdSetup._fields))
-    if unknown:
-        raise DomainError(f"unknown qkd_setup keys: {', '.join(unknown)}")
-    for key, value in fields.items():
-        if key != "scheme":
-            fields[key] = checked_number(f"qkd_setup.{key}", value)
-    return base._replace(**fields)
-
-
-def _parse_wrn_spec(data) -> tuple[wrn.WrnSpec, qkd.QkdSetup | None]:
-    from . import wrn
-    if not isinstance(data, dict):
-        raise DomainError("lattice spec must be a JSON object")
-    unknown = sorted(set(data) - _WRN_KEYS)
-    if unknown:
-        raise DomainError(f"unknown lattice spec keys: {', '.join(unknown)}")
-    for key in ("cell", "radius", "edge_length_km"):
-        if key not in data:
-            raise DomainError(f"lattice spec is missing {key!r}")
-    cell = data["cell"]
-    if not isinstance(cell, str):
-        raise DomainError(f"cell must be a string, got {cell!r}")
-    family = data.get("family", DEFAULT_FAMILY.get(cell))
-    if family is None:
-        raise DomainError(f"unknown cell {cell!r}; declare family explicitly")
-    kwargs = {"cell_type": cell, "family": family}
-    for key, kind in (("radius", int), ("edge_length_km", float), ("gamma", float), ("nbar_B", float)):
-        if key in data:
-            kwargs[key] = checked_number(key, data[key], kind)
-    for side in ("recv", "send"):
-        if side in data:
-            kwargs[side] = row_from_json(data[side])
-    setup = _parse_qkd_setup(data["qkd_setup"]) if "qkd_setup" in data else None
-    return wrn.WrnSpec(**kwargs), setup
-
-
 def cmd_generate(args) -> int:
     from . import network, wrn
     family = args.family or DEFAULT_FAMILY[args.cell]
@@ -198,7 +145,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_threshold(args) -> int:
     from . import wrn
-    spec, setup = _parse_wrn_spec(_read_json(args.spec))
+    spec, setup = wrn._parse_wrn_spec(_read_json(args.spec))
     param = _PARAM_BY_FLAG[args.param]
     bulk, user = wrn.threshold_report(spec, args.target, param, qkd_setup=setup)
     delta_val, (omega_num, omega_den) = wrn.connectivity(spec)
@@ -224,7 +171,7 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from . import sweep
+    from . import sweep, wrn
     data = _read_json(args.spec)
     if not isinstance(data, dict):
         raise DomainError("sweep spec must be a JSON object")
@@ -236,8 +183,10 @@ def cmd_sweep(args) -> int:
             raise DomainError(f"sweep spec is missing {key!r}")
     if data["variable"] not in sweep.SWEEP_VARIABLES:
         raise DomainError(f"variable must be one of {sweep.SWEEP_VARIABLES}, got {data['variable']!r}")
-    spec, file_setup = _parse_wrn_spec(data["wrn"])
-    setup = _parse_qkd_setup(data["qkd_setup"]) if "qkd_setup" in data else file_setup
+    spec, setup = wrn._parse_wrn_spec(data["wrn"])
+    if "qkd_setup" in data:
+        from .qkd import _parse_qkd_setup
+        setup = _parse_qkd_setup(data["qkd_setup"])
     _emit(("\n".join(sweep.csv_lines(data, spec, setup)), "\n"), args.out)
     return EXIT_OK
 

@@ -27,8 +27,8 @@ from typing import Iterable, NamedTuple
 from .bounds import BoundKind, bound_columns, compounds
 from .channels import NodeSpec, native
 from .errors import DomainError, KrausError, SizeError
-from .network import BoundedGraph, Cut, NetworkGraph, annotate_uniform, check_selector
-from .routing import FlowResult, PathResult, max_flow, min_neighbourhood_capacity
+from .network import NetworkGraph, annotate_uniform
+from .routing import BoundedGraph, Cut, FlowResult, PathResult, check_selector, max_flow, min_neighbourhood_capacity
 from .wrn import CELL_TRIANGULAR, WrnSpec, generate
 
 # Eigenvalues at or below this are treated as exact zeros inside entropies.

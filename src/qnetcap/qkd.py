@@ -8,7 +8,7 @@ stays fixed, while residual phase noise scales with the received signal power.
 
 The resulting dimensionless photon numbers feed thermal-loss receiver specs:
 the receiver is modelled as ThermalLoss(tau_eff, nbar_r) and the sender side
-is taken as ideal.
+is taken as ideal. ``_parse_qkd_setup`` reads a spec's ``qkd_setup``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import DomainError, checked
+from .errors import DomainError, checked, checked_number
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 PLANCK = 6.62607015e-34  # J*s
@@ -125,3 +125,21 @@ def from_preset(name: str) -> QkdSetup:
 def with_scheme(setup: QkdSetup, scheme: str) -> QkdSetup:
     """Same hardware, other LO scheme; handy for scheme comparisons."""
     return setup._replace(scheme=scheme)
+
+
+def _parse_qkd_setup(data) -> QkdSetup:
+    """The setup of a spec's ``qkd_setup``: a preset name, or an object of fields over an optional preset."""
+    if isinstance(data, str):
+        return from_preset(data)
+    if not isinstance(data, dict):
+        raise DomainError(f"qkd_setup must be a preset name or an object, got {type(data).__name__}")
+    fields = dict(data)
+    preset = fields.pop("preset", None)
+    base = from_preset(preset) if preset is not None else QkdSetup()
+    unknown = sorted(set(fields) - set(QkdSetup._fields))
+    if unknown:
+        raise DomainError(f"unknown qkd_setup keys: {', '.join(unknown)}")
+    for key, value in fields.items():
+        if key != "scheme":
+            fields[key] = checked_number(f"qkd_setup.{key}", value)
+    return base._replace(**fields)

@@ -8,8 +8,10 @@ The min-neighbourhood capacity is the multi-edge capacity of the cut that
 isolates one end user: the smaller of the two users' incident-edge value sums.
 It upper-bounds the flooding (max-flow) capacity because it is itself a cut.
 
-All of these run on one arc structure (``_arcs``), built once per report from
-the graph's endpoint numbers, which ``BoundedGraph`` checked when it was built.
+The BoundedGraph that ``network.apply_split`` and ``network.annotate_uniform``
+build lives here, with the Cut. All of these run on one arc structure
+(``_arcs``), built once per report from the graph's endpoint numbers, which
+``BoundedGraph`` checked when it was built.
 The exhaustive enumeration oracles and the flow feasibility check that gate
 these algorithms live in ``oracles.py``.
 """
@@ -18,10 +20,75 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import DomainError
-from .network import BoundedGraph, Cut
+from .errors import DomainError, checked
+from .network import _check_users
+
+if TYPE_CHECKING:
+    from .bounds import BoundKind
+
+SELECTORS = ("lower", "upper")
+BOUND_ORDER_TOL = 1e-12  # how far rounding may take a lower bound above its upper
+
+
+def check_selector(selector: str) -> str:
+    if selector not in SELECTORS:
+        raise DomainError(f"selector must be 'lower' or 'upper', got {selector!r}")
+    return selector
+
+
+@checked
+class BoundedGraph(NamedTuple):
+    """A graph's edge bounds as columns, one entry per edge.
+
+    Edge i joins node numbers ``a[i]`` and ``b[i]`` (indexes into ``nodes``);
+    each side has its value, bound kind and sender, the node its chosen
+    direction sends from. Construction is the one gate, raising DomainError
+    unless ``users`` is a pair of names, every endpoint numbers a node and
+    0 <= lower <= upper (within ``BOUND_ORDER_TOL``). NaN and inf pass;
+    ``max_flow`` rejects them.
+    """
+
+    nodes: tuple[str, ...]
+    users: tuple[str, str]
+    a: tuple[int, ...]
+    b: tuple[int, ...]
+    lower: tuple[float, ...]
+    upper: tuple[float, ...]
+    lower_kind: tuple[BoundKind, ...]
+    upper_kind: tuple[BoundKind, ...]
+    lower_sender: tuple[int, ...]
+    upper_sender: tuple[int, ...]
+
+    def _check(self):
+        columns = (self.b, self.lower, self.upper, self.lower_kind, self.upper_kind,
+                   self.lower_sender, self.upper_sender)
+        if any(len(column) != len(self.a) for column in columns):
+            raise DomainError("bounded graph columns must have one entry per edge")
+        _check_users(self.users)
+        n = len(self.nodes)
+        for i, (u, v, lower, upper) in enumerate(zip(self.a, self.b, self.lower, self.upper)):
+            if not (0 <= u < n and 0 <= v < n):
+                raise DomainError(f"edge #{i}: endpoints ({u}, {v}) must number nodes 0 to {n - 1}")
+            if lower < 0.0:
+                raise DomainError(f"lower bound must be >= 0, got {lower}")
+            if upper < lower - BOUND_ORDER_TOL:
+                raise DomainError(f"bounds out of order: lower {lower} > upper {upper}")
+
+    def values(self, selector: str) -> tuple[float, ...]:
+        """The ``lower`` or the ``upper`` column."""
+        return self.lower if check_selector(selector) == "lower" else self.upper
+
+
+class Cut(NamedTuple):
+    """Bipartition of the node set separating the two end users."""
+
+    a_side: frozenset
+    b_side: frozenset
+    edges: tuple[tuple[str, str], ...]
+
+
 
 # Residual capacities at or below this are treated as saturated.
 RESIDUAL_TOL = 1e-12

@@ -16,7 +16,7 @@ import random
 
 from .bounds import compounds
 from .channels import FAMILY_AD, FAMILY_TL
-from .network import BoundedGraph, annotate_uniform
+from .network import annotate_uniform
 from .oracles import (
     ad_channel,
     apply_channel,
@@ -27,7 +27,7 @@ from .oracles import (
     max_flow_certificate_error,
     widest_path_certificate_error,
 )
-from .routing import max_flow, widest_path
+from .routing import BoundedGraph, max_flow, widest_path
 from .wrn import WrnSpec, generate
 
 EXCITED = ((0.0, 0.0), (0.0, 1.0))

@@ -11,6 +11,8 @@ tolerable-parameter thresholds; running the solve with the lower and the upper
 bound function brackets the true threshold. ``thresholds`` scans both sides
 at once, in one call of each ``bounds`` kernel on the chains of its samples,
 and then bisects each side, one value per step, for every (target, scale) goal.
+Only a solve loads the kernels, so ``generate`` does not; ``_parse_wrn_spec``
+reads a spec's JSON form.
 
 With every edge at one uniform value c, these lattices satisfy the threshold
 conditions outright and the flooding capacity equals k*c exactly (the
@@ -24,8 +26,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .bounds import bound_columns, coherent_information, compounds, squashed_entanglement
 from .channels import (
+    DEFAULT_FAMILY,
     DEFAULT_GAMMA,
     DEFAULT_NBAR_B,
     FAMILY_AD,
@@ -34,9 +36,10 @@ from .channels import (
     FibreParams,
     check_row,
     fibre_transmissivity,
+    row_from_json,
     row_to_json,
 )
-from .errors import DomainError, FamilyError, MonotonicityError, NotAttainableError, checked
+from .errors import DomainError, FamilyError, MonotonicityError, NotAttainableError, checked, checked_number
 
 if TYPE_CHECKING:
     from . import qkd as qkd_mod
@@ -115,6 +118,39 @@ class WrnSpec(NamedTuple):
     k = property(lambda self: _CELLS[self.cell_type][0])
     commonalities = property(lambda self: _CELLS[self.cell_type][1])
     xi_geom = property(lambda self: _CELLS[self.cell_type][2])
+
+
+_WRN_KEYS = {"cell", "radius", "edge_length_km", "family", "gamma", "nbar_B", "recv", "send", "qkd_setup"}
+
+
+def _parse_wrn_spec(data) -> tuple[WrnSpec, qkd_mod.QkdSetup | None]:
+    """The spec and the QKD setup, or None, of a lattice spec's JSON object."""
+    if not isinstance(data, dict):
+        raise DomainError("lattice spec must be a JSON object")
+    unknown = sorted(set(data) - _WRN_KEYS)
+    if unknown:
+        raise DomainError(f"unknown lattice spec keys: {', '.join(unknown)}")
+    for key in ("cell", "radius", "edge_length_km"):
+        if key not in data:
+            raise DomainError(f"lattice spec is missing {key!r}")
+    cell = data["cell"]
+    if not isinstance(cell, str):
+        raise DomainError(f"cell must be a string, got {cell!r}")
+    family = data.get("family", DEFAULT_FAMILY.get(cell))
+    if family is None:
+        raise DomainError(f"unknown cell {cell!r}; declare family explicitly")
+    kwargs = {"cell_type": cell, "family": family}
+    for key, kind in (("radius", int), ("edge_length_km", float), ("gamma", float), ("nbar_B", float)):
+        if key in data:
+            kwargs[key] = checked_number(key, data[key], kind)
+    for side in ("recv", "send"):
+        if side in data:
+            kwargs[side] = row_from_json(data[side])
+    setup = None
+    if "qkd_setup" in data:
+        from .qkd import _parse_qkd_setup
+        setup = _parse_qkd_setup(data["qkd_setup"])
+    return WrnSpec(**kwargs), setup
 
 
 def delta(k: int, commonalities) -> int:
@@ -405,11 +441,12 @@ def bound_functions(spec: WrnSpec, param: str, qkd_setup: qkd_mod.QkdSetup | Non
     a scan needs. A thermal compound of unit transmissivity, whose capacity
     diverges, raises DomainError where a graph bounds it ``inf``.
     """
+    from . import bounds  # only a solve loads the kernels, each looked up when called
     chain, bracket = _chain_at(spec, param, qkd_setup)
     fam = spec.family
 
     def reduce(chains) -> list:
-        reduced = compounds(fam, chains)
+        reduced = bounds.compounds(fam, chains)
         if fam == FAMILY_TL:
             for eta, _ in reduced:
                 if eta == 1.0:
@@ -417,13 +454,13 @@ def bound_functions(spec: WrnSpec, param: str, qkd_setup: qkd_mod.QkdSetup | Non
         return reduced
 
     def columns(xs) -> list[list]:
-        return bound_columns(fam, reduce([chain(x) for x in xs]))
+        return bounds.bound_columns(fam, reduce([chain(x) for x in xs]))
 
     if fam == FAMILY_AD:
-        return (lambda x: coherent_information(reduce((chain(x),)))[0]), \
-            (lambda x: squashed_entanglement(reduce((chain(x),)))[0]), bracket, columns
-    return (lambda x: bound_columns(fam, reduce((chain(x),)))[0][0]), \
-        (lambda x: bound_columns(fam, reduce((chain(x),)))[2][0]), bracket, columns
+        return (lambda x: bounds.coherent_information(reduce((chain(x),)))[0]), \
+            (lambda x: bounds.squashed_entanglement(reduce((chain(x),)))[0]), bracket, columns
+    return (lambda x: bounds.bound_columns(fam, reduce((chain(x),)))[0][0]), \
+        (lambda x: bounds.bound_columns(fam, reduce((chain(x),)))[2][0]), bracket, columns
 
 
 def connectivity(spec: WrnSpec) -> tuple[int, tuple[int, int]]:

@@ -27,7 +27,7 @@ from qnetcap.cli import (
     _PARAM_BY_FLAG,
     main,
 )
-from qnetcap import bounds, cli, network, selfcheck, wrn
+from qnetcap import bounds, cli, network, reader, selfcheck, wrn
 from qnetcap.channels import FibreParams, ThermalLoss
 from qnetcap.errors import DomainError
 from qnetcap.qkd import PRESETS, QkdSetup
@@ -711,9 +711,9 @@ def _subcommand_argv(tmp_path, command: str) -> list[str]:
 
 
 @pytest.mark.parametrize("command,loads", [
-    ("generate", GRAPH_MODULES | SOLVER_MODULES),
-    ("validate", GRAPH_MODULES),
-    ("analyze", GRAPH_MODULES | {"qnetcap.bounds", "qnetcap.routing"}),
+    ("generate", GRAPH_MODULES | {"qnetcap.wrn"}),
+    ("validate", GRAPH_MODULES | {"qnetcap.reader"}),
+    ("analyze", GRAPH_MODULES | {"qnetcap.reader", "qnetcap.bounds", "qnetcap.routing"}),
     ("threshold", SOLVER_MODULES),
     ("sweep", SOLVER_MODULES | {"qnetcap.sweep"}),
     ("selftest", GRAPH_MODULES | SOLVER_MODULES | {"qnetcap.routing", "qnetcap.oracles", "qnetcap.selfcheck"}),
@@ -727,24 +727,25 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, command, loads):
 def test_validate_compiles_only_the_punctuation_pattern(tmp_path):
     # A fresh process pays for every pattern it compiles, so reading a network
     # compiles the punctuation pattern once, and the package compiles nothing
-    # per call or per record.
-    argv = _subcommand_argv(tmp_path, "validate")
-    lines = _probe(
-        "import re, sys\n"
-        "compiled, compile_ = [], re._compile\n"
-        "def recording(pattern, flags):\n"
-        "    frame = sys._getframe(1)\n"
-        "    while frame.f_globals['__name__'].split('.')[0] == 're':\n"
-        "        frame = frame.f_back\n"
-        "    if frame.f_globals['__name__'].startswith('qnetcap'):\n"
-        "        compiled.append(pattern)\n"
-        "    return compile_(pattern, flags)\n"
-        "re._compile = recording\n"
-        "import qnetcap.cli\n"
-        f"assert qnetcap.cli.main({argv!r}) == 0\n"
-        "print(repr(compiled))"
-    ).splitlines()
-    assert lines == [repr([network._PUNCT.pattern])]
+    # per call or per record; generate, which reads no network, compiles none.
+    for command, patterns in (("validate", [reader._PUNCT.pattern]), ("generate", [])):
+        argv = _subcommand_argv(tmp_path, command)
+        lines = _probe(
+            "import re, sys\n"
+            "compiled, compile_ = [], re._compile\n"
+            "def recording(pattern, flags):\n"
+            "    frame = sys._getframe(1)\n"
+            "    while frame.f_globals['__name__'].split('.')[0] == 're':\n"
+            "        frame = frame.f_back\n"
+            "    if frame.f_globals['__name__'].startswith('qnetcap'):\n"
+            "        compiled.append(pattern)\n"
+            "    return compile_(pattern, flags)\n"
+            "re._compile = recording\n"
+            "import qnetcap.cli\n"
+            f"assert qnetcap.cli.main({argv!r}) == 0\n"
+            "print(repr(compiled))"
+        ).splitlines()
+        assert lines == [repr(patterns)]
 
 
 @pytest.mark.parametrize("command,spec", [
@@ -863,7 +864,7 @@ def test_main_reads_the_command_line_when_given_no_arguments(tmp_path, monkeypat
 
 def test_a_spec_helper_runs_before_main():
     # Each function imports the package modules it calls, so no helper relies on main having run.
-    assert _probe(f"import qnetcap.cli as cli; print(cli._parse_wrn_spec({MAN_SPEC!r})[0].k)") == "8\n"
+    assert _probe(f"import qnetcap.wrn as wrn; print(wrn._parse_wrn_spec({MAN_SPEC!r})[0].k)") == "8\n"
 
 
 def test_cli_tables_spell_the_solver_parameters():
@@ -1575,4 +1576,4 @@ def test_read_network_reads_any_layout_as_json_loads_does(doc, layout, variant, 
     if variant == "duplicated":  # json.loads keeps the last value of a key
         key = rng.choice(["nodes", "edges", "users", "family"])
         text = f'{{"{key}": ["x"], {text[1:]}' if doc else f'{{"{key}": ["x"]}}'
-    assert network.load_network(text) == network._load_json(text)
+    assert network.load_network(text) == reader._load_json(text)

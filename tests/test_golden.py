@@ -29,7 +29,8 @@ from unittest import mock
 import pytest
 
 from qnetcap.cli import main
-from qnetcap.network import _load_json, load_network, network_json_chunks
+from qnetcap.network import load_network, network_json_chunks
+from qnetcap.reader import _load_json
 from qnetcap.wrn import WrnSpec, generate
 
 GOLDEN = Path(__file__).parent / "golden"

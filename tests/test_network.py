@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qnetcap import bounds, channels, network, oracles, sweep, wrn
+from qnetcap import bounds, channels, network, oracles, reader, sweep, wrn
 from qnetcap.bounds import BoundKind
 from qnetcap.channels import (
     IDENTITY,
@@ -25,7 +25,6 @@ from qnetcap.errors import (
     ValidationError,
 )
 from qnetcap.network import (
-    BoundedGraph,
     EdgeView,
     NetworkGraph,
     annotate_uniform,
@@ -36,7 +35,7 @@ from qnetcap.network import (
     validate,
 )
 from qnetcap.oracles import OrientedBounds, bounded_from_values, oriented_edge_bounds
-from qnetcap.routing import min_neighbourhood_capacity
+from qnetcap.routing import BoundedGraph, min_neighbourhood_capacity
 from qnetcap.wrn import WrnSpec, generate
 
 HUGE_INT = 10 ** 400
@@ -542,6 +541,22 @@ def test_an_unhashable_kind_is_a_violation_not_a_type_error():
         apply_split(graph)
 
 
+@pytest.mark.parametrize("table", ["recv", "classes"])
+def test_a_table_entry_that_is_no_row_is_a_violation_not_an_error(table):
+    graph = generate(WrnSpec("manhattan8", 2, 10.0, "tl"))
+    graph = graph._replace(**{table: (None,) * len(graph.role) if table == "recv" else ((),)})
+    assert validate(graph) == ["recv, send and classes: every entry must be a channel row"]
+    with pytest.raises(ValidationError, match="every entry must be a channel row"):
+        apply_split(graph)
+
+
+def test_apply_split_rejects_a_row_too_short_for_its_family():
+    graph = generate(WrnSpec("manhattan8", 2, 10.0, "tl"))._replace(classes=(("fibre", 0.5),))
+    assert validate(graph) == []
+    with pytest.raises(DomainError, match="too short for the 'tl' family's numbers"):
+        apply_split(graph)
+
+
 def test_network_json_round_trip():
     g = _graph(_doc(
         [{"id": "a", "role": "user"},
@@ -719,7 +734,7 @@ def test_read_network_is_load_network_of_json_loads(build, args):
     text = json.dumps(doc)
     graph, violations = load_network(text)
     assert violations == []
-    assert (graph, violations) == network._load_json(text)
+    assert (graph, violations) == reader._load_json(text)
     assert load_network(json.dumps(doc, indent=2)) == (graph, violations)
 
 
@@ -750,7 +765,7 @@ def _counted_conversions(monkeypatch) -> collections.Counter:
             return function(*args, **kwargs)
         return counted
 
-    for module in (channels, network, oracles, sweep, wrn):
+    for module in (channels, network, oracles, reader, sweep, wrn):
         for name in ("FibreParams", "ThermalLoss", "AmplitudeDamping", "native", "check_row"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
@@ -760,7 +775,7 @@ def _counted_conversions(monkeypatch) -> collections.Counter:
 def test_reading_and_splitting_builds_no_record_and_converts_nothing(monkeypatch):
     texts = {FULL_SIZE[name][2]: json.dumps(_hetero_doc(*FULL_SIZE[name])) for name in FULL_SIZE}
     calls, tried = _counted_conversions(monkeypatch), {"run": []}
-    monkeypatch.setattr(network, "_run", _counted(tried, "run", network._run))
+    monkeypatch.setattr(reader, "_run", _counted(tried, "run", reader._run))
     expected = collections.Counter()
     for fam, text in texts.items():
         tried["run"].clear()
@@ -825,7 +840,7 @@ def test_range_violations_keep_their_words_in_both_layouts(indent):
     text = json.dumps(_doc(nodes, edges, users=(names[0], names[-1]), family="tl"), indent=indent)
     text = text.replace('"INF"', "1e999")  # json reads it as inf
     graph, violations = load_network(text)
-    assert violations == network._load_json(text)[1] == RANGE_VIOLATIONS
+    assert violations == reader._load_json(text)[1] == RANGE_VIOLATIONS
     assert graph.a == ()
 
 
@@ -845,16 +860,16 @@ def test_range_violations_in_runs_keep_their_words(monkeypatch, fam):
     nodes.insert(-3, 7)  # numbered after the records of the runs handed back
     edges.insert(-3, 7)
     text = json.dumps(doc)
-    monkeypatch.setattr(network, "_CHUNK", 500)
-    with mock.patch.object(network, "_load_json", side_effect=AssertionError("read through json.loads")):
+    monkeypatch.setattr(reader, "_CHUNK", 500)
+    with mock.patch.object(reader, "_load_json", side_effect=AssertionError("read through json.loads")):
         graph, violations = load_network(text)
-    assert (graph, violations) == network._load_json(text)
+    assert (graph, violations) == reader._load_json(text)
     assert [v for v in violations if "unknown endpoint" not in v] == [
         f"node {nodes[3]['id']!r}: {words[0]}", f"node {nodes[5]['id']!r}: {words[1]}",
         f"node #{len(nodes) - 4}: object with an 'id' required",
         f"edge {edges[4]['a']}-{edges[4]['b']}: fibre length must be >= 0 km, got -1.0",
         f"edge #{len(edges) - 4}: object with endpoints 'a' and 'b' required"]
-    assert len([item for item in network._records(text, {}) if type(item) is tuple]) > 4
+    assert len([item for item in reader._records(text, {}) if type(item) is tuple]) > 4
 
 
 @pytest.mark.parametrize("field", ["tau", "nbar", "length_km"])
@@ -866,9 +881,9 @@ def test_a_run_of_numbers_written_as_strings_reads_as_json_loads_does(field):
         channel = record["fibre"] if field == "length_km" else record["recv"]
         channel[field] = str(channel[field])
     text = json.dumps(doc)
-    with mock.patch.object(network, "_load_json", side_effect=AssertionError("read through json.loads")):
+    with mock.patch.object(reader, "_load_json", side_effect=AssertionError("read through json.loads")):
         graph, violations = load_network(text)
-    assert (graph, violations) == network._load_json(text)
+    assert (graph, violations) == reader._load_json(text)
 
 
 _NODES = '[{"id": "a", "role": "user"}, {"id": "b", "role": "user"}]'
@@ -1225,13 +1240,13 @@ def _read(reader, text: str):
 @given(st.sampled_from(["manhattan8", "triangular6"]), st.integers(2, 3), st.sampled_from(sorted(LAYOUTS)),
        st.sampled_from([None, "duplicate-node", *NODE_MUTATIONS, *DEVICE_MUTATIONS, *SHIFT_MUTATIONS,
                         *EDGE_MUTATIONS, *RUN_MUTATIONS, "wrapped-numbers"]),
-       st.integers(0, 10**6), st.one_of(st.just(network._CHUNK), st.integers(1, 400)))
+       st.integers(0, 10**6), st.one_of(st.just(reader._CHUNK), st.integers(1, 400)))
 @example("manhattan8", 3, "ideal", "number-node", 50, 100)  # records after a run keep their numbers
 @example("manhattan8", 3, "ideal", "number-edge", 50, 200)
 @example("manhattan8", 2, "hetero", "swapped-separators", 7, 300)
-@example("manhattan8", 3, "hetero", "mid-run-gamma", 60, network._CHUNK)
-@example("manhattan8", 2, "hetero", "wrapped-numbers", 0, network._CHUNK)
-@example("triangular6", 2, "hetero-unshared", "wrapped-numbers", 1, network._CHUNK)
+@example("manhattan8", 3, "hetero", "mid-run-gamma", 60, reader._CHUNK)
+@example("manhattan8", 2, "hetero", "wrapped-numbers", 0, reader._CHUNK)
+@example("triangular6", 2, "hetero-unshared", "wrapped-numbers", 1, reader._CHUNK)
 def test_load_network_reads_generated_and_mutated_texts_as_json_loads_does(cell, radius, layout, mutation, at,
                                                                            chunk):
     text = _generated(cell, radius, layout)
@@ -1241,11 +1256,11 @@ def test_load_network_reads_generated_and_mutated_texts_as_json_loads_does(cell,
             assume(text != _generated(cell, radius, layout))
         else:
             assert text != _generated(cell, radius, layout)
-    expected = _read(network._load_json, text)
+    expected = _read(reader._load_json, text)
     # Every such text is one object whose records the reader walks itself,
     # and a run of ``chunk`` or more characters ends at the next record.
-    with (mock.patch.object(network, "_load_json", side_effect=AssertionError("read through json.loads")),
-          mock.patch.object(network, "_CHUNK", chunk)):
+    with (mock.patch.object(reader, "_load_json", side_effect=AssertionError("read through json.loads")),
+          mock.patch.object(reader, "_CHUNK", chunk)):
         assert _read(load_network, text) == expected
 
 
@@ -1256,7 +1271,7 @@ def _expected_runs(ends: list[int], start: int, tail: int) -> int:
     runs = 0
     while ends:
         runs += 1
-        last = next((k for k, end in enumerate(ends[:-1]) if end - tail >= start + network._CHUNK), len(ends) - 1)
+        last = next((k for k, end in enumerate(ends[:-1]) if end - tail >= start + reader._CHUNK), len(ends) - 1)
         start, ends = ends[last] + 2, ends[last + 1:]
     return runs
 
@@ -1272,14 +1287,14 @@ def _counted(calls: dict, name: str, function):
 
 def test_every_edge_of_a_generated_lattice_after_the_first_repeats_its_fibre(monkeypatch):
     calls = {"scan": [], "run": []}
-    monkeypatch.setattr(network, "_scan", _counted(calls, "scan", network._scan))
-    monkeypatch.setattr(network, "_run", _counted(calls, "run", network._run))
-    for templates, chunk in ((False, network._CHUNK), (True, network._CHUNK), (False, 1000)):
-        monkeypatch.setattr(network, "_CHUNK", chunk)
+    monkeypatch.setattr(reader, "_scan", _counted(calls, "scan", reader._scan))
+    monkeypatch.setattr(reader, "_run", _counted(calls, "run", reader._run))
+    for templates, chunk in ((False, reader._CHUNK), (True, reader._CHUNK), (False, 1000)):
+        monkeypatch.setattr(reader, "_CHUNK", chunk)
         text = _generated("manhattan8", 10, "templates" if templates else "ideal")
         for made in calls.values():
             made.clear()
-        assert load_network(text) == network._load_json(text)
+        assert load_network(text) == reader._load_json(text)
         nodes, edges = _spans(text, '{"id": ', '"}'), _spans(text, '{"a": ', "}}")
         scanned = [args[1] for args, _ in calls["scan"]]
         # Each array's first record goes through the scanner, and the records
@@ -1327,10 +1342,10 @@ def test_every_record_after_the_first_of_its_array_is_read_in_runs(monkeypatch, 
     # A writer change that leaves the reader's layouts fails here, rather
     # than reading such files record by record.
     calls = {"scan": [], "run": []}
-    monkeypatch.setattr(network, "_scan", _counted(calls, "scan", network._scan))
-    monkeypatch.setattr(network, "_run", _counted(calls, "run", network._run))
+    monkeypatch.setattr(reader, "_scan", _counted(calls, "scan", reader._scan))
+    monkeypatch.setattr(reader, "_run", _counted(calls, "run", reader._run))
     if chunk:
-        monkeypatch.setattr(network, "_CHUNK", chunk)
+        monkeypatch.setattr(reader, "_CHUNK", chunk)
     graph = _layout_graph(fam, nodes, edges)
     text = "".join(network_json_chunks(graph))
     assert load_network(text) == (graph, [])

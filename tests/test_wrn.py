@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qnetcap import wrn
 from qnetcap import bounds
-from qnetcap.bounds import bound_columns, compounds
+from qnetcap.bounds import bound_columns, compounds, squashed_entanglement
 from qnetcap.channels import (
     AmplitudeDamping,
     ThermalLoss,
@@ -596,7 +596,7 @@ def test_a_scan_is_one_call_of_each_kernel(monkeypatch, spec, param):
     calls = {"compounds": [], "bound_columns": []}
     for name, sizes in calls.items():
         kernel = getattr(bounds, name)
-        monkeypatch.setattr(wrn, name, lambda fam, batch, kernel=kernel, sizes=sizes:
+        monkeypatch.setattr(bounds, name, lambda fam, batch, kernel=kernel, sizes=sizes:
                             sizes.append(len(batch)) or kernel(fam, batch))
     thresholds(spec, [(1e-2, "delta"), (1e-2, "omega")], param)
     scans, steps = calls["compounds"][0], calls["compounds"][1:]
@@ -743,7 +743,7 @@ def test_bound_functions_evaluate_one_side(monkeypatch, spec, param, other):
     lower_fn, upper_fn, _, columns = bound_functions(spec, param)
     expected = lower_fn(0.1), upper_fn(0.1)
     reduced = []
-    monkeypatch.setattr(wrn, "compounds", lambda fam, chains: reduced.extend(chains) or compounds(fam, chains))
+    monkeypatch.setattr(bounds, "compounds", lambda fam, chains: reduced.extend(chains) or compounds(fam, chains))
     # A batch of values is reduced in one call and gives both sides of each.
     lower, _, upper, _ = columns([0.1, 0.1])
     assert (lower, upper) == ([expected[0]] * 2, [expected[1]] * 2) and len(reduced) == 2
@@ -751,7 +751,7 @@ def test_bound_functions_evaluate_one_side(monkeypatch, spec, param, other):
         # Both thermal sides come from one rate expression, so each call
         # hands the bound kernel its one compound once.
         handed = []
-        monkeypatch.setattr(wrn, "bound_columns",
+        monkeypatch.setattr(bounds, "bound_columns",
                             lambda fam, reduced: handed.extend(reduced) or bound_columns(fam, reduced))
         assert lower_fn(0.1) == expected[0] and len(handed) == 1
         assert upper_fn(0.1) == expected[1] and len(handed) == 2
@@ -760,14 +760,14 @@ def test_bound_functions_evaluate_one_side(monkeypatch, spec, param, other):
     def forbidden(*args):
         raise AssertionError("the other side was evaluated")
 
-    # The solver looks each damping side's loop up in ``wrn``; patching it
-    # there reaches it, which the forbidden side's own function shows.
-    monkeypatch.setattr(wrn, other, forbidden)
+    # The solver looks each damping side's loop up in ``bounds`` when it calls
+    # it; patching it there reaches it, which the forbidden side's own function shows.
+    monkeypatch.setattr(bounds, other, forbidden)
     assert lower_fn(0.1) == expected[0]
     with pytest.raises(AssertionError, match="other side"):
         upper_fn(0.1)
-    monkeypatch.setattr(wrn, other, bounds.squashed_entanglement)
-    monkeypatch.setattr(wrn, "coherent_information", forbidden)
+    monkeypatch.setattr(bounds, other, squashed_entanglement)
+    monkeypatch.setattr(bounds, "coherent_information", forbidden)
     assert upper_fn(0.1) == expected[1]
     with pytest.raises(AssertionError, match="other side"):
         lower_fn(0.1)
