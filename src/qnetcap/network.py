@@ -28,6 +28,7 @@ from .errors import DomainError, FamilyError, ValidationError, checked
 if TYPE_CHECKING:  # ``validate`` runs without the bound functions and the bounded graph
     from .routing import BoundedGraph
 
+
 def _check_users(users) -> None:
     """DomainError unless ``users`` is a pair of node names."""
     if not (isinstance(users, tuple) and len(users) == 2 and all(isinstance(u, str) for u in users)):

@@ -8,12 +8,11 @@ The min-neighbourhood capacity is the multi-edge capacity of the cut that
 isolates one end user: the smaller of the two users' incident-edge value sums.
 It upper-bounds the flooding (max-flow) capacity because it is itself a cut.
 
-The BoundedGraph that ``network.apply_split`` and ``network.annotate_uniform``
-build lives here, with the Cut. All of these run on one arc structure
-(``_arcs``), built once per report from the graph's endpoint numbers, which
-``BoundedGraph`` checked when it was built.
-The exhaustive enumeration oracles and the flow feasibility check that gate
-these algorithms live in ``oracles.py``.
+All of these run on one arc structure (``_arcs``), built once per report from
+the graph's endpoint numbers, which ``BoundedGraph`` checked when it was built.
+``BoundedGraph``, which ``network.apply_split`` and ``network.annotate_uniform``
+build, and ``Cut`` are defined here. The exhaustive enumeration oracles and the
+flow feasibility check that gate these algorithms live in ``oracles.py``.
 """
 
 from __future__ import annotations

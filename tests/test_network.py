@@ -1226,11 +1226,11 @@ def _mutated(text: str, mutation: str, at: int) -> str:
     return text[:start] + EDGE_MUTATIONS[mutation](text[start:end]) + text[end:]
 
 
-def _read(reader, text: str):
-    """What ``reader`` makes of ``text``: the graph's repr, with the sign of every
+def _read(read, text: str):
+    """What ``read`` makes of ``text``: the graph's repr, with the sign of every
     zero, and the violations, or the type and message of what it raises."""
     try:
-        graph, violations = reader(text)
+        graph, violations = read(text)
     except ValueError as exc:
         return type(exc), str(exc)
     return repr(graph), violations
